@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import PrimstabError
@@ -32,17 +33,39 @@ from .whitehead import (
 from .words import cyclic_length, cyclic_reduce, parse_word
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % (text,))
+    return value
+
+
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (low, text))
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(_finite(parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(_finite(parts[0]), _finite(parts[1]))
     raise ValueError("expected re or re,im, got %r" % (text,))
 
 
 def _parse_basepoint(text: str) -> UhsPoint:
-    parts = [float(v) for v in text.split(",")]
+    parts = [_finite(v) for v in text.split(",")]
     if len(parts) != 3:
         raise ValueError("expected re,im,t, got %r" % (text,))
     return UhsPoint(complex(parts[0], parts[1]), parts[2])
@@ -186,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_blocking)
 
     p = sub.add_parser("enumerate", help="list primitive conjugacy classes up to a length")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--rank", type=_positive_int, required=True)
+    p.add_argument("--max-len", type=_nonnegative_int, required=True)
     p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -197,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ps-scan", help="primitive spectrum scan of a representation")
     p.add_argument("--rep", required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_nonnegative_int, required=True)
     p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_cmd_ps_scan)
 
@@ -213,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_parse_complex, required=True, help="trace of a (re or re,im)")
     p.add_argument("--y", type=_parse_complex, required=True, help="trace of b")
     p.add_argument("--z", type=_parse_complex, required=True, help="trace of ab")
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--small-trace-bound", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--delta", type=float, default=1e-6)
+    p.add_argument("--budget", type=_nonnegative_int, required=True)
+    p.add_argument("--small-trace-bound", type=_nonnegative_int, default=64)
+    p.add_argument("--tol", type=_finite, default=1e-9)
+    p.add_argument("--delta", type=_finite, default=1e-6)
     p.set_defaults(func=_cmd_bq_decide)
 
     p = sub.add_parser("render", help="render a slice to a PPM image")

@@ -51,3 +51,7 @@ class ParseError(PrimstabError):
 
 class DeterminantError(PrimstabError):
     """A matrix is too far from determinant one."""
+
+
+class NonFiniteValue(PrimstabError, ValueError):
+    """A value that must be a finite number is infinite or NaN."""

@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotCoprime
+from .errors import NonFiniteValue
 from .moebius import Representation, fricke_traces
+from .whitehead import _farey_turns, _normalize_slope
 
 _IDENTITY_TOL = 1e-8
 
@@ -41,7 +42,10 @@ class MarkoffTriple:
 
     def __post_init__(self):
         for name in ("x", "y", "z", "kappa"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise NonFiniteValue("%s = %r is not finite" % (name, value))
+            object.__setattr__(self, name, value)
         residual = abs(fricke_kappa(self.x, self.y, self.z) - self.kappa)
         if residual > _IDENTITY_TOL:
             raise ValueError(
@@ -75,40 +79,27 @@ def markoff_move(t: MarkoffTriple, which: MarkoffMove | str) -> MarkoffTriple:
     return MarkoffTriple(t.x, t.y, t.x * t.y - t.z, t.kappa)
 
 
-def _require_coprime(p: int, q: int) -> None:
-    if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-        raise NotCoprime("slope coordinates (%d, %d) must be coprime and nonzero" % (p, q))
-
-
 def slope_trace(t0: MarkoffTriple, p: int, q: int) -> complex:
     """Trace of the primitive class of slope p/q, by mediant recursion.
 
     Matches the matrix trace of the mediant-recursion word of the slope
     whenever t0 comes from the representation's Fricke traces.
     """
-    _require_coprime(p, q)
+    p, q = _normalize_slope(p, q)  # the inverse class has the same trace
     x, y, z = t0.x, t0.y, t0.z
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q  # the inverse class has the same trace
     if p < 0:
-        x, y, z, p = x, y, x * y - z, -p  # replace b by its inverse
+        z, p = x * y - z, -p  # replace b by its inverse
     if (p, q) == (0, 1):
         return x
     if (p, q) == (1, 0):
         return y
-    lp, lq = 0, 1
-    rp, rq = 1, 0
     tl, tr, tm = x, y, z
-    while True:
-        mp, mq = lp + rp, lq + rq
-        if (mp, mq) == (p, q):
-            return tm
-        if p * mq < mp * q:
-            rp, rq = mp, mq
+    for below in _farey_turns(p, q):
+        if below:
             tl, tr, tm = tl, tm, tl * tm - tr
         else:
-            lp, lq = mp, mq
             tl, tr, tm = tm, tr, tm * tr - tl
+    return tm
 
 
 def safe_abs(z: complex) -> float:
@@ -155,12 +146,6 @@ class BqVerdict:
     witnesses: tuple[tuple[tuple[int, int], complex], ...]
     depth_max: int
     small_traces: tuple[tuple[tuple[int, int], complex], ...] = ()
-
-
-def _normalize_slope(p: int, q: int) -> tuple[int, int]:
-    if q < 0 or (q == 0 and p < 0):
-        return -p, -q
-    return p, q
 
 
 def bq_decide(

@@ -128,6 +128,8 @@ def slice_config_to_json(cfg: SliceConfig) -> dict:
         "root": "smaller" if cfg.root_choice == RootChoice.SMALLER_ABS else "larger",
         "budget": cfg.budget,
         "small_trace_bound": cfg.small_trace_bound,
+        "tol": cfg.tol,
+        "delta": cfg.delta,
     }
 
 

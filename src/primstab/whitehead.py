@@ -14,9 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ClosedOnNonCyclicallyReduced,
@@ -87,13 +85,6 @@ class WhiteheadGraph:
                 total += m
         return total
 
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        for (u, v), m in self.edge_multiplicity.items():
-            g.add_edge(u, v, multiplicity=m)
-        return g
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WhiteheadGraph)
@@ -123,23 +114,46 @@ def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGrap
     return WhiteheadGraph(w.rank, ((x, -y) for x, y in pairs))
 
 
+def _neighbours(g: WhiteheadGraph) -> dict[int, set[int]]:
+    """Adjacency sets on all 2n letters; a self-loop makes a vertex its own neighbour."""
+    adjacent: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for u, v in g.edge_multiplicity:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    return adjacent
+
+
+def _component_count(adjacent: dict[int, set[int]], vertices: set[int]) -> int:
+    """Connected components of the subgraph induced on ``vertices``."""
+    unseen = set(vertices)
+    count = 0
+    while unseen:
+        count += 1
+        stack = [unseen.pop()]
+        while stack:
+            reached = adjacent[stack.pop()] & unseen
+            unseen -= reached
+            stack.extend(reached)
+    return count
+
+
 def is_connected(g: WhiteheadGraph) -> bool:
     """Connectivity on all 2n vertices; isolated vertices disconnect."""
-    return nx.is_connected(g.to_networkx())
+    adjacent = _neighbours(g)
+    return _component_count(adjacent, set(adjacent)) == 1
 
 
 def has_cutpoint(g: WhiteheadGraph) -> bool:
     """Whether removing some vertex increases the number of components.
 
     Tested on the subgraph spanned by vertices with at least one edge, so
-    isolated vertices never count as (or create) cutpoints.
+    isolated vertices never count as (or create) cutpoints.  With at most 2n
+    vertices, removing each in turn and recounting is the whole search.
     """
-    graph = g.to_networkx()
-    support = [v for v in graph if graph.degree(v) > 0]
-    if not support:
-        return False
-    sub = graph.subgraph(support)
-    return any(True for _ in nx.articulation_points(sub))
+    adjacent = _neighbours(g)
+    support = {v for v, near in adjacent.items() if near}
+    base = _component_count(adjacent, support)
+    return any(_component_count(adjacent, support - {v}) > base for v in support)
 
 
 @dataclass(frozen=True)
@@ -422,27 +436,39 @@ def enumerate_primitive_classes(
     return _primitive_classes(rank, max_len, rank_cap)
 
 
-def _positive_slope_letters(p: int, q: int) -> list[int]:
-    """Mediant-recursion word for slope p/q with p, q >= 0 coprime.
+def _normalize_slope(p: int, q: int) -> tuple[int, int]:
+    """The representative of the slope pair +-(p, q) with q > 0, or (1, 0).
 
-    Base words are a at 0/1 and b at 1/0; the word at a mediant is the
-    concatenation of the words at its lower and upper parents.
+    The two pairs index a class and its inverse.  Raises NotCoprime unless
+    p and q are coprime and not both zero.
     """
-    if (p, q) == (0, 1):
-        return [1]
-    if (p, q) == (1, 0):
-        return [2]
-    lp, lq, lw = 0, 1, [1]
-    rp, rq, rw = 1, 0, [2]
+    if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
+        raise NotCoprime("slope coordinates (%d, %d) must be coprime and nonzero" % (p, q))
+    if q < 0 or (q == 0 and p < 0):
+        return -p, -q
+    return p, q
+
+
+def _farey_turns(p: int, q: int) -> Iterator[bool]:
+    """Mediant descent from the parents 0/1 and 1/0 to p/q.
+
+    Needs p, q >= 0 coprime with p/q neither 0/1 nor 1/0.  Yields one turn
+    per mediant passed before p/q is reached: True when p/q lies below the
+    mediant (which becomes the upper parent), False when above (the mediant
+    becomes the lower parent).  Once the generator ends, p/q is the mediant
+    of the current parents.
+    """
+    lp, lq, rp, rq = 0, 1, 1, 0
     while True:
         mp, mq = lp + rp, lq + rq
-        mw = lw + rw
         if (mp, mq) == (p, q):
-            return mw
-        if p * mq < mp * q:
-            rp, rq, rw = mp, mq, mw
+            return
+        below = p * mq < mp * q
+        yield below
+        if below:
+            rp, rq = mp, mq
         else:
-            lp, lq, lw = mp, mq, mw
+            lp, lq = mp, mq
 
 
 def primitive_of_slope(p: int, q: int) -> CyclicWord:
@@ -453,15 +479,21 @@ def primitive_of_slope(p: int, q: int) -> CyclicWord:
     exponent vector of the result is (q, p).  Negative slopes are reached by
     inverting b (for p < 0) and by inverting the whole word (for q < 0).
     """
-    if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-        raise NotCoprime("slope coordinates (%d, %d) must be coprime and nonzero" % (p, q))
-    invert_all = q < 0 or (q == 0 and p < 0)
-    if invert_all:
-        p, q = -p, -q
-    flip_b = p < 0
-    letters = _positive_slope_letters(abs(p), q)
-    if flip_b:
-        letters = [v if v == 1 else -2 for v in letters]
-    if invert_all:
+    slope = _normalize_slope(p, q)
+    inverted = slope != (p, q)
+    p, q = slope
+    lower, upper = [1], [2 if p >= 0 else -2]
+    if (p, q) == (0, 1):
+        letters = lower
+    elif (p, q) == (1, 0):
+        letters = upper
+    else:
+        for below in _farey_turns(abs(p), q):
+            if below:
+                upper = lower + upper
+            else:
+                lower = lower + upper
+        letters = lower + upper
+    if inverted:
         letters = [-v for v in reversed(letters)]
     return CyclicWord(2, tuple(letters))

@@ -1,7 +1,20 @@
 """Shared builders for the test suite: seeded random matrices, words, and the
 reference ping-pong representation used across modules."""
 
+import os
+import subprocess
+import sys
+
 import primstab as ps
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports the primstab under test."""
+    env = dict(os.environ)
+    home = os.path.dirname(os.path.dirname(os.path.abspath(ps.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [home, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
 
 
 def random_complex(rng, scale=1.0):

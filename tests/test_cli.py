@@ -1,9 +1,11 @@
 import json
 
-import primstab as ps
-from primstab.cli import run
+import pytest
 
-from helpers import schottky_example
+import primstab as ps
+from primstab.cli import build_parser, run
+
+from helpers import run_python, schottky_example
 
 
 def invoke(capsys, *argv):
@@ -102,6 +104,48 @@ def test_bq_decide_complex_flags(capsys):
                           "--budget", "1000", "--small-trace-bound", "0")
     assert code == 0
     assert json.loads(out)["kind"] == "NOT_BQ_WITNESS"
+
+
+def test_bq_decide_overflowing_traces_are_domain_errors(capsys):
+    code, out, err = invoke(capsys, "bq-decide", "--x", "1e200", "--y", "1e200", "--z", "3",
+                            "--budget", "100")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NonFiniteValue"
+
+
+BQ_FLAGS = ["--x", "3", "--y", "3", "--z", "3", "--budget", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bq-decide", "--x", "3", "--y", "3", "--z", "3", "--budget", "-1"],
+    ["bq-decide", *BQ_FLAGS, "--small-trace-bound", "-1"],
+    ["bq-decide", *BQ_FLAGS, "--tol", "nan"],
+    ["bq-decide", *BQ_FLAGS, "--delta", "inf"],
+    ["bq-decide", "--x", "nan", "--y", "3", "--z", "3", "--budget", "10"],
+    ["bq-decide", "--x", "3", "--y", "3,-inf", "--z", "3", "--budget", "10"],
+    ["enumerate", "--rank", "2", "--max-len", "-1"],
+    ["enumerate", "--rank", "0", "--max-len", "2"],
+    ["ps-scan", "--rep", "rep.json", "--max-len", "-1"],
+    ["probe", "--rep", "rep.json", "--word", "a", "--periods", "5", "--basepoint", "0,0,nan"],
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+def test_every_finite_float_flag_parses():
+    for value in (0.1, -0.0, 5e-324, 1.7976931348623157e308, 3.0000000000000004):
+        args = build_parser().parse_args(["bq-decide", "--x", repr(value), "--y", "3", "--z", "3",
+                                          "--budget", "0", "--tol", repr(value)])
+        assert args.x == complex(value, 0.0) and args.tol == value
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_python("-m", "primstab", "word", "ab")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["reduced"] == "ab"
+    assert proc.stdout.count("\n") == 1
 
 
 def test_render_subcommand_and_determinism(capsys, tmp_path):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import primstab as ps
-from primstab.errors import NotCoprime
+from primstab.errors import NonFiniteValue, NotCoprime
 
 from helpers import random_complex, random_representation, schottky_example
 
@@ -42,6 +42,15 @@ def test_moves_are_involutions_and_preserve_kappa():
 def test_triple_invariant_rejects_wrong_kappa():
     with pytest.raises(ValueError):
         ps.MarkoffTriple(3, 3, 3, 5)
+
+
+def test_triple_rejects_non_finite_values():
+    for bad in ((math.nan, 3, 3, -2), (3, math.inf, 3, -2), (3, 3, 3, complex(-2, math.nan))):
+        with pytest.raises(NonFiniteValue):
+            ps.MarkoffTriple(*bad)
+    # kappa of huge traces is inf - inf; the error is still a ValueError
+    with pytest.raises(ValueError):
+        ps.MarkoffTriple.from_traces(1e200, 1e200, 3)
 
 
 def test_triple_from_representation():

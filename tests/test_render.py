@@ -88,7 +88,7 @@ def test_config_json_round_trip():
     cfg = ps.SliceConfig(kappa=complex(-2, 0.5), fixed_x=complex(3, -1),
                          window=(complex(0, -3), complex(6, 3)),
                          width=32, height=16, root_choice=ps.RootChoice.LARGER_ABS,
-                         budget=1234, small_trace_bound=7)
+                         budget=1234, small_trace_bound=7, tol=1e-7, delta=1e-4)
     back = ps.slice_config_from_json(ps.slice_config_to_json(cfg))
     assert back == cfg
 

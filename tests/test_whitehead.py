@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,9 +10,9 @@ from primstab.errors import (
     NotCoprime,
     RankTooLarge,
 )
-from primstab.whitehead import _move_pool
+from primstab.whitehead import _move_pool, all_letters
 
-from helpers import random_automorphism, random_word
+from helpers import random_automorphism, random_word, run_python
 
 
 def edges_of(graph):
@@ -70,6 +71,47 @@ def test_cutpoint_examples():
     assert ps.has_cutpoint(path)
     single = ps.WhiteheadGraph(2, [(1, -2)])
     assert not ps.has_cutpoint(single)
+
+
+def _networkx_verdicts(nx, g):
+    support = nx.Graph(list(g.edge_multiplicity))  # the vertices of degree > 0
+    whole = support.copy()
+    whole.add_nodes_from(g.vertices)
+    return nx.is_connected(whole), any(True for _ in nx.articulation_points(support))
+
+
+def test_connectivity_and_cutpoints_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = {}
+
+    def add(g):  # words with the same letter graph share one check
+        graphs.setdefault((g.rank, tuple(sorted(g.edge_multiplicity.items()))), g)
+
+    # every edge set, self-loops included, on the rank-1 and rank-2 letters
+    for rank in (1, 2):
+        letters = all_letters(rank)
+        pairs = [(u, v) for i, u in enumerate(letters) for v in letters[i:]]
+        for mask in range(1 << len(pairs)):
+            chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+            add(ps.WhiteheadGraph(rank, chosen))
+    assert len(graphs) == 8 + 1024
+    # open and closed graphs of every reduced rank-3 word of length <= 5
+    for length in range(1, 6):
+        for letters in itertools.product(all_letters(3), repeat=length):
+            if any(u == -v for u, v in zip(letters, letters[1:])):
+                continue
+            w = ps.Word(3, letters)
+            add(ps.whitehead_graph(w, closed=False))
+            if length == 1 or letters[0] != -letters[-1]:
+                add(ps.whitehead_graph(w, closed=True))
+    for g in graphs.values():
+        assert (ps.is_connected(g), ps.has_cutpoint(g)) == _networkx_verdicts(nx, g), g
+
+
+def test_import_leaves_networkx_unloaded():
+    proc = run_python("-c", "import sys, primstab; print('networkx' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_blocking_certificate_examples():
