@@ -51,8 +51,16 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
+def _at_least_two(text: str) -> int:
+    return _int_at_least(text, 2)
+
+
+def _rank(text: str) -> int:
+    """A rank the ASCII word format can spell: generators a..z, so 1..26."""
+    value = _int_at_least(text, 1)
+    if value > 26:
+        raise argparse.ArgumentTypeError("expected a rank of at most 26, got %r" % (text,))
+    return value
 
 
 def _parse_complex(text: str) -> complex:
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_word_flags(p):
         p.add_argument("word", help="ASCII word, a..z generators and A..Z inverses")
-        p.add_argument("--rank", type=int, default=None,
+        p.add_argument("--rank", type=_rank, default=None,
                        help="rank of the free group (default: largest letter used)")
 
     p = sub.add_parser("word", help="reduced and cyclically reduced forms of a word")
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_blocking)
 
     p = sub.add_parser("enumerate", help="list primitive conjugacy classes up to a length")
-    p.add_argument("--rank", type=_positive_int, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--max-len", type=_nonnegative_int, required=True)
     p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_cmd_enumerate)
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="orbit displacement growth of one word")
     p.add_argument("--rep", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--periods", type=int, required=True)
+    p.add_argument("--periods", type=_at_least_two, required=True)
     p.add_argument("--basepoint", type=_parse_basepoint, default=None,
                    help="re,im,t upper-half-space basepoint (default 0,0,1)")
     p.set_defaults(func=_cmd_probe)

@@ -183,13 +183,10 @@ def translation_length(m: MoebiusMap) -> float:
     sign and under conjugation.
     """
     t = m.trace()
-    lam = (t + cmath.sqrt(t * t - 4.0)) / 2.0
-    mod = abs(lam)
-    if mod < 1.0:
-        if mod == 0.0:
-            raise DegenerateMatrix("eigenvalue 0 is impossible for a det-1 matrix")
-        mod = 1.0 / mod
-    return 2.0 * math.log(mod)
+    s = cmath.sqrt(t * t - 4.0)
+    # the eigenvalues are (t +- s)/2; taking the larger modulus avoids the
+    # cancellation in t + s when Re t < 0
+    return 2.0 * math.log(max(abs(t + s), abs(t - s), 2.0) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .words import (
     Word,
     _canonical_cycle,
     _cyclic_core,
-    _least_rotation_index,
     check_letter,
     cyclic_reduce,
     letter_key,
@@ -183,7 +182,7 @@ def blocking_certificate(w: Word) -> BlockingCertificate:
 class WhiteheadAutomorphism:
     """An automorphism of the free group given by its generator images."""
 
-    def __init__(self, rank: int, images: Sequence[Word], label: str = ""):
+    def __init__(self, rank: int, images: Sequence[Word]):
         if len(images) != rank:
             raise RankMismatch("need %d generator images, got %d" % (rank, len(images)))
         for img in images:
@@ -191,15 +190,14 @@ class WhiteheadAutomorphism:
                 raise RankMismatch("image %r has rank %d, expected %d" % (str(img), img.rank, rank))
         self.rank = rank
         self.images = tuple(images)
-        self.label = label or ", ".join(
-            "%s->%s" % (Word(rank, (i + 1,)), img) for i, img in enumerate(images)
-        )
         # raw (positive image, inverse image) pairs for the hot loops
         self._pos = tuple(img.letters for img in self.images)
         self._neg = tuple(tuple(-v for v in reversed(img.letters)) for img in self.images)
 
     def __repr__(self) -> str:
-        return "WhiteheadAutomorphism(%s)" % self.label
+        return "WhiteheadAutomorphism(%s)" % ", ".join(
+            "%s->%s" % (Word(self.rank, (i + 1,)), img) for i, img in enumerate(self.images)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -352,16 +350,6 @@ def exponent_vector(w: Word | CyclicWord) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _exponent_gcd(letters: Sequence[int], rank: int) -> int:
-    counts = [0] * rank
-    for v in letters:
-        counts[abs(v) - 1] += 1 if v > 0 else -1
-    g = 0
-    for c in counts:
-        g = math.gcd(g, abs(c))
-    return g
-
-
 def is_primitive(w: Word | CyclicWord, rank_cap: int = DEFAULT_RANK_CAP) -> bool:
     """Whether w belongs to some free basis.
 
@@ -377,50 +365,41 @@ def is_primitive(w: Word | CyclicWord, rank_cap: int = DEFAULT_RANK_CAP) -> bool
         core = cyclic_reduce(w)[0].letters
     if not core:
         return False
-    if _exponent_gcd(core, w.rank) != 1:
+    if math.gcd(*exponent_vector(w)) != 1:
         return False
     terminal, _ = _minimize_raw(w.rank, core)
     return len(terminal) == 1
 
 
-def _canonical_classes(rank: int, max_len: int):
-    """Canonical least-rotation cyclically reduced letter tuples, lengths 1..max_len."""
-    letters = all_letters(rank)
-    low_key = letter_key(letters[0])
-    for length in range(1, max_len + 1):
-        stack: list[int] = []
-
-        def emit(prefix: list[int]):
-            if len(prefix) == length:
-                if length == 1 or prefix[0] != -prefix[-1]:
-                    if _least_rotation_index(prefix) == 0:
-                        yield tuple(prefix)
-                return
-            for v in letters:
-                if prefix and v == -prefix[-1]:
-                    continue
-                # a canonical rotation must start at a least letter
-                if prefix and letter_key(v) < letter_key(prefix[0]):
-                    continue
-                prefix.append(v)
-                yield from emit(prefix)
-                prefix.pop()
-
-        yield from emit(stack)
-
-
 @lru_cache(maxsize=None)
-def _primitive_classes(rank: int, max_len: int, rank_cap: int) -> tuple[CyclicWord, ...]:
-    _check_rank_cap(rank, rank_cap)
-    found = []
-    for core in _canonical_classes(rank, max_len):
-        if _exponent_gcd(core, rank) != 1:
-            continue
-        terminal, _ = _minimize_raw(rank, core)
-        if len(terminal) == 1:
-            found.append(CyclicWord(rank, core))
-    found.sort(key=CyclicWord.sort_key)
-    return tuple(found)
+def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
+    """Grow the primitive classes upward from the letters by second-kind moves.
+
+    Starts at the 2n one-letter classes and applies every pool move to every
+    class found, keeping each image that is longer than its source and at
+    most ``max_len`` letters.  Every class reached is an automorphic image of
+    a letter, so it is primitive.  The search is complete by peak reduction:
+    every primitive class longer than one letter is shortened by some move
+    (a, A) of the pool, which is what ``is_primitive`` relies on, and the
+    inverse move (a^-1, A) is in the pool too.  So every primitive class is
+    the longer image of a shorter primitive class, and induction on the
+    length reaches it.
+    """
+    moves = _move_pool(rank)
+    found = {(v,) for v in all_letters(rank)} if max_len > 0 else set()
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for core in frontier:
+            for phi in moves:
+                image, _ = _cyclic_core(_apply_raw(phi, core))
+                if len(core) < len(image) <= max_len:
+                    canon, _ = _canonical_cycle(image)
+                    if canon not in found:
+                        found.add(canon)
+                        grown.append(canon)
+        frontier = grown
+    return tuple(sorted((CyclicWord(rank, c) for c in found), key=CyclicWord.sort_key))
 
 
 def enumerate_primitive_classes(
@@ -433,7 +412,8 @@ def enumerate_primitive_classes(
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    return _primitive_classes(rank, max_len, rank_cap)
+    _check_rank_cap(rank, rank_cap)
+    return _primitive_classes(rank, max_len)
 
 
 def _normalize_slope(p: int, q: int) -> tuple[int, int]:

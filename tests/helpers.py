@@ -67,6 +67,36 @@ def random_reduced_letters(rng, rank, length):
     return tuple(letters)
 
 
+def all_reduced_words(rank, length):
+    alphabet = [v for i in range(1, rank + 1) for v in (i, -i)]
+
+    def rec(prefix):
+        if len(prefix) == length:
+            yield tuple(prefix)
+            return
+        for v in alphabet:
+            if prefix and v == -prefix[-1]:
+                continue
+            prefix.append(v)
+            yield from rec(prefix)
+            prefix.pop()
+
+    yield from rec([])
+
+
+def all_cyclic_classes(rank, max_len):
+    """Independent enumeration of canonical cyclically reduced classes."""
+    seen = set()
+    for length in range(1, max_len + 1):
+        for letters in all_reduced_words(rank, length):
+            if length > 1 and letters[0] == -letters[-1]:
+                continue
+            cls = ps.CyclicWord(rank, letters)
+            if cls not in seen:
+                seen.add(cls)
+                yield cls
+
+
 def random_word(rng, rank, length):
     return ps.Word(rank, random_reduced_letters(rng, rank, length))
 

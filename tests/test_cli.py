@@ -127,6 +127,9 @@ BQ_FLAGS = ["--x", "3", "--y", "3", "--z", "3", "--budget", "10"]
     ["enumerate", "--rank", "0", "--max-len", "2"],
     ["ps-scan", "--rep", "rep.json", "--max-len", "-1"],
     ["probe", "--rep", "rep.json", "--word", "a", "--periods", "5", "--basepoint", "0,0,nan"],
+    ["probe", "--rep", "rep.json", "--word", "a", "--periods", "1"],
+    ["enumerate", "--rank", "27", "--max-len", "1", "--rank-cap", "30"],
+    ["word", "a", "--rank", "27"],
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     code, out, err = invoke(capsys, *argv)

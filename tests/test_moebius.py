@@ -118,6 +118,12 @@ def test_translation_length_examples():
     assert ps.translation_length(ps.MoebiusMap(1, 1, 0, 1)) == 0.0
 
 
+def test_translation_length_of_negative_trace_does_not_cancel():
+    m = ps.MoebiusMap(1e8, 0, 0, 1e-8)
+    assert ps.translation_length(-m) == ps.translation_length(m)
+    assert abs(ps.translation_length(-m) - 2 * math.log(1e8)) <= 1e-9
+
+
 def test_translation_length_conjugation_invariant():
     rng = random.Random(25)
     for _ in range(50):

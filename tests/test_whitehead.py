@@ -12,7 +12,7 @@ from primstab.errors import (
 )
 from primstab.whitehead import _move_pool, all_letters
 
-from helpers import random_automorphism, random_word, run_python
+from helpers import all_cyclic_classes, random_automorphism, random_word, run_python
 
 
 def edges_of(graph):
@@ -274,32 +274,13 @@ def test_enumerate_rank2_length2():
     assert "aa" not in {str(c) for c in classes}
 
 
-def test_enumerate_complete_and_duplicate_free():
-    classes = ps.enumerate_primitive_classes(2, 4)
-    assert len(set(classes)) == len(classes)
-    for c in classes:
-        assert ps.is_primitive(c)
-    # completeness: every primitive reduced word of length <= 4 lands in a listed class
-    listed = set(classes)
-    rng = random.Random(16)
-    alphabet = [1, -1, 2, -2]
-
-    def all_reduced(length):
-        if length == 0:
-            yield ()
-            return
-        for prefix in all_reduced(length - 1):
-            for v in alphabet:
-                if prefix and v == -prefix[-1]:
-                    continue
-                yield prefix + (v,)
-
-    for length in range(0, 5):
-        for letters in all_reduced(length):
-            w = ps.Word(2, letters)
-            if ps.is_primitive(w):
-                cyc, _ = ps.cyclic_reduce(w)
-                assert cyc in listed
+@pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 5), (4, 3)])
+def test_enumerate_complete_and_duplicate_free(rank, max_len):
+    # oracle: every cyclically reduced class up to max_len, filtered by the
+    # move search of is_primitive rather than grown by moves from the letters
+    expected = {c for c in all_cyclic_classes(rank, max_len) if ps.is_primitive(c)}
+    classes = ps.enumerate_primitive_classes(rank, max_len)
+    assert classes == tuple(sorted(expected, key=ps.CyclicWord.sort_key))
 
 
 def test_enumerate_matches_slope_construction():
