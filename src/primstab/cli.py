@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from .errors import PrimstabError
+from .errors import NonFiniteValue, PrimstabError
 from .markoff import MarkoffTriple, bq_decide, bq_verdict_to_json
 from .moebius import (
     IsometryClass,
@@ -51,6 +51,10 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
 def _at_least_two(text: str) -> int:
     return _int_at_least(text, 2)
 
@@ -86,7 +90,11 @@ def load_representation(path: str) -> Representation:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteValue("the result holds a non-finite number: %s" % (exc,)) from exc
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_word(args) -> int:
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primitive", help="decide whether a word is primitive")
     add_word_flags(p)
-    p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
+    p.add_argument("--rank-cap", type=_positive_int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_cmd_primitive)
 
     p = sub.add_parser("blocking", help="certificate that a word blocks primitive words")
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list primitive conjugacy classes up to a length")
     p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--max-len", type=_nonnegative_int, required=True)
-    p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
+    p.add_argument("--rank-cap", type=_positive_int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("rep-info", help="classify the generator images of a representation")
@@ -229,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ps-scan", help="primitive spectrum scan of a representation")
     p.add_argument("--rep", required=True)
     p.add_argument("--max-len", type=_nonnegative_int, required=True)
-    p.add_argument("--rank-cap", type=int, default=DEFAULT_RANK_CAP)
+    p.add_argument("--rank-cap", type=_positive_int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_cmd_ps_scan)
 
     p = sub.add_parser("probe", help="orbit displacement growth of one word")
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a slice to a PPM image")
     p.add_argument("--config", required=True, help="slice config JSON file")
     p.add_argument("--out", required=True, help="output PPM path")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="worker count (default: machine parallelism)")
     p.set_defaults(func=_cmd_render)
 

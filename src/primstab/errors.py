@@ -55,3 +55,11 @@ class DeterminantError(PrimstabError):
 
 class NonFiniteValue(PrimstabError, ValueError):
     """A value that must be a finite number is infinite or NaN."""
+
+
+class FrickeMismatch(PrimstabError, ValueError):
+    """Traces (x, y, z, kappa) miss the identity x^2 + y^2 + z^2 - xyz - 2 = kappa."""
+
+
+class CheckFailed(PrimstabError, ArithmeticError):
+    """A computed result failed the consistency check that guards it."""

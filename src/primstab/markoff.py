@@ -19,16 +19,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NonFiniteValue
-from .moebius import Representation, fricke_traces
+from .errors import CheckFailed, NonFiniteValue
+from .moebius import Representation, _check_fricke, fricke_kappa, fricke_traces
 from .whitehead import _farey_turns, _normalize_slope
-
-_IDENTITY_TOL = 1e-8
-
-
-def fricke_kappa(x: complex, y: complex, z: complex) -> complex:
-    """Commutator trace determined by the generator traces."""
-    return x * x + y * y + z * z - x * y * z - 2.0
 
 
 @dataclass(frozen=True)
@@ -46,12 +39,7 @@ class MarkoffTriple:
             if not cmath.isfinite(value):
                 raise NonFiniteValue("%s = %r is not finite" % (name, value))
             object.__setattr__(self, name, value)
-        residual = abs(fricke_kappa(self.x, self.y, self.z) - self.kappa)
-        if residual > _IDENTITY_TOL:
-            raise ValueError(
-                "triple (%r, %r, %r) misses kappa %r by %g"
-                % (self.x, self.y, self.z, self.kappa, residual)
-            )
+        _check_fricke(self.x, self.y, self.z, self.kappa)
 
     @classmethod
     def from_traces(cls, x: complex, y: complex, z: complex) -> "MarkoffTriple":
@@ -258,7 +246,7 @@ def solve_y_from_fricke(x: complex, z: complex, kappa: complex) -> tuple[complex
             plus = c / minus
     scale = max(1.0, abs(b), abs(c))
     if abs(plus + minus - b) > 1e-9 * scale or abs(plus * minus - c) > 1e-9 * scale:
-        raise ArithmeticError("quadratic roots failed the sum/product check")
+        raise CheckFailed("quadratic roots failed the sum/product check")
     return plus, minus
 
 

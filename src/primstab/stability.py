@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadSubset, ParseError, RankMismatch
+from .errors import BadSubset, CheckFailed, ParseError, RankMismatch
 from .moebius import (
     IsometryClass,
     MoebiusMap,
@@ -78,7 +78,7 @@ def ps_scan(
     base = UhsPoint(0.0, 1.0)
     displacement = max(uhs_distance(base, act_uhs(g, base)) for g in rep.images)
     if max_ratio > displacement + 1e-6:
-        raise ArithmeticError(
+        raise CheckFailed(
             "ratio %r exceeds the basepoint displacement bound %r" % (max_ratio, displacement)
         )
     verdict = FAILURE if failures else NO_OBSTRUCTION

@@ -130,6 +130,8 @@ BQ_FLAGS = ["--x", "3", "--y", "3", "--z", "3", "--budget", "10"]
     ["probe", "--rep", "rep.json", "--word", "a", "--periods", "1"],
     ["enumerate", "--rank", "27", "--max-len", "1", "--rank-cap", "30"],
     ["word", "a", "--rank", "27"],
+    ["render", "--config", "c.json", "--out", "o.ppm", "--threads", "0"],
+    ["enumerate", "--rank", "2", "--max-len", "2", "--rank-cap", "0"],
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     code, out, err = invoke(capsys, *argv)
@@ -170,6 +172,19 @@ def test_render_subcommand_and_determinism(capsys, tmp_path):
     assert out1.read_bytes().startswith(b"P6\n6 6\n255\n")
 
 
+def test_render_far_window_passes_the_fricke_check(capsys, tmp_path):
+    # traces near 1e4 round the identity's residual past an absolute 1e-8
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(json.dumps({
+        "kappa": [-2, 0], "fixed_x": [3, 0], "window": [[10000, -1], [10002, 1]],
+        "width": 4, "height": 4, "budget": 200,
+    }))
+    code, out, err = invoke(capsys, "render", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "far.ppm"), "--threads", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["bytes"] == len(b"P6\n4 4\n255\n") + 4 * 4 * 3
+
+
 def test_render_malformed_config_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -198,6 +213,24 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     code, _, err = invoke(capsys, "primitive", "ab1")
     assert code == 1
     assert json.loads(err)["error"] == "WordParseError"
+
+    # the image of the basepoint leaves the floats: 1/1e-320, or 1e160 squared
+    for name, gen in (("tiny_d", [[1e160, 0], [0, 0], [0, 0], [1e-160, 0]]),
+                      ("huge_d", [[1e-160, 0], [0, 0], [0, 0], [1e160, 0]])):
+        path = tmp_path / (name + ".json")
+        other = [[2, 0], [1, 0], [1, 0], [1, 0]]
+        path.write_text(json.dumps({"rank": 2, "generators": [gen, other]}))
+        code, out, err = invoke(capsys, "ps-scan", "--rep", str(path), "--max-len", "2")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DegenerateAction"
+
+    # a translation length of 2 ln(1e308) overflows on the way to its log
+    huge = tmp_path / "huge_trace.json"
+    gen = [[1e308, 0], [0, 0], [0, 0], [1e-308, 0]]
+    huge.write_text(json.dumps({"rank": 1, "generators": [gen]}))
+    code, out, err = invoke(capsys, "rep-info", "--rep", str(huge))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NonFiniteValue"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import primstab as ps
-from primstab.errors import NonFiniteValue, NotCoprime
+from primstab.errors import FrickeMismatch, NonFiniteValue, NotCoprime
 
 from helpers import random_complex, random_representation, schottky_example
 
@@ -41,6 +41,16 @@ def test_moves_are_involutions_and_preserve_kappa():
 
 def test_triple_invariant_rejects_wrong_kappa():
     with pytest.raises(ValueError):
+        ps.MarkoffTriple(3, 3, 3, 5)
+
+
+def test_fricke_check_scales_with_the_traces():
+    # the identity's terms grow like |entries|^4, and so does their rounding
+    for scale in (1, 3, 10, 100, 1000):
+        rng = random.Random(scale)
+        for _ in range(300):
+            ps.MarkoffTriple.from_representation(random_representation(rng, 2, scale))
+    with pytest.raises(FrickeMismatch):
         ps.MarkoffTriple(3, 3, 3, 5)
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +81,57 @@ def test_evaluate_matches_bare_matrix_oracle():
                 assert close(got[i][j], oracle[i][j], 1e-8 * max(1.0, abs(oracle[i][j])))
 
 
+def test_evaluate_equals_the_bare_product_exactly():
+    rng = random.Random(34)
+    for k in range(300):
+        rank = 2 + k % 2
+        if k % 3 == 0:
+            rep = random_near_identity_representation(rng, rank)
+        else:
+            rep = random_representation(rng, rank)
+        w = random_word(rng, rank, rng.randint(0, 30))
+        assert mat_of(ps.evaluate(rep, w)) == word_matrix(rep, w.letters)
+
+
+def _exact(z):
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_mul(m1, m2):
+    def cmul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    def cadd(u, v):
+        return u[0] + v[0], u[1] + v[1]
+
+    (a1, b1), (c1, d1) = m1
+    (a2, b2), (c2, d2) = m2
+    return [[cadd(cmul(a1, a2), cmul(b1, c2)), cadd(cmul(a1, b2), cmul(b1, d2))],
+            [cadd(cmul(c1, a2), cmul(d1, c2)), cadd(cmul(c1, b2), cmul(d1, d2))]]
+
+
+def test_class_traces_match_exact_rational_arithmetic():
+    # the float entries are exact rationals; their exact product is the
+    # reference the float product should reach to a few ulps
+    classes = ps.enumerate_primitive_classes(2, 10)
+    rng = random.Random(35)
+    for _ in range(5):
+        rep = random_representation(rng, 2)
+        letters = {}
+        for i, m in enumerate(rep.images, 1):
+            a, b, c, d = (_exact(v) for v in (m.a, m.b, m.c, m.d))
+            letters[i] = [[a, b], [c, d]]
+            letters[-i] = [[d, (-b[0], -b[1])], [(-c[0], -c[1]), a]]
+        for cls in classes:
+            exact = [[(Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))],
+                     [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]]
+            for v in cls.letters:
+                exact = _exact_mul(exact, letters[v])
+            want = complex(exact[0][0][0] + exact[1][1][0], exact[0][0][1] + exact[1][1][1])
+            got = ps.evaluate(rep, cls).trace()
+            assert abs(got - want) <= 1e-12 * abs(want), (cls, got, want)
+
+
 def test_evaluate_determinant_stays_unit_on_long_words():
     # near-identity generators keep 50-fold products at a scale where the
     # computed determinant is actually meaningful
@@ -116,6 +168,10 @@ def test_classify_sign_and_conjugation_robust():
 def test_translation_length_examples():
     assert abs(ps.translation_length(ps.MoebiusMap(2, 0, 0, 0.5)) - 2 * math.log(2)) <= 1e-12
     assert ps.translation_length(ps.MoebiusMap(1, 1, 0, 1)) == 0.0
+    assert ps.translation_length(ps.MoebiusMap(0, -1, 1, 0)) == 0.0
+    # |t| past 1e154: t^2 overflows, the length does not
+    huge = ps.MoebiusMap(2e160, 1e160, 1e-160, 1e-160)
+    assert abs(ps.translation_length(huge) - 2 * math.log(2e160)) <= 1e-12 * 738.2
 
 
 def test_translation_length_of_negative_trace_does_not_cancel():
