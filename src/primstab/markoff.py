@@ -8,8 +8,11 @@ so trace values propagate along the tree without any matrix arithmetic.
 
 The Bowditch conditions (BQ) ask that every primitive class be loxodromic
 and that only finitely many have trace modulus at most 2.  The search walks
-the tessellation and prunes a directed edge once traces provably grow
-forever past it; see ``bq_decide``.
+the tessellation and prunes a directed edge by one of two rules: the escape
+rule (``edge_escapes``), once both traces at the edge are large and traces
+provably grow forever past it, and the fan rule (``fan_escapes``), once one
+trace is small but every neighbour of that small region past the edge is
+large enough that the whole fan around it escapes; see ``bq_decide``.
 """
 
 from __future__ import annotations
@@ -112,6 +115,43 @@ def edge_escapes(t1: complex, t2: complex, t_far: complex, delta: float = 1e-6) 
     return min(a1, a2) >= 2.0 + delta and safe_abs(t_far) >= a1 + a2 + delta
 
 
+def fan_escapes(r: complex, y0: complex, y1: complex, delta: float = 1e-6) -> bool:
+    """Sound pruning test for the fan around a region of trace r.
+
+    The neighbours of a region with trace r, in cyclic order, satisfy
+    y_{j+1} = r*y_j - y_{j-1}.  For r outside [-2, 2] this gives
+    y_j = A lam^j + B lam^-j with lam + 1/lam = r and |lam| > 1, hence
+    |y_j| >= m := |A||lam| - |B|/|lam| for every j >= 1.  The test holds when
+    m >= 2 + delta and (m - 1)^2 >= 1 + |r| + delta.  Then every fan edge
+    {y_j, y_{j+1}}, j >= 1, with far trace y_j*y_{j+1} - r, passes
+    ``edge_escapes``: both traces are at least m >= 2 + delta, and
+    |y_j y_{j+1} - r| - |y_j| - |y_{j+1}| >= (|y_j| - 1)(|y_{j+1}| - 1) - 1 - |r|
+    >= (m - 1)^2 - 1 - |r| >= delta.  The escape lemma covers everything
+    beyond those edges, and the fan's own regions y_j, j >= 2, have modulus
+    at least m > 2.  So at a directed edge with traces (r, y1) and previous
+    trace y0, nothing past the edge is small or non-loxodromic.
+
+    False when |lam| <= 1 (r in [-2, 2]), or when |y0|, |y1| or m is not
+    finite, so a branch that saturates the floats stays unpruned.  Like
+    ``edge_escapes``, the test is exact only in exact arithmetic: rounding
+    in lam, A, B and the fan traces is not controlled.
+    """
+    if not math.isfinite(safe_abs(y0) + safe_abs(y1)):
+        return False
+    s = cmath.sqrt(r - 2.0) * cmath.sqrt(r + 2.0)
+    lam = (r + s) / 2.0
+    if abs(lam) < abs(r - s) / 2.0:  # take the root outside the unit circle
+        lam, s = (r - s) / 2.0, -s
+    mod = abs(lam)
+    if not mod > 1.0:
+        return False
+    # lam - 1/lam = s; solve y0 = A + B, y1 = A lam + B / lam
+    m = safe_abs((y1 - y0 / lam) / s) * mod - safe_abs((y0 * lam - y1) / s) / mod
+    if not (math.isfinite(m) and m >= 2.0 + delta):
+        return False
+    return (m - 1.0) * (m - 1.0) >= 1.0 + abs(r) + delta
+
+
 class BqKind(str, Enum):
     BQ_CERTIFIED = "BQ_CERTIFIED"
     NOT_BQ_WITNESS = "NOT_BQ_WITNESS"
@@ -126,7 +166,8 @@ class BqVerdict:
     non-loxodromic slope or the recorded small-trace slopes once their count
     exceeds the bound.  ``small_traces`` records every slope with trace
     modulus at most 2 met during the search, so certified runs can be
-    cross-checked against brute-force slope enumeration.
+    cross-checked against brute-force slope enumeration.  ``pruned_escape``
+    and ``pruned_fan`` count the edges pruned by each rule.
     """
 
     kind: BqKind
@@ -134,6 +175,8 @@ class BqVerdict:
     witnesses: tuple[tuple[tuple[int, int], complex], ...]
     depth_max: int
     small_traces: tuple[tuple[tuple[int, int], complex], ...] = ()
+    pruned_escape: int = 0
+    pruned_fan: int = 0
 
 
 def bq_decide(
@@ -149,11 +192,14 @@ def bq_decide(
     witnesses a non-loxodromic primitive and refutes BQ outright, and slopes
     with trace modulus at most 2 are counted against small_trace_bound, since
     finiteness itself is not refutable by a finite search.  A directed edge
-    whose traces satisfy the escape criterion is pruned; BQ_CERTIFIED means
-    the search exhausted with every frontier edge escaping, so (up to the
-    floating tolerances) no unexplored slope can carry trace modulus <= 2.
-    Budget exhaustion returns INCONCLUSIVE, which is unavoidable on the
-    boundary where the search does not terminate.
+    is pruned, at no node, by the escape rule when both of its traces are
+    large and its far trace passes ``edge_escapes``, or by the fan rule when
+    exactly one trace r is below 2 + delta and ``fan_escapes`` shows that the
+    fan around r past the edge escapes.  BQ_CERTIFIED means the search
+    exhausted with every frontier edge pruned, so (up to the floating
+    tolerances) no unexplored slope can carry trace modulus <= 2.  Budget
+    exhaustion returns INCONCLUSIVE, which is unavoidable on the boundary
+    where the search does not terminate.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -188,6 +234,10 @@ def bq_decide(
     ]
     pop = stack.pop
     push = stack.append
+    pruned_escape = 0
+    pruned_fan = 0
+    kind = BqKind.BQ_CERTIFIED
+    witnesses = ()
     while stack:
         t1, t2, tp, p1, q1, p2, q2, depth = pop()
         tn = t1 * t2 - tp
@@ -199,28 +249,45 @@ def bq_decide(
             an = abs(tn)
         except OverflowError:
             a1, a2, an = safe_abs(t1), safe_abs(t2), safe_abs(tn)
-        if an >= a1 + a2 + delta and a1 >= lox_floor and a2 >= lox_floor:
+        # the fan rule runs only beside exactly one small region r: around r,
+        # tp and the other side are consecutive neighbours and tn the next.
+        # With both sides small it cannot hold, as m <= |y1| < 2 + delta;
+        # with both large, trying it slows the many few-node searches
+        if a1 >= lox_floor:
+            if a2 >= lox_floor:
+                if an >= a1 + a2 + delta:
+                    pruned_escape += 1
+                    continue
+            elif fan_escapes(t2, tp, t1, delta):
+                pruned_fan += 1
+                continue
+        elif a2 >= lox_floor and fan_escapes(t1, tp, t2, delta):
+            pruned_fan += 1
             continue
         if nodes >= budget:
-            return BqVerdict(BqKind.INCONCLUSIVE, nodes, (), depth_max, tuple(small))
+            kind = BqKind.INCONCLUSIVE
+            break
         nodes += 1
         if depth > depth_max:
             depth_max = depth
         pn = p1 + p2
         qn = q1 + q2
         if abs(tn.imag) <= tol and abs(tn.real) <= real_bound:
-            witness = ((_normalize_slope(pn, qn), tn),)
-            return BqVerdict(BqKind.NOT_BQ_WITNESS, nodes, witness, depth_max, tuple(small))
+            kind = BqKind.NOT_BQ_WITNESS
+            witnesses = ((_normalize_slope(pn, qn), tn),)
+            break
         if an <= 2.0:
             small.append((_normalize_slope(pn, qn), tn))
             if len(small) > small_trace_bound:
-                return BqVerdict(
-                    BqKind.NOT_BQ_WITNESS, nodes, tuple(small), depth_max, tuple(small)
-                )
+                kind = BqKind.NOT_BQ_WITNESS
+                witnesses = tuple(small)
+                break
         child_depth = depth + 1
         push((t1, tn, t2, p1, q1, pn, qn, child_depth))
         push((tn, t2, t1, pn, qn, p2, q2, child_depth))
-    return BqVerdict(BqKind.BQ_CERTIFIED, nodes, (), depth_max, tuple(small))
+    return BqVerdict(
+        kind, nodes, witnesses, depth_max, tuple(small), pruned_escape, pruned_fan
+    )
 
 
 def solve_y_from_fricke(x: complex, z: complex, kappa: complex) -> tuple[complex, complex]:
@@ -261,6 +328,8 @@ def bq_verdict_to_json(v: BqVerdict) -> dict:
         "depth_max": v.depth_max,
         "witnesses": [pair(w) for w in v.witnesses],
         "small_traces": [pair(s) for s in v.small_traces],
+        "pruned_escape": v.pruned_escape,
+        "pruned_fan": v.pruned_fan,
     }
 
 
@@ -276,4 +345,6 @@ def bq_verdict_from_json(obj) -> BqVerdict:
         witnesses=tuple(pair(w) for w in obj["witnesses"]),
         depth_max=obj["depth_max"],
         small_traces=tuple(pair(s) for s in obj["small_traces"]),
+        pruned_escape=obj["pruned_escape"],
+        pruned_fan=obj["pruned_fan"],
     )

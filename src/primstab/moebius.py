@@ -195,9 +195,11 @@ def translation_length(m: MoebiusMap) -> float:
         return 0.0  # both eigenvalues lie on the unit circle
     # s^2 = t^2 - 4 without forming t^2, which overflows once |t| passes 1e154
     s = cmath.sqrt(t - 2.0) * cmath.sqrt(t + 2.0)
-    # the eigenvalues are (t +- s)/2; taking the larger modulus avoids the
-    # cancellation in t + s when Re t < 0
-    return 2.0 * math.log(max(abs(t + s), abs(t - s), 2.0) / 2.0)
+    # the eigenvalues are t/2 +- s/2; taking the larger modulus avoids the
+    # cancellation in t + s when Re t < 0, and halving first (exact) keeps
+    # the sum finite once |t| passes 9e307
+    h, k = t / 2.0, s / 2.0
+    return 2.0 * math.log(max(abs(h + k), abs(h - k), 1.0))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
 
 import primstab as ps
+from primstab import cli
 from primstab.cli import build_parser, run
+from primstab.errors import NonFiniteValue
 
 from helpers import run_python, schottky_example
 
@@ -97,6 +100,7 @@ def test_bq_decide_subcommand(capsys):
     verdict = ps.bq_verdict_from_json(doc)
     assert verdict.kind == ps.BqKind.BQ_CERTIFIED
     assert doc["kappa"] == [-2.0, 0.0]
+    assert (doc["pruned_escape"], doc["pruned_fan"]) == (6, 0)
 
 
 def test_bq_decide_complex_flags(capsys):
@@ -224,13 +228,19 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "DegenerateAction"
 
-    # a translation length of 2 ln(1e308) overflows on the way to its log
+    # a trace of 1e308 has a finite translation length, 2 ln(1e308)
     huge = tmp_path / "huge_trace.json"
     gen = [[1e308, 0], [0, 0], [0, 0], [1e-308, 0]]
     huge.write_text(json.dumps({"rank": 1, "generators": [gen]}))
     code, out, err = invoke(capsys, "rep-info", "--rep", str(huge))
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "NonFiniteValue"
+    assert code == 0 and err == ""
+    length = json.loads(out)["generators"][0]["translation_length"]
+    assert abs(length - 2 * math.log(1e308)) <= 1e-12 * 1418.4
+
+
+def test_non_finite_results_are_refused_before_output():
+    with pytest.raises(NonFiniteValue):
+        cli._emit({"x": math.inf})
 
 
 def test_usage_errors_exit_two(capsys):

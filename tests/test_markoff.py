@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -138,6 +139,68 @@ def test_escape_criterion_forward_invariance():
         assert ps.edge_escapes(t1, t_far, left_far, delta)
         assert ps.edge_escapes(t_far, t2, right_far, delta)
         assert abs(left_far) > abs(t_far) and abs(right_far) > abs(t_far)
+
+
+def test_fan_escape_examples():
+    # the b-region of (3, -1+i, 3) has trace modulus 1.41; its neighbours
+    # 3, 3, -6+3i, -9i, ... grow like |lam|^j with |lam| = 1.70
+    assert ps.fan_escapes(-1 + 1j, 3, -6 + 3j)
+    assert not ps.fan_escapes(-1 + 1j, 3, 3)    # the bound m = 1.35 is too weak
+    assert not ps.fan_escapes(-1 + 1j, 3, 1.5)  # m <= |y1| < 2 + delta
+    # r in [-2, 2]: |lam| = 1, and at r = +-2 the closed form degenerates
+    rot = complex(0.75, math.sqrt(1.75) / 2)  # lam for r = 1.5
+    assert not ps.fan_escapes(1.5, 3, 3 * rot)
+    assert not ps.fan_escapes(2.0, 3, 40) and not ps.fan_escapes(-2.0, 3, 40)
+    # a saturated modulus, or an overflow on the way to m, prunes nothing
+    assert not ps.fan_escapes(-1 + 1j, 3, complex(1.3e308, 1.3e308))
+    assert not ps.fan_escapes(-1 + 1j, complex(1.3e308, 1.3e308), 3)
+    assert not ps.fan_escapes(2.0001, 1e308, -1e308)
+
+
+def test_fan_escape_forward_property():
+    # when the rule accepts (r, y0, y1), every fan edge {y_j, y_{j+1}} around
+    # r, with far trace y_j y_{j+1} - r, passes the escape test.  Half the
+    # draws take y0, y1 at random; the other half build them from the closed
+    # form y_j = A lam^j + B lam^-j with r near [-2, 2] and |A lam| near the
+    # bound, where the fan grows slowly and the rule's second condition binds
+    rng = random.Random(58)
+    delta = 1e-6
+    tested = rejected = 0
+    while tested < 4000:
+        if rng.random() < 0.5:
+            r = random_complex(rng, 2.0 + delta)
+            if abs(r) >= 2.0 + delta or r.imag == 0.0:
+                continue
+            scale = rng.choice((3, 10, 40))
+            y0, y1 = random_complex(rng, scale), random_complex(rng, scale)
+        else:
+            r = complex(rng.uniform(-2, 2), rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 0))
+            s = cmath.sqrt(r * r - 4)
+            lam = max((r + s) / 2, (r - s) / 2, key=abs)
+            a = cmath.rect(rng.uniform(1.5, 4.0) / abs(lam), rng.uniform(0, 2 * math.pi))
+            b = random_complex(rng, 0.5)
+            y0, y1 = a + b, a * lam + b / lam
+        if not ps.fan_escapes(r, y0, y1, delta):
+            rejected += 1
+            continue
+        tested += 1
+        prev, cur = y0, y1
+        for _ in range(60):
+            nxt = r * cur - prev
+            assert ps.edge_escapes(cur, nxt, cur * nxt - r, delta)
+            prev, cur = cur, nxt
+    assert rejected > 100
+
+
+def test_fan_pruning_certifies_beside_a_small_generator_trace():
+    # without the fan rule, the infinite fan around the small b-region
+    # exhausts any budget
+    t = ps.MarkoffTriple.from_traces(3, -1 + 1j, 3)
+    verdict = ps.bq_decide(t, 10 ** 5)
+    assert verdict.kind == ps.BqKind.BQ_CERTIFIED
+    assert verdict.pruned_fan > 0 and verdict.pruned_escape > 0
+    assert verdict.nodes_explored <= 10
+    assert verdict.small_traces == (((1, 0), -1 + 1j),)
 
 
 def test_bq_certified_on_commutator_minus_two_triple():
@@ -306,8 +369,14 @@ def test_solve_y_roots_satisfy_quadratic():
 
 
 def test_bq_verdict_json_round_trip():
-    for triple in ((3, 3, 3), (1, 3, 3), (1.2, 3.7, 2.9)):
+    pruned = set()
+    for triple in ((3, 3, 3), (1, 3, 3), (1.2, 3.7, 2.9), (3, -1 + 1j, 3)):
         verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(*triple), 5000,
                                small_trace_bound=8)
-        back = ps.bq_verdict_from_json(ps.bq_verdict_to_json(verdict))
+        obj = ps.bq_verdict_to_json(verdict)
+        assert obj["pruned_escape"] == verdict.pruned_escape
+        assert obj["pruned_fan"] == verdict.pruned_fan
+        back = ps.bq_verdict_from_json(obj)
         assert back == verdict
+        pruned.add((verdict.pruned_escape > 0, verdict.pruned_fan > 0))
+    assert (True, True) in pruned

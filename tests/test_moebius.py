@@ -172,6 +172,10 @@ def test_translation_length_examples():
     # |t| past 1e154: t^2 overflows, the length does not
     huge = ps.MoebiusMap(2e160, 1e160, 1e-160, 1e-160)
     assert abs(ps.translation_length(huge) - 2 * math.log(2e160)) <= 1e-12 * 738.2
+    # |t| past 9e307: t + s overflows, the length does not
+    for sign in (1, -1):
+        ceiling = ps.MoebiusMap(sign * 1e308, 0, 0, sign * 1e-308)
+        assert abs(ps.translation_length(ceiling) - 2 * math.log(1e308)) <= 1e-12 * 1418.4
 
 
 def test_translation_length_of_negative_trace_does_not_cancel():

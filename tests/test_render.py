@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 import primstab as ps
 from primstab.errors import ParseError
+from primstab.markoff import _normalize_slope
 
 
 def one_pixel_config(fixed_x, z_center=3.0, **kwargs):
@@ -117,3 +120,29 @@ def test_config_validation():
         ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, 1j), width=0, height=1)
     with pytest.raises(ValueError):
         ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, 1j), width=1, height=1, budget=-1)
+
+
+def test_criterion_9_slice_is_decided_and_agrees_with_brute_force():
+    # a 16x16 grid over the criterion-9 window; the fans around small
+    # regions are pruned, so no pixel runs out of budget
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=16, height=16, budget=20000)
+    slopes = [(p, q) for p in range(-25, 26) for q in range(0, 26)
+              if math.gcd(p, q) == 1 and (q > 0 or p == 1)]
+    kinds = {kind: 0 for kind in ps.BqKind}
+    for j in range(cfg.height):
+        for i in range(cfg.width):
+            z = ps.pixel_trace(cfg, i, j)
+            verdict = ps.pixel_verdict(cfg, z)
+            kinds[verdict.kind] += 1
+            if verdict.kind != ps.BqKind.BQ_CERTIFIED:
+                continue
+            plus, minus = ps.solve_y_from_fricke(cfg.fixed_x, z, cfg.kappa)
+            y = plus if abs(plus) <= abs(minus) else minus
+            t = ps.MarkoffTriple(cfg.fixed_x, y, z, cfg.kappa)
+            recorded = {slope for slope, _ in verdict.small_traces}
+            for p, q in slopes:
+                if abs(ps.slope_trace(t, p, q)) <= 2.0:
+                    assert _normalize_slope(p, q) in recorded, (i, j, p, q)
+    assert kinds[ps.BqKind.INCONCLUSIVE] == 0
+    assert kinds[ps.BqKind.BQ_CERTIFIED] > 0
