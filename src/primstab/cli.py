@@ -182,7 +182,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_bq_decide(args) -> int:
     triple = MarkoffTriple.from_traces(args.x, args.y, args.z)
-    verdict = bq_decide(triple, args.budget, args.small_trace_bound, args.tol, args.delta)
+    verdict = bq_decide(triple, args.budget, args.small_trace_bound)
     out = bq_verdict_to_json(verdict)
     out["kappa"] = [triple.kappa.real, triple.kappa.imag]
     _emit(out)
@@ -254,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_parse_complex, required=True, help="trace of ab")
     p.add_argument("--budget", type=_nonnegative_int, required=True)
     p.add_argument("--small-trace-bound", type=_nonnegative_int, default=64)
-    p.add_argument("--tol", type=_finite, default=1e-9)
-    p.add_argument("--delta", type=_finite, default=1e-6)
     p.set_defaults(func=_cmd_bq_decide)
 
     p = sub.add_parser("render", help="render a slice to a PPM image")

@@ -7,12 +7,21 @@ replaces one trace of an adjacent triple by trace product minus the third,
 so trace values propagate along the tree without any matrix arithmetic.
 
 The Bowditch conditions (BQ) ask that every primitive class be loxodromic
-and that only finitely many have trace modulus at most 2.  The search walks
-the tessellation and prunes a directed edge by one of two rules: the escape
-rule (``edge_escapes``), once both traces at the edge are large and traces
-provably grow forever past it, and the fan rule (``fan_escapes``), once one
-trace is small but every neighbour of that small region past the edge is
-large enough that the whole fan around it escapes; see ``bq_decide``.
+and that only finitely many have trace modulus at most 2.  In rank 2 they
+are equivalent to primitive stability (Lee-Xu, Trans. AMS 2020; Series
+2019).  The search walks the tessellation and prunes a directed edge by one
+of two rules: the escape rule (``edge_escapes``), once both traces at the
+edge are large and traces provably grow forever past it, and the fan rule
+(``fan_escapes``), once one trace is small but every neighbour of that
+small region past the edge is large enough that the whole fan around it
+escapes; see ``bq_decide``.
+
+Two constants are fixed.  A trace is non-loxodromic by the rule of
+``moebius.classify``: within 1e-9 of +-2, or within 1e-9 of the real axis
+with real part strictly inside (-2, 2).  The pruning rules hold with the
+margin 1e-6 (``_DELTA``).  BQ_CERTIFIED claims, up to floating rounding,
+that no slope beyond the pruned edges has trace modulus at most 2, so that
+every non-loxodromic or small-trace class was met by the search.
 """
 
 from __future__ import annotations
@@ -23,8 +32,19 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CheckFailed, NonFiniteValue
-from .moebius import Representation, _check_fricke, fricke_kappa, fricke_traces
+from .moebius import (
+    _TOL,
+    IsometryClass,
+    Representation,
+    _check_fricke,
+    _trace_class,
+    fricke_kappa,
+    fricke_traces,
+)
 from .whitehead import _farey_turns, _normalize_slope
+
+# the margin by which both pruning rules must hold
+_DELTA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,7 +121,7 @@ def safe_abs(z: complex) -> float:
         return math.inf
 
 
-def edge_escapes(t1: complex, t2: complex, t_far: complex, delta: float = 1e-6) -> bool:
+def edge_escapes(t1: complex, t2: complex, t_far: complex, delta: float = _DELTA) -> bool:
     """Sound pruning test at a directed tessellation edge.
 
     The edge has adjacent traces (t1, t2) and far trace t_far = t1*t2 - t_prev.
@@ -115,7 +135,7 @@ def edge_escapes(t1: complex, t2: complex, t_far: complex, delta: float = 1e-6) 
     return min(a1, a2) >= 2.0 + delta and safe_abs(t_far) >= a1 + a2 + delta
 
 
-def fan_escapes(r: complex, y0: complex, y1: complex, delta: float = 1e-6) -> bool:
+def fan_escapes(r: complex, y0: complex, y1: complex, delta: float = _DELTA) -> bool:
     """Sound pruning test for the fan around a region of trace r.
 
     The neighbours of a region with trace r, in cyclic order, satisfy
@@ -179,33 +199,31 @@ class BqVerdict:
     pruned_fan: int = 0
 
 
-def bq_decide(
-    t: MarkoffTriple,
-    budget: int,
-    small_trace_bound: int = 64,
-    tol: float = 1e-9,
-    delta: float = 1e-6,
-) -> BqVerdict:
+def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqVerdict:
     """Decide the Bowditch conditions by depth-first tessellation search.
 
-    Every visited slope is tested twice: a real trace in [-2, 2] (within tol)
-    witnesses a non-loxodromic primitive and refutes BQ outright, and slopes
-    with trace modulus at most 2 are counted against small_trace_bound, since
-    finiteness itself is not refutable by a finite search.  A directed edge
-    is pruned, at no node, by the escape rule when both of its traces are
-    large and its far trace passes ``edge_escapes``, or by the fan rule when
-    exactly one trace r is below 2 + delta and ``fan_escapes`` shows that the
-    fan around r past the edge escapes.  BQ_CERTIFIED means the search
-    exhausted with every frontier edge pruned, so (up to the floating
-    tolerances) no unexplored slope can carry trace modulus <= 2.  Budget
-    exhaustion returns INCONCLUSIVE, which is unavoidable on the boundary
-    where the search does not terminate.
+    Every visited slope is tested twice: a non-loxodromic trace (the rule of
+    ``moebius.classify``, tolerance 1e-9) witnesses a non-loxodromic
+    primitive and refutes BQ outright, and slopes with trace modulus at most
+    2 are counted against small_trace_bound, since finiteness itself is not
+    refutable by a finite search.  A directed edge is pruned, at no node, by
+    the escape rule when both of its traces are large and its far trace
+    passes ``edge_escapes``, or by the fan rule when exactly one trace r is
+    below 2 + 1e-6 and ``fan_escapes`` shows that the fan around r past the
+    edge escapes; both rules hold with the margin 1e-6.  BQ_CERTIFIED means
+    the search exhausted with every frontier edge pruned, so (up to floating
+    rounding) no unexplored slope can carry trace modulus <= 2; in rank 2
+    that certifies primitive stability.  Budget exhaustion returns
+    INCONCLUSIVE, which is unavoidable on the boundary where the search does
+    not terminate.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     x, y, z = t.x, t.y, t.z
-    lox_floor = 2.0 + delta
-    real_bound = 2.0 + tol
+    lox_floor = 2.0 + _DELTA
+    # every non-loxodromic trace has |t| <= 2 + _TOL and |Im t| <= _TOL, so
+    # these two comparisons spare the classifier nearly every node
+    real_bound = 2.0 + _TOL
     nodes = 0
     depth_max = 0
     small: list[tuple[tuple[int, int], complex]] = []
@@ -214,11 +232,13 @@ def bq_decide(
         if nodes >= budget:
             return BqVerdict(BqKind.INCONCLUSIVE, nodes, (), depth_max, tuple(small))
         nodes += 1
-        if abs(trace.imag) <= tol and abs(trace.real) <= real_bound:
+        modulus = safe_abs(trace)
+        if (modulus <= real_bound and abs(trace.imag) <= _TOL
+                and _trace_class(trace) is not IsometryClass.LOXODROMIC):
             return BqVerdict(
                 BqKind.NOT_BQ_WITNESS, nodes, ((slope, trace),), depth_max, tuple(small)
             )
-        if abs(trace) <= 2.0:
+        if modulus <= 2.0:
             small.append((slope, trace))
             if len(small) > small_trace_bound:
                 return BqVerdict(
@@ -251,17 +271,17 @@ def bq_decide(
             a1, a2, an = safe_abs(t1), safe_abs(t2), safe_abs(tn)
         # the fan rule runs only beside exactly one small region r: around r,
         # tp and the other side are consecutive neighbours and tn the next.
-        # With both sides small it cannot hold, as m <= |y1| < 2 + delta;
+        # With both sides small it cannot hold, as m <= |y1| < 2 + _DELTA;
         # with both large, trying it slows the many few-node searches
         if a1 >= lox_floor:
             if a2 >= lox_floor:
-                if an >= a1 + a2 + delta:
+                if an >= a1 + a2 + _DELTA:
                     pruned_escape += 1
                     continue
-            elif fan_escapes(t2, tp, t1, delta):
+            elif fan_escapes(t2, tp, t1):
                 pruned_fan += 1
                 continue
-        elif a2 >= lox_floor and fan_escapes(t1, tp, t2, delta):
+        elif a2 >= lox_floor and fan_escapes(t1, tp, t2):
             pruned_fan += 1
             continue
         if nodes >= budget:
@@ -272,7 +292,8 @@ def bq_decide(
             depth_max = depth
         pn = p1 + p2
         qn = q1 + q2
-        if abs(tn.imag) <= tol and abs(tn.real) <= real_bound:
+        if (an <= real_bound and abs(tn.imag) <= _TOL
+                and _trace_class(tn) is not IsometryClass.LOXODROMIC):
             kind = BqKind.NOT_BQ_WITNESS
             witnesses = ((_normalize_slope(pn, qn), tn),)
             break
@@ -296,6 +317,7 @@ def solve_y_from_fricke(x: complex, z: complex, kappa: complex) -> tuple[complex
     Returned as (plus root, minus root) for the principal square root of the
     discriminant; computed the numerically stable way (larger root directly,
     smaller root from the product) and verified against root sum and product.
+    A modulus past the float range raises NonFiniteValue.
     """
     x = complex(x)
     z = complex(z)
@@ -305,14 +327,20 @@ def solve_y_from_fricke(x: complex, z: complex, kappa: complex) -> tuple[complex
     s = cmath.sqrt(b * b - 4.0 * c)
     plus = (b + s) / 2.0
     minus = (b - s) / 2.0
-    if abs(plus) >= abs(minus):
-        if abs(plus) > 0:
-            minus = c / plus
-    else:
-        if abs(minus) > 0:
-            plus = c / minus
-    scale = max(1.0, abs(b), abs(c))
-    if abs(plus + minus - b) > 1e-9 * scale or abs(plus * minus - c) > 1e-9 * scale:
+    try:
+        if abs(plus) >= abs(minus):
+            if abs(plus) > 0:
+                minus = c / plus
+        else:
+            if abs(minus) > 0:
+                plus = c / minus
+        scale = max(1.0, abs(b), abs(c))
+        failed = abs(plus + minus - b) > 1e-9 * scale or abs(plus * minus - c) > 1e-9 * scale
+    except OverflowError as exc:
+        raise NonFiniteValue(
+            "the roots for (%r, %r, %r) leave the float range" % (x, z, kappa)
+        ) from exc
+    if failed:
         raise CheckFailed("quadratic roots failed the sum/product check")
     return plus, minus
 

@@ -29,6 +29,10 @@ from .words import CyclicWord, Word
 
 _DET_TOL = 1e-9
 _FRICKE_TOL = 1e-8
+# the one geometric tolerance: how close a trace must come to +-2 or to the
+# real axis to count as non-loxodromic, and the slack of the axis, pole and
+# ping-pong tests
+_TOL = 1e-9
 
 
 def _finite(z: complex) -> bool:
@@ -164,24 +168,35 @@ def evaluate(rep: Representation, w: Word | CyclicWord) -> MoebiusMap:
     return _product(table[v] for v in w.letters)
 
 
-def classify(m: MoebiusMap, tol: float = 1e-9) -> IsometryClass:
-    """Isometry type of a map, with an explicit tolerance.
+def _trace_class(t: complex) -> IsometryClass:
+    """Isometry type of a non-identity map from its trace alone.
 
-    Identity means some lift sign is entrywise within tol of the identity;
-    parabolic means trace within tol of +-2; elliptic means real trace
-    strictly inside (-2, 2); everything else is loxodromic.
+    PARABOLIC when t is within _TOL of +-2; ELLIPTIC when |Im t| <= _TOL and
+    |Re t| < 2; LOXODROMIC otherwise.  Every non-loxodromic trace therefore
+    has |t| <= 2 + _TOL and |Im t| <= _TOL.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ident = MoebiusMap.identity()
-    if m.entry_distance(ident) <= tol or (-m).entry_distance(ident) <= tol:
-        return IsometryClass.IDENTITY
-    t = m.trace()
-    if abs(t - 2.0) <= tol or abs(t + 2.0) <= tol:
+    if abs(t - 2.0) <= _TOL or abs(t + 2.0) <= _TOL:
         return IsometryClass.PARABOLIC
-    if abs(t.imag) <= tol and abs(t.real) < 2.0:
+    if abs(t.imag) <= _TOL and abs(t.real) < 2.0:
         return IsometryClass.ELLIPTIC
     return IsometryClass.LOXODROMIC
+
+
+def classify(m: MoebiusMap) -> IsometryClass:
+    """Isometry type of a map, at the fixed tolerance 1e-9.
+
+    IDENTITY when some lift sign is entrywise within 1e-9 of the identity;
+    otherwise the trace decides (``_trace_class``): parabolic within 1e-9 of
+    +-2, elliptic when real within 1e-9 and strictly inside (-2, 2),
+    loxodromic otherwise.  ``bq_decide`` uses the same trace rule for its
+    witnesses.
+    """
+    if abs(m.b) <= _TOL and abs(m.c) <= _TOL and (
+        (abs(m.a - 1.0) <= _TOL and abs(m.d - 1.0) <= _TOL)
+        or (abs(m.a + 1.0) <= _TOL and abs(m.d + 1.0) <= _TOL)
+    ):
+        return IsometryClass.IDENTITY
+    return _trace_class(m.trace())
 
 
 def translation_length(m: MoebiusMap) -> float:
@@ -262,15 +277,15 @@ def uhs_distance(p: UhsPoint, q: UhsPoint) -> float:
     return 2.0 * math.asinh(math.exp(log_r))
 
 
-def axis_point(m: MoebiusMap, tol: float = 1e-9) -> UhsPoint:
+def axis_point(m: MoebiusMap) -> UhsPoint:
     """A point on the axis of a loxodromic map (the summit of the axis).
 
     On the axis the displacement of every power is exactly the translation
     length, which makes axis points the right basepoints for growth probes.
     """
-    if classify(m, tol) != IsometryClass.LOXODROMIC:
+    if classify(m) != IsometryClass.LOXODROMIC:
         raise ValueError("only loxodromic maps have an axis")
-    if abs(m.c) <= tol:
+    if abs(m.c) <= _TOL:
         fixed = m.b / (m.d - m.a)
         return UhsPoint(fixed, 1.0)
     t = m.trace()
@@ -313,10 +328,10 @@ class SphereDisk:
         return SphereDisk(self.center, self.radius, flipped)
 
 
-def image_circle(m: MoebiusMap, disk: SphereDisk, tol: float = 1e-9) -> SphereDisk:
+def image_circle(m: MoebiusMap, disk: SphereDisk) -> SphereDisk:
     """Image of a round disk under a Moebius map, interior side included.
 
-    Raises ImageIsLine when the boundary circle passes within tol of the pole
+    Raises ImageIsLine when the boundary circle passes within 1e-9 of the pole
     of the map, in which case the image is a line, not a circle.
     """
     if m.c == 0:
@@ -325,7 +340,7 @@ def image_circle(m: MoebiusMap, disk: SphereDisk, tol: float = 1e-9) -> SphereDi
         return SphereDisk(center, abs(factor) * disk.radius, disk.interior)
     pole = -m.d / m.c
     u0 = disk.center - pole
-    if abs(abs(u0) - disk.radius) <= tol:
+    if abs(abs(u0) - disk.radius) <= _TOL:
         raise ImageIsLine("circle at %r radius %r passes through the pole %r"
                           % (disk.center, disk.radius, pole))
     denom = abs(u0) ** 2 - disk.radius ** 2
@@ -350,50 +365,50 @@ class SchottkyVerdict:
     DEGENERATE = "DEGENERATE"
 
 
-def _disks_disjoint(d1: SphereDisk, d2: SphereDisk, tol: float) -> bool:
+def _disks_disjoint(d1: SphereDisk, d2: SphereDisk) -> bool:
     in1 = d1.interior == DiskSide.INSIDE
     in2 = d2.interior == DiskSide.INSIDE
     gap = abs(d1.center - d2.center)
     if in1 and in2:
-        return gap > d1.radius + d2.radius + tol
+        return gap > d1.radius + d2.radius + _TOL
     if not in1 and not in2:
         return False  # both contain infinity
     inner, outer = (d1, d2) if in1 else (d2, d1)
-    return gap + inner.radius < outer.radius - tol
+    return gap + inner.radius < outer.radius - _TOL
 
 
 def schottky_check(
     rep: Representation,
     pairs: Sequence[tuple[SphereDisk, SphereDisk]],
-    tol: float = 1e-9,
 ) -> SchottkyVerdict:
     """Verify a ping-pong disk pairing for the generators.
 
     Valid when the 2n closed disks are pairwise disjoint and each generator
-    carries its first disk onto the closed complement of its second.  A valid
-    pairing makes the group free and discrete, hence the representation is
-    primitive-stable; this is the one scan in the package that certifies
-    rather than merely collects evidence.
+    carries its first disk onto the closed complement of its second, each
+    comparison with slack 1e-9.  A valid pairing makes the group free and
+    discrete, hence the representation is primitive-stable, in any rank (in
+    rank 2 ``bq_decide`` certifies primitive stability as well, and beyond
+    the Schottky set).
     """
     if len(pairs) != rep.rank:
         raise RankMismatch("need %d disk pairs, got %d" % (rep.rank, len(pairs)))
     disks = [d for pair in pairs for d in pair]
     for i in range(len(disks)):
         for j in range(i + 1, len(disks)):
-            if not _disks_disjoint(disks[i], disks[j], tol):
+            if not _disks_disjoint(disks[i], disks[j]):
                 return SchottkyVerdict(
                     False, SchottkyVerdict.DISJOINTNESS,
                     "disks %d and %d are not disjoint" % (i, j),
                 )
     for i, (dom, ran) in enumerate(pairs):
         try:
-            img = image_circle(rep.images[i], dom, tol)
+            img = image_circle(rep.images[i], dom)
         except ImageIsLine as exc:
             return SchottkyVerdict(False, SchottkyVerdict.DEGENERATE, str(exc))
         want = ran.complement()
         if (
-            abs(img.center - want.center) > tol
-            or abs(img.radius - want.radius) > tol
+            abs(img.center - want.center) > _TOL
+            or abs(img.radius - want.radius) > _TOL
             or img.interior != want.interior
         ):
             return SchottkyVerdict(
@@ -450,7 +465,10 @@ def _complex_from_json(value) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ParseError("expected [re, im], got %r" % (value,))
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError as exc:  # an integer past the float range
+        raise ParseError("[re, im] entry out of the float range: %s" % (exc,)) from exc
 
 
 def _complex_to_json(z: complex) -> list[float]:

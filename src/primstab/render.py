@@ -48,8 +48,6 @@ class SliceConfig:
     root_choice: RootChoice = RootChoice.SMALLER_ABS
     budget: int = 20000
     small_trace_bound: int = 64
-    tol: float = 1e-9
-    delta: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", complex(self.kappa))
@@ -61,6 +59,8 @@ class SliceConfig:
             raise ValueError("image must be at least 1x1")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
+        if self.small_trace_bound < 0:
+            raise ValueError("small_trace_bound must be nonnegative")
 
 
 def pixel_trace(cfg: SliceConfig, i: int, j: int) -> complex:
@@ -78,7 +78,7 @@ def pixel_verdict(cfg: SliceConfig, z: complex) -> BqVerdict:
     else:
         y = plus if abs(plus) >= abs(minus) else minus
     triple = MarkoffTriple(cfg.fixed_x, y, z, cfg.kappa)
-    return bq_decide(triple, cfg.budget, cfg.small_trace_bound, cfg.tol, cfg.delta)
+    return bq_decide(triple, cfg.budget, cfg.small_trace_bound)
 
 
 def palette_color(verdict: BqVerdict) -> tuple[int, int, int]:
@@ -128,14 +128,20 @@ def slice_config_to_json(cfg: SliceConfig) -> dict:
         "root": "smaller" if cfg.root_choice == RootChoice.SMALLER_ABS else "larger",
         "budget": cfg.budget,
         "small_trace_bound": cfg.small_trace_bound,
-        "tol": cfg.tol,
-        "delta": cfg.delta,
     }
 
 
+_CONFIG_KEYS = ("kappa", "fixed_x", "window", "width", "height", "root", "budget",
+                "small_trace_bound")
+
+
 def slice_config_from_json(obj) -> SliceConfig:
+    """Read a slice config; a missing required field or an unknown key is a ParseError."""
     if not isinstance(obj, dict):
         raise ParseError("slice config must be an object, got %r" % (type(obj).__name__,))
+    unknown = [key for key in obj if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ParseError("slice config has unknown keys %r" % (unknown,))
     for key in ("kappa", "fixed_x", "window", "width", "height"):
         if key not in obj:
             raise ParseError("slice config is missing the %r field" % (key,))
@@ -162,8 +168,6 @@ def slice_config_from_json(obj) -> SliceConfig:
             root_choice=RootChoice.SMALLER_ABS if root == "smaller" else RootChoice.LARGER_ABS,
             budget=budget,
             small_trace_bound=bound,
-            tol=obj.get("tol", 1e-9),
-            delta=obj.get("delta", 1e-6),
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -8,6 +8,7 @@ condition quantifies over all primitive classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BadSubset, CheckFailed, ParseError, RankMismatch
@@ -61,6 +62,18 @@ def primitive_length_spectrum(
     return tuple(entries)
 
 
+def _basepoint_displacement(g: MoebiusMap) -> float:
+    """Hyperbolic distance from j = (0, 1) to its image under g.
+
+    cosh d = |g|^2 / 2 for the Frobenius norm |g|, so cosh(d/2) =
+    sqrt(|g|^2 + 2) / 2.  This form needs no image point and squares
+    nothing, so it is finite wherever |g| is, also where the image of j
+    leaves the floats.
+    """
+    norm = math.hypot(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
+    return 2.0 * math.acosh(math.hypot(norm, math.sqrt(2.0)) / 2.0)
+
+
 def ps_scan(
     rep: Representation, max_len: int, rank_cap: int = DEFAULT_RANK_CAP
 ) -> PsReport:
@@ -75,8 +88,7 @@ def ps_scan(
     ratios = [e.ratio for e in entries]
     min_ratio = min(ratios) if ratios else 0.0
     max_ratio = max(ratios) if ratios else 0.0
-    base = UhsPoint(0.0, 1.0)
-    displacement = max(uhs_distance(base, act_uhs(g, base)) for g in rep.images)
+    displacement = max(_basepoint_displacement(g) for g in rep.images)
     if max_ratio > displacement + 1e-6:
         raise CheckFailed(
             "ratio %r exceeds the basepoint displacement bound %r" % (max_ratio, displacement)

@@ -145,9 +145,9 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv):
 
 def test_every_finite_float_flag_parses():
     for value in (0.1, -0.0, 5e-324, 1.7976931348623157e308, 3.0000000000000004):
-        args = build_parser().parse_args(["bq-decide", "--x", repr(value), "--y", "3", "--z", "3",
-                                          "--budget", "0", "--tol", repr(value)])
-        assert args.x == complex(value, 0.0) and args.tol == value
+        args = build_parser().parse_args(["bq-decide", "--x", repr(value), "--y", "3",
+                                          "--z", repr(value), "--budget", "0"])
+        assert args.x == complex(value, 0.0) and args.z == complex(value, 0.0)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -198,6 +198,19 @@ def test_render_malformed_config_is_usage_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "JSONDecodeError"
 
 
+def test_render_config_with_a_retired_key_is_a_parse_error(capsys, tmp_path):
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({
+        "kappa": [-2, 0], "fixed_x": [3, 0], "window": [[0, -3], [6, 3]],
+        "width": 2, "height": 2, "delta": "x",
+    }))
+    out_path = tmp_path / "old.ppm"
+    code, out, err = invoke(capsys, "render", "--config", str(cfg_path), "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+    assert not out_path.exists()
+
+
 def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     bad_det = tmp_path / "bad_rep.json"
     bad_det.write_text(json.dumps({
@@ -218,15 +231,22 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     assert code == 1
     assert json.loads(err)["error"] == "WordParseError"
 
-    # the image of the basepoint leaves the floats: 1/1e-320, or 1e160 squared
+    # the image of the basepoint leaves the floats: 1/1e-320, or 1e160 squared.
+    # The orbit probe needs that point; the scan's displacement bound does not
     for name, gen in (("tiny_d", [[1e160, 0], [0, 0], [0, 0], [1e-160, 0]]),
                       ("huge_d", [[1e-160, 0], [0, 0], [0, 0], [1e160, 0]])):
         path = tmp_path / (name + ".json")
         other = [[2, 0], [1, 0], [1, 0], [1, 0]]
         path.write_text(json.dumps({"rank": 2, "generators": [gen, other]}))
-        code, out, err = invoke(capsys, "ps-scan", "--rep", str(path), "--max-len", "2")
+        code, out, err = invoke(capsys, "probe", "--rep", str(path), "--word", "a",
+                                "--periods", "2")
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "DegenerateAction"
+        code, out, err = invoke(capsys, "ps-scan", "--rep", str(path), "--max-len", "2")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["verdict"] == "NO_OBSTRUCTION" and doc["entries"]
+        assert all(math.isfinite(e["trans_len"]) for e in doc["entries"])
 
     # a trace of 1e308 has a finite translation length, 2 ln(1e308)
     huge = tmp_path / "huge_trace.json"

@@ -6,6 +6,7 @@ import pytest
 
 import primstab as ps
 from primstab.errors import FrickeMismatch, NonFiniteValue, NotCoprime
+from primstab.moebius import _TOL
 
 from helpers import random_complex, random_representation, schottky_example
 
@@ -216,6 +217,21 @@ def test_bq_witness_on_elliptic_generator():
     assert verdict.kind == ps.BqKind.NOT_BQ_WITNESS
     assert verdict.witnesses[0][0] == (0, 1)
     assert verdict.witnesses[0][1] == 1
+
+
+def test_bq_witness_rule_is_the_classify_rule():
+    # traces on a grid at the tolerance scale around the points where the
+    # parabolic discs meet the elliptic segment, and inside and off it
+    step = _TOL / 2
+    for t0 in (2.0, -2.0, 0.0, 1.9999999999):
+        for k in range(-4, 5):
+            for j in range(-4, 5):
+                t = t0 + complex(k, j) * step
+                verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(t, 5, 5), 10)
+                witness = (verdict.kind == ps.BqKind.NOT_BQ_WITNESS
+                           and verdict.witnesses == (((0, 1), t),))
+                kind = ps.classify(ps.MoebiusMap(t, -1, 1, 0))
+                assert witness == (kind != ps.IsometryClass.LOXODROMIC), (t0, k, j)
 
 
 def test_bq_zero_budget_is_inconclusive():

@@ -294,7 +294,7 @@ def test_image_circle_sample_points_land_on_image():
         radius = rng.uniform(0.2, 1.5)
         disk = ps.SphereDisk(center, radius)
         try:
-            img = ps.image_circle(m, disk, tol=1e-6)
+            img = ps.image_circle(m, disk)
         except ImageIsLine:
             continue
         checked += 1

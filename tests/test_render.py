@@ -91,7 +91,7 @@ def test_config_json_round_trip():
     cfg = ps.SliceConfig(kappa=complex(-2, 0.5), fixed_x=complex(3, -1),
                          window=(complex(0, -3), complex(6, 3)),
                          width=32, height=16, root_choice=ps.RootChoice.LARGER_ABS,
-                         budget=1234, small_trace_bound=7, tol=1e-7, delta=1e-4)
+                         budget=1234, small_trace_bound=7)
     back = ps.slice_config_from_json(ps.slice_config_to_json(cfg))
     assert back == cfg
 
@@ -113,6 +113,26 @@ def test_config_json_errors():
     bad["width"] = 1.5
     with pytest.raises(ParseError):
         ps.slice_config_from_json(bad)
+
+
+def test_config_rejects_unknown_keys():
+    good = ps.slice_config_to_json(
+        ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, complex(6, 3)), width=2, height=2)
+    )
+    for key, value in (("delta", 1e-4), ("tol", 1e-7), ("colour", "red")):
+        with pytest.raises(ParseError, match=key):
+            ps.slice_config_from_json({**good, key: value})
+
+
+def test_config_rejects_negative_small_trace_bound():
+    with pytest.raises(ValueError):
+        ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, 1j), width=1, height=1,
+                       small_trace_bound=-1)
+    good = ps.slice_config_to_json(
+        ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, complex(6, 3)), width=2, height=2)
+    )
+    with pytest.raises(ParseError):
+        ps.slice_config_from_json({**good, "small_trace_bound": -1})
 
 
 def test_config_validation():
