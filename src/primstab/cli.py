@@ -17,6 +17,7 @@ from .moebius import (
     IsometryClass,
     Representation,
     UhsPoint,
+    _complex_to_json,
     classify,
     fricke_traces,
     representation_from_json,
@@ -24,12 +25,7 @@ from .moebius import (
 )
 from .render import render_slice, slice_config_from_json
 from .stability import orbit_growth_probe, ps_report_to_json, ps_scan
-from .whitehead import (
-    DEFAULT_RANK_CAP,
-    blocking_certificate,
-    enumerate_primitive_classes,
-    is_primitive,
-)
+from .whitehead import blocking_certificate, enumerate_primitive_classes, is_primitive
 from .words import cyclic_length, cyclic_reduce, parse_word
 
 
@@ -114,7 +110,7 @@ def _cmd_word(args) -> int:
 
 def _cmd_primitive(args) -> int:
     w = parse_word(args.word, args.rank)
-    _emit({"word": args.word, "primitive": is_primitive(w, args.rank_cap)})
+    _emit({"word": args.word, "primitive": is_primitive(w)})
     return 0
 
 
@@ -126,7 +122,7 @@ def _cmd_blocking(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    classes = enumerate_primitive_classes(args.rank, args.max_len, args.rank_cap)
+    classes = enumerate_primitive_classes(args.rank, args.max_len)
     _emit({
         "rank": args.rank,
         "max_len": args.max_len,
@@ -142,7 +138,7 @@ def _cmd_rep_info(args) -> int:
     for m in rep.images:
         kind = classify(m)
         generators.append({
-            "trace": [m.trace().real, m.trace().imag],
+            "trace": _complex_to_json(m.trace()),
             "class": kind.value,
             "translation_length":
                 translation_length(m) if kind == IsometryClass.LOXODROMIC else 0.0,
@@ -151,10 +147,10 @@ def _cmd_rep_info(args) -> int:
     if rep.rank == 2:
         x, y, z, kappa = fricke_traces(rep)
         info["fricke"] = {
-            "x": [x.real, x.imag],
-            "y": [y.real, y.imag],
-            "z": [z.real, z.imag],
-            "kappa": [kappa.real, kappa.imag],
+            "x": _complex_to_json(x),
+            "y": _complex_to_json(y),
+            "z": _complex_to_json(z),
+            "kappa": _complex_to_json(kappa),
         }
     _emit(info)
     return 0
@@ -162,7 +158,7 @@ def _cmd_rep_info(args) -> int:
 
 def _cmd_ps_scan(args) -> int:
     rep = load_representation(args.rep)
-    report = ps_scan(rep, args.max_len, args.rank_cap)
+    report = ps_scan(rep, args.max_len)
     _emit(ps_report_to_json(report, rep.rank))
     return 0
 
@@ -184,7 +180,7 @@ def _cmd_bq_decide(args) -> int:
     triple = MarkoffTriple.from_traces(args.x, args.y, args.z)
     verdict = bq_decide(triple, args.budget, args.small_trace_bound)
     out = bq_verdict_to_json(verdict)
-    out["kappa"] = [triple.kappa.real, triple.kappa.imag]
+    out["kappa"] = _complex_to_json(triple.kappa)
     _emit(out)
     return 0
 
@@ -217,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("primitive", help="decide whether a word is primitive")
     add_word_flags(p)
-    p.add_argument("--rank-cap", type=_positive_int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_cmd_primitive)
 
     p = sub.add_parser("blocking", help="certificate that a word blocks primitive words")
@@ -227,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list primitive conjugacy classes up to a length")
     p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--max-len", type=_nonnegative_int, required=True)
-    p.add_argument("--rank-cap", type=_positive_int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("rep-info", help="classify the generator images of a representation")
@@ -237,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ps-scan", help="primitive spectrum scan of a representation")
     p.add_argument("--rep", required=True)
     p.add_argument("--max-len", type=_nonnegative_int, required=True)
-    p.add_argument("--rank-cap", type=_positive_int, default=DEFAULT_RANK_CAP)
     p.set_defaults(func=_cmd_ps_scan)
 
     p = sub.add_parser("probe", help="orbit displacement growth of one word")

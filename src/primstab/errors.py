@@ -22,7 +22,7 @@ class ClosedOnNonCyclicallyReduced(PrimstabError):
 
 
 class RankTooLarge(PrimstabError):
-    """The rank exceeds the configured cap for the Whitehead move search."""
+    """The rank exceeds ``whitehead.RANK_CAP``, the cap of the Whitehead move search."""
 
 
 class NotCoprime(PrimstabError):

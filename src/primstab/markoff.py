@@ -31,15 +31,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CheckFailed, NonFiniteValue
+from .errors import CheckFailed, NonFiniteValue, ParseError
 from .moebius import (
     _TOL,
     IsometryClass,
     Representation,
     _check_fricke,
+    _complex_from_json,
+    _complex_to_json,
     _trace_class,
     fricke_kappa,
     fricke_traces,
+    safe_abs,
 )
 from .whitehead import _farey_turns, _normalize_slope
 
@@ -113,36 +116,30 @@ def slope_trace(t0: MarkoffTriple, p: int, q: int) -> complex:
     return tm
 
 
-def safe_abs(z: complex) -> float:
-    """Modulus that saturates to inf instead of overflowing near 1e308."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
-def edge_escapes(t1: complex, t2: complex, t_far: complex, delta: float = _DELTA) -> bool:
-    """Sound pruning test at a directed tessellation edge.
+def edge_escapes(t1: complex, t2: complex, t_far: complex) -> bool:
+    """Sound pruning test at a directed tessellation edge, with margin 1e-6.
 
     The edge has adjacent traces (t1, t2) and far trace t_far = t1*t2 - t_prev.
-    When min(|t1|, |t2|) >= 2 + delta and |t_far| >= |t1| + |t2| + delta, both
-    child edges satisfy the same condition with a strictly larger far trace:
+    With delta = 1e-6 (``_DELTA``): when min(|t1|, |t2|) >= 2 + delta and
+    |t_far| >= |t1| + |t2| + delta, both child edges satisfy the same
+    condition with a strictly larger far trace:
     |t1*t_far - t2| >= (2+delta)|t_far| - |t2| >= |t_far| + |t1| + delta.  So
     every trace beyond the edge exceeds 4 in modulus and grows without bound,
     and the subtree can hold no small-trace or non-loxodromic class.
     """
     a1, a2 = safe_abs(t1), safe_abs(t2)
-    return min(a1, a2) >= 2.0 + delta and safe_abs(t_far) >= a1 + a2 + delta
+    return min(a1, a2) >= 2.0 + _DELTA and safe_abs(t_far) >= a1 + a2 + _DELTA
 
 
-def fan_escapes(r: complex, y0: complex, y1: complex, delta: float = _DELTA) -> bool:
-    """Sound pruning test for the fan around a region of trace r.
+def fan_escapes(r: complex, y0: complex, y1: complex) -> bool:
+    """Sound pruning test for the fan around a region of trace r, with margin 1e-6.
 
     The neighbours of a region with trace r, in cyclic order, satisfy
     y_{j+1} = r*y_j - y_{j-1}.  For r outside [-2, 2] this gives
     y_j = A lam^j + B lam^-j with lam + 1/lam = r and |lam| > 1, hence
-    |y_j| >= m := |A||lam| - |B|/|lam| for every j >= 1.  The test holds when
-    m >= 2 + delta and (m - 1)^2 >= 1 + |r| + delta.  Then every fan edge
+    |y_j| >= m := |A||lam| - |B|/|lam| for every j >= 1.  With delta = 1e-6
+    (``_DELTA``), the test holds when m >= 2 + delta and
+    (m - 1)^2 >= 1 + |r| + delta.  Then every fan edge
     {y_j, y_{j+1}}, j >= 1, with far trace y_j*y_{j+1} - r, passes
     ``edge_escapes``: both traces are at least m >= 2 + delta, and
     |y_j y_{j+1} - r| - |y_j| - |y_{j+1}| >= (|y_j| - 1)(|y_{j+1}| - 1) - 1 - |r|
@@ -167,9 +164,9 @@ def fan_escapes(r: complex, y0: complex, y1: complex, delta: float = _DELTA) -> 
         return False
     # lam - 1/lam = s; solve y0 = A + B, y1 = A lam + B / lam
     m = safe_abs((y1 - y0 / lam) / s) * mod - safe_abs((y0 * lam - y1) / s) / mod
-    if not (math.isfinite(m) and m >= 2.0 + delta):
+    if not (math.isfinite(m) and m >= 2.0 + _DELTA):
         return False
-    return (m - 1.0) * (m - 1.0) >= 1.0 + abs(r) + delta
+    return (m - 1.0) * (m - 1.0) >= 1.0 + abs(r) + _DELTA
 
 
 class BqKind(str, Enum):
@@ -348,7 +345,7 @@ def solve_y_from_fricke(x: complex, z: complex, kappa: complex) -> tuple[complex
 def bq_verdict_to_json(v: BqVerdict) -> dict:
     def pair(entry):
         (p, q), trace = entry
-        return {"slope": [p, q], "trace": [trace.real, trace.imag]}
+        return {"slope": [p, q], "trace": _complex_to_json(trace)}
 
     return {
         "kind": v.kind.value,
@@ -362,17 +359,20 @@ def bq_verdict_to_json(v: BqVerdict) -> dict:
 
 
 def bq_verdict_from_json(obj) -> BqVerdict:
+    """Read a verdict written by ``bq_verdict_to_json``; a malformed one is a ParseError."""
     def pair(entry):
         p, q = entry["slope"]
-        re, im = entry["trace"]
-        return ((p, q), complex(re, im))
+        return ((p, q), _complex_from_json(entry["trace"]))
 
-    return BqVerdict(
-        kind=BqKind(obj["kind"]),
-        nodes_explored=obj["nodes_explored"],
-        witnesses=tuple(pair(w) for w in obj["witnesses"]),
-        depth_max=obj["depth_max"],
-        small_traces=tuple(pair(s) for s in obj["small_traces"]),
-        pruned_escape=obj["pruned_escape"],
-        pruned_fan=obj["pruned_fan"],
-    )
+    try:
+        return BqVerdict(
+            kind=BqKind(obj["kind"]),
+            nodes_explored=obj["nodes_explored"],
+            witnesses=tuple(pair(w) for w in obj["witnesses"]),
+            depth_max=obj["depth_max"],
+            small_traces=tuple(pair(s) for s in obj["small_traces"]),
+            pruned_escape=obj["pruned_escape"],
+            pruned_fan=obj["pruned_fan"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError("malformed BQ verdict: %s" % (exc,)) from exc

@@ -39,6 +39,14 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
+def safe_abs(z: complex) -> float:
+    """Modulus that saturates to inf instead of overflowing near 1e308."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _scale_sq(a: complex, b: complex, c: complex, d: complex) -> float:
     try:
         return abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
@@ -72,11 +80,7 @@ class MoebiusMap:
         # ad - bc cancels catastrophically once entries are large (error grows
         # like eps * |entries|^2), so the tolerance follows the entry scale
         tol = max(_DET_TOL, 1e-12 * _scale_sq(self.a, self.b, self.c, self.d))
-        try:
-            err = abs(det - 1.0)
-        except OverflowError:
-            err = math.inf
-        if err > tol:
+        if safe_abs(det - 1.0) > tol:
             raise DeterminantError("determinant %r is not 1 within %g" % (det, tol))
 
     @classmethod
@@ -87,16 +91,13 @@ class MoebiusMap:
     def from_matrix(cls, a: complex, b: complex, c: complex, d: complex) -> "MoebiusMap":
         """Rescale an arbitrary nonsingular matrix to determinant 1."""
         det = a * d - b * c
-        if abs(det) < 1e-30:
+        if safe_abs(det) < 1e-30:
             raise DegenerateMatrix("matrix with determinant %r cannot be normalized" % (det,))
         s = 1.0 / cmath.sqrt(det)
         return cls(a * s, b * s, c * s, d * s)
 
     def mul(self, other: "MoebiusMap") -> "MoebiusMap":
         return _product(((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
-
-    def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        return self.mul(other)
 
     def __neg__(self) -> "MoebiusMap":
         return MoebiusMap(-self.a, -self.b, -self.c, -self.d)
@@ -175,8 +176,11 @@ def _trace_class(t: complex) -> IsometryClass:
     |Re t| < 2; LOXODROMIC otherwise.  Every non-loxodromic trace therefore
     has |t| <= 2 + _TOL and |Im t| <= _TOL.
     """
-    if abs(t - 2.0) <= _TOL or abs(t + 2.0) <= _TOL:
-        return IsometryClass.PARABOLIC
+    try:
+        if abs(t - 2.0) <= _TOL or abs(t + 2.0) <= _TOL:
+            return IsometryClass.PARABOLIC
+    except OverflowError:  # |t| is past the float range
+        return IsometryClass.LOXODROMIC
     if abs(t.imag) <= _TOL and abs(t.real) < 2.0:
         return IsometryClass.ELLIPTIC
     return IsometryClass.LOXODROMIC
@@ -191,11 +195,14 @@ def classify(m: MoebiusMap) -> IsometryClass:
     loxodromic otherwise.  ``bq_decide`` uses the same trace rule for its
     witnesses.
     """
-    if abs(m.b) <= _TOL and abs(m.c) <= _TOL and (
-        (abs(m.a - 1.0) <= _TOL and abs(m.d - 1.0) <= _TOL)
-        or (abs(m.a + 1.0) <= _TOL and abs(m.d + 1.0) <= _TOL)
-    ):
-        return IsometryClass.IDENTITY
+    try:
+        if abs(m.b) <= _TOL and abs(m.c) <= _TOL and (
+            (abs(m.a - 1.0) <= _TOL and abs(m.d - 1.0) <= _TOL)
+            or (abs(m.a + 1.0) <= _TOL and abs(m.d + 1.0) <= _TOL)
+        ):
+            return IsometryClass.IDENTITY
+    except OverflowError:  # an entry modulus past the float range is far from +-1
+        pass
     return _trace_class(m.trace())
 
 
@@ -214,7 +221,10 @@ def translation_length(m: MoebiusMap) -> float:
     # cancellation in t + s when Re t < 0, and halving first (exact) keeps
     # the sum finite once |t| passes 9e307
     h, k = t / 2.0, s / 2.0
-    return 2.0 * math.log(max(abs(h + k), abs(h - k), 1.0))
+    try:
+        return 2.0 * math.log(max(abs(h + k), abs(h - k), 1.0))
+    except OverflowError:  # |lam| is past the float range: halve once more
+        return 2.0 * (math.log(max(abs((h + k) / 2.0), abs((h - k) / 2.0))) + math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -510,7 +520,7 @@ def representation_from_json(obj) -> Representation:
             raise ParseError("each generator must be four [re, im] entries, got %r" % (g,))
         a, b, c, d = (_complex_from_json(e) for e in g)
         det = a * d - b * c
-        if abs(det - 1.0) > 1e-6:
+        if safe_abs(det - 1.0) > 1e-6:
             raise DeterminantError("generator determinant %r is not 1 within 1e-6" % (det,))
         images.append(MoebiusMap.from_matrix(a, b, c, d))
     return Representation(rank, tuple(images))

@@ -20,9 +20,9 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParseError
+from .errors import NonFiniteValue, ParseError
 from .markoff import BqKind, BqVerdict, MarkoffTriple, bq_decide, solve_y_from_fricke
-from .moebius import _complex_from_json, _complex_to_json
+from .moebius import _complex_from_json, _complex_to_json, _finite
 
 
 class RootChoice(str, Enum):
@@ -52,9 +52,15 @@ class SliceConfig:
     def __post_init__(self):
         object.__setattr__(self, "kappa", complex(self.kappa))
         object.__setattr__(self, "fixed_x", complex(self.fixed_x))
-        lo, hi = self.window
-        object.__setattr__(self, "window", (complex(lo), complex(hi)))
+        lo, hi = (complex(corner) for corner in self.window)
+        object.__setattr__(self, "window", (lo, hi))
         object.__setattr__(self, "root_choice", RootChoice(self.root_choice))
+        # the extent hi - lo can overflow although both corners are finite
+        for name, value in (("kappa", self.kappa), ("fixed_x", self.fixed_x),
+                            ("window corner", lo), ("window corner", hi),
+                            ("window extent", hi - lo)):
+            if not _finite(value):
+                raise NonFiniteValue("%s = %r is not finite" % (name, value))
         if self.width < 1 or self.height < 1:
             raise ValueError("image must be at least 1x1")
         if self.budget < 0:

@@ -23,7 +23,7 @@ from .moebius import (
     translation_length,
     uhs_distance,
 )
-from .whitehead import DEFAULT_RANK_CAP, WhiteheadAutomorphism, enumerate_primitive_classes
+from .whitehead import WhiteheadAutomorphism, enumerate_primitive_classes
 from .words import CyclicWord, Word, parse_word
 
 NO_OBSTRUCTION = "NO_OBSTRUCTION"
@@ -49,12 +49,10 @@ class PsReport:
     verdict: str
 
 
-def primitive_length_spectrum(
-    rep: Representation, max_len: int, rank_cap: int = DEFAULT_RANK_CAP
-) -> tuple[SpectrumEntry, ...]:
+def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[SpectrumEntry, ...]:
     """One entry per primitive class with cyclic length at most max_len."""
     entries = []
-    for cls in enumerate_primitive_classes(rep.rank, max_len, rank_cap):
+    for cls in enumerate_primitive_classes(rep.rank, max_len):
         m = evaluate(rep, cls)
         kind = classify(m)
         trans_len = translation_length(m) if kind == IsometryClass.LOXODROMIC else 0.0
@@ -74,16 +72,14 @@ def _basepoint_displacement(g: MoebiusMap) -> float:
     return 2.0 * math.acosh(math.hypot(norm, math.sqrt(2.0)) / 2.0)
 
 
-def ps_scan(
-    rep: Representation, max_len: int, rank_cap: int = DEFAULT_RANK_CAP
-) -> PsReport:
+def ps_scan(rep: Representation, max_len: int) -> PsReport:
     """Scan the primitive spectrum for obstructions to primitive stability.
 
     FAILURE lists every primitive class whose image is not loxodromic; such a
     class rules the representation out.  NO_OBSTRUCTION reports the observed
     ratio range and is evidence at this max_len, not a certificate.
     """
-    entries = primitive_length_spectrum(rep, max_len, rank_cap)
+    entries = primitive_length_spectrum(rep, max_len)
     failures = tuple(e.cls for e in entries if e.kind != IsometryClass.LOXODROMIC)
     ratios = [e.ratio for e in entries]
     min_ratio = min(ratios) if ratios else 0.0

@@ -32,7 +32,9 @@ from .words import (
     letter_key,
 )
 
-DEFAULT_RANK_CAP = 4
+# the largest rank the move search runs in; its pool has 2n(2^(2n-2) - 1)
+# moves, 504 at rank 4 and 2550 at rank 5
+RANK_CAP = 4
 
 CONNECTED_NO_CUTPOINT = "CONNECTED_NO_CUTPOINT"
 DISCONNECTED = "DISCONNECTED"
@@ -289,7 +291,9 @@ def apply_automorphism(phi: WhiteheadAutomorphism, w: Word) -> Word:
 
 @lru_cache(maxsize=None)
 def _move_pool(rank: int) -> tuple[WhiteheadAutomorphism, ...]:
-    """All non-identity second-kind moves, in a fixed enumeration order."""
+    """All non-identity second-kind moves in a fixed order; RankTooLarge past RANK_CAP."""
+    if rank > RANK_CAP:
+        raise RankTooLarge("rank %d exceeds the move-search cap %d" % (rank, RANK_CAP))
     letters = all_letters(rank)
     moves = []
     for a in letters:
@@ -298,14 +302,6 @@ def _move_pool(rank: int) -> tuple[WhiteheadAutomorphism, ...]:
             members = [others[k] for k in range(len(others)) if mask >> k & 1]
             moves.append(WhiteheadAutomorphism.multiplier_move(rank, a, members))
     return tuple(moves)
-
-
-def _check_rank_cap(rank: int, rank_cap: int) -> None:
-    if rank > rank_cap:
-        raise RankTooLarge(
-            "rank %d exceeds the move-search cap %d (the pool has 2n*2^(2n-2) moves)"
-            % (rank, rank_cap)
-        )
 
 
 def _minimize_raw(rank: int, core: tuple[int, ...]) -> tuple[tuple[int, ...], list[WhiteheadAutomorphism]]:
@@ -324,17 +320,14 @@ def _minimize_raw(rank: int, core: tuple[int, ...]) -> tuple[tuple[int, ...], li
             return core, trace
 
 
-def whitehead_minimize(
-    w: Word | CyclicWord, rank_cap: int = DEFAULT_RANK_CAP
-) -> tuple[CyclicWord, list[WhiteheadAutomorphism]]:
+def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAutomorphism]]:
     """Greedily shorten the conjugacy class of w with second-kind moves.
 
     Applies the first length-reducing move in a fixed enumeration order until
     none reduces.  Peak reduction guarantees the terminal length is minimal
     over the whole automorphism orbit, so the terminal word has length 1
-    exactly when w is primitive.
+    exactly when w is primitive.  Raises RankTooLarge past ``RANK_CAP``.
     """
-    _check_rank_cap(w.rank, rank_cap)
     if isinstance(w, CyclicWord):
         start = w.letters
     else:
@@ -350,15 +343,15 @@ def exponent_vector(w: Word | CyclicWord) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def is_primitive(w: Word | CyclicWord, rank_cap: int = DEFAULT_RANK_CAP) -> bool:
+def is_primitive(w: Word | CyclicWord) -> bool:
     """Whether w belongs to some free basis.
 
     Invariant under conjugation, inversion, and automorphisms.  The empty
     word is not primitive.  A coprimality check on the exponent vector (a
     necessary condition, preserved by automorphisms) short-circuits most
-    negatives before the move search runs.
+    negatives before the move search runs; only a word that reaches the
+    search raises RankTooLarge past ``RANK_CAP``.
     """
-    _check_rank_cap(w.rank, rank_cap)
     if isinstance(w, CyclicWord):
         core = w.letters
     else:
@@ -402,17 +395,15 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     return tuple(sorted((CyclicWord(rank, c) for c in found), key=CyclicWord.sort_key))
 
 
-def enumerate_primitive_classes(
-    rank: int, max_len: int, rank_cap: int = DEFAULT_RANK_CAP
-) -> tuple[CyclicWord, ...]:
+def enumerate_primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     """All conjugacy classes of primitive elements with length at most max_len.
 
     Classes and their inverses are listed separately; the output is sorted
     lexicographically in the letter order and is complete and duplicate-free.
+    Raises RankTooLarge past ``RANK_CAP``.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    _check_rank_cap(rank, rank_cap)
     return _primitive_classes(rank, max_len)
 
 

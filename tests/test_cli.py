@@ -31,6 +31,14 @@ def test_primitive_subcommand(capsys):
     code, out, _ = invoke(capsys, "primitive", "a")
     assert code == 0
     assert json.loads(out) == {"word": "a", "primitive": True}
+    # past the rank cap, a gcd != 1 word is still refuted; a word that needs
+    # the move search is a domain error
+    code, out, err = invoke(capsys, "primitive", "eeee")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"word": "eeee", "primitive": False}
+    code, out, err = invoke(capsys, "primitive", "e")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "RankTooLarge"
 
 
 def test_blocking_subcommand(capsys):
@@ -132,10 +140,10 @@ BQ_FLAGS = ["--x", "3", "--y", "3", "--z", "3", "--budget", "10"]
     ["ps-scan", "--rep", "rep.json", "--max-len", "-1"],
     ["probe", "--rep", "rep.json", "--word", "a", "--periods", "5", "--basepoint", "0,0,nan"],
     ["probe", "--rep", "rep.json", "--word", "a", "--periods", "1"],
-    ["enumerate", "--rank", "27", "--max-len", "1", "--rank-cap", "30"],
+    ["enumerate", "--rank", "27", "--max-len", "1"],
     ["word", "a", "--rank", "27"],
     ["render", "--config", "c.json", "--out", "o.ppm", "--threads", "0"],
-    ["enumerate", "--rank", "2", "--max-len", "2", "--rank-cap", "0"],
+    ["enumerate", "--rank", "2", "--max-len", "2", "--rank-cap", "5"],
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     code, out, err = invoke(capsys, *argv)
@@ -218,6 +226,16 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
         "generators": [[[0.9, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
     }))
     code, out, err = invoke(capsys, "rep-info", "--rep", str(bad_det))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DeterminantError"
+
+    # the determinant's modulus overflows although every entry is finite
+    huge_det = tmp_path / "huge_det.json"
+    huge_det.write_text(json.dumps({
+        "rank": 1,
+        "generators": [[[-2, 0], [1, 0], [1.7e308, -1e308], [1, 0]]],
+    }))
+    code, out, err = invoke(capsys, "rep-info", "--rep", str(huge_det))
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "DeterminantError"
 

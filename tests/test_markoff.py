@@ -5,7 +5,7 @@ import random
 import pytest
 
 import primstab as ps
-from primstab.errors import FrickeMismatch, NonFiniteValue, NotCoprime
+from primstab.errors import FrickeMismatch, NonFiniteValue, NotCoprime, ParseError
 from primstab.moebius import _TOL
 
 from helpers import random_complex, random_representation, schottky_example
@@ -125,20 +125,19 @@ def test_escape_criterion_examples():
 def test_escape_criterion_forward_invariance():
     # once an edge escapes, both child edges escape with larger far traces
     rng = random.Random(53)
-    delta = 1e-6
     tested = 0
     while tested < 10000:
         t1 = random_complex(rng, 40)
         t2 = random_complex(rng, 40)
         tp = random_complex(rng, 40)
         t_far = t1 * t2 - tp
-        if not ps.edge_escapes(t1, t2, t_far, delta):
+        if not ps.edge_escapes(t1, t2, t_far):
             continue
         tested += 1
         left_far = t1 * t_far - t2
         right_far = t_far * t2 - t1
-        assert ps.edge_escapes(t1, t_far, left_far, delta)
-        assert ps.edge_escapes(t_far, t2, right_far, delta)
+        assert ps.edge_escapes(t1, t_far, left_far)
+        assert ps.edge_escapes(t_far, t2, right_far)
         assert abs(left_far) > abs(t_far) and abs(right_far) > abs(t_far)
 
 
@@ -181,14 +180,14 @@ def test_fan_escape_forward_property():
             a = cmath.rect(rng.uniform(1.5, 4.0) / abs(lam), rng.uniform(0, 2 * math.pi))
             b = random_complex(rng, 0.5)
             y0, y1 = a + b, a * lam + b / lam
-        if not ps.fan_escapes(r, y0, y1, delta):
+        if not ps.fan_escapes(r, y0, y1):
             rejected += 1
             continue
         tested += 1
         prev, cur = y0, y1
         for _ in range(60):
             nxt = r * cur - prev
-            assert ps.edge_escapes(cur, nxt, cur * nxt - r, delta)
+            assert ps.edge_escapes(cur, nxt, cur * nxt - r)
             prev, cur = cur, nxt
     assert rejected > 100
 
@@ -396,3 +395,15 @@ def test_bq_verdict_json_round_trip():
         assert back == verdict
         pruned.add((verdict.pruned_escape > 0, verdict.pruned_fan > 0))
     assert (True, True) in pruned
+
+
+def test_bq_verdict_reader_rejects_malformed_documents():
+    good = ps.bq_verdict_to_json(ps.bq_decide(ps.MarkoffTriple.from_traces(1, 3, 3), 100))
+    assert good["witnesses"]
+    witness = good["witnesses"][0]
+    for bad in ({}, [], {**good, "kind": "MAYBE"},
+                {**good, "witnesses": [{**witness, "trace": "1+0j"}]},
+                {**good, "witnesses": [{**witness, "trace": [1.0]}]},
+                {**good, "witnesses": [{"trace": [1.0, 0.0]}]}):
+        with pytest.raises(ParseError):
+            ps.bq_verdict_from_json(bad)

@@ -176,6 +176,13 @@ def test_translation_length_examples():
     for sign in (1, -1):
         ceiling = ps.MoebiusMap(sign * 1e308, 0, 0, sign * 1e-308)
         assert abs(ps.translation_length(ceiling) - 2 * math.log(1e308)) <= 1e-12 * 1418.4
+    # finite entries whose modulus, and the trace's, is past the float range:
+    # neither the identity test nor the trace rule nor the length overflows
+    big = complex(1.3e308, 1.3e308)
+    past = ps.MoebiusMap(big, 0, 0, complex(0.5, -0.5) / 1.3e308)
+    assert ps.classify(past) == ps.IsometryClass.LOXODROMIC
+    want = 2 * (math.log(1.3e308) + 0.5 * math.log(2))
+    assert abs(ps.translation_length(past) - want) <= 1e-12 * want
 
 
 def test_translation_length_of_negative_trace_does_not_cancel():

@@ -135,6 +135,17 @@ def test_config_rejects_negative_small_trace_bound():
         ps.slice_config_from_json({**good, "small_trace_bound": -1})
 
 
+def test_config_rejects_non_finite_values():
+    good = ps.slice_config_to_json(
+        ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, complex(6, 3)), width=2, height=2)
+    )
+    # the last window has finite corners but an extent past the float range
+    for key, value in (("fixed_x", [math.nan, 0]), ("kappa", [math.inf, 0]),
+                       ("window", [[-1.7e308, 0], [1.7e308, 0]])):
+        with pytest.raises(ParseError, match="not finite"):
+            ps.slice_config_from_json({**good, key: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, 1j), width=0, height=1)

@@ -1,0 +1,72 @@
+"""Fuzz test of the representation reader and of ``rep-info`` on what it reads."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+import primstab as ps  # noqa: E402
+from primstab import cli  # noqa: E402
+from primstab.errors import PrimstabError  # noqa: E402
+
+# NaN, +-inf, floats at every scale up to 1.7e308, and integers past the
+# float range
+floats = st.floats() | st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.7, 1.7),
+                                 st.integers(-300, 308))
+numbers = st.integers(-10 ** 400, 10 ** 400) | floats
+entries = st.lists(numbers, min_size=2, max_size=2)
+
+
+def _det_one(a, b, c):
+    """Entries [a, b, c, d] with d chosen so that ad - bc is 1 where it can be."""
+    try:
+        d = (1 + b * c) / a
+    except ZeroDivisionError:
+        d = complex(1.0)
+    return [[z.real, z.imag] for z in (a, b, c, d)]
+
+
+complexes = st.builds(complex, floats, floats)
+# most raw draws fail the determinant check, so half the matrices are built
+# to pass it and reach classification and the Fricke traces
+matrices = st.lists(entries, min_size=4, max_size=4) | st.builds(_det_one, complexes,
+                                                                 complexes, complexes)
+documents = st.integers(1, 2).flatmap(
+    lambda rank: st.fixed_dictionaries(
+        {"rank": st.just(rank),
+         "generators": st.lists(matrices, min_size=rank, max_size=rank)}))
+
+
+def _strict(text):
+    def reject(token):
+        raise ValueError("non-strict JSON token %s" % token)
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(documents)
+@example({"rank": 1, "generators": [[[-2, 0], [1, 0], [1.7e308, -1e308], [1, 0]]]})
+@example({"rank": 1, "generators": [[[1.5e308, 1.5e308], [0, 0], [0, 0],
+                                     [1 / 1.5e308 / 2, -1 / 1.5e308 / 2]]]})
+def test_reader_and_rep_info_raise_only_domain_errors(tmp_path_factory, doc):
+    try:
+        rep = ps.representation_from_json(doc)
+    except PrimstabError:
+        pass
+    else:
+        assert isinstance(rep, ps.Representation)
+    path = tmp_path_factory.getbasetemp() / "rep.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(["rep-info", "--rep", str(path)])
+    assert code in (0, 1)
+    written, silent = (out, err) if code == 0 else (err, out)
+    assert silent.getvalue() == ""
+    assert written.getvalue().count("\n") == 1
+    assert isinstance(_strict(written.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()

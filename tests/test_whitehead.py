@@ -256,10 +256,17 @@ def test_is_primitive_invariances():
 
 
 def test_rank_cap():
+    assert ps.RANK_CAP == 4
+    assert ps.is_primitive(ps.Word(4, (1,)))
     w = ps.Word(5, (1,))
     with pytest.raises(RankTooLarge):
         ps.is_primitive(w)
-    assert ps.is_primitive(w, rank_cap=5)
+    with pytest.raises(RankTooLarge):
+        ps.enumerate_primitive_classes(5, 1)
+    with pytest.raises(RankTooLarge):
+        ps.whitehead_minimize(w)
+    # a gcd != 1 exponent vector is refuted before the move search runs
+    assert not ps.is_primitive(ps.Word(5, (1, 1)))
 
 
 def test_enumerate_rank2_length1():
