@@ -361,8 +361,11 @@ def bq_verdict_to_json(v: BqVerdict) -> dict:
 def bq_verdict_from_json(obj) -> BqVerdict:
     """Read a verdict written by ``bq_verdict_to_json``; a malformed one is a ParseError."""
     def pair(entry):
-        p, q = entry["slope"]
-        return ((p, q), _complex_from_json(entry["trace"]))
+        slope = entry["slope"]
+        if not (isinstance(slope, list) and len(slope) == 2 and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in slope)):
+            raise ValueError("slope must be a list of two integers, got %r" % (slope,))
+        return (tuple(slope), _complex_from_json(entry["trace"]))
 
     try:
         return BqVerdict(

@@ -80,8 +80,22 @@ class MoebiusMap:
         # ad - bc cancels catastrophically once entries are large (error grows
         # like eps * |entries|^2), so the tolerance follows the entry scale
         tol = max(_DET_TOL, 1e-12 * _scale_sq(self.a, self.b, self.c, self.d))
-        if safe_abs(det - 1.0) > tol:
+        if safe_abs(det - 1.0) <= tol < math.inf:
+            return
+        if _finite(det) and tol < math.inf:
             raise DeterminantError("determinant %r is not 1 within %g" % (det, tol))
+        # the check overflowed; make the same check on the entries over m, their
+        # largest real or imaginary part (a modulus may itself overflow):
+        # |det/m^2 - 1/m^2| <= tol/m^2
+        m = max(max(abs(v.real), abs(v.imag)) for v in (self.a, self.b, self.c, self.d))
+        a, b, c, d = (v / m for v in (self.a, self.b, self.c, self.d))
+        inv_sq = 1.0 / m / m
+        det = a * d - b * c
+        tol = max(_DET_TOL * inv_sq, 1e-12 * _scale_sq(a, b, c, d))
+        if abs(det - inv_sq) > tol:
+            raise DeterminantError(
+                "determinant of the entries over %g is %r, not %g within %g" % (m, det, inv_sq, tol)
+            )
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
@@ -215,12 +229,15 @@ def translation_length(m: MoebiusMap) -> float:
     t = m.trace()
     if t.imag == 0.0 and abs(t.real) <= 2.0:
         return 0.0  # both eigenvalues lie on the unit circle
-    # s^2 = t^2 - 4 without forming t^2, which overflows once |t| passes 1e154
-    s = cmath.sqrt(t - 2.0) * cmath.sqrt(t + 2.0)
-    # the eigenvalues are t/2 +- s/2; taking the larger modulus avoids the
-    # cancellation in t + s when Re t < 0, and halving first (exact) keeps
-    # the sum finite once |t| passes 9e307
-    h, k = t / 2.0, s / 2.0
+    # the eigenvalues are h +- k with h = t/2 and k^2 = h^2 - 1.  k is formed
+    # without t^2, which overflows once |t| passes 1e154, and without
+    # s = sqrt(t - 2) sqrt(t + 2), which overflows once |t| passes 1.8e308;
+    # (t - 2)/4 is exact, so its square root is sqrt(t - 2)/2 to the bit and
+    # k = s/2 exactly wherever s is finite.  Taking the larger modulus avoids
+    # the cancellation in h + k when Re t < 0, and halving t first (exact)
+    # keeps the sum finite once |t| passes 9e307
+    h = t / 2.0
+    k = cmath.sqrt(t / 4.0 - 0.5) * cmath.sqrt(t + 2.0)
     try:
         return 2.0 * math.log(max(abs(h + k), abs(h - k), 1.0))
     except OverflowError:  # |lam| is past the float range: halve once more

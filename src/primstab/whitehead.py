@@ -10,6 +10,7 @@ primitive word, which is the certificate computed here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -365,22 +366,60 @@ def is_primitive(w: Word | CyclicWord) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
-    """Grow the primitive classes upward from the letters by second-kind moves.
+def _symmetries(rank: int) -> tuple[dict[int, int], ...]:
+    """The 2^n n! signed permutations of the generators, as maps on the letters."""
+    out = []
+    for perm in itertools.permutations(range(1, rank + 1)):
+        for signs in itertools.product((1, -1), repeat=rank):
+            table = {}
+            for i, j, sign in zip(range(1, rank + 1), perm, signs):
+                table[i] = sign * j
+                table[-i] = -sign * j
+            out.append(table)
+    return tuple(out)
 
-    Starts at the 2n one-letter classes and applies every pool move to every
-    class found, keeping each image that is longer than its source and at
-    most ``max_len`` letters.  Every class reached is an automorphic image of
-    a letter, so it is primitive.  The search is complete by peak reduction:
-    every primitive class longer than one letter is shortened by some move
-    (a, A) of the pool, which is what ``is_primitive`` relies on, and the
-    inverse move (a^-1, A) is in the pool too.  So every primitive class is
-    the longer image of a shorter primitive class, and induction on the
-    length reaches it.
+
+def _orbit(rank: int, canon: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The canonical cycles of every signed permutation of a class and of its inverse."""
+    out = set()
+    for table in _symmetries(rank):
+        image = [table[v] for v in canon]
+        out.add(_canonical_cycle(image)[0])
+        out.add(_canonical_cycle([-v for v in reversed(image)])[0])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
+    """Grow the primitive classes upward from the letters, one symmetry orbit at a time.
+
+    The symmetries are the signed permutations of the generators together
+    with inversion (2 * 2^n * n! of them).  ``found`` holds every class seen
+    so far and is always a union of whole orbits; the frontier holds one
+    class per orbit.  Each frontier class gets every pool move, and an image
+    that is longer than its source, at most ``max_len`` letters and not yet
+    found brings in its whole orbit, while only the image itself goes on to
+    the next frontier.  Every class reached is an automorphic image of a
+    letter or the inverse of one, so it is primitive.
+
+    The search is complete by peak reduction, orbit by orbit.  Every
+    primitive class c longer than one letter is c = phi(c') for some move
+    phi = (a, A) of the pool and a shorter primitive class c' (the move that
+    shortens c, which ``is_primitive`` relies on, has its inverse (a^-1, A)
+    in the pool).  For every symmetry tau, tau c = (tau phi tau^-1)(tau c'):
+    conjugating (a, A) by a signed permutation gives the move (tau a, tau A),
+    which is in the pool, and inversion commutes with every automorphism,
+    since phi(w^-1) = phi(w)^-1.  By induction on the length, the orbit of
+    c' is found, so some symmetry tau takes c' to the frontier class of that
+    orbit.  The pool move tau phi tau^-1 takes tau c' to tau c, which is
+    longer and at most ``max_len`` letters, so the orbit of tau c, which is
+    the orbit of c, is found too.  The set is the one that growth without
+    symmetry (every pool move on every class found) reaches, so the sorted
+    tuple is the same.
     """
     moves = _move_pool(rank)
-    found = {(v,) for v in all_letters(rank)} if max_len > 0 else set()
-    frontier = list(found)
+    frontier = [(1,)] if max_len > 0 else []
+    found = _orbit(rank, (1,)) if frontier else set()  # the 2n letters
     while frontier:
         grown = []
         for core in frontier:
@@ -389,7 +428,7 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
                 if len(core) < len(image) <= max_len:
                     canon, _ = _canonical_cycle(image)
                     if canon not in found:
-                        found.add(canon)
+                        found |= _orbit(rank, canon)
                         grown.append(canon)
         frontier = grown
     return tuple(sorted((CyclicWord(rank, c) for c in found), key=CyclicWord.sort_key))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import primstab as ps
+from primstab.whitehead import _apply_raw, _move_pool
+from primstab.words import _canonical_cycle, _cyclic_core
 
 
 def run_python(*args):
@@ -95,6 +97,29 @@ def all_cyclic_classes(rank, max_len):
             if cls not in seen:
                 seen.add(cls)
                 yield cls
+
+
+def grown_primitive_classes(rank, max_len):
+    """Growth from the letters that applies every pool move to every class found.
+
+    It makes no use of symmetry, so it is the reference for the enumeration
+    that grows one class per symmetry orbit.
+    """
+    moves = _move_pool(rank)
+    found = {(v,) for i in range(1, rank + 1) for v in (i, -i)} if max_len > 0 else set()
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for core in frontier:
+            for phi in moves:
+                image, _ = _cyclic_core(_apply_raw(phi, core))
+                if len(core) < len(image) <= max_len:
+                    canon, _ = _canonical_cycle(image)
+                    if canon not in found:
+                        found.add(canon)
+                        grown.append(canon)
+        frontier = grown
+    return tuple(sorted((ps.CyclicWord(rank, c) for c in found), key=ps.CyclicWord.sort_key))
 
 
 def random_word(rng, rank, length):

@@ -275,6 +275,17 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     length = json.loads(out)["generators"][0]["translation_length"]
     assert abs(length - 2 * math.log(1e308)) <= 1e-12 * 1418.4
 
+    # a trace of 1.5e308 (1 + i): sqrt(t - 2) * sqrt(t + 2) overflows, the
+    # length 2 ln|lam| = 1419.90 does not
+    past = tmp_path / "past_trace.json"
+    gen = [[1.5e308, 1.5e308], [0, 0], [0, 0], [3.333333333333336e-309, -3.333333333333336e-309]]
+    past.write_text(json.dumps({"rank": 1, "generators": [gen]}))
+    code, out, err = invoke(capsys, "rep-info", "--rep", str(past))
+    assert code == 0 and err == ""
+    length = json.loads(out)["generators"][0]["translation_length"]
+    want = 2 * (math.log(1.5e308) + 0.5 * math.log(2))
+    assert abs(length - want) <= 1e-12 * want and abs(length - 1419.90) < 0.01
+
 
 def test_non_finite_results_are_refused_before_output():
     with pytest.raises(NonFiniteValue):

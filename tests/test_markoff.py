@@ -404,6 +404,8 @@ def test_bq_verdict_reader_rejects_malformed_documents():
     for bad in ({}, [], {**good, "kind": "MAYBE"},
                 {**good, "witnesses": [{**witness, "trace": "1+0j"}]},
                 {**good, "witnesses": [{**witness, "trace": [1.0]}]},
-                {**good, "witnesses": [{"trace": [1.0, 0.0]}]}):
+                {**good, "witnesses": [{"trace": [1.0, 0.0]}]},
+                *({**good, "witnesses": [{**witness, "slope": slope}]}
+                  for slope in ("ab", [1], [1.5, 2], [True, 1]))):
         with pytest.raises(ParseError):
             ps.bq_verdict_from_json(bad)

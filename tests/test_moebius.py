@@ -34,6 +34,15 @@ def close(a, b, tol=1e-9):
 def test_constructor_rejects_non_unit_determinant():
     with pytest.raises(DeterminantError):
         ps.MoebiusMap(1, 0, 0, 2)
+    # ad - bc is inf, and the tolerance 1e-12 * |entries|^2 is inf too
+    with pytest.raises(DeterminantError):
+        ps.MoebiusMap(1e200, 0, 0, 1e200)
+    # ad - bc is inf - inf = NaN, where it is 1e400
+    with pytest.raises(DeterminantError):
+        ps.MoebiusMap(2e200, 1e200, 1e200, 1e200)
+    # only the tolerance overflows, and the determinant is 1
+    m = ps.MoebiusMap(1e200, 0, 0, 1e-200)
+    assert m.a * m.d == 1.0
 
 
 def test_constructor_rejects_non_finite():
@@ -182,6 +191,10 @@ def test_translation_length_examples():
     past = ps.MoebiusMap(big, 0, 0, complex(0.5, -0.5) / 1.3e308)
     assert ps.classify(past) == ps.IsometryClass.LOXODROMIC
     want = 2 * (math.log(1.3e308) + 0.5 * math.log(2))
+    assert abs(ps.translation_length(past) - want) <= 1e-12 * want
+    # sqrt(t - 2) * sqrt(t + 2) overflows for this trace; the length is finite
+    past = ps.MoebiusMap(complex(1.5e308, 1.5e308), 0, 0, complex(0.5, -0.5) / 1.5e308)
+    want = 2 * (math.log(1.5e308) + 0.5 * math.log(2))
     assert abs(ps.translation_length(past) - want) <= 1e-12 * want
 
 

@@ -12,7 +12,13 @@ from primstab.errors import (
 )
 from primstab.whitehead import _move_pool, all_letters
 
-from helpers import all_cyclic_classes, random_automorphism, random_word, run_python
+from helpers import (
+    all_cyclic_classes,
+    grown_primitive_classes,
+    random_automorphism,
+    random_word,
+    run_python,
+)
 
 
 def edges_of(graph):
@@ -288,6 +294,43 @@ def test_enumerate_complete_and_duplicate_free(rank, max_len):
     expected = {c for c in all_cyclic_classes(rank, max_len) if ps.is_primitive(c)}
     classes = ps.enumerate_primitive_classes(rank, max_len)
     assert classes == tuple(sorted(expected, key=ps.CyclicWord.sort_key))
+
+
+def _signed_permutation_generators(rank):
+    """A swap, a cyclic shift and one sign change, as maps on the letters.
+
+    The swap and the shift generate every permutation, and with one sign
+    change they generate all 2^n n! signed permutations.
+    """
+    images = ([2, 1] + list(range(3, rank + 1)), list(range(2, rank + 1)) + [1],
+              [-1] + list(range(2, rank + 1)))
+    for image in images:
+        mapping = {}
+        for i, j in zip(range(1, rank + 1), image):
+            mapping[i], mapping[-i] = j, -j
+        yield mapping
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 10), (3, 5), (4, 4)])
+def test_enumerate_is_closed_under_symmetries(rank, max_len):
+    # a finite set closed under generators of a group is closed under the group
+    classes = ps.enumerate_primitive_classes(rank, max_len)
+    members = set(classes)
+    for c in classes:
+        assert ps.CyclicWord(rank, tuple(-v for v in reversed(c.letters))) in members
+        for mapping in _signed_permutation_generators(rank):
+            assert ps.CyclicWord(rank, tuple(mapping[v] for v in c.letters)) in members
+
+
+@pytest.mark.parametrize("rank, max_len, count", [
+    (2, 12, 184), (3, 6, 2458), (3, 7, 9970), (4, 4, 672), (4, 5, 3840)])
+def test_enumerate_counts(rank, max_len, count):
+    assert len(ps.enumerate_primitive_classes(rank, max_len)) == count
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 12), (3, 6), (4, 4)])
+def test_enumerate_matches_growth_without_symmetry(rank, max_len):
+    assert ps.enumerate_primitive_classes(rank, max_len) == grown_primitive_classes(rank, max_len)
 
 
 def test_enumerate_matches_slope_construction():
