@@ -6,6 +6,11 @@ wrap-around pair of the cyclic word.  A word whose closed graph is connected
 and cutpoint-free is never primitive (Whitehead's lemma), and a word whose
 open graph is connected and cutpoint-free occurs in no cyclically reduced
 primitive word, which is the certificate computed here.
+
+The move search reads each move's effect off the closed graph: a move (a, A)
+changes the length of a cyclically reduced word by cut(A) - deg(a), the
+edges with exactly one end in A minus the edges at a (the Higgins-Lyndon
+count; Lyndon-Schupp, Combinatorial Group Theory, Prop. I.4.16).
 """
 
 from __future__ import annotations
@@ -305,20 +310,75 @@ def _move_pool(rank: int) -> tuple[WhiteheadAutomorphism, ...]:
     return tuple(moves)
 
 
+@lru_cache(maxsize=None)
+def _move_masks(rank: int) -> tuple[tuple[int, int], ...]:
+    """(bitmask of A, bit of a) for each pool move (a, A), in pool order.
+
+    Letter v has bit ``letter_key(v) - 1``, its place in ``all_letters``.
+    """
+    out = []
+    for phi in _move_pool(rank):
+        a, members = phi._move_data
+        mask = 0
+        for v in (a, *members):
+            mask |= 1 << (letter_key(v) - 1)
+        out.append((mask, letter_key(a) - 1))
+    return tuple(out)
+
+
+def _closed_edges(core: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Closed-graph edge multiplicities of a non-empty cyclically reduced core.
+
+    One edge {x, y^-1} per cyclic pair xy, as in ``whitehead_graph(closed=True)``,
+    keyed by the bits of its two letters, lower first.
+    """
+    edges: dict[tuple[int, int], int] = {}
+    x = core[-1]
+    for y in core:
+        u, v = letter_key(x) - 1, letter_key(-y) - 1
+        key = (u, v) if u <= v else (v, u)
+        edges[key] = edges.get(key, 0) + 1
+        x = y
+    return edges
+
+
+def _length_changes(rank: int, core: Sequence[int]) -> Iterator[int]:
+    """|phi(w)| - |w| = cut(A) - deg(a) for each pool move phi = (a, A), in pool order.
+
+    Counted on the closed graph of the non-empty cyclically reduced core w.
+    """
+    degree = [0] * (2 * rank)
+    edges = []
+    for (u, v), m in _closed_edges(core).items():
+        degree[u] += m
+        degree[v] += m
+        edges.append((1 << u | 1 << v, m))
+    for mask, a in _move_masks(rank):
+        cut = 0
+        for edge, m in edges:
+            inside = mask & edge
+            if inside and inside != edge:
+                cut += m
+        yield cut - degree[a]
+
+
 def _minimize_raw(rank: int, core: tuple[int, ...]) -> tuple[tuple[int, ...], list[WhiteheadAutomorphism]]:
+    """Apply the first pool move that shortens the core until none does.
+
+    Each round counts the length change of every move in pool order up to
+    the first negative one, and applies only that move.
+    """
     moves = _move_pool(rank)
     trace: list[WhiteheadAutomorphism] = []
-    while True:
-        n = len(core)
-        for phi in moves:
-            image = _apply_raw(phi, core)
-            new_core, _ = _cyclic_core(image)
-            if len(new_core) < n:
-                core, _ = _canonical_cycle(new_core)
+    while core:
+        for phi, change in zip(moves, _length_changes(rank, core)):
+            if change < 0:
+                core, _ = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
                 trace.append(phi)
                 break
         else:
-            return core, trace
+            break
+    return core, trace
 
 
 def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAutomorphism]]:
@@ -328,6 +388,12 @@ def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[Whitehead
     none reduces.  Peak reduction guarantees the terminal length is minimal
     over the whole automorphism orbit, so the terminal word has length 1
     exactly when w is primitive.  Raises RankTooLarge past ``RANK_CAP``.
+
+    Each move's length change is counted on the closed Whitehead graph
+    (Higgins-Lyndon: cut(A) - deg(a); Lyndon-Schupp, Prop. I.4.16) and only
+    the chosen move is applied.  The move taken is still the first reducing
+    one in pool order, so the terminal class and the move trace are those of
+    applying every move in turn.  The empty word returns at once.
     """
     if isinstance(w, CyclicWord):
         start = w.letters

@@ -122,6 +122,26 @@ def grown_primitive_classes(rank, max_len):
     return tuple(sorted((ps.CyclicWord(rank, c) for c in found), key=ps.CyclicWord.sort_key))
 
 
+def applied_minimize(rank, core):
+    """Greedy minimisation that applies every pool move in turn to learn its effect.
+
+    It reads no Whitehead graph, so it is the reference for the move search
+    that picks each move by counting graph edges.  Returns the terminal core
+    and the moves taken, like ``whitehead._minimize_raw``.
+    """
+    moves = _move_pool(rank)
+    trace = []
+    while True:
+        for phi in moves:
+            image, _ = _cyclic_core(_apply_raw(phi, core))
+            if len(image) < len(core):
+                core, _ = _canonical_cycle(image)
+                trace.append(phi)
+                break
+        else:
+            return core, trace
+
+
 def random_word(rng, rank, length):
     return ps.Word(rank, random_reduced_letters(rng, rank, length))
 

@@ -10,10 +10,18 @@ from primstab.errors import (
     NotCoprime,
     RankTooLarge,
 )
-from primstab.whitehead import _move_pool, all_letters
+from primstab.whitehead import (
+    _apply_raw,
+    _closed_edges,
+    _length_changes,
+    _move_pool,
+    all_letters,
+)
+from primstab.words import _cyclic_core
 
 from helpers import (
     all_cyclic_classes,
+    applied_minimize,
     grown_primitive_classes,
     random_automorphism,
     random_word,
@@ -238,6 +246,77 @@ def test_minimize_commutator_is_stuck():
 def test_minimize_single_letter():
     terminal, trace = ps.whitehead_minimize(ps.parse_word("a", 2))
     assert len(terminal) == 1 and trace == []
+
+
+def test_minimize_empty_word():
+    # the edge count needs a wrap-around pair, so the empty core takes no round
+    assert ps.whitehead_minimize(ps.Word(2, ())) == (ps.CyclicWord(2, ()), [])
+    assert ps.whitehead_minimize(ps.CyclicWord(3, ())) == (ps.CyclicWord(3, ()), [])
+    assert ps.whitehead_minimize(ps.parse_word("abBA", 2)) == (ps.CyclicWord(2, ()), [])
+
+
+def _random_cores(rng, rank, count, max_len):
+    """Seeded non-empty cyclically reduced cores of 1..max_len letters."""
+    cores = []
+    while len(cores) < count:
+        core = ps.cyclic_reduce(random_word(rng, rank, rng.randint(1, max_len)))[0].letters
+        if core:
+            cores.append(core)
+    return cores
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_closed_edges_match_closed_graph(rank):
+    letters = all_letters(rank)
+    for core in _random_cores(random.Random(20 + rank), rank, 300, 14):
+        graph = ps.whitehead_graph(ps.CyclicWord(rank, core), closed=True)
+        edges = {}
+        for (u, v), m in _closed_edges(core).items():
+            assert u <= v
+            edges[(letters[u], letters[v])] = m
+        assert edges == graph.edge_multiplicity
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_length_changes_match_applied_moves(rank):
+    # cut(A) - deg(a) is the length change of every move, read off the graph
+    moves = _move_pool(rank)
+    for core in _random_cores(random.Random(30 + rank), rank, 300, 14):
+        applied = [len(_cyclic_core(_apply_raw(phi, core))[0]) - len(core) for phi in moves]
+        assert list(_length_changes(rank, core)) == applied
+
+
+def _check_against_applied_moves(w):
+    """Same terminal class and same move trace as the apply-every-move search."""
+    terminal, trace = ps.whitehead_minimize(w)
+    core, expected = applied_minimize(w.rank, ps.cyclic_reduce(w)[0].letters)
+    assert (terminal, trace) == (ps.CyclicWord(w.rank, core), expected), w
+    return terminal
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_minimize_matches_applied_moves_on_random_words(rank):
+    rng = random.Random(40 + rank)
+    for _ in range(1000):
+        _check_against_applied_moves(random_word(rng, rank, rng.randint(1, 14)))
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 12), (3, 6), (4, 4)])
+def test_minimize_matches_applied_moves_on_primitive_classes(rank, max_len):
+    for c in ps.enumerate_primitive_classes(rank, max_len):
+        assert len(_check_against_applied_moves(c)) == 1
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_terminal_length_is_out_invariant(rank):
+    # peak reduction: the terminal length is the least length in the orbit
+    rng = random.Random(50 + rank)
+    for _ in range(60):
+        w = random_word(rng, rank, rng.randint(1, 8))
+        image = w
+        for _ in range(rng.randint(1, 6)):
+            image = ps.apply_automorphism(random_automorphism(rng, rank), image)
+        assert len(ps.whitehead_minimize(image)[0]) == len(ps.whitehead_minimize(w)[0])
 
 
 def test_is_primitive_examples():
