@@ -39,6 +39,7 @@ from .moebius import (
     _check_fricke,
     _complex_from_json,
     _complex_to_json,
+    _half_trace_split,
     _trace_class,
     fricke_kappa,
     fricke_traces,
@@ -148,25 +149,28 @@ def fan_escapes(r: complex, y0: complex, y1: complex) -> bool:
     at least m > 2.  So at a directed edge with traces (r, y1) and previous
     trace y0, nothing past the edge is small or non-loxodromic.
 
-    False when |lam| <= 1 (r in [-2, 2]), or when |y0|, |y1| or m is not
-    finite, so a branch that saturates the floats stays unpruned.  Like
+    False for real r in [-2, 2], where |lam| = 1, or when |y0|, |y1| or m
+    is not finite, so a branch that saturates the floats stays unpruned.  Like
     ``edge_escapes``, the test is exact only in exact arithmetic: rounding
     in lam, A, B and the fan traces is not controlled.
     """
-    if not math.isfinite(safe_abs(y0) + safe_abs(y1)):
+    try:
+        if not math.isfinite(abs(y0) + abs(y1)):
+            return False
+        h, k = _half_trace_split(r)
+        lam, other = h + k, h - k
+        mod = abs(lam)
+        if mod < abs(other):  # take the root outside the unit circle
+            lam, mod, k = other, abs(other), -k
+        if not mod > 1.0 or r.imag == 0.0 and abs(r.real) <= 2.0:
+            return False  # on the real segment [-2, 2], |lam| = 1 whatever the rounding
+        # lam - 1/lam = s = 2k; solve y0 = A + B, y1 = A lam + B / lam
+        s = k + k
+        m = abs((y1 - y0 / lam) / s) * mod - abs((y0 * lam - y1) / s) / mod
+    except OverflowError:  # a modulus past the float range
         return False
-    s = cmath.sqrt(r - 2.0) * cmath.sqrt(r + 2.0)
-    lam = (r + s) / 2.0
-    if abs(lam) < abs(r - s) / 2.0:  # take the root outside the unit circle
-        lam, s = (r - s) / 2.0, -s
-    mod = abs(lam)
-    if not mod > 1.0:
-        return False
-    # lam - 1/lam = s; solve y0 = A + B, y1 = A lam + B / lam
-    m = safe_abs((y1 - y0 / lam) / s) * mod - safe_abs((y0 * lam - y1) / s) / mod
-    if not (math.isfinite(m) and m >= 2.0 + _DELTA):
-        return False
-    return (m - 1.0) * (m - 1.0) >= 1.0 + abs(r) + _DELTA
+    return (math.isfinite(m) and m >= 2.0 + _DELTA
+            and (m - 1.0) * (m - 1.0) >= 1.0 + abs(r) + _DELTA)
 
 
 class BqKind(str, Enum):
@@ -225,29 +229,15 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     depth_max = 0
     small: list[tuple[tuple[int, int], complex]] = []
 
-    for slope, trace in (((0, 1), x), ((1, 0), y), ((1, 1), z)):
-        if nodes >= budget:
-            return BqVerdict(BqKind.INCONCLUSIVE, nodes, (), depth_max, tuple(small))
-        nodes += 1
-        modulus = safe_abs(trace)
-        if (modulus <= real_bound and abs(trace.imag) <= _TOL
-                and _trace_class(trace) is not IsometryClass.LOXODROMIC):
-            return BqVerdict(
-                BqKind.NOT_BQ_WITNESS, nodes, ((slope, trace),), depth_max, tuple(small)
-            )
-        if modulus <= 2.0:
-            small.append((slope, trace))
-            if len(small) > small_trace_bound:
-                return BqVerdict(
-                    BqKind.NOT_BQ_WITNESS, nodes, tuple(small), depth_max, tuple(small)
-                )
-
-    # directed edges (t1, t2, t_prev, p1, q1, p2, q2, depth); the new vertex
-    # across an edge is the vector sum of its endpoints
+    # directed edges (t1, t2, t_prev, p1, q1, p2, q2, depth), whose new vertex is the
+    # sum of the endpoints; on top, in visit order, the seed regions (trace, depth 0)
     stack = [
         (x, y, z, 0, 1, -1, 0, 1),
         (z, y, x, 1, 1, 1, 0, 1),
         (x, z, y, 0, 1, 1, 1, 1),
+        (z, None, None, 1, 1, 0, 0, 0),
+        (y, None, None, 1, 0, 0, 0, 0),
+        (x, None, None, 0, 1, 0, 0, 0),
     ]
     pop = stack.pop
     push = stack.append
@@ -257,30 +247,33 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     witnesses = ()
     while stack:
         t1, t2, tp, p1, q1, p2, q2, depth = pop()
-        tn = t1 * t2 - tp
-        # moduli saturate to inf near the float ceiling; a saturated branch
-        # never escapes, never witnesses, and ends in INCONCLUSIVE via budget
-        try:
-            a1 = abs(t1)
-            a2 = abs(t2)
-            an = abs(tn)
-        except OverflowError:
-            a1, a2, an = safe_abs(t1), safe_abs(t2), safe_abs(tn)
-        # the fan rule runs only beside exactly one small region r: around r,
-        # tp and the other side are consecutive neighbours and tn the next.
-        # With both sides small it cannot hold, as m <= |y1| < 2 + _DELTA;
-        # with both large, trying it slows the many few-node searches
-        if a1 >= lox_floor:
-            if a2 >= lox_floor:
-                if an >= a1 + a2 + _DELTA:
-                    pruned_escape += 1
+        if depth:
+            tn = t1 * t2 - tp
+            # moduli saturate to inf near the float ceiling; a saturated branch
+            # never escapes, never witnesses, and ends in INCONCLUSIVE via budget
+            try:
+                a1 = abs(t1)
+                a2 = abs(t2)
+                an = abs(tn)
+            except OverflowError:
+                a1, a2, an = safe_abs(t1), safe_abs(t2), safe_abs(tn)
+            # the fan rule runs only beside exactly one small region r: around r,
+            # tp and the other side are consecutive neighbours and tn the next.
+            # With both sides small it cannot hold, as m <= |y1| < 2 + _DELTA;
+            # with both large, trying it slows the many few-node searches
+            if a1 >= lox_floor:
+                if a2 >= lox_floor:
+                    if an >= a1 + a2 + _DELTA:
+                        pruned_escape += 1
+                        continue
+                elif fan_escapes(t2, tp, t1):
+                    pruned_fan += 1
                     continue
-            elif fan_escapes(t2, tp, t1):
+            elif a2 >= lox_floor and fan_escapes(t1, tp, t2):
                 pruned_fan += 1
                 continue
-        elif a2 >= lox_floor and fan_escapes(t1, tp, t2):
-            pruned_fan += 1
-            continue
+        else:  # a seed region
+            tn, an = t1, safe_abs(t1)
         if nodes >= budget:
             kind = BqKind.INCONCLUSIVE
             break
@@ -300,9 +293,10 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
                 kind = BqKind.NOT_BQ_WITNESS
                 witnesses = tuple(small)
                 break
-        child_depth = depth + 1
-        push((t1, tn, t2, p1, q1, pn, qn, child_depth))
-        push((tn, t2, t1, pn, qn, p2, q2, child_depth))
+        if depth:
+            child_depth = depth + 1
+            push((t1, tn, t2, p1, q1, pn, qn, child_depth))
+            push((tn, t2, t1, pn, qn, p2, q2, child_depth))
     return BqVerdict(
         kind, nodes, witnesses, depth_max, tuple(small), pruned_escape, pruned_fan
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -63,7 +64,13 @@ class IsometryClass(str, Enum):
 
 @dataclass(frozen=True)
 class MoebiusMap:
-    """A determinant-1 lift of a Moebius transformation z -> (az+b)/(cz+d)."""
+    """A determinant-1 lift of a Moebius transformation z -> (az+b)/(cz+d).
+
+    The constructor checks ad - bc = 1 within max(1e-9, 1e-12 S), S the sum
+    of the squared entry moduli.  The known limit: past S = 1e12 this cannot
+    tell determinant 1 from 0, so ``MoebiusMap(1e6, 1e6, 1e6, 1e6)`` passes;
+    ``from_matrix`` and the representation reader reject that matrix.
+    """
 
     a: complex
     b: complex
@@ -220,6 +227,16 @@ def classify(m: MoebiusMap) -> IsometryClass:
     return _trace_class(m.trace())
 
 
+def _half_trace_split(t: complex) -> tuple[complex, complex]:
+    """(h, k) with h = t/2 and k^2 = h^2 - 1: a trace-t map has eigenvalues h +- k.
+
+    k avoids t^2 (overflows past |t| = 1e154) and s = sqrt(t - 2) sqrt(t + 2)
+    (past 1.8e308), yet equals s/2 to the bit where s is finite, as (t - 2)/4
+    is exact.  Halving t first keeps h + k finite.
+    """
+    return t * 0.5, cmath.sqrt(t * 0.25 - 0.5) * cmath.sqrt(t + 2.0)
+
+
 def translation_length(m: MoebiusMap) -> float:
     """Hyperbolic translation length: 2 ln|lam| for the eigenvalue with |lam| >= 1.
 
@@ -229,15 +246,8 @@ def translation_length(m: MoebiusMap) -> float:
     t = m.trace()
     if t.imag == 0.0 and abs(t.real) <= 2.0:
         return 0.0  # both eigenvalues lie on the unit circle
-    # the eigenvalues are h +- k with h = t/2 and k^2 = h^2 - 1.  k is formed
-    # without t^2, which overflows once |t| passes 1e154, and without
-    # s = sqrt(t - 2) sqrt(t + 2), which overflows once |t| passes 1.8e308;
-    # (t - 2)/4 is exact, so its square root is sqrt(t - 2)/2 to the bit and
-    # k = s/2 exactly wherever s is finite.  Taking the larger modulus avoids
-    # the cancellation in h + k when Re t < 0, and halving t first (exact)
-    # keeps the sum finite once |t| passes 9e307
-    h = t / 2.0
-    k = cmath.sqrt(t / 4.0 - 0.5) * cmath.sqrt(t + 2.0)
+    # taking the larger modulus avoids the cancellation in h + k when Re t < 0
+    h, k = _half_trace_split(t)
     try:
         return 2.0 * math.log(max(abs(h + k), abs(h - k), 1.0))
     except OverflowError:  # |lam| is past the float range: halve once more
@@ -281,9 +291,9 @@ def act_uhs(m: MoebiusMap, p: UhsPoint) -> UhsPoint:
 def uhs_distance(p: UhsPoint, q: UhsPoint) -> float:
     """Hyperbolic distance arccosh(1 + (|z1-z2|^2 + (t1-t2)^2) / (2 t1 t2)).
 
-    Long orbits reach heights near the float ceiling, where the squares in
-    the direct formula overflow; those fall back to a log-domain evaluation
-    of the equivalent form 2 asinh(sqrt(num) / (2 sqrt(t1 t2))).
+    Where the squares overflow (heights near the float ceiling) or 2 t1 t2
+    underflows (heights near 0), a log-domain evaluation of the equivalent
+    form 2 asinh(sqrt(num) / (2 sqrt(t1 t2))) takes over.
     """
     dz = p.z - q.z
     try:
@@ -292,11 +302,14 @@ def uhs_distance(p: UhsPoint, q: UhsPoint) -> float:
         u = abs(dz.real) + abs(dz.imag)
     v = p.t - q.t
     num = u * u + v * v
-    if math.isfinite(num):
-        arg = 1.0 + num / (2.0 * p.t * q.t)
+    denom = 2.0 * p.t * q.t
+    if math.isfinite(num) and denom >= sys.float_info.min:
+        arg = 1.0 + num / denom
         if math.isfinite(arg):
             return math.acosh(max(1.0, arg))
     m = max(u, abs(v))
+    if m == 0.0:
+        return 0.0
     ratio = math.hypot(u / m, v / m)
     log_r = math.log(m) + math.log(ratio / 2.0) - 0.5 * (math.log(p.t) + math.log(q.t))
     if log_r > 300.0:
@@ -315,11 +328,9 @@ def axis_point(m: MoebiusMap) -> UhsPoint:
     if abs(m.c) <= _TOL:
         fixed = m.b / (m.d - m.a)
         return UhsPoint(fixed, 1.0)
-    t = m.trace()
-    s = cmath.sqrt(t * t - 4.0)
-    z_plus = (m.a - m.d + s) / (2.0 * m.c)
-    z_minus = (m.a - m.d - s) / (2.0 * m.c)
-    return UhsPoint((z_plus + z_minus) / 2.0, abs(z_plus - z_minus) / 2.0)
+    # the axis is the half circle over the fixed points (a - d +- 2k) / 2c
+    _, k = _half_trace_split(m.trace())
+    return UhsPoint((m.a - m.d) / (2.0 * m.c), abs(k / m.c))
 
 
 class DiskSide(str, Enum):

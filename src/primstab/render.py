@@ -15,7 +15,6 @@ processes computed it.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -112,6 +111,7 @@ def render_slice(cfg: SliceConfig, threads: int | None = 1) -> bytes:
     tasks = [(cfg, j) for j in range(cfg.height)]
     ctx = None
     if threads > 1 and cfg.height > 1:
+        import multiprocessing  # loaded only for the pool, off every other CLI call
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # no fork on this platform; fall back to serial

@@ -7,7 +7,8 @@ and cutpoint-free is never primitive (Whitehead's lemma), and a word whose
 open graph is connected and cutpoint-free occurs in no cyclically reduced
 primitive word, which is the certificate computed here.
 
-The move search reads each move's effect off the closed graph: a move (a, A)
+Both move searches, the minimiser and the enumeration of primitive classes,
+read each move's effect off the closed graph before taking it: a move (a, A)
 changes the length of a cyclically reduced word by cut(A) - deg(a), the
 edges with exactly one end in A minus the edges at a (the Higgins-Lyndon
 count; Lyndon-Schupp, Combinatorial Group Theory, Prop. I.4.16).
@@ -34,7 +35,6 @@ from .words import (
     _canonical_cycle,
     _cyclic_core,
     check_letter,
-    cyclic_reduce,
     letter_key,
 )
 
@@ -362,7 +362,7 @@ def _length_changes(rank: int, core: Sequence[int]) -> Iterator[int]:
         yield cut - degree[a]
 
 
-def _minimize_raw(rank: int, core: tuple[int, ...]) -> tuple[tuple[int, ...], list[WhiteheadAutomorphism]]:
+def _minimize_raw(rank: int, core: Sequence[int]) -> tuple[Sequence[int], list[WhiteheadAutomorphism]]:
     """Apply the first pool move that shortens the core until none does.
 
     Each round counts the length change of every move in pool order up to
@@ -395,11 +395,7 @@ def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[Whitehead
     one in pool order, so the terminal class and the move trace are those of
     applying every move in turn.  The empty word returns at once.
     """
-    if isinstance(w, CyclicWord):
-        start = w.letters
-    else:
-        start = cyclic_reduce(w)[0].letters
-    core, trace = _minimize_raw(w.rank, start)
+    core, trace = _minimize_raw(w.rank, _cyclic_core(w.letters)[0])
     return CyclicWord(w.rank, core), trace
 
 
@@ -419,10 +415,7 @@ def is_primitive(w: Word | CyclicWord) -> bool:
     negatives before the move search runs; only a word that reaches the
     search raises RankTooLarge past ``RANK_CAP``.
     """
-    if isinstance(w, CyclicWord):
-        core = w.letters
-    else:
-        core = cyclic_reduce(w)[0].letters
+    core, _ = _cyclic_core(w.letters)
     if not core:
         return False
     if math.gcd(*exponent_vector(w)) != 1:
@@ -462,11 +455,13 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     The symmetries are the signed permutations of the generators together
     with inversion (2 * 2^n * n! of them).  ``found`` holds every class seen
     so far and is always a union of whole orbits; the frontier holds one
-    class per orbit.  Each frontier class gets every pool move, and an image
-    that is longer than its source, at most ``max_len`` letters and not yet
-    found brings in its whole orbit, while only the image itself goes on to
-    the next frontier.  Every class reached is an automorphic image of a
-    letter or the inverse of one, so it is primitive.
+    class per orbit.  Each frontier class counts the length change of every
+    pool move on its closed graph (``_length_changes``, as in
+    ``whitehead_minimize``) and applies only the moves that lengthen it to
+    at most ``max_len`` letters.  An image not yet found brings in its whole
+    orbit, while only the image itself goes on to the next frontier.  Every
+    class reached is an automorphic image of a letter or the inverse of one,
+    so it is primitive.
 
     The search is complete by peak reduction, orbit by orbit.  Every
     primitive class c longer than one letter is c = phi(c') for some move
@@ -489,10 +484,9 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     while frontier:
         grown = []
         for core in frontier:
-            for phi in moves:
-                image, _ = _cyclic_core(_apply_raw(phi, core))
-                if len(core) < len(image) <= max_len:
-                    canon, _ = _canonical_cycle(image)
+            for phi, change in zip(moves, _length_changes(rank, core)):
+                if 0 < change <= max_len - len(core):
+                    canon, _ = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
                     if canon not in found:
                         found |= _orbit(rank, canon)
                         grown.append(canon)

@@ -157,6 +157,16 @@ def test_fan_escape_examples():
     assert not ps.fan_escapes(2.0001, 1e308, -1e308)
 
 
+def test_fan_escape_is_false_on_the_real_segment():
+    # |lam| = 1 there, whatever rounding does to the computed root
+    rng = random.Random(31)
+    for _ in range(20000):
+        r = rng.uniform(-2.0, 2.0)
+        y0 = complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+        y1 = complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+        assert not ps.fan_escapes(complex(r, 0.0), y0, y1), (r, y0, y1)
+
+
 def test_fan_escape_forward_property():
     # when the rule accepts (r, y0, y1), every fan edge {y_j, y_{j+1}} around
     # r, with far trace y_j y_{j+1} - r, passes the escape test.  Half the

@@ -263,6 +263,11 @@ def test_uhs_distance_examples():
     assert ps.uhs_distance(p, p) == 0.0
     q = ps.UhsPoint(-1, 2.0)
     assert close(ps.uhs_distance(p, q), ps.uhs_distance(q, p), 1e-15)
+    # 2 t1 t2 underflows to 0: arccosh(1 + 1 / 2e-340) = ln(1e340)
+    low = ps.UhsPoint(0, 1e-170)
+    assert close(ps.uhs_distance(low, ps.UhsPoint(1, 1e-170)), 340 * math.log(10), 1e-9)
+    assert ps.uhs_distance(low, low) == 0.0
+    assert close(ps.uhs_distance(low, ps.UhsPoint(0, 1e-169)), math.log(10), 1e-12)
 
 
 def test_axis_point_is_translated_by_exactly_the_length():
@@ -272,6 +277,15 @@ def test_axis_point_is_translated_by_exactly_the_length():
         base = ps.axis_point(m)
         length = ps.translation_length(m)
         assert close(ps.uhs_distance(base, ps.act_uhs(m, base)), length, 1e-8)
+
+
+def test_axis_point_of_a_huge_trace():
+    # trace 1e200: t^2 overflows, but the axis joins the fixed points
+    # about -1e-200 and 1e200
+    m = ps.MoebiusMap(1e200, 1, 1, 2e-200)
+    base = ps.axis_point(m)
+    assert close(base.z, 5e199, 1e188) and close(base.t, 5e199, 1e188)
+    assert close(ps.translation_length(m), 2 * 200 * math.log(10), 1e-9)
 
 
 def test_image_circle_identity_and_translation():

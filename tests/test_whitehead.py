@@ -122,8 +122,10 @@ def test_connectivity_and_cutpoints_agree_with_networkx():
         assert (ps.is_connected(g), ps.has_cutpoint(g)) == _networkx_verdicts(nx, g), g
 
 
-def test_import_leaves_networkx_unloaded():
-    proc = run_python("-c", "import sys, primstab; print('networkx' in sys.modules)")
+@pytest.mark.parametrize("package, module", [("primstab", "networkx"),
+                                             ("primstab.cli", "multiprocessing")])
+def test_import_leaves_module_unloaded(package, module):
+    proc = run_python("-c", "import sys, %s; print(%r in sys.modules)" % (package, module))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
