@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .errors import NonFiniteValue, PrimstabError
@@ -256,6 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker count (default: machine parallelism)")
     p.set_defaults(func=_cmd_render)
 
+    # read -1e5 or -1,2 as a value, not an option: no option here starts with a digit
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -34,7 +34,7 @@ class BadSubset(PrimstabError):
 
 
 class DegenerateAction(PrimstabError):
-    """The upper-half-space action hit a numerically degenerate denominator."""
+    """The action hit a numerically degenerate denominator, or a probed power left the floats."""
 
 
 class ImageIsLine(PrimstabError):

@@ -11,17 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadSubset, CheckFailed, ParseError, RankMismatch
+from .errors import BadSubset, CheckFailed, DegenerateAction, ParseError, RankMismatch
 from .moebius import (
     IsometryClass,
-    MoebiusMap,
     Representation,
     UhsPoint,
-    act_uhs,
+    _displacement,
+    _product,
     classify,
     evaluate,
     translation_length,
-    uhs_distance,
 )
 from .whitehead import WhiteheadAutomorphism, enumerate_primitive_classes
 from .words import CyclicWord, Word, parse_word
@@ -60,18 +59,6 @@ def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[Spectr
     return tuple(entries)
 
 
-def _basepoint_displacement(g: MoebiusMap) -> float:
-    """Hyperbolic distance from j = (0, 1) to its image under g.
-
-    cosh d = |g|^2 / 2 for the Frobenius norm |g|, so cosh(d/2) =
-    sqrt(|g|^2 + 2) / 2.  This form needs no image point and squares
-    nothing, so it is finite wherever |g| is, also where the image of j
-    leaves the floats.
-    """
-    norm = math.hypot(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
-    return 2.0 * math.acosh(math.hypot(norm, math.sqrt(2.0)) / 2.0)
-
-
 def ps_scan(rep: Representation, max_len: int) -> PsReport:
     """Scan the primitive spectrum for obstructions to primitive stability.
 
@@ -84,7 +71,7 @@ def ps_scan(rep: Representation, max_len: int) -> PsReport:
     ratios = [e.ratio for e in entries]
     min_ratio = min(ratios) if ratios else 0.0
     max_ratio = max(ratios) if ratios else 0.0
-    displacement = max(_basepoint_displacement(g) for g in rep.images)
+    displacement = max(_displacement(g.a, g.b, g.c, g.d) for g in rep.images)
     if max_ratio > displacement + 1e-6:
         raise CheckFailed(
             "ratio %r exceeds the basepoint displacement bound %r" % (max_ratio, displacement)
@@ -125,17 +112,26 @@ def orbit_growth_probe(
     Computes d(p0, w^m p0) for m = 0..periods and fits distance = slope * m
     by least squares through the origin.  For loxodromic images the slope
     approaches the translation length; sublinear growth flags parabolics.
+    Each distance is taken in closed form on the raw entries of the power,
+    conjugated once so that p0 becomes j = (0, 1).  Raises DegenerateAction
+    once a distance passes about 1420, where the entries leave the floats.
     """
     if periods < 2:
         raise ValueError("periods must be at least 2")
     base = basepoint if basepoint is not None else UhsPoint(0.0, 1.0)
-    step = evaluate(rep, w)
-    acc = MoebiusMap.identity()
+    # h = [[s, z/s], [0, 1/s]] with s = sqrt(t) sends j to the basepoint (z, t)
+    s = math.sqrt(base.t)
+    g = evaluate(rep, w)
+    step = _product(((1.0 / s, -base.z / s, 0.0, s), (g.a, g.b, g.c, g.d),
+                     (s, base.z / s, 0.0, 1.0 / s)))
+    power = (1.0, 0.0, 0.0, 1.0)
     dists = [0.0]
     for _ in range(periods):
-        acc = acc.mul(step)
-        dists.append(uhs_distance(base, act_uhs(acc, base)))
+        power = _product((power, step))
+        dists.append(_displacement(*power))
     num = sum(m * d for m, d in enumerate(dists))
+    if not math.isfinite(num):
+        raise DegenerateAction("the orbit of %r under the word leaves the floats" % (base,))
     den = sum(m * m for m in range(periods + 1))
     slope = num / den
     residuals = [d - slope * m for m, d in enumerate(dists)]

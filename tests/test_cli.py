@@ -156,6 +156,17 @@ def test_every_finite_float_flag_parses():
         args = build_parser().parse_args(["bq-decide", "--x", repr(value), "--y", "3",
                                           "--z", repr(value), "--budget", "0"])
         assert args.x == complex(value, 0.0) and args.z == complex(value, 0.0)
+    # a negative number in exponent form, given as its own argument, is a value
+    for text in ("-1e5", "-5e-324", "-1.7976931348623157e308"):
+        args = build_parser().parse_args(["bq-decide", "--x", text, "--y", "3",
+                                          "--z", "3", "--budget", "0"])
+        assert args.x == complex(float(text), 0.0)
+    args = build_parser().parse_args(["bq-decide", "--x", "-1,2", "--y", "3",
+                                      "--z", "3", "--budget", "0"])
+    assert args.x == complex(-1.0, 2.0)
+    args = build_parser().parse_args(["probe", "--rep", "rep.json", "--word", "a",
+                                      "--periods", "2", "--basepoint", "-1,0,1"])
+    assert args.basepoint == ps.UhsPoint(-1, 1)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -249,8 +260,8 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     assert code == 1
     assert json.loads(err)["error"] == "WordParseError"
 
-    # the image of the basepoint leaves the floats: 1/1e-320, or 1e160 squared.
-    # The orbit probe needs that point; the scan's displacement bound does not
+    # the entries of a^2 leave the floats: 1e160 squared.  The orbit probe
+    # measures that power; the scan's displacement bound needs only a itself
     for name, gen in (("tiny_d", [[1e160, 0], [0, 0], [0, 0], [1e-160, 0]]),
                       ("huge_d", [[1e-160, 0], [0, 0], [0, 0], [1e160, 0]])):
         path = tmp_path / (name + ".json")

@@ -55,8 +55,10 @@ def _assert_contract(code, out, err):
 @given(complexes, complexes, complexes, st.integers(-1, 60), st.integers(-1, 4))
 @example("3", "3", "3", 50, 1)
 @example("1e200", "1e200", "3", 50, 64)
+@example("3", "-1e5", "3", 10, 1)
 def test_bq_decide_argv_keeps_the_contract(x, y, z, budget, bound):
-    argv = ["bq-decide", "--x=" + x, "--y=" + y, "--z=" + z, "--budget=%d" % budget,
+    # a value may be joined to its flag or follow it as its own argument
+    argv = ["bq-decide", "--x=" + x, "--y", y, "--z=" + z, "--budget", "%d" % budget,
             "--small-trace-bound=%d" % bound]
     _assert_contract(*_run(argv))
 

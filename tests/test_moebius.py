@@ -268,6 +268,19 @@ def test_uhs_distance_examples():
     assert close(ps.uhs_distance(low, ps.UhsPoint(1, 1e-170)), 340 * math.log(10), 1e-9)
     assert ps.uhs_distance(low, low) == 0.0
     assert close(ps.uhs_distance(low, ps.UhsPoint(0, 1e-169)), math.log(10), 1e-12)
+    # short distances keep every digit: 1 + x no longer rounds away x
+    assert ps.uhs_distance(ps.UhsPoint(0, 1), ps.UhsPoint(1e-10, 1)) == 1e-10
+    assert close(ps.uhs_distance(ps.UhsPoint(0, 1), ps.UhsPoint(1e-7, 1)), 1e-7, 1e-12 * 1e-7)
+    # z1 - z2 = 2e308 overflows, a quarter of it does not: 2 asinh(1e308 / 1)
+    far = ps.uhs_distance(ps.UhsPoint(1e308, 1e-300), ps.UhsPoint(-1e308, 1e300))
+    assert close(far, 2 * math.asinh(1e308), 1e-12 * 1419.8)
+    # so does the hypot of halved differences, though r = sqrt 2 here
+    z = 1.7e308 * (1 + 1j)
+    far = ps.uhs_distance(ps.UhsPoint(z, 1.7e308), ps.UhsPoint(-z, 1.7e308))
+    assert close(far, 2 * math.asinh(math.sqrt(2)), 1e-12)
+    # r = 1e10 / 2e-300 passes the float range: 2 ln 2r = 620 ln 10
+    far = ps.uhs_distance(ps.UhsPoint(1e10, 1e-300), ps.UhsPoint(0, 1e-300))
+    assert close(far, 620 * math.log(10), 1e-12 * 1427.6)
 
 
 def test_axis_point_is_translated_by_exactly_the_length():

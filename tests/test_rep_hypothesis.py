@@ -1,4 +1,4 @@
-"""Fuzz test of the representation reader and of ``rep-info`` on what it reads."""
+"""Fuzz test of the representation reader and of ``rep-info`` and ``ps-scan`` on what it reads."""
 
 import io
 import json
@@ -48,11 +48,11 @@ def _strict(text):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(documents)
-@example({"rank": 1, "generators": [[[-2, 0], [1, 0], [1.7e308, -1e308], [1, 0]]]})
+@given(documents, st.integers(0, 6))
+@example({"rank": 1, "generators": [[[-2, 0], [1, 0], [1.7e308, -1e308], [1, 0]]]}, 2)
 @example({"rank": 1, "generators": [[[1.5e308, 1.5e308], [0, 0], [0, 0],
-                                     [1 / 1.5e308 / 2, -1 / 1.5e308 / 2]]]})
-def test_reader_and_rep_info_raise_only_domain_errors(tmp_path_factory, doc):
+                                     [1 / 1.5e308 / 2, -1 / 1.5e308 / 2]]]}, 6)
+def test_reader_and_rep_info_raise_only_domain_errors(tmp_path_factory, doc, max_len):
     try:
         rep = ps.representation_from_json(doc)
     except PrimstabError:
@@ -61,12 +61,14 @@ def test_reader_and_rep_info_raise_only_domain_errors(tmp_path_factory, doc):
         assert isinstance(rep, ps.Representation)
     path = tmp_path_factory.getbasetemp() / "rep.json"
     path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.run(["rep-info", "--rep", str(path)])
-    assert code in (0, 1)
-    written, silent = (out, err) if code == 0 else (err, out)
-    assert silent.getvalue() == ""
-    assert written.getvalue().count("\n") == 1
-    assert isinstance(_strict(written.getvalue()), dict)
-    assert "Traceback" not in err.getvalue()
+    for argv in (["rep-info", "--rep", str(path)],
+                 ["ps-scan", "--rep", str(path), "--max-len", str(max_len)]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 1)
+        written, silent = (out, err) if code == 0 else (err, out)
+        assert silent.getvalue() == ""
+        assert written.getvalue().count("\n") == 1
+        assert isinstance(_strict(written.getvalue()), dict)
+        assert "Traceback" not in err.getvalue()

@@ -163,6 +163,14 @@ def test_probe_diagonal_exact():
     assert max(abs(r) for r in residuals) <= 1e-9
 
 
+def test_probe_near_identity_diagonal():
+    # lam - 1/lam = 2e-9: the distances must not cancel to a few digits
+    lam = 1 + 1e-9
+    rep = ps.Representation(2, (ps.MoebiusMap(lam, 0, 0, 1 / lam), ps.MoebiusMap(1, -1, -1, 2)))
+    slope, _ = ps.orbit_growth_probe(rep, ps.parse_word("a", 2), 50)
+    assert abs(slope - 2 * math.log(lam)) <= 1e-6 * 2 * math.log(lam)
+
+
 def test_probe_parabolic_sublinear():
     rep = ps.Representation(2, (ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
     word = ps.parse_word("a", 2)
