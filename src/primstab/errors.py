@@ -34,7 +34,7 @@ class BadSubset(PrimstabError):
 
 
 class DegenerateAction(PrimstabError):
-    """The action hit a numerically degenerate denominator, or a probed power left the floats."""
+    """The upper-half-space action hit a numerically degenerate denominator."""
 
 
 class ImageIsLine(PrimstabError):

@@ -3,9 +3,9 @@
 Maps are stored as determinant-1 complex 2x2 matrices; everything consumed
 projectively (classification, translation length, disk hauling) is robust
 under the lift sign.  A map is validated where it enters (``from_matrix``
-renormalises, the constructor checks the determinant) and once where
-``evaluate`` or ``MoebiusMap.mul`` returns it; ``_product`` itself returns
-the raw entries of a plain 2x2 product, with no rescaling in between.
+renormalises, the constructor checks the determinant) and once where it
+leaves ``_product``; the products themselves are plain 2x2 products of raw
+entries, with no rescaling in between.
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ class MoebiusMap:
         return cls(a * s, b * s, c * s, d * s)
 
     def mul(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap(*_product(((self.a, self.b, self.c, self.d),
-                                     (other.a, other.b, other.c, other.d))))
+        return _product(((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
 
     def __neg__(self) -> "MoebiusMap":
         return MoebiusMap(-self.a, -self.b, -self.c, -self.d)
@@ -164,11 +163,11 @@ class Representation:
                 raise TypeError("generator images must be MoebiusMap, got %r" % (m,))
 
 
-def _product(factors) -> tuple[complex, complex, complex, complex]:
-    """The plain product (a, b, c, d) of entry tuples, left to right.
+def _product(factors) -> MoebiusMap:
+    """The plain product of (a, b, c, d) entry tuples, left to right.
 
-    Nothing is rescaled or checked; callers that return a map build it, so
-    the constructor checks the determinant once.  The known limit: determinant drift
+    Nothing is rescaled along the way; the constructor checks the determinant
+    once, on the map that comes out.  The known limit: determinant drift
     grows up to linearly with the number of factors (4e-11 to 1.7e-10 after
     10^6 letters over unitary generators, against 0 with a rescale per
     product), so the 1e-9 check can first fire after a few million letters.
@@ -176,18 +175,19 @@ def _product(factors) -> tuple[complex, complex, complex, complex]:
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for p, q, r, s in factors:
         a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-    return a, b, c, d
+    return MoebiusMap(a, b, c, d)
 
 
-def _displacement(a: complex, b: complex, c: complex, d: complex) -> float:
-    """Hyperbolic distance from j = (0, 1) to its image under [[a, b], [c, d]].
+def _displacement(g: MoebiusMap) -> float:
+    """Hyperbolic distance from j = (0, 1) to its image under g.
 
     cosh d = |g|^2 / 2 and |g|^2 - 2 = |a - conj d|^2 + |b + conj c|^2 when
     ad - bc = 1, so d = 2 asinh(hypot(|a - conj d|, |b + conj c|) / 2), with no
-    cancellation.  Halved entries keep the differences finite; d is inf past about 1421.
+    cancellation.  Halved entries keep the differences finite, so d needs no
+    image point and is finite wherever the entries are.
     """
-    u = a * 0.5 - d.conjugate() * 0.5
-    v = b * 0.5 + c.conjugate() * 0.5
+    u = g.a * 0.5 - g.d.conjugate() * 0.5
+    v = g.b * 0.5 + g.c.conjugate() * 0.5
     return 2.0 * math.asinh(math.hypot(u.real, u.imag, v.real, v.imag))
 
 
@@ -199,7 +199,7 @@ def evaluate(rep: Representation, w: Word | CyclicWord) -> MoebiusMap:
     for i, m in enumerate(rep.images, 1):
         table[i] = (m.a, m.b, m.c, m.d)
         table[-i] = (m.d, -m.b, -m.c, m.a)
-    return MoebiusMap(*_product(table[v] for v in w.letters))
+    return _product(table[v] for v in w.letters)
 
 
 def _trace_class(t: complex) -> IsometryClass:
@@ -303,17 +303,20 @@ def act_uhs(m: MoebiusMap, p: UhsPoint) -> UhsPoint:
 def uhs_distance(p: UhsPoint, q: UhsPoint) -> float:
     """Hyperbolic distance 2 asinh(r), r = hypot(|z1 - z2|, t1 - t2) / (2 sqrt(t1) sqrt(t2)).
 
-    Quartered coordinates keep the differences and their hypot finite (at
-    the cost of two bits of a subnormal coordinate).  Where r passes the
-    float range, 2 asinh r = 2 ln 2r to the bit, taken term by term.
+    Each difference is divided by sqrt(t1) and sqrt(t2) before the hypot, so
+    subnormal coordinates keep their digits; quarters of the coordinates are
+    subtracted only where z1 - z2 overflows.  Where r passes the float range,
+    2 asinh r = 2 ln 2r to the bit, taken term by term on halved differences.
     """
-    dz = p.z * 0.25 - q.z * 0.25
-    dt = p.t * 0.25 - q.t * 0.25
-    quarter = math.hypot(dz.real, dz.imag, dt)
-    r = quarter / math.sqrt(p.t) / math.sqrt(q.t) * 2.0
+    dz, dt, scale = p.z - q.z, p.t - q.t, 0.5
+    if cmath.isinf(dz):
+        dz, dt, scale = p.z * 0.25 - q.z * 0.25, p.t * 0.25 - q.t * 0.25, 2.0
+    s, u = math.sqrt(p.t), math.sqrt(q.t)
+    r = math.hypot(dz.real / s / u, dz.imag / s / u, dt / s / u) * scale
     if r < math.inf:
         return 2.0 * math.asinh(r)
-    return 2.0 * math.log(quarter) + 4.0 * math.log(2.0) - math.log(p.t) - math.log(q.t)
+    half = math.hypot(dz.real * 0.5, dz.imag * 0.5, dt * 0.5)
+    return 2.0 * (math.log(half) + math.log(4.0 * scale)) - math.log(p.t) - math.log(q.t)
 
 
 def axis_point(m: MoebiusMap) -> UhsPoint:

@@ -8,19 +8,20 @@ condition quantifies over all primitive classes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import BadSubset, CheckFailed, DegenerateAction, ParseError, RankMismatch
+from .errors import BadSubset, CheckFailed, ParseError, RankMismatch
 from .moebius import (
     IsometryClass,
+    MoebiusMap,
     Representation,
     UhsPoint,
     _displacement,
-    _product,
+    act_uhs,
     classify,
     evaluate,
     translation_length,
+    uhs_distance,
 )
 from .whitehead import WhiteheadAutomorphism, enumerate_primitive_classes
 from .words import CyclicWord, Word, parse_word
@@ -71,7 +72,7 @@ def ps_scan(rep: Representation, max_len: int) -> PsReport:
     ratios = [e.ratio for e in entries]
     min_ratio = min(ratios) if ratios else 0.0
     max_ratio = max(ratios) if ratios else 0.0
-    displacement = max(_displacement(g.a, g.b, g.c, g.d) for g in rep.images)
+    displacement = max(_displacement(g) for g in rep.images)
     if max_ratio > displacement + 1e-6:
         raise CheckFailed(
             "ratio %r exceeds the basepoint displacement bound %r" % (max_ratio, displacement)
@@ -112,26 +113,19 @@ def orbit_growth_probe(
     Computes d(p0, w^m p0) for m = 0..periods and fits distance = slope * m
     by least squares through the origin.  For loxodromic images the slope
     approaches the translation length; sublinear growth flags parabolics.
-    Each distance is taken in closed form on the raw entries of the power,
-    conjugated once so that p0 becomes j = (0, 1).  Raises DegenerateAction
-    once a distance passes about 1420, where the entries leave the floats.
+    Raises DegenerateAction where the image of p0 under a power is not a
+    finite point, and DegenerateMatrix where the entries of a power are not.
     """
     if periods < 2:
         raise ValueError("periods must be at least 2")
     base = basepoint if basepoint is not None else UhsPoint(0.0, 1.0)
-    # h = [[s, z/s], [0, 1/s]] with s = sqrt(t) sends j to the basepoint (z, t)
-    s = math.sqrt(base.t)
-    g = evaluate(rep, w)
-    step = _product(((1.0 / s, -base.z / s, 0.0, s), (g.a, g.b, g.c, g.d),
-                     (s, base.z / s, 0.0, 1.0 / s)))
-    power = (1.0, 0.0, 0.0, 1.0)
+    step = evaluate(rep, w)
+    acc = MoebiusMap.identity()
     dists = [0.0]
     for _ in range(periods):
-        power = _product((power, step))
-        dists.append(_displacement(*power))
+        acc = acc.mul(step)
+        dists.append(uhs_distance(base, act_uhs(acc, base)))
     num = sum(m * d for m, d in enumerate(dists))
-    if not math.isfinite(num):
-        raise DegenerateAction("the orbit of %r under the word leaves the floats" % (base,))
     den = sum(m * m for m in range(periods + 1))
     slope = num / den
     residuals = [d - slope * m for m, d in enumerate(dists)]

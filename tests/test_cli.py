@@ -260,8 +260,8 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     assert code == 1
     assert json.loads(err)["error"] == "WordParseError"
 
-    # the entries of a^2 leave the floats: 1e160 squared.  The orbit probe
-    # measures that power; the scan's displacement bound needs only a itself
+    # the image of the basepoint leaves the floats: 1/1e-320, or 1e160 squared.
+    # The orbit probe needs that point; the scan's displacement bound does not
     for name, gen in (("tiny_d", [[1e160, 0], [0, 0], [0, 0], [1e-160, 0]]),
                       ("huge_d", [[1e-160, 0], [0, 0], [0, 0], [1e160, 0]])):
         path = tmp_path / (name + ".json")

@@ -13,6 +13,7 @@ from primstab.errors import (
     ParseError,
     RankMismatch,
 )
+from primstab.moebius import _displacement
 
 from helpers import (
     mat_mul,
@@ -274,13 +275,31 @@ def test_uhs_distance_examples():
     # z1 - z2 = 2e308 overflows, a quarter of it does not: 2 asinh(1e308 / 1)
     far = ps.uhs_distance(ps.UhsPoint(1e308, 1e-300), ps.UhsPoint(-1e308, 1e300))
     assert close(far, 2 * math.asinh(1e308), 1e-12 * 1419.8)
-    # so does the hypot of halved differences, though r = sqrt 2 here
+    # z1 - z2 overflows here too, though r = sqrt 2: its quarters keep r finite
     z = 1.7e308 * (1 + 1j)
     far = ps.uhs_distance(ps.UhsPoint(z, 1.7e308), ps.UhsPoint(-z, 1.7e308))
     assert close(far, 2 * math.asinh(math.sqrt(2)), 1e-12)
     # r = 1e10 / 2e-300 passes the float range: 2 ln 2r = 620 ln 10
     far = ps.uhs_distance(ps.UhsPoint(1e10, 1e-300), ps.UhsPoint(0, 1e-300))
     assert close(far, 620 * math.log(10), 1e-12 * 1427.6)
+    # subnormal coordinates keep their digits: r = sqrt 2 / 2, 2 asinh r = 1.31696
+    tiny = ps.uhs_distance(ps.UhsPoint(-5e-324 + 5e-324j, 5e-324), ps.UhsPoint(0, 5e-324))
+    assert close(tiny, 2 * math.asinh(math.sqrt(0.5)), 1e-12)
+
+
+def test_displacement_is_the_distance_j_moves():
+    rng = random.Random(37)
+    j = ps.UhsPoint(0, 1)
+    for _ in range(300):
+        m = random_sl2(rng, rng.choice([0.5, 1, 3]))
+        d = _displacement(m)
+        assert close(d, ps.uhs_distance(j, ps.act_uhs(m, j)), 1e-12 * max(1.0, d))
+    # near the identity nothing cancels: diag(lam, 1/lam) moves j by 2 ln lam,
+    # up to the rounding of 1/lam (5e-8 relative)
+    lam = 1 + 1e-9
+    assert close(_displacement(ps.MoebiusMap(lam, 0, 0, 1 / lam)), 2 * math.log(lam), 1e-6 * 2e-9)
+    # far from the identity: diag(1e300, 1e-300) moves j by 2 ln 1e300
+    assert close(_displacement(ps.MoebiusMap(1e300, 0, 0, 1e-300)), 600 * math.log(10), 1e-12 * 1381.6)
 
 
 def test_axis_point_is_translated_by_exactly_the_length():

@@ -30,11 +30,20 @@ def _det_one(a, b, c):
     return [[z.real, z.imag] for z in (a, b, c, d)]
 
 
+def _sl2(lam, x, y):
+    """diag(lam, 1/lam) [[1, x], [0, 1]] [[1, 0], [y, 1]], of determinant 1."""
+    return [[z.real, z.imag] for z in (lam * (1 + x * y), lam * x, y / lam, 1 / lam)]
+
+
 complexes = st.builds(complex, floats, floats)
-# most raw draws fail the determinant check, so half the matrices are built
-# to pass it and reach classification and the Fricke traces
-matrices = st.lists(entries, min_size=4, max_size=4) | st.builds(_det_one, complexes,
-                                                                 complexes, complexes)
+scales = st.builds(lambda m, e: m * 10.0 ** e,
+                   st.complex_numbers(min_magnitude=0.5, max_magnitude=2),
+                   st.integers(-12, 12))
+# most raw draws fail the determinant check, so two thirds of the matrices are
+# built to pass it and reach classification, the Fricke traces and the scan
+matrices = (st.lists(entries, min_size=4, max_size=4)
+            | st.builds(_det_one, complexes, complexes, complexes)
+            | st.builds(_sl2, scales, scales, scales))
 documents = st.integers(1, 2).flatmap(
     lambda rank: st.fixed_dictionaries(
         {"rank": st.just(rank),
@@ -72,3 +81,5 @@ def test_reader_and_rep_info_raise_only_domain_errors(tmp_path_factory, doc, max
         assert written.getvalue().count("\n") == 1
         assert isinstance(_strict(written.getvalue()), dict)
         assert "Traceback" not in err.getvalue()
+        # the scan's own ratio bound must hold on every document it reads
+        assert code == 0 or _strict(err.getvalue())["error"] != "CheckFailed"

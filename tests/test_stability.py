@@ -171,6 +171,24 @@ def test_probe_near_identity_diagonal():
     assert abs(slope - 2 * math.log(lam)) <= 1e-6 * 2 * math.log(lam)
 
 
+def test_probe_far_basepoints_keep_finite_distances():
+    # the images stay finite points, so distances near 1400 are measured
+    word = ps.parse_word("a", 2)
+    # a parabolic translation by 1 at height 1e-300: d_m = 2 asinh(m / 2e-300)
+    rep = ps.Representation(2, (ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
+    slope, residuals = ps.orbit_growth_probe(rep, word, 50, ps.UhsPoint(1e9, 1e-300))
+    dists = [2 * math.asinh(m / 2e-300) for m in range(51)]
+    expected = sum(m * d for m, d in enumerate(dists)) / sum(m * m for m in range(51))
+    assert abs(slope - expected) <= 1e-12 * expected
+    assert all(abs(r + slope * m - d) <= 1e-12 * d for m, (r, d) in enumerate(zip(residuals, dists)))
+    # diag(2, 1/2) scales (1e300, 1e-20) by 4^m: d_m = 2 ln((4^m - 1) 1e320 / 2^m)
+    rep = ps.Representation(2, (ps.MoebiusMap(2, 0, 0, 0.5), ps.MoebiusMap(1, -1, -1, 2)))
+    slope, residuals = ps.orbit_growth_probe(rep, word, 2, ps.UhsPoint(1e300, 1e-20))
+    dists = [0.0] + [2 * (math.log(4 ** m - 1) - m * math.log(2) + 320 * math.log(10)) for m in (1, 2)]
+    assert abs(slope - (dists[1] + 2 * dists[2]) / 5) <= 1e-12 * 885.4
+    assert all(abs(r + slope * m - d) <= 1e-12 * 1476.3 for m, (r, d) in enumerate(zip(residuals, dists)))
+
+
 def test_probe_parabolic_sublinear():
     rep = ps.Representation(2, (ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
     word = ps.parse_word("a", 2)
