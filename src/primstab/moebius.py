@@ -35,10 +35,6 @@ _FRICKE_TOL = 1e-8
 _TOL = 1e-9
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 def safe_abs(z: complex) -> float:
     """Modulus that saturates to inf instead of overflowing near 1e308."""
     try:
@@ -79,7 +75,7 @@ class MoebiusMap:
     def __post_init__(self):
         for name in "abcd":
             value = complex(getattr(self, name))
-            if not _finite(value):
+            if not cmath.isfinite(value):
                 raise DegenerateMatrix("entry %s = %r is not finite" % (name, value))
             object.__setattr__(self, name, value)
         det = self.a * self.d - self.b * self.c
@@ -88,7 +84,7 @@ class MoebiusMap:
         tol = max(_DET_TOL, 1e-12 * _scale_sq(self.a, self.b, self.c, self.d))
         if safe_abs(det - 1.0) <= tol < math.inf:
             return
-        if _finite(det) and tol < math.inf:
+        if cmath.isfinite(det) and tol < math.inf:
             raise DeterminantError("determinant %r is not 1 within %g" % (det, tol))
         # the check overflowed; make the same check on the entries over m, their
         # largest real or imaginary part (a modulus may itself overflow):
@@ -276,26 +272,26 @@ class UhsPoint:
     def __post_init__(self):
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "t", float(self.t))
-        if not (_finite(self.z) and math.isfinite(self.t) and self.t > 0):
+        if not (cmath.isfinite(self.z) and math.isfinite(self.t) and self.t > 0):
             raise ValueError("invalid upper-half-space point (%r, %r)" % (self.z, self.t))
 
 
 def act_uhs(m: MoebiusMap, p: UhsPoint) -> UhsPoint:
     """Poincare extension of the map to upper half space.
 
-    With q = c z + d and S = |q|^2 + |c|^2 t^2:
-    z' = ((a z + b) conj(q) + a conj(c) t^2) / S and t' = t / S.
+    With q = c z + d, w = c t and n = hypot(|q|, |w|):
+    z' = ((a z + b) conj(q/n) + a t conj(w/n)) / n and t' = t / n / n.
+    Dividing by n twice keeps t' a float wherever it is one, although n^2
+    may overflow.
     """
     q = m.c * p.z + m.d
-    try:
-        s = abs(q) ** 2 + abs(m.c) ** 2 * p.t ** 2
-    except OverflowError:
-        s = math.inf
-    if not (s > 0 and math.isfinite(s)):
-        raise DegenerateAction("degenerate denominator %r acting on %r" % (s, p))
-    z = ((m.a * p.z + m.b) * q.conjugate() + m.a * m.c.conjugate() * p.t ** 2) / s
-    t = p.t / s
-    if not (_finite(z) and math.isfinite(t) and t > 0):
+    w = m.c * p.t
+    n = math.hypot(q.real, q.imag, w.real, w.imag)
+    if not (n > 0 and math.isfinite(n)):
+        raise DegenerateAction("degenerate denominator %r acting on %r" % (n, p))
+    z = ((m.a * p.z + m.b) * (q / n).conjugate() + m.a * (p.t * (w / n).conjugate())) / n
+    t = p.t / n / n
+    if not (cmath.isfinite(z) and math.isfinite(t) and t > 0):
         raise DegenerateAction("image (%r, %r) of %r is not a finite point" % (z, t, p))
     return UhsPoint(z, t)
 
@@ -356,7 +352,7 @@ class SphereDisk:
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "interior", DiskSide(self.interior))
-        if not (_finite(self.center) and math.isfinite(self.radius) and self.radius > 0):
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("invalid disk (%r, %r)" % (self.center, self.radius))
 
     def contains(self, z: complex) -> bool:
@@ -530,10 +526,14 @@ def representation_from_json(obj) -> Representation:
     """Build a representation from {"rank": n, "generators": [[a,b,c,d], ...]}.
 
     Entries are [re, im] pairs, row-major.  Each matrix must have determinant
-    within 1e-6 of 1 and is renormalized to determinant 1 exactly.
+    within 1e-6 of 1 and is renormalized to determinant 1 exactly.  Any other
+    key is a ParseError.
     """
     if not isinstance(obj, dict):
         raise ParseError("representation document must be an object, got %r" % (type(obj).__name__,))
+    unknown = [key for key in obj if key not in ("rank", "generators")]
+    if unknown:
+        raise ParseError("representation document has unknown keys %r" % (unknown,))
     if "rank" not in obj:
         raise ParseError("representation document is missing the 'rank' field")
     if "generators" not in obj:

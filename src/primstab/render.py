@@ -15,13 +15,14 @@ processes computed it.
 
 from __future__ import annotations
 
+import cmath
 import os
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NonFiniteValue, ParseError
 from .markoff import BqKind, BqVerdict, MarkoffTriple, bq_decide, solve_y_from_fricke
-from .moebius import _complex_from_json, _complex_to_json, _finite
+from .moebius import _complex_from_json, _complex_to_json
 
 
 class RootChoice(str, Enum):
@@ -58,8 +59,12 @@ class SliceConfig:
         for name, value in (("kappa", self.kappa), ("fixed_x", self.fixed_x),
                             ("window corner", lo), ("window corner", hi),
                             ("window extent", hi - lo)):
-            if not _finite(value):
+            if not cmath.isfinite(value):
                 raise NonFiniteValue("%s = %r is not finite" % (name, value))
+        for name in ("width", "height", "budget", "small_trace_bound"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError("%r must be an integer, got %r" % (name, value))
         if self.width < 1 or self.height < 1:
             raise ValueError("image must be at least 1x1")
         if self.budget < 0:
@@ -154,26 +159,19 @@ def slice_config_from_json(obj) -> SliceConfig:
     window = obj["window"]
     if not isinstance(window, list) or len(window) != 2:
         raise ParseError("'window' must be a pair of [re, im] corners")
-    root = obj.get("root", "smaller")
-    if root not in ("smaller", "larger"):
-        raise ParseError("'root' must be \"smaller\" or \"larger\", got %r" % (root,))
-    width, height = obj["width"], obj["height"]
-    budget = obj.get("budget", 20000)
-    bound = obj.get("small_trace_bound", 64)
-    for name, value in (("width", width), ("height", height), ("budget", budget),
-                        ("small_trace_bound", bound)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError("%r must be an integer, got %r" % (name, value))
+    fields = {key: obj[key] for key in ("width", "height", "budget", "small_trace_bound")
+              if key in obj}
+    if "root" in obj:
+        root = obj["root"]
+        if root not in ("smaller", "larger"):
+            raise ParseError("'root' must be \"smaller\" or \"larger\", got %r" % (root,))
+        fields["root_choice"] = RootChoice.SMALLER_ABS if root == "smaller" else RootChoice.LARGER_ABS
     try:
         return SliceConfig(
             kappa=_complex_from_json(obj["kappa"]),
             fixed_x=_complex_from_json(obj["fixed_x"]),
             window=(_complex_from_json(window[0]), _complex_from_json(window[1])),
-            width=width,
-            height=height,
-            root_choice=RootChoice.SMALLER_ABS if root == "smaller" else RootChoice.LARGER_ABS,
-            budget=budget,
-            small_trace_bound=bound,
+            **fields,
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

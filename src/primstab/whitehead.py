@@ -11,7 +11,8 @@ Both move searches, the minimiser and the enumeration of primitive classes,
 read each move's effect off the closed graph before taking it: a move (a, A)
 changes the length of a cyclically reduced word by cut(A) - deg(a), the
 edges with exactly one end in A minus the edges at a (the Higgins-Lyndon
-count; Lyndon-Schupp, Combinatorial Group Theory, Prop. I.4.16).
+count; Lyndon-Schupp, Combinatorial Group Theory, Prop. I.4.16).  The count
+reads the same edge table that ``whitehead_graph`` stores.
 """
 
 from __future__ import annotations
@@ -103,6 +104,19 @@ class WhiteheadGraph:
         return "WhiteheadGraph(rank=%d, edges=%r)" % (self.rank, self.edge_multiplicity)
 
 
+def _letter_edges(letters: Sequence[int], closed: bool) -> dict[tuple[int, int], int]:
+    """Multiplicity of the edge {x, y^-1} of each adjacent pair xy, keyed by ``_edge``.
+
+    ``closed`` also counts the wrap-around pair, last.  The letters are not
+    checked: they come from a word, which checked them.
+    """
+    edges: dict[tuple[int, int], int] = {}
+    for x, y in zip(letters, letters[1:] + letters[:1] if closed else letters[1:]):
+        key = _edge(x, -y)
+        edges[key] = edges.get(key, 0) + 1
+    return edges
+
+
 def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGraph:
     """Letter graph of w; ``closed`` also counts the wrap-around pair.
 
@@ -115,10 +129,9 @@ def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGrap
             raise ClosedOnNonCyclicallyReduced(
                 "closed graph requested for non-cyclically-reduced word %r" % (str(w),)
             )
-    pairs = list(zip(letters, letters[1:]))
-    if closed and len(letters) >= 1:
-        pairs.append((letters[-1], letters[0]))
-    return WhiteheadGraph(w.rank, ((x, -y) for x, y in pairs))
+    graph = WhiteheadGraph(w.rank)
+    graph.edge_multiplicity = _letter_edges(letters, closed)
+    return graph
 
 
 def _neighbours(g: WhiteheadGraph) -> dict[int, set[int]]:
@@ -326,30 +339,17 @@ def _move_masks(rank: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _closed_edges(core: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Closed-graph edge multiplicities of a non-empty cyclically reduced core.
-
-    One edge {x, y^-1} per cyclic pair xy, as in ``whitehead_graph(closed=True)``,
-    keyed by the bits of its two letters, lower first.
-    """
-    edges: dict[tuple[int, int], int] = {}
-    x = core[-1]
-    for y in core:
-        u, v = letter_key(x) - 1, letter_key(-y) - 1
-        key = (u, v) if u <= v else (v, u)
-        edges[key] = edges.get(key, 0) + 1
-        x = y
-    return edges
-
-
 def _length_changes(rank: int, core: Sequence[int]) -> Iterator[int]:
     """|phi(w)| - |w| = cut(A) - deg(a) for each pool move phi = (a, A), in pool order.
 
-    Counted on the closed graph of the non-empty cyclically reduced core w.
+    Counted on the closed graph of the non-empty cyclically reduced core w:
+    the edge table of ``whitehead_graph(closed=True)``, with each letter
+    turned into its bit.
     """
     degree = [0] * (2 * rank)
     edges = []
-    for (u, v), m in _closed_edges(core).items():
+    for (x, y), m in _letter_edges(core, closed=True).items():
+        u, v = letter_key(x) - 1, letter_key(y) - 1
         degree[u] += m
         degree[v] += m
         edges.append((1 << u | 1 << v, m))

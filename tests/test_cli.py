@@ -260,17 +260,20 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     assert code == 1
     assert json.loads(err)["error"] == "WordParseError"
 
-    # the image of the basepoint leaves the floats: 1/1e-320, or 1e160 squared.
-    # The orbit probe needs that point; the scan's displacement bound does not
-    for name, gen in (("tiny_d", [[1e160, 0], [0, 0], [0, 0], [1e-160, 0]]),
-                      ("huge_d", [[1e-160, 0], [0, 0], [0, 0], [1e160, 0]])):
+    # tiny_d: the image of the basepoint leaves the floats, 1/1e-320.  huge_d:
+    # its first image (0, 1e-320) is a float, and the second power's entries,
+    # 1e-320 and 1e320, are not.  The orbit probe needs those; the scan's
+    # displacement bound does not
+    for name, gen, error in (
+            ("tiny_d", [[1e160, 0], [0, 0], [0, 0], [1e-160, 0]], "DegenerateAction"),
+            ("huge_d", [[1e-160, 0], [0, 0], [0, 0], [1e160, 0]], "DegenerateMatrix")):
         path = tmp_path / (name + ".json")
         other = [[2, 0], [1, 0], [1, 0], [1, 0]]
         path.write_text(json.dumps({"rank": 2, "generators": [gen, other]}))
         code, out, err = invoke(capsys, "probe", "--rep", str(path), "--word", "a",
                                 "--periods", "2")
         assert code == 1 and out == ""
-        assert json.loads(err)["error"] == "DegenerateAction"
+        assert json.loads(err)["error"] == error
         code, out, err = invoke(capsys, "ps-scan", "--rep", str(path), "--max-len", "2")
         assert code == 0 and err == ""
         doc = json.loads(out)

@@ -245,6 +245,9 @@ def test_act_uhs_examples():
     assert close(moved.z, 0) and close(moved.t, 4.0)
     moved = ps.act_uhs(ps.MoebiusMap(1, 1, 0, 1), ps.UhsPoint(0, 1))
     assert close(moved.z, 1.0) and close(moved.t, 1.0)
+    # |c|^2 t^2 = 1e310 overflows, but the image t / 1e310 is a float
+    moved = ps.act_uhs(ps.MoebiusMap(0, -1e-145, 1e145, 0), ps.UhsPoint(0, 1e10))
+    assert moved.z == 0 and close(moved.t, 1e-300, 1e-12 * 1e-300)
 
 
 def test_act_uhs_is_isometry():
@@ -439,6 +442,9 @@ def test_representation_json_errors():
         ps.representation_from_json({"rank": 1})
     with pytest.raises(ParseError):
         ps.representation_from_json([1, 2, 3])
+    one = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]
+    with pytest.raises(ParseError, match="extra"):
+        ps.representation_from_json({"rank": 1, "generators": one, "extra": 5})
     bad_det = {
         "rank": 1,
         "generators": [[[0.9, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],

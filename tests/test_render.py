@@ -147,10 +147,11 @@ def test_config_rejects_non_finite_values():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, 1j), width=0, height=1)
-    with pytest.raises(ValueError):
-        ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, 1j), width=1, height=1, budget=-1)
+    for bad in ({"width": 0}, {"budget": -1}, {"width": 2.5}, {"width": True},
+                {"budget": 1.5}, {"small_trace_bound": False}):
+        with pytest.raises(ValueError):
+            ps.SliceConfig(**{"kappa": -2, "fixed_x": 3, "window": (0j, 1j), "width": 1,
+                              "height": 1, **bad})
 
 
 def test_criterion_9_slice_is_decided_and_agrees_with_brute_force():

@@ -12,7 +12,6 @@ from primstab.errors import (
 )
 from primstab.whitehead import (
     _apply_raw,
-    _closed_edges,
     _length_changes,
     _move_pool,
     all_letters,
@@ -265,18 +264,6 @@ def _random_cores(rng, rank, count, max_len):
         if core:
             cores.append(core)
     return cores
-
-
-@pytest.mark.parametrize("rank", [2, 3])
-def test_closed_edges_match_closed_graph(rank):
-    letters = all_letters(rank)
-    for core in _random_cores(random.Random(20 + rank), rank, 300, 14):
-        graph = ps.whitehead_graph(ps.CyclicWord(rank, core), closed=True)
-        edges = {}
-        for (u, v), m in _closed_edges(core).items():
-            assert u <= v
-            edges[(letters[u], letters[v])] = m
-        assert edges == graph.edge_multiplicity
 
 
 @pytest.mark.parametrize("rank", [2, 3])
