@@ -3,9 +3,9 @@
 Maps are stored as determinant-1 complex 2x2 matrices; everything consumed
 projectively (classification, translation length, disk hauling) is robust
 under the lift sign.  A map is validated where it enters (``from_matrix``
-renormalises, the constructor checks the determinant) and once where it
-leaves ``_product``; the products themselves are plain 2x2 products of raw
-entries, with no rescaling in between.
+renormalises, the constructor checks the determinant) and once per word
+where it leaves ``_walk``; the products themselves are plain 2x2 products of
+raw entries, with no rescaling in between.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegenerateAction,
@@ -113,7 +113,8 @@ class MoebiusMap:
         return cls(a * s, b * s, c * s, d * s)
 
     def mul(self, other: "MoebiusMap") -> "MoebiusMap":
-        return _product(((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
+        factors = ((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
+        return next(_walk(factors, ((0, 1),), (0,)))
 
     def __neg__(self) -> "MoebiusMap":
         return MoebiusMap(-self.a, -self.b, -self.c, -self.d)
@@ -159,19 +160,30 @@ class Representation:
                 raise TypeError("generator images must be MoebiusMap, got %r" % (m,))
 
 
-def _product(factors) -> MoebiusMap:
-    """The plain product of (a, b, c, d) entry tuples, left to right.
+def _walk(table, words: Iterable[tuple[int, ...]], shared: Iterable[int]) -> Iterator[MoebiusMap]:
+    """The matrix of each word: the plain product, left to right, of the
+    entries (a, b, c, d) that ``table[v]`` gives for each letter v.
 
-    Nothing is rescaled along the way; the constructor checks the determinant
-    once, on the map that comes out.  The known limit: determinant drift
-    grows up to linearly with the number of factors (4e-11 to 1.7e-10 after
-    10^6 letters over unitary generators, against 0 with a rescale per
-    product), so the 1e-9 check can first fire after a few million letters.
+    ``shared`` gives, for each word, the length k of the prefix it shares
+    with the word before it (0 for the first).  The partial products of the
+    previous word stay on a stack, so a word starts from the product of its
+    first k letters and multiplies only the rest; the matrices are those of
+    multiplying every word out from the identity, to the bit.  Nothing is
+    rescaled along the way; the constructor checks the determinant once per
+    word.  The known limit: determinant drift grows up to linearly with the
+    number of factors (4e-11 to 1.7e-10 after 10^6 letters over unitary
+    generators, against 0 with a rescale per product), so the 1e-9 check can
+    first fire after a few million letters.
     """
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for p, q, r, s in factors:
-        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-    return MoebiusMap(a, b, c, d)
+    stack = [(1.0, 0.0, 0.0, 1.0)]
+    for letters, k in zip(words, shared):
+        del stack[k + 1:]
+        a, b, c, d = stack[k]
+        for v in letters[k:]:
+            p, q, r, s = table[v]
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+            stack.append((a, b, c, d))
+        yield MoebiusMap(a, b, c, d)
 
 
 def _displacement(g: MoebiusMap) -> float:
@@ -191,11 +203,16 @@ def evaluate(rep: Representation, w: Word | CyclicWord) -> MoebiusMap:
     """The matrix of a word: the ordered product of generator images."""
     if rep.rank != w.rank:
         raise RankMismatch("representation rank %d vs word rank %d" % (rep.rank, w.rank))
+    return next(_walk(_letter_table(rep), (w.letters,), (0,)))
+
+
+def _letter_table(rep: Representation) -> dict[int, tuple[complex, ...]]:
+    """The entries (a, b, c, d) of each generator image and of its inverse, by letter."""
     table = {}
     for i, m in enumerate(rep.images, 1):
         table[i] = (m.a, m.b, m.c, m.d)
         table[-i] = (m.d, -m.b, -m.c, m.a)
-    return _product(table[v] for v in w.letters)
+    return table
 
 
 def _trace_class(t: complex) -> IsometryClass:
@@ -276,13 +293,12 @@ class UhsPoint:
             raise ValueError("invalid upper-half-space point (%r, %r)" % (self.z, self.t))
 
 
-def act_uhs(m: MoebiusMap, p: UhsPoint) -> UhsPoint:
-    """Poincare extension of the map to upper half space.
+def _extend(m: MoebiusMap, p: UhsPoint) -> tuple[complex, float]:
+    """(z', n) for the image (z', t / n^2) of p under the Poincare extension.
 
     With q = c z + d, w = c t and n = hypot(|q|, |w|):
-    z' = ((a z + b) conj(q/n) + a t conj(w/n)) / n and t' = t / n / n.
-    Dividing by n twice keeps t' a float wherever it is one, although n^2
-    may overflow.
+    z' = ((a z + b) conj(q/n) + a t conj(w/n)) / n.  Raises DegenerateAction
+    unless n is positive and finite and z' is finite.
     """
     q = m.c * p.z + m.d
     w = m.c * p.t
@@ -290,10 +306,45 @@ def act_uhs(m: MoebiusMap, p: UhsPoint) -> UhsPoint:
     if not (n > 0 and math.isfinite(n)):
         raise DegenerateAction("degenerate denominator %r acting on %r" % (n, p))
     z = ((m.a * p.z + m.b) * (q / n).conjugate() + m.a * (p.t * (w / n).conjugate())) / n
+    if not cmath.isfinite(z):
+        raise DegenerateAction("image %r of %r is not a finite point" % (z, p))
+    return z, n
+
+
+def act_uhs(m: MoebiusMap, p: UhsPoint) -> UhsPoint:
+    """Poincare extension of the map to upper half space.
+
+    The image is (z', t / n / n) with z' and n as in ``_extend``.  Dividing
+    by n twice keeps t' a float wherever it is one, although n^2 may overflow.
+    """
+    z, n = _extend(m, p)
     t = p.t / n / n
-    if not (cmath.isfinite(z) and math.isfinite(t) and t > 0):
+    if not (math.isfinite(t) and t > 0):
         raise DegenerateAction("image (%r, %r) of %r is not a finite point" % (z, t, p))
     return UhsPoint(z, t)
+
+
+def _orbit_distance(m: MoebiusMap, p: UhsPoint) -> float:
+    """Hyperbolic distance from p to its image under m, without the image height.
+
+    With z' and n as in ``_extend``, t' = t / n^2, so the r of
+    ``uhs_distance`` is hypot(|z' - z| n / t, n - 1/n) / 2, finite also where
+    t' underflows to 0.  Raises DegenerateAction, as ``act_uhs`` does, where
+    z' or t' overflows.  Quarters of the coordinates are subtracted only where
+    z' - z overflows.  Where r passes the float range, 2 asinh r = 2 ln 2r to
+    the bit, with ln 2r = ln hypot(|z' - z|, t - t/n/n) + ln n - ln t.
+    """
+    z, n = _extend(m, p)
+    if p.t / n / n == math.inf:
+        raise DegenerateAction("image height of %r passes the float range" % (p,))
+    dz, scale = z - p.z, 1.0
+    if cmath.isinf(dz):
+        dz, scale = z * 0.25 - p.z * 0.25, 4.0
+    r = math.hypot(dz.real / p.t * n, dz.imag / p.t * n, (n - 1.0 / n) / scale) * scale * 0.5
+    if r < math.inf:
+        return 2.0 * math.asinh(r)
+    half = math.hypot(dz.real * 0.5, dz.imag * 0.5, (p.t - p.t / n / n) * 0.5 / scale)
+    return 2.0 * (math.log(half) + math.log(2.0 * scale) + math.log(n) - math.log(p.t))
 
 
 def uhs_distance(p: UhsPoint, q: UhsPoint) -> float:

@@ -17,13 +17,14 @@ from .moebius import (
     Representation,
     UhsPoint,
     _displacement,
-    act_uhs,
+    _letter_table,
+    _orbit_distance,
+    _walk,
     classify,
     evaluate,
     translation_length,
-    uhs_distance,
 )
-from .whitehead import WhiteheadAutomorphism, enumerate_primitive_classes
+from .whitehead import WhiteheadAutomorphism, _shared_prefixes, enumerate_primitive_classes
 from .words import CyclicWord, Word, parse_word
 
 NO_OBSTRUCTION = "NO_OBSTRUCTION"
@@ -50,10 +51,16 @@ class PsReport:
 
 
 def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[SpectrumEntry, ...]:
-    """One entry per primitive class with cyclic length at most max_len."""
+    """One entry per primitive class with cyclic length at most max_len.
+
+    The classes are evaluated along their shared prefixes (``moebius._walk``),
+    which gives the matrices of ``evaluate`` to the bit.
+    """
+    classes = enumerate_primitive_classes(rep.rank, max_len)
+    maps = _walk(_letter_table(rep), (cls.letters for cls in classes),
+                 _shared_prefixes(rep.rank, max_len))
     entries = []
-    for cls in enumerate_primitive_classes(rep.rank, max_len):
-        m = evaluate(rep, cls)
+    for cls, m in zip(classes, maps):
         kind = classify(m)
         trans_len = translation_length(m) if kind == IsometryClass.LOXODROMIC else 0.0
         entries.append(SpectrumEntry(cls, len(cls), trans_len, trans_len / len(cls), kind))
@@ -113,8 +120,10 @@ def orbit_growth_probe(
     Computes d(p0, w^m p0) for m = 0..periods and fits distance = slope * m
     by least squares through the origin.  For loxodromic images the slope
     approaches the translation length; sublinear growth flags parabolics.
-    Raises DegenerateAction where the image of p0 under a power is not a
-    finite point, and DegenerateMatrix where the entries of a power are not.
+    Raises DegenerateAction where the image of p0 under a power has a
+    coordinate past the float range, and DegenerateMatrix where the entries
+    of a power are not finite.  An image height that underflows to 0 is no
+    error: the distance is taken without it (``moebius._orbit_distance``).
     """
     if periods < 2:
         raise ValueError("periods must be at least 2")
@@ -124,7 +133,7 @@ def orbit_growth_probe(
     dists = [0.0]
     for _ in range(periods):
         acc = acc.mul(step)
-        dists.append(uhs_distance(base, act_uhs(acc, base)))
+        dists.append(_orbit_distance(acc, base))
     num = sum(m * d for m, d in enumerate(dists))
     den = sum(m * m for m in range(periods + 1))
     slope = num / den

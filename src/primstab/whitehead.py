@@ -494,6 +494,27 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     return tuple(sorted((CyclicWord(rank, c) for c in found), key=CyclicWord.sort_key))
 
 
+@lru_cache(maxsize=None)
+def _shared_prefixes(rank: int, max_len: int) -> tuple[int, ...]:
+    """For each class of ``_primitive_classes``, the length of the prefix its
+    letters share with the class before it (0 for the first).
+
+    The classes are sorted lexicographically, so neighbours share long
+    prefixes and ``moebius._walk`` multiplies each distinct prefix once.
+    """
+    out = []
+    previous: tuple[int, ...] = ()
+    for cls in _primitive_classes(rank, max_len):
+        k = 0
+        for x, y in zip(previous, cls.letters):
+            if x != y:
+                break
+            k += 1
+        out.append(k)
+        previous = cls.letters
+    return tuple(out)
+
+
 def enumerate_primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     """All conjugacy classes of primitive elements with length at most max_len.
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import primstab as ps
-from primstab.errors import BadSubset
+from primstab.errors import BadSubset, DeterminantError
 
 from helpers import (
     random_automorphism,
@@ -83,6 +83,36 @@ def test_ps_scan_elliptic_generator_fails_with_witness():
     report = ps.ps_scan(broken, 3)
     assert report.verdict == ps.FAILURE
     assert "a" in {str(w) for w in report.failures}
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 14), (3, 6), (4, 4)])
+def test_spectrum_along_shared_prefixes_equals_per_class_evaluation(rank, max_len):
+    # the scan multiplies each shared prefix once; every entry must still be
+    # bit-equal to evaluating its class on its own
+    rng = random.Random(47 + rank)
+    for k in range(3):
+        rep = random_representation(rng, rank, scale=(0.5, 1.0, 3.0)[k])
+        entries = ps.ps_scan(rep, max_len).entries
+        assert [e.cls for e in entries] == list(ps.enumerate_primitive_classes(rank, max_len))
+        for e in entries:
+            m = ps.evaluate(rep, e.cls)
+            kind = ps.classify(m)
+            assert e.kind == kind
+            want = ps.translation_length(m) if kind == ps.IsometryClass.LOXODROMIC else 0.0
+            assert math.copysign(1.0, e.trans_len) == math.copysign(1.0, want)
+            assert e.trans_len == want and e.ratio == want / len(e.cls)
+
+
+def test_ps_scan_rejects_products_that_lose_the_determinant():
+    # cancellation in aB leaves determinant 1 - 1.9e-9i, past the 1e-9 check:
+    # the scan raises as evaluating aB on its own does
+    a, b, c = complex(3.37e10, 9.41e9), complex(2.10e6, 9.77e5), complex(9.21, -3.69)
+    m = ps.MoebiusMap(a, b, c, (1 + b * c) / a)
+    rep = ps.Representation(2, (m, m))
+    with pytest.raises(DeterminantError):
+        ps.evaluate(rep, ps.parse_word("aB", 2))
+    with pytest.raises(DeterminantError):
+        ps.ps_scan(rep, 4)
 
 
 def test_ps_scan_ratio_bounded_by_basepoint_displacement():
@@ -187,6 +217,16 @@ def test_probe_far_basepoints_keep_finite_distances():
     dists = [0.0] + [2 * (math.log(4 ** m - 1) - m * math.log(2) + 320 * math.log(10)) for m in (1, 2)]
     assert abs(slope - (dists[1] + 2 * dists[2]) / 5) <= 1e-12 * 885.4
     assert all(abs(r + slope * m - d) <= 1e-12 * 1476.3 for m, (r, d) in enumerate(zip(residuals, dists)))
+
+
+def test_probe_distances_outlive_an_underflowing_image_height():
+    # the 50th image of (0, 1) has height e^-873, below the smallest float,
+    # while its distance 873 is a float: d_m = 17.46 m
+    lam = math.exp(8.73)
+    rep = ps.Representation(2, (ps.MoebiusMap(1 / lam, 0, 0, lam), ps.MoebiusMap(1, -1, -1, 2)))
+    slope, residuals = ps.orbit_growth_probe(rep, ps.parse_word("a", 2), 50)
+    assert abs(slope - 17.46) <= 1e-12 * 17.46
+    assert abs(residuals[50] + slope * 50 - 873.0) <= 1e-12 * 873.0
 
 
 def test_probe_parabolic_sublinear():
