@@ -15,14 +15,12 @@ import sys
 from .errors import NonFiniteValue, PrimstabError
 from .markoff import MarkoffTriple, bq_decide, bq_verdict_to_json
 from .moebius import (
-    IsometryClass,
     Representation,
     UhsPoint,
     _complex_to_json,
-    classify,
+    _kind_and_length,
     fricke_traces,
     representation_from_json,
-    translation_length,
 )
 from .render import render_slice, slice_config_from_json
 from .stability import orbit_growth_probe, ps_report_to_json, ps_scan
@@ -137,12 +135,11 @@ def _cmd_rep_info(args) -> int:
     rep = load_representation(args.rep)
     generators = []
     for m in rep.images:
-        kind = classify(m)
+        kind, trans_len = _kind_and_length(m.a, m.b, m.c, m.d)
         generators.append({
             "trace": _complex_to_json(m.trace()),
             "class": kind.value,
-            "translation_length":
-                translation_length(m) if kind == IsometryClass.LOXODROMIC else 0.0,
+            "translation_length": trans_len,
         })
     info = {"rank": rep.rank, "generators": generators}
     if rep.rank == 2:

@@ -2,10 +2,12 @@
 
 Maps are stored as determinant-1 complex 2x2 matrices; everything consumed
 projectively (classification, translation length, disk hauling) is robust
-under the lift sign.  A map is validated where it enters (``from_matrix``
-renormalises, the constructor checks the determinant) and once per word
-where it leaves ``_walk``; the products themselves are plain 2x2 products of
-raw entries, with no rescaling in between.
+under the lift sign.  One rule, ``_check_entries``, validates entries: where
+a map enters (``from_matrix`` renormalises, the constructor checks) and once
+per word where a product leaves ``_walk``.  The products themselves are
+plain 2x2 products of raw entries, with no rescaling in between, and a
+spectrum scan classifies each word on those entries without building a
+``MoebiusMap`` for it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,44 @@ def _scale_sq(a: complex, b: complex, c: complex, d: complex) -> float:
         return math.inf
 
 
+def _check_entries(a: complex, b: complex, c: complex, d: complex) -> None:
+    """Raise unless the entries are finite and ad - bc = 1 within max(1e-9, 1e-12 S).
+
+    S is the sum of the squared entry moduli.  Raises DegenerateMatrix for a
+    non-finite entry and DeterminantError for any other miss.
+    """
+    det = a * d - b * c
+    try:
+        # exact shortcut: a finite det has finite entries, and every branch
+        # below accepts |det - 1| <= 1e-9
+        if abs(det - 1.0) <= _DET_TOL:
+            return
+    except OverflowError:
+        pass
+    for name, value in zip("abcd", (a, b, c, d)):
+        if not cmath.isfinite(value):
+            raise DegenerateMatrix("entry %s = %r is not finite" % (name, value))
+    # ad - bc cancels catastrophically once entries are large (error grows
+    # like eps * |entries|^2), so the tolerance follows the entry scale
+    tol = max(_DET_TOL, 1e-12 * _scale_sq(a, b, c, d))
+    if safe_abs(det - 1.0) <= tol < math.inf:
+        return
+    if cmath.isfinite(det) and tol < math.inf:
+        raise DeterminantError("determinant %r is not 1 within %g" % (det, tol))
+    # the check overflowed; make the same check on the entries over m, their
+    # largest real or imaginary part (a modulus may itself overflow):
+    # |det/m^2 - 1/m^2| <= tol/m^2
+    m = max(max(abs(v.real), abs(v.imag)) for v in (a, b, c, d))
+    a, b, c, d = (v / m for v in (a, b, c, d))
+    inv_sq = 1.0 / m / m
+    det = a * d - b * c
+    tol = max(_DET_TOL * inv_sq, 1e-12 * _scale_sq(a, b, c, d))
+    if abs(det - inv_sq) > tol:
+        raise DeterminantError(
+            "determinant of the entries over %g is %r, not %g within %g" % (m, det, inv_sq, tol)
+        )
+
+
 class IsometryClass(str, Enum):
     IDENTITY = "IDENTITY"
     ELLIPTIC = "ELLIPTIC"
@@ -74,30 +114,8 @@ class MoebiusMap:
 
     def __post_init__(self):
         for name in "abcd":
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
-                raise DegenerateMatrix("entry %s = %r is not finite" % (name, value))
-            object.__setattr__(self, name, value)
-        det = self.a * self.d - self.b * self.c
-        # ad - bc cancels catastrophically once entries are large (error grows
-        # like eps * |entries|^2), so the tolerance follows the entry scale
-        tol = max(_DET_TOL, 1e-12 * _scale_sq(self.a, self.b, self.c, self.d))
-        if safe_abs(det - 1.0) <= tol < math.inf:
-            return
-        if cmath.isfinite(det) and tol < math.inf:
-            raise DeterminantError("determinant %r is not 1 within %g" % (det, tol))
-        # the check overflowed; make the same check on the entries over m, their
-        # largest real or imaginary part (a modulus may itself overflow):
-        # |det/m^2 - 1/m^2| <= tol/m^2
-        m = max(max(abs(v.real), abs(v.imag)) for v in (self.a, self.b, self.c, self.d))
-        a, b, c, d = (v / m for v in (self.a, self.b, self.c, self.d))
-        inv_sq = 1.0 / m / m
-        det = a * d - b * c
-        tol = max(_DET_TOL * inv_sq, 1e-12 * _scale_sq(a, b, c, d))
-        if abs(det - inv_sq) > tol:
-            raise DeterminantError(
-                "determinant of the entries over %g is %r, not %g within %g" % (m, det, inv_sq, tol)
-            )
+            object.__setattr__(self, name, complex(getattr(self, name)))
+        _check_entries(self.a, self.b, self.c, self.d)
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
@@ -114,7 +132,7 @@ class MoebiusMap:
 
     def mul(self, other: "MoebiusMap") -> "MoebiusMap":
         factors = ((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
-        return next(_walk(factors, ((0, 1),), (0,)))
+        return MoebiusMap(*next(_walk(factors, ((0, 1),), (0,))))
 
     def __neg__(self) -> "MoebiusMap":
         return MoebiusMap(-self.a, -self.b, -self.c, -self.d)
@@ -160,20 +178,23 @@ class Representation:
                 raise TypeError("generator images must be MoebiusMap, got %r" % (m,))
 
 
-def _walk(table, words: Iterable[tuple[int, ...]], shared: Iterable[int]) -> Iterator[MoebiusMap]:
-    """The matrix of each word: the plain product, left to right, of the
-    entries (a, b, c, d) that ``table[v]`` gives for each letter v.
+def _walk(
+    table, words: Iterable[tuple[int, ...]], shared: Iterable[int]
+) -> Iterator[tuple[complex, ...]]:
+    """The entries (a, b, c, d) of each word's matrix: the plain product, left
+    to right, of the entries that ``table[v]`` gives for each letter v.
 
     ``shared`` gives, for each word, the length k of the prefix it shares
     with the word before it (0 for the first).  The partial products of the
     previous word stay on a stack, so a word starts from the product of its
-    first k letters and multiplies only the rest; the matrices are those of
+    first k letters and multiplies only the rest; the entries are those of
     multiplying every word out from the identity, to the bit.  Nothing is
-    rescaled along the way; the constructor checks the determinant once per
-    word.  The known limit: determinant drift grows up to linearly with the
-    number of factors (4e-11 to 1.7e-10 after 10^6 letters over unitary
-    generators, against 0 with a rescale per product), so the 1e-9 check can
-    first fire after a few million letters.
+    rescaled along the way; ``_check_entries`` checks each word's entries
+    once, before they are yielded, and no ``MoebiusMap`` is built.  The
+    known limit: determinant drift grows up to linearly with the number of
+    factors (4e-11 to 1.7e-10 after 10^6 letters over unitary generators,
+    against 0 with a rescale per product), so the 1e-9 check can first fire
+    after a few million letters.
     """
     stack = [(1.0, 0.0, 0.0, 1.0)]
     for letters, k in zip(words, shared):
@@ -183,7 +204,8 @@ def _walk(table, words: Iterable[tuple[int, ...]], shared: Iterable[int]) -> Ite
             p, q, r, s = table[v]
             a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
             stack.append((a, b, c, d))
-        yield MoebiusMap(a, b, c, d)
+        _check_entries(a, b, c, d)
+        yield a, b, c, d
 
 
 def _displacement(g: MoebiusMap) -> float:
@@ -203,7 +225,7 @@ def evaluate(rep: Representation, w: Word | CyclicWord) -> MoebiusMap:
     """The matrix of a word: the ordered product of generator images."""
     if rep.rank != w.rank:
         raise RankMismatch("representation rank %d vs word rank %d" % (rep.rank, w.rank))
-    return next(_walk(_letter_table(rep), (w.letters,), (0,)))
+    return MoebiusMap(*next(_walk(_letter_table(rep), (w.letters,), (0,))))
 
 
 def _letter_table(rep: Representation) -> dict[int, tuple[complex, ...]]:
@@ -232,6 +254,19 @@ def _trace_class(t: complex) -> IsometryClass:
     return IsometryClass.LOXODROMIC
 
 
+def _entry_class(a: complex, b: complex, c: complex, d: complex) -> IsometryClass:
+    """``classify`` on the entries (a, b, c, d) of a map."""
+    try:
+        if abs(b) <= _TOL and abs(c) <= _TOL and (
+            (abs(a - 1.0) <= _TOL and abs(d - 1.0) <= _TOL)
+            or (abs(a + 1.0) <= _TOL and abs(d + 1.0) <= _TOL)
+        ):
+            return IsometryClass.IDENTITY
+    except OverflowError:  # an entry modulus past the float range is far from +-1
+        pass
+    return _trace_class(a + d)
+
+
 def classify(m: MoebiusMap) -> IsometryClass:
     """Isometry type of a map, at the fixed tolerance 1e-9.
 
@@ -241,15 +276,7 @@ def classify(m: MoebiusMap) -> IsometryClass:
     loxodromic otherwise.  ``bq_decide`` uses the same trace rule for its
     witnesses.
     """
-    try:
-        if abs(m.b) <= _TOL and abs(m.c) <= _TOL and (
-            (abs(m.a - 1.0) <= _TOL and abs(m.d - 1.0) <= _TOL)
-            or (abs(m.a + 1.0) <= _TOL and abs(m.d + 1.0) <= _TOL)
-        ):
-            return IsometryClass.IDENTITY
-    except OverflowError:  # an entry modulus past the float range is far from +-1
-        pass
-    return _trace_class(m.trace())
+    return _entry_class(m.a, m.b, m.c, m.d)
 
 
 def _half_trace_split(t: complex) -> tuple[complex, complex]:
@@ -262,13 +289,8 @@ def _half_trace_split(t: complex) -> tuple[complex, complex]:
     return t * 0.5, cmath.sqrt(t * 0.25 - 0.5) * cmath.sqrt(t + 2.0)
 
 
-def translation_length(m: MoebiusMap) -> float:
-    """Hyperbolic translation length: 2 ln|lam| for the eigenvalue with |lam| >= 1.
-
-    Zero for elliptic, parabolic, and identity maps; invariant under the lift
-    sign and under conjugation.
-    """
-    t = m.trace()
+def _trace_length(t: complex) -> float:
+    """``translation_length`` of a map with trace t."""
     if t.imag == 0.0 and abs(t.real) <= 2.0:
         return 0.0  # both eigenvalues lie on the unit circle
     # taking the larger modulus avoids the cancellation in h + k when Re t < 0
@@ -277,6 +299,25 @@ def translation_length(m: MoebiusMap) -> float:
         return 2.0 * math.log(max(abs(h + k), abs(h - k), 1.0))
     except OverflowError:  # |lam| is past the float range: halve once more
         return 2.0 * (math.log(max(abs((h + k) / 2.0), abs((h - k) / 2.0))) + math.log(2.0))
+
+
+def translation_length(m: MoebiusMap) -> float:
+    """Hyperbolic translation length: 2 ln|lam| for the eigenvalue with |lam| >= 1.
+
+    Zero for elliptic, parabolic, and identity maps; invariant under the lift
+    sign and under conjugation.
+    """
+    return _trace_length(m.trace())
+
+
+def _kind_and_length(
+    a: complex, b: complex, c: complex, d: complex
+) -> tuple[IsometryClass, float]:
+    """Isometry type of the map with entries (a, b, c, d), and its translation
+    length where it is loxodromic, 0.0 where it is not: a trace within 1e-9
+    of +-2 is parabolic, whatever small length its eigenvalues give."""
+    kind = _entry_class(a, b, c, d)
+    return kind, _trace_length(a + d) if kind is IsometryClass.LOXODROMIC else 0.0
 
 
 @dataclass(frozen=True)

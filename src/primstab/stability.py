@@ -10,19 +10,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadSubset, CheckFailed, ParseError, RankMismatch
+from .errors import (
+    BadSubset,
+    CheckFailed,
+    InvalidLetter,
+    ParseError,
+    RankMismatch,
+    WordParseError,
+)
 from .moebius import (
     IsometryClass,
     MoebiusMap,
     Representation,
     UhsPoint,
     _displacement,
+    _kind_and_length,
     _letter_table,
     _orbit_distance,
     _walk,
-    classify,
     evaluate,
-    translation_length,
 )
 from .whitehead import WhiteheadAutomorphism, _shared_prefixes, enumerate_primitive_classes
 from .words import CyclicWord, Word, parse_word
@@ -54,16 +60,17 @@ def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[Spectr
     """One entry per primitive class with cyclic length at most max_len.
 
     The classes are evaluated along their shared prefixes (``moebius._walk``),
-    which gives the matrices of ``evaluate`` to the bit.
+    which gives the matrices of ``evaluate`` to the bit, and each class is
+    classified on its raw entries, with no ``MoebiusMap`` built for it.
     """
     classes = enumerate_primitive_classes(rep.rank, max_len)
-    maps = _walk(_letter_table(rep), (cls.letters for cls in classes),
-                 _shared_prefixes(rep.rank, max_len))
+    products = _walk(_letter_table(rep), (cls.letters for cls in classes),
+                     _shared_prefixes(rep.rank, max_len))
     entries = []
-    for cls, m in zip(classes, maps):
-        kind = classify(m)
-        trans_len = translation_length(m) if kind == IsometryClass.LOXODROMIC else 0.0
-        entries.append(SpectrumEntry(cls, len(cls), trans_len, trans_len / len(cls), kind))
+    for cls, (a, b, c, d) in zip(classes, products):
+        kind, trans_len = _kind_and_length(a, b, c, d)
+        n = len(cls)
+        entries.append(SpectrumEntry(cls, n, trans_len, trans_len / n, kind))
     return tuple(entries)
 
 
@@ -164,26 +171,39 @@ def ps_report_to_json(report: PsReport, rank: int) -> dict:
 
 
 def ps_report_from_json(obj) -> PsReport:
+    """Read a report written by ``ps_report_to_json``; a malformed one is a ParseError.
+
+    Each class must be written in its reduced form, each entry's length must
+    be the length of its class, and the verdict must be one of the two names.
+    """
+    def word_class(text):
+        cls = CyclicWord(rank, parse_word(text, rank).letters)
+        if str(cls) != text:
+            raise ValueError("class %r is not written in its reduced form %r" % (text, str(cls)))
+        return cls
+
+    def entry(e):
+        cls = word_class(e["cls"])
+        length = e["length"]
+        if not isinstance(length, int) or isinstance(length, bool) or length != len(cls):
+            raise ValueError("class %s has length %d, got %r" % (cls, len(cls), length))
+        return SpectrumEntry(cls, len(cls), e["trans_len"], e["ratio"], IsometryClass(e["kind"]))
+
     try:
         rank = obj["rank"]
-        entries = tuple(
-            SpectrumEntry(
-                cls=CyclicWord(rank, parse_word(e["cls"], rank).letters),
-                length=e["length"],
-                trans_len=e["trans_len"],
-                ratio=e["ratio"],
-                kind=IsometryClass(e["kind"]),
-            )
-            for e in obj["entries"]
-        )
-        failures = tuple(CyclicWord(rank, parse_word(s, rank).letters) for s in obj["failures"])
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise ValueError("'rank' must be a positive integer, got %r" % (rank,))
+        if not isinstance(obj["failures"], list):
+            raise ValueError("'failures' must be a list, got %r" % (obj["failures"],))
+        if obj["verdict"] not in (NO_OBSTRUCTION, FAILURE):
+            raise ValueError("unknown verdict %r" % (obj["verdict"],))
         return PsReport(
             max_len=obj["max_len"],
-            entries=entries,
+            entries=tuple(entry(e) for e in obj["entries"]),
             min_ratio=obj["min_ratio"],
             max_ratio=obj["max_ratio"],
-            failures=failures,
+            failures=tuple(word_class(s) for s in obj["failures"]),
             verdict=obj["verdict"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidLetter, WordParseError) as exc:
         raise ParseError("malformed scan report: %s" % (exc,)) from exc

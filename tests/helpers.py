@@ -1,11 +1,14 @@
 """Shared builders for the test suite: seeded random matrices, words, and the
 reference ping-pong representation used across modules."""
 
+import cmath
+import math
 import os
 import subprocess
 import sys
 
 import primstab as ps
+from primstab.errors import DegenerateMatrix, DeterminantError
 from primstab.whitehead import _apply_raw, _move_pool
 from primstab.words import _canonical_cycle, _cyclic_core
 
@@ -202,3 +205,46 @@ def word_matrix(rep, letters):
             g = mat_inv(g)
         out = mat_mul(out, g)
     return out
+
+
+def reference_entry_check(a, b, c, d):
+    """The constructor's entry rule without the shortcut that accepts
+    |ad - bc - 1| <= 1e-9 at once: the reference for ``moebius._check_entries``.
+
+    Returns None where the entries pass and raises DegenerateMatrix or
+    DeterminantError where they do not.
+    """
+    def safe_abs(z):
+        try:
+            return abs(z)
+        except OverflowError:
+            return math.inf
+
+    def scale_sq(a, b, c, d):
+        try:
+            return abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+        except OverflowError:
+            return math.inf
+
+    entries = []
+    for name, value in zip("abcd", (a, b, c, d)):
+        value = complex(value)
+        if not cmath.isfinite(value):
+            raise DegenerateMatrix("entry %s = %r is not finite" % (name, value))
+        entries.append(value)
+    a, b, c, d = entries
+    det = a * d - b * c
+    tol = max(1e-9, 1e-12 * scale_sq(a, b, c, d))
+    if safe_abs(det - 1.0) <= tol < math.inf:
+        return
+    if cmath.isfinite(det) and tol < math.inf:
+        raise DeterminantError("determinant %r is not 1 within %g" % (det, tol))
+    m = max(max(abs(v.real), abs(v.imag)) for v in (a, b, c, d))
+    a, b, c, d = (v / m for v in (a, b, c, d))
+    inv_sq = 1.0 / m / m
+    det = a * d - b * c
+    tol = max(1e-9 * inv_sq, 1e-12 * scale_sq(a, b, c, d))
+    if abs(det - inv_sq) > tol:
+        raise DeterminantError(
+            "determinant of the entries over %g is %r, not %g within %g" % (m, det, inv_sq, tol)
+        )

@@ -13,7 +13,7 @@ from primstab.errors import (
     ParseError,
     RankMismatch,
 )
-from primstab.moebius import _displacement
+from primstab.moebius import _check_entries, _displacement
 
 from helpers import (
     mat_mul,
@@ -23,6 +23,7 @@ from helpers import (
     random_representation,
     random_sl2,
     random_word,
+    reference_entry_check,
     schottky_example,
     word_matrix,
 )
@@ -44,6 +45,44 @@ def test_constructor_rejects_non_unit_determinant():
     # only the tolerance overflows, and the determinant is 1
     m = ps.MoebiusMap(1e200, 0, 0, 1e-200)
     assert m.a * m.d == 1.0
+
+
+def _check_outcome(check, entries):
+    try:
+        check(*entries)
+    except (DegenerateMatrix, DeterminantError) as exc:
+        return type(exc).__name__, str(exc)
+    return "accepted", ""
+
+
+def test_entry_check_agrees_with_the_rule_without_its_shortcut():
+    # the shortcut |ad - bc - 1| <= 1e-9 accepts at once; it must accept
+    # nothing the full rule rejects, nor change an error's kind or message
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        (1, 0, 0, 2), (1e200, 0, 0, 1e200), (2e200, 1e200, 1e200, 1e200),
+        (1e200, 0, 0, 1e-200), (1e300, 0, 1e-300, 1e-300), (1e6, 1e6, 1e6, 1e6),
+        (nan, 0, 0, 1), (1, complex(0, inf), 0, 1), (1, 0, 0, complex(nan, 0)), (inf, 0, 0, 0),
+    ]
+    rng = random.Random(53)
+
+    def entry(decades):
+        return cmath.rect(10.0 ** rng.uniform(-decades, decades), rng.uniform(-math.pi, math.pi))
+
+    for k in range(3000):
+        decades = (3, 30, 300)[k % 3]
+        a, b, c, d = (entry(decades) for _ in range(4))
+        if k % 2:  # determinant 1 up to a relative error in d
+            eps = rng.choice((0.0, 1e-15, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6))
+            d = (1.0 + b * c) / a * (1.0 + eps * cmath.rect(1.0, rng.uniform(-math.pi, math.pi)))
+        cases.append((a, b, c, d))
+    kinds = set()
+    for entries in cases:
+        want = _check_outcome(reference_entry_check, entries)
+        assert _check_outcome(_check_entries, [complex(v) for v in entries]) == want, entries
+        assert _check_outcome(ps.MoebiusMap, entries) == want, entries
+        kinds.add(want[0])
+    assert kinds == {"accepted", "DegenerateMatrix", "DeterminantError"}
 
 
 def test_constructor_rejects_non_finite():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import primstab as ps
-from primstab.errors import BadSubset, DeterminantError
+from primstab.errors import BadSubset, DeterminantError, ParseError
 
 from helpers import (
     random_automorphism,
@@ -104,15 +104,26 @@ def test_spectrum_along_shared_prefixes_equals_per_class_evaluation(rank, max_le
 
 
 def test_ps_scan_rejects_products_that_lose_the_determinant():
-    # cancellation in aB leaves determinant 1 - 1.9e-9i, past the 1e-9 check:
-    # the scan raises as evaluating aB on its own does
+    # cancellation in aB leaves determinant 1 - 1.9e-9i, past the 1e-9 check,
+    # and aaB and aaaB miss by far more: the scan raises as evaluating its
+    # first such class (aaaB, in scan order) on its own does
     a, b, c = complex(3.37e10, 9.41e9), complex(2.10e6, 9.77e5), complex(9.21, -3.69)
     m = ps.MoebiusMap(a, b, c, (1 + b * c) / a)
     rep = ps.Representation(2, (m, m))
     with pytest.raises(DeterminantError):
         ps.evaluate(rep, ps.parse_word("aB", 2))
-    with pytest.raises(DeterminantError):
+    with pytest.raises(DeterminantError) as scanned:
         ps.ps_scan(rep, 4)
+    # the scan stops at the first class, in its order, that fails on its own,
+    # and with that class's message
+    for cls in ps.enumerate_primitive_classes(2, 4):
+        try:
+            ps.evaluate(rep, cls)
+        except DeterminantError as exc:
+            assert str(exc) == str(scanned.value)
+            break
+    else:
+        pytest.fail("no class fails on its own")
 
 
 def test_ps_scan_ratio_bounded_by_basepoint_displacement():
@@ -271,6 +282,38 @@ def test_report_json_round_trip():
     assert set(doc) >= {"verdict", "min_ratio", "max_ratio", "failures", "entries"}
     back = ps.ps_report_from_json(doc)
     assert back == report
+
+
+@pytest.mark.parametrize("field, value", [
+    ("failures", "ab"),
+    ("rank", "2"),
+    ("rank", 0),
+    ("verdict", "X"),
+])
+def test_report_json_rejects_malformed_fields(field, value):
+    # with no entries, nothing else in the report reads the rank
+    rep, _ = schottky_example()
+    doc = ps.ps_report_to_json(ps.ps_scan(rep, 0), rep.rank)
+    doc[field] = value
+    with pytest.raises(ParseError):
+        ps.ps_report_from_json(doc)
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    ("ab", "cls", "aA"),  # reduces to the empty class
+    ("aB", "cls", "Ba"),  # a rotation of the class aB
+    ("a", "cls", "a1"),
+    ("a", "cls", "c"),  # past rank 2
+    ("ab", "length", 5),
+    ("ab", "length", "2"),
+    ("a", "length", True),
+])
+def test_report_json_rejects_malformed_entries(cls, field, value):
+    rep, _ = schottky_example()
+    doc = ps.ps_report_to_json(ps.ps_scan(rep, 2), rep.rank)
+    next(e for e in doc["entries"] if e["cls"] == cls)[field] = value
+    with pytest.raises(ParseError):
+        ps.ps_report_from_json(doc)
 
 
 def test_report_json_round_trip_with_failures():
