@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success, 1 on a domain error (a machine-readable error
 object goes to stderr), 2 on a usage error (bad flags or malformed JSON).
+
+Each handler imports what it calls, so a subcommand loads only the modules
+it runs: ``word`` loads ``words`` alone, not the matrix or BQ layers.
 """
 
 from __future__ import annotations
@@ -13,19 +16,6 @@ import re
 import sys
 
 from .errors import NonFiniteValue, PrimstabError
-from .markoff import MarkoffTriple, bq_decide, bq_verdict_to_json
-from .moebius import (
-    Representation,
-    UhsPoint,
-    _complex_to_json,
-    _kind_and_length,
-    fricke_traces,
-    representation_from_json,
-)
-from .render import render_slice, slice_config_from_json
-from .stability import orbit_growth_probe, ps_report_to_json, ps_scan
-from .whitehead import blocking_certificate, enumerate_primitive_classes, is_primitive
-from .words import cyclic_length, cyclic_reduce, parse_word
 
 
 def _finite(text: str) -> float:
@@ -71,15 +61,19 @@ def _parse_complex(text: str) -> complex:
     raise ValueError("expected re or re,im, got %r" % (text,))
 
 
-def _parse_basepoint(text: str) -> UhsPoint:
+def _parse_basepoint(text: str):
+    from .moebius import UhsPoint
+
     parts = [_finite(v) for v in text.split(",")]
     if len(parts) != 3:
         raise ValueError("expected re,im,t, got %r" % (text,))
     return UhsPoint(complex(parts[0], parts[1]), parts[2])
 
 
-def load_representation(path: str) -> Representation:
+def load_representation(path: str):
     """Load and validate a representation JSON file."""
+    from .moebius import representation_from_json
+
     with open(path, "r", encoding="utf-8") as handle:
         return representation_from_json(json.load(handle))
 
@@ -93,6 +87,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_word(args) -> int:
+    from .words import cyclic_length, cyclic_reduce, parse_word
+
     w = parse_word(args.word, args.rank)
     cyc, conj = cyclic_reduce(w)
     _emit({
@@ -108,12 +104,18 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_primitive(args) -> int:
+    from .whitehead import is_primitive
+    from .words import parse_word
+
     w = parse_word(args.word, args.rank)
     _emit({"word": args.word, "primitive": is_primitive(w)})
     return 0
 
 
 def _cmd_blocking(args) -> int:
+    from .whitehead import blocking_certificate
+    from .words import parse_word
+
     w = parse_word(args.word, args.rank)
     cert = blocking_certificate(w)
     _emit({"word": args.word, "certified": cert.certified, "reason": cert.reason})
@@ -121,6 +123,8 @@ def _cmd_blocking(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .whitehead import enumerate_primitive_classes
+
     classes = enumerate_primitive_classes(args.rank, args.max_len)
     _emit({
         "rank": args.rank,
@@ -132,6 +136,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_rep_info(args) -> int:
+    from .moebius import _complex_to_json, _kind_and_length, fricke_traces
+
     rep = load_representation(args.rep)
     generators = []
     for m in rep.images:
@@ -155,6 +161,8 @@ def _cmd_rep_info(args) -> int:
 
 
 def _cmd_ps_scan(args) -> int:
+    from .stability import ps_report_to_json, ps_scan
+
     rep = load_representation(args.rep)
     report = ps_scan(rep, args.max_len)
     _emit(ps_report_to_json(report, rep.rank))
@@ -162,6 +170,9 @@ def _cmd_ps_scan(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .stability import orbit_growth_probe
+    from .words import parse_word
+
     rep = load_representation(args.rep)
     w = parse_word(args.word, rep.rank)
     slope, residuals = orbit_growth_probe(rep, w, args.periods, args.basepoint)
@@ -175,6 +186,9 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_bq_decide(args) -> int:
+    from .markoff import MarkoffTriple, bq_decide, bq_verdict_to_json
+    from .moebius import _complex_to_json
+
     triple = MarkoffTriple.from_traces(args.x, args.y, args.z)
     verdict = bq_decide(triple, args.budget, args.small_trace_bound)
     out = bq_verdict_to_json(verdict)
@@ -184,6 +198,8 @@ def _cmd_bq_decide(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import render_slice, slice_config_from_json
+
     with open(args.config, "r", encoding="utf-8") as handle:
         cfg = slice_config_from_json(json.load(handle))
     data = render_slice(cfg, args.threads)

@@ -45,7 +45,7 @@ from .moebius import (
     fricke_traces,
     safe_abs,
 )
-from .whitehead import _farey_turns, _normalize_slope
+from .words import _farey_turns, _normalize_slope
 
 # the margin by which both pruning rules must hold
 _DELTA = 1e-6

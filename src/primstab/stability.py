@@ -8,6 +8,7 @@ condition quantifies over all primitive classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -174,7 +175,11 @@ def ps_report_from_json(obj) -> PsReport:
     """Read a report written by ``ps_report_to_json``; a malformed one is a ParseError.
 
     Each class must be written in its reduced form, each entry's length must
-    be the length of its class, and the verdict must be one of the two names.
+    be the length of its class, and every ratio and length a finite number;
+    a non-loxodromic entry has length and ratio 0.  ``max_len`` is a
+    non-negative integer, ``failures`` lists the non-loxodromic classes in
+    entry order, and the verdict is FAILURE exactly when that list is not
+    empty.
     """
     def word_class(text):
         cls = CyclicWord(rank, parse_word(text, rank).letters)
@@ -182,28 +187,54 @@ def ps_report_from_json(obj) -> PsReport:
             raise ValueError("class %r is not written in its reduced form %r" % (text, str(cls)))
         return cls
 
+    def number(value, what):
+        if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                or not math.isfinite(value):
+            raise ValueError("%s must be a finite number, got %r" % (what, value))
+        return float(value)
+
     def entry(e):
         cls = word_class(e["cls"])
         length = e["length"]
-        if not isinstance(length, int) or isinstance(length, bool) or length != len(cls):
+        if not _is_int(length) or length != len(cls):
             raise ValueError("class %s has length %d, got %r" % (cls, len(cls), length))
-        return SpectrumEntry(cls, len(cls), e["trans_len"], e["ratio"], IsometryClass(e["kind"]))
+        kind = IsometryClass(e["kind"])
+        trans_len = number(e["trans_len"], "'trans_len' of %s" % (cls,))
+        ratio = number(e["ratio"], "'ratio' of %s" % (cls,))
+        if kind != IsometryClass.LOXODROMIC and (trans_len or ratio):
+            raise ValueError("%s class %s has a non-zero length or ratio" % (kind.value, cls))
+        return SpectrumEntry(cls, len(cls), trans_len, ratio, kind)
 
     try:
         rank = obj["rank"]
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+        if not _is_int(rank) or rank < 1:
             raise ValueError("'rank' must be a positive integer, got %r" % (rank,))
+        max_len = obj["max_len"]
+        if not _is_int(max_len) or max_len < 0:
+            raise ValueError("'max_len' must be a non-negative integer, got %r" % (max_len,))
         if not isinstance(obj["failures"], list):
             raise ValueError("'failures' must be a list, got %r" % (obj["failures"],))
-        if obj["verdict"] not in (NO_OBSTRUCTION, FAILURE):
-            raise ValueError("unknown verdict %r" % (obj["verdict"],))
+        verdict = obj["verdict"]
+        if verdict not in (NO_OBSTRUCTION, FAILURE):
+            raise ValueError("unknown verdict %r" % (verdict,))
+        entries = tuple(entry(e) for e in obj["entries"])
+        failures = tuple(word_class(s) for s in obj["failures"])
+        if failures != tuple(e.cls for e in entries if e.kind != IsometryClass.LOXODROMIC):
+            raise ValueError("'failures' must list the non-loxodromic classes in order")
+        if (verdict == FAILURE) != bool(failures):
+            raise ValueError("verdict %s disagrees with %d failures" % (verdict, len(failures)))
         return PsReport(
-            max_len=obj["max_len"],
-            entries=tuple(entry(e) for e in obj["entries"]),
-            min_ratio=obj["min_ratio"],
-            max_ratio=obj["max_ratio"],
-            failures=tuple(word_class(s) for s in obj["failures"]),
-            verdict=obj["verdict"],
+            max_len=max_len,
+            entries=entries,
+            min_ratio=number(obj["min_ratio"], "'min_ratio'"),
+            max_ratio=number(obj["max_ratio"], "'max_ratio'"),
+            failures=failures,
+            verdict=verdict,
         )
-    except (KeyError, TypeError, ValueError, InvalidLetter, WordParseError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidLetter,
+            WordParseError) as exc:
         raise ParseError("malformed scan report: %s" % (exc,)) from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

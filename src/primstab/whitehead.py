@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ClosedOnNonCyclicallyReduced,
-    NotCoprime,
     RankMismatch,
     RankTooLarge,
 )
@@ -35,6 +34,8 @@ from .words import (
     Word,
     _canonical_cycle,
     _cyclic_core,
+    _farey_turns,
+    _normalize_slope,
     check_letter,
     letter_key,
 )
@@ -525,41 +526,6 @@ def enumerate_primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ..
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     return _primitive_classes(rank, max_len)
-
-
-def _normalize_slope(p: int, q: int) -> tuple[int, int]:
-    """The representative of the slope pair +-(p, q) with q > 0, or (1, 0).
-
-    The two pairs index a class and its inverse.  Raises NotCoprime unless
-    p and q are coprime and not both zero.
-    """
-    if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-        raise NotCoprime("slope coordinates (%d, %d) must be coprime and nonzero" % (p, q))
-    if q < 0 or (q == 0 and p < 0):
-        return -p, -q
-    return p, q
-
-
-def _farey_turns(p: int, q: int) -> Iterator[bool]:
-    """Mediant descent from the parents 0/1 and 1/0 to p/q.
-
-    Needs p, q >= 0 coprime with p/q neither 0/1 nor 1/0.  Yields one turn
-    per mediant passed before p/q is reached: True when p/q lies below the
-    mediant (which becomes the upper parent), False when above (the mediant
-    becomes the lower parent).  Once the generator ends, p/q is the mediant
-    of the current parents.
-    """
-    lp, lq, rp, rq = 0, 1, 1, 0
-    while True:
-        mp, mq = lp + rp, lq + rq
-        if (mp, mq) == (p, q):
-            return
-        below = p * mq < mp * q
-        yield below
-        if below:
-            rp, rq = mp, mq
-        else:
-            lp, lq = mp, mq
 
 
 def primitive_of_slope(p: int, q: int) -> CyclicWord:

@@ -5,14 +5,19 @@ inverse.  Words serialize as ASCII with ``a..z`` for generators 1..26 and
 ``A..Z`` for their inverses, so ``"abAB"`` means a b a^-1 b^-1.  Letters are
 ordered 1 < -1 < 2 < -2 < ...; cyclic words are stored as the least rotation
 in that order, which makes conjugacy-class representatives unique.
+
+Rank-2 primitive classes are also indexed by slopes p/q; the slope helpers
+at the end (``_normalize_slope``, ``_farey_turns``) serve both
+``whitehead.primitive_of_slope`` and the trace recursion in ``markoff``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidLetter, RankMismatch, WordParseError
+from .errors import InvalidLetter, NotCoprime, RankMismatch, WordParseError
 
 
 def letter_key(letter: int) -> int:
@@ -200,3 +205,38 @@ def parse_word(text: str, rank: int | None = None) -> Word:
     if rank is None:
         rank = max((abs(v) for v in letters), default=1)
     return reduce(letters, rank)
+
+
+def _normalize_slope(p: int, q: int) -> tuple[int, int]:
+    """The representative of the slope pair +-(p, q) with q > 0, or (1, 0).
+
+    The two pairs index a class and its inverse.  Raises NotCoprime unless
+    p and q are coprime and not both zero.
+    """
+    if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
+        raise NotCoprime("slope coordinates (%d, %d) must be coprime and nonzero" % (p, q))
+    if q < 0 or (q == 0 and p < 0):
+        return -p, -q
+    return p, q
+
+
+def _farey_turns(p: int, q: int) -> Iterator[bool]:
+    """Mediant descent from the parents 0/1 and 1/0 to p/q.
+
+    Needs p, q >= 0 coprime with p/q neither 0/1 nor 1/0.  Yields one turn
+    per mediant passed before p/q is reached: True when p/q lies below the
+    mediant (which becomes the upper parent), False when above (the mediant
+    becomes the lower parent).  Once the generator ends, p/q is the mediant
+    of the current parents.
+    """
+    lp, lq, rp, rq = 0, 1, 1, 0
+    while True:
+        mp, mq = lp + rp, lq + rq
+        if (mp, mq) == (p, q):
+            return
+        below = p * mq < mp * q
+        yield below
+        if below:
+            rp, rq = mp, mq
+        else:
+            lp, lq = mp, mq

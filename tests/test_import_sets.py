@@ -1,0 +1,61 @@
+"""Each CLI subcommand, run in a fresh interpreter, loads only the primstab
+modules it runs; the rest are never imported, so never compiled."""
+
+import json
+
+import pytest
+
+from helpers import run_python
+
+REP = {"rank": 2, "generators": [
+    [[3, 0], [0, 0], [0, 0], [1 / 3, 0]],
+    [[1, 0], [1, 0], [0, 0], [1, 0]],
+]}
+SLICE = {"kappa": [-2, 0], "fixed_x": [3, 0], "window": [[6, -1], [7, 0]],
+         "width": 4, "height": 4, "root": "smaller", "budget": 20000,
+         "small_trace_bound": 64}
+
+CLI = ["cli", "errors"]
+EXPECTED = {
+    "word": (["word", "abAB"], CLI + ["words"]),
+    "primitive": (["primitive", "abAB"], CLI + ["whitehead", "words"]),
+    "blocking": (["blocking", "abABabAB"], CLI + ["whitehead", "words"]),
+    "enumerate": (["enumerate", "--rank", "2", "--max-len", "3"], CLI + ["whitehead", "words"]),
+    "rep-info": (["rep-info", "--rep", "{rep}"], CLI + ["moebius", "words"]),
+    "ps-scan": (["ps-scan", "--rep", "{rep}", "--max-len", "4"],
+                CLI + ["moebius", "stability", "whitehead", "words"]),
+    "probe": (["probe", "--rep", "{rep}", "--word", "ab", "--periods", "5",
+               "--basepoint", "0,0,1"], CLI + ["moebius", "stability", "whitehead", "words"]),
+    "bq-decide": (["bq-decide", "--x", "3", "--y", "3", "--z", "3", "--budget", "100"],
+                  CLI + ["markoff", "moebius", "words"]),
+    "render": (["render", "--config", "{slice}", "--out", "{out}", "--threads", "1"],
+               CLI + ["markoff", "moebius", "render", "words"]),
+}
+
+# run the CLI, then print the loaded primstab modules on a line of their own
+SHIM = ("import sys; from primstab.cli import run; code = run(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.startswith('primstab.'))); sys.exit(code)")
+
+
+@pytest.mark.parametrize("sub", EXPECTED)
+def test_subcommand_loads_only_the_modules_it_runs(sub, tmp_path):
+    files = {"rep": tmp_path / "rep.json", "slice": tmp_path / "slice.json",
+             "out": tmp_path / "out.ppm"}
+    files["rep"].write_text(json.dumps(REP))
+    files["slice"].write_text(json.dumps(SLICE))
+    argv, modules = EXPECTED[sub]
+    proc = run_python("-c", SHIM, *(a.format(**files) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    result, loaded = proc.stdout.splitlines()
+    assert isinstance(json.loads(result), dict)
+    assert loaded == str(["primstab." + m for m in sorted(modules)])
+
+
+def test_bare_import_loads_no_submodule():
+    # a submodule attribute still works after the bare import, and loads it
+    proc = run_python("-c", "import sys, primstab; loaded = lambda: "
+                      "print(sorted(m for m in sys.modules if m.startswith('primstab'))); "
+                      "loaded(); primstab.words.parse_word('ab'); loaded()")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['primstab']", "['primstab', 'primstab.errors', 'primstab.words']"]

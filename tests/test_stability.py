@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -289,6 +290,18 @@ def test_report_json_round_trip():
     ("rank", "2"),
     ("rank", 0),
     ("verdict", "X"),
+    ("verdict", "FAILURE"),  # with no failure listed
+    ("failures", ["a"]),  # under NO_OBSTRUCTION, and no entry for a
+    ("max_len", "x"),
+    ("max_len", -1),
+    ("max_len", True),
+    ("max_len", 0.0),
+    ("min_ratio", None),
+    ("min_ratio", "0"),
+    ("max_ratio", math.inf),
+    ("max_ratio", math.nan),
+    pytest.param("max_ratio", 10 ** 400, id="max_ratio-huge_int"),
+    ("min_ratio", False),
 ])
 def test_report_json_rejects_malformed_fields(field, value):
     # with no entries, nothing else in the report reads the rank
@@ -307,6 +320,13 @@ def test_report_json_rejects_malformed_fields(field, value):
     ("ab", "length", 5),
     ("ab", "length", "2"),
     ("a", "length", True),
+    ("a", "trans_len", None),
+    ("a", "trans_len", "1.5"),
+    ("a", "trans_len", math.inf),
+    ("ab", "ratio", math.nan),
+    ("ab", "ratio", True),
+    pytest.param("aB", "ratio", -10 ** 400, id="aB-ratio-huge_int"),
+    ("a", "kind", "PARABOLIC"),  # with its non-zero length
 ])
 def test_report_json_rejects_malformed_entries(cls, field, value):
     rep, _ = schottky_example()
@@ -316,11 +336,55 @@ def test_report_json_rejects_malformed_entries(cls, field, value):
         ps.ps_report_from_json(doc)
 
 
-def test_report_json_round_trip_with_failures():
+def broken_schottky():
+    """The Schottky example with a replaced by an elliptic rotation."""
     theta = 1.0
     rot = ps.MoebiusMap(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
     rep, _ = schottky_example()
-    broken = ps.Representation(2, (rot, rep.images[1]))
-    report = ps.ps_scan(broken, 2)
+    return ps.Representation(2, (rot, rep.images[1]))
+
+
+def test_report_json_round_trip_with_failures():
+    report = ps.ps_scan(broken_schottky(), 2)
     back = ps.ps_report_from_json(ps.ps_report_to_json(report, 2))
     assert back == report
+
+
+CONTRADICTIONS = {
+    "verdict_without_failures": lambda doc: doc.update(verdict="NO_OBSTRUCTION"),
+    "no_failures": lambda doc: doc.update(failures=[]),
+    "failure_missing": lambda doc: doc.update(failures=doc["failures"][1:]),
+    "failures_out_of_order": lambda doc: doc.update(failures=doc["failures"][::-1]),
+    "loxodromic_failure": lambda doc: doc.update(failures=doc["failures"] + ["b"]),
+    "elliptic_length": lambda doc: doc["entries"][0].update(trans_len=2.197),
+    "elliptic_ratio": lambda doc: doc["entries"][0].update(ratio=0.5),
+    "failure_marked_loxodromic": lambda doc: doc["entries"][0].update(kind="LOXODROMIC"),
+}
+
+
+@pytest.mark.parametrize("edit", CONTRADICTIONS.values(), ids=CONTRADICTIONS.keys())
+def test_report_json_rejects_reports_that_contradict_themselves(edit):
+    doc = ps.ps_report_to_json(ps.ps_scan(broken_schottky(), 2), 2)
+    assert doc["entries"][0]["cls"] == "a" and doc["entries"][0]["kind"] == "ELLIPTIC"
+    assert len(doc["failures"]) > 1
+    edit(doc)
+    with pytest.raises(ParseError):
+        ps.ps_report_from_json(doc)
+
+
+def test_report_json_round_trips_seeded_scans():
+    rng = random.Random(1818)
+    reps = [random_representation(rng, rank) for rank in (1, 2, 2, 3, 3) for _ in range(4)]
+    parabolic = ps.MoebiusMap(1, 1, 0, 1)
+    elliptic = ps.MoebiusMap(math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3))
+    reps += [ps.Representation(2, (parabolic, random_sl2(rng))),
+             ps.Representation(3, (random_sl2(rng), elliptic, parabolic)),
+             ps.Representation(1, (ps.MoebiusMap.identity(),))]
+    verdicts = set()
+    for rep in reps:
+        for max_len in range(5 if rep.rank < 3 else 4):
+            report = ps.ps_scan(rep, max_len)
+            verdicts.add(report.verdict)
+            doc = json.loads(json.dumps(ps.ps_report_to_json(report, rep.rank)))
+            assert ps.ps_report_from_json(doc) == report
+    assert verdicts == {ps.NO_OBSTRUCTION, ps.FAILURE}
