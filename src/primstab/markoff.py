@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CheckFailed, NonFiniteValue, ParseError
+from .errors import CheckFailed, NonFiniteValue, NotCoprime, ParseError
 from .moebius import (
     _TOL,
     IsometryClass,
@@ -353,23 +353,41 @@ def bq_verdict_to_json(v: BqVerdict) -> dict:
 
 
 def bq_verdict_from_json(obj) -> BqVerdict:
-    """Read a verdict written by ``bq_verdict_to_json``; a malformed one is a ParseError."""
+    """Read a verdict written by ``bq_verdict_to_json``; a malformed one is a ParseError.
+
+    The four counts are non-negative integers, each slope is a coprime pair
+    in the form ``_normalize_slope`` gives, and the witnesses are nonempty
+    exactly for NOT_BQ_WITNESS.  Other keys, such as the ``kappa`` that
+    ``bq-decide`` writes, are ignored.
+    """
     def pair(entry):
         slope = entry["slope"]
         if not (isinstance(slope, list) and len(slope) == 2 and all(
                 isinstance(v, int) and not isinstance(v, bool) for v in slope)):
             raise ValueError("slope must be a list of two integers, got %r" % (slope,))
+        if _normalize_slope(*slope) != tuple(slope):
+            raise ValueError("slope %r is not in the form _normalize_slope gives" % (slope,))
         return (tuple(slope), _complex_from_json(entry["trace"]))
 
+    def count(key):
+        value = obj[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError("%r must be a non-negative integer, got %r" % (key, value))
+        return value
+
     try:
+        kind = BqKind(obj["kind"])
+        witnesses = tuple(pair(w) for w in obj["witnesses"])
+        if bool(witnesses) != (kind == BqKind.NOT_BQ_WITNESS):
+            raise ValueError("%s verdict with %d witnesses" % (kind.value, len(witnesses)))
         return BqVerdict(
-            kind=BqKind(obj["kind"]),
-            nodes_explored=obj["nodes_explored"],
-            witnesses=tuple(pair(w) for w in obj["witnesses"]),
-            depth_max=obj["depth_max"],
+            kind=kind,
+            nodes_explored=count("nodes_explored"),
+            witnesses=witnesses,
+            depth_max=count("depth_max"),
             small_traces=tuple(pair(s) for s in obj["small_traces"]),
-            pruned_escape=obj["pruned_escape"],
-            pruned_fan=obj["pruned_fan"],
+            pruned_escape=count("pruned_escape"),
+            pruned_fan=count("pruned_fan"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NotCoprime) as exc:
         raise ParseError("malformed BQ verdict: %s" % (exc,)) from exc

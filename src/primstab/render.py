@@ -109,13 +109,17 @@ def _render_row(args) -> bytes:
 
 
 def render_slice(cfg: SliceConfig, threads: int | None = 1) -> bytes:
-    """Render the slice to PPM bytes; identical output for any thread count."""
-    if threads is None:
-        threads = os.cpu_count() or 1
+    """Render the slice to PPM bytes; identical output for any thread count.
+
+    ``threads=None`` means one worker per CPU (``os.cpu_count``), which also
+    caps any larger count, and there is at most one worker per row.
+    """
+    cpus = os.cpu_count() or 1
+    workers = min(cpus if threads is None else threads, cpus, cfg.height)
     header = b"P6\n%d %d\n255\n" % (cfg.width, cfg.height)
     tasks = [(cfg, j) for j in range(cfg.height)]
     ctx = None
-    if threads > 1 and cfg.height > 1:
+    if workers > 1:
         import multiprocessing  # loaded only for the pool, off every other CLI call
         try:
             ctx = multiprocessing.get_context("fork")
@@ -124,7 +128,7 @@ def render_slice(cfg: SliceConfig, threads: int | None = 1) -> bytes:
     if ctx is None:
         rows = [_render_row(task) for task in tasks]
     else:
-        with ctx.Pool(min(threads, cfg.height)) as pool:
+        with ctx.Pool(workers) as pool:
             rows = pool.map(_render_row, tasks, chunksize=1)
     return header + b"".join(rows)
 

@@ -40,21 +40,46 @@ FAILURE = "FAILURE"
 
 @dataclass(frozen=True)
 class SpectrumEntry:
+    """A primitive class, the kind of its image and the image's translation
+    length (0.0 unless loxodromic); ``length`` and ``ratio`` derive from them."""
+
     cls: CyclicWord
-    length: int
     trans_len: float
-    ratio: float
     kind: IsometryClass
+
+    @property
+    def length(self) -> int:
+        return len(self.cls)
+
+    @property
+    def ratio(self) -> float:
+        return self.trans_len / len(self.cls)
 
 
 @dataclass(frozen=True)
 class PsReport:
+    """A scan's entries.  Derived from them: ``failures``, the non-loxodromic
+    classes in entry order; ``verdict``, FAILURE exactly when there is one;
+    and ``min_ratio`` and ``max_ratio``, the entries' ratio range (0.0 if none)."""
+
     max_len: int
     entries: tuple[SpectrumEntry, ...]
-    min_ratio: float
-    max_ratio: float
-    failures: tuple[CyclicWord, ...]
-    verdict: str
+
+    @property
+    def failures(self) -> tuple[CyclicWord, ...]:
+        return tuple(e.cls for e in self.entries if e.kind != IsometryClass.LOXODROMIC)
+
+    @property
+    def verdict(self) -> str:
+        return FAILURE if self.failures else NO_OBSTRUCTION
+
+    @property
+    def min_ratio(self) -> float:
+        return min((e.ratio for e in self.entries), default=0.0)
+
+    @property
+    def max_ratio(self) -> float:
+        return max((e.ratio for e in self.entries), default=0.0)
 
 
 def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[SpectrumEntry, ...]:
@@ -70,8 +95,7 @@ def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[Spectr
     entries = []
     for cls, (a, b, c, d) in zip(classes, products):
         kind, trans_len = _kind_and_length(a, b, c, d)
-        n = len(cls)
-        entries.append(SpectrumEntry(cls, n, trans_len, trans_len / n, kind))
+        entries.append(SpectrumEntry(cls, trans_len, kind))
     return tuple(entries)
 
 
@@ -82,18 +106,14 @@ def ps_scan(rep: Representation, max_len: int) -> PsReport:
     class rules the representation out.  NO_OBSTRUCTION reports the observed
     ratio range and is evidence at this max_len, not a certificate.
     """
-    entries = primitive_length_spectrum(rep, max_len)
-    failures = tuple(e.cls for e in entries if e.kind != IsometryClass.LOXODROMIC)
-    ratios = [e.ratio for e in entries]
-    min_ratio = min(ratios) if ratios else 0.0
-    max_ratio = max(ratios) if ratios else 0.0
+    report = PsReport(max_len, primitive_length_spectrum(rep, max_len))
+    max_ratio = report.max_ratio
     displacement = max(_displacement(g) for g in rep.images)
     if max_ratio > displacement + 1e-6:
         raise CheckFailed(
             "ratio %r exceeds the basepoint displacement bound %r" % (max_ratio, displacement)
         )
-    verdict = FAILURE if failures else NO_OBSTRUCTION
-    return PsReport(max_len, entries, min_ratio, max_ratio, failures, verdict)
+    return report
 
 
 def restrict(rep: Representation, subset) -> Representation:
@@ -174,36 +194,31 @@ def ps_report_to_json(report: PsReport, rank: int) -> dict:
 def ps_report_from_json(obj) -> PsReport:
     """Read a report written by ``ps_report_to_json``; a malformed one is a ParseError.
 
-    Each class must be written in its reduced form, each entry's length must
-    be the length of its class, and every ratio and length a finite number;
-    a non-loxodromic entry has length and ratio 0.  ``max_len`` is a
-    non-negative integer, ``failures`` lists the non-loxodromic classes in
-    entry order, and the verdict is FAILURE exactly when that list is not
-    empty.
+    It reads ``rank`` and ``max_len`` and each entry's ``cls`` (in reduced form),
+    ``kind`` and ``trans_len`` (finite, 0 unless LOXODROMIC).  Each field derived
+    from those (``SpectrumEntry``, ``PsReport``) must equal its derived value and
+    have its JSON type, where an integer may stand for a float.
     """
-    def word_class(text):
-        cls = CyclicWord(rank, parse_word(text, rank).letters)
-        if str(cls) != text:
-            raise ValueError("class %r is not written in its reduced form %r" % (text, str(cls)))
-        return cls
-
-    def number(value, what):
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(value):
-            raise ValueError("%s must be a finite number, got %r" % (what, value))
-        return float(value)
+    def agree(stated, derived, keys):
+        for key in keys:
+            value, want = stated[key], derived[key]
+            types = (int, float) if isinstance(want, float) else (type(want),)
+            if type(value) not in types or value != want:
+                raise ValueError("%r is %r, derived %r" % (key, value, want))
 
     def entry(e):
-        cls = word_class(e["cls"])
-        length = e["length"]
-        if not _is_int(length) or length != len(cls):
-            raise ValueError("class %s has length %d, got %r" % (cls, len(cls), length))
+        cls = CyclicWord(rank, parse_word(e["cls"], rank).letters)
+        if str(cls) != e["cls"]:
+            raise ValueError("class %r is not written in its reduced form %s" % (e["cls"], cls))
         kind = IsometryClass(e["kind"])
-        trans_len = number(e["trans_len"], "'trans_len' of %s" % (cls,))
-        ratio = number(e["ratio"], "'ratio' of %s" % (cls,))
-        if kind != IsometryClass.LOXODROMIC and (trans_len or ratio):
-            raise ValueError("%s class %s has a non-zero length or ratio" % (kind.value, cls))
-        return SpectrumEntry(cls, len(cls), trans_len, ratio, kind)
+        trans_len = e["trans_len"]
+        if type(trans_len) not in (int, float) or not math.isfinite(trans_len):
+            raise ValueError("'trans_len' of %s must be a finite number, got %r" % (cls, trans_len))
+        if kind != IsometryClass.LOXODROMIC and trans_len:
+            raise ValueError("%s class %s has a non-zero length" % (kind.value, cls))
+        read = SpectrumEntry(cls, float(trans_len), kind)
+        agree(e, _entry_to_json(read), ("length", "ratio"))
+        return read
 
     try:
         rank = obj["rank"]
@@ -212,25 +227,10 @@ def ps_report_from_json(obj) -> PsReport:
         max_len = obj["max_len"]
         if not _is_int(max_len) or max_len < 0:
             raise ValueError("'max_len' must be a non-negative integer, got %r" % (max_len,))
-        if not isinstance(obj["failures"], list):
-            raise ValueError("'failures' must be a list, got %r" % (obj["failures"],))
-        verdict = obj["verdict"]
-        if verdict not in (NO_OBSTRUCTION, FAILURE):
-            raise ValueError("unknown verdict %r" % (verdict,))
-        entries = tuple(entry(e) for e in obj["entries"])
-        failures = tuple(word_class(s) for s in obj["failures"])
-        if failures != tuple(e.cls for e in entries if e.kind != IsometryClass.LOXODROMIC):
-            raise ValueError("'failures' must list the non-loxodromic classes in order")
-        if (verdict == FAILURE) != bool(failures):
-            raise ValueError("verdict %s disagrees with %d failures" % (verdict, len(failures)))
-        return PsReport(
-            max_len=max_len,
-            entries=entries,
-            min_ratio=number(obj["min_ratio"], "'min_ratio'"),
-            max_ratio=number(obj["max_ratio"], "'max_ratio'"),
-            failures=failures,
-            verdict=verdict,
-        )
+        report = PsReport(max_len, tuple(entry(e) for e in obj["entries"]))
+        agree(obj, ps_report_to_json(report, rank),
+              ("failures", "verdict", "min_ratio", "max_ratio"))
+        return report
     except (KeyError, TypeError, ValueError, OverflowError, InvalidLetter,
             WordParseError) as exc:
         raise ParseError("malformed scan report: %s" % (exc,)) from exc

@@ -416,6 +416,17 @@ def test_bq_verdict_reader_rejects_malformed_documents():
                 {**good, "witnesses": [{**witness, "trace": [1.0]}]},
                 {**good, "witnesses": [{"trace": [1.0, 0.0]}]},
                 *({**good, "witnesses": [{**witness, "slope": slope}]}
-                  for slope in ("ab", [1], [1.5, 2], [True, 1]))):
+                  for slope in ("ab", [1], [1.5, 2], [True, 1], [2, 4], [0, 0], [1, -2],
+                                [-1, 0])),
+                {**good, "small_traces": [{**witness, "slope": [2, 4]}]},
+                *({**good, key: value}
+                  for key in ("nodes_explored", "depth_max", "pruned_escape", "pruned_fan")
+                  for value in ("x", True, 1.5, -3)),
+                {**good, "witnesses": []},
+                {**good, "kind": "BQ_CERTIFIED"},
+                {**good, "kind": "INCONCLUSIVE"}):
         with pytest.raises(ParseError):
             ps.bq_verdict_from_json(bad)
+    # bq-decide writes the level set's kappa beside the verdict
+    assert ps.bq_verdict_from_json({**good, "kappa": [-2.0, 0.0]}) == \
+        ps.bq_verdict_from_json(good)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -76,6 +77,47 @@ def test_render_is_deterministic_and_thread_independent():
     assert first == second == parallel
     assert first.startswith(b"P6\n8 8\n255\n")
     assert len(first) == len(b"P6\n8 8\n255\n") + 3 * 64
+
+
+class SerialContext:
+    """A stand-in for a multiprocessing context: records pool sizes, maps in process."""
+
+    def __init__(self):
+        self.pools = []
+
+    def Pool(self, processes):
+        self.pools.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, tasks, chunksize=1):
+        return [func(task) for task in tasks]
+
+
+@pytest.mark.parametrize("cpus, threads, pools", [
+    (3, 100000, [3]),
+    (3, None, [3]),
+    (3, 2, [2]),
+    (16, 100000, [4]),  # one worker per row
+    (1, 100000, []),  # serial
+    (3, 1, []),
+])
+def test_render_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, threads, pools):
+    import multiprocessing
+
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=3, height=4, budget=300)
+    serial = ps.render_slice(cfg, 1)
+    context = SerialContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert ps.render_slice(cfg, threads) == serial
+    assert context.pools == pools
 
 
 def test_render_has_multiple_colors_on_a_mixed_window():

@@ -359,6 +359,10 @@ CONTRADICTIONS = {
     "elliptic_length": lambda doc: doc["entries"][0].update(trans_len=2.197),
     "elliptic_ratio": lambda doc: doc["entries"][0].update(ratio=0.5),
     "failure_marked_loxodromic": lambda doc: doc["entries"][0].update(kind="LOXODROMIC"),
+    "min_ratio_off": lambda doc: doc.update(min_ratio=doc["min_ratio"] + 0.5),
+    "max_ratio_below_min_ratio": lambda doc: doc.update(max_ratio=doc["min_ratio"] - 5.0),
+    "loxodromic_ratio_off": lambda doc: next(
+        e for e in doc["entries"] if e["kind"] == "LOXODROMIC").update(ratio=123.0),
 }
 
 
