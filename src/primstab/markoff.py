@@ -220,6 +220,8 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if small_trace_bound < 0:
+        raise ValueError("small_trace_bound must be nonnegative")
     x, y, z = t.x, t.y, t.z
     lox_floor = 2.0 + _DELTA
     # every non-loxodromic trace has |t| <= 2 + _TOL and |Im t| <= _TOL, so
@@ -356,9 +358,12 @@ def bq_verdict_from_json(obj) -> BqVerdict:
     """Read a verdict written by ``bq_verdict_to_json``; a malformed one is a ParseError.
 
     The four counts are non-negative integers, each slope is a coprime pair
-    in the form ``_normalize_slope`` gives, and the witnesses are nonempty
-    exactly for NOT_BQ_WITNESS.  Other keys, such as the ``kappa`` that
-    ``bq-decide`` writes, are ignored.
+    in the form ``_normalize_slope`` gives, and every small trace has modulus
+    at most 2.  The witnesses are nonempty exactly for NOT_BQ_WITNESS, and
+    are what ``bq_decide`` writes there: either the small traces themselves
+    (the bound overflowed), or one slope outside them whose trace is not
+    loxodromic.  Other keys, such as the ``kappa`` that ``bq-decide`` writes,
+    are ignored.
     """
     def pair(entry):
         slope = entry["slope"]
@@ -380,12 +385,22 @@ def bq_verdict_from_json(obj) -> BqVerdict:
         witnesses = tuple(pair(w) for w in obj["witnesses"])
         if bool(witnesses) != (kind == BqKind.NOT_BQ_WITNESS):
             raise ValueError("%s verdict with %d witnesses" % (kind.value, len(witnesses)))
+        small_traces = tuple(pair(s) for s in obj["small_traces"])
+        for slope, trace in small_traces:
+            if not safe_abs(trace) <= 2.0:
+                raise ValueError("small trace %r at %r has modulus over 2" % (trace, slope))
+        if witnesses and witnesses != small_traces and not (
+                len(witnesses) == 1
+                and witnesses[0][0] not in {slope for slope, _ in small_traces}
+                and _trace_class(witnesses[0][1]) is not IsometryClass.LOXODROMIC):
+            raise ValueError("witnesses are neither the small traces nor one "
+                             "non-loxodromic slope outside them")
         return BqVerdict(
             kind=kind,
             nodes_explored=count("nodes_explored"),
             witnesses=witnesses,
             depth_max=count("depth_max"),
-            small_traces=tuple(pair(s) for s in obj["small_traces"]),
+            small_traces=small_traces,
             pruned_escape=count("pruned_escape"),
             pruned_fan=count("pruned_fan"),
         )

@@ -112,8 +112,11 @@ def render_slice(cfg: SliceConfig, threads: int | None = 1) -> bytes:
     """Render the slice to PPM bytes; identical output for any thread count.
 
     ``threads=None`` means one worker per CPU (``os.cpu_count``), which also
-    caps any larger count, and there is at most one worker per row.
+    caps any larger count, and there is at most one worker per row.  A
+    count below 1 is a ValueError.
     """
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be at least 1")
     cpus = os.cpu_count() or 1
     workers = min(cpus if threads is None else threads, cpus, cfg.height)
     header = b"P6\n%d %d\n255\n" % (cfg.width, cfg.height)

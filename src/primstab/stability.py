@@ -198,6 +198,13 @@ def ps_report_from_json(obj) -> PsReport:
     ``kind`` and ``trans_len`` (finite, 0 unless LOXODROMIC).  Each field derived
     from those (``SpectrumEntry``, ``PsReport``) must equal its derived value and
     have its JSON type, where an integer may stand for a float.
+
+    The classes must look like a scan's, by checks linear in the document:
+    strictly increasing in ``CyclicWord.sort_key`` order, each of 1 to
+    ``max_len`` letters, and, for ``max_len`` >= 1, all 2 * rank letters among
+    them and, from rank 2 on, some class of exactly ``max_len`` letters (a
+    b^(max_len - 1) is primitive).  A class missing from the middle still
+    reads back: telling that needs the enumeration itself.
     """
     def agree(stated, derived, keys):
         for key in keys:
@@ -210,6 +217,8 @@ def ps_report_from_json(obj) -> PsReport:
         cls = CyclicWord(rank, parse_word(e["cls"], rank).letters)
         if str(cls) != e["cls"]:
             raise ValueError("class %r is not written in its reduced form %s" % (e["cls"], cls))
+        if not 1 <= len(cls) <= max_len:
+            raise ValueError("class %r is not of 1 to %d letters" % (e["cls"], max_len))
         kind = IsometryClass(e["kind"])
         trans_len = e["trans_len"]
         if type(trans_len) not in (int, float) or not math.isfinite(trans_len):
@@ -228,6 +237,13 @@ def ps_report_from_json(obj) -> PsReport:
         if not _is_int(max_len) or max_len < 0:
             raise ValueError("'max_len' must be a non-negative integer, got %r" % (max_len,))
         report = PsReport(max_len, tuple(entry(e) for e in obj["entries"]))
+        keys = [e.cls.sort_key() for e in report.entries]
+        if any(x >= y for x, y in zip(keys, keys[1:])):
+            raise ValueError("the classes are not in strictly increasing scan order")
+        if max_len and sum(len(k) == 1 for k in keys) != 2 * rank:
+            raise ValueError("the %d one-letter classes are not all listed" % (2 * rank))
+        if max_len and rank >= 2 and all(len(k) < max_len for k in keys):
+            raise ValueError("no class has %d letters" % max_len)
         agree(obj, ps_report_to_json(report, rank),
               ("failures", "verdict", "min_ratio", "max_ratio"))
         return report

@@ -204,6 +204,9 @@ def blocking_certificate(w: Word) -> BlockingCertificate:
 class WhiteheadAutomorphism:
     """An automorphism of the free group given by its generator images."""
 
+    # (a, sorted members) of a multiplier move, for ``inverse_move``
+    _move_data: tuple[int, tuple[int, ...]] | None = None
+
     def __init__(self, rank: int, images: Sequence[Word]):
         if len(images) != rank:
             raise RankMismatch("need %d generator images, got %d" % (rank, len(images)))
@@ -283,10 +286,9 @@ class WhiteheadAutomorphism:
 
     def inverse_move(self) -> "WhiteheadAutomorphism":
         """Inverse of a second-kind move: same members, inverted multiplier."""
-        kind = getattr(self, "_move_data", None)
-        if kind is None:
+        if self._move_data is None:
             raise ValueError("inverse_move is only defined for multiplier moves")
-        a, members = kind
+        a, members = self._move_data
         return WhiteheadAutomorphism.multiplier_move(self.rank, -a, members)
 
 
@@ -310,8 +312,12 @@ def apply_automorphism(phi: WhiteheadAutomorphism, w: Word) -> Word:
 
 
 @lru_cache(maxsize=None)
-def _move_pool(rank: int) -> tuple[WhiteheadAutomorphism, ...]:
-    """All non-identity second-kind moves in a fixed order; RankTooLarge past RANK_CAP."""
+def _move_pool(rank: int) -> tuple[tuple[WhiteheadAutomorphism, int, int], ...]:
+    """(phi, bitmask of A, bit of a) for every non-identity second-kind move
+    phi = (a, A), in a fixed order; RankTooLarge past RANK_CAP.
+
+    Letter v has bit ``letter_key(v) - 1``, its place in ``all_letters``.
+    """
     if rank > RANK_CAP:
         raise RankTooLarge("rank %d exceeds the move-search cap %d" % (rank, RANK_CAP))
     letters = all_letters(rank)
@@ -320,28 +326,19 @@ def _move_pool(rank: int) -> tuple[WhiteheadAutomorphism, ...]:
         others = [x for x in letters if abs(x) != abs(a)]
         for mask in range(1, 1 << len(others)):
             members = [others[k] for k in range(len(others)) if mask >> k & 1]
-            moves.append(WhiteheadAutomorphism.multiplier_move(rank, a, members))
+            bits = 0
+            for v in (a, *members):
+                bits |= 1 << (letter_key(v) - 1)
+            phi = WhiteheadAutomorphism.multiplier_move(rank, a, members)
+            moves.append((phi, bits, letter_key(a) - 1))
     return tuple(moves)
 
 
-@lru_cache(maxsize=None)
-def _move_masks(rank: int) -> tuple[tuple[int, int], ...]:
-    """(bitmask of A, bit of a) for each pool move (a, A), in pool order.
-
-    Letter v has bit ``letter_key(v) - 1``, its place in ``all_letters``.
-    """
-    out = []
-    for phi in _move_pool(rank):
-        a, members = phi._move_data
-        mask = 0
-        for v in (a, *members):
-            mask |= 1 << (letter_key(v) - 1)
-        out.append((mask, letter_key(a) - 1))
-    return tuple(out)
-
-
-def _length_changes(rank: int, core: Sequence[int]) -> Iterator[int]:
-    """|phi(w)| - |w| = cut(A) - deg(a) for each pool move phi = (a, A), in pool order.
+def _length_changes(
+    rank: int, core: Sequence[int], low: float, high: float
+) -> Iterator[tuple[WhiteheadAutomorphism, int]]:
+    """(phi, |phi(w)| - |w|) for each pool move phi = (a, A) whose change
+    cut(A) - deg(a) lies in [low, high], in pool order.
 
     Counted on the closed graph of the non-empty cyclically reduced core w:
     the edge table of ``whitehead_graph(closed=True)``, with each letter
@@ -354,13 +351,15 @@ def _length_changes(rank: int, core: Sequence[int]) -> Iterator[int]:
         degree[u] += m
         degree[v] += m
         edges.append((1 << u | 1 << v, m))
-    for mask, a in _move_masks(rank):
+    for phi, mask, a in _move_pool(rank):
         cut = 0
         for edge, m in edges:
             inside = mask & edge
             if inside and inside != edge:
                 cut += m
-        yield cut - degree[a]
+        change = cut - degree[a]
+        if low <= change <= high:
+            yield phi, change
 
 
 def _minimize_raw(rank: int, core: Sequence[int]) -> tuple[Sequence[int], list[WhiteheadAutomorphism]]:
@@ -369,14 +368,12 @@ def _minimize_raw(rank: int, core: Sequence[int]) -> tuple[Sequence[int], list[W
     Each round counts the length change of every move in pool order up to
     the first negative one, and applies only that move.
     """
-    moves = _move_pool(rank)
     trace: list[WhiteheadAutomorphism] = []
     while core:
-        for phi, change in zip(moves, _length_changes(rank, core)):
-            if change < 0:
-                core, _ = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
-                trace.append(phi)
-                break
+        for phi, _ in _length_changes(rank, core, -math.inf, -1):
+            core, _ = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
+            trace.append(phi)
+            break
         else:
             break
     return core, trace
@@ -479,18 +476,16 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     symmetry (every pool move on every class found) reaches, so the sorted
     tuple is the same.
     """
-    moves = _move_pool(rank)
     frontier = [(1,)] if max_len > 0 else []
     found = _orbit(rank, (1,)) if frontier else set()  # the 2n letters
     while frontier:
         grown = []
         for core in frontier:
-            for phi, change in zip(moves, _length_changes(rank, core)):
-                if 0 < change <= max_len - len(core):
-                    canon, _ = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
-                    if canon not in found:
-                        found |= _orbit(rank, canon)
-                        grown.append(canon)
+            for phi, _ in _length_changes(rank, core, 1, max_len - len(core)):
+                canon, _ = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
+                if canon not in found:
+                    found |= _orbit(rank, canon)
+                    grown.append(canon)
         frontier = grown
     return tuple(sorted((CyclicWord(rank, c) for c in found), key=CyclicWord.sort_key))
 

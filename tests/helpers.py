@@ -108,7 +108,7 @@ def grown_primitive_classes(rank, max_len):
     It makes no use of symmetry, so it is the reference for the enumeration
     that grows one class per symmetry orbit.
     """
-    moves = _move_pool(rank)
+    moves = [phi for phi, _, _ in _move_pool(rank)]
     found = {(v,) for i in range(1, rank + 1) for v in (i, -i)} if max_len > 0 else set()
     frontier = list(found)
     while frontier:
@@ -132,7 +132,7 @@ def applied_minimize(rank, core):
     that picks each move by counting graph edges.  Returns the terminal core
     and the moves taken, like ``whitehead._minimize_raw``.
     """
-    moves = _move_pool(rank)
+    moves = [phi for phi, _, _ in _move_pool(rank)]
     trace = []
     while True:
         for phi in moves:

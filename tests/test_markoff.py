@@ -393,6 +393,14 @@ def test_solve_y_roots_satisfy_quadratic():
         assert abs(t.kappa - kappa) == 0
 
 
+def test_bq_decide_rejects_negative_arguments():
+    t = ps.MarkoffTriple.from_traces(3, 3, 3)
+    for budget, bound in ((-1, 64), (100, -1)):
+        with pytest.raises(ValueError):
+            ps.bq_decide(t, budget, bound)
+    assert ps.bq_decide(t, 100, 0).kind == ps.BqKind.BQ_CERTIFIED
+
+
 def test_bq_verdict_json_round_trip():
     pruned = set()
     for triple in ((3, 3, 3), (1, 3, 3), (1.2, 3.7, 2.9), (3, -1 + 1j, 3)):
@@ -423,6 +431,12 @@ def test_bq_verdict_reader_rejects_malformed_documents():
                   for key in ("nodes_explored", "depth_max", "pruned_escape", "pruned_fan")
                   for value in ("x", True, 1.5, -3)),
                 {**good, "witnesses": []},
+                # bq_decide writes either the small traces or one non-loxodromic slope
+                {**good, "witnesses": [{"slope": [0, 1], "trace": [5.0, 0.0]},
+                                       {"slope": [1, 0], "trace": [7.0, 0.0]}]},
+                {**good, "witnesses": [witness, {"slope": [1, 0], "trace": [7.0, 0.0]}]},
+                {**good, "witnesses": [{**witness, "trace": [5.0, 3.0]}]},
+                {**good, "small_traces": [{"slope": [1, 1], "trace": [2.5, 0.0]}]},
                 {**good, "kind": "BQ_CERTIFIED"},
                 {**good, "kind": "INCONCLUSIVE"}):
         with pytest.raises(ParseError):

@@ -120,6 +120,13 @@ def test_render_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, threads, pool
     assert context.pools == pools
 
 
+def test_render_rejects_fewer_than_one_thread():
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, complex(6, 3)), width=1, height=1)
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            ps.render_slice(cfg, threads)
+
+
 def test_render_has_multiple_colors_on_a_mixed_window():
     cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
                          width=8, height=8, budget=3000)

@@ -350,6 +350,15 @@ def test_report_json_round_trip_with_failures():
     assert back == report
 
 
+def _with_entries(doc, entries):
+    """Put these entries in the report, with the derived fields they give."""
+    failures = [e["cls"] for e in entries if e["kind"] != "LOXODROMIC"]
+    ratios = [e["ratio"] for e in entries]
+    doc.update(entries=entries, failures=failures,
+               verdict=ps.FAILURE if failures else ps.NO_OBSTRUCTION,
+               min_ratio=min(ratios, default=0.0), max_ratio=max(ratios, default=0.0))
+
+
 CONTRADICTIONS = {
     "verdict_without_failures": lambda doc: doc.update(verdict="NO_OBSTRUCTION"),
     "no_failures": lambda doc: doc.update(failures=[]),
@@ -363,6 +372,16 @@ CONTRADICTIONS = {
     "max_ratio_below_min_ratio": lambda doc: doc.update(max_ratio=doc["min_ratio"] - 5.0),
     "loxodromic_ratio_off": lambda doc: next(
         e for e in doc["entries"] if e["kind"] == "LOXODROMIC").update(ratio=123.0),
+    "truncated": lambda doc: _with_entries(doc, doc["entries"][:3]),
+    "repeated_class": lambda doc: _with_entries(doc, doc["entries"] + doc["entries"][:1]),
+    "out_of_scan_order": lambda doc: _with_entries(doc, doc["entries"][::-1]),
+    "class_past_max_len": lambda doc: doc.update(max_len=1),
+    "letters_missing": lambda doc: doc.update(rank=3),
+    "longest_classes_missing": lambda doc: _with_entries(
+        doc, [e for e in doc["entries"] if len(e["cls"]) == 1]),
+    "empty_class": lambda doc: _with_entries(doc, [
+        {"cls": "", "length": 0, "trans_len": 0.0, "ratio": 0.0, "kind": "IDENTITY"},
+        *doc["entries"]]),
 }
 
 

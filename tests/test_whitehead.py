@@ -215,7 +215,7 @@ def test_automorphism_is_homomorphism():
 
 def test_multiplier_move_inverse():
     rng = random.Random(14)
-    for phi in _move_pool(2):
+    for phi, _, _ in _move_pool(2):
         inv = phi.inverse_move()
         w = random_word(rng, 2, rng.randint(0, 10))
         assert ps.apply_automorphism(inv, ps.apply_automorphism(phi, w)) == w
@@ -238,7 +238,7 @@ def test_minimize_nielsen_example():
 def test_minimize_commutator_is_stuck():
     # oracle: no rank-2 multiplier move shortens the commutator
     w = ps.parse_word("abAB")
-    for phi in _move_pool(2):
+    for phi, _, _ in _move_pool(2):
         assert ps.cyclic_length(ps.apply_automorphism(phi, w)) >= 4
     terminal, trace = ps.whitehead_minimize(w)
     assert len(terminal) == 4 and trace == []
@@ -269,10 +269,13 @@ def _random_cores(rng, rank, count, max_len):
 @pytest.mark.parametrize("rank", [2, 3])
 def test_length_changes_match_applied_moves(rank):
     # cut(A) - deg(a) is the length change of every move, read off the graph
-    moves = _move_pool(rank)
+    moves = [phi for phi, _, _ in _move_pool(rank)]
     for core in _random_cores(random.Random(30 + rank), rank, 300, 14):
-        applied = [len(_cyclic_core(_apply_raw(phi, core))[0]) - len(core) for phi in moves]
-        assert list(_length_changes(rank, core)) == applied
+        applied = [(phi, len(_cyclic_core(_apply_raw(phi, core))[0]) - len(core)) for phi in moves]
+        assert list(_length_changes(rank, core, -math.inf, math.inf)) == applied
+        assert list(_length_changes(rank, core, -2, 1)) == [
+            (phi, change) for phi, change in applied if -2 <= change <= 1
+        ]
 
 
 def _check_against_applied_moves(w):
