@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CheckFailed, NonFiniteValue, NotCoprime, ParseError
@@ -45,24 +44,20 @@ from .moebius import (
     fricke_traces,
     safe_abs,
 )
-from .words import _farey_turns, _normalize_slope
+from .words import _farey_turns, _Frozen, _normalize_slope
 
 # the margin by which both pruning rules must hold
 _DELTA = 1e-6
 
 
-@dataclass(frozen=True)
-class MarkoffTriple:
+class MarkoffTriple(_Frozen):
     """Traces (x, y, z) of (a, b, ab) with their commutator trace kappa."""
 
-    x: complex
-    y: complex
-    z: complex
-    kappa: complex
+    __slots__ = ("x", "y", "z", "kappa")
 
-    def __post_init__(self):
-        for name in ("x", "y", "z", "kappa"):
-            value = complex(getattr(self, name))
+    def __init__(self, x: complex, y: complex, z: complex, kappa: complex):
+        for name, value in zip(self.__slots__, (x, y, z, kappa)):
+            value = complex(value)
             if not cmath.isfinite(value):
                 raise NonFiniteValue("%s = %r is not finite" % (name, value))
             object.__setattr__(self, name, value)
@@ -179,8 +174,7 @@ class BqKind(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class BqVerdict:
+class BqVerdict(_Frozen):
     """Outcome of the BQ search.
 
     ``witnesses`` is nonempty exactly for NOT_BQ_WITNESS: either a single
@@ -191,13 +185,26 @@ class BqVerdict:
     and ``pruned_fan`` count the edges pruned by each rule.
     """
 
-    kind: BqKind
-    nodes_explored: int
-    witnesses: tuple[tuple[tuple[int, int], complex], ...]
-    depth_max: int
-    small_traces: tuple[tuple[tuple[int, int], complex], ...] = ()
-    pruned_escape: int = 0
-    pruned_fan: int = 0
+    __slots__ = ("kind", "nodes_explored", "witnesses", "depth_max", "small_traces",
+                 "pruned_escape", "pruned_fan")
+
+    def __init__(
+        self,
+        kind: BqKind,
+        nodes_explored: int,
+        witnesses: tuple[tuple[tuple[int, int], complex], ...],
+        depth_max: int,
+        small_traces: tuple[tuple[tuple[int, int], complex], ...] = (),
+        pruned_escape: int = 0,
+        pruned_fan: int = 0,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "depth_max", depth_max)
+        object.__setattr__(self, "small_traces", small_traces)
+        object.__setattr__(self, "pruned_escape", pruned_escape)
+        object.__setattr__(self, "pruned_fan", pruned_fan)
 
 
 def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqVerdict:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -27,7 +26,7 @@ from .errors import (
     ParseError,
     RankMismatch,
 )
-from .words import CyclicWord, Word
+from .words import CyclicWord, Word, _Frozen
 
 _DET_TOL = 1e-9
 _FRICKE_TOL = 1e-8
@@ -97,8 +96,7 @@ class IsometryClass(str, Enum):
     LOXODROMIC = "LOXODROMIC"
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(_Frozen):
     """A determinant-1 lift of a Moebius transformation z -> (az+b)/(cz+d).
 
     The constructor checks ad - bc = 1 within max(1e-9, 1e-12 S), S the sum
@@ -107,15 +105,15 @@ class MoebiusMap:
     ``from_matrix`` and the representation reader reject that matrix.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        _check_entries(self.a, self.b, self.c, self.d)
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        _check_entries(a, b, c, d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def identity(cls) -> "MoebiusMap":
@@ -159,23 +157,22 @@ class MoebiusMap:
         )
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(_Frozen):
     """An assignment of one determinant-1 matrix to each free generator."""
 
-    rank: int
-    images: tuple[MoebiusMap, ...]
+    __slots__ = ("rank", "images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.rank:
+    def __init__(self, rank: int, images: tuple[MoebiusMap, ...]):
+        images = tuple(images)
+        if len(images) != rank:
             raise RankMismatch(
-                "rank %d needs %d generator images, got %d"
-                % (self.rank, self.rank, len(self.images))
+                "rank %d needs %d generator images, got %d" % (rank, rank, len(images))
             )
-        for m in self.images:
+        for m in images:
             if not isinstance(m, MoebiusMap):
                 raise TypeError("generator images must be MoebiusMap, got %r" % (m,))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
 
 
 def _walk(
@@ -320,18 +317,17 @@ def _kind_and_length(
     return kind, _trace_length(a + d) if kind is IsometryClass.LOXODROMIC else 0.0
 
 
-@dataclass(frozen=True)
-class UhsPoint:
+class UhsPoint(_Frozen):
     """A point (z, t) of the upper-half-space model, t > 0."""
 
-    z: complex
-    t: float
+    __slots__ = ("z", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "t", float(self.t))
-        if not (cmath.isfinite(self.z) and math.isfinite(self.t) and self.t > 0):
-            raise ValueError("invalid upper-half-space point (%r, %r)" % (self.z, self.t))
+    def __init__(self, z: complex, t: float):
+        z, t = complex(z), float(t)
+        if not (cmath.isfinite(z) and math.isfinite(t) and t > 0):
+            raise ValueError("invalid upper-half-space point (%r, %r)" % (z, t))
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "t", t)
 
 
 def _extend(m: MoebiusMap, p: UhsPoint) -> tuple[complex, float]:
@@ -428,24 +424,22 @@ class DiskSide(str, Enum):
     OUTSIDE = "OUTSIDE"
 
 
-@dataclass(frozen=True)
-class SphereDisk:
+class SphereDisk(_Frozen):
     """A round disk on the sphere bounded by a Euclidean circle in C.
 
     ``interior`` says which side of the circle the disk occupies; OUTSIDE
     disks contain the point at infinity.
     """
 
-    center: complex
-    radius: float
-    interior: DiskSide = DiskSide.INSIDE
+    __slots__ = ("center", "radius", "interior")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "interior", DiskSide(self.interior))
-        if not (cmath.isfinite(self.center) and math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("invalid disk (%r, %r)" % (self.center, self.radius))
+    def __init__(self, center: complex, radius: float, interior: DiskSide = DiskSide.INSIDE):
+        center, radius, interior = complex(center), float(radius), DiskSide(interior)
+        if not (cmath.isfinite(center) and math.isfinite(radius) and radius > 0):
+            raise ValueError("invalid disk (%r, %r)" % (center, radius))
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "interior", interior)
 
     def contains(self, z: complex) -> bool:
         dist = abs(z - self.center)
@@ -482,15 +476,17 @@ def image_circle(m: MoebiusMap, disk: SphereDisk) -> SphereDisk:
     return SphereDisk(center, radius, side)
 
 
-@dataclass(frozen=True)
-class SchottkyVerdict:
-    valid: bool
-    reason: str | None = None
-    detail: str = ""
+class SchottkyVerdict(_Frozen):
+    __slots__ = ("valid", "reason", "detail")
 
     DISJOINTNESS = "DISJOINTNESS"
     PAIRING = "PAIRING"
     DEGENERATE = "DEGENERATE"
+
+    def __init__(self, valid: bool, reason: str | None = None, detail: str = ""):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "detail", detail)
 
 
 def _disks_disjoint(d1: SphereDisk, d2: SphereDisk) -> bool:

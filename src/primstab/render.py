@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import cmath
 import os
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NonFiniteValue, ParseError
 from .markoff import BqKind, BqVerdict, MarkoffTriple, bq_decide, solve_y_from_fricke
 from .moebius import _complex_from_json, _complex_to_json
+from .words import _Frozen
 
 
 class RootChoice(str, Enum):
@@ -30,8 +30,7 @@ class RootChoice(str, Enum):
     LARGER_ABS = "LARGER_ABS"
 
 
-@dataclass(frozen=True)
-class SliceConfig:
+class SliceConfig(_Frozen):
     """Parameters of one rendered slice.
 
     ``window`` is the (lower-left, upper-right) corner pair of the rectangle
@@ -40,37 +39,42 @@ class SliceConfig:
     level set, so the choice is part of the picture's definition.
     """
 
-    kappa: complex
-    fixed_x: complex
-    window: tuple[complex, complex]
-    width: int
-    height: int
-    root_choice: RootChoice = RootChoice.SMALLER_ABS
-    budget: int = 20000
-    small_trace_bound: int = 64
+    __slots__ = ("kappa", "fixed_x", "window", "width", "height", "root_choice", "budget",
+                 "small_trace_bound")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", complex(self.kappa))
-        object.__setattr__(self, "fixed_x", complex(self.fixed_x))
-        lo, hi = (complex(corner) for corner in self.window)
-        object.__setattr__(self, "window", (lo, hi))
-        object.__setattr__(self, "root_choice", RootChoice(self.root_choice))
+    def __init__(
+        self,
+        kappa: complex,
+        fixed_x: complex,
+        window: tuple[complex, complex],
+        width: int,
+        height: int,
+        root_choice: RootChoice = RootChoice.SMALLER_ABS,
+        budget: int = 20000,
+        small_trace_bound: int = 64,
+    ):
+        kappa, fixed_x = complex(kappa), complex(fixed_x)
+        lo, hi = (complex(corner) for corner in window)
+        root_choice = RootChoice(root_choice)
         # the extent hi - lo can overflow although both corners are finite
-        for name, value in (("kappa", self.kappa), ("fixed_x", self.fixed_x),
+        for name, value in (("kappa", kappa), ("fixed_x", fixed_x),
                             ("window corner", lo), ("window corner", hi),
                             ("window extent", hi - lo)):
             if not cmath.isfinite(value):
                 raise NonFiniteValue("%s = %r is not finite" % (name, value))
-        for name in ("width", "height", "budget", "small_trace_bound"):
-            value = getattr(self, name)
+        for name, value in (("width", width), ("height", height), ("budget", budget),
+                            ("small_trace_bound", small_trace_bound)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError("%r must be an integer, got %r" % (name, value))
-        if self.width < 1 or self.height < 1:
+        if width < 1 or height < 1:
             raise ValueError("image must be at least 1x1")
-        if self.budget < 0:
+        if budget < 0:
             raise ValueError("budget must be nonnegative")
-        if self.small_trace_bound < 0:
+        if small_trace_bound < 0:
             raise ValueError("small_trace_bound must be nonnegative")
+        for name, value in zip(self.__slots__, (kappa, fixed_x, (lo, hi), width, height,
+                                                root_choice, budget, small_trace_bound)):
+            object.__setattr__(self, name, value)
 
 
 def pixel_trace(cfg: SliceConfig, i: int, j: int) -> complex:

@@ -9,7 +9,6 @@ condition quantifies over all primitive classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     BadSubset,
@@ -32,20 +31,22 @@ from .moebius import (
     evaluate,
 )
 from .whitehead import WhiteheadAutomorphism, _shared_prefixes, enumerate_primitive_classes
-from .words import CyclicWord, Word, parse_word
+from .words import CyclicWord, Word, _Frozen, parse_word
 
 NO_OBSTRUCTION = "NO_OBSTRUCTION"
 FAILURE = "FAILURE"
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(_Frozen):
     """A primitive class, the kind of its image and the image's translation
     length (0.0 unless loxodromic); ``length`` and ``ratio`` derive from them."""
 
-    cls: CyclicWord
-    trans_len: float
-    kind: IsometryClass
+    __slots__ = ("cls", "trans_len", "kind")
+
+    def __init__(self, cls: CyclicWord, trans_len: float, kind: IsometryClass):
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "trans_len", trans_len)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def length(self) -> int:
@@ -56,14 +57,16 @@ class SpectrumEntry:
         return self.trans_len / len(self.cls)
 
 
-@dataclass(frozen=True)
-class PsReport:
+class PsReport(_Frozen):
     """A scan's entries.  Derived from them: ``failures``, the non-loxodromic
     classes in entry order; ``verdict``, FAILURE exactly when there is one;
     and ``min_ratio`` and ``max_ratio``, the entries' ratio range (0.0 if none)."""
 
-    max_len: int
-    entries: tuple[SpectrumEntry, ...]
+    __slots__ = ("max_len", "entries")
+
+    def __init__(self, max_len: int, entries: tuple[SpectrumEntry, ...]):
+        object.__setattr__(self, "max_len", max_len)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def failures(self) -> tuple[CyclicWord, ...]:

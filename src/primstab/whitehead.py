@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -35,6 +34,7 @@ from .words import (
     _canonical_cycle,
     _cyclic_core,
     _farey_turns,
+    _Frozen,
     _normalize_slope,
     check_letter,
     letter_key,
@@ -177,11 +177,13 @@ def has_cutpoint(g: WhiteheadGraph) -> bool:
     return any(_component_count(adjacent, support - {v}) > base for v in support)
 
 
-@dataclass(frozen=True)
-class BlockingCertificate:
-    word: Word
-    certified: bool
-    reason: str
+class BlockingCertificate(_Frozen):
+    __slots__ = ("word", "certified", "reason")
+
+    def __init__(self, word: Word, certified: bool, reason: str):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "reason", reason)
 
 
 def blocking_certificate(w: Word) -> BlockingCertificate:

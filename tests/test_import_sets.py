@@ -1,6 +1,8 @@
 """Each CLI subcommand, run in a fresh interpreter, loads only the primstab
-modules it runs; the rest are never imported, so never compiled."""
+modules it runs; the rest are never imported, so never compiled.  Nor does
+any load ``dataclasses`` or, through it, ``inspect``."""
 
+import functools
 import json
 
 import pytest
@@ -32,9 +34,21 @@ EXPECTED = {
                CLI + ["markoff", "moebius", "render", "words"]),
 }
 
-# run the CLI, then print the loaded primstab modules on a line of their own
-SHIM = ("import sys; from primstab.cli import run; code = run(sys.argv[1:]); "
-        "print(sorted(m for m in sys.modules if m.startswith('primstab.'))); sys.exit(code)")
+# run the CLI, then print the loaded primstab modules and the loaded modules
+# of SLOW, each on a line of its own
+SLOW = ("dataclasses", "inspect")
+SHIM = ("import json, sys; from primstab.cli import run; code = run(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.startswith('primstab.'))); "
+        "print(json.dumps([m for m in %r if m in sys.modules])); sys.exit(code)" % (SLOW,))
+
+
+@functools.lru_cache(maxsize=None)
+def banned():
+    """``dataclasses``, and ``inspect`` too unless this interpreter loads it
+    for ``import argparse, json`` alone, before any package code runs."""
+    proc = run_python("-c", "import argparse, json, sys; print('inspect' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return {"dataclasses"} if proc.stdout.strip() == "True" else set(SLOW)
 
 
 @pytest.mark.parametrize("sub", EXPECTED)
@@ -46,9 +60,10 @@ def test_subcommand_loads_only_the_modules_it_runs(sub, tmp_path):
     argv, modules = EXPECTED[sub]
     proc = run_python("-c", SHIM, *(a.format(**files) for a in argv))
     assert proc.returncode == 0, proc.stderr
-    result, loaded = proc.stdout.splitlines()
+    result, loaded, slow = proc.stdout.splitlines()
     assert isinstance(json.loads(result), dict)
     assert loaded == str(["primstab." + m for m in sorted(modules)])
+    assert not set(json.loads(slow)) & banned()
 
 
 def test_bare_import_loads_no_submodule():
@@ -59,3 +74,10 @@ def test_bare_import_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "['primstab']", "['primstab', 'primstab.errors', 'primstab.words']"]
+
+
+def test_words_loads_neither_dataclasses_nor_inspect():
+    proc = run_python("-c", "import sys, primstab.words; "
+                      "print([m for m in %r if m in sys.modules])" % (SLOW,))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,95 @@
+"""The package's value types behave as immutable values: equality within one
+class, hashing, the ``Name(field=value, ...)`` repr, no assignment, and
+pickling and copying through the constructor."""
+
+import copy
+import pickle
+
+import pytest
+
+from primstab.markoff import BqKind, BqVerdict, MarkoffTriple
+from primstab.moebius import (
+    IsometryClass,
+    MoebiusMap,
+    Representation,
+    SchottkyVerdict,
+    SphereDisk,
+    UhsPoint,
+)
+from primstab.render import SliceConfig
+from primstab.stability import PsReport, SpectrumEntry
+from primstab.whitehead import BlockingCertificate
+from primstab.words import CyclicWord, Word
+
+M = MoebiusMap(2, 1, 1, 1)
+ENTRY = SpectrumEntry(CyclicWord(2, (1,)), 2.0, IsometryClass.LOXODROMIC)
+ENTRY_REPR = ("SpectrumEntry(cls=CyclicWord('a', rank=2), trans_len=2.0, "
+              "kind=<IsometryClass.LOXODROMIC: 'LOXODROMIC'>)")
+
+# (class, positional arguments, the same value by keyword with defaults left
+# out, the arguments of a different value, the pinned repr)
+CASES = [
+    (Word, (2, (1, 2)), {"rank": 2, "letters": (1, 2)}, (2, (1,)), "Word('ab', rank=2)"),
+    (CyclicWord, (2, (2, 1)), {"rank": 2, "letters": (1, 2)}, (3, (1, 2)),
+     "CyclicWord('ab', rank=2)"),
+    (BlockingCertificate, (Word(2, (1, 2)), False, "DISCONNECTED"),
+     {"word": Word(2, (1, 2)), "certified": False, "reason": "DISCONNECTED"},
+     (Word(2, (1, 2)), False, "TOO_SHORT"),
+     "BlockingCertificate(word=Word('ab', rank=2), certified=False, reason='DISCONNECTED')"),
+    (MoebiusMap, (2, 1, 1, 1), {"a": 2, "b": 1, "c": 1, "d": 1}, (1, 1, 0, 1),
+     "MoebiusMap(a=(2+0j), b=(1+0j), c=(1+0j), d=(1+0j))"),
+    (Representation, (1, (M,)), {"rank": 1, "images": [M]}, (1, (M.inverse(),)),
+     "Representation(rank=1, images=(MoebiusMap(a=(2+0j), b=(1+0j), c=(1+0j), d=(1+0j)),))"),
+    (UhsPoint, (1 + 2j, 0.5), {"z": 1 + 2j, "t": 0.5}, (1 + 2j, 2.0),
+     "UhsPoint(z=(1+2j), t=0.5)"),
+    (SphereDisk, (0j, 1.0, "INSIDE"), {"center": 0, "radius": 1}, (0j, 1.0, "OUTSIDE"),
+     "SphereDisk(center=0j, radius=1.0, interior=<DiskSide.INSIDE: 'INSIDE'>)"),
+    (SchottkyVerdict, (True, None, ""), {"valid": True}, (False, SchottkyVerdict.PAIRING, ""),
+     "SchottkyVerdict(valid=True, reason=None, detail='')"),
+    (MarkoffTriple, (3, 3, 3, -2), {"x": 3, "y": 3, "z": 3, "kappa": -2}, (3, 3, 6, -2),
+     "MarkoffTriple(x=(3+0j), y=(3+0j), z=(3+0j), kappa=(-2+0j))"),
+    (BqVerdict, (BqKind.BQ_CERTIFIED, 6, (), 1, (), 0, 0),
+     {"kind": BqKind.BQ_CERTIFIED, "nodes_explored": 6, "witnesses": (), "depth_max": 1},
+     (BqKind.BQ_CERTIFIED, 6, (), 1, (), 2, 0),
+     "BqVerdict(kind=<BqKind.BQ_CERTIFIED: 'BQ_CERTIFIED'>, nodes_explored=6, witnesses=(), "
+     "depth_max=1, small_traces=(), pruned_escape=0, pruned_fan=0)"),
+    (SpectrumEntry, (CyclicWord(2, (1,)), 2.0, IsometryClass.LOXODROMIC),
+     {"cls": CyclicWord(2, (1,)), "trans_len": 2.0, "kind": IsometryClass.LOXODROMIC},
+     (CyclicWord(2, (1,)), 0.0, IsometryClass.PARABOLIC), ENTRY_REPR),
+    (PsReport, (1, (ENTRY,)), {"max_len": 1, "entries": (ENTRY,)}, (2, (ENTRY,)),
+     "PsReport(max_len=1, entries=(%s,))" % ENTRY_REPR),
+    (SliceConfig, (-2, 3, (6 - 1j, 7), 4, 4, "SMALLER_ABS", 20000, 64),
+     {"kappa": -2, "fixed_x": 3, "window": (6 - 1j, 7), "width": 4, "height": 4},
+     (-2, 3, (6 - 1j, 7), 4, 4, "LARGER_ABS", 20000, 64),
+     "SliceConfig(kappa=(-2+0j), fixed_x=(3+0j), window=((6-1j), (7+0j)), width=4, height=4, "
+     "root_choice=<RootChoice.SMALLER_ABS: 'SMALLER_ABS'>, budget=20000, small_trace_bound=64)"),
+]
+
+
+@pytest.mark.parametrize("cls, args, kwargs, other, text", CASES,
+                         ids=[case[0].__name__ for case in CASES])
+def test_value_semantics(cls, args, kwargs, other, text):
+    value = cls(*args)
+    same = cls(**kwargs)
+    assert value == same and not value != same
+    assert hash(value) == hash(same)
+    assert value != cls(*other)
+    assert value != object() and value != args
+    assert repr(value) == text
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+    field = next(iter(kwargs))
+    with pytest.raises(AttributeError, match="cannot assign to field %r" % field):
+        setattr(value, field, getattr(same, field))
+    with pytest.raises(AttributeError, match="cannot delete field %r" % field):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) == getattr(same, field)
+    assert not hasattr(value, "__dict__")
+
+
+def test_equal_fields_of_different_classes_are_not_equal():
+    assert Word(2, (1, 2)) != CyclicWord(2, (1, 2))
+    assert CyclicWord(2, (1, 2)) != Word(2, (1, 2))
+    assert Word(2, (1, 2)) != (2, (1, 2))
