@@ -11,8 +11,10 @@ Both move searches, the minimiser and the enumeration of primitive classes,
 read each move's effect off the closed graph before taking it: a move (a, A)
 changes the length of a cyclically reduced word by cut(A) - deg(a), the
 edges with exactly one end in A minus the edges at a (the Higgins-Lyndon
-count; Lyndon-Schupp, Combinatorial Group Theory, Prop. I.4.16).  The count
-reads the same edge table that ``whitehead_graph`` stores.
+count; Lyndon-Schupp, Combinatorial Group Theory, Prop. I.4.16).  Both
+graph kernels work on int bitmasks, letter v on bit ``letter_key(v) - 1``:
+the count XORs edge-incidence masks and takes a bit count, and the
+connectivity tests flood-fill letter sets.
 """
 
 from __future__ import annotations
@@ -105,21 +107,9 @@ class WhiteheadGraph:
         return "WhiteheadGraph(rank=%d, edges=%r)" % (self.rank, self.edge_multiplicity)
 
 
-def _letter_edges(letters: Sequence[int], closed: bool) -> dict[tuple[int, int], int]:
-    """Multiplicity of the edge {x, y^-1} of each adjacent pair xy, keyed by ``_edge``.
-
-    ``closed`` also counts the wrap-around pair, last.  The letters are not
-    checked: they come from a word, which checked them.
-    """
-    edges: dict[tuple[int, int], int] = {}
-    for x, y in zip(letters, letters[1:] + letters[:1] if closed else letters[1:]):
-        key = _edge(x, -y)
-        edges[key] = edges.get(key, 0) + 1
-    return edges
-
-
 def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGraph:
-    """Letter graph of w; ``closed`` also counts the wrap-around pair.
+    """Letter graph of w: an edge {x, y^-1} for each adjacent pair xy, and
+    with ``closed`` the wrap-around pair too.
 
     The closed graph is only defined for cyclically reduced words.
     """
@@ -130,38 +120,45 @@ def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGrap
             raise ClosedOnNonCyclicallyReduced(
                 "closed graph requested for non-cyclically-reduced word %r" % (str(w),)
             )
+    edges: dict[tuple[int, int], int] = {}
+    for x, y in zip(letters, letters[1:] + letters[:1] if closed else letters[1:]):
+        key = _edge(x, -y)
+        edges[key] = edges.get(key, 0) + 1
     graph = WhiteheadGraph(w.rank)
-    graph.edge_multiplicity = _letter_edges(letters, closed)
+    graph.edge_multiplicity = edges
     return graph
 
 
-def _neighbours(g: WhiteheadGraph) -> dict[int, set[int]]:
-    """Adjacency sets on all 2n letters; a self-loop makes a vertex its own neighbour."""
-    adjacent: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in g.edge_multiplicity:
-        adjacent[u].add(v)
-        adjacent[v].add(u)
+def _neighbours(g: WhiteheadGraph) -> list[int]:
+    """The adjacency mask of each of the 2n letters, indexed by its bit
+    ``letter_key(v) - 1``; a self-loop makes a vertex its own neighbour."""
+    adjacent = [0] * (2 * g.rank)
+    for x, y in g.edge_multiplicity:
+        u, v = letter_key(x) - 1, letter_key(y) - 1
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
     return adjacent
 
 
-def _component_count(adjacent: dict[int, set[int]], vertices: set[int]) -> int:
-    """Connected components of the subgraph induced on ``vertices``."""
-    unseen = set(vertices)
+def _component_count(adjacent: list[int], vertices: int) -> int:
+    """Connected components of the subgraph induced on the letter mask ``vertices``."""
     count = 0
-    while unseen:
+    while vertices:
         count += 1
-        stack = [unseen.pop()]
+        stack = vertices & -vertices
+        vertices ^= stack
         while stack:
-            reached = adjacent[stack.pop()] & unseen
-            unseen -= reached
-            stack.extend(reached)
+            low = stack & -stack
+            reached = adjacent[low.bit_length() - 1] & vertices
+            vertices ^= reached
+            stack ^= low | reached
     return count
 
 
 def is_connected(g: WhiteheadGraph) -> bool:
     """Connectivity on all 2n vertices; isolated vertices disconnect."""
     adjacent = _neighbours(g)
-    return _component_count(adjacent, set(adjacent)) == 1
+    return _component_count(adjacent, (1 << len(adjacent)) - 1) == 1
 
 
 def has_cutpoint(g: WhiteheadGraph) -> bool:
@@ -172,9 +169,10 @@ def has_cutpoint(g: WhiteheadGraph) -> bool:
     vertices, removing each in turn and recounting is the whole search.
     """
     adjacent = _neighbours(g)
-    support = {v for v, near in adjacent.items() if near}
-    base = _component_count(adjacent, support)
-    return any(_component_count(adjacent, support - {v}) > base for v in support)
+    support = [1 << k for k, near in enumerate(adjacent) if near]
+    within = sum(support)
+    base = _component_count(adjacent, within)
+    return any(_component_count(adjacent, within ^ v) > base for v in support)
 
 
 class BlockingCertificate(_Frozen):
@@ -342,24 +340,24 @@ def _length_changes(
     """(phi, |phi(w)| - |w|) for each pool move phi = (a, A) whose change
     cut(A) - deg(a) lies in [low, high], in pool order.
 
-    Counted on the closed graph of the non-empty cyclically reduced core w:
-    the edge table of ``whitehead_graph(closed=True)``, with each letter
-    turned into its bit.
+    Counted on the closed graph of the non-empty cyclically reduced core w,
+    whose edge i joins ``core[i]`` and ``core[i + 1]^-1``.  Bit i of
+    ``incident[u]`` marks edge i at letter u.  An edge crosses A exactly
+    when one of its ends is in A, so the edges crossing A are the XOR of
+    ``incident`` over A, and cut(A) is its bit count.  That needs a core
+    with no self-loop edge (an edge that XORs away at its own letter),
+    which a cyclically reduced core has: xy with x = y^-1 would cancel.
     """
-    degree = [0] * (2 * rank)
-    edges = []
-    for (x, y), m in _letter_edges(core, closed=True).items():
-        u, v = letter_key(x) - 1, letter_key(y) - 1
-        degree[u] += m
-        degree[v] += m
-        edges.append((1 << u | 1 << v, m))
+    incident = [0] * (2 * rank)
+    for i, (x, y) in enumerate(zip(core, core[1:] + core[:1])):
+        incident[letter_key(x) - 1] |= 1 << i
+        incident[letter_key(-y) - 1] |= 1 << i
+    crossing = [0]  # crossing[S] for every letter set S, one XOR each
+    for edges in incident:
+        crossing += [c ^ edges for c in crossing]
+    degree = [edges.bit_count() for edges in incident]
     for phi, mask, a in _move_pool(rank):
-        cut = 0
-        for edge, m in edges:
-            inside = mask & edge
-            if inside and inside != edge:
-                cut += m
-        change = cut - degree[a]
+        change = crossing[mask].bit_count() - degree[a]
         if low <= change <= high:
             yield phi, change
 
@@ -368,12 +366,14 @@ def _minimize_raw(rank: int, core: Sequence[int]) -> tuple[Sequence[int], list[W
     """Apply the first pool move that shortens the core until none does.
 
     Each round counts the length change of every move in pool order up to
-    the first negative one, and applies only that move.
+    the first negative one, and applies only that move.  The closed graph
+    does not depend on the rotation of the core, so the core is left
+    uncanonical: the terminal core is some rotation of the terminal class.
     """
     trace: list[WhiteheadAutomorphism] = []
     while core:
         for phi, _ in _length_changes(rank, core, -math.inf, -1):
-            core, _ = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
+            core, _ = _cyclic_core(_apply_raw(phi, core))
             trace.append(phi)
             break
         else:

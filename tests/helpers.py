@@ -129,8 +129,8 @@ def applied_minimize(rank, core):
     """Greedy minimisation that applies every pool move in turn to learn its effect.
 
     It reads no Whitehead graph, so it is the reference for the move search
-    that picks each move by counting graph edges.  Returns the terminal core
-    and the moves taken, like ``whitehead._minimize_raw``.
+    that picks each move by counting graph edges.  Returns the terminal core,
+    canonical, and the moves taken.
     """
     moves = [phi for phi, _, _ in _move_pool(rank)]
     trace = []
@@ -143,6 +143,34 @@ def applied_minimize(rank, core):
                 break
         else:
             return core, trace
+
+
+def set_connectivity(g):
+    """(is_connected(g), has_cutpoint(g)) by a flood fill on sets of letters.
+
+    It reads no bitmask, so it is the dependency-free reference for the
+    connectivity kernels of ``whitehead``.
+    """
+    adjacent = {v: set() for v in g.vertices}
+    for u, v in g.edge_multiplicity:  # a self-loop makes v its own neighbour
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+
+    def components(vertices):
+        unseen = set(vertices)
+        count = 0
+        while unseen:
+            count += 1
+            stack = [unseen.pop()]
+            while stack:
+                reached = adjacent[stack.pop()] & unseen
+                unseen -= reached
+                stack.extend(reached)
+        return count
+
+    support = {v for v, near in adjacent.items() if near}
+    base = components(support)
+    return components(adjacent) == 1, any(components(support - {v}) > base for v in support)
 
 
 def random_word(rng, rank, length):

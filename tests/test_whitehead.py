@@ -25,6 +25,7 @@ from helpers import (
     random_automorphism,
     random_word,
     run_python,
+    set_connectivity,
 )
 
 
@@ -93,8 +94,8 @@ def _networkx_verdicts(nx, g):
     return nx.is_connected(whole), any(True for _ in nx.articulation_points(support))
 
 
-def test_connectivity_and_cutpoints_agree_with_networkx():
-    nx = pytest.importorskip("networkx")
+def _connectivity_cases():
+    """The graphs the connectivity references check, one per distinct edge table."""
     graphs = {}
 
     def add(g):  # words with the same letter graph share one check
@@ -117,8 +118,19 @@ def test_connectivity_and_cutpoints_agree_with_networkx():
             add(ps.whitehead_graph(w, closed=False))
             if length == 1 or letters[0] != -letters[-1]:
                 add(ps.whitehead_graph(w, closed=True))
-    for g in graphs.values():
+    return graphs.values()
+
+
+def test_connectivity_and_cutpoints_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _connectivity_cases():
         assert (ps.is_connected(g), ps.has_cutpoint(g)) == _networkx_verdicts(nx, g), g
+
+
+def test_connectivity_and_cutpoints_agree_with_set_flood_fill():
+    # the same cases without networkx, so an install with no extras checks them too
+    for g in _connectivity_cases():
+        assert (ps.is_connected(g), ps.has_cutpoint(g)) == set_connectivity(g), g
 
 
 @pytest.mark.parametrize("package, module", [("primstab", "networkx"),
@@ -256,21 +268,25 @@ def test_minimize_empty_word():
     assert ps.whitehead_minimize(ps.parse_word("abBA", 2)) == (ps.CyclicWord(2, ()), [])
 
 
-def _random_cores(rng, rank, count, max_len):
-    """Seeded non-empty cyclically reduced cores of 1..max_len letters."""
+def _random_cores(rng, rank, count, min_len, max_len):
+    """Seeded cyclically reduced cores of min_len..max_len letters (min_len >= 1)."""
     cores = []
     while len(cores) < count:
-        core = ps.cyclic_reduce(random_word(rng, rank, rng.randint(1, max_len)))[0].letters
-        if core:
+        core = ps.cyclic_reduce(random_word(rng, rank, rng.randint(min_len, max_len)))[0].letters
+        if len(core) >= min_len:
             cores.append(core)
     return cores
 
 
-@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_length_changes_match_applied_moves(rank):
-    # cut(A) - deg(a) is the length change of every move, read off the graph
+    # cut(A) - deg(a) is the length change of every move, read off the graph,
+    # on single letters, on short cores and on cores of 65-80 letters, whose
+    # edge-incidence masks are wider than one machine word
+    rng = random.Random(30 + rank)
     moves = [phi for phi, _, _ in _move_pool(rank)]
-    for core in _random_cores(random.Random(30 + rank), rank, 300, 14):
+    cores = _random_cores(rng, rank, 300, 1, 14) + _random_cores(rng, rank, 12, 65, 80)
+    for core in [(v,) for v in all_letters(rank)] + cores:
         applied = [(phi, len(_cyclic_core(_apply_raw(phi, core))[0]) - len(core)) for phi in moves]
         assert list(_length_changes(rank, core, -math.inf, math.inf)) == applied
         assert list(_length_changes(rank, core, -2, 1)) == [
