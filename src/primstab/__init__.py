@@ -24,9 +24,9 @@ _EXPORTS = {
         "markoff_move", "slope_trace", "solve_y_from_fricke",
     ),
     "moebius": (
-        "DiskSide", "IsometryClass", "MoebiusMap", "Representation", "SchottkyVerdict",
+        "DiskSide", "MoebiusMap", "Representation", "SchottkyVerdict",
         "SphereDisk", "UhsPoint", "act_uhs", "axis_point", "classify", "evaluate",
-        "fricke_kappa", "fricke_traces", "image_circle", "representation_from_json",
+        "fricke_traces", "image_circle", "representation_from_json",
         "representation_to_json", "schottky_check", "translation_length",
         "uhs_distance",
     ),
@@ -39,6 +39,7 @@ _EXPORTS = {
         "precompose", "primitive_length_spectrum", "ps_report_from_json",
         "ps_report_to_json", "ps_scan", "restrict",
     ),
+    "traces": ("IsometryClass", "fricke_kappa"),
     "whitehead": (
         "RANK_CAP", "BlockingCertificate", "WhiteheadAutomorphism", "WhiteheadGraph",
         "apply_automorphism", "blocking_certificate", "enumerate_primitive_classes",

@@ -187,7 +187,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_bq_decide(args) -> int:
     from .markoff import MarkoffTriple, bq_decide, bq_verdict_to_json
-    from .moebius import _complex_to_json
+    from .traces import _complex_to_json
 
     triple = MarkoffTriple.from_traces(args.x, args.y, args.z)
     verdict = bq_decide(triple, args.budget, args.small_trace_bound)

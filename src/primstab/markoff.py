@@ -17,11 +17,12 @@ small region past the edge is large enough that the whole fan around it
 escapes; see ``bq_decide``.
 
 Two constants are fixed.  A trace is non-loxodromic by the rule of
-``moebius.classify``: within 1e-9 of +-2, or within 1e-9 of the real axis
-with real part strictly inside (-2, 2).  The pruning rules hold with the
-margin 1e-6 (``_DELTA``).  BQ_CERTIFIED claims, up to floating rounding,
-that no slope beyond the pruned edges has trace modulus at most 2, so that
-every non-loxodromic or small-trace class was met by the search.
+``moebius.classify`` (``traces._trace_class``): within 1e-9 of +-2, or
+within 1e-9 of the real axis with real part strictly inside (-2, 2).  The
+pruning rules hold with the margin 1e-6 (``_DELTA``).  BQ_CERTIFIED
+claims, up to floating rounding, that no slope beyond the pruned edges has
+trace modulus at most 2, so that every non-loxodromic or small-trace class
+was met by the search.
 """
 
 from __future__ import annotations
@@ -29,22 +30,24 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import CheckFailed, NonFiniteValue, NotCoprime, ParseError
-from .moebius import (
+from .traces import (
     _TOL,
     IsometryClass,
-    Representation,
     _check_fricke,
     _complex_from_json,
     _complex_to_json,
     _half_trace_split,
     _trace_class,
     fricke_kappa,
-    fricke_traces,
     safe_abs,
 )
 from .words import _farey_turns, _Frozen, _normalize_slope
+
+if TYPE_CHECKING:
+    from .moebius import Representation
 
 # the margin by which both pruning rules must hold
 _DELTA = 1e-6
@@ -69,6 +72,8 @@ class MarkoffTriple(_Frozen):
 
     @classmethod
     def from_representation(cls, rep: Representation) -> "MarkoffTriple":
+        from .moebius import fricke_traces  # the only use of matrix code here
+
         x, y, z, kappa = fricke_traces(rep)
         return cls(x, y, z, kappa)
 

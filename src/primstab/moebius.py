@@ -21,27 +21,24 @@ from .errors import (
     DegenerateAction,
     DegenerateMatrix,
     DeterminantError,
-    FrickeMismatch,
     ImageIsLine,
     ParseError,
     RankMismatch,
 )
+from .traces import (  # IsometryClass and fricke_kappa are re-exported
+    _TOL,
+    IsometryClass,
+    _check_fricke,
+    _complex_from_json,
+    _complex_to_json,
+    _half_trace_split,
+    _trace_class,
+    fricke_kappa,
+    safe_abs,
+)
 from .words import CyclicWord, Word, _Frozen
 
 _DET_TOL = 1e-9
-_FRICKE_TOL = 1e-8
-# the one geometric tolerance: how close a trace must come to +-2 or to the
-# real axis to count as non-loxodromic, and the slack of the axis, pole and
-# ping-pong tests
-_TOL = 1e-9
-
-
-def safe_abs(z: complex) -> float:
-    """Modulus that saturates to inf instead of overflowing near 1e308."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
 
 
 def _scale_sq(a: complex, b: complex, c: complex, d: complex) -> float:
@@ -87,13 +84,6 @@ def _check_entries(a: complex, b: complex, c: complex, d: complex) -> None:
         raise DeterminantError(
             "determinant of the entries over %g is %r, not %g within %g" % (m, det, inv_sq, tol)
         )
-
-
-class IsometryClass(str, Enum):
-    IDENTITY = "IDENTITY"
-    ELLIPTIC = "ELLIPTIC"
-    PARABOLIC = "PARABOLIC"
-    LOXODROMIC = "LOXODROMIC"
 
 
 class MoebiusMap(_Frozen):
@@ -234,23 +224,6 @@ def _letter_table(rep: Representation) -> dict[int, tuple[complex, ...]]:
     return table
 
 
-def _trace_class(t: complex) -> IsometryClass:
-    """Isometry type of a non-identity map from its trace alone.
-
-    PARABOLIC when t is within _TOL of +-2; ELLIPTIC when |Im t| <= _TOL and
-    |Re t| < 2; LOXODROMIC otherwise.  Every non-loxodromic trace therefore
-    has |t| <= 2 + _TOL and |Im t| <= _TOL.
-    """
-    try:
-        if abs(t - 2.0) <= _TOL or abs(t + 2.0) <= _TOL:
-            return IsometryClass.PARABOLIC
-    except OverflowError:  # |t| is past the float range
-        return IsometryClass.LOXODROMIC
-    if abs(t.imag) <= _TOL and abs(t.real) < 2.0:
-        return IsometryClass.ELLIPTIC
-    return IsometryClass.LOXODROMIC
-
-
 def _entry_class(a: complex, b: complex, c: complex, d: complex) -> IsometryClass:
     """``classify`` on the entries (a, b, c, d) of a map."""
     try:
@@ -274,16 +247,6 @@ def classify(m: MoebiusMap) -> IsometryClass:
     witnesses.
     """
     return _entry_class(m.a, m.b, m.c, m.d)
-
-
-def _half_trace_split(t: complex) -> tuple[complex, complex]:
-    """(h, k) with h = t/2 and k^2 = h^2 - 1: a trace-t map has eigenvalues h +- k.
-
-    k avoids t^2 (overflows past |t| = 1e154) and s = sqrt(t - 2) sqrt(t + 2)
-    (past 1.8e308), yet equals s/2 to the bit where s is finite, as (t - 2)/4
-    is exact.  Halving t first keeps h + k finite.
-    """
-    return t * 0.5, cmath.sqrt(t * 0.25 - 0.5) * cmath.sqrt(t + 2.0)
 
 
 def _trace_length(t: complex) -> float:
@@ -542,33 +505,6 @@ def schottky_check(
     return SchottkyVerdict(True)
 
 
-def fricke_kappa(x: complex, y: complex, z: complex) -> complex:
-    """Commutator trace determined by the generator traces."""
-    return x * x + y * y + z * z - x * y * z - 2.0
-
-
-def _check_fricke(x: complex, y: complex, z: complex, kappa: complex) -> None:
-    """Raise FrickeMismatch unless kappa = fricke_kappa(x, y, z) up to rounding.
-
-    The residual is a sum of terms as large as |x|^2 or |xyz|, so, as for the
-    determinant, the tolerance follows their size.  Terms past the float
-    range leave nothing to check.
-    """
-    try:
-        residual = abs(fricke_kappa(x, y, z) - kappa)
-        if residual <= _FRICKE_TOL:
-            return
-        terms = abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2 + abs(x * y * z) + 2.0 + abs(kappa)
-    except OverflowError:
-        return
-    tol = max(_FRICKE_TOL, 1e-12 * terms)
-    if residual > tol:
-        raise FrickeMismatch(
-            "traces (%r, %r, %r) miss kappa %r by %g (tolerance %g)"
-            % (x, y, z, kappa, residual, tol)
-        )
-
-
 def fricke_traces(rep: Representation) -> tuple[complex, complex, complex, complex]:
     """Traces (x, y, z, kappa) of (a, b, ab, [a,b]) for a rank-2 representation.
 
@@ -583,20 +519,6 @@ def fricke_traces(rep: Representation) -> tuple[complex, complex, complex, compl
     kappa = evaluate(rep, Word(2, (1, 2, -1, -2))).trace()
     _check_fricke(x, y, z, kappa)
     return x, y, z, kappa
-
-
-def _complex_from_json(value) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        raise ParseError("expected [re, im], got %r" % (value,))
-    try:
-        return complex(value[0], value[1])
-    except OverflowError as exc:  # an integer past the float range
-        raise ParseError("[re, im] entry out of the float range: %s" % (exc,)) from exc
-
-
-def _complex_to_json(z: complex) -> list[float]:
-    return [z.real, z.imag]
 
 
 def representation_to_json(rep: Representation) -> dict:

@@ -1,6 +1,7 @@
 """Each CLI subcommand, run in a fresh interpreter, loads only the primstab
 modules it runs; the rest are never imported, so never compiled.  Nor does
-any load ``dataclasses`` or, through it, ``inspect``."""
+any load ``dataclasses`` or, through it, ``inspect``, and a render on forked
+workers loads no ``multiprocessing``."""
 
 import functools
 import json
@@ -23,15 +24,16 @@ EXPECTED = {
     "primitive": (["primitive", "abAB"], CLI + ["whitehead", "words"]),
     "blocking": (["blocking", "abABabAB"], CLI + ["whitehead", "words"]),
     "enumerate": (["enumerate", "--rank", "2", "--max-len", "3"], CLI + ["whitehead", "words"]),
-    "rep-info": (["rep-info", "--rep", "{rep}"], CLI + ["moebius", "words"]),
+    "rep-info": (["rep-info", "--rep", "{rep}"], CLI + ["moebius", "traces", "words"]),
     "ps-scan": (["ps-scan", "--rep", "{rep}", "--max-len", "4"],
-                CLI + ["moebius", "stability", "whitehead", "words"]),
+                CLI + ["moebius", "stability", "traces", "whitehead", "words"]),
     "probe": (["probe", "--rep", "{rep}", "--word", "ab", "--periods", "5",
-               "--basepoint", "0,0,1"], CLI + ["moebius", "stability", "whitehead", "words"]),
+               "--basepoint", "0,0,1"],
+              CLI + ["moebius", "stability", "traces", "whitehead", "words"]),
     "bq-decide": (["bq-decide", "--x", "3", "--y", "3", "--z", "3", "--budget", "100"],
-                  CLI + ["markoff", "moebius", "words"]),
+                  CLI + ["markoff", "traces", "words"]),
     "render": (["render", "--config", "{slice}", "--out", "{out}", "--threads", "1"],
-               CLI + ["markoff", "moebius", "render", "words"]),
+               CLI + ["markoff", "render", "traces", "words"]),
 }
 
 # run the CLI, then print the loaded primstab modules and the loaded modules
@@ -64,6 +66,23 @@ def test_subcommand_loads_only_the_modules_it_runs(sub, tmp_path):
     assert isinstance(json.loads(result), dict)
     assert loaded == str(["primstab." + m for m in sorted(modules)])
     assert not set(json.loads(slow)) & banned()
+
+
+def test_forked_render_loads_no_multiprocessing(tmp_path):
+    # two CPUs, so --threads 2 forks two workers whatever this host has
+    config = tmp_path / "slice.json"
+    config.write_text(json.dumps(SLICE))
+    shim = ("import os, sys; os.cpu_count = lambda: 2; from primstab.cli import run; "
+            "code = run(sys.argv[1:]); print('multiprocessing' in sys.modules); sys.exit(code)")
+    images = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("threads%s.ppm" % threads)
+        proc = run_python("-c", shim, "render", "--config", str(config), "--out", str(out),
+                          "--threads", threads)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1] == "False"
+        images.append(out.read_bytes())
+    assert images[0] == images[1]
 
 
 def test_bare_import_loads_no_submodule():

@@ -29,9 +29,9 @@ EXPORTED = {
         "markoff_move", "slope_trace", "solve_y_from_fricke",
     ],
     "moebius": [
-        "DiskSide", "IsometryClass", "MoebiusMap", "Representation", "SchottkyVerdict",
+        "DiskSide", "MoebiusMap", "Representation", "SchottkyVerdict",
         "SphereDisk", "UhsPoint", "act_uhs", "axis_point", "classify", "evaluate",
-        "fricke_kappa", "fricke_traces", "image_circle", "representation_from_json",
+        "fricke_traces", "image_circle", "representation_from_json",
         "representation_to_json", "schottky_check", "translation_length", "uhs_distance",
     ],
     "render": [
@@ -43,6 +43,7 @@ EXPORTED = {
         "precompose", "primitive_length_spectrum", "ps_report_from_json",
         "ps_report_to_json", "ps_scan", "restrict",
     ],
+    "traces": ["IsometryClass", "fricke_kappa"],
     "whitehead": [
         "RANK_CAP", "BlockingCertificate", "WhiteheadAutomorphism", "WhiteheadGraph",
         "apply_automorphism", "blocking_certificate", "enumerate_primitive_classes",
@@ -127,3 +128,11 @@ def test_a_name_rebound_in_its_home_module_is_seen_through_the_package(monkeypat
     assert ps.parse_word is stand_in
     monkeypatch.undo()
     assert ps.parse_word is before is words.parse_word
+
+
+def test_trace_rules_still_resolve_through_moebius():
+    # the trace rules moved to a leaf module; moebius still re-exports them
+    from primstab import moebius
+
+    assert moebius.IsometryClass is ps.IsometryClass
+    assert moebius.fricke_kappa is ps.fricke_kappa

@@ -1,9 +1,11 @@
 import math
 import os
+import signal
 
 import pytest
 
 import primstab as ps
+from primstab import render
 from primstab.errors import ParseError
 from primstab.markoff import _normalize_slope
 
@@ -79,24 +81,15 @@ def test_render_is_deterministic_and_thread_independent():
     assert len(first) == len(b"P6\n8 8\n255\n") + 3 * 64
 
 
-class SerialContext:
-    """A stand-in for a multiprocessing context: records pool sizes, maps in process."""
+class InProcessForks:
+    """A stand-in for ``render._forked_rows``: records worker counts, renders in process."""
 
     def __init__(self):
         self.pools = []
 
-    def Pool(self, processes):
-        self.pools.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, tasks, chunksize=1):
-        return [func(task) for task in tasks]
+    def __call__(self, cfg, workers):
+        self.pools.append(workers)
+        return [render._render_row(cfg, j) for j in range(cfg.height)]
 
 
 @pytest.mark.parametrize("cpus, threads, pools", [
@@ -108,16 +101,75 @@ class SerialContext:
     (3, 1, []),
 ])
 def test_render_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, threads, pools):
-    import multiprocessing
-
     cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
                          width=3, height=4, budget=300)
     serial = ps.render_slice(cfg, 1)
-    context = SerialContext()
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    forks = InProcessForks()
+    monkeypatch.setattr(render, "_forked_rows", forks)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert ps.render_slice(cfg, threads) == serial
-    assert context.pools == pools
+    assert forks.pools == pools
+
+
+class PixelFailure(Exception):
+    pass
+
+
+def failing_in(monkeypatch, fail):
+    """Patch ``pixel_verdict`` to call ``fail(z)`` first on the pixel of row 1, column 0."""
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=3, height=4, budget=300)
+    original = render.pixel_verdict
+    target = ps.pixel_trace(cfg, 0, 1)
+
+    def pixel(cfg, z):
+        if z == target:
+            fail(z)
+        return original(cfg, z)
+
+    serial = ps.render_slice(cfg, 1)
+    monkeypatch.setattr(render, "pixel_verdict", pixel)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return cfg, serial
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_pixel_raises_its_own_exception_and_leaves_no_child(monkeypatch):
+    def fail(z):
+        raise PixelFailure("no verdict at %r" % (z,))
+
+    cfg, _ = failing_in(monkeypatch, fail)
+    with pytest.raises(PixelFailure, match=r"^no verdict at \(1\+0\.75j\)$"):
+        ps.render_slice(cfg, 2)
+    assert_no_child_left()
+
+
+def test_a_pixel_failing_in_a_child_only_is_drawn_again_in_the_caller(monkeypatch):
+    parent = os.getpid()
+
+    def fail(z):
+        if os.getpid() != parent:
+            raise PixelFailure("in a child")
+
+    cfg, serial = failing_in(monkeypatch, fail)
+    assert ps.render_slice(cfg, 2) == serial
+    assert_no_child_left()
+
+
+def test_a_killed_child_does_not_change_the_bytes(monkeypatch):
+    parent = os.getpid()
+
+    def fail(z):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    cfg, serial = failing_in(monkeypatch, fail)
+    assert ps.render_slice(cfg, 2) == serial
+    assert_no_child_left()
 
 
 def test_render_rejects_fewer_than_one_thread():
