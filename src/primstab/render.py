@@ -8,18 +8,18 @@ trace of a, runs the BQ search, and colors by verdict:
     NOT_BQ_WITNESS red (min(255, 64 + 16 * witnesses), 0, 0)
     INCONCLUSIVE   dark blue (0, 0, 96)
 
-Output is binary PPM (P6), top row first.  Pixels are independent and rows
-are assembled by index, so the byte stream does not depend on how many
-forked worker processes computed it.
+Output is binary PPM (P6), top row first.  Pixels are independent and each
+row is written at its own offset of one buffer, so the byte stream does not
+depend on how many forked worker processes computed it.
 """
 
 from __future__ import annotations
 
 import cmath
+import mmap
 import os
 import signal
 from enum import Enum
-from typing import NoReturn
 
 from .errors import NonFiniteValue, ParseError
 from .markoff import BqKind, BqVerdict, MarkoffTriple, bq_decide, solve_y_from_fricke
@@ -106,83 +106,49 @@ def palette_color(verdict: BqVerdict) -> tuple[int, int, int]:
     return (0, 0, 96)
 
 
-def _render_row(cfg: SliceConfig, j: int) -> bytes:
-    row = bytearray()
-    for i in range(cfg.width):
-        row.extend(palette_color(pixel_verdict(cfg, pixel_trace(cfg, i, j))))
-    return bytes(row)
+def _draw(cfg: SliceConfig, rows: range, buf: mmap.mmap) -> None:
+    """Write each row j of ``rows`` at byte ``3 * width * j`` of ``buf``."""
+    size = 3 * cfg.width
+    for j in rows:
+        row = bytearray()
+        for i in range(cfg.width):
+            row.extend(palette_color(pixel_verdict(cfg, pixel_trace(cfg, i, j))))
+        buf[size * j:size * (j + 1)] = row
 
 
-def _draw_and_exit(cfg: SliceConfig, share: range, fd: int) -> NoReturn:
-    """In a forked child: write the rows of ``share``, concatenated, to fd and exit.
+def _forked_draw(cfg: SliceConfig, workers: int, buf: mmap.mmap) -> None:
+    """Draw the slice into the shared mapping ``buf`` on ``workers`` forked children.
 
-    Any exception, an interrupt included, ends the child with status 1 and
-    never unwinds into the caller's frames, which belong to the parent.
+    Child k draws the rows j with j % workers == k and exits 0 only once
+    all of them are in ``buf``; any exception, an interrupt included, ends
+    it with status 1 and never unwinds into the caller's frames, which
+    belong to the parent.  The parent only reaps each child and draws the
+    rows of a child that did not exit 0 itself, so a pixel that raises
+    raises its own exception in the caller.  No child outlives the call.
     """
-    status = 1
-    try:
-        data = b"".join(_render_row(cfg, j) for j in share)
-        with os.fdopen(fd, "wb") as out:
-            out.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _read_to_eof(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _forked_rows(cfg: SliceConfig, workers: int) -> list[bytes]:
-    """The rows of the slice, drawn by ``workers`` forked children.
-
-    Child k draws the rows j with j % workers == k and sends them down its
-    own pipe; the parent only reads each pipe to EOF, reaps each child and
-    places the rows by index.  The rows of a child that exits non-zero or
-    sends short data are drawn again here, so a pixel that raises raises
-    its own exception in the caller.  No child outlives the call.
-    """
-    children = []  # (pid, read end of its pipe, its rows), until reaped
-    rows = [b""] * cfg.height
-    failed = []
+    children = []  # (pid, its rows), until reaped
     try:
         for k in range(workers):
             share = range(k, cfg.height, workers)
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
+            pid = os.fork()
             if pid == 0:
-                _draw_and_exit(cfg, share, write_end)
-            os.close(write_end)
-            children.append((pid, read_end, share))
-        size = 3 * cfg.width
+                status = 1
+                try:
+                    _draw(cfg, share, buf)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, share))
         while children:
-            pid, read_end, share = children[0]
-            data = _read_to_eof(read_end)
+            pid, share = children[0]
             _, status = os.waitpid(pid, 0)
             children.pop(0)
-            os.close(read_end)
-            if status != 0 or len(data) != size * len(share):
-                failed.append(share)
-                continue
-            for n, j in enumerate(share):
-                rows[j] = data[n * size:(n + 1) * size]
+            if status != 0:
+                _draw(cfg, share, buf)
     finally:
-        for pid, read_end, _ in children:
-            os.close(read_end)
+        for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for share in failed:
-        for j in share:
-            rows[j] = _render_row(cfg, j)
-    return rows
 
 
 def render_slice(cfg: SliceConfig, threads: int | None = 1) -> bytes:
@@ -190,21 +156,26 @@ def render_slice(cfg: SliceConfig, threads: int | None = 1) -> bytes:
 
     ``threads=None`` means one worker per CPU (``os.cpu_count``), which also
     caps any larger count, and there is at most one worker per row.  A
-    count below 1 is a ValueError.  Two or more workers are forked children
-    that draw interleaved rows (``_forked_rows``) while this process only
-    collects them; with one worker, or where there is no ``os.fork``, this
-    process draws every row.
+    count that is not an integer, or is below 1, is a ValueError.  Every
+    row is drawn into one shared anonymous mapping at its own offset.  Two
+    or more workers are forked children that draw interleaved rows
+    (``_forked_draw``) while this process only waits for them; with one
+    worker, or where there is no ``os.fork``, this process draws every row.
     """
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be at least 1")
+    if threads is not None:
+        if not isinstance(threads, int) or isinstance(threads, bool):
+            raise ValueError("'threads' must be an integer, got %r" % (threads,))
+        if threads < 1:
+            raise ValueError("threads must be at least 1")
     cpus = os.cpu_count() or 1
     workers = min(cpus if threads is None else threads, cpus, cfg.height)
     header = b"P6\n%d %d\n255\n" % (cfg.width, cfg.height)
-    if workers > 1 and hasattr(os, "fork"):
-        rows = _forked_rows(cfg, workers)
-    else:
-        rows = [_render_row(cfg, j) for j in range(cfg.height)]
-    return header + b"".join(rows)
+    with mmap.mmap(-1, 3 * cfg.width * cfg.height) as buf:
+        if workers > 1 and hasattr(os, "fork"):
+            _forked_draw(cfg, workers, buf)
+        else:
+            _draw(cfg, range(cfg.height), buf)
+        return header + buf[:]
 
 
 def slice_config_to_json(cfg: SliceConfig) -> dict:

@@ -443,8 +443,8 @@ def _orbit(rank: int, canon: tuple[int, ...]) -> set[tuple[int, ...]]:
     out = set()
     for table in _symmetries(rank):
         image = [table[v] for v in canon]
-        out.add(_canonical_cycle(image)[0])
-        out.add(_canonical_cycle([-v for v in reversed(image)])[0])
+        out.add(_canonical_cycle(image))
+        out.add(_canonical_cycle([-v for v in reversed(image)]))
     return out
 
 
@@ -484,7 +484,7 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
         grown = []
         for core in frontier:
             for phi, _ in _length_changes(rank, core, 1, max_len - len(core)):
-                canon, _ = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
+                canon = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
                 if canon not in found:
                     found |= _orbit(rank, canon)
                     grown.append(canon)

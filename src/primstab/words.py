@@ -65,9 +65,9 @@ def _cyclic_core(letters: Sequence[int]) -> tuple[list[int], list[int]]:
     return list(letters[i:j]), list(letters[:i])
 
 
-def _canonical_cycle(letters: Sequence[int]) -> tuple[tuple[int, ...], int]:
+def _canonical_cycle(letters: Sequence[int]) -> tuple[int, ...]:
     k = _least_rotation_index(letters)
-    return tuple(letters[k:]) + tuple(letters[:k]), k
+    return tuple(letters[k:]) + tuple(letters[:k])
 
 
 class _Frozen:
@@ -157,9 +157,8 @@ class CyclicWord(_Frozen):
         for i in range(n):
             if n > 1 and letters[i] == -letters[(i + 1) % n]:
                 raise ValueError("word is not cyclically reduced: %r" % (letters,))
-        canon, _ = _canonical_cycle(letters)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", canon)
+        object.__setattr__(self, "letters", _canonical_cycle(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -197,11 +196,8 @@ def concat(u: Word, v: Word) -> Word:
 
 def power(w: Word, n: int) -> Word:
     if n < 0:
-        return power(invert(w), -n)
-    out = Word(w.rank)
-    for _ in range(n):
-        out = concat(out, w)
-    return out
+        w, n = invert(w), -n
+    return Word(w.rank, tuple(_reduce_list(w.letters * n)))
 
 
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:

@@ -117,7 +117,7 @@ def grown_primitive_classes(rank, max_len):
             for phi in moves:
                 image, _ = _cyclic_core(_apply_raw(phi, core))
                 if len(core) < len(image) <= max_len:
-                    canon, _ = _canonical_cycle(image)
+                    canon = _canonical_cycle(image)
                     if canon not in found:
                         found.add(canon)
                         grown.append(canon)
@@ -138,7 +138,7 @@ def applied_minimize(rank, core):
         for phi in moves:
             image, _ = _cyclic_core(_apply_raw(phi, core))
             if len(image) < len(core):
-                core, _ = _canonical_cycle(image)
+                core = _canonical_cycle(image)
                 trace.append(phi)
                 break
         else:

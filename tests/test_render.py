@@ -82,14 +82,14 @@ def test_render_is_deterministic_and_thread_independent():
 
 
 class InProcessForks:
-    """A stand-in for ``render._forked_rows``: records worker counts, renders in process."""
+    """A stand-in for ``render._forked_draw``: records worker counts, draws in process."""
 
     def __init__(self):
         self.pools = []
 
-    def __call__(self, cfg, workers):
+    def __call__(self, cfg, workers, buf):
         self.pools.append(workers)
-        return [render._render_row(cfg, j) for j in range(cfg.height)]
+        render._draw(cfg, range(cfg.height), buf)
 
 
 @pytest.mark.parametrize("cpus, threads, pools", [
@@ -105,7 +105,7 @@ def test_render_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, threads, pool
                          width=3, height=4, budget=300)
     serial = ps.render_slice(cfg, 1)
     forks = InProcessForks()
-    monkeypatch.setattr(render, "_forked_rows", forks)
+    monkeypatch.setattr(render, "_forked_draw", forks)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert ps.render_slice(cfg, threads) == serial
     assert forks.pools == pools
@@ -174,9 +174,48 @@ def test_a_killed_child_does_not_change_the_bytes(monkeypatch):
 
 def test_render_rejects_fewer_than_one_thread():
     cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, complex(6, 3)), width=1, height=1)
-    for threads in (0, -3):
+    for threads in (0, -3, 1.5, 2.0, True, "2"):
         with pytest.raises(ValueError):
             ps.render_slice(cfg, threads)
+
+
+@pytest.mark.parametrize("cpus, height", [(2, 5), (3, 7)])
+def test_unequal_row_shares_give_the_serial_bytes(monkeypatch, cpus, height):
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=3, height=height, budget=300)
+    serial = ps.render_slice(cfg, 1)
+    pools = []
+    forked_draw = render._forked_draw
+
+    def spy(cfg, workers, buf):
+        pools.append(workers)
+        forked_draw(cfg, workers, buf)
+
+    monkeypatch.setattr(render, "_forked_draw", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert ps.render_slice(cfg, cpus) == serial
+    assert pools == [cpus]
+    assert_no_child_left()
+
+
+def test_a_failing_second_fork_raises_and_leaves_no_child(monkeypatch):
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=3, height=4, budget=300)
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError("no second child")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(OSError, match="^no second child$"):
+        ps.render_slice(cfg, 2)
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_render_has_multiple_colors_on_a_mixed_window():

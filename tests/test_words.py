@@ -154,3 +154,8 @@ def test_power():
     assert str(ps.power(w, 2)) == "abABabAB"
     assert str(ps.power(w, 0)) == ""
     assert ps.power(w, -1) == ps.invert(w)
+    # abA cancels at each junction: its n-th power is a b^n A
+    w = ps.parse_word("abA")
+    for n in range(-3, 6):
+        b = ("b" if n > 0 else "B") * abs(n)
+        assert ps.power(w, n) == ps.parse_word("a" + b + "A", rank=2)
