@@ -33,10 +33,10 @@ from .errors import (
 from .words import (
     CyclicWord,
     Word,
-    _canonical_cycle,
     _cyclic_core,
     _farey_turns,
     _Frozen,
+    _least_rotation_index,
     _normalize_slope,
     check_letter,
     letter_key,
@@ -59,6 +59,13 @@ def all_letters(rank: int) -> list[int]:
         out.append(i)
         out.append(-i)
     return out
+
+
+# letter v <-> its key letter_key(v), at most 2 * RANK_CAP, in every rank up
+# to the cap; the enumeration keeps classes as bytes of keys, whose byte
+# order is the letter order of CyclicWord.sort_key
+_KEY_OF = {v: letter_key(v) for v in all_letters(RANK_CAP)}
+_LETTER_OF = (0, *all_letters(RANK_CAP))
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -425,26 +432,36 @@ def is_primitive(w: Word | CyclicWord) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _symmetries(rank: int) -> tuple[dict[int, int], ...]:
-    """The 2^n n! signed permutations of the generators, as maps on the letters."""
+def _symmetry_tables(rank: int) -> tuple[tuple[bytes, bytes], ...]:
+    """Two ``bytes.translate`` tables on letter keys for each of the 2^n n!
+    signed permutations tau of the generators.
+
+    The first sends the key of v to the key of tau(v), so it maps a class to
+    its image under tau.  The second sends the key of v to the key of
+    tau(v)^-1, so read on a class reversed it maps the class to the image of
+    its inverse.
+    """
     out = []
     for perm in itertools.permutations(range(1, rank + 1)):
         for signs in itertools.product((1, -1), repeat=rank):
-            table = {}
+            forward, backward = bytearray(range(256)), bytearray(range(256))
             for i, j, sign in zip(range(1, rank + 1), perm, signs):
-                table[i] = sign * j
-                table[-i] = -sign * j
-            out.append(table)
+                for v, image in ((i, sign * j), (-i, -sign * j)):
+                    forward[letter_key(v)] = letter_key(image)
+                    backward[letter_key(v)] = letter_key(-image)
+            out.append((bytes(forward), bytes(backward)))
     return tuple(out)
 
 
-def _orbit(rank: int, canon: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The canonical cycles of every signed permutation of a class and of its inverse."""
+def _orbit(rank: int, canon: bytes) -> set[bytes]:
+    """The least rotations of every signed permutation of a class and of its
+    inverse, with the class and its images as letter-key strings."""
     out = set()
-    for table in _symmetries(rank):
-        image = [table[v] for v in canon]
-        out.add(_canonical_cycle(image))
-        out.add(_canonical_cycle([-v for v in reversed(image)]))
+    reverse = canon[::-1]
+    for forward, backward in _symmetry_tables(rank):
+        for image in (canon.translate(forward), reverse.translate(backward)):
+            k = _least_rotation_index(image)
+            out.add(image[k:] + image[:k])
     return out
 
 
@@ -454,14 +471,21 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
 
     The symmetries are the signed permutations of the generators together
     with inversion (2 * 2^n * n! of them).  ``found`` holds every class seen
-    so far and is always a union of whole orbits; the frontier holds one
-    class per orbit.  Each frontier class counts the length change of every
-    pool move on its closed graph (``_length_changes``, as in
+    so far, each as the string of its letter keys in least rotation (bytes,
+    letter v as ``letter_key(v)``), and is always a union of whole orbits;
+    an orbit's images come from two ``bytes.translate`` tables per signed
+    permutation (``_symmetry_tables``).  The frontier holds one class per
+    orbit, as letters.  Each frontier class counts the length change of
+    every pool move on its closed graph (``_length_changes``, as in
     ``whitehead_minimize``) and applies only the moves that lengthen it to
     at most ``max_len`` letters.  An image not yet found brings in its whole
     orbit, while only the image itself goes on to the next frontier.  Every
     class reached is an automorphic image of a letter or the inverse of one,
-    so it is primitive.
+    so it is primitive.  The byte order of the key strings is the order of
+    ``CyclicWord.sort_key``, so the sorted strings are the scan order, and
+    each class is decoded and built once.  The move pool is built first, so
+    a rank past ``RANK_CAP`` raises RankTooLarge before any symmetry table
+    is built.
 
     The search is complete by peak reduction, orbit by orbit.  Every
     primitive class c longer than one letter is c = phi(c') for some move
@@ -478,18 +502,25 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     symmetry (every pool move on every class found) reaches, so the sorted
     tuple is the same.
     """
-    frontier = [(1,)] if max_len > 0 else []
-    found = _orbit(rank, (1,)) if frontier else set()  # the 2n letters
+    if max_len < 1:
+        return ()
+    _move_pool(rank)  # RankTooLarge past the cap, before any symmetry table
+    frontier = [[1]]
+    found = _orbit(rank, bytes([letter_key(1)]))  # the 2n letters
     while frontier:
         grown = []
         for core in frontier:
             for phi, _ in _length_changes(rank, core, 1, max_len - len(core)):
-                canon = _canonical_cycle(_cyclic_core(_apply_raw(phi, core))[0])
+                image, _ = _cyclic_core(_apply_raw(phi, core))
+                keys = bytes([_KEY_OF[v] for v in image])
+                k = _least_rotation_index(keys)
+                canon = keys[k:] + keys[:k]
                 if canon not in found:
                     found |= _orbit(rank, canon)
-                    grown.append(canon)
+                    grown.append(image[k:] + image[:k])
         frontier = grown
-    return tuple(sorted((CyclicWord(rank, c) for c in found), key=CyclicWord.sort_key))
+    decode = _LETTER_OF.__getitem__
+    return tuple(CyclicWord._from_canonical(rank, tuple(map(decode, canon))) for canon in sorted(found))
 
 
 @lru_cache(maxsize=None)
@@ -518,8 +549,15 @@ def enumerate_primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ..
 
     Classes and their inverses are listed separately; the output is sorted
     lexicographically in the letter order and is complete and duplicate-free.
-    Raises RankTooLarge past ``RANK_CAP``.
+    Raises ValueError unless ``rank`` and ``max_len`` are ints (not bools)
+    with ``rank`` >= 1 and ``max_len`` >= 0, and RankTooLarge past
+    ``RANK_CAP`` when ``max_len`` > 0.
     """
+    if (not isinstance(rank, int) or isinstance(rank, bool)
+            or not isinstance(max_len, int) or isinstance(max_len, bool)):
+        raise ValueError("rank and max_len must be integers, got %r and %r" % (rank, max_len))
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     return _primitive_classes(rank, max_len)

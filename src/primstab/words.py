@@ -40,11 +40,13 @@ def _reduce_list(letters: Iterable[int]) -> list[int]:
     return out
 
 
-def _least_rotation_index(letters: Sequence[int]) -> int:
-    n = len(letters)
+def _least_rotation_index(keys: Sequence[int]) -> int:
+    """Start of the first least rotation of a key sequence: a list of
+    ``letter_key`` values, or the ``bytes`` of them that the enumeration of
+    primitive classes keeps."""
+    n = len(keys)
     if n <= 1:
         return 0
-    keys = [letter_key(v) for v in letters]
     low = min(keys)
     doubled = keys + keys
     best = -1
@@ -66,7 +68,7 @@ def _cyclic_core(letters: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 def _canonical_cycle(letters: Sequence[int]) -> tuple[int, ...]:
-    k = _least_rotation_index(letters)
+    k = _least_rotation_index([letter_key(v) for v in letters])
     return tuple(letters[k:]) + tuple(letters[:k])
 
 
@@ -160,6 +162,15 @@ class CyclicWord(_Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", _canonical_cycle(letters))
 
+    @classmethod
+    def _from_canonical(cls, rank: int, letters: tuple[int, ...]) -> "CyclicWord":
+        """A class from letters already checked, cyclically reduced and in
+        least rotation, stored without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "letters", letters)
+        return self
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -203,7 +214,7 @@ def power(w: Word, n: int) -> Word:
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     """Split w = conjugator * core * conjugator^-1 with a canonical cyclic core."""
     core, prefix = _cyclic_core(w.letters)
-    k = _least_rotation_index(core)
+    k = _least_rotation_index([letter_key(v) for v in core])
     cyc = CyclicWord(w.rank, tuple(core[k:] + core[:k]))
     conj = Word(w.rank, tuple(prefix + core[:k]))
     return cyc, conj

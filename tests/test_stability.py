@@ -166,6 +166,37 @@ def test_precomposition_identity():
                 assert abs(e.trans_len - mate.trans_len) <= 1e-8
 
 
+@pytest.mark.parametrize("rank, max_len, count", [(2, 10, 20), (3, 4, 40), (4, 3, 30)])
+def test_scan_is_out_equivariant(rank, max_len, count):
+    # (rho . phi)(w) = rho(phi(w)), so each class w of the scan of rho . phi
+    # maps to the class of phi(w), which the enumeration must list, with the
+    # kind and translation length that evaluating it under rho gives.  One
+    # representation in three sends a to an elliptic and one to a parabolic,
+    # so that FAILURE witnesses are mapped too.
+    rng = random.Random(2500 + rank)
+    enumerated = {}
+    witnesses = 0
+    for i in range(count):
+        images = random_representation(rng, rank).images
+        theta = rng.uniform(0.3, 2.8)
+        first = (images[0], ps.MoebiusMap(math.cos(theta), -math.sin(theta),
+                                          math.sin(theta), math.cos(theta)),
+                 ps.MoebiusMap(1, 1, 0, 1))[i % 3]
+        rep = ps.Representation(rank, (first,) + images[1:])
+        phi = random_automorphism(rng, rank)
+        for e in ps.ps_scan(ps.precompose(rep, phi), max_len).entries:
+            target, _ = ps.cyclic_reduce(ps.apply_automorphism(phi, e.cls.to_word()))
+            n = len(target)
+            if n not in enumerated:
+                enumerated[n] = set(ps.enumerate_primitive_classes(rank, n))
+            assert target in enumerated[n], "phi(%s) = %s is not enumerated" % (e.cls, target)
+            m = ps.evaluate(rep, target.to_word())
+            assert ps.classify(m) == e.kind
+            assert math.isclose(ps.translation_length(m), e.trans_len, rel_tol=1e-9, abs_tol=1e-9)
+            witnesses += e.kind != ps.IsometryClass.LOXODROMIC
+    assert witnesses > 0
+
+
 def test_restrict_examples():
     rng = random.Random(44)
     rep = random_representation(rng, 3)

@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 import random
 
 import pytest
 
 import primstab as ps
+from primstab import cli, whitehead
 from primstab.errors import (
     ClosedOnNonCyclicallyReduced,
     NotCoprime,
@@ -360,6 +362,34 @@ def test_rank_cap():
         ps.whitehead_minimize(w)
     # a gcd != 1 exponent vector is refuted before the move search runs
     assert not ps.is_primitive(ps.Word(5, (1, 1)))
+
+
+@pytest.mark.parametrize("rank, max_len", [
+    (0, 3), (-1, 2), (2, -1), (2, 2.5), (True, 3), (2, True), (2.0, 3), ("2", 3)])
+def test_enumerate_rejects_bad_rank_and_length(rank, max_len):
+    with pytest.raises(ValueError):
+        ps.enumerate_primitive_classes(rank, max_len)
+    # a rejected call leaves no cache entry for an equal valid call to return
+    assert all(type(c.rank) is int for c in ps.enumerate_primitive_classes(1, 3))
+
+
+def test_rank_cap_is_checked_before_symmetry_tables(monkeypatch, capsys):
+    built = whitehead._symmetry_tables
+
+    def spy(rank):
+        assert rank <= ps.RANK_CAP, "symmetry tables built at rank %d" % rank
+        return built(rank)
+
+    monkeypatch.setattr(whitehead, "_symmetry_tables", spy)
+    for rank in (5, 7, 8):
+        with pytest.raises(RankTooLarge):
+            ps.enumerate_primitive_classes(rank, 1)
+        assert ps.enumerate_primitive_classes(rank, 0) == ()
+    rep = ps.Representation(8, (ps.MoebiusMap(1, 1, 0, 1),) * 8)
+    with pytest.raises(RankTooLarge):
+        ps.ps_scan(rep, 1)
+    assert cli.run(["enumerate", "--rank", "8", "--max-len", "1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "RankTooLarge"
 
 
 def test_enumerate_rank2_length1():
