@@ -276,6 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(error: str, exc: Exception, code: int) -> int:
+    """Write the error object for ``exc`` to stderr and return the exit code."""
+    sys.stderr.write(json.dumps({"error": error, "message": str(exc)}) + "\n")
+    return code
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -285,16 +291,11 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:
-        sys.stderr.write(json.dumps({"error": "JSONDecodeError", "message": str(exc)}) + "\n")
-        return 2
+        return _fail("JSONDecodeError", exc, 2)
     except PrimstabError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 1
+        return _fail(type(exc).__name__, exc, 1)
     except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "OSError", "message": str(exc)}) + "\n")
-        return 1
+        return _fail("OSError", exc, 1)
 
 
 def main() -> None:

@@ -44,7 +44,7 @@ from .traces import (
     fricke_kappa,
     safe_abs,
 )
-from .words import _farey_turns, _Frozen, _normalize_slope
+from .words import _check_count, _farey_turns, _Frozen, _normalize_slope
 
 if TYPE_CHECKING:
     from .moebius import Representation
@@ -228,12 +228,11 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     rounding) no unexplored slope can carry trace modulus <= 2; in rank 2
     that certifies primitive stability.  Budget exhaustion returns
     INCONCLUSIVE, which is unavoidable on the boundary where the search does
-    not terminate.
+    not terminate.  ``budget`` and ``small_trace_bound`` are counts (ints,
+    not bools, at least 0); anything else is a ValueError.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if small_trace_bound < 0:
-        raise ValueError("small_trace_bound must be nonnegative")
+    _check_count("budget", budget, 0)
+    _check_count("small_trace_bound", small_trace_bound, 0)
     x, y, z = t.x, t.y, t.z
     lox_floor = 2.0 + _DELTA
     # every non-loxodromic trace has |t| <= 2 + _TOL and |Im t| <= _TOL, so
@@ -379,18 +378,17 @@ def bq_verdict_from_json(obj) -> BqVerdict:
     """
     def pair(entry):
         slope = entry["slope"]
-        if not (isinstance(slope, list) and len(slope) == 2 and all(
-                isinstance(v, int) and not isinstance(v, bool) for v in slope)):
+        if not (isinstance(slope, list) and len(slope) == 2):
             raise ValueError("slope must be a list of two integers, got %r" % (slope,))
+        for v in slope:
+            _check_count("slope", v, None)
         if _normalize_slope(*slope) != tuple(slope):
             raise ValueError("slope %r is not in the form _normalize_slope gives" % (slope,))
         return (tuple(slope), _complex_from_json(entry["trace"]))
 
     def count(key):
-        value = obj[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError("%r must be a non-negative integer, got %r" % (key, value))
-        return value
+        _check_count(key, obj[key], 0)
+        return obj[key]
 
     try:
         kind = BqKind(obj["kind"])

@@ -29,6 +29,7 @@ from .traces import (  # IsometryClass and fricke_kappa are re-exported
     _TOL,
     IsometryClass,
     _check_fricke,
+    _check_keys,
     _complex_from_json,
     _complex_to_json,
     _half_trace_split,
@@ -36,7 +37,7 @@ from .traces import (  # IsometryClass and fricke_kappa are re-exported
     fricke_kappa,
     safe_abs,
 )
-from .words import CyclicWord, Word, _Frozen
+from .words import CyclicWord, Word, _check_count, _Frozen
 
 _DET_TOL = 1e-9
 
@@ -539,18 +540,12 @@ def representation_from_json(obj) -> Representation:
     within 1e-6 of 1 and is renormalized to determinant 1 exactly.  Any other
     key is a ParseError.
     """
-    if not isinstance(obj, dict):
-        raise ParseError("representation document must be an object, got %r" % (type(obj).__name__,))
-    unknown = [key for key in obj if key not in ("rank", "generators")]
-    if unknown:
-        raise ParseError("representation document has unknown keys %r" % (unknown,))
-    if "rank" not in obj:
-        raise ParseError("representation document is missing the 'rank' field")
-    if "generators" not in obj:
-        raise ParseError("representation document is missing the 'generators' field")
+    _check_keys(obj, "representation document", ("rank", "generators"))
     rank = obj["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise ParseError("'rank' must be a positive integer, got %r" % (rank,))
+    try:
+        _check_count("rank", rank, 1)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     gens = obj["generators"]
     if not isinstance(gens, list) or len(gens) != rank:
         raise ParseError("'generators' must list %d matrices" % (rank,))

@@ -23,8 +23,8 @@ from enum import Enum
 
 from .errors import NonFiniteValue, ParseError
 from .markoff import BqKind, BqVerdict, MarkoffTriple, bq_decide, solve_y_from_fricke
-from .traces import _complex_from_json, _complex_to_json
-from .words import _Frozen
+from .traces import _check_keys, _complex_from_json, _complex_to_json
+from .words import _check_count, _Frozen
 
 
 class RootChoice(str, Enum):
@@ -64,16 +64,9 @@ class SliceConfig(_Frozen):
                             ("window extent", hi - lo)):
             if not cmath.isfinite(value):
                 raise NonFiniteValue("%s = %r is not finite" % (name, value))
-        for name, value in (("width", width), ("height", height), ("budget", budget),
-                            ("small_trace_bound", small_trace_bound)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError("%r must be an integer, got %r" % (name, value))
-        if width < 1 or height < 1:
-            raise ValueError("image must be at least 1x1")
-        if budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if small_trace_bound < 0:
-            raise ValueError("small_trace_bound must be nonnegative")
+        for name, value, low in (("width", width, 1), ("height", height, 1), ("budget", budget, 0),
+                                 ("small_trace_bound", small_trace_bound, 0)):
+            _check_count(name, value, low)
         for name, value in zip(self.__slots__, (kappa, fixed_x, (lo, hi), width, height,
                                                 root_choice, budget, small_trace_bound)):
             object.__setattr__(self, name, value)
@@ -163,10 +156,7 @@ def render_slice(cfg: SliceConfig, threads: int | None = 1) -> bytes:
     worker, or where there is no ``os.fork``, this process draws every row.
     """
     if threads is not None:
-        if not isinstance(threads, int) or isinstance(threads, bool):
-            raise ValueError("'threads' must be an integer, got %r" % (threads,))
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
+        _check_count("threads", threads, 1)
     cpus = os.cpu_count() or 1
     workers = min(cpus if threads is None else threads, cpus, cfg.height)
     header = b"P6\n%d %d\n255\n" % (cfg.width, cfg.height)
@@ -191,20 +181,10 @@ def slice_config_to_json(cfg: SliceConfig) -> dict:
     }
 
 
-_CONFIG_KEYS = ("kappa", "fixed_x", "window", "width", "height", "root", "budget",
-                "small_trace_bound")
-
-
 def slice_config_from_json(obj) -> SliceConfig:
     """Read a slice config; a missing required field or an unknown key is a ParseError."""
-    if not isinstance(obj, dict):
-        raise ParseError("slice config must be an object, got %r" % (type(obj).__name__,))
-    unknown = [key for key in obj if key not in _CONFIG_KEYS]
-    if unknown:
-        raise ParseError("slice config has unknown keys %r" % (unknown,))
-    for key in ("kappa", "fixed_x", "window", "width", "height"):
-        if key not in obj:
-            raise ParseError("slice config is missing the %r field" % (key,))
+    _check_keys(obj, "slice config", ("kappa", "fixed_x", "window", "width", "height"),
+                ("root", "budget", "small_trace_bound"))
     window = obj["window"]
     if not isinstance(window, list) or len(window) != 2:
         raise ParseError("'window' must be a pair of [re, im] corners")

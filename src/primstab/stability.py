@@ -31,7 +31,7 @@ from .moebius import (
     evaluate,
 )
 from .whitehead import WhiteheadAutomorphism, _shared_prefixes, enumerate_primitive_classes
-from .words import CyclicWord, Word, _Frozen, parse_word
+from .words import CyclicWord, Word, _check_count, _Frozen, parse_word
 
 NO_OBSTRUCTION = "NO_OBSTRUCTION"
 FAILURE = "FAILURE"
@@ -155,9 +155,9 @@ def orbit_growth_probe(
     coordinate past the float range, and DegenerateMatrix where the entries
     of a power are not finite.  An image height that underflows to 0 is no
     error: the distance is taken without it (``moebius._orbit_distance``).
+    ``periods`` is a count of at least 2; anything else is a ValueError.
     """
-    if periods < 2:
-        raise ValueError("periods must be at least 2")
+    _check_count("periods", periods, 2)
     base = basepoint if basepoint is not None else UhsPoint(0.0, 1.0)
     step = evaluate(rep, w)
     acc = MoebiusMap.identity()
@@ -233,12 +233,9 @@ def ps_report_from_json(obj) -> PsReport:
         return read
 
     try:
-        rank = obj["rank"]
-        if not _is_int(rank) or rank < 1:
-            raise ValueError("'rank' must be a positive integer, got %r" % (rank,))
-        max_len = obj["max_len"]
-        if not _is_int(max_len) or max_len < 0:
-            raise ValueError("'max_len' must be a non-negative integer, got %r" % (max_len,))
+        rank, max_len = obj["rank"], obj["max_len"]
+        _check_count("rank", rank, 1)
+        _check_count("max_len", max_len, 0)
         report = PsReport(max_len, tuple(entry(e) for e in obj["entries"]))
         keys = [e.cls.sort_key() for e in report.entries]
         if any(x >= y for x, y in zip(keys, keys[1:])):
@@ -253,7 +250,3 @@ def ps_report_from_json(obj) -> PsReport:
     except (KeyError, TypeError, ValueError, OverflowError, InvalidLetter,
             WordParseError) as exc:
         raise ParseError("malformed scan report: %s" % (exc,)) from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

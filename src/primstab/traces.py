@@ -1,10 +1,10 @@
 """Trace rules shared by the Moebius maps and the Markoff search.
 
 The isometry type of a map from its trace, the Fricke identity tying a
-rank-2 character's traces to its commutator trace, and the ``[re, im]``
-JSON form of a complex number.  ``moebius``, ``markoff`` and ``render``
-import these from here, so a BQ decision or a slice render loads no matrix
-code.
+rank-2 character's traces to its commutator trace, the ``[re, im]``
+JSON form of a complex number, and the key check of a JSON document.
+``moebius``, ``markoff`` and ``render`` import these from here, so a BQ
+decision or a slice render loads no matrix code.
 """
 
 from __future__ import annotations
@@ -89,6 +89,19 @@ def _check_fricke(x: complex, y: complex, z: complex, kappa: complex) -> None:
             "traces (%r, %r, %r) miss kappa %r by %g (tolerance %g)"
             % (x, y, z, kappa, residual, tol)
         )
+
+
+def _check_keys(obj, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """Raise ParseError unless the document ``obj`` (named ``what``) is a
+    dict with every ``required`` key and no key outside the two lists."""
+    if not isinstance(obj, dict):
+        raise ParseError("%s must be an object, got %r" % (what, type(obj).__name__))
+    unknown = [key for key in obj if key not in required and key not in optional]
+    if unknown:
+        raise ParseError("%s has unknown keys %r" % (what, unknown))
+    for key in required:
+        if key not in obj:
+            raise ParseError("%s is missing the %r field" % (what, key))
 
 
 def _complex_from_json(value) -> complex:

@@ -33,6 +33,7 @@ from .errors import (
 from .words import (
     CyclicWord,
     Word,
+    _check_count,
     _cyclic_core,
     _farey_turns,
     _Frozen,
@@ -208,11 +209,10 @@ def blocking_certificate(w: Word) -> BlockingCertificate:
     return BlockingCertificate(w, True, CONNECTED_NO_CUTPOINT)
 
 
-class WhiteheadAutomorphism:
+class WhiteheadAutomorphism(_Frozen):
     """An automorphism of the free group given by its generator images."""
 
-    # (a, sorted members) of a multiplier move, for ``inverse_move``
-    _move_data: tuple[int, tuple[int, ...]] | None = None
+    __slots__ = ("rank", "images")
 
     def __init__(self, rank: int, images: Sequence[Word]):
         if len(images) != rank:
@@ -220,26 +220,13 @@ class WhiteheadAutomorphism:
         for img in images:
             if img.rank != rank:
                 raise RankMismatch("image %r has rank %d, expected %d" % (str(img), img.rank, rank))
-        self.rank = rank
-        self.images = tuple(images)
-        # raw (positive image, inverse image) pairs for the hot loops
-        self._pos = tuple(img.letters for img in self.images)
-        self._neg = tuple(tuple(-v for v in reversed(img.letters)) for img in self.images)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", tuple(images))
 
     def __repr__(self) -> str:
         return "WhiteheadAutomorphism(%s)" % ", ".join(
             "%s->%s" % (Word(self.rank, (i + 1,)), img) for i, img in enumerate(self.images)
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WhiteheadAutomorphism)
-            and self.rank == other.rank
-            and self.images == other.images
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.images))
 
     @classmethod
     def identity(cls, rank: int) -> "WhiteheadAutomorphism":
@@ -287,24 +274,44 @@ class WhiteheadAutomorphism:
                 images.append(Word(rank, (-a, i, a)))
             else:
                 images.append(Word(rank, (i,)))
-        move = cls(rank, images)
-        move._move_data = (a, tuple(sorted(members, key=letter_key)))
-        return move
+        return cls(rank, images)
 
     def inverse_move(self) -> "WhiteheadAutomorphism":
-        """Inverse of a second-kind move: same members, inverted multiplier."""
-        if self._move_data is None:
+        """Inverse of a second-kind move (a, A): the move whose images are
+        these with every letter of a's generator inverted, except in a's own.
+
+        Read off the images alone, so equal automorphisms have equal
+        inverses.  The identity is the move (a, {a}) and its own inverse.
+        ValueError unless some letter a makes this a multiplier move: a's
+        generator fixed and every other generator x sent to x, x a, a^-1 x
+        or a^-1 x a.
+        """
+        images = [img.letters for img in self.images]
+
+        def is_multiplier(a):
+            return images[abs(a) - 1] == (abs(a),) and all(
+                w in ((x,), (x, a), (-a, x), (-a, x, a)) for x, w in enumerate(images, 1)
+                if x != abs(a))
+
+        if not any(is_multiplier(a) for a in all_letters(self.rank)):
             raise ValueError("inverse_move is only defined for multiplier moves")
-        a, members = self._move_data
-        return WhiteheadAutomorphism.multiplier_move(self.rank, -a, members)
+        return WhiteheadAutomorphism(self.rank, [
+            Word(self.rank, tuple(v if v == x else -v for v in w))
+            for x, w in enumerate(images, 1)])
 
 
-def _apply_raw(phi: WhiteheadAutomorphism, letters: Sequence[int]) -> list[int]:
+def _image_table(phi: WhiteheadAutomorphism) -> tuple[tuple[int, ...], ...]:
+    """The image of every letter v of phi's rank, as a letter tuple at index
+    v: the inverses' images sit at the negative indices."""
+    images = [img.letters for img in phi.images]
+    return ((), *images, *(tuple(-v for v in reversed(w)) for w in reversed(images)))
+
+
+def _apply_raw(table: tuple[tuple[int, ...], ...], letters: Sequence[int]) -> list[int]:
+    """The freely reduced image of a letter sequence under the ``_image_table``."""
     out: list[int] = []
-    pos, neg = phi._pos, phi._neg
     for v in letters:
-        img = pos[v - 1] if v > 0 else neg[-v - 1]
-        for u in img:
+        for u in table[v]:
             if out and out[-1] == -u:
                 out.pop()
             else:
@@ -315,13 +322,14 @@ def _apply_raw(phi: WhiteheadAutomorphism, letters: Sequence[int]) -> list[int]:
 def apply_automorphism(phi: WhiteheadAutomorphism, w: Word) -> Word:
     if phi.rank != w.rank:
         raise RankMismatch("automorphism rank %d vs word rank %d" % (phi.rank, w.rank))
-    return Word(w.rank, tuple(_apply_raw(phi, w.letters)))
+    return Word(w.rank, tuple(_apply_raw(_image_table(phi), w.letters)))
 
 
 @lru_cache(maxsize=None)
-def _move_pool(rank: int) -> tuple[tuple[WhiteheadAutomorphism, int, int], ...]:
-    """(phi, bitmask of A, bit of a) for every non-identity second-kind move
-    phi = (a, A), in a fixed order; RankTooLarge past RANK_CAP.
+def _move_pool(rank: int) -> tuple[tuple[WhiteheadAutomorphism, tuple, int, int], ...]:
+    """(phi, its ``_image_table``, bitmask of A, bit of a) for every
+    non-identity second-kind move phi = (a, A), in a fixed order;
+    RankTooLarge past RANK_CAP.
 
     Letter v has bit ``letter_key(v) - 1``, its place in ``all_letters``.
     """
@@ -337,15 +345,16 @@ def _move_pool(rank: int) -> tuple[tuple[WhiteheadAutomorphism, int, int], ...]:
             for v in (a, *members):
                 bits |= 1 << (letter_key(v) - 1)
             phi = WhiteheadAutomorphism.multiplier_move(rank, a, members)
-            moves.append((phi, bits, letter_key(a) - 1))
+            moves.append((phi, _image_table(phi), bits, letter_key(a) - 1))
     return tuple(moves)
 
 
 def _length_changes(
     rank: int, core: Sequence[int], low: float, high: float
-) -> Iterator[tuple[WhiteheadAutomorphism, int]]:
-    """(phi, |phi(w)| - |w|) for each pool move phi = (a, A) whose change
-    cut(A) - deg(a) lies in [low, high], in pool order.
+) -> Iterator[tuple[WhiteheadAutomorphism, tuple, int]]:
+    """(phi, its ``_image_table``, |phi(w)| - |w|) for each pool move
+    phi = (a, A) whose change cut(A) - deg(a) lies in [low, high], in pool
+    order.
 
     Counted on the closed graph of the non-empty cyclically reduced core w,
     whose edge i joins ``core[i]`` and ``core[i + 1]^-1``.  Bit i of
@@ -363,10 +372,10 @@ def _length_changes(
     for edges in incident:
         crossing += [c ^ edges for c in crossing]
     degree = [edges.bit_count() for edges in incident]
-    for phi, mask, a in _move_pool(rank):
+    for phi, table, mask, a in _move_pool(rank):
         change = crossing[mask].bit_count() - degree[a]
         if low <= change <= high:
-            yield phi, change
+            yield phi, table, change
 
 
 def _minimize_raw(rank: int, core: Sequence[int]) -> tuple[Sequence[int], list[WhiteheadAutomorphism]]:
@@ -379,8 +388,8 @@ def _minimize_raw(rank: int, core: Sequence[int]) -> tuple[Sequence[int], list[W
     """
     trace: list[WhiteheadAutomorphism] = []
     while core:
-        for phi, _ in _length_changes(rank, core, -math.inf, -1):
-            core, _ = _cyclic_core(_apply_raw(phi, core))
+        for phi, table, _ in _length_changes(rank, core, -math.inf, -1):
+            core, _ = _cyclic_core(_apply_raw(table, core))
             trace.append(phi)
             break
         else:
@@ -510,8 +519,8 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     while frontier:
         grown = []
         for core in frontier:
-            for phi, _ in _length_changes(rank, core, 1, max_len - len(core)):
-                image, _ = _cyclic_core(_apply_raw(phi, core))
+            for _, table, _ in _length_changes(rank, core, 1, max_len - len(core)):
+                image, _ = _cyclic_core(_apply_raw(table, core))
                 keys = bytes([_KEY_OF[v] for v in image])
                 k = _least_rotation_index(keys)
                 canon = keys[k:] + keys[:k]
@@ -553,13 +562,8 @@ def enumerate_primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ..
     with ``rank`` >= 1 and ``max_len`` >= 0, and RankTooLarge past
     ``RANK_CAP`` when ``max_len`` > 0.
     """
-    if (not isinstance(rank, int) or isinstance(rank, bool)
-            or not isinstance(max_len, int) or isinstance(max_len, bool)):
-        raise ValueError("rank and max_len must be integers, got %r and %r" % (rank, max_len))
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
+    _check_count("rank", rank, 1)
+    _check_count("max_len", max_len, 0)
     return _primitive_classes(rank, max_len)
 
 

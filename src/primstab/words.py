@@ -30,6 +30,19 @@ def check_letter(letter: int, rank: int) -> None:
         raise InvalidLetter("letter %r out of range for rank %d" % (letter, rank))
 
 
+def _check_count(name: str, value, low: int | None) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, and at least
+    ``low`` (any int when ``low`` is None).
+
+    The one rule for the package's count arguments and the integer fields of
+    its documents; a reader that must raise ParseError converts the error.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%r must be an integer, got %r" % (name, value))
+    if low is not None and value < low:
+        raise ValueError("%r must be at least %d, got %r" % (name, low, value))
+
+
 def _reduce_list(letters: Iterable[int]) -> list[int]:
     out: list[int] = []
     for v in letters:

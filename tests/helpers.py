@@ -108,14 +108,14 @@ def grown_primitive_classes(rank, max_len):
     It makes no use of symmetry, so it is the reference for the enumeration
     that grows one class per symmetry orbit.
     """
-    moves = [phi for phi, _, _ in _move_pool(rank)]
+    tables = [table for _, table, _, _ in _move_pool(rank)]
     found = {(v,) for i in range(1, rank + 1) for v in (i, -i)} if max_len > 0 else set()
     frontier = list(found)
     while frontier:
         grown = []
         for core in frontier:
-            for phi in moves:
-                image, _ = _cyclic_core(_apply_raw(phi, core))
+            for table in tables:
+                image, _ = _cyclic_core(_apply_raw(table, core))
                 if len(core) < len(image) <= max_len:
                     canon = _canonical_cycle(image)
                     if canon not in found:
@@ -132,11 +132,11 @@ def applied_minimize(rank, core):
     that picks each move by counting graph edges.  Returns the terminal core,
     canonical, and the moves taken.
     """
-    moves = [phi for phi, _, _ in _move_pool(rank)]
+    moves = [(phi, table) for phi, table, _, _ in _move_pool(rank)]
     trace = []
     while True:
-        for phi in moves:
-            image, _ = _cyclic_core(_apply_raw(phi, core))
+        for phi, table in moves:
+            image, _ = _cyclic_core(_apply_raw(table, core))
             if len(image) < len(core):
                 core = _canonical_cycle(image)
                 trace.append(phi)

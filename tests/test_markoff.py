@@ -395,7 +395,8 @@ def test_solve_y_roots_satisfy_quadratic():
 
 def test_bq_decide_rejects_negative_arguments():
     t = ps.MarkoffTriple.from_traces(3, 3, 3)
-    for budget, bound in ((-1, 64), (100, -1)):
+    # a count is an int, not a bool or a float
+    for budget, bound in ((-1, 64), (100, -1), (2.5, 64), (True, 64), (10, 1.5)):
         with pytest.raises(ValueError):
             ps.bq_decide(t, budget, bound)
     assert ps.bq_decide(t, 100, 0).kind == ps.BqKind.BQ_CERTIFIED

@@ -303,8 +303,9 @@ def test_probe_slope_matches_translation_length_from_axis():
 
 
 def test_probe_requires_two_periods():
-    with pytest.raises(ValueError):
-        ps.orbit_growth_probe(diag_rep(), ps.parse_word("a", 2), 1)
+    for periods in (1, 3.0, True):
+        with pytest.raises(ValueError):
+            ps.orbit_growth_probe(diag_rep(), ps.parse_word("a", 2), periods)
 
 
 def test_report_json_round_trip():

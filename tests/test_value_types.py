@@ -18,10 +18,11 @@ from primstab.moebius import (
 )
 from primstab.render import SliceConfig
 from primstab.stability import PsReport, SpectrumEntry
-from primstab.whitehead import BlockingCertificate
+from primstab.whitehead import BlockingCertificate, WhiteheadAutomorphism
 from primstab.words import CyclicWord, Word
 
 M = MoebiusMap(2, 1, 1, 1)
+A, B, BA = Word(2, (1,)), Word(2, (2,)), Word(2, (2, 1))
 ENTRY = SpectrumEntry(CyclicWord(2, (1,)), 2.0, IsometryClass.LOXODROMIC)
 ENTRY_REPR = ("SpectrumEntry(cls=CyclicWord('a', rank=2), trans_len=2.0, "
               "kind=<IsometryClass.LOXODROMIC: 'LOXODROMIC'>)")
@@ -36,6 +37,10 @@ CASES = [
      {"word": Word(2, (1, 2)), "certified": False, "reason": "DISCONNECTED"},
      (Word(2, (1, 2)), False, "TOO_SHORT"),
      "BlockingCertificate(word=Word('ab', rank=2), certified=False, reason='DISCONNECTED')"),
+    # images first, so the assignment refused below is the one that once left
+    # the move's cached letter images stale
+    (WhiteheadAutomorphism, (2, (A, BA)), {"images": [A, BA], "rank": 2}, (2, (A, B)),
+     "WhiteheadAutomorphism(a->a, b->ba)"),
     (MoebiusMap, (2, 1, 1, 1), {"a": 2, "b": 1, "c": 1, "d": 1}, (1, 1, 0, 1),
      "MoebiusMap(a=(2+0j), b=(1+0j), c=(1+0j), d=(1+0j))"),
     (Representation, (1, (M,)), {"rank": 1, "images": [M]}, (1, (M.inverse(),)),

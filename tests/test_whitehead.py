@@ -229,10 +229,32 @@ def test_automorphism_is_homomorphism():
 
 def test_multiplier_move_inverse():
     rng = random.Random(14)
-    for phi, _, _ in _move_pool(2):
+    for phi, *_ in _move_pool(2):
         inv = phi.inverse_move()
         w = random_word(rng, 2, rng.randint(0, 10))
         assert ps.apply_automorphism(inv, ps.apply_automorphism(phi, w)) == w
+
+
+def test_equal_automorphisms_have_equal_inverse_moves():
+    # inverse_move reads the images alone, however the value was built
+    W = ps.WhiteheadAutomorphism
+    ab, b = ps.parse_word("ab"), ps.parse_word("b", 2)
+    pairs = [(W.identity(2), W.multiplier_move(2, 1, [])),
+             (W(2, [ab, b]), W.multiplier_move(2, 2, [1])),
+             (W.letter_permutation(2, {1: 2, 2: 1}), W(2, [b, ps.parse_word("a", 2)]))]
+    pairs += [(phi, W(phi.rank, phi.images)) for rank in (2, 3) for phi, *_ in _move_pool(rank)]
+    for phi, twin in pairs:
+        assert phi == twin
+        try:
+            inverse = phi.inverse_move()
+        except ValueError:
+            with pytest.raises(ValueError):
+                twin.inverse_move()
+            continue
+        assert twin.inverse_move() == inverse
+    assert W.identity(3).inverse_move() == W.identity(3)
+    with pytest.raises(ValueError):
+        W.letter_permutation(2, {1: 2, 2: 1}).inverse_move()
 
 
 def test_minimize_nielsen_example():
@@ -252,7 +274,7 @@ def test_minimize_nielsen_example():
 def test_minimize_commutator_is_stuck():
     # oracle: no rank-2 multiplier move shortens the commutator
     w = ps.parse_word("abAB")
-    for phi, _, _ in _move_pool(2):
+    for phi, *_ in _move_pool(2):
         assert ps.cyclic_length(ps.apply_automorphism(phi, w)) >= 4
     terminal, trace = ps.whitehead_minimize(w)
     assert len(terminal) == 4 and trace == []
@@ -286,13 +308,14 @@ def test_length_changes_match_applied_moves(rank):
     # on single letters, on short cores and on cores of 65-80 letters, whose
     # edge-incidence masks are wider than one machine word
     rng = random.Random(30 + rank)
-    moves = [phi for phi, _, _ in _move_pool(rank)]
+    moves = [(phi, table) for phi, table, _, _ in _move_pool(rank)]
     cores = _random_cores(rng, rank, 300, 1, 14) + _random_cores(rng, rank, 12, 65, 80)
     for core in [(v,) for v in all_letters(rank)] + cores:
-        applied = [(phi, len(_cyclic_core(_apply_raw(phi, core))[0]) - len(core)) for phi in moves]
+        applied = [(phi, table, len(_cyclic_core(_apply_raw(table, core))[0]) - len(core))
+                   for phi, table in moves]
         assert list(_length_changes(rank, core, -math.inf, math.inf)) == applied
         assert list(_length_changes(rank, core, -2, 1)) == [
-            (phi, change) for phi, change in applied if -2 <= change <= 1
+            (phi, table, change) for phi, table, change in applied if -2 <= change <= 1
         ]
 
 
