@@ -2,12 +2,11 @@
 
 Maps are stored as determinant-1 complex 2x2 matrices; everything consumed
 projectively (classification, translation length, disk hauling) is robust
-under the lift sign.  One rule, ``_check_entries``, validates entries: where
-a map enters (``from_matrix`` renormalises, the constructor checks) and once
-per word where a product leaves ``_walk``.  The products themselves are
-plain 2x2 products of raw entries, with no rescaling in between, and a
-spectrum scan classifies each word on those entries without building a
-``MoebiusMap`` for it.
+under the lift sign.  Products are plain 2x2 products of raw entries, neither
+checked nor rescaled in between.  One rule, ``_check_entries``, checks each
+matrix once, where it becomes a value: in the constructor (so in
+``from_matrix``, ``evaluate`` and ``mul``), and in a spectrum scan, which
+classifies each word on its raw entries without building a ``MoebiusMap``.
 """
 
 from __future__ import annotations
@@ -154,6 +153,7 @@ class Representation(_Frozen):
     __slots__ = ("rank", "images")
 
     def __init__(self, rank: int, images: tuple[MoebiusMap, ...]):
+        _check_count("rank", rank, 1)
         images = tuple(images)
         if len(images) != rank:
             raise RankMismatch(
@@ -177,8 +177,8 @@ def _walk(
     previous word stay on a stack, so a word starts from the product of its
     first k letters and multiplies only the rest; the entries are those of
     multiplying every word out from the identity, to the bit.  Nothing is
-    rescaled along the way; ``_check_entries`` checks each word's entries
-    once, before they are yielded, and no ``MoebiusMap`` is built.  The
+    rescaled or checked here: each product is checked once, where it becomes
+    a value (the ``MoebiusMap`` constructor, or the spectrum scan).  The
     known limit: determinant drift grows up to linearly with the number of
     factors (4e-11 to 1.7e-10 after 10^6 letters over unitary generators,
     against 0 with a rescale per product), so the 1e-9 check can first fire
@@ -192,7 +192,6 @@ def _walk(
             p, q, r, s = table[v]
             a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
             stack.append((a, b, c, d))
-        _check_entries(a, b, c, d)
         yield a, b, c, d
 
 

@@ -23,6 +23,7 @@ from .moebius import (
     MoebiusMap,
     Representation,
     UhsPoint,
+    _check_entries,
     _displacement,
     _kind_and_length,
     _letter_table,
@@ -89,14 +90,15 @@ def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[Spectr
     """One entry per primitive class with cyclic length at most max_len.
 
     The classes are evaluated along their shared prefixes (``moebius._walk``),
-    which gives the matrices of ``evaluate`` to the bit, and each class is
-    classified on its raw entries, with no ``MoebiusMap`` built for it.
+    which gives the matrices of ``evaluate`` to the bit; each class is checked
+    and classified on its raw entries, with no ``MoebiusMap`` built for it.
     """
     classes = enumerate_primitive_classes(rep.rank, max_len)
     products = _walk(_letter_table(rep), (cls.letters for cls in classes),
                      _shared_prefixes(rep.rank, max_len))
     entries = []
     for cls, (a, b, c, d) in zip(classes, products):
+        _check_entries(a, b, c, d)
         kind, trans_len = _kind_and_length(a, b, c, d)
         entries.append(SpectrumEntry(cls, trans_len, kind))
     return tuple(entries)
@@ -124,9 +126,14 @@ def restrict(rep: Representation, subset) -> Representation:
     indices = list(subset)
     if not indices:
         raise BadSubset("subset must be nonempty")
+    try:
+        for i in indices:
+            _check_count("subset index", i, 1)
+    except ValueError as exc:
+        raise BadSubset(str(exc)) from exc
     if len(set(indices)) != len(indices):
         raise BadSubset("subset %r has repeated indices" % (indices,))
-    if any(not 1 <= i <= rep.rank for i in indices):
+    if max(indices) > rep.rank:
         raise BadSubset("subset %r is out of range for rank %d" % (indices, rep.rank))
     if len(indices) >= rep.rank:
         raise BadSubset("subset must be a proper subset of the generators")

@@ -34,12 +34,12 @@ from .words import (
     CyclicWord,
     Word,
     _check_count,
+    _check_letters,
     _cyclic_core,
     _farey_turns,
     _Frozen,
     _least_rotation_index,
     _normalize_slope,
-    check_letter,
     letter_key,
 )
 
@@ -77,13 +77,10 @@ class WhiteheadGraph:
     """Multigraph on the 2n letters with multiplicity-counted unordered edges."""
 
     def __init__(self, rank: int, edges: Iterable[tuple[int, int]] = ()):
+        edges = tuple(edges)
+        _check_letters(rank, itertools.chain.from_iterable(edges))
         self.rank = rank
-        multiplicity: Counter = Counter()
-        for u, v in edges:
-            check_letter(u, rank)
-            check_letter(v, rank)
-            multiplicity[_edge(u, v)] += 1
-        self.edge_multiplicity = dict(multiplicity)
+        self.edge_multiplicity = dict(Counter(_edge(u, v) for u, v in edges))
 
     @property
     def vertices(self) -> list[int]:
@@ -119,7 +116,8 @@ def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGrap
     """Letter graph of w: an edge {x, y^-1} for each adjacent pair xy, and
     with ``closed`` the wrap-around pair too.
 
-    The closed graph is only defined for cyclically reduced words.
+    The closed graph is only defined for cyclically reduced words.  The rank
+    and letters of w, checked when w was built, are not checked again.
     """
     letters = w.letters
     if closed:
@@ -132,8 +130,8 @@ def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGrap
     for x, y in zip(letters, letters[1:] + letters[:1] if closed else letters[1:]):
         key = _edge(x, -y)
         edges[key] = edges.get(key, 0) + 1
-    graph = WhiteheadGraph(w.rank)
-    graph.edge_multiplicity = edges
+    graph = object.__new__(WhiteheadGraph)
+    graph.rank, graph.edge_multiplicity = w.rank, edges
     return graph
 
 
@@ -215,6 +213,7 @@ class WhiteheadAutomorphism(_Frozen):
     __slots__ = ("rank", "images")
 
     def __init__(self, rank: int, images: Sequence[Word]):
+        _check_count("rank", rank, 1)
         if len(images) != rank:
             raise RankMismatch("need %d generator images, got %d" % (rank, len(images)))
         for img in images:
@@ -252,12 +251,11 @@ class WhiteheadAutomorphism(_Frozen):
         a^-1*x if only x^-1 is in A, to a^-1*x*a if both are, and is fixed
         otherwise; a itself is fixed.
         """
-        check_letter(multiplier, rank)
+        members = tuple(members)
+        _check_letters(rank, (multiplier, *members))
         members = set(members)
         if multiplier in members or -multiplier in members:
             raise ValueError("members may not contain the multiplier or its inverse")
-        for v in members:
-            check_letter(v, rank)
         a = multiplier
         images = []
         for i in range(1, rank + 1):

@@ -25,22 +25,26 @@ def letter_key(letter: int) -> int:
     return 2 * abs(letter) - (1 if letter > 0 else 0)
 
 
-def check_letter(letter: int, rank: int) -> None:
-    if letter == 0 or abs(letter) > rank:
-        raise InvalidLetter("letter %r out of range for rank %d" % (letter, rank))
-
-
 def _check_count(name: str, value, low: int | None) -> None:
-    """Raise ValueError unless ``value`` is an int, not a bool, and at least
-    ``low`` (any int when ``low`` is None).
+    """Raise ValueError unless ``value`` is an int (not a bool or any other
+    subclass) and at least ``low`` (any int when ``low`` is None).
 
     The one rule for the package's count arguments and the integer fields of
     its documents; a reader that must raise ParseError converts the error.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise ValueError("%r must be an integer, got %r" % (name, value))
     if low is not None and value < low:
         raise ValueError("%r must be at least %d, got %r" % (name, low, value))
+
+
+def _check_letters(rank: int, letters: Iterable[int]) -> None:
+    """The one rule for ranks and letters: ValueError unless ``rank`` is a count
+    >= 1, InvalidLetter unless each letter is an int (not a bool), 0 < |v| <= rank."""
+    _check_count("rank", rank, 1)
+    for v in letters:
+        if type(v) is not int or v == 0 or abs(v) > rank:
+            raise InvalidLetter("letter %r is not a nonzero int within rank %d" % (v, rank))
 
 
 def _reduce_list(letters: Iterable[int]) -> list[int]:
@@ -132,11 +136,8 @@ class Word(_Frozen):
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank: int, letters: tuple[int, ...] = ()):
-        if rank < 1:
-            raise InvalidLetter("rank must be a positive integer, got %r" % (rank,))
         letters = tuple(letters)
-        for v in letters:
-            check_letter(v, rank)
+        _check_letters(rank, letters)
         for u, v in zip(letters, letters[1:]):
             if u == -v:
                 raise ValueError("word is not freely reduced: %r" % (letters,))
@@ -163,14 +164,10 @@ class CyclicWord(_Frozen):
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank: int, letters: tuple[int, ...] = ()):
-        if rank < 1:
-            raise InvalidLetter("rank must be a positive integer, got %r" % (rank,))
         letters = tuple(letters)
-        for v in letters:
-            check_letter(v, rank)
-        n = len(letters)
-        for i in range(n):
-            if n > 1 and letters[i] == -letters[(i + 1) % n]:
+        _check_letters(rank, letters)
+        for u, v in zip(letters, letters[1:] + letters[:1]):
+            if u == -v:
                 raise ValueError("word is not cyclically reduced: %r" % (letters,))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", _canonical_cycle(letters))
@@ -203,8 +200,7 @@ class CyclicWord(_Frozen):
 def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a letter sequence.  Idempotent."""
     letters = list(letters)
-    for v in letters:
-        check_letter(v, rank)
+    _check_letters(rank, letters)
     return Word(rank, tuple(_reduce_list(letters)))
 
 
@@ -228,7 +224,7 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     """Split w = conjugator * core * conjugator^-1 with a canonical cyclic core."""
     core, prefix = _cyclic_core(w.letters)
     k = _least_rotation_index([letter_key(v) for v in core])
-    cyc = CyclicWord(w.rank, tuple(core[k:] + core[:k]))
+    cyc = CyclicWord._from_canonical(w.rank, tuple(core[k:] + core[:k]))
     conj = Word(w.rank, tuple(prefix + core[:k]))
     return cyc, conj
 

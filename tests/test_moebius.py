@@ -29,6 +29,44 @@ from helpers import (
 )
 
 
+@pytest.fixture
+def entry_checks(monkeypatch):
+    """The entries of every ``_check_entries`` call, from the constructor
+    and from the spectrum scan alike."""
+    from primstab import moebius, stability
+
+    calls = []
+
+    def spy(*entries):
+        calls.append(entries)
+        return _check_entries(*entries)
+
+    monkeypatch.setattr(moebius, "_check_entries", spy)
+    monkeypatch.setattr(stability, "_check_entries", spy)
+    return calls
+
+
+def test_each_product_is_checked_once(entry_checks):
+    rng = random.Random(27)
+    rep, _ = schottky_example()
+    w = random_word(rng, 2, 7)
+    m, n = rep.images
+    entry_checks.clear()
+    ps.evaluate(rep, w)
+    assert len(entry_checks) == 1
+    entry_checks.clear()
+    m.mul(n)
+    assert len(entry_checks) == 1
+    entry_checks.clear()
+    report = ps.ps_scan(rep, 6)
+    assert len(entry_checks) == len(report.entries)
+    for periods in (2, 10):
+        entry_checks.clear()
+        ps.orbit_growth_probe(rep, w, periods)
+        # the word once, the identity once, and one product per period
+        assert len(entry_checks) == periods + 2
+
+
 def close(a, b, tol=1e-9):
     return abs(a - b) <= tol
 

@@ -218,7 +218,7 @@ def test_restrict_to_one_generator_reproduces_its_classification():
 def test_restrict_errors():
     rng = random.Random(45)
     rep = random_representation(rng, 3)
-    for bad in ([], [1, 2, 3], [0], [4], [1, 1]):
+    for bad in ([], [1, 2, 3], [0], [4], [1, 1], [1.0], ["1"], [True], [-1], [[1]]):
         with pytest.raises(BadSubset):
             ps.restrict(rep, bad)
 

@@ -44,6 +44,58 @@ def test_reduce_rejects_bad_letters():
         ps.reduce([3], 2)
 
 
+def _takes_rank(rank):
+    """Every constructor that takes a rank, called with ``rank`` and input
+    that is good in rank 1."""
+    from primstab.whitehead import WhiteheadAutomorphism, WhiteheadGraph
+
+    return [
+        lambda: ps.Word(rank, ()),
+        lambda: ps.CyclicWord(rank, ()),
+        lambda: ps.reduce([], rank),
+        lambda: ps.parse_word("", rank),
+        lambda: WhiteheadGraph(rank),
+        lambda: WhiteheadAutomorphism(rank, [ps.Word(1, (1,))]),
+        lambda: WhiteheadAutomorphism.multiplier_move(rank, 1, []),
+        lambda: ps.Representation(rank, (ps.MoebiusMap.identity(),)),
+    ]
+
+
+def _takes_letter(letter):
+    """Every constructor that takes letters, called in rank 2 with ``letter``."""
+    from primstab.whitehead import WhiteheadAutomorphism, WhiteheadGraph
+
+    return [
+        lambda: ps.Word(2, (letter,)),
+        lambda: ps.CyclicWord(2, (letter,)),
+        lambda: ps.reduce([1, letter], 2),
+        lambda: WhiteheadGraph(2, [(1, letter)]),
+        lambda: WhiteheadAutomorphism.multiplier_move(2, letter, []),
+        lambda: WhiteheadAutomorphism.multiplier_move(2, 1, [letter]),
+    ]
+
+
+@pytest.mark.parametrize("rank", [0, 2.5, True, -1, "2"])
+def test_every_constructor_rejects_a_bad_rank(rank):
+    for build in _takes_rank(rank):
+        with pytest.raises(ValueError):
+            build()
+
+
+@pytest.mark.parametrize("letter", [1.0, True, 1.5, "a", 0, 3, -3])
+def test_every_constructor_rejects_a_bad_letter(letter):
+    for build in _takes_letter(letter):
+        with pytest.raises(InvalidLetter):
+            build()
+
+
+def test_rank_and_letter_rules_accept_good_input():
+    for build in _takes_rank(1):
+        build()
+    for build in _takes_letter(-2):
+        build()
+
+
 def test_word_constructor_requires_reduced():
     with pytest.raises(ValueError):
         ps.Word(2, (1, -1))
