@@ -120,7 +120,7 @@ class MoebiusMap(_Frozen):
 
     def mul(self, other: "MoebiusMap") -> "MoebiusMap":
         factors = ((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
-        return MoebiusMap(*next(_walk(factors, ((0, 1),), (0,))))
+        return MoebiusMap(*next(_walk(factors, ((0, (0, 1)),))))
 
     def __neg__(self) -> "MoebiusMap":
         return MoebiusMap(-self.a, -self.b, -self.c, -self.d)
@@ -166,32 +166,32 @@ class Representation(_Frozen):
         object.__setattr__(self, "images", images)
 
 
-def _walk(
-    table, words: Iterable[tuple[int, ...]], shared: Iterable[int]
-) -> Iterator[tuple[complex, ...]]:
+def _walk(table, plan: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[complex, ...]]:
     """The entries (a, b, c, d) of each word's matrix: the plain product, left
     to right, of the entries that ``table[v]`` gives for each letter v.
 
-    ``shared`` gives, for each word, the length k of the prefix it shares
-    with the word before it (0 for the first).  The partial products of the
-    previous word stay on a stack, so a word starts from the product of its
-    first k letters and multiplies only the rest; the entries are those of
-    multiplying every word out from the identity, to the bit.  Nothing is
-    rescaled or checked here: each product is checked once, where it becomes
-    a value (the ``MoebiusMap`` constructor, or the spectrum scan).  The
-    known limit: determinant drift grows up to linearly with the number of
-    factors (4e-11 to 1.7e-10 after 10^6 letters over unitary generators,
-    against 0 with a rescale per product), so the 1e-9 check can first fire
-    after a few million letters.
+    ``plan`` holds one pair (k, suffix) per word: the word is the first k
+    letters of the word before it (k = 0 for the first) followed by
+    ``suffix``.  The partial products of the previous word stay on a stack,
+    so a word starts from the product of its first k letters and multiplies
+    only its suffix; the entries are those of multiplying every word out from
+    the identity, to the bit.  A single word is the plan ``((0, letters),)``.
+    Nothing is rescaled or checked here: each product is checked once, where
+    it becomes a value (the ``MoebiusMap`` constructor, or the spectrum
+    scan).  The known limit: determinant drift grows up to linearly with the
+    number of factors (4e-11 to 1.7e-10 after 10^6 letters over unitary
+    generators, against 0 with a rescale per product), so the 1e-9 check can
+    first fire after a few million letters.
     """
     stack = [(1.0, 0.0, 0.0, 1.0)]
-    for letters, k in zip(words, shared):
+    push = stack.append
+    for k, suffix in plan:
         del stack[k + 1:]
         a, b, c, d = stack[k]
-        for v in letters[k:]:
+        for v in suffix:
             p, q, r, s = table[v]
             a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-            stack.append((a, b, c, d))
+            push((a, b, c, d))
         yield a, b, c, d
 
 
@@ -212,12 +212,14 @@ def evaluate(rep: Representation, w: Word | CyclicWord) -> MoebiusMap:
     """The matrix of a word: the ordered product of generator images."""
     if rep.rank != w.rank:
         raise RankMismatch("representation rank %d vs word rank %d" % (rep.rank, w.rank))
-    return MoebiusMap(*next(_walk(_letter_table(rep), (w.letters,), (0,))))
+    return MoebiusMap(*next(_walk(_letter_table(rep), ((0, w.letters),))))
 
 
-def _letter_table(rep: Representation) -> dict[int, tuple[complex, ...]]:
-    """The entries (a, b, c, d) of each generator image and of its inverse, by letter."""
-    table = {}
+def _letter_table(rep: Representation) -> list[tuple[complex, ...]]:
+    """The entries (a, b, c, d) of each generator image and of its inverse, by
+    letter: ``table[v]`` for v = +-1, ..., +-n.  A list of 2n + 1 items, the
+    inverses at the negative indices, looks a letter up faster than a dict."""
+    table = [(1.0, 0.0, 0.0, 1.0)] * (2 * rep.rank + 1)
     for i, m in enumerate(rep.images, 1):
         table[i] = (m.a, m.b, m.c, m.d)
         table[-i] = (m.d, -m.b, -m.c, m.a)
@@ -275,9 +277,20 @@ def _kind_and_length(
 ) -> tuple[IsometryClass, float]:
     """Isometry type of the map with entries (a, b, c, d), and its translation
     length where it is loxodromic, 0.0 where it is not: a trace within 1e-9
-    of +-2 is parabolic, whatever small length its eigenvalues give."""
+    of +-2 is parabolic, whatever small length its eigenvalues give.
+
+    Exact shortcut: a trace t = a + d with |Im t| > 2e-9 is loxodromic, with
+    no identity test.  PARABOLIC and ELLIPTIC both need |Im t| <= 1e-9
+    (``_trace_class``).  IDENTITY needs |a -+ 1| <= 1e-9 and |d -+ 1| <= 1e-9,
+    so |Im a| and |Im d| are at most 1e-9 (a modulus is at least the modulus
+    of either part, also as rounded), and their rounded sum Im t is at most
+    2e-9, a float, since rounding is monotone.
+    """
+    t = a + d
+    if abs(t.imag) > 2.0 * _TOL:
+        return IsometryClass.LOXODROMIC, _trace_length(t)
     kind = _entry_class(a, b, c, d)
-    return kind, _trace_length(a + d) if kind is IsometryClass.LOXODROMIC else 0.0
+    return kind, _trace_length(t) if kind is IsometryClass.LOXODROMIC else 0.0
 
 
 class UhsPoint(_Frozen):

@@ -31,7 +31,7 @@ from .moebius import (
     _walk,
     evaluate,
 )
-from .whitehead import WhiteheadAutomorphism, _shared_prefixes, enumerate_primitive_classes
+from .whitehead import WhiteheadAutomorphism, _walk_plan, enumerate_primitive_classes
 from .words import CyclicWord, Word, _check_count, _Frozen, parse_word
 
 NO_OBSTRUCTION = "NO_OBSTRUCTION"
@@ -48,6 +48,16 @@ class SpectrumEntry(_Frozen):
         object.__setattr__(self, "cls", cls)
         object.__setattr__(self, "trans_len", trans_len)
         object.__setattr__(self, "kind", kind)
+
+    @classmethod
+    def _from_scan(cls, word: CyclicWord, trans_len: float, kind: IsometryClass) -> "SpectrumEntry":
+        """An entry built as ``__init__`` builds it, without its call frame:
+        the spectrum scan builds one per class."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "cls", word)
+        object.__setattr__(self, "trans_len", trans_len)
+        object.__setattr__(self, "kind", kind)
+        return self
 
     @property
     def length(self) -> int:
@@ -89,18 +99,19 @@ class PsReport(_Frozen):
 def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[SpectrumEntry, ...]:
     """One entry per primitive class with cyclic length at most max_len.
 
-    The classes are evaluated along their shared prefixes (``moebius._walk``),
-    which gives the matrices of ``evaluate`` to the bit; each class is checked
-    and classified on its raw entries, with no ``MoebiusMap`` built for it.
+    The classes are evaluated along their shared prefixes (``moebius._walk``
+    on the cached plan ``whitehead._walk_plan``), which gives the matrices of
+    ``evaluate`` to the bit; each class is checked and classified on its raw
+    entries, with no ``MoebiusMap`` built for it.
     """
     classes = enumerate_primitive_classes(rep.rank, max_len)
-    products = _walk(_letter_table(rep), (cls.letters for cls in classes),
-                     _shared_prefixes(rep.rank, max_len))
+    products = _walk(_letter_table(rep), _walk_plan(rep.rank, max_len))
+    entry = SpectrumEntry._from_scan
     entries = []
     for cls, (a, b, c, d) in zip(classes, products):
         _check_entries(a, b, c, d)
         kind, trans_len = _kind_and_length(a, b, c, d)
-        entries.append(SpectrumEntry(cls, trans_len, kind))
+        entries.append(entry(cls, trans_len, kind))
     return tuple(entries)
 
 

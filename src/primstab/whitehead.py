@@ -229,6 +229,7 @@ class WhiteheadAutomorphism(_Frozen):
 
     @classmethod
     def identity(cls, rank: int) -> "WhiteheadAutomorphism":
+        _check_count("rank", rank, 1)
         return cls(rank, [Word(rank, (i,)) for i in range(1, rank + 1)])
 
     @classmethod
@@ -238,6 +239,7 @@ class WhiteheadAutomorphism(_Frozen):
         ``mapping`` sends each generator index to a letter; the absolute
         values must form a permutation of 1..rank.
         """
+        _check_count("rank", rank, 1)
         if sorted(abs(mapping.get(i, 0)) for i in range(1, rank + 1)) != list(range(1, rank + 1)):
             raise ValueError("mapping %r is not a signed permutation of 1..%d" % (mapping, rank))
         return cls(rank, [Word(rank, (mapping[i],)) for i in range(1, rank + 1)])
@@ -531,23 +533,25 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
 
 
 @lru_cache(maxsize=None)
-def _shared_prefixes(rank: int, max_len: int) -> tuple[int, ...]:
-    """For each class of ``_primitive_classes``, the length of the prefix its
-    letters share with the class before it (0 for the first).
+def _walk_plan(rank: int, max_len: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The plan of ``moebius._walk`` over the classes of ``_primitive_classes``:
+    for each class, the length k of the prefix its letters share with the
+    class before it (0 for the first), and its letters after that prefix.
 
     The classes are sorted lexicographically, so neighbours share long
-    prefixes and ``moebius._walk`` multiplies each distinct prefix once.
+    prefixes and the walk multiplies each distinct prefix once.
     """
     out = []
     previous: tuple[int, ...] = ()
     for cls in _primitive_classes(rank, max_len):
+        letters = cls.letters
         k = 0
-        for x, y in zip(previous, cls.letters):
+        for x, y in zip(previous, letters):
             if x != y:
                 break
             k += 1
-        out.append(k)
-        previous = cls.letters
+        out.append((k, letters[k:]))
+        previous = letters
     return tuple(out)
 
 

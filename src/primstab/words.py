@@ -144,6 +144,15 @@ class Word(_Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", letters)
 
+    @classmethod
+    def _from_reduced(cls, rank: int, letters: tuple[int, ...]) -> "Word":
+        """A word from letters already checked and freely reduced, stored
+        without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "letters", letters)
+        return self
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -201,7 +210,7 @@ def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a letter sequence.  Idempotent."""
     letters = list(letters)
     _check_letters(rank, letters)
-    return Word(rank, tuple(_reduce_list(letters)))
+    return Word._from_reduced(rank, tuple(_reduce_list(letters)))
 
 
 def invert(w: Word) -> Word:

@@ -123,6 +123,85 @@ def test_entry_check_agrees_with_the_rule_without_its_shortcut():
     assert kinds == {"accepted", "DegenerateMatrix", "DeterminantError"}
 
 
+def _same_float(x, y):
+    return (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (x != x and y != y)
+
+
+def _kind_edge_cases():
+    """Entries at and beside the edges of the loxodromic shortcuts."""
+    tol, up, down = 1e-9, math.inf, -math.inf
+    nan, inf = float("nan"), float("inf")
+    ims = set()
+    for edge in (tol, 2 * tol):
+        for x in (edge, math.nextafter(edge, up), math.nextafter(edge, down)):
+            ims.update((x, -x))
+    ims.update((0.0, -0.0, 0.9e-9, 1.5e-9, 3e-9))
+    cases = []
+    for im in sorted(ims):
+        for re_a, re_d in ((1.0, 1.0), (-1.0, -1.0), (1.0, 0.0), (2.0, 0.0), (1.5, 0.0),
+                           (1.0 + tol, 1.0), (-2.0, 0.0), (2.5, 0.0), (0.0, 0.0)):
+            for b, c in ((0j, 0j), (tol, 0j), (0j, 1.0), (1.0, 1.0)):
+                # the imaginary part on one diagonal entry, or split between both
+                cases.append((complex(re_a, im), b, c, complex(re_d, 0.0)))
+                cases.append((complex(re_a, im / 2), b, c, complex(re_d, im / 2)))
+                cases.append((complex(re_a, im - tol), b, c, complex(re_d, tol)))
+    for x in (tol, math.nextafter(tol, up), 0.9e-9):
+        for sign in (1.0, -1.0):
+            # a lift within 1e-9 of +-I, or just past it, with Im t up to 2e-9
+            cases.append((complex(sign, x), 0j, 0j, complex(sign, x)))
+            cases.append((complex(sign, x), 0j, 0j, complex(sign, -x)))
+            cases.append((complex(sign, x), complex(0, x), 0j, complex(sign, x)))
+    for t in (2.0, -2.0, 2.0 + 0.5e-9j, -2.0 + 1e-9j, 2.0 + 1.1e-9j, complex(2.0 + 1e-9, 0.0),
+              complex(2.0 - 1e-9, 0.0), complex(-2.0 - 1e-9, 1e-12)):
+        # traces within 1e-9 of +-2, off the identity
+        cases.append((t - 1.0, 1.0, 0j, 1.0 + 0j))
+        cases.append((t / 2, 0.5, -0.5, t / 2))
+    big = 1.5e308
+    cases += [
+        (complex(big, big), 0j, 0j, complex(big, big)), (complex(big, 0.0), 0j, 0j, complex(big, 0.0)),
+        (complex(0.0, big), 0j, 0j, complex(0.0, big)), (complex(big, 1e-9), 1e-9, 0j, complex(big, 1e-9)),
+        (complex(1.0, 3e-9), complex(big, big), 0j, 1.0 + 0j),
+        (complex(inf, 0.0), 0j, 0j, 1.0 + 0j), (complex(0.0, inf), 0j, 0j, 1.0 + 0j),
+        (complex(1.0, -inf), 0j, 0j, complex(1.0, inf)), (complex(nan, 0.0), 0j, 0j, 1.0 + 0j),
+        (complex(0.0, nan), 0j, 0j, 1.0 + 0j), (complex(1.0, nan), 0j, 0j, complex(1.0, 3e-9)),
+        (1.0 + 0j, complex(nan, nan), 0j, complex(1.0, 5e-9)), (complex(1.0, inf), 0j, 0j, complex(1.0, nan)),
+    ]
+    return cases
+
+
+def test_kind_and_length_agrees_with_the_rule_without_its_shortcut():
+    # a trace with |Im t| > 2e-9 is loxodromic with no identity test, and one
+    # with |Im t| > 1e-9 with no parabolic or elliptic test: neither shortcut
+    # may change a kind or a length, to the bit
+    from primstab.moebius import _kind_and_length
+    from primstab.traces import _trace_class
+
+    from helpers import reference_kind_and_length, reference_trace_class
+
+    cases = _kind_edge_cases()
+    rng = random.Random(61)
+    for k in range(4000):
+        scale = (1e-9, 1e-8, 1.0, 1e3)[k % 4]
+        centre = rng.choice((1.0, -1.0, 0.0, 2.0))
+        a, d = (complex(centre + rng.gauss(0.0, scale), rng.gauss(0.0, scale)) for _ in range(2))
+        b, c = (complex(rng.gauss(0.0, scale), rng.gauss(0.0, scale)) * rng.choice((0.0, 1.0))
+                for _ in range(2))
+        cases.append((a, b, c, d))
+    kinds = set()
+    for a, b, c, d in cases:
+        want_kind, want_len = reference_kind_and_length(a, b, c, d)
+        kind, trans_len = _kind_and_length(a, b, c, d)
+        assert kind is want_kind and _same_float(trans_len, want_len), (a, b, c, d)
+        assert _trace_class(a + d) is reference_trace_class(a + d), a + d
+        kinds.add(kind)
+    assert kinds == set(ps.IsometryClass)
+    # the identity at the widest: Im t = 2e-9 exactly, and 1.8e-9
+    for x in (1e-9, 0.9e-9):
+        a = complex(1.0, x)
+        assert (a + a).imag > 1e-9
+        assert _kind_and_length(a, 0j, 0j, a) == (ps.IsometryClass.IDENTITY, 0.0)
+
+
 def test_constructor_rejects_non_finite():
     with pytest.raises(DegenerateMatrix):
         ps.MoebiusMap(float("inf"), 0, 0, 1)

@@ -37,6 +37,24 @@ def test_reduce_word_times_inverse_is_identity():
         assert len(ps.concat(w, ps.invert(w))) == 0
 
 
+def test_parse_word_checks_its_letters_once(monkeypatch):
+    # reduce checks the input letters; the reduced word it builds from them
+    # is not checked again
+    from primstab import words
+
+    calls = []
+    check = words._check_letters
+
+    def spy(rank, letters):
+        calls.append(rank)
+        return check(rank, letters)
+
+    monkeypatch.setattr(words, "_check_letters", spy)
+    w = ps.parse_word("abBAbAB", 2)
+    assert calls == [2]
+    assert w == ps.Word(2, (2, -1, -2)) and type(w) is ps.Word
+
+
 def test_reduce_rejects_bad_letters():
     with pytest.raises(InvalidLetter):
         ps.reduce([0], 2)
@@ -57,6 +75,8 @@ def _takes_rank(rank):
         lambda: WhiteheadGraph(rank),
         lambda: WhiteheadAutomorphism(rank, [ps.Word(1, (1,))]),
         lambda: WhiteheadAutomorphism.multiplier_move(rank, 1, []),
+        lambda: WhiteheadAutomorphism.identity(rank),
+        lambda: WhiteheadAutomorphism.letter_permutation(rank, {1: 1}),
         lambda: ps.Representation(rank, (ps.MoebiusMap.identity(),)),
     ]
 
