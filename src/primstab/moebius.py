@@ -281,7 +281,8 @@ def _kind_and_length(
 
     Exact shortcut: a trace t = a + d with |Im t| > 2e-9 is loxodromic, with
     no identity test.  PARABOLIC and ELLIPTIC both need |Im t| <= 1e-9
-    (``_trace_class``).  IDENTITY needs |a -+ 1| <= 1e-9 and |d -+ 1| <= 1e-9,
+    (``_trace_class``; Im(t -+ 2) is Im t exactly, and a rounded modulus is
+    at least the modulus of either part).  IDENTITY needs |a -+ 1| <= 1e-9 and |d -+ 1| <= 1e-9,
     so |Im a| and |Im d| are at most 1e-9 (a modulus is at least the modulus
     of either part, also as rounded), and their rounded sum Im t is at most
     2e-9, a float, since rounding is monotone.

@@ -49,16 +49,6 @@ class SpectrumEntry(_Frozen):
         object.__setattr__(self, "trans_len", trans_len)
         object.__setattr__(self, "kind", kind)
 
-    @classmethod
-    def _from_scan(cls, word: CyclicWord, trans_len: float, kind: IsometryClass) -> "SpectrumEntry":
-        """An entry built as ``__init__`` builds it, without its call frame:
-        the spectrum scan builds one per class."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "cls", word)
-        object.__setattr__(self, "trans_len", trans_len)
-        object.__setattr__(self, "kind", kind)
-        return self
-
     @property
     def length(self) -> int:
         return len(self.cls)
@@ -106,12 +96,11 @@ def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[Spectr
     """
     classes = enumerate_primitive_classes(rep.rank, max_len)
     products = _walk(_letter_table(rep), _walk_plan(rep.rank, max_len))
-    entry = SpectrumEntry._from_scan
     entries = []
     for cls, (a, b, c, d) in zip(classes, products):
         _check_entries(a, b, c, d)
         kind, trans_len = _kind_and_length(a, b, c, d)
-        entries.append(entry(cls, trans_len, kind))
+        entries.append(SpectrumEntry(cls, trans_len, kind))
     return tuple(entries)
 
 

@@ -43,13 +43,7 @@ def _trace_class(t: complex) -> IsometryClass:
     PARABOLIC when t is within _TOL of +-2; ELLIPTIC when |Im t| <= _TOL and
     |Re t| < 2; LOXODROMIC otherwise.  Every non-loxodromic trace therefore
     has |t| <= 2 + _TOL and |Im t| <= _TOL.
-
-    Exact shortcut: |Im t| > _TOL is LOXODROMIC at once.  ELLIPTIC needs
-    |Im t| <= _TOL, and so does PARABOLIC: Im(t -+ 2) is Im t exactly, and a
-    rounded modulus is at least the modulus of either part.
     """
-    if abs(t.imag) > _TOL:
-        return IsometryClass.LOXODROMIC
     try:
         if abs(t - 2.0) <= _TOL or abs(t + 2.0) <= _TOL:
             return IsometryClass.PARABOLIC

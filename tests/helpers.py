@@ -278,25 +278,13 @@ def reference_entry_check(a, b, c, d):
         )
 
 
-def reference_trace_class(t):
-    """``traces._trace_class`` by its rule alone, without the shortcut that
-    calls |Im t| > 1e-9 loxodromic at once."""
-    try:
-        if abs(t - 2.0) <= 1e-9 or abs(t + 2.0) <= 1e-9:
-            return ps.IsometryClass.PARABOLIC
-    except OverflowError:
-        return ps.IsometryClass.LOXODROMIC
-    if abs(t.imag) <= 1e-9 and abs(t.real) < 2.0:
-        return ps.IsometryClass.ELLIPTIC
-    return ps.IsometryClass.LOXODROMIC
-
-
 def reference_kind_and_length(a, b, c, d):
     """``moebius._kind_and_length`` by its rule alone, without the shortcut
     that calls |Im(a + d)| > 2e-9 loxodromic before the identity test: the
-    identity test on the entries, then ``reference_trace_class``, and the
+    identity test on the entries, then ``traces._trace_class``, and the
     length of ``moebius._trace_length`` where loxodromic."""
     from primstab.moebius import _trace_length
+    from primstab.traces import _trace_class
 
     try:
         if abs(b) <= 1e-9 and abs(c) <= 1e-9 and (
@@ -306,5 +294,5 @@ def reference_kind_and_length(a, b, c, d):
             return ps.IsometryClass.IDENTITY, 0.0
     except OverflowError:
         pass
-    kind = reference_trace_class(a + d)
+    kind = _trace_class(a + d)
     return kind, _trace_length(a + d) if kind is ps.IsometryClass.LOXODROMIC else 0.0
