@@ -40,6 +40,7 @@ from .traces import (
     _complex_from_json,
     _complex_to_json,
     _half_trace_split,
+    _number,
     _trace_class,
     fricke_kappa,
     safe_abs,
@@ -60,7 +61,7 @@ class MarkoffTriple(_Frozen):
 
     def __init__(self, x: complex, y: complex, z: complex, kappa: complex):
         for name, value in zip(self.__slots__, (x, y, z, kappa)):
-            value = complex(value)
+            value = _number(value)
             if not cmath.isfinite(value):
                 raise NonFiniteValue("%s = %r is not finite" % (name, value))
             object.__setattr__(self, name, value)
@@ -323,9 +324,7 @@ def solve_y_from_fricke(x: complex, z: complex, kappa: complex) -> tuple[complex
     smaller root from the product) and verified against root sum and product.
     A modulus past the float range raises NonFiniteValue.
     """
-    x = complex(x)
-    z = complex(z)
-    kappa = complex(kappa)
+    x, z, kappa = _number(x), _number(z), _number(kappa)
     b = x * z
     c = x * x + z * z - 2.0 - kappa
     s = cmath.sqrt(b * b - 4.0 * c)

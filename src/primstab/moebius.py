@@ -32,6 +32,7 @@ from .traces import (  # IsometryClass and fricke_kappa are re-exported
     _complex_from_json,
     _complex_to_json,
     _half_trace_split,
+    _number,
     _trace_class,
     fricke_kappa,
     safe_abs,
@@ -98,7 +99,9 @@ class MoebiusMap(_Frozen):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        # the entries of a product are complex already, and stay as they are
+        if not (type(a) is type(b) is type(c) is type(d) is complex):
+            a, b, c, d = _number(a), _number(b), _number(c), _number(d)
         _check_entries(a, b, c, d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -252,23 +255,22 @@ def classify(m: MoebiusMap) -> IsometryClass:
 
 
 def _trace_length(t: complex) -> float:
-    """``translation_length`` of a map with trace t."""
-    if t.imag == 0.0 and abs(t.real) <= 2.0:
-        return 0.0  # both eigenvalues lie on the unit circle
-    # taking the larger modulus avoids the cancellation in h + k when Re t < 0
-    h, k = _half_trace_split(t)
-    try:
-        return 2.0 * math.log(max(abs(h + k), abs(h - k), 1.0))
-    except OverflowError:  # |lam| is past the float range: halve once more
-        return 2.0 * (math.log(max(abs((h + k) / 2.0), abs((h - k) / 2.0))) + math.log(2.0))
+    """``translation_length`` of a map with trace t: 2 Re acosh(t/2).
+
+    The eigenvalues lam, 1/lam have lam + 1/lam = t, so lam = e^zeta with zeta =
+    acosh(t/2), and the principal branch has Re zeta >= 0: 2 ln|lam| = 2 Re zeta.
+    CPython's acosh (Kahan, 1987) takes Re zeta as the asinh of a sum of two
+    non-negative products of the parts of sqrt(t/2 -+ 1): nothing cancels near +-2
+    or (-2, 2), and a real t in [-2, 2] gives 0.0 for either sign of zero (one root
+    is imaginary, the other real).  Past |t/2| = DBL_MAX/4 it is ln|t/4| + 2 ln 2.
+    """
+    return 2.0 * cmath.acosh(t * 0.5).real
 
 
 def translation_length(m: MoebiusMap) -> float:
-    """Hyperbolic translation length: 2 ln|lam| for the eigenvalue with |lam| >= 1.
-
-    Zero for elliptic, parabolic, and identity maps; invariant under the lift
-    sign and under conjugation.
-    """
+    """Hyperbolic translation length 2 ln|lam|, lam the eigenvalue with |lam| >= 1:
+    zero for elliptic, parabolic and identity maps, invariant under the lift sign
+    and under conjugation, and within a few ulps of the exact length its trace gives."""
     return _trace_length(m.trace())
 
 
@@ -300,7 +302,7 @@ class UhsPoint(_Frozen):
     __slots__ = ("z", "t")
 
     def __init__(self, z: complex, t: float):
-        z, t = complex(z), float(t)
+        z, t = _number(z), _number(t, float)
         if not (cmath.isfinite(z) and math.isfinite(t) and t > 0):
             raise ValueError("invalid upper-half-space point (%r, %r)" % (z, t))
         object.__setattr__(self, "z", z)
@@ -411,7 +413,7 @@ class SphereDisk(_Frozen):
     __slots__ = ("center", "radius", "interior")
 
     def __init__(self, center: complex, radius: float, interior: DiskSide = DiskSide.INSIDE):
-        center, radius, interior = complex(center), float(radius), DiskSide(interior)
+        center, radius, interior = _number(center), _number(radius, float), DiskSide(interior)
         if not (cmath.isfinite(center) and math.isfinite(radius) and radius > 0):
             raise ValueError("invalid disk (%r, %r)" % (center, radius))
         object.__setattr__(self, "center", center)

@@ -23,7 +23,7 @@ from enum import Enum
 
 from .errors import NonFiniteValue, ParseError
 from .markoff import BqKind, BqVerdict, MarkoffTriple, bq_decide, solve_y_from_fricke
-from .traces import _check_keys, _complex_from_json, _complex_to_json
+from .traces import _check_keys, _complex_from_json, _complex_to_json, _number
 from .words import _check_count, _Frozen
 
 
@@ -55,8 +55,8 @@ class SliceConfig(_Frozen):
         budget: int = 20000,
         small_trace_bound: int = 64,
     ):
-        kappa, fixed_x = complex(kappa), complex(fixed_x)
-        lo, hi = (complex(corner) for corner in window)
+        kappa, fixed_x = _number(kappa), _number(fixed_x)
+        lo, hi = (_number(corner) for corner in window)
         root_choice = RootChoice(root_choice)
         # the extent hi - lo can overflow although both corners are finite
         for name, value in (("kappa", kappa), ("fixed_x", fixed_x),

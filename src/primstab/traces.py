@@ -1,8 +1,8 @@
 """Trace rules shared by the Moebius maps and the Markoff search.
 
 The isometry type of a map from its trace, the Fricke identity tying a
-rank-2 character's traces to its commutator trace, the ``[re, im]``
-JSON form of a complex number, and the key check of a JSON document.
+rank-2 character's traces to its commutator trace, the ``[re, im]`` JSON form
+of a complex number, the constructors' number rule and the document key check.
 ``moebius``, ``markoff`` and ``render`` import these from here, so a BQ
 decision or a slice render loads no matrix code.
 """
@@ -20,6 +20,16 @@ _FRICKE_TOL = 1e-8
 # real axis to count as non-loxodromic, and the slack of the axis, pole and
 # ping-pong tests
 _TOL = 1e-9
+
+
+def _number(value, kind=complex):
+    """``kind(value)``, ``kind`` being ``complex`` or ``float``: the one rule for
+    a number given to a constructor.  A str, bytes or bytearray raises
+    TypeError, as ``complex(None)`` does, where ``complex`` or ``float``
+    would parse it."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError("expected a number, got %r" % (value,))
+    return kind(value)
 
 
 def safe_abs(z: complex) -> float:
@@ -57,9 +67,9 @@ def _trace_class(t: complex) -> IsometryClass:
 def _half_trace_split(t: complex) -> tuple[complex, complex]:
     """(h, k) with h = t/2 and k^2 = h^2 - 1: a trace-t map has eigenvalues h +- k.
 
-    k avoids t^2 (overflows past |t| = 1e154) and s = sqrt(t - 2) sqrt(t + 2)
-    (past 1.8e308), yet equals s/2 to the bit where s is finite, as (t - 2)/4
-    is exact.  Halving t first keeps h + k finite.
+    Only ``axis_point`` and ``fan_escapes`` use it.  k avoids t^2 (overflows
+    past |t| = 1e154) and s = sqrt(t - 2) sqrt(t + 2) (past 1.8e308), yet is
+    s/2 to the bit where s is finite, as (t - 2)/4 is exact; t/2 keeps h + k finite.
     """
     return t * 0.5, cmath.sqrt(t * 0.25 - 0.5) * cmath.sqrt(t + 2.0)
 

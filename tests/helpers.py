@@ -2,6 +2,7 @@
 reference ping-pong representation used across modules."""
 
 import cmath
+import decimal
 import math
 import os
 import subprocess
@@ -59,6 +60,25 @@ def random_near_identity_representation(rng, rank, eps=0.05):
         c = random_complex(rng, eps)
         images.append(ps.MoebiusMap(a, b, c, (1.0 + b * c) / a))
     return ps.Representation(rank, tuple(images))
+
+
+def decimal_translation_length(t):
+    """The translation length of a map with trace t, from the standard library
+    alone: the oracle for ``moebius._trace_length``.
+
+    It works at 60 digits from Re acosh z = acosh(alpha) with z = t/2 and
+    alpha = (|z + 1| + |z - 1|)/2, the half sum of the distances from z to the
+    foci +-1 of the ellipses on which Re acosh is constant, so
+    2 acosh(alpha) = 2 ln(alpha + sqrt((alpha - 1)(alpha + 1))).  The float
+    parts of t are exact decimals, so the result is the exact length rounded
+    once, wherever alpha - 1 keeps enough of the 60 digits, which holds for
+    |Im t| and |t -+ 2| down to about 1e-20.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x, y = decimal.Decimal(t.real) / 2, decimal.Decimal(t.imag) / 2
+        alpha = (((x + 1) ** 2 + y * y).sqrt() + ((x - 1) ** 2 + y * y).sqrt()) / 2
+        return float(2 * (alpha + ((alpha - 1) * (alpha + 1)).sqrt()).ln())
 
 
 def random_reduced_letters(rng, rank, length):

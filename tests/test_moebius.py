@@ -16,6 +16,7 @@ from primstab.errors import (
 from primstab.moebius import _check_entries, _displacement
 
 from helpers import (
+    decimal_translation_length,
     mat_mul,
     mat_of,
     random_loxodromic,
@@ -350,6 +351,36 @@ def test_translation_length_examples():
     past = ps.MoebiusMap(complex(1.5e308, 1.5e308), 0, 0, complex(0.5, -0.5) / 1.5e308)
     want = 2 * (math.log(1.5e308) + 0.5 * math.log(2))
     assert abs(ps.translation_length(past) - want) <= 1e-12 * want
+
+
+def test_translation_length_is_within_4_ulps_of_a_decimal_oracle():
+    # the small lengths of near-parabolic and near-elliptic loxodromics are
+    # the ones that decide a scan's min_ratio: ln(1 + x) for a tiny x must
+    # not cancel
+    from primstab.moebius import _kind_and_length, _trace_length
+
+    rng = random.Random(2903)
+    traces = []
+    for _ in range(2000):
+        # near +-2, near the elliptic segment, Gaussian, and up to 1e308
+        near = 10 ** rng.uniform(math.log10(2e-9), -1)
+        traces.append(rng.choice((2.0, -2.0)) + cmath.rect(near, rng.uniform(-math.pi, math.pi)))
+        off = rng.choice((1.0, -1.0)) * 10 ** rng.uniform(-9, -3)
+        traces.append(complex(rng.uniform(-2.0, 2.0), off))
+        traces.append(complex(rng.gauss(0.0, 4.0), rng.gauss(0.0, 4.0)))
+        traces.append(cmath.rect(10 ** rng.uniform(0, 308), rng.uniform(-math.pi, math.pi)))
+    for t in traces:
+        got = ps.translation_length(ps.MoebiusMap(t, -1, 1, 0))
+        want = decimal_translation_length(t)
+        assert abs(got - want) <= 4 * math.ulp(want), (t, got, want)
+        kind, length = _kind_and_length(t, -1, 1, 0)
+        if kind is ps.IsometryClass.LOXODROMIC:
+            assert 0.0 < length < math.inf, (t, length)
+    # a real trace in [-2, 2] has length exactly 0.0, whatever the sign of
+    # its zero imaginary part
+    for x in [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0] + [rng.uniform(-2.0, 2.0) for _ in range(200)]:
+        for zero in (0.0, -0.0):
+            assert repr(_trace_length(complex(x, zero))) == "0.0", (x, zero)
 
 
 def test_translation_length_of_negative_trace_does_not_cancel():

@@ -1,13 +1,14 @@
 """The package's value types behave as immutable values: equality within one
 class, hashing, the ``Name(field=value, ...)`` repr, no assignment, and
-pickling and copying through the constructor."""
+pickling and copying through the constructor.  Their constructors take
+numbers, never text."""
 
 import copy
 import pickle
 
 import pytest
 
-from primstab.markoff import BqKind, BqVerdict, MarkoffTriple
+from primstab.markoff import BqKind, BqVerdict, MarkoffTriple, solve_y_from_fricke
 from primstab.moebius import (
     IsometryClass,
     MoebiusMap,
@@ -98,3 +99,29 @@ def test_equal_fields_of_different_classes_are_not_equal():
     assert Word(2, (1, 2)) != CyclicWord(2, (1, 2))
     assert CyclicWord(2, (1, 2)) != Word(2, (1, 2))
     assert Word(2, (1, 2)) != (2, (1, 2))
+
+
+# every call that turns its arguments into numbers, with valid arguments;
+# each argument in turn is replaced by text
+NUMBER_SITES = [
+    ("MoebiusMap", MoebiusMap, (2, 1, 1, 1)),
+    ("UhsPoint", UhsPoint, (1 + 2j, 0.5)),
+    ("SphereDisk", SphereDisk, (0j, 1.0)),
+    ("MarkoffTriple", MarkoffTriple, (3, 3, 3, -2)),
+    ("solve_y_from_fricke", solve_y_from_fricke, (3, 3, -2)),
+    ("SliceConfig", lambda kappa, x, lo, hi: SliceConfig(kappa, x, (lo, hi), 4, 4),
+     (-2, 3, 6 - 1j, 7)),
+]
+
+
+@pytest.mark.parametrize("build, args, i, kind", [
+    pytest.param(build, args, i, kind, id="%s-%d-%s" % (name, i, kind.__name__))
+    for name, build, args in NUMBER_SITES for i in range(len(args))
+    for kind in (str, bytes, bytearray)])
+def test_number_arguments_reject_text(build, args, i, kind):
+    # complex() and float() would parse "(1+2j)" or b"0.5"; a number given
+    # as text raises TypeError, as complex(None) does
+    build(*args)
+    text = str(args[i]) if kind is str else kind(str(args[i]).encode())
+    with pytest.raises(TypeError, match="expected a number"):
+        build(*args[:i], text, *args[i + 1:])
