@@ -89,17 +89,32 @@ class PsReport(_Frozen):
 def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[SpectrumEntry, ...]:
     """One entry per primitive class with cyclic length at most max_len.
 
-    The classes are evaluated along their shared prefixes (``moebius._walk``
-    on the cached plan ``whitehead._walk_plan``), which gives the matrices of
-    ``evaluate`` to the bit; each class is checked and classified on its raw
-    entries, with no ``MoebiusMap`` built for it.
+    A class and its inverse have the same kind and translation length, so
+    the scan walks one class of each inverse pair, the one first in scan
+    order, and gives its partner the same ``(kind, trans_len)``.  If the
+    word w spells a class and rho(w) has entries (a, b, c, d), a rotation of
+    w^-1 spells the inverse class, so its product is conjugate to
+    rho(w)^-1 = (d, -b, -c, a): its trace is a + d, and it is +-I exactly
+    when rho(w) is.  A partner's length is its mate's, which may differ in
+    the last bits from evaluating the partner on its own.
+
+    The walked classes are multiplied along their shared prefixes
+    (``moebius._walk`` on the cached plan ``whitehead._walk_plan``), which
+    gives the matrices of ``evaluate`` to the bit.  Each is checked and
+    classified on its raw entries, with no ``MoebiusMap`` built for it, and
+    the scan raises at the first walked class whose product fails the
+    check, with that class's message; a partner's own product is never
+    formed.
     """
     classes = enumerate_primitive_classes(rep.rank, max_len)
-    products = _walk(_letter_table(rep), _walk_plan(rep.rank, max_len))
-    entries = []
-    for cls, (a, b, c, d) in zip(classes, products):
+    plan, slots = _walk_plan(rep.rank, max_len)
+    measured = []
+    for a, b, c, d in _walk(_letter_table(rep), plan):
         _check_entries(a, b, c, d)
-        kind, trans_len = _kind_and_length(a, b, c, d)
+        measured.append(_kind_and_length(a, b, c, d))
+    entries = []
+    for cls, j in zip(classes, slots):
+        kind, trans_len = measured[j]
         entries.append(SpectrumEntry(cls, trans_len, kind))
     return tuple(entries)
 
@@ -109,7 +124,10 @@ def ps_scan(rep: Representation, max_len: int) -> PsReport:
 
     FAILURE lists every primitive class whose image is not loxodromic; such a
     class rules the representation out.  NO_OBSTRUCTION reports the observed
-    ratio range and is evidence at this max_len, not a certificate.
+    ratio range and is evidence at this max_len, not a certificate.  One
+    class of each inverse pair is walked (``primitive_length_spectrum``),
+    and the scan raises at the first walked class whose product fails the
+    determinant check, with that class's message.
     """
     report = PsReport(max_len, primitive_length_spectrum(rep, max_len))
     max_ratio = report.max_ratio

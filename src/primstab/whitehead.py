@@ -462,35 +462,43 @@ def _symmetry_tables(rank: int) -> tuple[tuple[bytes, bytes], ...]:
     return tuple(out)
 
 
-def _orbit(rank: int, canon: bytes) -> set[bytes]:
+def _orbit(rank: int, canon: bytes) -> dict[bytes, bytes]:
     """The least rotations of every signed permutation of a class and of its
-    inverse, with the class and its images as letter-key strings."""
-    out = set()
+    inverse, each mapped to the least rotation of its inverse, with the class
+    and its images as letter-key strings."""
+    out = {}
     reverse = canon[::-1]
     for forward, backward in _symmetry_tables(rank):
-        for image in (canon.translate(forward), reverse.translate(backward)):
-            k = _least_rotation_index(image)
-            out.add(image[k:] + image[:k])
+        image, inverse = canon.translate(forward), reverse.translate(backward)
+        k = _least_rotation_index(image)
+        j = _least_rotation_index(inverse)
+        image, inverse = image[k:] + image[:k], inverse[j:] + inverse[:j]
+        out[image] = inverse
+        out[inverse] = image
     return out
 
 
 @lru_cache(maxsize=None)
-def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
-    """Grow the primitive classes upward from the letters, one symmetry orbit at a time.
+def _primitive_classes(rank: int, max_len: int) -> tuple[tuple[CyclicWord, ...], tuple[int, ...]]:
+    """Grow the primitive classes upward from the letters, one symmetry orbit
+    at a time: the classes in scan order, and for each the index of its
+    inverse among them.
 
     The symmetries are the signed permutations of the generators together
-    with inversion (2 * 2^n * n! of them).  ``found`` holds every class seen
-    so far, each as the string of its letter keys in least rotation (bytes,
-    letter v as ``letter_key(v)``), and is always a union of whole orbits;
-    an orbit's images come from two ``bytes.translate`` tables per signed
-    permutation (``_symmetry_tables``).  The frontier holds one class per
-    orbit, as letters.  Each frontier class counts the length change of
-    every pool move on its closed graph (``_length_changes``, as in
-    ``whitehead_minimize``) and applies only the moves that lengthen it to
-    at most ``max_len`` letters.  An image not yet found brings in its whole
-    orbit, while only the image itself goes on to the next frontier.  Every
-    class reached is an automorphic image of a letter or the inverse of one,
-    so it is primitive.  The byte order of the key strings is the order of
+    with inversion (2 * 2^n * n! of them).  ``found`` maps every class seen
+    so far to its inverse, each as the string of its letter keys in least
+    rotation (bytes, letter v as ``letter_key(v)``), and is always a union
+    of whole orbits; an orbit's images come from two ``bytes.translate``
+    tables per signed permutation (``_symmetry_tables``), the second giving
+    each image's inverse, so recording it takes no rotation beyond the
+    orbit's own.  The frontier holds one class per orbit, as letters.  Each
+    frontier class counts the length change of every pool move on its
+    closed graph (``_length_changes``, as in ``whitehead_minimize``) and
+    applies only the moves that lengthen it to at most ``max_len`` letters.
+    An image not yet found brings in its whole orbit, while only the image
+    itself goes on to the next frontier.  Every class reached is an
+    automorphic image of a letter or the inverse of one, so it is primitive.
+    The byte order of the key strings is the order of
     ``CyclicWord.sort_key``, so the sorted strings are the scan order, and
     each class is decoded and built once.  The move pool is built first, so
     a rank past ``RANK_CAP`` raises RankTooLarge before any symmetry table
@@ -509,10 +517,11 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
     longer and at most ``max_len`` letters, so the orbit of tau c, which is
     the orbit of c, is found too.  The set is the one that growth without
     symmetry (every pool move on every class found) reaches, so the sorted
-    tuple is the same.
+    tuple is the same.  No class is its own inverse (w conjugate to w^-1
+    forces w = 1 in a free group), so the classes fall into inverse pairs.
     """
     if max_len < 1:
-        return ()
+        return (), ()
     _move_pool(rank)  # RankTooLarge past the cap, before any symmetry table
     frontier = [[1]]
     found = _orbit(rank, bytes([letter_key(1)]))  # the 2n letters
@@ -528,31 +537,45 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
                     found |= _orbit(rank, canon)
                     grown.append(image[k:] + image[:k])
         frontier = grown
+    ordered = sorted(found)
+    index = dict(zip(ordered, range(len(ordered))))
     decode = _LETTER_OF.__getitem__
-    return tuple(CyclicWord._from_canonical(rank, tuple(map(decode, canon))) for canon in sorted(found))
+    classes = tuple(CyclicWord._from_canonical(rank, tuple(map(decode, canon))) for canon in ordered)
+    return classes, tuple(map(index.__getitem__, map(found.__getitem__, ordered)))
 
 
 @lru_cache(maxsize=None)
-def _walk_plan(rank: int, max_len: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The plan of ``moebius._walk`` over the classes of ``_primitive_classes``:
-    for each class, the length k of the prefix its letters share with the
-    class before it (0 for the first), and its letters after that prefix.
+def _walk_plan(
+    rank: int, max_len: int
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """The plan of ``moebius._walk`` over one class of each inverse pair of
+    ``_primitive_classes``, the one first in scan order, and for every class
+    the index in that walk of its pair's product.
 
-    The classes are sorted lexicographically, so neighbours share long
-    prefixes and the walk multiplies each distinct prefix once.
+    The plan holds, for each walked class, the length k of the prefix its
+    letters share with the walked class before it (0 for the first), and
+    its letters after that prefix.  The walked classes keep the scan order,
+    so neighbours share long prefixes and the walk multiplies each distinct
+    prefix once.
     """
-    out = []
+    classes, inverses = _primitive_classes(rank, max_len)
+    plan = []
+    slots = []
     previous: tuple[int, ...] = ()
-    for cls in _primitive_classes(rank, max_len):
+    for i, (cls, j) in enumerate(zip(classes, inverses)):
+        if j < i:
+            slots.append(slots[j])
+            continue
+        slots.append(len(plan))
         letters = cls.letters
         k = 0
         for x, y in zip(previous, letters):
             if x != y:
                 break
             k += 1
-        out.append((k, letters[k:]))
+        plan.append((k, letters[k:]))
         previous = letters
-    return tuple(out)
+    return tuple(plan), tuple(slots)
 
 
 def enumerate_primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:
@@ -566,7 +589,7 @@ def enumerate_primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ..
     """
     _check_count("rank", rank, 1)
     _check_count("max_len", max_len, 0)
-    return _primitive_classes(rank, max_len)
+    return _primitive_classes(rank, max_len)[0]
 
 
 def primitive_of_slope(p: int, q: int) -> CyclicWord:

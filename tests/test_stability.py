@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -86,28 +87,93 @@ def test_ps_scan_elliptic_generator_fails_with_witness():
     assert "a" in {str(w) for w in report.failures}
 
 
+def inverse_class(cls):
+    return ps.CyclicWord(cls.rank, tuple(-v for v in reversed(cls.letters)))
+
+
+def entry_value(e):
+    return e.kind, e.trans_len, math.copysign(1.0, e.trans_len), e.ratio
+
+
+def assert_inverse_entries_equal(entries):
+    by_class = {e.cls: e for e in entries}
+    for e in entries:
+        assert entry_value(by_class[inverse_class(e.cls)]) == entry_value(e), e.cls
+
+
 @pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 14), (3, 6), (4, 4)])
 def test_spectrum_along_shared_prefixes_equals_per_class_evaluation(rank, max_len):
-    # the scan multiplies each shared prefix once; every entry must still be
-    # bit-equal to evaluating its class on its own
+    # the scan multiplies each shared prefix once, and only for the class of
+    # each inverse pair that comes first in scan order: every such entry must
+    # still be bit-equal to evaluating its class on its own, and its
+    # partner's entry must be the same, within rounding of the partner's own
     rng = random.Random(47 + rank)
     for k in range(3):
         rep = random_representation(rng, rank, scale=(0.5, 1.0, 3.0)[k])
         entries = ps.ps_scan(rep, max_len).entries
         assert [e.cls for e in entries] == list(ps.enumerate_primitive_classes(rank, max_len))
+        by_class = {e.cls: e for e in entries}
+        walked = 0
         for e in entries:
+            mate = by_class[inverse_class(e.cls)]
             m = ps.evaluate(rep, e.cls)
             kind = ps.classify(m)
             assert e.kind == kind
             want = ps.translation_length(m) if kind == ps.IsometryClass.LOXODROMIC else 0.0
-            assert math.copysign(1.0, e.trans_len) == math.copysign(1.0, want)
-            assert e.trans_len == want and e.ratio == want / len(e.cls)
+            if e.cls.sort_key() < mate.cls.sort_key():
+                walked += 1
+                assert math.copysign(1.0, e.trans_len) == math.copysign(1.0, want)
+                assert e.trans_len == want and e.ratio == want / len(e.cls)
+            else:
+                assert entry_value(e) == entry_value(mate)
+                assert math.isclose(e.trans_len, want, rel_tol=1e-9, abs_tol=1e-9)
+        assert walked == len(entries) // 2
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 10), (3, 5), (4, 4)])
+def test_every_class_has_its_inverse_entry(rank, max_len):
+    # a class and its inverse have the same kind and translation length:
+    # their entries are equal to the bit, over several scales and with an
+    # elliptic or a parabolic first generator
+    rng = random.Random(3100 + rank)
+    theta = rng.uniform(0.3, 2.8)
+    firsts = (None, ps.MoebiusMap(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta)),
+              ps.MoebiusMap(1, 1, 0, 1))
+    kinds = set()
+    for scale in (0.5, 1.0, 3.0):
+        for first in firsts:
+            images = random_representation(rng, rank, scale=scale).images
+            rep = ps.Representation(rank, (first or images[0],) + images[1:])
+            entries = ps.ps_scan(rep, max_len).entries
+            assert_inverse_entries_equal(entries)
+            kinds.update(e.kind for e in entries)
+    assert {ps.IsometryClass.ELLIPTIC, ps.IsometryClass.PARABOLIC} <= kinds
+
+
+def test_inverse_entries_agree_at_the_parabolic_tolerance():
+    # (a, b) with ab = p, a conjugate of diag(lam, 1/lam) whose trace is
+    # 2 + 1e-9 (1 +- 1e-6), a millionth of the tolerance from its edge: ab
+    # and its inverse AB multiply out to traces that round to either side,
+    # yet the two classes must get one kind and one length
+    rng = random.Random(5)
+    kinds = set()
+    for trial in range(600):
+        a, g = random_sl2(rng, 2.0), random_sl2(rng, 2.0)
+        t = 2 + 1e-9 * (1 + (1, -1)[trial % 2] * 1e-6)
+        lam = t / 2 + cmath.sqrt(t * t / 4 - 1)
+        p = g.mul(ps.MoebiusMap(lam, 0, 0, 1 / lam)).mul(g.inverse())
+        rep = ps.Representation(2, (a, a.inverse().mul(p)))
+        entries = ps.ps_scan(rep, 4).entries
+        assert_inverse_entries_equal(entries)
+        kinds.add(entry_for(entries, "ab").kind)
+    assert kinds == {ps.IsometryClass.PARABOLIC, ps.IsometryClass.LOXODROMIC}
 
 
 def test_ps_scan_rejects_products_that_lose_the_determinant():
     # cancellation in aB leaves determinant 1 - 1.9e-9i, past the 1e-9 check,
     # and aaB and aaaB miss by far more: the scan raises as evaluating its
-    # first such class (aaaB, in scan order) on its own does
+    # first such walked class (aaaB, in scan order, walked for its inverse
+    # pair with AAAb) on its own does
     a, b, c = complex(3.37e10, 9.41e9), complex(2.10e6, 9.77e5), complex(9.21, -3.69)
     m = ps.MoebiusMap(a, b, c, (1 + b * c) / a)
     rep = ps.Representation(2, (m, m))
@@ -115,8 +181,9 @@ def test_ps_scan_rejects_products_that_lose_the_determinant():
         ps.evaluate(rep, ps.parse_word("aB", 2))
     with pytest.raises(DeterminantError) as scanned:
         ps.ps_scan(rep, 4)
-    # the scan stops at the first class, in its order, that fails on its own,
-    # and with that class's message
+    # the scan stops at the first walked class, the one of each inverse pair
+    # first in scan order, that fails on its own, and with that class's
+    # message
     for cls in ps.enumerate_primitive_classes(2, 4):
         try:
             ps.evaluate(rep, cls)
