@@ -161,7 +161,9 @@ def fan_escapes(r: complex, y0: complex, y1: complex) -> bool:
         h, k = _half_trace_split(r)
         lam, other = h + k, h - k
         mod = abs(lam)
-        if mod < abs(other):  # take the root outside the unit circle
+        # take the root outside the unit circle: h + k is the inner one for a real
+        # r < -2 with a -0.0 imaginary part, whose sign t + 2.0 drops
+        if mod < abs(other):
             lam, mod, k = other, abs(other), -k
         if not mod > 1.0 or r.imag == 0.0 and abs(r.real) <= 2.0:
             return False  # on the real segment [-2, 2], |lam| = 1 whatever the rounding

@@ -229,33 +229,8 @@ def _letter_table(rep: Representation) -> list[tuple[complex, ...]]:
     return table
 
 
-def _entry_class(a: complex, b: complex, c: complex, d: complex) -> IsometryClass:
-    """``classify`` on the entries (a, b, c, d) of a map."""
-    try:
-        if abs(b) <= _TOL and abs(c) <= _TOL and (
-            (abs(a - 1.0) <= _TOL and abs(d - 1.0) <= _TOL)
-            or (abs(a + 1.0) <= _TOL and abs(d + 1.0) <= _TOL)
-        ):
-            return IsometryClass.IDENTITY
-    except OverflowError:  # an entry modulus past the float range is far from +-1
-        pass
-    return _trace_class(a + d)
-
-
-def classify(m: MoebiusMap) -> IsometryClass:
-    """Isometry type of a map, at the fixed tolerance 1e-9.
-
-    IDENTITY when some lift sign is entrywise within 1e-9 of the identity;
-    otherwise the trace decides (``_trace_class``): parabolic within 1e-9 of
-    +-2, elliptic when real within 1e-9 and strictly inside (-2, 2),
-    loxodromic otherwise.  ``bq_decide`` uses the same trace rule for its
-    witnesses.
-    """
-    return _entry_class(m.a, m.b, m.c, m.d)
-
-
 def _trace_length(t: complex) -> float:
-    """``translation_length`` of a map with trace t: 2 Re acosh(t/2).
+    """2 Re acosh(t/2), the translation length of a loxodromic map with trace t.
 
     The eigenvalues lam, 1/lam have lam + 1/lam = t, so lam = e^zeta with zeta =
     acosh(t/2), and the principal branch has Re zeta >= 0: 2 ln|lam| = 2 Re zeta.
@@ -267,19 +242,13 @@ def _trace_length(t: complex) -> float:
     return 2.0 * cmath.acosh(t * 0.5).real
 
 
-def translation_length(m: MoebiusMap) -> float:
-    """Hyperbolic translation length 2 ln|lam|, lam the eigenvalue with |lam| >= 1:
-    zero for elliptic, parabolic and identity maps, invariant under the lift sign
-    and under conjugation, and within a few ulps of the exact length its trace gives."""
-    return _trace_length(m.trace())
-
-
 def _kind_and_length(
     a: complex, b: complex, c: complex, d: complex
 ) -> tuple[IsometryClass, float]:
-    """Isometry type of the map with entries (a, b, c, d), and its translation
-    length where it is loxodromic, 0.0 where it is not: a trace within 1e-9
-    of +-2 is parabolic, whatever small length its eigenvalues give.
+    """``classify`` and ``translation_length`` of the map with entries (a, b, c, d):
+    its isometry type, and its length where it is loxodromic, 0.0 where it is
+    not (a trace within 1e-9 of +-2 is parabolic, whatever small length its
+    eigenvalues give).  The package's one classifier of a map.
 
     Exact shortcut: a trace t = a + d with |Im t| > 2e-9 is loxodromic, with
     no identity test.  PARABOLIC and ELLIPTIC both need |Im t| <= 1e-9
@@ -292,8 +261,35 @@ def _kind_and_length(
     t = a + d
     if abs(t.imag) > 2.0 * _TOL:
         return IsometryClass.LOXODROMIC, _trace_length(t)
-    kind = _entry_class(a, b, c, d)
+    try:
+        if abs(b) <= _TOL and abs(c) <= _TOL and (
+            (abs(a - 1.0) <= _TOL and abs(d - 1.0) <= _TOL)
+            or (abs(a + 1.0) <= _TOL and abs(d + 1.0) <= _TOL)
+        ):
+            return IsometryClass.IDENTITY, 0.0
+    except OverflowError:  # an entry modulus past the float range is far from +-1
+        pass
+    kind = _trace_class(t)
     return kind, _trace_length(t) if kind is IsometryClass.LOXODROMIC else 0.0
+
+
+def classify(m: MoebiusMap) -> IsometryClass:
+    """Isometry type of a map, at the fixed tolerance 1e-9 (``_kind_and_length``).
+
+    IDENTITY when some lift sign is entrywise within 1e-9 of the identity;
+    otherwise the trace decides (``_trace_class``): parabolic within 1e-9 of
+    +-2, elliptic when real within 1e-9 and strictly inside (-2, 2),
+    loxodromic otherwise: the trace rule of ``bq_decide``'s witnesses.
+    """
+    return _kind_and_length(m.a, m.b, m.c, m.d)[0]
+
+
+def translation_length(m: MoebiusMap) -> float:
+    """Hyperbolic translation length 2 ln|lam|, lam the eigenvalue with |lam| >= 1
+    (``_kind_and_length``): 0.0 exactly where ``classify`` is not LOXODROMIC, elsewhere
+    within a few ulps of the exact length its trace gives; invariant under the lift
+    sign and under conjugation."""
+    return _kind_and_length(m.a, m.b, m.c, m.d)[1]
 
 
 class UhsPoint(_Frozen):

@@ -224,6 +224,7 @@ def concat(u: Word, v: Word) -> Word:
 
 
 def power(w: Word, n: int) -> Word:
+    _check_count("n", n, None)
     if n < 0:
         w, n = invert(w), -n
     return Word(w.rank, tuple(_reduce_list(w.letters * n)))

@@ -81,6 +81,18 @@ def decimal_translation_length(t):
         return float(2 * (alpha + ((alpha - 1) * (alpha + 1)).sqrt()).ln())
 
 
+def decimal_half_trace_k(t):
+    """|k| = sqrt|(t/2)^2 - 1| at 60 digits, from the standard library alone:
+    the oracle for the k of ``traces._half_trace_split``.  The float parts of
+    t are exact decimals, and (t/2)^2 - 1 keeps 60 digits wherever |t -+ 2|
+    is past about 1e-20."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x, y = decimal.Decimal(t.real) / 2, decimal.Decimal(t.imag) / 2
+        re, im = x * x - y * y - 1, 2 * x * y
+        return float((re * re + im * im).sqrt().sqrt())
+
+
 def random_reduced_letters(rng, rank, length):
     alphabet = [v for i in range(1, rank + 1) for v in (i, -i)]
     letters = []

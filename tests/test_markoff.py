@@ -167,6 +167,22 @@ def test_fan_escape_is_false_on_the_real_segment():
         assert not ps.fan_escapes(complex(r, 0.0), y0, y1), (r, y0, y1)
 
 
+def test_fan_escape_ignores_the_sign_of_a_zero_imaginary_part():
+    # for a real r < -2 with Im r = -0.0, t + 2.0 drops the zero's sign in
+    # _half_trace_split, so h + k is the root inside the unit circle and the
+    # rule must swap the roots to answer as it does for Im r = +0.0
+    from primstab.traces import _half_trace_split
+
+    h, k = _half_trace_split(complex(-2.5, -0.0))
+    assert abs(h + k) < 1.0 < abs(h - k)
+    assert ps.fan_escapes(complex(-2.5, -0.0), 3, 40) and ps.fan_escapes(complex(-2.5, 0.0), 3, 40)
+    rng = random.Random(3203)
+    for _ in range(2000):
+        r = -10 ** rng.uniform(math.log10(2.0 + 1e-6), 3)
+        y0, y1 = random_complex(rng, rng.choice((3, 40, 1e3))), random_complex(rng, 40)
+        assert ps.fan_escapes(complex(r, -0.0), y0, y1) == ps.fan_escapes(complex(r, 0.0), y0, y1)
+
+
 def test_fan_escape_forward_property():
     # when the rule accepts (r, y0, y1), every fan edge {y_j, y_{j+1}} around
     # r, with far trace y_j y_{j+1} - r, passes the escape test.  Half the

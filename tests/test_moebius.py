@@ -16,6 +16,7 @@ from primstab.errors import (
 from primstab.moebius import _check_entries, _displacement
 
 from helpers import (
+    decimal_half_trace_k,
     decimal_translation_length,
     mat_mul,
     mat_of,
@@ -334,6 +335,10 @@ def test_translation_length_examples():
     assert abs(ps.translation_length(ps.MoebiusMap(2, 0, 0, 0.5)) - 2 * math.log(2)) <= 1e-12
     assert ps.translation_length(ps.MoebiusMap(1, 1, 0, 1)) == 0.0
     assert ps.translation_length(ps.MoebiusMap(0, -1, 1, 0)) == 0.0
+    # trace 2 + 5e-10 is parabolic, so its length is 0.0, not the 4.47e-5 of its trace
+    near = ps.MoebiusMap(2.0000000005, -1, 1, 0)
+    assert ps.classify(near) is ps.IsometryClass.PARABOLIC
+    assert repr(ps.translation_length(near)) == "0.0"
     # |t| past 1e154: t^2 overflows, the length does not
     huge = ps.MoebiusMap(2e160, 1e160, 1e-160, 1e-160)
     assert abs(ps.translation_length(huge) - 2 * math.log(2e160)) <= 1e-12 * 738.2
@@ -371,17 +376,43 @@ def test_translation_length_is_within_4_ulps_of_a_decimal_oracle():
         traces.append(complex(rng.gauss(0.0, 4.0), rng.gauss(0.0, 4.0)))
         traces.append(cmath.rect(10 ** rng.uniform(0, 308), rng.uniform(-math.pi, math.pi)))
     for t in traces:
-        got = ps.translation_length(ps.MoebiusMap(t, -1, 1, 0))
+        got = _trace_length(t)
         want = decimal_translation_length(t)
         assert abs(got - want) <= 4 * math.ulp(want), (t, got, want)
         kind, length = _kind_and_length(t, -1, 1, 0)
         if kind is ps.IsometryClass.LOXODROMIC:
             assert 0.0 < length < math.inf, (t, length)
+        # the public length is that one where classify says loxodromic, and
+        # 0.0 everywhere else, also where the trace gives a small length
+        m = ps.MoebiusMap(t, -1, 1, 0)
+        loxodromic = ps.classify(m) is ps.IsometryClass.LOXODROMIC
+        assert _same_float(ps.translation_length(m), got if loxodromic else 0.0), t
     # a real trace in [-2, 2] has length exactly 0.0, whatever the sign of
     # its zero imaginary part
     for x in [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0] + [rng.uniform(-2.0, 2.0) for _ in range(200)]:
         for zero in (0.0, -0.0):
             assert repr(_trace_length(complex(x, zero))) == "0.0", (x, zero)
+
+
+def test_half_trace_split_is_within_4_ulps_of_a_decimal_oracle():
+    # k, with k^2 = (t/2)^2 - 1, gives the fan rule its roots h +- k and the
+    # axis its height; sinh(acosh(t/2)) misses it by up to 1e6 ulps near +-2
+    from primstab.traces import _half_trace_split
+
+    rng = random.Random(3201)
+    for _ in range(1000):
+        angle = rng.uniform(-math.pi, math.pi)
+        # near +-2, near 0, Gaussian, 1e3 to 1e50, and 1e150 to 1e307
+        for t in (
+            rng.choice((2.0, -2.0)) + cmath.rect(10 ** rng.uniform(-12, -1), angle),
+            cmath.rect(10 ** rng.uniform(-12, 0), angle),
+            complex(rng.gauss(0.0, 4.0), rng.gauss(0.0, 4.0)),
+            cmath.rect(10 ** rng.uniform(3, 50), angle),
+            cmath.rect(10 ** rng.uniform(150, 307), angle),
+        ):
+            k = _half_trace_split(t)[1]
+            want = decimal_half_trace_k(t)
+            assert abs(abs(k) - want) <= 4 * math.ulp(want), (t, k, want)
 
 
 def test_translation_length_of_negative_trace_does_not_cancel():

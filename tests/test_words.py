@@ -231,3 +231,7 @@ def test_power():
     for n in range(-3, 6):
         b = ("b" if n > 0 else "B") * abs(n)
         assert ps.power(w, n) == ps.parse_word("a" + b + "A", rank=2)
+    # n is a count by the package's one integer rule: not a bool, float or str
+    for n in (True, 2.5, "2"):
+        with pytest.raises(ValueError):
+            ps.power(w, n)
