@@ -61,10 +61,7 @@ class MarkoffTriple(_Frozen):
 
     def __init__(self, x: complex, y: complex, z: complex, kappa: complex):
         for name, value in zip(self.__slots__, (x, y, z, kappa)):
-            value = _number(value)
-            if not cmath.isfinite(value):
-                raise NonFiniteValue("%s = %r is not finite" % (name, value))
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _number(name, value))
         _check_fricke(self.x, self.y, self.z, self.kappa)
 
     @classmethod
@@ -101,6 +98,8 @@ def slope_trace(t0: MarkoffTriple, p: int, q: int) -> complex:
     Matches the matrix trace of the mediant-recursion word of the slope
     whenever t0 comes from the representation's Fricke traces.
     """
+    _check_count("p", p, None)
+    _check_count("q", q, None)
     p, q = _normalize_slope(p, q)  # the inverse class has the same trace
     x, y, z = t0.x, t0.y, t0.z
     if p < 0:
@@ -127,10 +126,11 @@ def edge_escapes(t1: complex, t2: complex, t_far: complex) -> bool:
     condition with a strictly larger far trace:
     |t1*t_far - t2| >= (2+delta)|t_far| - |t2| >= |t_far| + |t1| + delta.  So
     every trace beyond the edge exceeds 4 in modulus and grows without bound,
-    and the subtree can hold no small-trace or non-loxodromic class.
+    and the subtree can hold no small-trace or non-loxodromic class.  A far
+    modulus that saturates to inf proves nothing, so the test is then False.
     """
     a1, a2 = safe_abs(t1), safe_abs(t2)
-    return min(a1, a2) >= 2.0 + _DELTA and safe_abs(t_far) >= a1 + a2 + _DELTA
+    return min(a1, a2) >= 2.0 + _DELTA and math.inf > safe_abs(t_far) >= a1 + a2 + _DELTA
 
 
 def fan_escapes(r: complex, y0: complex, y1: complex) -> bool:
@@ -241,6 +241,7 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     # every non-loxodromic trace has |t| <= 2 + _TOL and |Im t| <= _TOL, so
     # these two comparisons spare the classifier nearly every node
     real_bound = 2.0 + _TOL
+    inf = math.inf
     nodes = 0
     depth_max = 0
     small: list[tuple[tuple[int, int], complex]] = []
@@ -279,7 +280,7 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
             # with both large, trying it slows the many few-node searches
             if a1 >= lox_floor:
                 if a2 >= lox_floor:
-                    if an >= a1 + a2 + _DELTA:
+                    if inf > an >= a1 + a2 + _DELTA:
                         pruned_escape += 1
                         continue
                 elif fan_escapes(t2, tp, t1):
@@ -324,21 +325,20 @@ def solve_y_from_fricke(x: complex, z: complex, kappa: complex) -> tuple[complex
     Returned as (plus root, minus root) for the principal square root of the
     discriminant; computed the numerically stable way (larger root directly,
     smaller root from the product) and verified against root sum and product.
-    A modulus past the float range raises NonFiniteValue.
+    An input or root that is not finite, or a modulus past the float range, raises NonFiniteValue.
     """
-    x, z, kappa = _number(x), _number(z), _number(kappa)
+    x, z, kappa = _number("x", x), _number("z", z), _number("kappa", kappa)
     b = x * z
     c = x * x + z * z - 2.0 - kappa
     s = cmath.sqrt(b * b - 4.0 * c)
-    plus = (b + s) / 2.0
-    minus = (b - s) / 2.0
+    plus = _number("plus root", (b + s) / 2.0)
+    minus = _number("minus root", (b - s) / 2.0)
     try:
         if abs(plus) >= abs(minus):
             if abs(plus) > 0:
                 minus = c / plus
-        else:
-            if abs(minus) > 0:
-                plus = c / minus
+        elif abs(minus) > 0:
+            plus = c / minus
         scale = max(1.0, abs(b), abs(c))
         failed = abs(plus + minus - b) > 1e-9 * scale or abs(plus * minus - c) > 1e-9 * scale
     except OverflowError as exc:

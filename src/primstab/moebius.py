@@ -7,6 +7,7 @@ checked nor rescaled in between.  One rule, ``_check_entries``, checks each
 matrix once, where it becomes a value: in the constructor (so in
 ``from_matrix``, ``evaluate`` and ``mul``), and in a spectrum scan, which
 classifies each word on its raw entries without building a ``MoebiusMap``.
+A non-finite entry is a NonFiniteValue (``traces._number``), any other miss a DeterminantError.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def _scale_sq(a: complex, b: complex, c: complex, d: complex) -> float:
 def _check_entries(a: complex, b: complex, c: complex, d: complex) -> None:
     """Raise unless the entries are finite and ad - bc = 1 within max(1e-9, 1e-12 S).
 
-    S is the sum of the squared entry moduli.  Raises DegenerateMatrix for a
-    non-finite entry and DeterminantError for any other miss.
+    S is the sum of the squared entry moduli.  Raises NonFiniteValue for a
+    non-finite entry (``traces._number``) and DeterminantError for any other miss.
     """
     det = a * d - b * c
     try:
@@ -64,8 +65,7 @@ def _check_entries(a: complex, b: complex, c: complex, d: complex) -> None:
     except OverflowError:
         pass
     for name, value in zip("abcd", (a, b, c, d)):
-        if not cmath.isfinite(value):
-            raise DegenerateMatrix("entry %s = %r is not finite" % (name, value))
+        _number("entry " + name, value)
     # ad - bc cancels catastrophically once entries are large (error grows
     # like eps * |entries|^2), so the tolerance follows the entry scale
     tol = max(_DET_TOL, 1e-12 * _scale_sq(a, b, c, d))
@@ -101,7 +101,7 @@ class MoebiusMap(_Frozen):
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
         # the entries of a product are complex already, and stay as they are
         if not (type(a) is type(b) is type(c) is type(d) is complex):
-            a, b, c, d = _number(a), _number(b), _number(c), _number(d)
+            a, b, c, d = (_number("entry " + n, v) for n, v in zip("abcd", (a, b, c, d)))
         _check_entries(a, b, c, d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -298,8 +298,8 @@ class UhsPoint(_Frozen):
     __slots__ = ("z", "t")
 
     def __init__(self, z: complex, t: float):
-        z, t = _number(z), _number(t, float)
-        if not (cmath.isfinite(z) and math.isfinite(t) and t > 0):
+        z, t = _number("z", z), _number("t", t, float)
+        if not t > 0:
             raise ValueError("invalid upper-half-space point (%r, %r)" % (z, t))
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "t", t)
@@ -409,12 +409,12 @@ class SphereDisk(_Frozen):
     __slots__ = ("center", "radius", "interior")
 
     def __init__(self, center: complex, radius: float, interior: DiskSide = DiskSide.INSIDE):
-        center, radius, interior = _number(center), _number(radius, float), DiskSide(interior)
-        if not (cmath.isfinite(center) and math.isfinite(radius) and radius > 0):
+        center, radius = _number("center", center), _number("radius", radius, float)
+        if not radius > 0:
             raise ValueError("invalid disk (%r, %r)" % (center, radius))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "interior", interior)
+        object.__setattr__(self, "interior", DiskSide(interior))
 
     def contains(self, z: complex) -> bool:
         dist = abs(z - self.center)

@@ -15,13 +15,12 @@ depend on how many forked worker processes computed it.
 
 from __future__ import annotations
 
-import cmath
 import mmap
 import os
 import signal
 from enum import Enum
 
-from .errors import NonFiniteValue, ParseError
+from .errors import ParseError
 from .markoff import BqKind, BqVerdict, MarkoffTriple, bq_decide, solve_y_from_fricke
 from .traces import _check_keys, _complex_from_json, _complex_to_json, _number
 from .words import _check_count, _Frozen
@@ -55,15 +54,10 @@ class SliceConfig(_Frozen):
         budget: int = 20000,
         small_trace_bound: int = 64,
     ):
-        kappa, fixed_x = _number(kappa), _number(fixed_x)
-        lo, hi = (_number(corner) for corner in window)
+        kappa, fixed_x = _number("kappa", kappa), _number("fixed_x", fixed_x)
+        lo, hi = (_number("window corner", corner) for corner in window)
+        _number("window extent", hi - lo)  # may overflow though both corners are finite
         root_choice = RootChoice(root_choice)
-        # the extent hi - lo can overflow although both corners are finite
-        for name, value in (("kappa", kappa), ("fixed_x", fixed_x),
-                            ("window corner", lo), ("window corner", hi),
-                            ("window extent", hi - lo)):
-            if not cmath.isfinite(value):
-                raise NonFiniteValue("%s = %r is not finite" % (name, value))
         for name, value, low in (("width", width, 1), ("height", height, 1), ("budget", budget, 0),
                                  ("small_trace_bound", small_trace_bound, 0)):
             _check_count(name, value, low)

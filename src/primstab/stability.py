@@ -177,7 +177,7 @@ def orbit_growth_probe(
     by least squares through the origin.  For loxodromic images the slope
     approaches the translation length; sublinear growth flags parabolics.
     Raises DegenerateAction where the image of p0 under a power has a
-    coordinate past the float range, and DegenerateMatrix where the entries
+    coordinate past the float range, and NonFiniteValue where the entries
     of a power are not finite.  An image height that underflows to 0 is no
     error: the distance is taken without it (``moebius._orbit_distance``).
     ``periods`` is a count of at least 2; anything else is a ValueError.

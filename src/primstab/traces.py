@@ -13,7 +13,7 @@ import cmath
 import math
 from enum import Enum
 
-from .errors import FrickeMismatch, ParseError
+from .errors import FrickeMismatch, NonFiniteValue, ParseError
 
 _FRICKE_TOL = 1e-8
 # the one geometric tolerance: how close a trace must come to +-2 or to the
@@ -22,14 +22,18 @@ _FRICKE_TOL = 1e-8
 _TOL = 1e-9
 
 
-def _number(value, kind=complex):
+def _number(name: str, value, kind=complex):
     """``kind(value)``, ``kind`` being ``complex`` or ``float``: the one rule for
-    a number given to a constructor.  A str, bytes or bytearray raises
-    TypeError, as ``complex(None)`` does, where ``complex`` or ``float``
-    would parse it."""
-    if isinstance(value, (str, bytes, bytearray)):
-        raise TypeError("expected a number, got %r" % (value,))
-    return kind(value)
+    a number given to a constructor.  A str, bytes or bytearray, which ``kind``
+    would parse, raises TypeError, as ``complex(None)`` does; an infinite or
+    NaN value raises NonFiniteValue("<name> = <value> is not finite")."""
+    if type(value) is not kind:
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError("expected a number, got %r" % (value,))
+        value = kind(value)
+    if not cmath.isfinite(value):
+        raise NonFiniteValue("%s = %r is not finite" % (name, value))
+    return value
 
 
 def safe_abs(z: complex) -> float:
@@ -119,9 +123,9 @@ def _complex_from_json(value) -> complex:
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ParseError("expected [re, im], got %r" % (value,))
     try:
-        return complex(value[0], value[1])
-    except OverflowError as exc:  # an integer past the float range
-        raise ParseError("[re, im] entry out of the float range: %s" % (exc,)) from exc
+        return _number("[re, im] pair", complex(value[0], value[1]))
+    except (OverflowError, NonFiniteValue) as exc:  # inf, NaN or an int past the float range
+        raise ParseError("not a finite number: %s" % (exc,)) from exc
 
 
 def _complex_to_json(z: complex) -> list[float]:

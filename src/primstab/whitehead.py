@@ -600,6 +600,8 @@ def primitive_of_slope(p: int, q: int) -> CyclicWord:
     exponent vector of the result is (q, p).  Negative slopes are reached by
     inverting b (for p < 0) and by inverting the whole word (for q < 0).
     """
+    _check_count("p", p, None)
+    _check_count("q", q, None)
     slope = _normalize_slope(p, q)
     inverted = slope != (p, q)
     p, q = slope

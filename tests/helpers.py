@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import primstab as ps
-from primstab.errors import DegenerateMatrix, DeterminantError
+from primstab.errors import DeterminantError, NonFiniteValue
 from primstab.whitehead import _apply_raw, _move_pool
 from primstab.words import _canonical_cycle, _cyclic_core
 
@@ -271,7 +271,7 @@ def reference_entry_check(a, b, c, d):
     """The constructor's entry rule without the shortcut that accepts
     |ad - bc - 1| <= 1e-9 at once: the reference for ``moebius._check_entries``.
 
-    Returns None where the entries pass and raises DegenerateMatrix or
+    Returns None where the entries pass and raises NonFiniteValue or
     DeterminantError where they do not.
     """
     def safe_abs(z):
@@ -290,7 +290,7 @@ def reference_entry_check(a, b, c, d):
     for name, value in zip("abcd", (a, b, c, d)):
         value = complex(value)
         if not cmath.isfinite(value):
-            raise DegenerateMatrix("entry %s = %r is not finite" % (name, value))
+            raise NonFiniteValue("entry %s = %r is not finite" % (name, value))
         entries.append(value)
     a, b, c, d = entries
     det = a * d - b * c

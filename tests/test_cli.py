@@ -266,7 +266,7 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     # displacement bound does not
     for name, gen, error in (
             ("tiny_d", [[1e160, 0], [0, 0], [0, 0], [1e-160, 0]], "DegenerateAction"),
-            ("huge_d", [[1e-160, 0], [0, 0], [0, 0], [1e160, 0]], "DegenerateMatrix")):
+            ("huge_d", [[1e-160, 0], [0, 0], [0, 0], [1e160, 0]], "NonFiniteValue")):
         path = tmp_path / (name + ".json")
         other = [[2, 0], [1, 0], [1, 0], [1, 0]]
         path.write_text(json.dumps({"rank": 2, "generators": [gen, other]}))

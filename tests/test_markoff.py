@@ -98,6 +98,10 @@ def test_slope_trace_rejects_non_coprime():
     for bad in ((0, 0), (2, 2), (4, 6)):
         with pytest.raises(NotCoprime):
             ps.slope_trace(t, *bad)
+    # slopes are ints, not bools: the package's count rule with no bound
+    for bad in ((True, 0), (0, True), (1.0, 2), (1, 2.0), ("1", 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ps.slope_trace(t, *bad)
 
 
 def test_slope_trace_matches_matrix_oracle():
@@ -120,6 +124,23 @@ def test_escape_criterion_examples():
     assert ps.edge_escapes(3, 6, 15)
     assert not ps.edge_escapes(3, 3, 6)       # 6 < 3 + 3 + delta
     assert not ps.edge_escapes(1.5, 40, 100)  # small side never escapes
+    # a far modulus saturated to inf proves nothing, however large the sides
+    assert not ps.edge_escapes(math.inf, math.inf, math.inf)
+    assert not ps.edge_escapes(3, 3, complex(1.5e308, 1.5e308))
+    assert ps.edge_escapes(3, 3, 1.7e308)
+
+
+def test_saturated_traces_never_certify():
+    # kappa = 0 passes the Fricke check, which gives up past the float range;
+    # every far trace saturates, so no edge is pruned and the budget runs out
+    b = complex(1.5e308, 1.5e308)
+    for triple in ((b, b, b, 0), (3, 3, b, 0), (1e200, 1e200, 1e200, 0)):
+        verdict = ps.bq_decide(ps.MarkoffTriple(*triple), 1000)
+        assert verdict.kind == ps.BqKind.INCONCLUSIVE, triple
+        assert verdict.nodes_explored == 1000
+        assert verdict.pruned_escape == verdict.pruned_fan == 0
+    verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(3, 3, 3), 1000)
+    assert verdict.kind == ps.BqKind.BQ_CERTIFIED and verdict.nodes_explored == 6
 
 
 def test_escape_criterion_forward_invariance():
@@ -455,7 +476,10 @@ def test_bq_verdict_reader_rejects_malformed_documents():
                 {**good, "witnesses": [{**witness, "trace": [5.0, 3.0]}]},
                 {**good, "small_traces": [{"slope": [1, 1], "trace": [2.5, 0.0]}]},
                 {**good, "kind": "BQ_CERTIFIED"},
-                {**good, "kind": "INCONCLUSIVE"}):
+                {**good, "kind": "INCONCLUSIVE"},
+                # a finite trace whose modulus passes the float range is loxodromic
+                {**good, "witnesses": [{**witness, "trace": [1.5e308, 1.5e308]}]},
+                {**good, "witnesses": [{**witness, "trace": [math.inf, 0.0]}]}):
         with pytest.raises(ParseError):
             ps.bq_verdict_from_json(bad)
     # bq-decide writes the level set's kappa beside the verdict

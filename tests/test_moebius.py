@@ -10,6 +10,7 @@ from primstab.errors import (
     DegenerateMatrix,
     DeterminantError,
     ImageIsLine,
+    NonFiniteValue,
     ParseError,
     RankMismatch,
 )
@@ -91,7 +92,7 @@ def test_constructor_rejects_non_unit_determinant():
 def _check_outcome(check, entries):
     try:
         check(*entries)
-    except (DegenerateMatrix, DeterminantError) as exc:
+    except (NonFiniteValue, DeterminantError) as exc:
         return type(exc).__name__, str(exc)
     return "accepted", ""
 
@@ -123,7 +124,7 @@ def test_entry_check_agrees_with_the_rule_without_its_shortcut():
         assert _check_outcome(_check_entries, [complex(v) for v in entries]) == want, entries
         assert _check_outcome(ps.MoebiusMap, entries) == want, entries
         kinds.add(want[0])
-    assert kinds == {"accepted", "DegenerateMatrix", "DeterminantError"}
+    assert kinds == {"accepted", "NonFiniteValue", "DeterminantError"}
 
 
 def _same_float(x, y):
@@ -203,8 +204,19 @@ def test_kind_and_length_agrees_with_the_rule_without_its_shortcut():
 
 
 def test_constructor_rejects_non_finite():
-    with pytest.raises(DegenerateMatrix):
+    with pytest.raises(NonFiniteValue):
         ps.MoebiusMap(float("inf"), 0, 0, 1)
+
+
+def test_entry_modulus_past_the_float_range_raises_no_overflow():
+    # |det - 1| overflows in the shortcut; the full rule decides.  Its
+    # determinant is the entry itself, the known limit of the scaled
+    # tolerance, so only the kind of outcome is pinned
+    huge = complex(1.5e308, 1.5e308)
+    try:
+        ps.MoebiusMap(huge, 0, 0, 1)
+    except ps.PrimstabError:
+        pass
 
 
 def test_from_matrix_normalizes():
@@ -320,6 +332,9 @@ def test_classify_examples():
     assert ps.classify(rot) == ps.IsometryClass.ELLIPTIC
     assert ps.classify(ps.MoebiusMap.identity()) == ps.IsometryClass.IDENTITY
     assert ps.classify(-ps.MoebiusMap.identity()) == ps.IsometryClass.IDENTITY
+    # |b| passes the float range, so b is far from 0 and the trace, 2, decides
+    huge = complex(1.5e308, 1.5e308)
+    assert ps.classify(ps.MoebiusMap(1, huge, 0, 1)) == ps.IsometryClass.PARABOLIC
 
 
 def test_classify_sign_and_conjugation_robust():
@@ -667,6 +682,11 @@ def test_representation_json_errors():
     }
     with pytest.raises(DeterminantError):
         ps.representation_from_json(bad_det)
+    # json.loads reads Infinity and NaN; the reader's number rule turns them away
+    for entry in ([math.inf, 0.0], [0.0, -math.inf], [math.nan, 0.0]):
+        doc = {"rank": 1, "generators": [[entry, [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+        with pytest.raises(ParseError, match="not finite"):
+            ps.representation_from_json(doc)
 
 
 def test_representation_json_renormalizes_small_drift():

@@ -4,10 +4,12 @@ pickling and copying through the constructor.  Their constructors take
 numbers, never text."""
 
 import copy
+import math
 import pickle
 
 import pytest
 
+from primstab.errors import NonFiniteValue
 from primstab.markoff import BqKind, BqVerdict, MarkoffTriple, solve_y_from_fricke
 from primstab.moebius import (
     IsometryClass,
@@ -125,3 +127,27 @@ def test_number_arguments_reject_text(build, args, i, kind):
     text = str(args[i]) if kind is str else kind(str(args[i]).encode())
     with pytest.raises(TypeError, match="expected a number"):
         build(*args[:i], text, *args[i + 1:])
+
+
+# the arguments taken as float, which no complex value is
+FLOAT_ARGUMENTS = {("UhsPoint", 1), ("SphereDisk", 1)}
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("build, args, i, value", [
+    pytest.param(build, args, i, value, id="%s-%d-%r" % (name, i, value))
+    for name, build, args in NUMBER_SITES for i in range(len(args))
+    for value in NON_FINITE + ([] if (name, i) in FLOAT_ARGUMENTS else
+                               [complex(v, 0) for v in NON_FINITE]
+                               + [complex(0, v) for v in NON_FINITE])])
+def test_number_arguments_reject_non_finite_values(build, args, i, value):
+    # one rule, traces._number, for every constructor: a value that is not
+    # finite raises NonFiniteValue, named after the argument
+    with pytest.raises(NonFiniteValue, match="is not finite"):
+        build(*args[:i], value, *args[i + 1:])
+
+
+def test_roots_past_the_float_range_are_not_finite():
+    # finite inputs whose roots are not: b^2 - 4c is inf - inf
+    with pytest.raises(NonFiniteValue, match="root"):
+        solve_y_from_fricke(3, 1e200, -2)

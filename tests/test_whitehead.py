@@ -501,6 +501,10 @@ def test_primitive_of_slope_errors():
         ps.primitive_of_slope(2, 2)
     with pytest.raises(NotCoprime):
         ps.primitive_of_slope(2, 4)
+    # slopes are ints, not bools: the package's count rule with no bound
+    for bad in ((True, 0), (0, True), (1.0, 2), (1, 2.0), ("1", 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ps.primitive_of_slope(*bad)
 
 
 def test_primitive_of_slope_abelianization():
