@@ -115,6 +115,7 @@ class MoebiusMap(_Frozen):
     @classmethod
     def from_matrix(cls, a: complex, b: complex, c: complex, d: complex) -> "MoebiusMap":
         """Rescale an arbitrary nonsingular matrix to determinant 1."""
+        a, b, c, d = (_number("entry " + n, v) for n, v in zip("abcd", (a, b, c, d)))
         det = a * d - b * c
         if safe_abs(det) < 1e-30:
             raise DegenerateMatrix("matrix with determinant %r cannot be normalized" % (det,))

@@ -26,11 +26,15 @@ def _number(name: str, value, kind=complex):
     """``kind(value)``, ``kind`` being ``complex`` or ``float``: the one rule for
     a number given to a constructor.  A str, bytes or bytearray, which ``kind``
     would parse, raises TypeError, as ``complex(None)`` does; an infinite or
-    NaN value raises NonFiniteValue("<name> = <value> is not finite")."""
+    NaN value raises NonFiniteValue("<name> = <value> is not finite"), and a
+    number past the float range, such as a large int, NonFiniteValue too."""
     if type(value) is not kind:
         if isinstance(value, (str, bytes, bytearray)):
             raise TypeError("expected a number, got %r" % (value,))
-        value = kind(value)
+        try:
+            value = kind(value)
+        except OverflowError:
+            raise NonFiniteValue("%s is past the float range" % (name,)) from None
     if not cmath.isfinite(value):
         raise NonFiniteValue("%s = %r is not finite" % (name, value))
     return value

@@ -3,8 +3,9 @@
 The letter graph of a word has the 2n letters as vertices and one edge
 {x, y^-1} for every adjacent pair xy; the closed variant also counts the
 wrap-around pair of the cyclic word.  A word whose closed graph is connected
-and cutpoint-free is never primitive (Whitehead's lemma), and a word whose
-open graph is connected and cutpoint-free occurs in no cyclically reduced
+and cutpoint-free is never primitive (Whitehead's cut-vertex lemma, which
+``is_primitive`` applies before its move search), and a word whose open
+graph is connected and cutpoint-free occurs in no cyclically reduced
 primitive word, which is the certificate computed here.
 
 Both move searches, the minimiser and the enumeration of primitive classes,
@@ -67,6 +68,11 @@ def all_letters(rank: int) -> list[int]:
 # order is the letter order of CyclicWord.sort_key
 _KEY_OF = {v: letter_key(v) for v in all_letters(RANK_CAP)}
 _LETTER_OF = (0, *all_letters(RANK_CAP))
+
+
+# letter v -> its bit letter_key(v) - 1 at index v (the inverses at the
+# negative indices), in every rank up to the cap
+_BIT = tuple(letter_key(v) - 1 for v in (*range(RANK_CAP + 1), *range(-RANK_CAP, 0)))
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -146,6 +152,18 @@ def _neighbours(g: WhiteheadGraph) -> list[int]:
     return adjacent
 
 
+def _letter_graph(rank: int, letters: Sequence[int], closed: bool) -> list[int]:
+    """The adjacency masks of ``whitehead_graph`` of these letters, as
+    ``_neighbours`` gives them, built from the letters without the edge table."""
+    bit = _BIT if rank <= RANK_CAP else {v: letter_key(v) - 1 for x in letters for v in (x, -x)}
+    adjacent = [0] * (2 * rank)
+    for x, y in zip(letters, letters[1:] + letters[:1] if closed else letters[1:]):
+        u, v = bit[x], bit[-y]
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+    return adjacent
+
+
 def _component_count(adjacent: list[int], vertices: int) -> int:
     """Connected components of the subgraph induced on the letter mask ``vertices``."""
     count = 0
@@ -181,6 +199,20 @@ def has_cutpoint(g: WhiteheadGraph) -> bool:
     return any(_component_count(adjacent, within ^ v) > base for v in support)
 
 
+def _cut_vertex_verdict(adjacent: list[int]) -> str:
+    """DISCONNECTED unless the letter graph with these masks is connected on
+    all its letters, then HAS_CUTPOINT if removing one letter disconnects the
+    rest, else CONNECTED_NO_CUTPOINT: the graph to which Whitehead's
+    cut-vertex lemma applies.  An isolated letter disconnects before any
+    flood fill, which past a few letters would count every isolated one."""
+    letters = (1 << len(adjacent)) - 1
+    if not all(adjacent) or _component_count(adjacent, letters) != 1:
+        return DISCONNECTED
+    if any(_component_count(adjacent, letters ^ (1 << k)) > 1 for k in range(len(adjacent))):
+        return HAS_CUTPOINT
+    return CONNECTED_NO_CUTPOINT
+
+
 class BlockingCertificate(_Frozen):
     __slots__ = ("word", "certified", "reason")
 
@@ -199,12 +231,8 @@ def blocking_certificate(w: Word) -> BlockingCertificate:
     """
     if len(w) == 0:
         return BlockingCertificate(w, False, TOO_SHORT)
-    g = whitehead_graph(w, closed=False)
-    if not is_connected(g):
-        return BlockingCertificate(w, False, DISCONNECTED)
-    if has_cutpoint(g):
-        return BlockingCertificate(w, False, HAS_CUTPOINT)
-    return BlockingCertificate(w, True, CONNECTED_NO_CUTPOINT)
+    reason = _cut_vertex_verdict(_letter_graph(w.rank, w.letters, False))
+    return BlockingCertificate(w, reason == CONNECTED_NO_CUTPOINT, reason)
 
 
 class WhiteheadAutomorphism(_Frozen):
@@ -331,7 +359,7 @@ def _move_pool(rank: int) -> tuple[tuple[WhiteheadAutomorphism, tuple, int, int]
     non-identity second-kind move phi = (a, A), in a fixed order;
     RankTooLarge past RANK_CAP.
 
-    Letter v has bit ``letter_key(v) - 1``, its place in ``all_letters``.
+    Letter v has bit ``_BIT[v] = letter_key(v) - 1``, its place in ``all_letters``.
     """
     if rank > RANK_CAP:
         raise RankTooLarge("rank %d exceeds the move-search cap %d" % (rank, RANK_CAP))
@@ -343,9 +371,9 @@ def _move_pool(rank: int) -> tuple[tuple[WhiteheadAutomorphism, tuple, int, int]
             members = [others[k] for k in range(len(others)) if mask >> k & 1]
             bits = 0
             for v in (a, *members):
-                bits |= 1 << (letter_key(v) - 1)
+                bits |= 1 << _BIT[v]
             phi = WhiteheadAutomorphism.multiplier_move(rank, a, members)
-            moves.append((phi, _image_table(phi), bits, letter_key(a) - 1))
+            moves.append((phi, _image_table(phi), bits, _BIT[a]))
     return tuple(moves)
 
 
@@ -364,15 +392,16 @@ def _length_changes(
     with no self-loop edge (an edge that XORs away at its own letter),
     which a cyclically reduced core has: xy with x = y^-1 would cancel.
     """
+    pool = _move_pool(rank)  # RankTooLarge past the cap, before the 2^(2n) XORs
     incident = [0] * (2 * rank)
     for i, (x, y) in enumerate(zip(core, core[1:] + core[:1])):
-        incident[letter_key(x) - 1] |= 1 << i
-        incident[letter_key(-y) - 1] |= 1 << i
+        incident[_BIT[x]] |= 1 << i
+        incident[_BIT[-y]] |= 1 << i
     crossing = [0]  # crossing[S] for every letter set S, one XOR each
     for edges in incident:
         crossing += [c ^ edges for c in crossing]
     degree = [edges.bit_count() for edges in incident]
-    for phi, table, mask, a in _move_pool(rank):
+    for phi, table, mask, a in pool:
         change = crossing[mask].bit_count() - degree[a]
         if low <= change <= high:
             yield phi, table, change
@@ -426,15 +455,24 @@ def is_primitive(w: Word | CyclicWord) -> bool:
     """Whether w belongs to some free basis.
 
     Invariant under conjugation, inversion, and automorphisms.  The empty
-    word is not primitive.  A coprimality check on the exponent vector (a
-    necessary condition, preserved by automorphisms) short-circuits most
-    negatives before the move search runs; only a word that reaches the
-    search raises RankTooLarge past ``RANK_CAP``.
+    word is not primitive.  Two necessary conditions short-circuit most
+    negatives before the move search runs, in any rank; only a word that
+    reaches the search raises RankTooLarge past ``RANK_CAP``:
+
+    - the exponent vector has gcd 1 (a condition preserved by automorphisms);
+    - Whitehead's cut-vertex lemma (Whitehead, Ann. Math. 1936;
+      Heusener-Weidmann, 2019): in rank 2 or more, the closed letter graph
+      of a primitive cyclically reduced word is disconnected or has a cut
+      vertex.  Only cores of 2 or more letters are tested: in rank 1 the
+      graph of the letter a has neither, and a longer core fails on its gcd.
     """
     core, _ = _cyclic_core(w.letters)
     if not core:
         return False
     if math.gcd(*exponent_vector(w)) != 1:
+        return False
+    if len(core) > 1 and (
+            _cut_vertex_verdict(_letter_graph(w.rank, core, True)) == CONNECTED_NO_CUTPOINT):
         return False
     terminal, _ = _minimize_raw(w.rank, core)
     return len(terminal) == 1

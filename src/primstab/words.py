@@ -254,20 +254,20 @@ def format_letters(letters: Iterable[int]) -> str:
     return "".join(out)
 
 
+# the letter of each ASCII character, the inverse of ``format_letters``
+_LETTER_OF_CHAR = {format_letters((v,)): v for k in range(1, 27) for v in (k, -k)}
+
+
 def parse_word(text: str, rank: int | None = None) -> Word:
     """Parse an ASCII word and freely reduce it.
 
     The rank defaults to the largest generator index that occurs (1 for the
     empty string).  Characters outside a-z / A-Z are rejected.
     """
-    letters = []
-    for ch in text:
-        if "a" <= ch <= "z":
-            letters.append(ord(ch) - ord("a") + 1)
-        elif "A" <= ch <= "Z":
-            letters.append(-(ord(ch) - ord("A") + 1))
-        else:
-            raise WordParseError("invalid character %r in word %r" % (ch, text))
+    try:
+        letters = [_LETTER_OF_CHAR[ch] for ch in text]
+    except KeyError as exc:
+        raise WordParseError("invalid character %r in word %r" % (exc.args[0], text)) from None
     if rank is None:
         rank = max((abs(v) for v in letters), default=1)
     return reduce(letters, rank)

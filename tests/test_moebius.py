@@ -226,6 +226,17 @@ def test_from_matrix_normalizes():
         ps.MoebiusMap.from_matrix(1, 1, 1, 1)
 
 
+def test_from_matrix_names_the_entry_it_was_given():
+    # inf * 1/sqrt(inf) would be a NaN; the error names the inf passed in
+    for i, name in enumerate("abcd"):
+        entries = [1, 0, 0, 1]
+        entries[i] = math.inf
+        with pytest.raises(NonFiniteValue, match=r"entry %s = \(inf\+0j\) is not finite" % name):
+            ps.MoebiusMap.from_matrix(*entries)
+    with pytest.raises(TypeError, match="expected a number"):
+        ps.MoebiusMap.from_matrix("2", 0, 0, 2)
+
+
 def test_evaluate_single_letter_and_identity():
     rng = random.Random(20)
     rep = random_representation(rng, 2)

@@ -147,6 +147,16 @@ def test_number_arguments_reject_non_finite_values(build, args, i, value):
         build(*args[:i], value, *args[i + 1:])
 
 
+def test_integers_past_the_float_range_are_not_finite():
+    # complex(10**400) overflows; the error names the argument, not its digits
+    huge = 10 ** 400
+    for build, args in [(MarkoffTriple, (huge, 3, 3, 0)), (MoebiusMap, (huge, 0, 0, 1)),
+                        (UhsPoint, (0, huge)), (solve_y_from_fricke, (huge, 3, -2))]:
+        with pytest.raises(NonFiniteValue, match="is past the float range") as info:
+            build(*args)
+        assert len(str(info.value)) < 40, info.value
+
+
 def test_roots_past_the_float_range_are_not_finite():
     # finite inputs whose roots are not: b^2 - 4c is inf - inf
     with pytest.raises(NonFiniteValue, match="root"):

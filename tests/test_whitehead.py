@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -15,13 +17,17 @@ from primstab.errors import (
 from primstab.whitehead import (
     _apply_raw,
     _length_changes,
+    _letter_graph,
+    _minimize_raw,
     _move_pool,
+    _neighbours,
     all_letters,
 )
 from primstab.words import _cyclic_core
 
 from helpers import (
     all_cyclic_classes,
+    all_reduced_words,
     applied_minimize,
     grown_primitive_classes,
     random_automorphism,
@@ -135,6 +141,19 @@ def test_connectivity_and_cutpoints_agree_with_set_flood_fill():
         assert (ps.is_connected(g), ps.has_cutpoint(g)) == set_connectivity(g), g
 
 
+def test_letter_graph_masks_are_those_of_the_edge_table():
+    # the masks built from the letters are those of whitehead_graph's edges
+    for length in range(1, 6):
+        for letters in all_reduced_words(3, length):
+            w = ps.Word(3, letters)
+            assert _letter_graph(3, letters, False) == _neighbours(ps.whitehead_graph(w)), w
+            if length == 1 or letters[0] != -letters[-1]:
+                assert _letter_graph(3, letters, True) == _neighbours(
+                    ps.whitehead_graph(w, closed=True)), w
+    w = ps.parse_word("azYbq")  # past the cap, the bits of its own letters
+    assert _letter_graph(26, w.letters, True) == _neighbours(ps.whitehead_graph(w, closed=True))
+
+
 @pytest.mark.parametrize("package, module", [("primstab", "networkx"),
                                              ("primstab.cli", "multiprocessing")])
 def test_import_leaves_module_unloaded(package, module):
@@ -168,6 +187,25 @@ def test_certificate_is_a_string_claim_not_an_element_claim():
     assert ps.is_primitive(w)
     core, _ = ps.cyclic_reduce(w)
     assert len(core) < len(w)
+
+
+def test_blocking_reasons_follow_the_public_graph_tests():
+    # the certificate's reason is the one that whitehead_graph, is_connected
+    # and has_cutpoint give, in that order, on seeded words of ranks 1-3
+    rng = random.Random(17)
+    reasons = Counter()
+    for _ in range(3000):
+        rank = rng.randint(1, 3)
+        w = random_word(rng, rank, rng.randint(0, 9))
+        g = ps.whitehead_graph(w)
+        expected = ("DISCONNECTED" if not ps.is_connected(g) else
+                    "HAS_CUTPOINT" if ps.has_cutpoint(g) else "CONNECTED_NO_CUTPOINT")
+        if len(w) == 0:
+            expected = "TOO_SHORT"
+        cert = ps.blocking_certificate(w)
+        assert (cert.certified, cert.reason) == (expected == "CONNECTED_NO_CUTPOINT", expected), w
+        reasons[expected] += 1
+    assert min(reasons.values()) > 10 and len(reasons) == 4
 
 
 def test_certified_cyclically_reduced_words_are_never_primitive():
@@ -359,6 +397,84 @@ def test_is_primitive_examples():
     assert ps.exponent_vector(ps.parse_word("aa", 2)) == (2, 0)
     assert not ps.is_primitive(ps.parse_word("aa", 2))
     assert not ps.is_primitive(ps.parse_word("", 2))
+
+
+def test_single_letters_are_primitive_in_every_rank():
+    # in rank 1 the closed graph of a or A is the edge a - A, connected with
+    # no cut vertex; the cut-vertex lemma needs rank 2, so it is not applied
+    for rank in (1, 2, 3, 4):
+        for v in all_letters(rank):
+            assert ps.is_primitive(ps.Word(rank, (v,)))
+    assert ps.is_primitive(ps.parse_word("A", 1))
+    assert not ps.is_primitive(ps.parse_word("aa", 1))
+
+
+def test_cut_vertex_lemma_answers_past_the_rank_cap():
+    # eddcBEDcbaa has exponent gcd 1 and a closed letter graph connected on
+    # all ten letters with no cut vertex: not primitive with no move search
+    w = ps.parse_word("eddcBEDcbaa")
+    assert w.rank == 5 and math.gcd(*ps.exponent_vector(w)) == 1
+    assert not ps.is_primitive(w)
+    assert not ps.is_primitive(ps.CyclicWord(5, w.letters))
+    with pytest.raises(RankTooLarge):
+        ps.is_primitive(ps.parse_word("e"))
+    # a connected graph with a cut vertex still needs the search
+    with pytest.raises(RankTooLarge):
+        ps.is_primitive(ps.parse_word("abcde"))
+
+
+def test_an_isolated_letter_disconnects_without_a_flood_fill(monkeypatch):
+    # a flood fill would count each of the 2n - 4 isolated letters, every
+    # step on a 2n-bit mask: quadratic in the rank
+    def flood_fill(adjacent, vertices):
+        raise AssertionError("flood fill on %d letters" % len(adjacent))
+
+    monkeypatch.setattr(whitehead, "_component_count", flood_fill)
+    w = ps.Word(10 ** 5, (1, 2, -1, -2))
+    assert ps.blocking_certificate(w).reason == "DISCONNECTED"
+    with pytest.raises(RankTooLarge):
+        ps.is_primitive(ps.Word(10 ** 5, (1, 2)))
+
+
+def test_rank_cap_is_checked_before_the_move_count():
+    # the move count's XOR table has 2^(2n) entries, 2^24 at rank 12
+    tracemalloc.start()
+    try:
+        for query in (ps.whitehead_minimize, ps.is_primitive):
+            with pytest.raises(RankTooLarge):
+                query(ps.Word(12, (1, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 6)])
+def test_is_primitive_matches_the_move_search_alone(rank, max_len):
+    # every cyclically reduced word: the gcd and cut-vertex refutations agree
+    # with the move search that runs neither
+    refuted = 0
+    for length in range(1, max_len + 1):
+        for letters in all_reduced_words(rank, length):
+            if length > 1 and letters[0] == -letters[-1]:
+                continue
+            searched = len(_minimize_raw(rank, letters)[0]) == 1
+            assert ps.is_primitive(ps.Word(rank, letters)) == searched, letters
+            refuted += not searched
+    assert refuted > 1000
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_automorphic_images_of_a_letter_are_primitive(rank):
+    rng = random.Random(60 + rank)
+    lengths = set()
+    for _ in range(200):
+        w = ps.Word(rank, (1,))
+        for _ in range(rng.randint(1, 20)):
+            w = ps.apply_automorphism(random_automorphism(rng, rank), w)
+        assert ps.is_primitive(w), w
+        lengths.add(len(ps.cyclic_reduce(w)[0]))
+    assert max(lengths) >= 8
 
 
 def test_is_primitive_invariances():

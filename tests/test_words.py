@@ -208,6 +208,9 @@ def test_parse_rejects_bad_characters():
     for bad in ("ab1", "a b", "a-b", "ab!"):
         with pytest.raises(WordParseError):
             ps.parse_word(bad)
+    with pytest.raises(WordParseError) as info:
+        ps.parse_word("abé")
+    assert str(info.value) == "invalid character 'é' in word 'abé'"
 
 
 def test_parse_reduces_input():
