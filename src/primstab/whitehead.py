@@ -3,19 +3,21 @@
 The letter graph of a word has the 2n letters as vertices and one edge
 {x, y^-1} for every adjacent pair xy; the closed variant also counts the
 wrap-around pair of the cyclic word.  A word whose closed graph is connected
-and cutpoint-free is never primitive (Whitehead's cut-vertex lemma, which
-``is_primitive`` applies before its move search), and a word whose open
-graph is connected and cutpoint-free occurs in no cyclically reduced
-primitive word, which is the certificate computed here.
+and cutpoint-free is never primitive (Whitehead's cut-vertex lemma), and a
+word whose open graph is connected and cutpoint-free occurs in no cyclically
+reduced primitive word, which is the certificate computed here.
 
-Both move searches, the minimiser and the enumeration of primitive classes,
-read each move's effect off the closed graph before taking it: a move (a, A)
-changes the length of a cyclically reduced word by cut(A) - deg(a), the
-edges with exactly one end in A minus the edges at a (the Higgins-Lyndon
-count; Lyndon-Schupp, Combinatorial Group Theory, Prop. I.4.16).  Both
-graph kernels work on int bitmasks, letter v on bit ``letter_key(v) - 1``:
-the count XORs edge-incidence masks and takes a bit count, and the
-connectivity tests flood-fill letter sets.
+A move (a, A) changes the length of a cyclically reduced word by
+cut(A) - deg(a), the edges with exactly one end in A minus the edges at a
+(the Higgins-Lyndon count; Lyndon-Schupp, Combinatorial Group Theory, Prop.
+I.4.16).  ``is_primitive`` reads a shortening move straight off a closed
+graph that is disconnected or has a cut vertex, and so decides primitivity
+in any rank.  The two move searches over the pool of moves, the minimiser
+and the enumeration of primitive classes, count each move's change before
+taking it.  The graph kernels work on int bitmasks, letter v on bit
+``letter_key(v) - 1`` so that the inverse of bit b is bit b ^ 1: the count
+XORs edge-incidence masks and takes a bit count, and the connectivity tests
+flood-fill letter sets.
 """
 
 from __future__ import annotations
@@ -152,65 +154,87 @@ def _neighbours(g: WhiteheadGraph) -> list[int]:
     return adjacent
 
 
-def _letter_graph(rank: int, letters: Sequence[int], closed: bool) -> list[int]:
-    """The adjacency masks of ``whitehead_graph`` of these letters, as
-    ``_neighbours`` gives them, built from the letters without the edge table."""
-    bit = _BIT if rank <= RANK_CAP else {v: letter_key(v) - 1 for x in letters for v in (x, -x)}
-    adjacent = [0] * (2 * rank)
-    for x, y in zip(letters, letters[1:] + letters[:1] if closed else letters[1:]):
-        u, v = bit[x], bit[-y]
-        adjacent[u] |= 1 << v
-        adjacent[v] |= 1 << u
+def _letter_graph(size: int, bits: Sequence[int], closed: bool) -> list[int]:
+    """The adjacency masks of the letter graph of a word given as letter
+    bits, on bits 0 to ``size - 1`` with the inverse of bit b on bit b ^ 1.
+    On the bits ``letter_key(v) - 1`` they are the masks that ``_neighbours``
+    reads off ``whitehead_graph``'s edge table, built without the table."""
+    adjacent = [0] * size
+    for x, y in zip(bits, bits[1:] + bits[:1] if closed else bits[1:]):
+        y ^= 1
+        adjacent[x] |= 1 << y
+        adjacent[y] |= 1 << x
     return adjacent
 
 
-def _component_count(adjacent: list[int], vertices: int) -> int:
-    """Connected components of the subgraph induced on the letter mask ``vertices``."""
-    count = 0
-    while vertices:
-        count += 1
-        stack = vertices & -vertices
-        vertices ^= stack
-        while stack:
-            low = stack & -stack
-            reached = adjacent[low.bit_length() - 1] & vertices
-            vertices ^= reached
-            stack ^= low | reached
-    return count
+def _component(adjacent: list[int], start: int, vertices: int) -> int:
+    """The component of the letter ``start`` (a one-bit mask) in the subgraph
+    induced on the letter mask ``vertices`` that holds it, by one flood fill."""
+    stack = start
+    unseen = vertices ^ stack
+    while stack:
+        low = stack & -stack
+        reached = adjacent[low.bit_length() - 1] & unseen
+        unseen ^= reached
+        stack ^= low | reached
+    return vertices ^ unseen
 
 
 def is_connected(g: WhiteheadGraph) -> bool:
-    """Connectivity on all 2n vertices; isolated vertices disconnect."""
+    """Connectivity on all 2n vertices; isolated vertices disconnect, and
+    answer before any flood fill."""
     adjacent = _neighbours(g)
-    return _component_count(adjacent, (1 << len(adjacent)) - 1) == 1
+    letters = (1 << len(adjacent)) - 1
+    return all(adjacent) and _component(adjacent, 1, letters) == letters
 
 
 def has_cutpoint(g: WhiteheadGraph) -> bool:
     """Whether removing some vertex increases the number of components.
 
     Tested on the subgraph spanned by vertices with at least one edge, so
-    isolated vertices never count as (or create) cutpoints.  With at most 2n
-    vertices, removing each in turn and recounting is the whole search.
+    isolated vertices never count as (or create) cutpoints: a vertex is a
+    cutpoint exactly when it is one of its own component.
     """
     adjacent = _neighbours(g)
-    support = [1 << k for k, near in enumerate(adjacent) if near]
-    within = sum(support)
-    base = _component_count(adjacent, within)
-    return any(_component_count(adjacent, within ^ v) > base for v in support)
+    support = sum(1 << k for k, near in enumerate(adjacent) if near)
+    while support:
+        component = _component(adjacent, support & -support, support)
+        if _cut_vertex_verdict(adjacent, component)[0] == HAS_CUTPOINT:
+            return True
+        support ^= component
+    return False
 
 
-def _cut_vertex_verdict(adjacent: list[int]) -> str:
-    """DISCONNECTED unless the letter graph with these masks is connected on
-    all its letters, then HAS_CUTPOINT if removing one letter disconnects the
-    rest, else CONNECTED_NO_CUTPOINT: the graph to which Whitehead's
-    cut-vertex lemma applies.  An isolated letter disconnects before any
-    flood fill, which past a few letters would count every isolated one."""
-    letters = (1 << len(adjacent)) - 1
-    if not all(adjacent) or _component_count(adjacent, letters) != 1:
-        return DISCONNECTED
-    if any(_component_count(adjacent, letters ^ (1 << k)) > 1 for k in range(len(adjacent))):
-        return HAS_CUTPOINT
-    return CONNECTED_NO_CUTPOINT
+def _cut_vertex_verdict(adjacent: list[int], letters: int) -> tuple[str, int, int]:
+    """(reason, cut, side) for the letter graph with these masks, on the
+    subgraph induced on the non-empty letter mask ``letters``; the inverse of
+    letter k is letter k ^ 1.
+
+    - DISCONNECTED unless that subgraph is connected, with ``side`` the
+      component of its lowest letter;
+    - then HAS_CUTPOINT if removing a letter ``cut`` disconnects the rest,
+      with ``side`` one side of the cut: the rest less the component that
+      holds ``cut ^ 1``, or one component of the rest if it lacks ``cut ^ 1``.
+      Either way ``side`` is a non-empty union of the rest's components;
+    - else CONNECTED_NO_CUTPOINT, the graph to which Whitehead's cut-vertex
+      lemma applies, with no witness (``cut`` -1 and ``side`` 0).
+    """
+    side = _component(adjacent, letters & -letters, letters)
+    if side != letters:
+        return DISCONNECTED, -1, side
+    remaining = letters
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        rest = letters ^ low
+        side = _component(adjacent, rest & -rest, rest) if rest else rest
+        if side != rest:
+            cut = low.bit_length() - 1
+            inverse = 1 << (cut ^ 1)
+            if rest & inverse:
+                side = rest ^ (side if side & inverse else _component(adjacent, inverse, rest))
+            return HAS_CUTPOINT, cut, side
+    return CONNECTED_NO_CUTPOINT, -1, 0
 
 
 class BlockingCertificate(_Frozen):
@@ -231,7 +255,13 @@ def blocking_certificate(w: Word) -> BlockingCertificate:
     """
     if len(w) == 0:
         return BlockingCertificate(w, False, TOO_SHORT)
-    reason = _cut_vertex_verdict(_letter_graph(w.rank, w.letters, False))
+    bits = ([_BIT[v] for v in w.letters] if w.rank <= RANK_CAP
+            else [letter_key(v) - 1 for v in w.letters])
+    adjacent = _letter_graph(2 * w.rank, bits, False)
+    # an isolated letter disconnects before any flood fill, which would
+    # otherwise cost a pass over a 2n-bit mask
+    reason = (_cut_vertex_verdict(adjacent, (1 << len(adjacent)) - 1)[0] if all(adjacent)
+              else DISCONNECTED)
     return BlockingCertificate(w, reason == CONNECTED_NO_CUTPOINT, reason)
 
 
@@ -452,30 +482,87 @@ def exponent_vector(w: Word | CyclicWord) -> tuple[int, ...]:
 
 
 def is_primitive(w: Word | CyclicWord) -> bool:
-    """Whether w belongs to some free basis.
+    """Whether w belongs to some free basis, in any rank.
 
     Invariant under conjugation, inversion, and automorphisms.  The empty
-    word is not primitive.  Two necessary conditions short-circuit most
-    negatives before the move search runs, in any rank; only a word that
-    reaches the search raises RankTooLarge past ``RANK_CAP``:
+    word is not primitive, nor is a word whose exponent vector has gcd other
+    than 1, a condition automorphisms keep.  Any other word has its cyclic
+    core shortened by Whitehead moves read off its closed letter graph, one
+    per round, until the core is one letter (primitive) or its graph is
+    connected with no cut vertex (not primitive).
 
-    - the exponent vector has gcd 1 (a condition preserved by automorphisms);
-    - Whitehead's cut-vertex lemma (Whitehead, Ann. Math. 1936;
-      Heusener-Weidmann, 2019): in rank 2 or more, the closed letter graph
-      of a primitive cyclically reduced word is disconnected or has a cut
-      vertex.  Only cores of 2 or more letters are tested: in rank 1 the
-      graph of the letter a has neither, and a longer core fails on its gcd.
+    The graph is taken on the support S of the core, the letters of the
+    generators it uses, which no move enlarges.  A move (a, A) changes the
+    length by cut(A) - deg(a) (Higgins-Lyndon, as in ``_length_changes``),
+    and each round takes one that shortens:
+
+    - the graph is disconnected: every component C holds a letter x whose
+      inverse it does not hold (a component closed under inversion would
+      meet no edge from the rest of the core, which uses other generators
+      too), and the move (x, C) changes the length by 0 - deg(x) < 0;
+    - a letter a is a cut vertex: the graph less a falls apart, and the
+      letters C outside the component of a^-1 have all their edges inside
+      {a} + C, so the move (a, {a} + C) changes the length by
+      -edges(a, C) <= -1.
+
+    Otherwise the graph on S is connected with no cut vertex, and the core
+    is not primitive by Whitehead's cut-vertex lemma (Whitehead, Ann. Math.
+    1936; Heusener-Weidmann, 2019) applied in the free factor F(S): in rank
+    2 or more, the closed graph of a primitive cyclically reduced word is
+    disconnected or has a cut vertex.  (On one generator the core is x^m
+    with m >= 2.)  The lemma in F(S) suffices, because a word of F(S) that
+    is primitive in F_n is primitive in F(S).  By peak reduction a primitive
+    cyclic word longer than one letter has a shortening move (a, A) of F_n.
+    Letters outside S have no edges, so a is in S, and (a, A restricted to
+    S) is a move of F(S) with the same image.  By induction on the length,
+    the word is the image of a letter under an automorphism of F(S).
+
+    The core is held as letter bits, the i-th generator of S in increasing
+    order on bits 2i and 2i + 1, so the inverse of bit b is b ^ 1 and a
+    round costs time in the core's length and in |S|, not in the rank.  The
+    image of a move (a, A) is built from the mask of A - {a}: a letter v
+    gains a^-1 in front when v^-1 is in it, and a behind when v is.
     """
     core, _ = _cyclic_core(w.letters)
-    if not core:
+    if not core or math.gcd(*exponent_vector(w)) != 1:
         return False
-    if math.gcd(*exponent_vector(w)) != 1:
-        return False
-    if len(core) > 1 and (
-            _cut_vertex_verdict(_letter_graph(w.rank, core, True)) == CONNECTED_NO_CUTPOINT):
-        return False
-    terminal, _ = _minimize_raw(w.rank, core)
-    return len(terminal) == 1
+    if w.rank <= RANK_CAP:
+        size, core = 2 * w.rank, [_BIT[v] for v in core]
+    else:
+        index = {g: 2 * i for i, g in enumerate(sorted({abs(v) for v in core}))}
+        size, core = 2 * len(index), [index[abs(v)] + (v < 0) for v in core]
+    letters = (1 << size) - 1
+    even = letters // 3  # bits 0, 2, 4, ...
+    while len(core) > 1:
+        adjacent = _letter_graph(size, core, True)
+        support = letters if all(adjacent) else sum(
+            1 << b for b, near in enumerate(adjacent) if near)
+        reason, a, side = _cut_vertex_verdict(adjacent, support)
+        if reason == CONNECTED_NO_CUTPOINT:
+            return False
+        if reason == DISCONNECTED:
+            lone = side & ~((side & even) << 1 | (side >> 1) & even)  # inverse not in side
+            a = (lone & -lone).bit_length() - 1
+            side ^= 1 << a
+        image = []
+        for v in core:
+            if side >> (v ^ 1) & 1:
+                image.append(a ^ 1)
+            image.append(v)
+            if side >> v & 1:
+                image.append(a)
+        core = []
+        for v in image:
+            if core and core[-1] == v ^ 1:
+                core.pop()
+            else:
+                core.append(v)
+        i, j = 0, len(core)
+        while j - i > 1 and core[i] == core[j - 1] ^ 1:
+            i += 1
+            j -= 1
+        core = core[i:j]
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -545,8 +632,8 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[tuple[CyclicWord, ...],
     The search is complete by peak reduction, orbit by orbit.  Every
     primitive class c longer than one letter is c = phi(c') for some move
     phi = (a, A) of the pool and a shorter primitive class c' (the move that
-    shortens c, which ``is_primitive`` relies on, has its inverse (a^-1, A)
-    in the pool).  For every symmetry tau, tau c = (tau phi tau^-1)(tau c'):
+    shortens c, which ``whitehead_minimize`` relies on, has its inverse
+    (a^-1, A) in the pool).  For every symmetry tau, tau c = (tau phi tau^-1)(tau c'):
     conjugating (a, A) by a signed permutation gives the move (tau a, tau A),
     which is in the pool, and inversion commutes with every automorphism,
     since phi(w^-1) = phi(w)^-1.  By induction on the length, the orbit of

@@ -31,14 +31,13 @@ def test_primitive_subcommand(capsys):
     code, out, _ = invoke(capsys, "primitive", "a")
     assert code == 0
     assert json.loads(out) == {"word": "a", "primitive": True}
-    # past the rank cap, a gcd != 1 word is still refuted; a word that needs
-    # the move search is a domain error
+    # past the rank cap of the move search, primitivity is still decided
     code, out, err = invoke(capsys, "primitive", "eeee")
     assert code == 0 and err == ""
     assert json.loads(out) == {"word": "eeee", "primitive": False}
     code, out, err = invoke(capsys, "primitive", "e")
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "RankTooLarge"
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"word": "e", "primitive": True}
 
 
 def test_blocking_subcommand(capsys):

@@ -23,7 +23,7 @@ from primstab.whitehead import (
     _neighbours,
     all_letters,
 )
-from primstab.words import _cyclic_core
+from primstab.words import _cyclic_core, letter_key
 
 from helpers import (
     all_cyclic_classes,
@@ -142,16 +142,19 @@ def test_connectivity_and_cutpoints_agree_with_set_flood_fill():
 
 
 def test_letter_graph_masks_are_those_of_the_edge_table():
-    # the masks built from the letters are those of whitehead_graph's edges
+    # the masks built from the letters' bits letter_key(v) - 1 are those of
+    # whitehead_graph's edges
     for length in range(1, 6):
         for letters in all_reduced_words(3, length):
             w = ps.Word(3, letters)
-            assert _letter_graph(3, letters, False) == _neighbours(ps.whitehead_graph(w)), w
+            bits = [letter_key(v) - 1 for v in letters]
+            assert _letter_graph(6, bits, False) == _neighbours(ps.whitehead_graph(w)), w
             if length == 1 or letters[0] != -letters[-1]:
-                assert _letter_graph(3, letters, True) == _neighbours(
+                assert _letter_graph(6, bits, True) == _neighbours(
                     ps.whitehead_graph(w, closed=True)), w
-    w = ps.parse_word("azYbq")  # past the cap, the bits of its own letters
-    assert _letter_graph(26, w.letters, True) == _neighbours(ps.whitehead_graph(w, closed=True))
+    w = ps.parse_word("azYbq")  # past the cap
+    assert _letter_graph(52, [letter_key(v) - 1 for v in w.letters], True) == _neighbours(
+        ps.whitehead_graph(w, closed=True))
 
 
 @pytest.mark.parametrize("package, module", [("primstab", "networkx"),
@@ -416,33 +419,51 @@ def test_cut_vertex_lemma_answers_past_the_rank_cap():
     assert w.rank == 5 and math.gcd(*ps.exponent_vector(w)) == 1
     assert not ps.is_primitive(w)
     assert not ps.is_primitive(ps.CyclicWord(5, w.letters))
-    with pytest.raises(RankTooLarge):
-        ps.is_primitive(ps.parse_word("e"))
-    # a connected graph with a cut vertex still needs the search
-    with pytest.raises(RankTooLarge):
-        ps.is_primitive(ps.parse_word("abcde"))
+    assert ps.is_primitive(ps.parse_word("e"))
+    # a connected graph with a cut vertex: the cut-vertex moves shorten
+    # abcde, the first of the basis abcde, b, c, d, e, to one letter
+    assert ps.is_primitive(ps.parse_word("abcde"))
 
 
 def test_an_isolated_letter_disconnects_without_a_flood_fill(monkeypatch):
-    # a flood fill would count each of the 2n - 4 isolated letters, every
-    # step on a 2n-bit mask: quadratic in the rank
-    def flood_fill(adjacent, vertices):
-        raise AssertionError("flood fill on %d letters" % len(adjacent))
+    # a flood fill on the 2n letters would cost a pass over a 2n-bit mask at
+    # each step, and counting components one per isolated letter is
+    # quadratic in the rank; is_primitive floods only the letters of the
+    # generators its core uses
+    component = whitehead._component
 
-    monkeypatch.setattr(whitehead, "_component_count", flood_fill)
+    def flood_fill(adjacent, start, vertices):
+        assert len(adjacent) <= 4, "flood fill on %d letters" % len(adjacent)
+        return component(adjacent, start, vertices)
+
+    monkeypatch.setattr(whitehead, "_component", flood_fill)
     w = ps.Word(10 ** 5, (1, 2, -1, -2))
     assert ps.blocking_certificate(w).reason == "DISCONNECTED"
-    with pytest.raises(RankTooLarge):
-        ps.is_primitive(ps.Word(10 ** 5, (1, 2)))
+    assert ps.is_primitive(ps.Word(10 ** 5, (1, 2)))
+    # the same answer as in rank 2, on generators 7 and 10^5
+    rename = {1: 7, -1: -7, 2: 10 ** 5, -2: -10 ** 5}
+    for letters in ((1, 2, -1, -2, 1), (1, 1, 2), (1, 2, 2, 1, 2), (1, 1, 2, 2, -1, 2)):
+        high = ps.Word(10 ** 5, tuple(rename[v] for v in letters))
+        assert ps.is_primitive(high) == ps.is_primitive(ps.Word(2, letters)), letters
+
+
+def test_an_isolated_letter_disconnects_the_graph_without_a_flood_fill(monkeypatch):
+    def flood_fill(adjacent, start, vertices):
+        raise AssertionError("flood fill on %d letters" % len(adjacent))
+
+    monkeypatch.setattr(whitehead, "_component", flood_fill)
+    assert not ps.is_connected(ps.whitehead_graph(ps.Word(4 * 10 ** 4, (1, 2))))
+    assert not ps.is_connected(ps.WhiteheadGraph(3, [(1, -1), (2, -2)]))
 
 
 def test_rank_cap_is_checked_before_the_move_count():
-    # the move count's XOR table has 2^(2n) entries, 2^24 at rank 12
+    # the move count's XOR table has 2^(2n) entries, 2^24 at rank 12;
+    # is_primitive counts no move of the pool
     tracemalloc.start()
     try:
-        for query in (ps.whitehead_minimize, ps.is_primitive):
-            with pytest.raises(RankTooLarge):
-                query(ps.Word(12, (1, 2)))
+        with pytest.raises(RankTooLarge):
+            ps.whitehead_minimize(ps.Word(12, (1, 2)))
+        assert ps.is_primitive(ps.Word(12, (1, 2)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,6 +483,164 @@ def test_is_primitive_matches_the_move_search_alone(rank, max_len):
             assert ps.is_primitive(ps.Word(rank, letters)) == searched, letters
             refuted += not searched
     assert refuted > 1000
+
+
+def _rounds(monkeypatch, w):
+    """is_primitive(w) and the (adjacent, support, verdict) of each of its
+    rounds, seen through the cut-vertex helper."""
+    verdict = whitehead._cut_vertex_verdict
+    rounds = []
+
+    def spy(adjacent, letters):
+        # each move shortens the core, so a round past its length is a loop
+        assert len(rounds) < len(w), "round %d on %s" % (len(rounds) + 1, w)
+        rounds.append((adjacent, letters, verdict(adjacent, letters)))
+        return rounds[-1][2]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(whitehead, "_cut_vertex_verdict", spy)
+        return ps.is_primitive(w), rounds
+
+
+def _bits_of(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 6])
+def test_every_cut_vertex_move_shortens_the_core(monkeypatch, rank):
+    # replay each round's move as a WhiteheadAutomorphism on the word: it is
+    # a valid move, strictly shortens the core, and leaves the closed graph
+    # that the next round reads
+    rng = random.Random(80 + rank)
+    moves = Counter()
+    for trial in range(150):
+        if trial % 2:
+            w = random_word(rng, rank, rng.randint(1, 14))
+        else:
+            w = ps.Word(rank, (1,))
+            for _ in range(rng.randint(1, 10)):
+                w = ps.apply_automorphism(random_automorphism(rng, rank), w)
+        answer, rounds = _rounds(monkeypatch, w)
+        core, _ = _cyclic_core(w.letters)
+        if not core or math.gcd(*ps.exponent_vector(w)) != 1:
+            assert not answer and rounds == []
+            continue
+        # is_primitive's bits: letter_key(v) - 1 within the rank cap, and
+        # past it those of the generators the core uses, renumbered in order
+        generators = sorted({abs(v) for v in core}) if rank > ps.RANK_CAP else range(1, rank + 1)
+        number = {g: i for i, g in enumerate(generators, 1)}
+        size = len(number)
+        word = ps.Word(size, tuple(number[abs(v)] * (1 if v > 0 else -1) for v in core))
+
+        def letter(bit):
+            return (bit // 2 + 1) * (-1 if bit & 1 else 1)
+
+        for k, (adjacent, support, (reason, cut, side)) in enumerate(rounds):
+            assert adjacent == _letter_graph(
+                2 * size, [letter_key(v) - 1 for v in word.letters], True), w
+            assert support == sum({1 << letter_key(v) - 1 for x in word.letters for v in (x, -x)})
+            if reason == "CONNECTED_NO_CUTPOINT":
+                assert k == len(rounds) - 1 and not answer and len(word) > 1
+                break
+            if reason == "HAS_CUTPOINT":
+                a, members = cut, side
+            else:
+                lone = [b for b in _bits_of(side) if not side >> (b ^ 1) & 1]
+                a, members = lone[0], side ^ (1 << lone[0])
+            phi = ps.WhiteheadAutomorphism.multiplier_move(
+                size, letter(a), [letter(b) for b in _bits_of(members)])
+            image, _ = ps.cyclic_reduce(ps.apply_automorphism(phi, word))
+            assert len(image) < len(word), (w, reason)
+            word = ps.Word(size, image.letters)
+            moves[reason] += 1
+        else:
+            assert answer and len(word) == 1, w
+    assert moves["HAS_CUTPOINT"] > 10 and moves["DISCONNECTED"] > 20
+
+
+def _agrees_with_the_pool(rank, letters):
+    """is_primitive of the word against the move search of the pool alone;
+    returns the answer."""
+    core, _ = _cyclic_core(letters)
+    searched = bool(core) and len(_minimize_raw(rank, core)[0]) == 1
+    assert ps.is_primitive(ps.Word(rank, letters)) == searched, letters
+    return searched
+
+
+def test_is_primitive_agrees_with_the_pool_in_rank_4():
+    rng = random.Random(71)
+    answers = Counter()
+    for _ in range(400):
+        w = random_word(rng, 4, rng.randint(1, 20))
+        answers[_agrees_with_the_pool(4, w.letters)] += 1
+        image = ps.apply_automorphism(random_automorphism(rng, 4), ps.Word(4, (1,)))
+        for _ in range(rng.randint(0, 8)):
+            image = ps.apply_automorphism(random_automorphism(rng, 4), image)
+        answers[_agrees_with_the_pool(4, image.letters)] += 1
+    assert answers[True] > 400 and answers[False] > 100
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_is_primitive_agrees_with_the_pool_on_fewer_generators(rank):
+    # words over 1-3 of the generators, which leave the other letters of the
+    # rank without an edge
+    rng = random.Random(72 + rank)
+    answers = Counter()
+    for _ in range(500):
+        used = rng.sample(range(1, rank + 1), rng.randint(1, 3))
+        w = random_word(rng, len(used), rng.randint(1, 14))
+        letters = tuple(used[abs(v) - 1] * (1 if v > 0 else -1) for v in w.letters)
+        answers[_agrees_with_the_pool(rank, letters)] += 1
+    assert answers[True] > 100 and answers[False] > 100
+
+
+def test_cut_vertex_witnesses():
+    # DISCONNECTED names a component; HAS_CUTPOINT a letter whose removal
+    # disconnects the rest, and a union of the rest's components that
+    # leaves out the cut's inverse
+    def closed(adjacent, side, letters):
+        return all(not adjacent[k] & letters & ~side for k in _bits_of(side))
+
+    verdicts = Counter()
+    for g in _connectivity_cases():
+        adjacent = _neighbours(g)
+        letters = (1 << len(adjacent)) - 1
+        reason, cut, side = whitehead._cut_vertex_verdict(adjacent, letters)
+        connected, cutpoint = set_connectivity(g)
+        if reason == "DISCONNECTED":
+            assert not connected
+            assert side and side != letters and closed(adjacent, side, letters)
+        elif reason == "HAS_CUTPOINT":
+            assert connected and cutpoint
+            rest = letters ^ 1 << cut
+            assert side and side | rest == rest and side != rest
+            assert not side >> (cut ^ 1) & 1 and closed(adjacent, side, rest)
+        else:
+            assert connected and not cutpoint and (cut, side) == (-1, 0)
+        verdicts[reason] += 1
+    assert min(verdicts.values()) > 20
+
+
+@pytest.mark.parametrize("rank", [5, 6, 8])
+def test_is_primitive_past_the_rank_cap(rank):
+    # a^2 b^2 c^2 ... has gcd 2; a^3 b^2 c^2 ... has gcd 1 and a closed graph
+    # that is one cycle through all 2n letters
+    squares = ps.Word(rank, tuple(i for i in range(1, rank + 1) for _ in range(2)))
+    cubes = ps.Word(rank, (1,) + squares.letters)
+    assert not ps.is_primitive(squares) and not ps.is_primitive(cubes)
+    rng = random.Random(90 + rank)
+    lengths = set()
+    for _ in range(100):
+        letter, word = ps.Word(rank, (1,)), cubes
+        for _ in range(rng.randint(1, 20)):
+            phi = random_automorphism(rng, rank)
+            if len(ps.apply_automorphism(phi, word)) > 120:
+                break
+            letter, word = ps.apply_automorphism(phi, letter), ps.apply_automorphism(phi, word)
+        assert ps.is_primitive(letter), letter
+        assert not ps.is_primitive(word), word
+        lengths.add(len(ps.cyclic_reduce(letter)[0]))
+    assert max(lengths) >= 8
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -493,13 +672,12 @@ def test_rank_cap():
     assert ps.RANK_CAP == 4
     assert ps.is_primitive(ps.Word(4, (1,)))
     w = ps.Word(5, (1,))
-    with pytest.raises(RankTooLarge):
-        ps.is_primitive(w)
+    # is_primitive answers in any rank
+    assert ps.is_primitive(w)
     with pytest.raises(RankTooLarge):
         ps.enumerate_primitive_classes(5, 1)
     with pytest.raises(RankTooLarge):
         ps.whitehead_minimize(w)
-    # a gcd != 1 exponent vector is refuted before the move search runs
     assert not ps.is_primitive(ps.Word(5, (1, 1)))
 
 
