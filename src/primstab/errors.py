@@ -22,7 +22,8 @@ class ClosedOnNonCyclicallyReduced(PrimstabError):
 
 
 class RankTooLarge(PrimstabError):
-    """The rank exceeds ``whitehead.RANK_CAP``, the cap of the Whitehead move search."""
+    """The rank exceeds ``whitehead.RANK_CAP``, the cap of the enumeration of
+    primitive classes (and so of the primitive-spectrum scan)."""
 
 
 class NotCoprime(PrimstabError):

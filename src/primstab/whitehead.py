@@ -10,11 +10,13 @@ reduced primitive word, which is the certificate computed here.
 A move (a, A) changes the length of a cyclically reduced word by
 cut(A) - deg(a), the edges with exactly one end in A minus the edges at a
 (the Higgins-Lyndon count; Lyndon-Schupp, Combinatorial Group Theory, Prop.
-I.4.16).  ``is_primitive`` reads a shortening move straight off a closed
-graph that is disconnected or has a cut vertex, and so decides primitivity
-in any rank.  The two move searches over the pool of moves, the minimiser
-and the enumeration of primitive classes, count each move's change before
-taking it.  The graph kernels work on int bitmasks, letter v on bit
+I.4.16).  One shortening loop serves ``is_primitive`` and
+``whitehead_minimize``, in any rank: it reads a shortening move straight off
+a closed graph that is disconnected or has a cut vertex, and the minimiser
+goes on past a graph with neither by the move of least count, found as a
+minimum cut between a and a^-1.  Only the enumeration of primitive classes
+searches the pool of moves, up to ``RANK_CAP``, counting each move's change
+before taking it.  The graph kernels work on int bitmasks, letter v on bit
 ``letter_key(v) - 1`` so that the inverse of bit b is bit b ^ 1: the count
 XORs edge-incidence masks and takes a bit count, and the connectivity tests
 flood-fill letter sets.
@@ -46,8 +48,8 @@ from .words import (
     letter_key,
 )
 
-# the largest rank the move search runs in; its pool has 2n(2^(2n-2) - 1)
-# moves, 504 at rank 4 and 2550 at rank 5
+# the largest rank the enumeration of primitive classes runs in; its move
+# pool has 2n(2^(2n-2) - 1) moves, 504 at rank 4 and 2550 at rank 5
 RANK_CAP = 4
 
 CONNECTED_NO_CUTPOINT = "CONNECTED_NO_CUTPOINT"
@@ -437,41 +439,183 @@ def _length_changes(
             yield phi, table, change
 
 
-def _minimize_raw(rank: int, core: Sequence[int]) -> tuple[Sequence[int], list[WhiteheadAutomorphism]]:
-    """Apply the first pool move that shortens the core until none does.
+def _core_bits(w: Word | CyclicWord) -> tuple[Sequence[int], list[int]]:
+    """The generators of w's letter bits, and the cyclic core of w as letter
+    bits: the i-th generator on bits 2i and 2i + 1, so the inverse of bit b
+    is bit b ^ 1.
 
-    Each round counts the length change of every move in pool order up to
-    the first negative one, and applies only that move.  The closed graph
-    does not depend on the rotation of the core, so the core is left
-    uncanonical: the terminal core is some rotation of the terminal class.
+    Within ``RANK_CAP`` the generators are 1 to n and letter v has bit
+    ``_BIT[v]``.  Past it they are the generators the core uses, in
+    increasing order, so that a round costs time in the core's length and
+    in their number, not in the rank.
     """
-    trace: list[WhiteheadAutomorphism] = []
-    while core:
-        for phi, table, _ in _length_changes(rank, core, -math.inf, -1):
-            core, _ = _cyclic_core(_apply_raw(table, core))
-            trace.append(phi)
-            break
+    core, _ = _cyclic_core(w.letters)
+    if w.rank <= RANK_CAP:
+        return range(1, w.rank + 1), [_BIT[v] for v in core]
+    generators = sorted({abs(v) for v in core})
+    index = {g: 2 * i for i, g in enumerate(generators)}
+    return generators, [index[abs(v)] + (v < 0) for v in core]
+
+
+def _graph_move(core: list[int], size: int) -> tuple[int, int] | None:
+    """A move (a, {a} + side) that shortens the cyclic core of letter bits
+    on bits 0 to ``size - 1``, read off its closed letter graph, as
+    (a, side); None when that graph is connected with no cut vertex.
+
+    The graph is taken on the support S of the core, the letters of the
+    generators it uses, which no move enlarges.  A move (a, A) changes the
+    length by cut(A) - deg(a) (Higgins-Lyndon, as in ``_length_changes``):
+
+    - the graph is disconnected: every component C holds a letter x whose
+      inverse it does not hold (a component closed under inversion would
+      meet no edge from the rest of the core, which uses other generators
+      too), and the move (x, C) changes the length by 0 - deg(x) < 0;
+    - a letter a is a cut vertex: the graph less a falls apart, and the
+      letters C outside the component of a^-1 have all their edges inside
+      {a} + C, so the move (a, {a} + C) changes the length by
+      -edges(a, C) <= -1.
+    """
+    adjacent = _letter_graph(size, core, True)
+    letters = (1 << size) - 1
+    support = letters if all(adjacent) else sum(
+        1 << b for b, near in enumerate(adjacent) if near)
+    reason, a, side = _cut_vertex_verdict(adjacent, support)
+    if reason == CONNECTED_NO_CUTPOINT:
+        return None
+    if reason == DISCONNECTED:
+        even = letters // 3  # bits 0, 2, 4, ...
+        lone = side & ~((side & even) << 1 | (side >> 1) & even)  # inverse not in side
+        a = (lone & -lone).bit_length() - 1
+        side ^= 1 << a
+    return a, side
+
+
+def _min_cut_move(core: list[int], size: int) -> tuple[int, int] | None:
+    """The move (a, {a} + side) that shortens the cyclic core of letter bits
+    the most, as (a, side), the lowest a on a tie; None when no move
+    shortens it.
+
+    A move (a, A) changes the length by cut(A) - deg(a), and the least
+    cut(A) over the letter sets A that hold a but not a^-1 is the minimum
+    cut between a and a^-1 in the closed letter graph (Roig-Ventura-Weil,
+    IJAC 17, 2007).  By max-flow min-cut it is the most edge-disjoint paths
+    from a to a^-1, found one at a time by breadth-first search in the
+    residual graph, each edge of capacity 1 in either direction; edge i
+    joins ``core[i]`` and ``core[i + 1] ^ 1``.  When no path is left, the
+    letters the search reached are a set A whose cut is that minimum.  The
+    search for a stops once a cannot beat the best move found.
+
+    a and a^-1 change the length alike: the minimum cut between them is the
+    same either way, and deg(a) = deg(a^-1), the occurrences of a's
+    generator.  So the search runs once per generator, from its even bit,
+    which is the lower of the two.
+    """
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(size)]
+    for i, (x, y) in enumerate(zip(core, core[1:] + core[:1])):
+        y ^= 1
+        incident[x].append((i, y, 1))
+        incident[y].append((i, x, -1))
+    best, move = 0, None
+    for a in range(0, size, 2):
+        target, degree, cut = a + 1, len(incident[a]), 0
+        flow = [0] * len(core)  # +1 or -1 along edge i's direction
+        while cut - degree < best:
+            parent = {a: None}
+            frontier = [a]
+            while frontier and target not in parent:
+                reached = []
+                for u in frontier:
+                    for i, v, sign in incident[u]:
+                        if v not in parent and flow[i] * sign < 1:
+                            parent[v] = (u, i, sign)
+                            reached.append(v)
+                frontier = reached
+            if target not in parent:
+                best, move = cut - degree, (a, sum(1 << v for v in parent if v != a))
+                break
+            v = target
+            while v != a:
+                v, i, sign = parent[v]
+                flow[i] += sign
+            cut += 1
+    return move
+
+
+def _apply_move(core: list[int], a: int, side: int) -> list[int]:
+    """The cyclic core of the image of a cyclic core of letter bits under
+    the move (a, {a} + side), with ``side`` a letter mask that holds neither
+    a nor a^-1: a letter v gains a^-1 in front when v^-1 is in ``side``, and
+    a behind when v is."""
+    image = []
+    for v in core:
+        if side >> (v ^ 1) & 1:
+            image.append(a ^ 1)
+        image.append(v)
+        if side >> v & 1:
+            image.append(a)
+    core = []
+    for v in image:
+        if core and core[-1] == v ^ 1:
+            core.pop()
         else:
+            core.append(v)
+    i, j = 0, len(core)
+    while j - i > 1 and core[i] == core[j - 1] ^ 1:
+        i += 1
+        j -= 1
+    return core[i:j]
+
+
+def _shorten(core: list[int], size: int, min_cut: bool) -> tuple[list[int], list[tuple[int, int]]]:
+    """Shorten a cyclic core of letter bits by Whitehead moves until it is
+    one letter or no move is found: the terminal core and the moves (a, side)
+    taken, each move (a, {a} + side).
+
+    Each round takes the move that ``_graph_move`` reads off the closed
+    letter graph, and, when the graph is connected with no cut vertex and
+    ``min_cut`` is set, the move of ``_min_cut_move``.  Every move taken
+    shortens the core, so there are fewer rounds than letters.
+    """
+    moves = []
+    while len(core) > 1:
+        move = _graph_move(core, size)
+        if move is None and min_cut:
+            move = _min_cut_move(core, size)
+        if move is None:
             break
-    return core, trace
+        core = _apply_move(core, *move)
+        moves.append(move)
+    return core, moves
 
 
 def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAutomorphism]]:
-    """Greedily shorten the conjugacy class of w with second-kind moves.
+    """Shorten the conjugacy class of w with second-kind moves, in any rank.
 
-    Applies the first length-reducing move in a fixed enumeration order until
-    none reduces.  Peak reduction guarantees the terminal length is minimal
-    over the whole automorphism orbit, so the terminal word has length 1
-    exactly when w is primitive.  Raises RankTooLarge past ``RANK_CAP``.
+    Each round takes a move read off the closed letter graph of the cyclic
+    core: the move of a disconnection or a cut vertex, as in
+    ``is_primitive``, and when the graph is connected with no cut vertex the
+    move whose length change cut(A) - deg(a) is least (Higgins-Lyndon;
+    Lyndon-Schupp, Prop. I.4.16), found as a minimum cut between a and a^-1
+    (the lowest letter a in the order a, A, b, B, ... on a tie).  It stops
+    when that least change is not negative, so where no second-kind move
+    shortens the core; by peak reduction the terminal length is then minimal
+    over the whole automorphism orbit, and the terminal word has length 1
+    exactly when w is primitive.
 
-    Each move's length change is counted on the closed Whitehead graph
-    (Higgins-Lyndon: cut(A) - deg(a); Lyndon-Schupp, Prop. I.4.16) and only
-    the chosen move is applied.  The move taken is still the first reducing
-    one in pool order, so the terminal class and the move trace are those of
-    applying every move in turn.  The empty word returns at once.
+    Returns the terminal class and the moves taken, in order, as
+    ``WhiteheadAutomorphism.multiplier_move`` values of w's rank.  The empty
+    word and a one-letter word return at once.
     """
-    core, trace = _minimize_raw(w.rank, _cyclic_core(w.letters)[0])
-    return CyclicWord(w.rank, core), trace
+    generators, core = _core_bits(w)
+    core, moves = _shorten(core, 2 * len(generators), True)
+
+    def letter(b):
+        return -generators[b >> 1] if b & 1 else generators[b >> 1]
+
+    trace = [WhiteheadAutomorphism.multiplier_move(
+        w.rank, letter(a), [letter(b) for b in range(side.bit_length()) if side >> b & 1])
+        for a, side in moves]
+    return CyclicWord(w.rank, tuple(map(letter, core))), trace
 
 
 def exponent_vector(w: Word | CyclicWord) -> tuple[int, ...]:
@@ -488,24 +632,11 @@ def is_primitive(w: Word | CyclicWord) -> bool:
     word is not primitive, nor is a word whose exponent vector has gcd other
     than 1, a condition automorphisms keep.  Any other word has its cyclic
     core shortened by Whitehead moves read off its closed letter graph, one
-    per round, until the core is one letter (primitive) or its graph is
-    connected with no cut vertex (not primitive).
+    per round (``_graph_move``), until the core is one letter (primitive)
+    or its graph is connected with no cut vertex (not primitive).
 
     The graph is taken on the support S of the core, the letters of the
-    generators it uses, which no move enlarges.  A move (a, A) changes the
-    length by cut(A) - deg(a) (Higgins-Lyndon, as in ``_length_changes``),
-    and each round takes one that shortens:
-
-    - the graph is disconnected: every component C holds a letter x whose
-      inverse it does not hold (a component closed under inversion would
-      meet no edge from the rest of the core, which uses other generators
-      too), and the move (x, C) changes the length by 0 - deg(x) < 0;
-    - a letter a is a cut vertex: the graph less a falls apart, and the
-      letters C outside the component of a^-1 have all their edges inside
-      {a} + C, so the move (a, {a} + C) changes the length by
-      -edges(a, C) <= -1.
-
-    Otherwise the graph on S is connected with no cut vertex, and the core
+    generators it uses.  When it is connected with no cut vertex, the core
     is not primitive by Whitehead's cut-vertex lemma (Whitehead, Ann. Math.
     1936; Heusener-Weidmann, 2019) applied in the free factor F(S): in rank
     2 or more, the closed graph of a primitive cyclically reduced word is
@@ -517,52 +648,19 @@ def is_primitive(w: Word | CyclicWord) -> bool:
     S) is a move of F(S) with the same image.  By induction on the length,
     the word is the image of a letter under an automorphism of F(S).
 
-    The core is held as letter bits, the i-th generator of S in increasing
-    order on bits 2i and 2i + 1, so the inverse of bit b is b ^ 1 and a
-    round costs time in the core's length and in |S|, not in the rank.  The
-    image of a move (a, A) is built from the mask of A - {a}: a letter v
-    gains a^-1 in front when v^-1 is in it, and a behind when v is.
+    The core is held as letter bits (``_core_bits``), and the exponent sums
+    are counted on them, one per generator of those bits, so past
+    ``RANK_CAP`` a query costs time and memory in the core's length and in
+    the generators it uses, not in the rank.
     """
-    core, _ = _cyclic_core(w.letters)
-    if not core or math.gcd(*exponent_vector(w)) != 1:
+    generators, core = _core_bits(w)
+    sums = [0] * len(generators)
+    for b in core:
+        sums[b >> 1] += -1 if b & 1 else 1
+    # the empty core has gcd 0
+    if math.gcd(*sums) != 1:
         return False
-    if w.rank <= RANK_CAP:
-        size, core = 2 * w.rank, [_BIT[v] for v in core]
-    else:
-        index = {g: 2 * i for i, g in enumerate(sorted({abs(v) for v in core}))}
-        size, core = 2 * len(index), [index[abs(v)] + (v < 0) for v in core]
-    letters = (1 << size) - 1
-    even = letters // 3  # bits 0, 2, 4, ...
-    while len(core) > 1:
-        adjacent = _letter_graph(size, core, True)
-        support = letters if all(adjacent) else sum(
-            1 << b for b, near in enumerate(adjacent) if near)
-        reason, a, side = _cut_vertex_verdict(adjacent, support)
-        if reason == CONNECTED_NO_CUTPOINT:
-            return False
-        if reason == DISCONNECTED:
-            lone = side & ~((side & even) << 1 | (side >> 1) & even)  # inverse not in side
-            a = (lone & -lone).bit_length() - 1
-            side ^= 1 << a
-        image = []
-        for v in core:
-            if side >> (v ^ 1) & 1:
-                image.append(a ^ 1)
-            image.append(v)
-            if side >> v & 1:
-                image.append(a)
-        core = []
-        for v in image:
-            if core and core[-1] == v ^ 1:
-                core.pop()
-            else:
-                core.append(v)
-        i, j = 0, len(core)
-        while j - i > 1 and core[i] == core[j - 1] ^ 1:
-            i += 1
-            j -= 1
-        core = core[i:j]
-    return True
+    return len(_shorten(core, 2 * len(sums), False)[0]) == 1
 
 
 @lru_cache(maxsize=None)
@@ -631,9 +729,9 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[tuple[CyclicWord, ...],
 
     The search is complete by peak reduction, orbit by orbit.  Every
     primitive class c longer than one letter is c = phi(c') for some move
-    phi = (a, A) of the pool and a shorter primitive class c' (the move that
-    shortens c, which ``whitehead_minimize`` relies on, has its inverse
-    (a^-1, A) in the pool).  For every symmetry tau, tau c = (tau phi tau^-1)(tau c'):
+    phi = (a, A) of the pool and a shorter primitive class c' (by peak
+    reduction some move shortens c, and its inverse (a^-1, A) is in the
+    pool).  For every symmetry tau, tau c = (tau phi tau^-1)(tau c'):
     conjugating (a, A) by a signed permutation gives the move (tau a, tau A),
     which is in the pool, and inversion commutes with every automorphism,
     since phi(w^-1) = phi(w)^-1.  By induction on the length, the orbit of

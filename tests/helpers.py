@@ -10,7 +10,7 @@ import sys
 
 import primstab as ps
 from primstab.errors import DeterminantError, NonFiniteValue
-from primstab.whitehead import _apply_raw, _move_pool
+from primstab.whitehead import _apply_raw, _length_changes, _move_pool
 from primstab.words import _canonical_cycle, _cyclic_core
 
 
@@ -157,24 +157,26 @@ def grown_primitive_classes(rank, max_len):
     return tuple(sorted((ps.CyclicWord(rank, c) for c in found), key=ps.CyclicWord.sort_key))
 
 
-def applied_minimize(rank, core):
-    """Greedy minimisation that applies every pool move in turn to learn its effect.
+def pool_minimize(rank, core):
+    """Apply the first move of the pool that shortens the cyclic core until
+    none does: the terminal core, some rotation of its class, and the moves
+    taken.
 
-    It reads no Whitehead graph, so it is the reference for the move search
-    that picks each move by counting graph edges.  Returns the terminal core,
-    canonical, and the moves taken.
+    Each round counts every pool move's length change on the closed graph
+    (``_length_changes``) up to the first negative one.  It reads no cut
+    vertex and no minimum cut, so it is the reference for the terminal
+    length of ``whitehead_minimize`` and for the answers of ``is_primitive``
+    up to ``RANK_CAP``.
     """
-    moves = [(phi, table) for phi, table, _, _ in _move_pool(rank)]
     trace = []
-    while True:
-        for phi, table in moves:
-            image, _ = _cyclic_core(_apply_raw(table, core))
-            if len(image) < len(core):
-                core = _canonical_cycle(image)
-                trace.append(phi)
-                break
+    while core:
+        for phi, table, _ in _length_changes(rank, core, -math.inf, -1):
+            core, _ = _cyclic_core(_apply_raw(table, core))
+            trace.append(phi)
+            break
         else:
-            return core, trace
+            break
+    return core, trace
 
 
 def set_connectivity(g):

@@ -18,7 +18,6 @@ from primstab.whitehead import (
     _apply_raw,
     _length_changes,
     _letter_graph,
-    _minimize_raw,
     _move_pool,
     _neighbours,
     all_letters,
@@ -28,8 +27,8 @@ from primstab.words import _cyclic_core, letter_key
 from helpers import (
     all_cyclic_classes,
     all_reduced_words,
-    applied_minimize,
     grown_primitive_classes,
+    pool_minimize,
     random_automorphism,
     random_word,
     run_python,
@@ -360,11 +359,25 @@ def test_length_changes_match_applied_moves(rank):
         ]
 
 
-def _check_against_applied_moves(w):
-    """Same terminal class and same move trace as the apply-every-move search."""
+def _replay(w):
+    """whitehead_minimize(w), after checking that its trace replays through
+    apply_automorphism to the terminal class and that each move strictly
+    shortens."""
     terminal, trace = ps.whitehead_minimize(w)
-    core, expected = applied_minimize(w.rank, ps.cyclic_reduce(w)[0].letters)
-    assert (terminal, trace) == (ps.CyclicWord(w.rank, core), expected), w
+    current = ps.cyclic_reduce(w)[0]
+    for phi in trace:
+        image = ps.cyclic_reduce(ps.apply_automorphism(phi, ps.Word(w.rank, current.letters)))[0]
+        assert len(image) < len(current), (w, phi)
+        current = image
+    assert current == terminal, w
+    return terminal, trace
+
+
+def _check_against_applied_moves(w):
+    """The trace replays to the terminal class, each move shortens, and the
+    terminal length is that of the pool's search."""
+    terminal, _ = _replay(w)
+    assert len(terminal) == len(pool_minimize(w.rank, ps.cyclic_reduce(w)[0].letters)[0]), w
     return terminal
 
 
@@ -379,6 +392,79 @@ def test_minimize_matches_applied_moves_on_random_words(rank):
 def test_minimize_matches_applied_moves_on_primitive_classes(rank, max_len):
     for c in ps.enumerate_primitive_classes(rank, max_len):
         assert len(_check_against_applied_moves(c)) == 1
+
+
+def test_minimize_shortens_past_a_graph_with_no_cut_vertex():
+    # the closed graph of aababb is connected with no cut vertex, so no
+    # cut-vertex move applies, yet the move (a, {a, B}), b -> Ab, shortens
+    # it to abbAb: the minimum cut between a and A is 2, against deg(a) = 3
+    w = ps.parse_word("aababb")
+    graph = ps.whitehead_graph(w, closed=True)
+    assert ps.is_connected(graph) and not ps.has_cutpoint(graph)
+    terminal, trace = _replay(w)
+    assert str(terminal) == "abbAb" and len(trace) == 1
+    assert len(pool_minimize(2, w.letters)[0]) == 5
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_min_cut_move_is_the_best_pool_move(rank):
+    # the least length change over the pool, and on a tie the lowest bit a,
+    # on cores whose closed graph gives no cut-vertex move
+    rng = random.Random(110 + rank)
+    moves = Counter()
+    for core in _random_cores(rng, rank, 400, 2, 14):
+        bits = [letter_key(v) - 1 for v in core]
+        if whitehead._graph_move(bits, 2 * rank) is not None:
+            moves["graph"] += 1
+            continue
+        changes = [(change, a) for (_, _, _, a), (_, _, change)
+                   in zip(_move_pool(rank), _length_changes(rank, core, -math.inf, math.inf))]
+        least = min(changes)
+        move = whitehead._min_cut_move(bits, 2 * rank)
+        if least[0] >= 0:
+            assert move is None, core
+            moves["none"] += 1
+            continue
+        a, side = move
+        assert a == least[1], core
+        image = whitehead._apply_move(bits, a, side)
+        assert len(image) - len(bits) == least[0], core
+        moves["min_cut"] += 1
+    assert min(moves.values()) > 20, moves
+
+
+@pytest.mark.parametrize("rank", [6, 12])
+def test_minimize_past_the_rank_cap(rank):
+    # automorphic images of a minimise to one letter, and aabbccddeeff,
+    # whose closed graph is one cycle through all twelve letters, is stuck
+    rng = random.Random(120 + rank)
+    lengths = set()
+    for _ in range(60):
+        w = ps.Word(rank, (1,))
+        for _ in range(rng.randint(1, 20)):
+            image = ps.apply_automorphism(random_automorphism(rng, rank), w)
+            if len(image) > 120:
+                break
+            w = image
+        assert len(_replay(w)[0]) == 1, w
+        lengths.add(len(ps.cyclic_reduce(w)[0]))
+    assert max(lengths) >= 8
+    w = ps.parse_word("aabbccddeeff")
+    assert ps.whitehead_minimize(w) == (ps.CyclicWord(6, w.letters), [])
+
+
+def test_minimize_and_is_primitive_use_no_move_pool(monkeypatch):
+    def pool(*args):
+        raise AssertionError("move pool reached")
+
+    monkeypatch.setattr(whitehead, "_move_pool", pool)
+    monkeypatch.setattr(whitehead, "_length_changes", pool)
+    rng = random.Random(130)
+    for rank in (1, 2, 3, 4, 5):
+        for _ in range(50):
+            w = random_word(rng, rank, rng.randint(0, 14))
+            ps.whitehead_minimize(w)
+            ps.is_primitive(w)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -458,16 +544,31 @@ def test_an_isolated_letter_disconnects_the_graph_without_a_flood_fill(monkeypat
 
 def test_rank_cap_is_checked_before_the_move_count():
     # the move count's XOR table has 2^(2n) entries, 2^24 at rank 12;
-    # is_primitive counts no move of the pool
+    # neither whitehead_minimize nor is_primitive counts a move of the pool
     tracemalloc.start()
     try:
-        with pytest.raises(RankTooLarge):
-            ps.whitehead_minimize(ps.Word(12, (1, 2)))
+        terminal, trace = ps.whitehead_minimize(ps.Word(12, (1, 2)))
+        assert len(terminal) == 1 and len(trace) == 1
         assert ps.is_primitive(ps.Word(12, (1, 2)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
+
+
+def test_is_primitive_counts_exponents_on_the_core():
+    # the gcd test counts one exponent sum per generator the core uses, so a
+    # query on three generators allocates nothing of the rank's size
+    w = ps.Word(10 ** 6, (1, 2, 10 ** 6, 2, 1))
+    tracemalloc.start()
+    try:
+        answer = ps.is_primitive(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
+    assert answer == ps.is_primitive(ps.parse_word("abcba"))
+    assert not ps.is_primitive(ps.Word(10 ** 6, (1, 10 ** 6, 1, -10 ** 6)))
 
 
 @pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 6)])
@@ -479,7 +580,7 @@ def test_is_primitive_matches_the_move_search_alone(rank, max_len):
         for letters in all_reduced_words(rank, length):
             if length > 1 and letters[0] == -letters[-1]:
                 continue
-            searched = len(_minimize_raw(rank, letters)[0]) == 1
+            searched = len(pool_minimize(rank, letters)[0]) == 1
             assert ps.is_primitive(ps.Word(rank, letters)) == searched, letters
             refuted += not searched
     assert refuted > 1000
@@ -562,7 +663,7 @@ def _agrees_with_the_pool(rank, letters):
     """is_primitive of the word against the move search of the pool alone;
     returns the answer."""
     core, _ = _cyclic_core(letters)
-    searched = bool(core) and len(_minimize_raw(rank, core)[0]) == 1
+    searched = bool(core) and len(pool_minimize(rank, core)[0]) == 1
     assert ps.is_primitive(ps.Word(rank, letters)) == searched, letters
     return searched
 
@@ -672,12 +773,11 @@ def test_rank_cap():
     assert ps.RANK_CAP == 4
     assert ps.is_primitive(ps.Word(4, (1,)))
     w = ps.Word(5, (1,))
-    # is_primitive answers in any rank
+    # is_primitive and whitehead_minimize answer in any rank
     assert ps.is_primitive(w)
+    assert ps.whitehead_minimize(w) == (ps.CyclicWord(5, (1,)), [])
     with pytest.raises(RankTooLarge):
         ps.enumerate_primitive_classes(5, 1)
-    with pytest.raises(RankTooLarge):
-        ps.whitehead_minimize(w)
     assert not ps.is_primitive(ps.Word(5, (1, 1)))
 
 
