@@ -49,6 +49,19 @@ class SpectrumEntry(_Frozen):
         object.__setattr__(self, "trans_len", trans_len)
         object.__setattr__(self, "kind", kind)
 
+    @classmethod
+    def _from_scan(
+        cls, word: CyclicWord, trans_len: float, kind: IsometryClass
+    ) -> "SpectrumEntry":
+        """An entry of a class and the values a scan measured for it, stored
+        without the constructor call."""
+        self = object.__new__(cls)
+        set_cls, set_trans_len, set_kind = cls._setters
+        set_cls(self, word)
+        set_trans_len(self, trans_len)
+        set_kind(self, kind)
+        return self
+
     @property
     def length(self) -> int:
         return len(self.cls)
@@ -86,6 +99,34 @@ class PsReport(_Frozen):
         return max((e.ratio for e in self.entries), default=0.0)
 
 
+def _spectrum(rep: Representation, max_len: int) -> tuple[tuple[SpectrumEntry, ...], float]:
+    """The entries of ``primitive_length_spectrum`` and their largest ratio,
+    ``PsReport.max_ratio`` of them to the bit (0.0 with none).
+
+    Each walked class is checked, classified and its ratio taken in one
+    pass.  A partner has its mate's kind and translation length and as many
+    letters, so its mate's ratio, and the mate comes first in scan order:
+    the largest walked ratio, taken in walk order, is the largest entry
+    ratio, first maximum and all.  Each entry is then one lookup of its
+    pair's measurement and one ``SpectrumEntry._from_scan``.
+    """
+    classes = enumerate_primitive_classes(rep.rank, max_len)
+    plan, slots = _walk_plan(rep.rank, max_len)
+    measured = []
+    ratios = []
+    for (k, suffix), (a, b, c, d) in zip(plan, _walk(_letter_table(rep), plan)):
+        _check_entries(a, b, c, d)
+        kind, trans_len = _kind_and_length(a, b, c, d)
+        measured.append((trans_len, kind))
+        ratios.append(trans_len / (k + len(suffix)))
+    make = SpectrumEntry._from_scan
+    entries = []
+    for cls, j in zip(classes, slots):
+        trans_len, kind = measured[j]
+        entries.append(make(cls, trans_len, kind))
+    return tuple(entries), max(ratios, default=0.0)
+
+
 def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[SpectrumEntry, ...]:
     """One entry per primitive class with cyclic length at most max_len.
 
@@ -104,19 +145,11 @@ def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[Spectr
     classified on its raw entries, with no ``MoebiusMap`` built for it, and
     the scan raises at the first walked class whose product fails the
     check, with that class's message; a partner's own product is never
-    formed.
+    formed.  The per-class work, and the ratio bound ``ps_scan`` checks,
+    happen once per walked class (``_spectrum``); each class then costs one
+    lookup of its pair's measurement and one entry.
     """
-    classes = enumerate_primitive_classes(rep.rank, max_len)
-    plan, slots = _walk_plan(rep.rank, max_len)
-    measured = []
-    for a, b, c, d in _walk(_letter_table(rep), plan):
-        _check_entries(a, b, c, d)
-        measured.append(_kind_and_length(a, b, c, d))
-    entries = []
-    for cls, j in zip(classes, slots):
-        kind, trans_len = measured[j]
-        entries.append(SpectrumEntry(cls, trans_len, kind))
-    return tuple(entries)
+    return _spectrum(rep, max_len)[0]
 
 
 def ps_scan(rep: Representation, max_len: int) -> PsReport:
@@ -128,9 +161,15 @@ def ps_scan(rep: Representation, max_len: int) -> PsReport:
     class of each inverse pair is walked (``primitive_length_spectrum``),
     and the scan raises at the first walked class whose product fails the
     determinant check, with that class's message.
+
+    Every ratio is at most the largest basepoint displacement of a
+    generator, and CheckFailed is raised where it is not (by more than
+    1e-6).  The largest ratio is taken during the walk, once per walked
+    class, and equals the report's ``max_ratio`` to the bit, which is not
+    read back from the entries; each class costs one lookup and one entry.
     """
-    report = PsReport(max_len, primitive_length_spectrum(rep, max_len))
-    max_ratio = report.max_ratio
+    entries, max_ratio = _spectrum(rep, max_len)
+    report = PsReport(max_len, entries)
     displacement = max(_displacement(g) for g in rep.images)
     if max_ratio > displacement + 1e-6:
         raise CheckFailed(

@@ -100,6 +100,13 @@ class _Frozen:
     and copy through ``__init__``.  This is what a frozen class from the
     standard library's generator would give, without importing that module,
     which loads ``inspect``: 8-12 ms of every command-line call.
+
+    ``_setters`` holds the ``__set__`` of each field's slot descriptor, in
+    ``__slots__`` order.  A private constructor for values already checked
+    (``Word._from_reduced``, ``CyclicWord._from_canonical``,
+    ``stability.SpectrumEntry._from_scan``) builds with ``object.__new__``
+    and sets each field through its setter: no ``__init__`` call and no
+    ``object.__setattr__`` lookup by field name.
     """
 
     __slots__ = ()
@@ -107,6 +114,7 @@ class _Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = operator.attrgetter(*cls.__slots__)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -149,8 +157,9 @@ class Word(_Frozen):
         """A word from letters already checked and freely reduced, stored
         without checking them again."""
         self = object.__new__(cls)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", letters)
+        set_rank, set_letters = cls._setters
+        set_rank(self, rank)
+        set_letters(self, letters)
         return self
 
     def __len__(self) -> int:
@@ -186,8 +195,9 @@ class CyclicWord(_Frozen):
         """A class from letters already checked, cyclically reduced and in
         least rotation, stored without checking them again."""
         self = object.__new__(cls)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", letters)
+        set_rank, set_letters = cls._setters
+        set_rank(self, rank)
+        set_letters(self, letters)
         return self
 
     def __len__(self) -> int:

@@ -6,7 +6,8 @@ import random
 import pytest
 
 import primstab as ps
-from primstab.errors import BadSubset, DeterminantError, ParseError
+from primstab import stability
+from primstab.errors import BadSubset, CheckFailed, DeterminantError, ParseError
 
 from helpers import (
     random_automorphism,
@@ -202,6 +203,32 @@ def test_ps_scan_ratio_bounded_by_basepoint_displacement():
         report = ps.ps_scan(rep, 4)
         bound = max(ps.uhs_distance(base, ps.act_uhs(g, base)) for g in rep.images)
         assert report.max_ratio <= bound + 1e-6
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 6), (3, 4), (4, 3)])
+def test_ps_scan_raises_exactly_past_the_displacement_bound(monkeypatch, rank, max_len):
+    # ps_scan takes the largest ratio during its walk, not from the report.
+    # With the displacement bound one float either side of the smallest that
+    # covers report.max_ratio (so that bound + 1e-6 lands on max_ratio, or on
+    # the float below it), the scan raises CheckFailed naming max_ratio below
+    # and returns the report at it: the walked maximum is max_ratio to the bit
+    rep = random_representation(random.Random(43 + rank), rank)
+    report = ps.ps_scan(rep, max_len)
+    top = report.max_ratio
+    covering = top - 1e-6
+    while covering + 1e-6 < top:
+        covering = math.nextafter(covering, math.inf)
+    while math.nextafter(covering, -math.inf) + 1e-6 >= top:
+        covering = math.nextafter(covering, -math.inf)
+    short = math.nextafter(covering, -math.inf)
+    assert covering + 1e-6 == top and short + 1e-6 == math.nextafter(top, -math.inf)
+    monkeypatch.setattr(stability, "_displacement", lambda g: short)
+    with pytest.raises(CheckFailed) as failed:
+        ps.ps_scan(rep, max_len)
+    assert str(failed.value) == (
+        "ratio %r exceeds the basepoint displacement bound %r" % (top, short))
+    monkeypatch.setattr(stability, "_displacement", lambda g: covering)
+    assert ps.ps_scan(rep, max_len) == report
 
 
 def test_ps_scan_conjugation_invariance():

@@ -20,9 +20,9 @@ from primstab.moebius import (
     UhsPoint,
 )
 from primstab.render import SliceConfig
-from primstab.stability import PsReport, SpectrumEntry
+from primstab.stability import PsReport, SpectrumEntry, primitive_length_spectrum, ps_scan
 from primstab.whitehead import BlockingCertificate, WhiteheadAutomorphism
-from primstab.words import CyclicWord, Word
+from primstab.words import CyclicWord, Word, parse_word
 
 M = MoebiusMap(2, 1, 1, 1)
 A, B, BA = Word(2, (1,)), Word(2, (2,)), Word(2, (2, 1))
@@ -95,6 +95,36 @@ def test_value_semantics(cls, args, kwargs, other, text):
         value.extra = 1
     assert getattr(value, field) == getattr(same, field)
     assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("max_len", [1, 3])
+def test_scan_built_values_keep_the_value_contract(max_len):
+    # the scan builds its entries with SpectrumEntry._from_scan, and the
+    # enumeration its classes with CyclicWord._from_canonical, neither through
+    # the constructor: each is still the value the constructor gives, under
+    # every rule of test_value_semantics
+    rep = Representation(2, (MoebiusMap(2, 0, 0, 0.5), MoebiusMap(1, 1, 0, 1)))
+    entries = ps_scan(rep, max_len).entries
+    assert entries == primitive_length_spectrum(rep, max_len)
+    assert {e.kind for e in entries} == {IsometryClass.LOXODROMIC, IsometryClass.PARABOLIC}
+    built = [(e, SpectrumEntry(e.cls, e.trans_len, e.kind)) for e in entries]
+    built += [(e.cls, CyclicWord(e.cls.rank, e.cls.letters)) for e in entries]
+    built.append((parse_word("abA", 2), Word(2, (1, 2, -1))))
+    for value, same in built:
+        cls = type(same)
+        assert type(value) is cls and value == same and not value != same
+        assert hash(value) == hash(same) and repr(value) == repr(same)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+        for field in cls.__slots__:
+            with pytest.raises(AttributeError, match="cannot assign to field %r" % field):
+                setattr(value, field, getattr(same, field))
+            with pytest.raises(AttributeError, match="cannot delete field %r" % field):
+                delattr(value, field)
+            assert getattr(value, field) == getattr(same, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert not hasattr(value, "__dict__")
 
 
 def test_equal_fields_of_different_classes_are_not_equal():
