@@ -101,19 +101,26 @@ class _Frozen:
     standard library's generator would give, without importing that module,
     which loads ``inspect``: 8-12 ms of every command-line call.
 
-    ``_setters`` holds the ``__set__`` of each field's slot descriptor, in
+    A type whose storage differs from its value (``stability.PsReport``,
+    whose entries are built on first read) names its value fields, in
+    ``__init__`` order, in ``_fields``; they are read by attribute (a
+    property will do), and its ``__slots__`` are then its storage alone.
+    Otherwise ``_fields`` is ``__slots__``.
+
+    ``_setters`` holds the ``__set__`` of each slot's descriptor, in
     ``__slots__`` order.  A private constructor for values already checked
     (``Word._from_reduced``, ``CyclicWord._from_canonical``,
-    ``stability.SpectrumEntry._from_scan``) builds with ``object.__new__``
-    and sets each field through its setter: no ``__init__`` call and no
-    ``object.__setattr__`` lookup by field name.
+    ``stability.SpectrumEntry._from_scan``, ``stability.PsReport._from_scan``)
+    builds with ``object.__new__`` and sets each slot through its setter:
+    no ``__init__`` call and no ``object.__setattr__`` lookup by field name.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = operator.attrgetter(*cls.__slots__)
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._values = operator.attrgetter(*cls._fields)
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
@@ -126,7 +133,7 @@ class _Frozen:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
