@@ -191,12 +191,13 @@ def _walk(table, plan: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[co
     push = stack.append
     for k, suffix in plan:
         del stack[k + 1:]
-        a, b, c, d = stack[k]
+        m = stack[k]
         for v in suffix:
+            a, b, c, d = m
             p, q, r, s = table[v]
-            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-            push((a, b, c, d))
-        yield a, b, c, d
+            m = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+            push(m)
+        yield m
 
 
 def _displacement(g: MoebiusMap) -> float:
@@ -257,7 +258,9 @@ def _kind_and_length(
     at least the modulus of either part).  IDENTITY needs |a -+ 1| <= 1e-9 and |d -+ 1| <= 1e-9,
     so |Im a| and |Im d| are at most 1e-9 (a modulus is at least the modulus
     of either part, also as rounded), and their rounded sum Im t is at most
-    2e-9, a float, since rounding is monotone.
+    2e-9, a float, since rounding is monotone.  ``stability._spectrum``
+    takes this shortcut in its own loop and calls this function on the
+    rest, so the two must change together.
     """
     t = a + d
     if abs(t.imag) > 2.0 * _TOL:

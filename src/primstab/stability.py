@@ -19,6 +19,7 @@ from .errors import (
     WordParseError,
 )
 from .moebius import (
+    _TOL,
     IsometryClass,
     MoebiusMap,
     Representation,
@@ -28,6 +29,7 @@ from .moebius import (
     _kind_and_length,
     _letter_table,
     _orbit_distance,
+    _trace_length,
     _walk,
     evaluate,
 )
@@ -49,19 +51,6 @@ class SpectrumEntry(_Frozen):
         object.__setattr__(self, "trans_len", trans_len)
         object.__setattr__(self, "kind", kind)
 
-    @classmethod
-    def _from_scan(
-        cls, word: CyclicWord, trans_len: float, kind: IsometryClass
-    ) -> "SpectrumEntry":
-        """An entry of a class and the values a scan measured for it, stored
-        without the constructor call."""
-        self = object.__new__(cls)
-        set_cls, set_trans_len, set_kind = cls._setters
-        set_cls(self, word)
-        set_trans_len(self, trans_len)
-        set_kind(self, kind)
-        return self
-
     @property
     def length(self) -> int:
         return len(self.cls)
@@ -74,62 +63,17 @@ class SpectrumEntry(_Frozen):
 class PsReport(_Frozen):
     """A scan's entries.  Derived from them: ``failures``, the non-loxodromic
     classes in entry order; ``verdict``, FAILURE exactly when there is one;
-    and ``min_ratio`` and ``max_ratio``, the entries' ratio range (0.0 if none).
+    and ``min_ratio`` and ``max_ratio``, the entries' ratio range (0.0 if none)."""
 
-    The derived fields are read from the report's measurements: the classes,
-    a kind and a translation length per measurement with each class's index
-    into them, and the ratio range.  The constructor takes one measurement
-    per entry from the entries.  A report that ``ps_scan`` builds takes them
-    from its walk: one per walked class, indexed by the cached walk slots of
-    ``whitehead._walk_plan``, with the ratio range taken during the walk.
-    It builds its entries on first read and keeps them, so a caller that
-    reads only the verdict and the ratios builds no entry (two threads
-    racing on the first read may each build them; the two are equal).
-    Either way the value is ``(max_len, entries)``: equality, hash, repr,
-    pickling and copying read ``entries``.
-    """
-
-    _fields = ("max_len", "entries")
-    __slots__ = ("max_len", "_entries", "_measured")
+    __slots__ = ("max_len", "entries")
 
     def __init__(self, max_len: int, entries: tuple[SpectrumEntry, ...]):
-        ratios = [e.ratio for e in entries]
-        measured = (tuple(e.cls for e in entries), range(len(entries)),
-                    [e.kind for e in entries], [e.trans_len for e in entries],
-                    min(ratios, default=0.0), max(ratios, default=0.0))
         object.__setattr__(self, "max_len", max_len)
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_measured", measured)
-
-    @classmethod
-    def _from_scan(cls, max_len: int, measured: tuple) -> "PsReport":
-        """The report of a scan's measurements ``(classes, slots, kinds,
-        lengths, min_ratio, max_ratio)``, where ``kinds[slots[i]]`` and
-        ``lengths[slots[i]]`` are the kind and translation length of
-        ``classes[i]``, with its entries not yet built."""
-        self = object.__new__(cls)
-        set_max_len, set_entries, set_measured = cls._setters
-        set_max_len(self, max_len)
-        set_entries(self, None)
-        set_measured(self, measured)
-        return self
-
-    @property
-    def entries(self) -> tuple[SpectrumEntry, ...]:
-        entries = self._entries
-        if entries is None:
-            classes, slots, kinds, lengths, _, _ = self._measured
-            entries = tuple(map(SpectrumEntry._from_scan, classes,
-                                map(lengths.__getitem__, slots), map(kinds.__getitem__, slots)))
-            object.__setattr__(self, "_entries", entries)
-        return entries
+        object.__setattr__(self, "entries", entries)
 
     @property
     def failures(self) -> tuple[CyclicWord, ...]:
-        classes, slots, kinds, _, _, _ = self._measured
-        if kinds.count(IsometryClass.LOXODROMIC) == len(kinds):
-            return ()
-        return tuple(c for c, j in zip(classes, slots) if kinds[j] != IsometryClass.LOXODROMIC)
+        return tuple(e.cls for e in self.entries if e.kind != IsometryClass.LOXODROMIC)
 
     @property
     def verdict(self) -> str:
@@ -137,23 +81,30 @@ class PsReport(_Frozen):
 
     @property
     def min_ratio(self) -> float:
-        return self._measured[4]
+        return min((e.ratio for e in self.entries), default=0.0)
 
     @property
     def max_ratio(self) -> float:
-        return self._measured[5]
+        return max((e.ratio for e in self.entries), default=0.0)
 
 
-def _scan(rep: Representation, max_len: int) -> PsReport:
-    """The report of ``primitive_length_spectrum``'s walk, with no entry built.
+def _spectrum(rep: Representation, max_len: int) -> tuple[tuple[SpectrumEntry, ...], float]:
+    """The entries of ``primitive_length_spectrum`` and their largest ratio,
+    ``PsReport.max_ratio`` of them to the bit (0.0 with none).
 
     Each walked class is checked, classified and its ratio taken in one
-    pass, and its kind and translation length are kept in two flat lists: no
-    tracked object per class for the cyclic collector to walk.  A partner
-    has its mate's kind and translation length and as many letters, so its
-    mate's ratio: the walked ratios are the entries' ratios, and their
-    smallest and largest, taken with the built-in ``min`` and ``max`` over
-    the walk, are the report's ``min_ratio`` and ``max_ratio`` to the bit.
+    pass.  A partner has its mate's kind and translation length and as many
+    letters, so its mate's ratio, and the mate comes first in scan order:
+    the largest walked ratio, taken in walk order, is the largest entry
+    ratio, first maximum and all.
+
+    Each product goes through ``_check_entries``.  The loop takes the first
+    test of ``_kind_and_length`` itself, with no call: a trace t with
+    |Im t| > 2e-9 is loxodromic, of length ``_trace_length(t)``; a product
+    that test leaves open goes through ``_kind_and_length`` in full, so the
+    kinds and lengths are its own.  The entries are then built column by
+    column (``_Frozen._from_columns``), each class's kind and length looked
+    up by its walk slot.
     """
     classes = enumerate_primitive_classes(rep.rank, max_len)
     plan, slots = _walk_plan(rep.rank, max_len)
@@ -161,14 +112,20 @@ def _scan(rep: Representation, max_len: int) -> PsReport:
     lengths = []
     ratios = []
     add_kind, add_length, add_ratio = kinds.append, lengths.append, ratios.append
+    loxodromic = IsometryClass.LOXODROMIC
     for (k, suffix), (a, b, c, d) in zip(plan, _walk(_letter_table(rep), plan)):
         _check_entries(a, b, c, d)
-        kind, trans_len = _kind_and_length(a, b, c, d)
+        t = a + d
+        if abs(t.imag) > 2.0 * _TOL:
+            kind, trans_len = loxodromic, _trace_length(t)
+        else:
+            kind, trans_len = _kind_and_length(a, b, c, d)
         add_kind(kind)
         add_length(trans_len)
         add_ratio(trans_len / (k + len(suffix)))
-    measured = (classes, slots, kinds, lengths, min(ratios, default=0.0), max(ratios, default=0.0))
-    return PsReport._from_scan(max_len, measured)
+    entries = SpectrumEntry._from_columns(
+        classes, map(lengths.__getitem__, slots), map(kinds.__getitem__, slots))
+    return entries, max(ratios, default=0.0)
 
 
 def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[SpectrumEntry, ...]:
@@ -189,11 +146,11 @@ def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[Spectr
     classified on its raw entries, with no ``MoebiusMap`` built for it, and
     the scan raises at the first walked class whose product fails the
     check, with that class's message; a partner's own product is never
-    formed.  The per-class work, and the ratio range ``ps_scan`` reports,
-    happen once per walked class (``_scan``); each class then costs one
-    lookup of its pair's measurement and one entry.
+    formed.  The per-class work, and the ratio bound ``ps_scan`` checks,
+    happen once per walked class (``_spectrum``); each class then costs two
+    lookups of its pair's measurement and one entry.
     """
-    return _scan(rep, max_len).entries
+    return _spectrum(rep, max_len)[0]
 
 
 def ps_scan(rep: Representation, max_len: int) -> PsReport:
@@ -208,16 +165,16 @@ def ps_scan(rep: Representation, max_len: int) -> PsReport:
 
     Every ratio is at most the largest basepoint displacement of a
     generator, and CheckFailed is raised where it is not (by more than
-    1e-6).  The report's verdict, failures and ratio range come from the
-    walk's one measurement per inverse pair; its entries are built when
-    first read (``PsReport``).
+    1e-6).  The largest ratio is taken during the walk, once per walked
+    class, and equals the report's ``max_ratio`` to the bit, which is not
+    read back from the entries; each class costs two lookups and one entry.
     """
-    report = _scan(rep, max_len)
+    entries, max_ratio = _spectrum(rep, max_len)
+    report = PsReport(max_len, entries)
     displacement = max(_displacement(g) for g in rep.images)
-    if report.max_ratio > displacement + 1e-6:
+    if max_ratio > displacement + 1e-6:
         raise CheckFailed(
-            "ratio %r exceeds the basepoint displacement bound %r"
-            % (report.max_ratio, displacement)
+            "ratio %r exceeds the basepoint displacement bound %r" % (max_ratio, displacement)
         )
     return report
 

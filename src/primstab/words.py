@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidLetter, NotCoprime, RankMismatch, WordParseError
@@ -101,27 +103,31 @@ class _Frozen:
     standard library's generator would give, without importing that module,
     which loads ``inspect``: 8-12 ms of every command-line call.
 
-    A type whose storage differs from its value (``stability.PsReport``,
-    whose entries are built on first read) names its value fields, in
-    ``__init__`` order, in ``_fields``; they are read by attribute (a
-    property will do), and its ``__slots__`` are then its storage alone.
-    Otherwise ``_fields`` is ``__slots__``.
-
-    ``_setters`` holds the ``__set__`` of each slot's descriptor, in
+    ``_setters`` holds the ``__set__`` of each field's slot descriptor, in
     ``__slots__`` order.  A private constructor for values already checked
     (``Word._from_reduced``, ``CyclicWord._from_canonical``,
-    ``stability.SpectrumEntry._from_scan``, ``stability.PsReport._from_scan``)
-    builds with ``object.__new__`` and sets each slot through its setter:
-    no ``__init__`` call and no ``object.__setattr__`` lookup by field name.
+    ``_from_columns``) builds with ``object.__new__`` and sets each field
+    through its setter: no ``__init__`` call and no ``object.__setattr__``
+    lookup by field name.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
-        cls._values = operator.attrgetter(*cls._fields)
+        cls._values = operator.attrgetter(*cls.__slots__)
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _from_columns(cls, *columns: Iterable) -> tuple:
+        """Values already checked, one per row of ``columns``: an iterable
+        of each field's values, in ``__slots__`` order, the first sized and
+        none shorter.  ``map`` allocates them and runs each field's setter
+        down its column, so a row costs no Python-level call."""
+        values = tuple(map(object.__new__, repeat(cls, len(columns[0]))))
+        for set_field, column in zip(cls._setters, columns):
+            deque(map(set_field, values, column), maxlen=0)
+        return values
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -133,7 +139,7 @@ class _Frozen:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
