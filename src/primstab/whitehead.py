@@ -43,7 +43,6 @@ from .words import (
     _cyclic_core,
     _farey_turns,
     _Frozen,
-    _least_rotation_index,
     _normalize_slope,
     letter_key,
 )
@@ -60,18 +59,15 @@ TOO_SHORT = "TOO_SHORT"
 
 def all_letters(rank: int) -> list[int]:
     """The 2n letters in canonical order 1, -1, 2, -2, ..."""
-    out = []
-    for i in range(1, rank + 1):
-        out.append(i)
-        out.append(-i)
-    return out
+    return [v for i in range(1, rank + 1) for v in (i, -i)]
 
 
-# letter v <-> its key letter_key(v), at most 2 * RANK_CAP, in every rank up
-# to the cap; the enumeration keeps classes as bytes of keys, whose byte
-# order is the letter order of CyclicWord.sort_key
-_KEY_OF = {v: letter_key(v) for v in all_letters(RANK_CAP)}
+# letter v at its key letter_key(v), and translate tables from the key of v
+# to the key of v^-1 and to v as a signed byte, up to the cap; the enumeration
+# keeps classes as bytes of keys, in the letter order of CyclicWord.sort_key
 _LETTER_OF = (0, *all_letters(RANK_CAP))
+_INVERSE_KEY = bytes((0, *(letter_key(-v) for v in _LETTER_OF[1:]), *range(2 * RANK_CAP + 1, 256)))
+_SIGNED = bytes((*(v % 256 for v in _LETTER_OF), *range(2 * RANK_CAP + 1, 256)))
 
 
 # letter v -> its bit letter_key(v) - 1 at index v (the inverses at the
@@ -319,22 +315,11 @@ class WhiteheadAutomorphism(_Frozen):
         if multiplier in members or -multiplier in members:
             raise ValueError("members may not contain the multiplier or its inverse")
         a = multiplier
-        images = []
-        for i in range(1, rank + 1):
-            if i == abs(a):
-                images.append(Word(rank, (i,)))
-                continue
-            in_a = i in members
-            inv_in_a = -i in members
-            if in_a and not inv_in_a:
-                images.append(Word(rank, (i, a)))
-            elif inv_in_a and not in_a:
-                images.append(Word(rank, (-a, i)))
-            elif in_a and inv_in_a:
-                images.append(Word(rank, (-a, i, a)))
-            else:
-                images.append(Word(rank, (i,)))
-        return cls(rank, images)
+        # the images are reduced, as x != a^+-1, and built without a check
+        letters = list(zip(range(1, rank + 1)))
+        for i in {abs(v) for v in members}:
+            letters[i - 1] = (-a,) * (-i in members) + (i,) + (a,) * (i in members)
+        return cls(rank, Word._from_columns((rank,) * rank, letters))
 
     def inverse_move(self) -> "WhiteheadAutomorphism":
         """Inverse of a second-kind move (a, A): the move whose images are
@@ -386,57 +371,64 @@ def apply_automorphism(phi: WhiteheadAutomorphism, w: Word) -> Word:
 
 
 @lru_cache(maxsize=None)
-def _move_pool(rank: int) -> tuple[tuple[WhiteheadAutomorphism, tuple, int, int], ...]:
-    """(phi, its ``_image_table``, bitmask of A, bit of a) for every
-    non-identity second-kind move phi = (a, A), in a fixed order;
-    RankTooLarge past RANK_CAP.
+def _key_moves(rank: int) -> tuple[tuple[tuple[bytes, ...], bytes, int, int], ...]:
+    """(the key strings of the letters' images, at their keys; the key string
+    of a a^-1; bitmask of A; bit of a, letter v on bit ``letter_key(v) - 1``)
+    for every non-identity second-kind move (a, A); RankTooLarge past the cap.
 
-    Letter v has bit ``_BIT[v] = letter_key(v) - 1``, its place in ``all_letters``.
+    A letter x other than a^+-1 maps to [a^-1] x [a], with a^-1 when x^-1 is
+    in A and a when x is.  In the join of a cyclically reduced word's letter
+    images the only pairs that cancel are a a^-1 (a trailing a or the letter
+    a, then a leading a^-1 or the letter a^-1).  They do not overlap, and
+    removing them joins no new pair: it joins neighbours of the word, or an
+    x in A to a leading a^-1 or to a y with y^-1 not in A, or a trailing a
+    or a w not in A to a y other than a^-1 with y^-1 in A.  So the cyclic
+    image is the join less each a a^-1 in it and one more across its ends.
     """
     if rank > RANK_CAP:
         raise RankTooLarge("rank %d exceeds the move-search cap %d" % (rank, RANK_CAP))
-    letters = all_letters(rank)
+    keys = [bytes((b + 1,)) for b in range(2 * rank)]
     moves = []
-    for a in letters:
-        others = [x for x in letters if abs(x) != abs(a)]
+    for a in range(2 * rank):
+        others = [b for b in range(2 * rank) if b >> 1 != a >> 1]
+        lead, trail = keys[a ^ 1], keys[a]
         for mask in range(1, 1 << len(others)):
-            members = [others[k] for k in range(len(others)) if mask >> k & 1]
-            bits = 0
-            for v in (a, *members):
-                bits |= 1 << _BIT[v]
-            phi = WhiteheadAutomorphism.multiplier_move(rank, a, members)
-            moves.append((phi, _image_table(phi), bits, _BIT[a]))
+            side = sum(1 << b for k, b in enumerate(others) if mask >> k & 1)
+            pieces = (b"", *(key if b >> 1 == a >> 1 else
+                             lead * (side >> (b ^ 1) & 1) + key + trail * (side >> b & 1)
+                             for b, key in enumerate(keys)))
+            moves.append((pieces, trail + lead, side | 1 << a, a))
     return tuple(moves)
 
 
-def _length_changes(
-    rank: int, core: Sequence[int], low: float, high: float
-) -> Iterator[tuple[WhiteheadAutomorphism, tuple, int]]:
-    """(phi, its ``_image_table``, |phi(w)| - |w|) for each pool move
-    phi = (a, A) whose change cut(A) - deg(a) lies in [low, high], in pool
-    order.
+def _key_image(pieces: tuple[bytes, ...], cancel: bytes, keys: bytes) -> bytes:
+    """The cyclic image (in some rotation) of a cyclically reduced key string
+    under a ``_key_moves`` move, given as its pieces and its a a^-1."""
+    image = b"".join(map(pieces.__getitem__, keys)).replace(cancel, b"")
+    return image[1:-1] if image[-1] == cancel[0] and image[0] == cancel[1] else image
 
-    Counted on the closed graph of the non-empty cyclically reduced core w,
-    whose edge i joins ``core[i]`` and ``core[i + 1]^-1``.  Bit i of
-    ``incident[u]`` marks edge i at letter u.  An edge crosses A exactly
-    when one of its ends is in A, so the edges crossing A are the XOR of
-    ``incident`` over A, and cut(A) is its bit count.  That needs a core
-    with no self-loop edge (an edge that XORs away at its own letter),
-    which a cyclically reduced core has: xy with x = y^-1 would cancel.
+
+def _changes(rank: int, core: Sequence[int]) -> list[int]:
+    """|phi(w)| - |w| = cut(A) - deg(a) for every move phi = (a, A) of
+    ``_key_moves``, in its order, on a non-empty cyclically reduced core w of
+    letter bits, counted on its closed graph, whose edge i joins ``core[i]``
+    and ``core[i + 1] ^ 1``.  Bit i of ``incident[u]`` marks edge i at letter
+    u.  An edge crosses A exactly when one of its ends is in A, so the edges
+    crossing A are the XOR of ``incident`` over A, and cut(A) is its bit
+    count.  That needs a core with no self-loop edge (an edge that XORs away
+    at its own letter), which a cyclically reduced core has: xy with
+    x = y^-1 would cancel.  So deg(a) is cut({a}).
     """
-    pool = _move_pool(rank)  # RankTooLarge past the cap, before the 2^(2n) XORs
+    moves = _key_moves(rank)  # RankTooLarge past the cap, before the 2^(2n) XORs
     incident = [0] * (2 * rank)
     for i, (x, y) in enumerate(zip(core, core[1:] + core[:1])):
-        incident[_BIT[x]] |= 1 << i
-        incident[_BIT[-y]] |= 1 << i
-    crossing = [0]  # crossing[S] for every letter set S, one XOR each
+        incident[x] |= 1 << i
+        incident[y ^ 1] |= 1 << i
+    cut = [0]  # the edges crossing S for every letter set S, one XOR each
     for edges in incident:
-        crossing += [c ^ edges for c in crossing]
-    degree = [edges.bit_count() for edges in incident]
-    for phi, table, mask, a in pool:
-        change = crossing[mask].bit_count() - degree[a]
-        if low <= change <= high:
-            yield phi, table, change
+        cut += [c ^ edges for c in cut]
+    cut = list(map(int.bit_count, cut))
+    return [cut[mask] - cut[1 << a] for _, _, mask, a in moves]
 
 
 def _core_bits(w: Word | CyclicWord) -> tuple[Sequence[int], list[int]]:
@@ -464,7 +456,7 @@ def _graph_move(core: list[int], size: int) -> tuple[int, int] | None:
 
     The graph is taken on the support S of the core, the letters of the
     generators it uses, which no move enlarges.  A move (a, A) changes the
-    length by cut(A) - deg(a) (Higgins-Lyndon, as in ``_length_changes``):
+    length by cut(A) - deg(a) (Higgins-Lyndon, as in ``_changes``):
 
     - the graph is disconnected: every component C holds a letter x whose
       inverse it does not hold (a component closed under inversion would
@@ -603,7 +595,9 @@ def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[Whitehead
     exactly when w is primitive.
 
     Returns the terminal class and the moves taken, in order, as
-    ``WhiteheadAutomorphism.multiplier_move`` values of w's rank.  The empty
+    ``WhiteheadAutomorphism.multiplier_move`` values of w's rank, each with
+    one image per generator: past ``RANK_CAP`` the rounds cost time in the
+    core, but the trace costs time and memory linear in the rank.  The empty
     word and a one-letter word return at once.
     """
     generators, core = _core_bits(w)
@@ -664,41 +658,46 @@ def is_primitive(w: Word | CyclicWord) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _symmetry_tables(rank: int) -> tuple[tuple[bytes, bytes], ...]:
-    """Two ``bytes.translate`` tables on letter keys for each of the 2^n n!
-    signed permutations tau of the generators.
-
-    The first sends the key of v to the key of tau(v), so it maps a class to
-    its image under tau.  The second sends the key of v to the key of
-    tau(v)^-1, so read on a class reversed it maps the class to the image of
-    its inverse.
-    """
-    out = []
-    for perm in itertools.permutations(range(1, rank + 1)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            forward, backward = bytearray(range(256)), bytearray(range(256))
-            for i, j, sign in zip(range(1, rank + 1), perm, signs):
-                for v, image in ((i, sign * j), (-i, -sign * j)):
-                    forward[letter_key(v)] = letter_key(image)
-                    backward[letter_key(v)] = letter_key(-image)
-            out.append((bytes(forward), bytes(backward)))
-    return tuple(out)
+def _symmetry_tables(rank: int) -> tuple[tuple[int, list[bytes]], ...]:
+    """The ``bytes.translate`` table on letter keys of each of the 2^n n!
+    signed permutations tau of the generators, from the key of v to the key
+    of tau(v), grouped as (k, tables) by the key k of the letter sent to a."""
+    pairs = [(bytes((j - 1, j)), bytes((j, j - 1))) for j in range(2, 2 * rank + 1, 2)]
+    rest = bytes(range(2 * rank + 1, 256))
+    groups: dict[int, list[bytes]] = {}
+    for perm in itertools.permutations(pairs):  # generator i to the i-th
+        for images in itertools.product(*perm):  # of them, or its inverse
+            table = b"".join((b"\0", *images, rest))
+            groups.setdefault(table.index(1), []).append(table)
+    return tuple(groups.items())
 
 
-def _orbit(rank: int, canon: bytes) -> dict[bytes, bytes]:
-    """The least rotations of every signed permutation of a class and of its
-    inverse, each mapped to the least rotation of its inverse, with the class
-    and its images as letter-key strings."""
-    out = {}
-    reverse = canon[::-1]
-    for forward, backward in _symmetry_tables(rank):
-        image, inverse = canon.translate(forward), reverse.translate(backward)
-        k = _least_rotation_index(image)
-        j = _least_rotation_index(inverse)
-        image, inverse = image[k:] + image[:k], inverse[j:] + inverse[:j]
-        out[image] = inverse
-        out[inverse] = image
+def _images(rank: int, keys: bytes) -> list[bytes]:
+    """The least rotation of tau(w), for every signed permutation tau in
+    ``_symmetry_tables`` order, of a cyclically reduced key string w.  Where
+    tau sends the letter of key k to a, the least letter, the least rotation
+    of tau(w) starts with that letter in w, or if w lacks it with its
+    inverse: only those rotations of w (all if w lacks both) are translated
+    and compared, for all the tables of k at once."""
+    n = len(keys)
+    doubled = keys + keys
+    by_key: dict[int, list[bytes]] = {}  # the rotations by their first key
+    for i, k in enumerate(keys):
+        by_key.setdefault(k, []).append(doubled[i:i + n])
+    out: list[bytes] = []
+    for k, tables in _symmetry_tables(rank):
+        starts = by_key.get(k) or by_key.get(_INVERSE_KEY[k]) or [doubled[i:i + n] for i in range(n)]
+        images = [map(start.translate, tables) for start in starts]
+        out += images[0] if len(images) == 1 else map(min, *images)
     return out
+
+
+def _orbit(rank: int, canon: bytes) -> Iterator[tuple[bytes, bytes]]:
+    """(image, inverse) for each image of a class c under the symmetries, as
+    key strings in least rotation: tau(c) with tau(c^-1) = tau(c)^-1."""
+    images = _images(rank, canon)
+    inverses = _images(rank, canon[::-1].translate(_INVERSE_KEY))
+    return itertools.chain(zip(images, inverses), zip(inverses, images))
 
 
 @lru_cache(maxsize=None)
@@ -707,25 +706,18 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[tuple[CyclicWord, ...],
     at a time: the classes in scan order, and for each the index of its
     inverse among them.
 
-    The symmetries are the signed permutations of the generators together
-    with inversion (2 * 2^n * n! of them).  ``found`` maps every class seen
-    so far to its inverse, each as the string of its letter keys in least
-    rotation (bytes, letter v as ``letter_key(v)``), and is always a union
-    of whole orbits; an orbit's images come from two ``bytes.translate``
-    tables per signed permutation (``_symmetry_tables``), the second giving
-    each image's inverse, so recording it takes no rotation beyond the
-    orbit's own.  The frontier holds one class per orbit, as letters.  Each
-    frontier class counts the length change of every pool move on its
-    closed graph (``_length_changes``, as in ``whitehead_minimize``) and
-    applies only the moves that lengthen it to at most ``max_len`` letters.
-    An image not yet found brings in its whole orbit, while only the image
-    itself goes on to the next frontier.  Every class reached is an
-    automorphic image of a letter or the inverse of one, so it is primitive.
-    The byte order of the key strings is the order of
-    ``CyclicWord.sort_key``, so the sorted strings are the scan order, and
-    each class is decoded and built once.  The move pool is built first, so
-    a rank past ``RANK_CAP`` raises RankTooLarge before any symmetry table
-    is built.
+    The symmetries are the signed permutations of the generators and
+    inversion (2 * 2^n * n! of them).  ``found`` maps every class seen so
+    far to its inverse, both as strings of letter keys in least rotation, and
+    is a union of whole orbits (``_orbit``).  The frontier holds one class
+    per orbit shorter than ``max_len``.  Each frontier class applies the
+    pool moves that lengthen it to at most ``max_len`` letters (``_changes``,
+    ``_key_image``); an image not yet found brings in its whole orbit, and
+    only the image itself goes on to the next frontier.  Every class reached
+    is an automorphic image of a letter or of its inverse, so it is
+    primitive.  Key strings sort in the order of ``CyclicWord.sort_key``, so
+    the sorted strings are the scan order.  The move pool is built first, so
+    a rank past ``RANK_CAP`` raises RankTooLarge before any symmetry table.
 
     The search is complete by peak reduction, orbit by orbit.  Every
     primitive class c longer than one letter is c = phi(c') for some move
@@ -735,35 +727,43 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[tuple[CyclicWord, ...],
     conjugating (a, A) by a signed permutation gives the move (tau a, tau A),
     which is in the pool, and inversion commutes with every automorphism,
     since phi(w^-1) = phi(w)^-1.  By induction on the length, the orbit of
-    c' is found, so some symmetry tau takes c' to the frontier class of that
-    orbit.  The pool move tau phi tau^-1 takes tau c' to tau c, which is
-    longer and at most ``max_len`` letters, so the orbit of tau c, which is
-    the orbit of c, is found too.  The set is the one that growth without
-    symmetry (every pool move on every class found) reaches, so the sorted
-    tuple is the same.  No class is its own inverse (w conjugate to w^-1
-    forces w = 1 in a free group), so the classes fall into inverse pairs.
+    c', shorter than ``max_len``, is found with one class on a frontier, and
+    some symmetry tau takes c' to it.  The pool move tau phi tau^-1 takes
+    tau c' to tau c, which is longer and at most ``max_len`` letters, so the
+    orbit of tau c, which is the orbit of c, is found too.  The set is the
+    one that growth without symmetry (every pool move on every class found)
+    reaches, so the sorted tuple is the same.  No class is its own inverse
+    (w conjugate to w^-1 forces w = 1 in a free group), so the classes fall
+    into inverse pairs.
     """
     if max_len < 1:
         return (), ()
-    _move_pool(rank)  # RankTooLarge past the cap, before any symmetry table
-    frontier = [[1]]
-    found = _orbit(rank, bytes([letter_key(1)]))  # the 2n letters
+    moves = _key_moves(rank)  # RankTooLarge past the cap, before any symmetry table
+    rotations = [[slice(i, i + n) for i in range(n)] for n in range(max_len + 1)]
+    frontier = [b"\1"]
+    found = dict(_orbit(rank, b"\1"))  # the 2n letters
     while frontier:
         grown = []
-        for core in frontier:
-            for _, table, _ in _length_changes(rank, core, 1, max_len - len(core)):
-                image, _ = _cyclic_core(_apply_raw(table, core))
-                keys = bytes([_KEY_OF[v] for v in image])
-                k = _least_rotation_index(keys)
-                canon = keys[k:] + keys[:k]
-                if canon not in found:
-                    found |= _orbit(rank, canon)
-                    grown.append(image[k:] + image[:k])
+        for keys in frontier:
+            room = range(1, max_len - len(keys) + 1)
+            lengthening = map(room.__contains__, _changes(rank, [k - 1 for k in keys]))
+            for pieces, cancel, _, _ in itertools.compress(moves, lengthening):
+                image = _key_image(pieces, cancel, keys)
+                doubled = image + image
+                image = min(map(doubled.__getitem__, rotations[len(image)]))
+                if image not in found:
+                    found.update(_orbit(rank, image))
+                    if len(image) < max_len:
+                        grown.append(image)
         frontier = grown
+    from struct import unpack  # loaded only by a call that enumerates
+
     ordered = sorted(found)
     index = dict(zip(ordered, range(len(ordered))))
-    decode = _LETTER_OF.__getitem__
-    classes = tuple(CyclicWord._from_canonical(rank, tuple(map(decode, canon))) for canon in ordered)
+    formats = ["%db" % n for n in range(max_len + 1)]
+    letters = map(unpack, map(formats.__getitem__, map(len, ordered)),
+                  map(bytes.translate, ordered, itertools.repeat(_SIGNED)))
+    classes = CyclicWord._from_columns((rank,) * len(ordered), letters)
     return classes, tuple(map(index.__getitem__, map(found.__getitem__, ordered)))
 
 

@@ -60,9 +60,7 @@ def _reduce_list(letters: Iterable[int]) -> list[int]:
 
 
 def _least_rotation_index(keys: Sequence[int]) -> int:
-    """Start of the first least rotation of a key sequence: a list of
-    ``letter_key`` values, or the ``bytes`` of them that the enumeration of
-    primitive classes keeps."""
+    """Start of the first least rotation of a list of ``letter_key`` values."""
     n = len(keys)
     if n <= 1:
         return 0

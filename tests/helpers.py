@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import primstab as ps
 from primstab.errors import DeterminantError, NonFiniteValue
-from primstab.whitehead import _apply_raw, _length_changes, _move_pool
-from primstab.words import _canonical_cycle, _cyclic_core
+from primstab.whitehead import _apply_raw, _changes, _image_table, _key_moves, all_letters
+from primstab.words import _canonical_cycle, _cyclic_core, letter_key
 
 
 def run_python(*args):
@@ -140,7 +141,7 @@ def grown_primitive_classes(rank, max_len):
     It makes no use of symmetry, so it is the reference for the enumeration
     that grows one class per symmetry orbit.
     """
-    tables = [table for _, table, _, _ in _move_pool(rank)]
+    tables = [table for _, table, _, _ in move_pool(rank)]
     found = {(v,) for i in range(1, rank + 1) for v in (i, -i)} if max_len > 0 else set()
     frontier = list(found)
     while frontier:
@@ -157,20 +158,44 @@ def grown_primitive_classes(rank, max_len):
     return tuple(sorted((ps.CyclicWord(rank, c) for c in found), key=ps.CyclicWord.sort_key))
 
 
+@lru_cache(maxsize=None)
+def move_pool(rank):
+    """(phi, its ``_image_table``, bitmask of A, bit of a) for every move
+    phi = (a, A) of ``_key_moves``, in its order, with phi a
+    ``WhiteheadAutomorphism.multiplier_move``."""
+    moves = []
+    letters = all_letters(rank)  # letter b at bit b
+    for _, _, mask, a in _key_moves(rank):
+        members = [letters[b] for b in range(2 * rank) if mask >> b & 1 and b != a]
+        phi = ps.WhiteheadAutomorphism.multiplier_move(rank, letters[a], members)
+        moves.append((phi, _image_table(phi), mask, a))
+    return tuple(moves)
+
+
+def length_changes(rank, core, low, high):
+    """(phi, its image table, |phi(w)| - |w|) for each ``move_pool`` move
+    phi whose change, as ``_changes`` counts it on the closed graph, lies in
+    [low, high], in pool order, on a non-empty cyclically reduced core w of
+    letters."""
+    changes = _changes(rank, [letter_key(v) - 1 for v in core])
+    return [(phi, table, change) for (phi, table, _, _), change in zip(move_pool(rank), changes)
+            if low <= change <= high]
+
+
 def pool_minimize(rank, core):
     """Apply the first move of the pool that shortens the cyclic core until
     none does: the terminal core, some rotation of its class, and the moves
     taken.
 
     Each round counts every pool move's length change on the closed graph
-    (``_length_changes``) up to the first negative one.  It reads no cut
+    (``length_changes``) up to the first negative one.  It reads no cut
     vertex and no minimum cut, so it is the reference for the terminal
     length of ``whitehead_minimize`` and for the answers of ``is_primitive``
     up to ``RANK_CAP``.
     """
     trace = []
     while core:
-        for phi, table, _ in _length_changes(rank, core, -math.inf, -1):
+        for phi, table, _ in length_changes(rank, core, -math.inf, -1):
             core, _ = _cyclic_core(_apply_raw(table, core))
             trace.append(phi)
             break

@@ -16,9 +16,10 @@ from primstab.errors import (
 )
 from primstab.whitehead import (
     _apply_raw,
-    _length_changes,
+    _changes,
+    _key_image,
+    _key_moves,
     _letter_graph,
-    _move_pool,
     _neighbours,
     all_letters,
 )
@@ -28,6 +29,8 @@ from helpers import (
     all_cyclic_classes,
     all_reduced_words,
     grown_primitive_classes,
+    length_changes,
+    move_pool,
     pool_minimize,
     random_automorphism,
     random_word,
@@ -269,7 +272,7 @@ def test_automorphism_is_homomorphism():
 
 def test_multiplier_move_inverse():
     rng = random.Random(14)
-    for phi, *_ in _move_pool(2):
+    for phi, *_ in move_pool(2):
         inv = phi.inverse_move()
         w = random_word(rng, 2, rng.randint(0, 10))
         assert ps.apply_automorphism(inv, ps.apply_automorphism(phi, w)) == w
@@ -282,7 +285,7 @@ def test_equal_automorphisms_have_equal_inverse_moves():
     pairs = [(W.identity(2), W.multiplier_move(2, 1, [])),
              (W(2, [ab, b]), W.multiplier_move(2, 2, [1])),
              (W.letter_permutation(2, {1: 2, 2: 1}), W(2, [b, ps.parse_word("a", 2)]))]
-    pairs += [(phi, W(phi.rank, phi.images)) for rank in (2, 3) for phi, *_ in _move_pool(rank)]
+    pairs += [(phi, W(phi.rank, phi.images)) for rank in (2, 3) for phi, *_ in move_pool(rank)]
     for phi, twin in pairs:
         assert phi == twin
         try:
@@ -314,7 +317,7 @@ def test_minimize_nielsen_example():
 def test_minimize_commutator_is_stuck():
     # oracle: no rank-2 multiplier move shortens the commutator
     w = ps.parse_word("abAB")
-    for phi, *_ in _move_pool(2):
+    for phi, *_ in move_pool(2):
         assert ps.cyclic_length(ps.apply_automorphism(phi, w)) >= 4
     terminal, trace = ps.whitehead_minimize(w)
     assert len(terminal) == 4 and trace == []
@@ -345,16 +348,23 @@ def _random_cores(rng, rank, count, min_len, max_len):
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_length_changes_match_applied_moves(rank):
     # cut(A) - deg(a) is the length change of every move, read off the graph,
-    # on single letters, on short cores and on cores of 65-80 letters, whose
-    # edge-incidence masks are wider than one machine word
+    # and the key-string image of every move is the applied image up to
+    # rotation, on single letters, on short cores and on cores of 65-80
+    # letters, whose edge-incidence masks are wider than one machine word
     rng = random.Random(30 + rank)
-    moves = [(phi, table) for phi, table, _, _ in _move_pool(rank)]
+    moves = [(phi, table, pieces, cancel) for (phi, table, _, _), (pieces, cancel, _, _)
+             in zip(move_pool(rank), _key_moves(rank))]
     cores = _random_cores(rng, rank, 300, 1, 14) + _random_cores(rng, rank, 12, 65, 80)
     for core in [(v,) for v in all_letters(rank)] + cores:
-        applied = [(phi, table, len(_cyclic_core(_apply_raw(table, core))[0]) - len(core))
-                   for phi, table in moves]
-        assert list(_length_changes(rank, core, -math.inf, math.inf)) == applied
-        assert list(_length_changes(rank, core, -2, 1)) == [
+        keys = bytes(map(letter_key, core))
+        images = [_cyclic_core(_apply_raw(table, core))[0] for _, table, _, _ in moves]
+        assert _changes(rank, [k - 1 for k in keys]) == [len(image) - len(core) for image in images]
+        for (_, _, pieces, cancel), image in zip(moves, images):
+            applied = bytes(map(letter_key, image))
+            got = _key_image(pieces, cancel, keys)
+            assert len(got) == len(applied) and got in applied + applied, (core, image)
+        applied = [(phi, table, len(image) - len(core)) for (phi, table, _, _), image in zip(moves, images)]
+        assert length_changes(rank, core, -2, 1) == [
             (phi, table, change) for phi, table, change in applied if -2 <= change <= 1
         ]
 
@@ -418,7 +428,7 @@ def test_min_cut_move_is_the_best_pool_move(rank):
             moves["graph"] += 1
             continue
         changes = [(change, a) for (_, _, _, a), (_, _, change)
-                   in zip(_move_pool(rank), _length_changes(rank, core, -math.inf, math.inf))]
+                   in zip(move_pool(rank), length_changes(rank, core, -math.inf, math.inf))]
         least = min(changes)
         move = whitehead._min_cut_move(bits, 2 * rank)
         if least[0] >= 0:
@@ -457,8 +467,8 @@ def test_minimize_and_is_primitive_use_no_move_pool(monkeypatch):
     def pool(*args):
         raise AssertionError("move pool reached")
 
-    monkeypatch.setattr(whitehead, "_move_pool", pool)
-    monkeypatch.setattr(whitehead, "_length_changes", pool)
+    for name in ("_key_moves", "_changes"):
+        monkeypatch.setattr(whitehead, name, pool)
     rng = random.Random(130)
     for rank in (1, 2, 3, 4, 5):
         for _ in range(50):
@@ -865,6 +875,59 @@ def test_enumerate_counts(rank, max_len, count):
 @pytest.mark.parametrize("rank, max_len", [(2, 12), (3, 6), (4, 4)])
 def test_enumerate_matches_growth_without_symmetry(rank, max_len):
     assert ps.enumerate_primitive_classes(rank, max_len) == grown_primitive_classes(rank, max_len)
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 3), (2, 12), (3, 6), (4, 5)])
+def test_inverse_index_pairs_each_class_with_its_inverse(rank, max_len):
+    # an involution with no fixed point, sending each class to the class of
+    # its reversed, negated letters
+    classes, inverses = whitehead._primitive_classes(rank, max_len)
+    assert len(inverses) == len(classes)
+    for i, j in enumerate(inverses):
+        assert j != i and inverses[j] == i
+        assert classes[j] == ps.CyclicWord(rank, tuple(-v for v in reversed(classes[i].letters)))
+
+
+def _orbit_reference(rank, letters):
+    """Each image of a class under the 2^n n! signed permutations and
+    inversion, mapped to its inverse, built one CyclicWord at a time."""
+    out = {}
+    for perm in itertools.permutations(range(1, rank + 1)):
+        for signs in itertools.product((1, -1), repeat=rank):
+            mapping = {}
+            for i, j, sign in zip(range(1, rank + 1), perm, signs):
+                mapping[i], mapping[-i] = sign * j, -sign * j
+            image = ps.CyclicWord(rank, tuple(mapping[v] for v in letters))
+            inverse = ps.CyclicWord(rank, tuple(-v for v in reversed(image.letters)))
+            out[image], out[inverse] = inverse, image
+    return out
+
+
+@pytest.mark.parametrize("rank, words", [
+    (1, ["a"]),
+    (2, ["a", "ab", "aB", "aab", "abAB", "aabb", "aabAB"]),
+    (3, ["a", "ab", "abc", "abAB", "aabb", "abcABC", "aabbcc", "abCaBc"]),
+    (4, ["a", "abc", "abcd", "abAB", "aabb", "abcdABCD", "aabbccdd"])])
+def test_orbit_matches_the_symmetries_one_by_one(rank, words):
+    # classes with non-trivial stabilisers repeat their images, and seeded
+    # cores of up to 9 letters mostly do not; every class is given in a
+    # rotation other than its least one too
+    rng = random.Random(150 + rank)
+    cores = [ps.parse_word(text, rank).letters for text in words]
+    cores += _random_cores(rng, rank, 12, 2, 9)
+    table = all_letters(rank)  # the letter of key k at index k - 1
+    sizes = set()
+    for core in cores:
+        expected = _orbit_reference(rank, core)
+        for rotation in (core, core[1:] + core[:1]):
+            orbit = dict(whitehead._orbit(rank, bytes(map(letter_key, rotation))))
+            got = {ps.CyclicWord(rank, tuple(table[k - 1] for k in image)):
+                   ps.CyclicWord(rank, tuple(table[k - 1] for k in inverse))
+                   for image, inverse in orbit.items()}
+            assert got == expected, core
+        sizes.add(len(expected))
+    assert min(sizes) < 2 * 2 ** rank * math.factorial(rank)
+
 
 
 def test_enumerate_matches_slope_construction():
