@@ -1,7 +1,8 @@
 """Command-line front end: batch subcommands with JSON output.
 
 Exit codes: 0 on success, 1 on a domain error (a machine-readable error
-object goes to stderr), 2 on a usage error (bad flags or malformed JSON).
+object goes to stderr), 2 on a usage error (bad flags, or a document that is
+not UTF-8 or not JSON).
 
 Each handler imports what it calls, so a subcommand loads only the modules
 it runs: ``word`` loads ``words`` alone, not the matrix or BQ layers.
@@ -136,17 +137,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_rep_info(args) -> int:
-    from .moebius import _complex_to_json, _kind_and_length, fricke_traces
+    from .moebius import _complex_to_json, _kinds_and_lengths, fricke_traces
 
     rep = load_representation(args.rep)
-    generators = []
-    for m in rep.images:
-        kind, trans_len = _kind_and_length(m.a, m.b, m.c, m.d)
-        generators.append({
-            "trace": _complex_to_json(m.trace()),
-            "class": kind.value,
-            "translation_length": trans_len,
-        })
+    kinds, lengths = _kinds_and_lengths([(m.a, m.b, m.c, m.d) for m in rep.images])
+    generators = [
+        {"trace": _complex_to_json(m.trace()), "class": kind.value, "translation_length": trans_len}
+        for m, kind, trans_len in zip(rep.images, kinds, lengths)
+    ]
     info = {"rank": rep.rank, "generators": generators}
     if rep.rank == 2:
         x, y, z, kappa = fricke_traces(rep)
@@ -290,8 +288,8 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        return _fail("JSONDecodeError", exc, 2)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return _fail(type(exc).__name__, exc, 2)
     except PrimstabError as exc:
         return _fail(type(exc).__name__, exc, 1)
     except OSError as exc:

@@ -5,8 +5,9 @@ projectively (classification, translation length, disk hauling) is robust
 under the lift sign.  Products are plain 2x2 products of raw entries, neither
 checked nor rescaled in between.  One rule, ``_check_entries``, checks each
 matrix once, where it becomes a value: in the constructor (so in
-``from_matrix``, ``evaluate`` and ``mul``), and in a spectrum scan, which
-classifies each word on its raw entries without building a ``MoebiusMap``.
+``from_matrix``, ``evaluate`` and ``mul``), and in a spectrum scan
+(``_classify_walk``), which classifies each word on its raw entries by the
+one classifier, ``_kinds_and_lengths``, without building a ``MoebiusMap``.
 A non-finite entry is a NonFiniteValue (``traces._number``), any other miss a DeterminantError.
 """
 
@@ -50,18 +51,20 @@ def _scale_sq(a: complex, b: complex, c: complex, d: complex) -> float:
         return math.inf
 
 
-def _check_entries(a: complex, b: complex, c: complex, d: complex) -> None:
-    """Raise unless the entries are finite and ad - bc = 1 within max(1e-9, 1e-12 S).
+def _check_entries(entries: tuple[complex, ...]) -> tuple[complex, ...]:
+    """The entries (a, b, c, d), once they are finite with ad - bc = 1 within
+    max(1e-9, 1e-12 S).
 
     S is the sum of the squared entry moduli.  Raises NonFiniteValue for a
     non-finite entry (``traces._number``) and DeterminantError for any other miss.
     """
+    a, b, c, d = entries
     det = a * d - b * c
     try:
         # exact shortcut: a finite det has finite entries, and every branch
         # below accepts |det - 1| <= 1e-9
         if abs(det - 1.0) <= _DET_TOL:
-            return
+            return entries
     except OverflowError:
         pass
     for name, value in zip("abcd", (a, b, c, d)):
@@ -70,7 +73,7 @@ def _check_entries(a: complex, b: complex, c: complex, d: complex) -> None:
     # like eps * |entries|^2), so the tolerance follows the entry scale
     tol = max(_DET_TOL, 1e-12 * _scale_sq(a, b, c, d))
     if safe_abs(det - 1.0) <= tol < math.inf:
-        return
+        return entries
     if cmath.isfinite(det) and tol < math.inf:
         raise DeterminantError("determinant %r is not 1 within %g" % (det, tol))
     # the check overflowed; make the same check on the entries over m, their
@@ -85,6 +88,7 @@ def _check_entries(a: complex, b: complex, c: complex, d: complex) -> None:
         raise DeterminantError(
             "determinant of the entries over %g is %r, not %g within %g" % (m, det, inv_sq, tol)
         )
+    return entries
 
 
 class MoebiusMap(_Frozen):
@@ -102,7 +106,7 @@ class MoebiusMap(_Frozen):
         # the entries of a product are complex already, and stay as they are
         if not (type(a) is type(b) is type(c) is type(d) is complex):
             a, b, c, d = (_number("entry " + n, v) for n, v in zip("abcd", (a, b, c, d)))
-        _check_entries(a, b, c, d)
+        _check_entries((a, b, c, d))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -180,12 +184,13 @@ def _walk(table, plan: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[co
     so a word starts from the product of its first k letters and multiplies
     only its suffix; the entries are those of multiplying every word out from
     the identity, to the bit.  A single word is the plan ``((0, letters),)``.
-    Nothing is rescaled or checked here: each product is checked once, where
-    it becomes a value (the ``MoebiusMap`` constructor, or the spectrum
-    scan).  The known limit: determinant drift grows up to linearly with the
-    number of factors (4e-11 to 1.7e-10 after 10^6 letters over unitary
-    generators, against 0 with a rescale per product), so the 1e-9 check can
-    first fire after a few million letters.
+    Nothing is rescaled, checked or classified here: each product is checked
+    once, where it becomes a value (the ``MoebiusMap`` constructor, or
+    ``_classify_walk``, which then classifies it).  The known limit:
+    determinant drift grows up to linearly with the number of factors (4e-11
+    to 1.7e-10 after 10^6 letters over unitary generators, against 0 with a
+    rescale per product), so the 1e-9 check can first fire after a few
+    million letters.
     """
     stack = [(1.0, 0.0, 0.0, 1.0)]
     push = stack.append
@@ -244,56 +249,71 @@ def _trace_length(t: complex) -> float:
     return 2.0 * cmath.acosh(t * 0.5).real
 
 
-def _kind_and_length(
-    a: complex, b: complex, c: complex, d: complex
-) -> tuple[IsometryClass, float]:
-    """``classify`` and ``translation_length`` of the map with entries (a, b, c, d):
-    its isometry type, and its length where it is loxodromic, 0.0 where it is
-    not (a trace within 1e-9 of +-2 is parabolic, whatever small length its
-    eigenvalues give).  The package's one classifier of a map.
+def _kinds_and_lengths(
+    entries: Iterable[tuple[complex, ...]]
+) -> tuple[list[IsometryClass], list[float]]:
+    """The kinds and translation lengths of the maps whose entries (a, b, c, d)
+    ``entries`` yields, by the rule of ``classify``: the package's one
+    classifier of a map, which ``rep-info`` and the spectrum scan run too.
+    A length is 0.0 where the kind is not LOXODROMIC, whatever small length
+    a trace near +-2 gives.  Per map, the only Python-level calls are
+    ``_trace_length`` and ``_trace_class``.
 
-    Exact shortcut: a trace t = a + d with |Im t| > 2e-9 is loxodromic, with
-    no identity test.  PARABOLIC and ELLIPTIC both need |Im t| <= 1e-9
+    Exact shortcut: a trace t with |Im t| > 2e-9 is loxodromic, with no
+    identity test.  PARABOLIC and ELLIPTIC both need |Im t| <= 1e-9
     (``_trace_class``; Im(t -+ 2) is Im t exactly, and a rounded modulus is
     at least the modulus of either part).  IDENTITY needs |a -+ 1| <= 1e-9 and |d -+ 1| <= 1e-9,
     so |Im a| and |Im d| are at most 1e-9 (a modulus is at least the modulus
     of either part, also as rounded), and their rounded sum Im t is at most
-    2e-9, a float, since rounding is monotone.  ``stability._spectrum``
-    takes this shortcut in its own loop and calls this function on the
-    rest, so the two must change together.
+    2e-9, a float, since rounding is monotone.
     """
-    t = a + d
-    if abs(t.imag) > 2.0 * _TOL:
-        return IsometryClass.LOXODROMIC, _trace_length(t)
-    try:
-        if abs(b) <= _TOL and abs(c) <= _TOL and (
-            (abs(a - 1.0) <= _TOL and abs(d - 1.0) <= _TOL)
-            or (abs(a + 1.0) <= _TOL and abs(d + 1.0) <= _TOL)
-        ):
-            return IsometryClass.IDENTITY, 0.0
-    except OverflowError:  # an entry modulus past the float range is far from +-1
-        pass
-    kind = _trace_class(t)
-    return kind, _trace_length(t) if kind is IsometryClass.LOXODROMIC else 0.0
+    kinds, lengths = [], []
+    add_kind, add_length = kinds.append, lengths.append
+    loxodromic, identity, shortcut = IsometryClass.LOXODROMIC, IsometryClass.IDENTITY, 2.0 * _TOL
+    for a, b, c, d in entries:
+        t = a + d
+        if abs(t.imag) > shortcut:
+            kind = loxodromic
+        else:
+            try:
+                near_identity = abs(b) <= _TOL and abs(c) <= _TOL and (
+                    (abs(a - 1.0) <= _TOL and abs(d - 1.0) <= _TOL)
+                    or (abs(a + 1.0) <= _TOL and abs(d + 1.0) <= _TOL)
+                )
+            except OverflowError:  # an entry modulus past the float range is far from +-1
+                near_identity = False
+            kind = identity if near_identity else _trace_class(t)
+        add_kind(kind)
+        add_length(_trace_length(t) if kind is loxodromic else 0.0)
+    return kinds, lengths
+
+
+def _classify_walk(
+    rep: Representation, plan: Iterable[tuple[int, Sequence[int]]]
+) -> tuple[list[IsometryClass], list[float]]:
+    """The kinds and lengths of the words of ``plan`` under ``rep``: each
+    product of ``_walk`` goes through ``_check_entries`` as it is formed, so
+    the first that fails raises, and then through ``_kinds_and_lengths``."""
+    return _kinds_and_lengths(map(_check_entries, _walk(_letter_table(rep), plan)))
 
 
 def classify(m: MoebiusMap) -> IsometryClass:
-    """Isometry type of a map, at the fixed tolerance 1e-9 (``_kind_and_length``).
+    """Isometry type of a map, at the fixed tolerance 1e-9 (``_kinds_and_lengths``).
 
     IDENTITY when some lift sign is entrywise within 1e-9 of the identity;
     otherwise the trace decides (``_trace_class``): parabolic within 1e-9 of
     +-2, elliptic when real within 1e-9 and strictly inside (-2, 2),
     loxodromic otherwise: the trace rule of ``bq_decide``'s witnesses.
     """
-    return _kind_and_length(m.a, m.b, m.c, m.d)[0]
+    return _kinds_and_lengths(((m.a, m.b, m.c, m.d),))[0][0]
 
 
 def translation_length(m: MoebiusMap) -> float:
     """Hyperbolic translation length 2 ln|lam|, lam the eigenvalue with |lam| >= 1
-    (``_kind_and_length``): 0.0 exactly where ``classify`` is not LOXODROMIC, elsewhere
+    (``_kinds_and_lengths``): 0.0 exactly where ``classify`` is not LOXODROMIC, elsewhere
     within a few ulps of the exact length its trace gives; invariant under the lift
     sign and under conjugation."""
-    return _kind_and_length(m.a, m.b, m.c, m.d)[1]
+    return _kinds_and_lengths(((m.a, m.b, m.c, m.d),))[1][0]
 
 
 class UhsPoint(_Frozen):

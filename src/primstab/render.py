@@ -18,6 +18,7 @@ from __future__ import annotations
 import mmap
 import os
 import signal
+import sys
 from enum import Enum
 
 from .errors import ParseError
@@ -176,7 +177,8 @@ def slice_config_to_json(cfg: SliceConfig) -> dict:
 
 
 def slice_config_from_json(obj) -> SliceConfig:
-    """Read a slice config; a missing required field or an unknown key is a ParseError."""
+    """Read a slice config; a missing required field or an unknown key is a ParseError,
+    and so is a raster of more bytes (3 per pixel) than a buffer can hold."""
     _check_keys(obj, "slice config", ("kappa", "fixed_x", "window", "width", "height"),
                 ("root", "budget", "small_trace_bound"))
     window = obj["window"]
@@ -190,7 +192,7 @@ def slice_config_from_json(obj) -> SliceConfig:
             raise ParseError("'root' must be \"smaller\" or \"larger\", got %r" % (root,))
         fields["root_choice"] = RootChoice.SMALLER_ABS if root == "smaller" else RootChoice.LARGER_ABS
     try:
-        return SliceConfig(
+        cfg = SliceConfig(
             kappa=_complex_from_json(obj["kappa"]),
             fixed_x=_complex_from_json(obj["fixed_x"]),
             window=(_complex_from_json(window[0]), _complex_from_json(window[1])),
@@ -198,3 +200,7 @@ def slice_config_from_json(obj) -> SliceConfig:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    if 3 * cfg.width * cfg.height > sys.maxsize:
+        raise ParseError("a %d x %d raster passes the largest buffer, %d bytes"
+                         % (cfg.width, cfg.height, sys.maxsize))
+    return cfg

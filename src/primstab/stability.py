@@ -9,6 +9,7 @@ condition quantifies over all primitive classes.
 from __future__ import annotations
 
 import math
+from operator import truediv
 
 from .errors import (
     BadSubset,
@@ -19,18 +20,13 @@ from .errors import (
     WordParseError,
 )
 from .moebius import (
-    _TOL,
     IsometryClass,
     MoebiusMap,
     Representation,
     UhsPoint,
-    _check_entries,
+    _classify_walk,
     _displacement,
-    _kind_and_length,
-    _letter_table,
     _orbit_distance,
-    _trace_length,
-    _walk,
     evaluate,
 )
 from .whitehead import WhiteheadAutomorphism, _walk_plan, enumerate_primitive_classes
@@ -92,40 +88,21 @@ def _spectrum(rep: Representation, max_len: int) -> tuple[tuple[SpectrumEntry, .
     """The entries of ``primitive_length_spectrum`` and their largest ratio,
     ``PsReport.max_ratio`` of them to the bit (0.0 with none).
 
-    Each walked class is checked, classified and its ratio taken in one
-    pass.  A partner has its mate's kind and translation length and as many
-    letters, so its mate's ratio, and the mate comes first in scan order:
-    the largest walked ratio, taken in walk order, is the largest entry
-    ratio, first maximum and all.
-
-    Each product goes through ``_check_entries``.  The loop takes the first
-    test of ``_kind_and_length`` itself, with no call: a trace t with
-    |Im t| > 2e-9 is loxodromic, of length ``_trace_length(t)``; a product
-    that test leaves open goes through ``_kind_and_length`` in full, so the
-    kinds and lengths are its own.  The entries are then built column by
-    column (``_Frozen._from_columns``), each class's kind and length looked
+    Each walked class is checked and classified by ``moebius._classify_walk``
+    on the cached plan, and its ratio is its length over its letters, whose
+    count the plan also holds.  A partner has its mate's kind and translation
+    length and as many letters, so its mate's ratio, and the mate comes first
+    in scan order: the largest walked ratio, taken in walk order, is the
+    largest entry ratio, first maximum and all.  The entries are built column
+    by column (``_Frozen._from_columns``), each class's kind and length looked
     up by its walk slot.
     """
     classes = enumerate_primitive_classes(rep.rank, max_len)
-    plan, slots = _walk_plan(rep.rank, max_len)
-    kinds = []
-    lengths = []
-    ratios = []
-    add_kind, add_length, add_ratio = kinds.append, lengths.append, ratios.append
-    loxodromic = IsometryClass.LOXODROMIC
-    for (k, suffix), (a, b, c, d) in zip(plan, _walk(_letter_table(rep), plan)):
-        _check_entries(a, b, c, d)
-        t = a + d
-        if abs(t.imag) > 2.0 * _TOL:
-            kind, trans_len = loxodromic, _trace_length(t)
-        else:
-            kind, trans_len = _kind_and_length(a, b, c, d)
-        add_kind(kind)
-        add_length(trans_len)
-        add_ratio(trans_len / (k + len(suffix)))
+    plan, slots, sizes = _walk_plan(rep.rank, max_len)
+    kinds, lengths = _classify_walk(rep, plan)
     entries = SpectrumEntry._from_columns(
         classes, map(lengths.__getitem__, slots), map(kinds.__getitem__, slots))
-    return entries, max(ratios, default=0.0)
+    return entries, max(map(truediv, lengths, sizes), default=0.0)
 
 
 def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[SpectrumEntry, ...]:
@@ -141,9 +118,10 @@ def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[Spectr
     the last bits from evaluating the partner on its own.
 
     The walked classes are multiplied along their shared prefixes
-    (``moebius._walk`` on the cached plan ``whitehead._walk_plan``), which
-    gives the matrices of ``evaluate`` to the bit.  Each is checked and
-    classified on its raw entries, with no ``MoebiusMap`` built for it, and
+    (``moebius._classify_walk`` on the cached plan ``whitehead._walk_plan``),
+    which gives the matrices of ``evaluate`` to the bit.  Each is checked and
+    classified on its raw entries, by the rule of ``classify`` and
+    ``translation_length``, with no ``MoebiusMap`` built for it, and
     the scan raises at the first walked class whose product fails the
     check, with that class's message; a partner's own product is never
     formed.  The per-class work, and the ratio bound ``ps_scan`` checks,

@@ -770,10 +770,11 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[tuple[CyclicWord, ...],
 @lru_cache(maxsize=None)
 def _walk_plan(
     rank: int, max_len: int
-) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...], tuple[int, ...]]:
     """The plan of ``moebius._walk`` over one class of each inverse pair of
-    ``_primitive_classes``, the one first in scan order, and for every class
-    the index in that walk of its pair's product.
+    ``_primitive_classes``, the one first in scan order, for every class
+    the index in that walk of its pair's product, and the number of letters
+    of each walked class.
 
     The plan holds, for each walked class, the length k of the prefix its
     letters share with the walked class before it (0 for the first), and
@@ -798,7 +799,7 @@ def _walk_plan(
             k += 1
         plan.append((k, letters[k:]))
         previous = letters
-    return tuple(plan), tuple(slots)
+    return tuple(plan), tuple(slots), tuple(k + len(suffix) for k, suffix in plan)
 
 
 def enumerate_primitive_classes(rank: int, max_len: int) -> tuple[CyclicWord, ...]:

@@ -102,11 +102,10 @@ class _Frozen:
     which loads ``inspect``: 8-12 ms of every command-line call.
 
     ``_setters`` holds the ``__set__`` of each field's slot descriptor, in
-    ``__slots__`` order.  A private constructor for values already checked
-    (``Word._from_reduced``, ``CyclicWord._from_canonical``,
-    ``_from_columns``) builds with ``object.__new__`` and sets each field
-    through its setter: no ``__init__`` call and no ``object.__setattr__``
-    lookup by field name.
+    ``__slots__`` order.  The private constructors for values already checked
+    (``_from_pair``, ``_from_columns``) build with ``object.__new__`` and
+    set each field through its setter: no ``__init__`` call and no
+    ``object.__setattr__`` lookup by field name.
     """
 
     __slots__ = ()
@@ -115,6 +114,20 @@ class _Frozen:
         super().__init_subclass__(**kwargs)
         cls._values = operator.attrgetter(*cls.__slots__)
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _from_pair(cls, first, second):
+        """A value of a two-field class from fields already checked (a
+        ``Word`` of reduced letters, a ``CyclicWord`` of letters in least
+        rotation), stored without checking them again.  The two setter calls
+        are written out: a loop over the setters takes about twice as long,
+        which every ``parse_word`` pays.  A class of more fields fails to
+        unpack its setters."""
+        self = object.__new__(cls)
+        set_first, set_second = cls._setters
+        set_first(self, first)
+        set_second(self, second)
+        return self
 
     @classmethod
     def _from_columns(cls, *columns: Iterable) -> tuple:
@@ -163,16 +176,6 @@ class Word(_Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", letters)
 
-    @classmethod
-    def _from_reduced(cls, rank: int, letters: tuple[int, ...]) -> "Word":
-        """A word from letters already checked and freely reduced, stored
-        without checking them again."""
-        self = object.__new__(cls)
-        set_rank, set_letters = cls._setters
-        set_rank(self, rank)
-        set_letters(self, letters)
-        return self
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -201,16 +204,6 @@ class CyclicWord(_Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", _canonical_cycle(letters))
 
-    @classmethod
-    def _from_canonical(cls, rank: int, letters: tuple[int, ...]) -> "CyclicWord":
-        """A class from letters already checked, cyclically reduced and in
-        least rotation, stored without checking them again."""
-        self = object.__new__(cls)
-        set_rank, set_letters = cls._setters
-        set_rank(self, rank)
-        set_letters(self, letters)
-        return self
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -231,7 +224,7 @@ def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a letter sequence.  Idempotent."""
     letters = list(letters)
     _check_letters(rank, letters)
-    return Word._from_reduced(rank, tuple(_reduce_list(letters)))
+    return Word._from_pair(rank, tuple(_reduce_list(letters)))
 
 
 def invert(w: Word) -> Word:
@@ -255,7 +248,7 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     """Split w = conjugator * core * conjugator^-1 with a canonical cyclic core."""
     core, prefix = _cyclic_core(w.letters)
     k = _least_rotation_index([letter_key(v) for v in core])
-    cyc = CyclicWord._from_canonical(w.rank, tuple(core[k:] + core[:k]))
+    cyc = CyclicWord._from_pair(w.rank, tuple(core[k:] + core[:k]))
     conj = Word(w.rank, tuple(prefix + core[:k]))
     return cyc, conj
 

@@ -338,10 +338,13 @@ def reference_entry_check(a, b, c, d):
 
 
 def reference_kind_and_length(a, b, c, d):
-    """``moebius._kind_and_length`` by its rule alone, without the shortcut
-    that calls |Im(a + d)| > 2e-9 loxodromic before the identity test: the
-    identity test on the entries, then ``traces._trace_class``, and the
-    length of ``moebius._trace_length`` where loxodromic."""
+    """The kind and length ``moebius._kinds_and_lengths`` gives the map with
+    entries (a, b, c, d), by its rule alone, without the shortcut that calls
+    |Im(a + d)| > 2e-9 loxodromic before the identity test: the identity test
+    on the entries, then ``traces._trace_class``, and the length of
+    ``moebius._trace_length`` where loxodromic.  That loop classifies every
+    map, so this is the reference for ``classify``, ``translation_length``,
+    ``primstab rep-info`` and the spectrum scan's entries alike."""
     from primstab.moebius import _trace_length
     from primstab.traces import _trace_class
 

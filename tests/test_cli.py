@@ -214,6 +214,17 @@ def test_render_malformed_config_is_usage_error(capsys, tmp_path):
     code, _, err = invoke(capsys, "render", "--config", str(bad), "--out", str(out_path))
     assert code == 2
     assert json.loads(err)["error"] == "JSONDecodeError"
+    # a document that is not UTF-8 (here a UTF-16 byte-order mark) is a
+    # usage error too, for every command that reads one
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    for argv in (("render", "--config", str(not_utf8), "--out", str(out_path)),
+                 ("rep-info", "--rep", str(not_utf8))):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "UnicodeDecodeError"
+    assert not out_path.exists()
 
 
 def test_render_config_with_a_retired_key_is_a_parse_error(capsys, tmp_path):
@@ -258,6 +269,20 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     code, _, err = invoke(capsys, "primitive", "ab1")
     assert code == 1
     assert json.loads(err)["error"] == "WordParseError"
+
+    # a raster of more bytes than a buffer can hold is turned away by the
+    # reader, before any pixel buffer is allocated
+    huge_raster = tmp_path / "huge_raster.json"
+    huge_raster.write_text(json.dumps({
+        "kappa": [-2, 0], "fixed_x": [3, 0], "window": [[6, -1], [7, 0]],
+        "width": 10000000000, "height": 10000000000,
+    }))
+    out_path = tmp_path / "huge.ppm"
+    code, out, err = invoke(capsys, "render", "--config", str(huge_raster), "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ParseError"
+    assert not out_path.exists()
 
     # tiny_d: the image of the basepoint leaves the floats, 1/1e-320.  huge_d:
     # its first image (0, 1e-320) is a float, and the second power's entries,

@@ -35,17 +35,16 @@ from helpers import (
 @pytest.fixture
 def entry_checks(monkeypatch):
     """The entries of every ``_check_entries`` call, from the constructor
-    and from the spectrum scan alike."""
-    from primstab import moebius, stability
+    and from the spectrum scan (``moebius._classify_walk``) alike."""
+    from primstab import moebius
 
     calls = []
 
-    def spy(*entries):
+    def spy(entries):
         calls.append(entries)
-        return _check_entries(*entries)
+        return _check_entries(entries)
 
     monkeypatch.setattr(moebius, "_check_entries", spy)
-    monkeypatch.setattr(stability, "_check_entries", spy)
     return calls
 
 
@@ -121,7 +120,7 @@ def test_entry_check_agrees_with_the_rule_without_its_shortcut():
     kinds = set()
     for entries in cases:
         want = _check_outcome(reference_entry_check, entries)
-        assert _check_outcome(_check_entries, [complex(v) for v in entries]) == want, entries
+        assert _check_outcome(_check_entries, [tuple(complex(v) for v in entries)]) == want, entries
         assert _check_outcome(ps.MoebiusMap, entries) == want, entries
         kinds.add(want[0])
     assert kinds == {"accepted", "NonFiniteValue", "DeterminantError"}
@@ -176,7 +175,7 @@ def _kind_edge_cases():
 def test_kind_and_length_agrees_with_the_rule_without_its_shortcut():
     # a trace with |Im t| > 2e-9 is loxodromic with no identity test: the
     # shortcut may change no kind and no length, to the bit
-    from primstab.moebius import _kind_and_length
+    from primstab.moebius import _kinds_and_lengths
 
     from helpers import reference_kind_and_length
 
@@ -189,18 +188,49 @@ def test_kind_and_length_agrees_with_the_rule_without_its_shortcut():
         b, c = (complex(rng.gauss(0.0, scale), rng.gauss(0.0, scale)) * rng.choice((0.0, 1.0))
                 for _ in range(2))
         cases.append((a, b, c, d))
-    kinds = set()
-    for a, b, c, d in cases:
+    # all the cases through one loop, so no map's kind or length leaks into the next
+    got_kinds, got_lengths = _kinds_and_lengths(iter(cases))
+    assert len(got_kinds) == len(got_lengths) == len(cases)
+    for (a, b, c, d), kind, trans_len in zip(cases, got_kinds, got_lengths):
         want_kind, want_len = reference_kind_and_length(a, b, c, d)
-        kind, trans_len = _kind_and_length(a, b, c, d)
         assert kind is want_kind and _same_float(trans_len, want_len), (a, b, c, d)
-        kinds.add(kind)
-    assert kinds == set(ps.IsometryClass)
+    assert set(got_kinds) == set(ps.IsometryClass)
     # the identity at the widest: Im t = 2e-9 exactly, and 1.8e-9
     for x in (1e-9, 0.9e-9):
         a = complex(1.0, x)
         assert (a + a).imag > 1e-9
-        assert _kind_and_length(a, 0j, 0j, a) == (ps.IsometryClass.IDENTITY, 0.0)
+        assert _kinds_and_lengths([(a, 0j, 0j, a)]) == ([ps.IsometryClass.IDENTITY], [0.0])
+
+
+def test_scan_entries_agree_with_the_classifier_at_its_edges():
+    # the spectrum scan classifies its products by the loop that classify and
+    # translation_length run, shortcut and all: at the shortcut's edges a
+    # rank-1 scan gives a and A the kind and length of the generator, and
+    # those of the rule without the shortcut.  Trace 2 + 7e-10i is parabolic,
+    # though its |Im t| passes half the 2e-9 of the shortcut, and trace
+    # 1.5 + 9e-10i is elliptic
+    from helpers import reference_kind_and_length
+
+    maps = [ps.MoebiusMap(2 + 7e-10j, -1, 1, 0), ps.MoebiusMap(1.5 + 9e-10j, -1, 1, 0)]
+    for entries in _kind_edge_cases():
+        try:
+            maps.append(ps.MoebiusMap(*entries))
+        except (NonFiniteValue, DeterminantError):
+            continue
+    assert len(maps) > 100
+    kinds = set()
+    for m in maps:
+        report = ps.ps_scan(ps.Representation(1, (m,)), 1)
+        want_kind, want_len = reference_kind_and_length(m.a, m.b, m.c, m.d)
+        assert [str(e.cls) for e in report.entries] == ["a", "A"]
+        for e in report.entries:
+            assert e.kind is want_kind is ps.classify(m), m
+            assert _same_float(e.trans_len, want_len), m
+            assert _same_float(e.trans_len, ps.translation_length(m)), m
+        kinds.add(want_kind)
+    assert kinds == set(ps.IsometryClass)
+    assert [ps.classify(m) for m in maps[:2]] == [
+        ps.IsometryClass.PARABOLIC, ps.IsometryClass.ELLIPTIC]
 
 
 def test_constructor_rejects_non_finite():
@@ -389,7 +419,7 @@ def test_translation_length_is_within_4_ulps_of_a_decimal_oracle():
     # the small lengths of near-parabolic and near-elliptic loxodromics are
     # the ones that decide a scan's min_ratio: ln(1 + x) for a tiny x must
     # not cancel
-    from primstab.moebius import _kind_and_length, _trace_length
+    from primstab.moebius import _kinds_and_lengths, _trace_length
 
     rng = random.Random(2903)
     traces = []
@@ -405,7 +435,7 @@ def test_translation_length_is_within_4_ulps_of_a_decimal_oracle():
         got = _trace_length(t)
         want = decimal_translation_length(t)
         assert abs(got - want) <= 4 * math.ulp(want), (t, got, want)
-        kind, length = _kind_and_length(t, -1, 1, 0)
+        [kind], [length] = _kinds_and_lengths([(t, -1, 1, 0)])
         if kind is ps.IsometryClass.LOXODROMIC:
             assert 0.0 < length < math.inf, (t, length)
         # the public length is that one where classify says loxodromic, and

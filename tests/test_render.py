@@ -1,6 +1,8 @@
+import cmath
 import math
 import os
 import signal
+import sys
 
 import pytest
 
@@ -253,6 +255,17 @@ def test_config_json_errors():
     bad["width"] = 1.5
     with pytest.raises(ParseError):
         ps.slice_config_from_json(bad)
+    # the reader turns away a raster of more than sys.maxsize bytes, 3 per
+    # pixel, and reads one at that edge; the value type takes any grid, and
+    # its pixel traces stay finite (nothing here is rendered)
+    edge = dict(good, width=sys.maxsize // 3, height=1)
+    assert ps.slice_config_from_json(edge).width == sys.maxsize // 3
+    for width, height in ((sys.maxsize // 3 + 1, 1), (10 ** 10, 10 ** 10)):
+        with pytest.raises(ParseError, match="raster"):
+            ps.slice_config_from_json(dict(good, width=width, height=height))
+        cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, complex(6, 3)),
+                             width=width, height=height)
+        assert cmath.isfinite(ps.pixel_trace(cfg, width - 1, height - 1))
 
 
 def test_config_rejects_unknown_keys():
