@@ -9,20 +9,13 @@ so trace values propagate along the tree without any matrix arithmetic.
 The Bowditch conditions (BQ) ask that every primitive class be loxodromic
 and that only finitely many have trace modulus at most 2.  In rank 2 they
 are equivalent to primitive stability (Lee-Xu, Trans. AMS 2020; Series
-2019).  The search walks the tessellation and prunes a directed edge by one
-of two rules: the escape rule (``edge_escapes``), once both traces at the
-edge are large and traces provably grow forever past it, and the fan rule
-(``fan_escapes``), once one trace is small but every neighbour of that
-small region past the edge is large enough that the whole fan around it
-escapes; see ``bq_decide``.
+2019).  ``bq_decide`` walks the tessellation and prunes its edges by the
+escape rule (``edge_escapes``) and the fan rule (``fan_escapes``).
 
 Two constants are fixed.  A trace is non-loxodromic by the rule of
 ``moebius.classify`` (``traces._trace_class``): within 1e-9 of +-2, or
 within 1e-9 of the real axis with real part strictly inside (-2, 2).  The
-pruning rules hold with the margin 1e-6 (``_DELTA``).  BQ_CERTIFIED
-claims, up to floating rounding, that no slope beyond the pruned edges has
-trace modulus at most 2, so that every non-loxodromic or small-trace class
-was met by the search.
+pruning rules hold with the margin 1e-6 (``_DELTA``).
 """
 
 from __future__ import annotations
@@ -153,11 +146,18 @@ def fan_escapes(r: complex, y0: complex, y1: complex) -> bool:
     False for real r in [-2, 2], where |lam| = 1, or when |y0|, |y1| or m
     is not finite, so a branch that saturates the floats stays unpruned.  Like
     ``edge_escapes``, the test is exact only in exact arithmetic: rounding
-    in lam, A, B and the fan traces is not controlled.
+    in lam, A, B and the fan traces is not controlled.  lam depends on r
+    alone (``_fan_root``): ``bq_decide`` takes it once per small region and
+    runs only ``_fan_bound`` at each edge beside it.
     """
+    root = _fan_root(r)
+    return root is not None and _fan_bound(root, y0, y1)
+
+
+def _fan_root(r: complex) -> tuple | None:
+    """(lam, |lam|, lam - 1/lam, 1 + |r| + delta) for ``fan_escapes``, |lam| > 1;
+    None (no fan escapes) where |lam| = 1 or a modulus overflows."""
     try:
-        if not math.isfinite(abs(y0) + abs(y1)):
-            return False
         h, k = _half_trace_split(r)
         lam, other = h + k, h - k
         mod = abs(lam)
@@ -166,14 +166,23 @@ def fan_escapes(r: complex, y0: complex, y1: complex) -> bool:
         if mod < abs(other):
             lam, mod, k = other, abs(other), -k
         if not mod > 1.0 or r.imag == 0.0 and abs(r.real) <= 2.0:
-            return False  # on the real segment [-2, 2], |lam| = 1 whatever the rounding
-        # lam - 1/lam = s = 2k; solve y0 = A + B, y1 = A lam + B / lam
-        s = k + k
-        m = abs((y1 - y0 / lam) / s) * mod - abs((y0 * lam - y1) / s) / mod
+            return None  # on the real segment [-2, 2], |lam| = 1 whatever the rounding
+        return lam, mod, k + k, 1.0 + abs(r) + _DELTA
     except OverflowError:  # a modulus past the float range
+        return None
+
+
+def _fan_bound(root: tuple, y0: complex, y1: complex) -> bool:
+    """``fan_escapes`` on neighbours y0, y1 of a region with ``_fan_root`` root."""
+    lam, mod, s, floor = root
+    try:
+        if not math.isfinite(abs(y0) + abs(y1)):
+            return False
+        # solve y0 = A + B, y1 = A lam + B / lam, with s = lam - 1/lam
+        m = abs((y1 - y0 / lam) / s) * mod - abs((y0 * lam - y1) / s) / mod
+    except OverflowError:
         return False
-    return (math.isfinite(m) and m >= 2.0 + _DELTA
-            and (m - 1.0) * (m - 1.0) >= 1.0 + abs(r) + _DELTA)
+    return math.isfinite(m) and m >= 2.0 + _DELTA and (m - 1.0) * (m - 1.0) >= floor
 
 
 class BqKind(str, Enum):
@@ -219,20 +228,20 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     """Decide the Bowditch conditions by depth-first tessellation search.
 
     Every visited slope is tested twice: a non-loxodromic trace (the rule of
-    ``moebius.classify``, tolerance 1e-9) witnesses a non-loxodromic
-    primitive and refutes BQ outright, and slopes with trace modulus at most
-    2 are counted against small_trace_bound, since finiteness itself is not
-    refutable by a finite search.  A directed edge is pruned, at no node, by
-    the escape rule when both of its traces are large and its far trace
-    passes ``edge_escapes``, or by the fan rule when exactly one trace r is
-    below 2 + 1e-6 and ``fan_escapes`` shows that the fan around r past the
-    edge escapes; both rules hold with the margin 1e-6.  BQ_CERTIFIED means
-    the search exhausted with every frontier edge pruned, so (up to floating
-    rounding) no unexplored slope can carry trace modulus <= 2; in rank 2
-    that certifies primitive stability.  Budget exhaustion returns
-    INCONCLUSIVE, which is unavoidable on the boundary where the search does
-    not terminate.  ``budget`` and ``small_trace_bound`` are counts (ints,
-    not bools, at least 0); anything else is a ValueError.
+    ``moebius.classify``, tolerance 1e-9) refutes BQ outright, and slopes
+    with trace modulus at most 2 are counted against small_trace_bound, since
+    finiteness is not refutable by a finite search.  A directed edge is
+    pruned, at no node, by ``edge_escapes`` when both of its traces are
+    large, or by ``fan_escapes`` when exactly one trace r is below 2 + 1e-6
+    and the fan around r past the edge escapes.  Each region's modulus is
+    taken once, where it is visited, and each small region's fan root once,
+    at its first fan test; its edges carry both.  BQ_CERTIFIED means the
+    search exhausted with every frontier edge pruned, so (up to floating
+    rounding) no unexplored slope has trace modulus <= 2; in rank 2 that
+    certifies primitive stability.  Budget exhaustion returns INCONCLUSIVE,
+    unavoidable on the boundary where the search does not terminate.
+    ``budget`` and ``small_trace_bound`` are counts (ints, not bools, at
+    least 0); anything else is a ValueError.
     """
     _check_count("budget", budget, 0)
     _check_count("small_trace_bound", small_trace_bound, 0)
@@ -246,15 +255,21 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     depth_max = 0
     small: list[tuple[tuple[int, int], complex]] = []
 
-    # directed edges (t1, t2, t_prev, p1, q1, p2, q2, depth), whose new vertex is the
-    # sum of the endpoints; on top, in visit order, the seed regions (trace, depth 0)
+    # directed edges (t1, a1, f1, t2, a2, f2, t_prev, p1, q1, p2, q2, depth), whose new
+    # vertex is the sum of the endpoints; a trace t travels with its modulus a and,
+    # unless a >= 2 + _DELTA, a list f its edges share, holding its _fan_root once
+    # taken.  On top, in visit order, the seed regions (depth 0)
+    ax, ay, az = safe_abs(x), safe_abs(y), safe_abs(z)
+    fx = None if ax >= lox_floor else []
+    fy = None if ay >= lox_floor else []
+    fz = None if az >= lox_floor else []
     stack = [
-        (x, y, z, 0, 1, -1, 0, 1),
-        (z, y, x, 1, 1, 1, 0, 1),
-        (x, z, y, 0, 1, 1, 1, 1),
-        (z, None, None, 1, 1, 0, 0, 0),
-        (y, None, None, 1, 0, 0, 0, 0),
-        (x, None, None, 0, 1, 0, 0, 0),
+        (x, ax, fx, y, ay, fy, z, 0, 1, -1, 0, 1),
+        (z, az, fz, y, ay, fy, x, 1, 1, 1, 0, 1),
+        (x, ax, fx, z, az, fz, y, 0, 1, 1, 1, 1),
+        (z, az, None, None, None, None, None, 1, 1, 0, 0, 0),
+        (y, ay, None, None, None, None, None, 1, 0, 0, 0, 0),
+        (x, ax, None, None, None, None, None, 0, 1, 0, 0, 0),
     ]
     pop = stack.pop
     push = stack.append
@@ -263,17 +278,15 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     kind = BqKind.BQ_CERTIFIED
     witnesses = ()
     while stack:
-        t1, t2, tp, p1, q1, p2, q2, depth = pop()
+        t1, a1, f1, t2, a2, f2, tp, p1, q1, p2, q2, depth = pop()
         if depth:
             tn = t1 * t2 - tp
             # moduli saturate to inf near the float ceiling; a saturated branch
             # never escapes, never witnesses, and ends in INCONCLUSIVE via budget
             try:
-                a1 = abs(t1)
-                a2 = abs(t2)
                 an = abs(tn)
             except OverflowError:
-                a1, a2, an = safe_abs(t1), safe_abs(t2), safe_abs(tn)
+                an = inf
             # the fan rule runs only beside exactly one small region r: around r,
             # tp and the other side are consecutive neighbours and tn the next.
             # With both sides small it cannot hold, as m <= |y1| < 2 + _DELTA;
@@ -283,14 +296,20 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
                     if inf > an >= a1 + a2 + _DELTA:
                         pruned_escape += 1
                         continue
-                elif fan_escapes(t2, tp, t1):
+                else:
+                    if not f2:
+                        f2.append(_fan_root(t2))
+                    if f2[0] is not None and _fan_bound(f2[0], tp, t1):
+                        pruned_fan += 1
+                        continue
+            elif a2 >= lox_floor:
+                if not f1:
+                    f1.append(_fan_root(t1))
+                if f1[0] is not None and _fan_bound(f1[0], tp, t2):
                     pruned_fan += 1
                     continue
-            elif a2 >= lox_floor and fan_escapes(t1, tp, t2):
-                pruned_fan += 1
-                continue
         else:  # a seed region
-            tn, an = t1, safe_abs(t1)
+            tn, an = t1, a1
         if nodes >= budget:
             kind = BqKind.INCONCLUSIVE
             break
@@ -311,9 +330,10 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
                 witnesses = tuple(small)
                 break
         if depth:
+            fn = None if an >= lox_floor else []
             child_depth = depth + 1
-            push((t1, tn, t2, p1, q1, pn, qn, child_depth))
-            push((tn, t2, t1, pn, qn, p2, q2, child_depth))
+            push((t1, a1, f1, tn, an, fn, t2, p1, q1, pn, qn, child_depth))
+            push((tn, an, fn, t2, a2, f2, t1, pn, qn, p2, q2, child_depth))
     return BqVerdict(
         kind, nodes, witnesses, depth_max, tuple(small), pruned_escape, pruned_fan
     )

@@ -358,3 +358,63 @@ def reference_kind_and_length(a, b, c, d):
         pass
     kind = _trace_class(a + d)
     return kind, _trace_length(a + d) if kind is ps.IsometryClass.LOXODROMIC else 0.0
+
+
+def reference_bq_decide(t, budget, small_trace_bound=64):
+    """The search of ``bq_decide`` written plainly, as the reference for its
+    verdicts: the same depth-first visit order, budget and counters, but every
+    modulus is taken again at every edge, a pruning test is a call of the
+    public ``edge_escapes`` or ``fan_escapes``, and a witness is any trace
+    that ``traces._trace_class`` does not call loxodromic.  It returns a
+    ``BqVerdict`` that must equal the search's in all seven fields, so the
+    moduli and fan roots that ``bq_decide`` carries on its edges, and its
+    inline escape test, are held to the two public rules."""
+    from primstab.markoff import _DELTA
+    from primstab.traces import _trace_class, safe_abs
+    from primstab.words import _normalize_slope
+
+    large = 2.0 + _DELTA
+    nodes = depth_max = pruned_escape = pruned_fan = 0
+    small = []
+    kind, witnesses = ps.BqKind.BQ_CERTIFIED, ()
+    x, y, z = t.x, t.y, t.z
+    # directed edges (t1, t2, t_prev, p1, q1, p2, q2, depth) whose new region
+    # has slope (p1 + p2)/(q1 + q2); the seeds x, y, z are depth-0 entries
+    stack = [(x, y, z, 0, 1, -1, 0, 1), (z, y, x, 1, 1, 1, 0, 1), (x, z, y, 0, 1, 1, 1, 1),
+             (z, None, None, 1, 1, 0, 0, 0), (y, None, None, 1, 0, 0, 0, 0),
+             (x, None, None, 0, 1, 0, 0, 0)]
+    while stack:
+        t1, t2, tp, p1, q1, p2, q2, depth = stack.pop()
+        if depth:
+            tn = t1 * t2 - tp
+            a1, a2 = safe_abs(t1), safe_abs(t2)
+            if a1 >= large and a2 >= large:
+                if ps.edge_escapes(t1, t2, tn):
+                    pruned_escape += 1
+                    continue
+            elif a1 >= large or a2 >= large:
+                r, other = (t2, t1) if a1 >= large else (t1, t2)
+                if ps.fan_escapes(r, tp, other):
+                    pruned_fan += 1
+                    continue
+        else:
+            tn = t1
+        if nodes >= budget:
+            kind = ps.BqKind.INCONCLUSIVE
+            break
+        nodes += 1
+        depth_max = max(depth_max, depth)
+        pn, qn = p1 + p2, q1 + q2
+        if _trace_class(tn) is not ps.IsometryClass.LOXODROMIC:
+            kind, witnesses = ps.BqKind.NOT_BQ_WITNESS, ((_normalize_slope(pn, qn), tn),)
+            break
+        if safe_abs(tn) <= 2.0:
+            small.append((_normalize_slope(pn, qn), tn))
+            if len(small) > small_trace_bound:
+                kind, witnesses = ps.BqKind.NOT_BQ_WITNESS, tuple(small)
+                break
+        if depth:
+            stack.append((t1, tn, t2, p1, q1, pn, qn, depth + 1))
+            stack.append((tn, t2, t1, pn, qn, p2, q2, depth + 1))
+    return ps.BqVerdict(kind, nodes, witnesses, depth_max, tuple(small),
+                        pruned_escape, pruned_fan)

@@ -1,0 +1,109 @@
+"""Committed mutants: each row names a deliberately wrong edit of a proof rule
+and the tests that must kill it.
+
+    python tests/mutants.py
+
+For every row the runner copies ``src/`` to a temporary directory, checks
+that the old text occurs exactly once in the named file, runs the named tests
+on the unmutated copy (each must pass), applies the mutant and runs them again
+(each must fail).  The tests run from this checkout's ``tests/`` with only the
+copy on the import path.  The exit status is 0 when every row holds.  Each row
+costs two interpreter starts and its tests, so this is not part of the tier-1
+suite.  A file here not named ``test_*.py`` is not collected by pytest.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+
+Mutant = namedtuple("Mutant", "file old new tests reason")
+
+MUTANTS = (
+    Mutant(
+        "primstab/markoff.py",
+        "if inf > an >= a1 + a2 + _DELTA:",
+        "if inf > an >= lox_floor:",
+        ("tests/test_markoff.py::test_moved_elliptic_triples_stay_non_bq",
+         "tests/test_markoff.py::test_bq_decide_matches_the_reference_search"),
+        "an escape rule without its growth test prunes the branch toward an "
+        "elliptic slope and certifies a non-BQ character",
+    ),
+    Mutant(
+        "primstab/markoff.py",
+        "if mod < abs(other):",
+        "if False:",
+        ("tests/test_markoff.py::"
+         "test_fan_escape_ignores_the_sign_of_a_zero_imaginary_part",),
+        "without the root swap a real r < -2 with a -0.0 imaginary part gets "
+        "the root inside the unit circle, so the fan rule depends on the sign "
+        "of a zero",
+    ),
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def environment(src):
+    return dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+
+
+def outcomes(src, tests):
+    """{test id: 'PASSED' or 'FAILED' ...} for the tests run against ``src``."""
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+                          *tests], capture_output=True, text=True, env=environment(src),
+                         cwd=ROOT, timeout=600)
+    return {test: status for status, test in
+            re.findall(r"^(PASSED|FAILED|ERROR) (\S+)", run.stdout, re.M)}
+
+
+def check(mutant, src):
+    """The reasons the row does not hold; empty when it does."""
+    path = os.path.join(src, mutant.file)
+    with open(path) as f:
+        text = f.read()
+    count = text.count(mutant.old)
+    if count != 1:
+        return ["the old text occurs %d times in %s" % (count, mutant.file)]
+    got = outcomes(src, mutant.tests)
+    problems = ["%s does not pass unmutated (%s)" % (test, got.get(test, "not run"))
+                for test in mutant.tests if got.get(test) != "PASSED"]
+    with open(path, "w") as f:
+        f.write(text.replace(mutant.old, mutant.new))
+    try:
+        got = outcomes(src, mutant.tests)
+    finally:
+        with open(path, "w") as f:
+            f.write(text)
+    problems += ["%s survives the mutant (%s)" % (test, got.get(test, "not run"))
+                 for test in mutant.tests if got.get(test) != "FAILED"]
+    return problems
+
+
+def main():
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        # an installed primstab must not shadow the copy
+        where = subprocess.run([sys.executable, "-c", "import primstab; print(primstab.__file__)"],
+                               capture_output=True, text=True, env=environment(src), check=True)
+        if not where.stdout.startswith(src):
+            raise SystemExit("primstab imports from %s, not from %s" % (where.stdout.strip(), src))
+        for mutant in MUTANTS:
+            problems = check(mutant, src)
+            print("%s %s: %r -> %r" % ("ok  " if not problems else "FAIL", mutant.file,
+                                       mutant.old, mutant.new))
+            for problem in problems:
+                print("     " + problem)
+            failed += bool(problems)
+    print("%d of %d mutants killed as the table says" % (len(MUTANTS) - failed, len(MUTANTS)))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

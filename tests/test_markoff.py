@@ -8,7 +8,7 @@ import primstab as ps
 from primstab.errors import FrickeMismatch, NonFiniteValue, NotCoprime, ParseError
 from primstab.moebius import _TOL
 
-from helpers import random_complex, random_representation, schottky_example
+from helpers import random_complex, random_representation, reference_bq_decide, schottky_example
 
 
 def test_move_example():
@@ -336,6 +336,62 @@ def test_bq_verdict_constant_on_a_move_orbit():
         for _ in range(rng.randint(1, 6)):
             cur = ps.markoff_move(cur, rng.choice(["X", "Y", "Z"]))
         assert ps.bq_decide(cur, 10 ** 5).kind == ps.BqKind.BQ_CERTIFIED
+
+
+def moved_elliptic_triples():
+    """The elliptic triple (1.5, 3+0.2i, 3-0.1i) after each of the float moves
+    X, Y, Z, X, Y, with largest moduli 7.5, 19.6, 144, 2822 and 4.1e5.  The
+    moves keep the character up to rounding, so each triple stays non-BQ."""
+    t = ps.MarkoffTriple.from_traces(1.5, 3 + 0.2j, 3 - 0.1j)
+    moved = []
+    for which in "XYZXY":
+        t = ps.markoff_move(t, which)
+        moved.append(t)
+    return moved
+
+
+def test_moved_elliptic_triples_stay_non_bq():
+    # an escape rule without its growth test (|tn| >= 2 + 1e-6 alone) prunes
+    # the branch toward the elliptic slope and certifies these two triples
+    # in 3 nodes; the sound rule reaches the one witness in 5 and 6 nodes
+    _, after_two, after_three, _, _ = moved_elliptic_triples()
+    assert max(map(abs, (after_two.x, after_two.y, after_two.z))) < 20
+    assert max(map(abs, (after_three.x, after_three.y, after_three.z))) < 150
+    for t in (after_two, after_three):
+        verdict = ps.bq_decide(t, 20000)
+        assert verdict.kind == ps.BqKind.NOT_BQ_WITNESS, t
+        assert len(verdict.witnesses) == 1, verdict.witnesses
+        (_, trace), = verdict.witnesses
+        assert abs(trace - 1.5) < 1e-6
+
+
+def test_bq_decide_matches_the_reference_search():
+    # the search carries each region's modulus and fan root on its edges; the
+    # reference takes them again at every edge through the public rules, and
+    # must give the same verdict in all seven fields
+    rng = random.Random(4101)
+    cases = []
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0.0, -3.0), complex(6.0, 3.0)),
+                         width=64, height=64)
+    for k in rng.sample(range(64 * 64), 250):  # criterion 9's pixels, both roots
+        z = ps.pixel_trace(cfg, k % 64, k // 64)
+        cases += [(ps.MarkoffTriple(3, y, z, -2), 20000, 64) for y in ps.solve_y_from_fricke(3, z, -2)]
+    for _ in range(400):
+        # a fifth of the traces real, with either sign of zero imaginary part
+        scale = rng.choice((2.5, 4, 10))
+        traces = [random_complex(rng, scale) if rng.random() < 0.8
+                  else complex(rng.uniform(-scale, scale), rng.choice((0.0, -0.0)))
+                  for _ in range(3)]
+        cases.append((ps.MarkoffTriple.from_traces(*traces), 2000, 16))
+    cases += [(t, 20000, 64) for t in moved_elliptic_triples()]
+    b = complex(1.5e308, 1.5e308)
+    for triple in ((b, b, b, 0), (3, 3, b, 0), (1e200, 1e200, 1e200, 0), (3, 3, 3, -2)):
+        cases.append((ps.MarkoffTriple(*triple), 1000, 64))
+    fields = ("kind", "nodes_explored", "witnesses", "depth_max", "small_traces",
+              "pruned_escape", "pruned_fan")
+    for t, budget, bound in cases:
+        got, want = ps.bq_decide(t, budget, bound), reference_bq_decide(t, budget, bound)
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], t
 
 
 def test_bq_known_character_classes():

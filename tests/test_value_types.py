@@ -99,10 +99,10 @@ def test_value_semantics(cls, args, kwargs, other, text):
 
 @pytest.mark.parametrize("max_len", [0, 1, 3])
 def test_scan_built_values_keep_the_value_contract(max_len):
-    # the scan builds its entries with _Frozen._from_columns, and the
-    # enumeration its classes with CyclicWord._from_canonical, neither through
-    # the constructor: each, and the scan's report, is still the value the
-    # constructor gives, under every rule of test_value_semantics
+    # the scan builds its entries, and the enumeration its classes, with
+    # _Frozen._from_columns, neither through the constructor: each, and the
+    # scan's report, is still the value the constructor gives, under every
+    # rule of test_value_semantics
     rep = Representation(2, (MoebiusMap(2, 0, 0, 0.5), MoebiusMap(1, 1, 0, 1)))
     report = ps_scan(rep, max_len)
     entries = report.entries
