@@ -5,9 +5,9 @@ projectively (classification, translation length, disk hauling) is robust
 under the lift sign.  Products are plain 2x2 products of raw entries, neither
 checked nor rescaled in between.  One rule, ``_check_entries``, checks each
 matrix once, where it becomes a value: in the constructor (so in
-``from_matrix``, ``evaluate`` and ``mul``), and in a spectrum scan
-(``_classify_walk``), which classifies each word on its raw entries by the
-one classifier, ``_kinds_and_lengths``, without building a ``MoebiusMap``.
+``from_matrix``, ``evaluate`` and ``mul``), and on raw entries in a
+spectrum scan (``_classify_walk``, by the one classifier,
+``_kinds_and_lengths``) and an orbit probe (``_orbit_walk``).
 A non-finite entry is a NonFiniteValue (``traces._number``), any other miss a DeterminantError.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -185,8 +186,7 @@ def _walk(table, plan: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[co
     only its suffix; the entries are those of multiplying every word out from
     the identity, to the bit.  A single word is the plan ``((0, letters),)``.
     Nothing is rescaled, checked or classified here: each product is checked
-    once, where it becomes a value (the ``MoebiusMap`` constructor, or
-    ``_classify_walk``, which then classifies it).  The known limit:
+    once, where it becomes a value (see the module docstring).  The known limit:
     determinant drift grows up to linearly with the number of factors (4e-11
     to 1.7e-10 after 10^6 letters over unitary generators, against 0 with a
     rescale per product), so the 1e-9 check can first fire after a few
@@ -329,19 +329,20 @@ class UhsPoint(_Frozen):
         object.__setattr__(self, "t", t)
 
 
-def _extend(m: MoebiusMap, p: UhsPoint) -> tuple[complex, float]:
-    """(z', n) for the image (z', t / n^2) of p under the Poincare extension.
+def _extend(m: tuple[complex, ...], p: UhsPoint) -> tuple[complex, float]:
+    """(z', n) for the image (z', t / n^2) of p under the map of entries m.
 
     With q = c z + d, w = c t and n = hypot(|q|, |w|):
     z' = ((a z + b) conj(q/n) + a t conj(w/n)) / n.  Raises DegenerateAction
     unless n is positive and finite and z' is finite.
     """
-    q = m.c * p.z + m.d
-    w = m.c * p.t
+    a, b, c, d = m
+    q = c * p.z + d
+    w = c * p.t
     n = math.hypot(q.real, q.imag, w.real, w.imag)
     if not (n > 0 and math.isfinite(n)):
         raise DegenerateAction("degenerate denominator %r acting on %r" % (n, p))
-    z = ((m.a * p.z + m.b) * (q / n).conjugate() + m.a * (p.t * (w / n).conjugate())) / n
+    z = ((a * p.z + b) * (q / n).conjugate() + a * (p.t * (w / n).conjugate())) / n
     if not cmath.isfinite(z):
         raise DegenerateAction("image %r of %r is not a finite point" % (z, p))
     return z, n
@@ -353,15 +354,15 @@ def act_uhs(m: MoebiusMap, p: UhsPoint) -> UhsPoint:
     The image is (z', t / n / n) with z' and n as in ``_extend``.  Dividing
     by n twice keeps t' a float wherever it is one, although n^2 may overflow.
     """
-    z, n = _extend(m, p)
+    z, n = _extend((m.a, m.b, m.c, m.d), p)
     t = p.t / n / n
     if not (math.isfinite(t) and t > 0):
         raise DegenerateAction("image (%r, %r) of %r is not a finite point" % (z, t, p))
     return UhsPoint(z, t)
 
 
-def _orbit_distance(m: MoebiusMap, p: UhsPoint) -> float:
-    """Hyperbolic distance from p to its image under m, without the image height.
+def _orbit_distance(m: tuple[complex, ...], p: UhsPoint) -> float:
+    """Hyperbolic distance from p to its image under entries m, without the image height.
 
     With z' and n as in ``_extend``, t' = t / n^2, so the r of
     ``uhs_distance`` is hypot(|z' - z| n / t, n - 1/n) / 2, finite also where
@@ -381,6 +382,14 @@ def _orbit_distance(m: MoebiusMap, p: UhsPoint) -> float:
         return 2.0 * math.asinh(r)
     half = math.hypot(dz.real * 0.5, dz.imag * 0.5, (p.t - p.t / n / n) * 0.5 / scale)
     return 2.0 * (math.log(half) + math.log(2.0 * scale) + math.log(n) - math.log(p.t))
+
+
+def _orbit_walk(step: MoebiusMap, periods: int, base: UhsPoint) -> Iterator[float]:
+    """d(base, step^m base), m = 1..periods: the powers are one ``_walk``, each
+    checked and measured before the next is formed.  Its stack keeps all
+    periods powers; none is rescaled (the drift limit of ``_walk``)."""
+    powers = _walk((None, (step.a, step.b, step.c, step.d)), zip(range(periods), repeat((1,))))
+    return map(_orbit_distance, map(_check_entries, powers), repeat(base))
 
 
 def uhs_distance(p: UhsPoint, q: UhsPoint) -> float:

@@ -37,8 +37,9 @@ class SliceConfig(_Frozen):
 
     ``window`` is the (lower-left, upper-right) corner pair of the rectangle
     of ab-traces.  ``root_choice`` picks which root of the level-set
-    quadratic is drawn; the two roots are different characters on the same
-    level set, so the choice is part of the picture's definition.
+    quadratic is drawn.  The roots y and xz - y are related by the Markoff
+    move Y, the same character up to Out(F2): the choice changes node counts,
+    not BQ.
     """
 
     __slots__ = ("kappa", "fixed_x", "window", "width", "height", "root_choice", "budget",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from operator import truediv
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadSubset,
@@ -21,16 +22,17 @@ from .errors import (
 )
 from .moebius import (
     IsometryClass,
-    MoebiusMap,
     Representation,
     UhsPoint,
     _classify_walk,
     _displacement,
-    _orbit_distance,
+    _orbit_walk,
     evaluate,
 )
-from .whitehead import WhiteheadAutomorphism, _walk_plan, enumerate_primitive_classes
 from .words import CyclicWord, Word, _check_count, _Frozen, parse_word
+
+if TYPE_CHECKING:
+    from .whitehead import WhiteheadAutomorphism
 
 NO_OBSTRUCTION = "NO_OBSTRUCTION"
 FAILURE = "FAILURE"
@@ -97,6 +99,8 @@ def _spectrum(rep: Representation, max_len: int) -> tuple[tuple[SpectrumEntry, .
     by column (``_Frozen._from_columns``), each class's kind and length looked
     up by its walk slot.
     """
+    from .whitehead import _walk_plan, enumerate_primitive_classes
+
     classes = enumerate_primitive_classes(rep.rank, max_len)
     plan, slots, sizes = _walk_plan(rep.rank, max_len)
     kinds, lengths = _classify_walk(rep, plan)
@@ -194,20 +198,16 @@ def orbit_growth_probe(
     Computes d(p0, w^m p0) for m = 0..periods and fits distance = slope * m
     by least squares through the origin.  For loxodromic images the slope
     approaches the translation length; sublinear growth flags parabolics.
-    Raises DegenerateAction where the image of p0 under a power has a
-    coordinate past the float range, and NonFiniteValue where the entries
-    of a power are not finite.  An image height that underflows to 0 is no
-    error: the distance is taken without it (``moebius._orbit_distance``).
+    The powers are one checked walk (``moebius._orbit_walk``); the first to
+    fail raises: DegenerateAction where the image of p0 leaves the float
+    range, NonFiniteValue where its entries are not finite.  An image height
+    that underflows to 0 is no error: the distance is taken without it
+    (``moebius._orbit_distance``).
     ``periods`` is a count of at least 2; anything else is a ValueError.
     """
     _check_count("periods", periods, 2)
     base = basepoint if basepoint is not None else UhsPoint(0.0, 1.0)
-    step = evaluate(rep, w)
-    acc = MoebiusMap.identity()
-    dists = [0.0]
-    for _ in range(periods):
-        acc = acc.mul(step)
-        dists.append(_orbit_distance(acc, base))
+    dists = [0.0, *_orbit_walk(evaluate(rep, w), periods, base)]
     num = sum(m * d for m, d in enumerate(dists))
     den = sum(m * m for m in range(periods + 1))
     slope = num / den

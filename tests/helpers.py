@@ -418,3 +418,20 @@ def reference_bq_decide(t, budget, small_trace_bound=64):
             stack.append((tn, t2, t1, pn, qn, p2, q2, depth + 1))
     return ps.BqVerdict(kind, nodes, witnesses, depth_max, tuple(small),
                         pruned_escape, pruned_fan)
+
+
+def reference_orbit_growth_probe(rep, w, periods, basepoint=None):
+    """``orbit_growth_probe`` with each power built as a ``MoebiusMap`` by
+    ``acc = acc.mul(step)`` from the identity, one product and one check per
+    period: the reference for the probe's single walk over the powers."""
+    from primstab.moebius import _orbit_distance
+
+    base = basepoint if basepoint is not None else ps.UhsPoint(0.0, 1.0)
+    step = ps.evaluate(rep, w)
+    acc = ps.MoebiusMap.identity()
+    dists = [0.0]
+    for _ in range(periods):
+        acc = acc.mul(step)
+        dists.append(_orbit_distance((acc.a, acc.b, acc.c, acc.d), base))
+    slope = sum(m * d for m, d in enumerate(dists)) / sum(m * m for m in range(periods + 1))
+    return slope, [d - slope * m for m, d in enumerate(dists)]

@@ -42,6 +42,15 @@ MUTANTS = (
         "the root inside the unit circle, so the fan rule depends on the sign "
         "of a zero",
     ),
+    Mutant(
+        "primstab/moebius.py",
+        "map(_orbit_distance, map(_check_entries, powers), repeat(base))",
+        "map(_orbit_distance, powers, repeat(base))",
+        ("tests/test_stability.py::test_probe_raises_as_the_reference_at_the_same_power",
+         "tests/test_moebius.py::test_each_product_is_checked_once"),
+        "an orbit probe whose powers skip the entry check measures a power "
+        "with non-finite entries instead of raising NonFiniteValue",
+    ),
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

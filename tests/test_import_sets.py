@@ -29,7 +29,7 @@ EXPECTED = {
                 CLI + ["moebius", "stability", "traces", "whitehead", "words"]),
     "probe": (["probe", "--rep", "{rep}", "--word", "ab", "--periods", "5",
                "--basepoint", "0,0,1"],
-              CLI + ["moebius", "stability", "traces", "whitehead", "words"]),
+              CLI + ["moebius", "stability", "traces", "words"]),
     "bq-decide": (["bq-decide", "--x", "3", "--y", "3", "--z", "3", "--budget", "100"],
                   CLI + ["markoff", "traces", "words"]),
     "render": (["render", "--config", "{slice}", "--out", "{out}", "--threads", "1"],

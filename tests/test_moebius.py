@@ -34,8 +34,9 @@ from helpers import (
 
 @pytest.fixture
 def entry_checks(monkeypatch):
-    """The entries of every ``_check_entries`` call, from the constructor
-    and from the spectrum scan (``moebius._classify_walk``) alike."""
+    """The entries of every ``_check_entries`` call, from the constructor,
+    the spectrum scan (``moebius._classify_walk``) and the orbit probe
+    (``moebius._orbit_walk``) alike."""
     from primstab import moebius
 
     calls = []
@@ -66,8 +67,8 @@ def test_each_product_is_checked_once(entry_checks):
     for periods in (2, 10):
         entry_checks.clear()
         ps.orbit_growth_probe(rep, w, periods)
-        # the word once, the identity once, and one product per period
-        assert len(entry_checks) == periods + 2
+        # the word once and one product per period, all in one walk
+        assert len(entry_checks) == periods + 1
 
 
 def close(a, b, tol=1e-9):

@@ -6,14 +6,24 @@ import random
 import pytest
 
 import primstab as ps
-from primstab import stability
-from primstab.errors import BadSubset, CheckFailed, DeterminantError, ParseError
+from primstab import moebius, stability
+from primstab.errors import (
+    BadSubset,
+    CheckFailed,
+    DegenerateAction,
+    DeterminantError,
+    NonFiniteValue,
+    ParseError,
+)
 
 from helpers import (
     random_automorphism,
+    random_complex,
+    random_near_identity_representation,
     random_representation,
     random_sl2,
     random_word,
+    reference_orbit_growth_probe,
     schottky_example,
     word_matrix,
 )
@@ -408,6 +418,94 @@ def test_probe_requires_two_periods():
     for periods in (1, 3.0, True):
         with pytest.raises(ValueError):
             ps.orbit_growth_probe(diag_rep(), ps.parse_word("a", 2), periods)
+
+
+def _probe_outcome(monkeypatch, probe, *args):
+    """The bits of a probe's slope and residuals, or its error's type and
+    message, and the entries of each power it measured, the failing one too."""
+    measured, distance = [], moebius._orbit_distance
+
+    def spy(m, p):
+        measured.append(m)
+        return distance(m, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(moebius, "_orbit_distance", spy)
+        try:
+            slope, residuals = probe(*args)
+            result = [x.hex() for x in (slope, *residuals)]
+        except (DegenerateAction, NonFiniteValue, DeterminantError) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, measured
+
+
+def _assert_probe_matches_reference(monkeypatch, *args):
+    got = _probe_outcome(monkeypatch, ps.orbit_growth_probe, *args)
+    # the reference's powers are I acc step, which may differ from the walk's
+    # only in the sign of a zero part, so the entries compare by ==
+    assert got == _probe_outcome(monkeypatch, reference_orbit_growth_probe, *args)
+    return got[0]
+
+
+def test_probe_matches_the_reference_to_the_bit(monkeypatch):
+    rng = random.Random(61)
+    raised = 0
+    for trial in range(60):
+        rank = rng.choice((1, 2, 3))
+        if trial % 3:
+            rep = random_representation(rng, rank, rng.choice((0.5, 1.0, 3.0, 30.0)))
+        else:
+            rep = random_near_identity_representation(rng, rank)
+        w = random_word(rng, rank, rng.randint(1, 6))
+        m = ps.evaluate(rep, w)
+        bases = [None, ps.UhsPoint(random_complex(rng, 5.0), rng.uniform(0.01, 10.0))]
+        if ps.classify(m) == ps.IsometryClass.LOXODROMIC:
+            bases.append(ps.axis_point(m))
+        for base in bases:
+            for periods in (2, 7, 50):
+                raised += isinstance(_assert_probe_matches_reference(
+                    monkeypatch, rep, w, periods, base), tuple)
+    assert raised  # some powers of the wider maps leave the float range
+    # the far basepoints and the underflowing image height
+    word = ps.parse_word("a", 2)
+    other = ps.MoebiusMap(1, -1, -1, 2)
+    lam = math.exp(8.73)
+    for gen, base, periods in ((ps.MoebiusMap(1, 1, 0, 1), ps.UhsPoint(1e9, 1e-300), 50),
+                               (ps.MoebiusMap(2, 0, 0, 0.5), ps.UhsPoint(1e300, 1e-20), 2),
+                               (ps.MoebiusMap(1 / lam, 0, 0, lam), None, 50)):
+        rep = ps.Representation(2, (gen, other))
+        for n in (2, periods):
+            assert isinstance(_assert_probe_matches_reference(monkeypatch, rep, word, n, base), list)
+
+
+def test_probe_raises_as_the_reference_at_the_same_power(monkeypatch):
+    word = ps.parse_word("a", 2)
+    other = ps.MoebiusMap(2, 1, 1, 1)
+    cases = [  # (generator a, basepoint, error, the power that fails)
+        # tiny_d: the first image of (0, 1) has height 1e320
+        (ps.MoebiusMap(1e160, 0, 0, 1e-160), None, "DegenerateAction", 1),
+        # huge_d: the second power's entries 1e-320 and 1e320 are not finite
+        (ps.MoebiusMap(1e-160, 0, 0, 1e160), None, "NonFiniteValue", 2),
+        # the 8th image of (0, 1) has height 1e320; its entries are 1e+-160
+        (ps.MoebiusMap(1e20, 0, 0, 1e-20), None, "DegenerateAction", 8),
+        # the 14th image of (1e300, 1) is 4^14 1e300; its entries are 2^+-14
+        (ps.MoebiusMap(2, 0, 0, 0.5), ps.UhsPoint(1e300, 1.0), "DegenerateAction", 14),
+        # the 18th power's entry 1.8e308 and its image point overflow together:
+        # the entry check comes first
+        (ps.MoebiusMap(1, 1e307, 0, 1), None, "NonFiniteValue", 18),
+    ]
+    for gen, base, error, power in cases:
+        rep = ps.Representation(2, (gen, other))
+        for periods in sorted({2, max(2, power - 1), max(2, power), 50}):
+            result, powers = _probe_outcome(monkeypatch, ps.orbit_growth_probe,
+                                            rep, word, periods, base)
+            if periods < power:
+                assert isinstance(result, list) and len(powers) == periods
+            else:
+                assert result[0] == error
+                # a power whose entries fail the check is never measured
+                assert len(powers) == power - (error == "NonFiniteValue")
+            _assert_probe_matches_reference(monkeypatch, rep, word, periods, base)
 
 
 def test_report_json_round_trip():
