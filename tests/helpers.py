@@ -15,6 +15,21 @@ from primstab.whitehead import _apply_raw, _changes, _image_table, _key_moves, a
 from primstab.words import _canonical_cycle, _cyclic_core, letter_key
 
 
+# representation documents as ``primstab`` reads them: a loxodromic and a
+# parabolic generator; REP's and a non-real loxodromic; REP3's and a real
+# loxodromic; an elliptic (trace 0) and a loxodromic generator
+REP = {"rank": 2, "generators": [
+    [[3, 0], [0, 0], [0, 0], [1 / 3, 0]],
+    [[1, 0], [1, 0], [0, 0], [1, 0]],
+]}
+REP3 = {"rank": 3, "generators": REP["generators"] + [[[2, 1], [1, 0], [1, 0], [0.8, -0.4]]]}
+REP4 = {"rank": 4, "generators": REP3["generators"] + [[[2, 0], [3, 0], [0.5, 0], [1.25, 0]]]}
+REP_ELLIPTIC = {"rank": 2, "generators": [
+    [[0, 0], [-1, 0], [1, 0], [0, 0]],
+    [[2, 0], [1, 0], [1, 0], [1, 0]],
+]}
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports the primstab under test."""
     env = dict(os.environ)

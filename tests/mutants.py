@@ -51,6 +51,26 @@ MUTANTS = (
         "an orbit probe whose powers skip the entry check measures a power "
         "with non-finite entries instead of raising NonFiniteValue",
     ),
+    Mutant(
+        "primstab/markoff.py",
+        "math.inf > safe_abs(t_far) >= a1 + a2 + _DELTA",
+        "math.inf > safe_abs(t_far) >= 2.0 + _DELTA",
+        ("tests/test_markoff.py::test_escape_criterion_examples",
+         "tests/test_markoff.py::test_bq_decide_matches_the_reference_search"),
+        "the public escape rule without its growth test calls an edge escaping "
+        "once its far trace passes 2 + 1e-6, so the reference search, which "
+        "calls it, prunes edges that bq_decide visits",
+    ),
+    Mutant(
+        "primstab/moebius.py",
+        "IsometryClass.IDENTITY, 2.0 * _TOL",
+        "IsometryClass.IDENTITY, 0.5 * _TOL",
+        ("tests/test_moebius.py::test_kind_and_length_agrees_with_the_rule_without_its_shortcut",
+         "tests/test_moebius.py::test_scan_entries_agree_with_the_classifier_at_its_edges",
+         "tests/test_markoff.py::test_bq_witness_rule_is_the_classify_rule"),
+        "a loxodromic shortcut at |Im t| > 5e-10 calls the parabolic trace "
+        "2 + 7e-10i loxodromic",
+    ),
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -8,7 +8,8 @@ from primstab import cli
 from primstab.cli import build_parser, run
 from primstab.errors import NonFiniteValue
 
-from helpers import run_python, schottky_example
+from helpers import (REP, REP3, REP4, REP_ELLIPTIC, decimal_translation_length, run_python,
+                     schottky_example)
 
 
 def invoke(capsys, *argv):
@@ -17,11 +18,13 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_schottky_rep(tmp_path):
-    rep, _ = schottky_example()
+def write_rep(tmp_path, doc):
     path = tmp_path / "rep.json"
-    path.write_text(json.dumps(ps.representation_to_json(rep)))
+    path.write_text(json.dumps(doc))
     return str(path)
+
+
+SCHOTTKY = ps.representation_to_json(schottky_example()[0])
 
 
 def test_primitive_subcommand(capsys):
@@ -69,27 +72,65 @@ def test_enumerate_subcommand(capsys):
     assert doc["classes"] == ["a", "ab", "aB", "A", "Ab", "AB", "b", "B"]
 
 
+# near_elliptic: diag(e^u, e^-u) with u = 1e-6 + 1i, loxodromic with length
+# 2e-6 next to the elliptic segment, where ln(1 + x) cancels.  near_parabolic:
+# trace 2 + 5e-10, parabolic with length 0.0, though its trace alone gives
+# 4.47e-5.  edge: trace 2 + 7e-10i (det exactly 1) is parabolic, though its
+# |Im t| passes half the 2e-9 of the classifier's loxodromic shortcut
+PARABOLIC = [[1, 0], [1, 0], [0, 0], [1, 0]]
+NEAR_ELLIPTIC = {"rank": 2, "generators": [
+    [[0.5403028461707158, 0.8414718262793021], [0, 0], [0, 0],
+     [0.5403017655661041, -0.8414701433373325]], PARABOLIC]}
+NEAR_PARABOLIC = {"rank": 2, "generators": [[[2.0000000005, 0], [-1, 0], [1, 0], [0, 0]],
+                                            PARABOLIC]}
+EDGE = {"rank": 1, "generators": [[[2, 7e-10], [-1, 0], [1, 0], [0, 0]]]}
+
+
 def test_rep_info_subcommand(capsys, tmp_path):
-    path = write_schottky_rep(tmp_path)
-    code, out, _ = invoke(capsys, "rep-info", "--rep", path)
+    # each printed class and length is the library's, a non-loxodromic
+    # length is 0.0, and a loxodromic one is within 4 ulps of the oracle
+    lox, par = "LOXODROMIC", "PARABOLIC"
+    for doc, classes in ((SCHOTTKY, [lox, lox]), (NEAR_ELLIPTIC, [lox, par]),
+                         (NEAR_PARABOLIC, [par, par]), (EDGE, [par])):
+        path = write_rep(tmp_path, doc)
+        code, out, _ = invoke(capsys, "rep-info", "--rep", path)
+        assert code == 0
+        info = json.loads(out)
+        assert info["rank"] == doc["rank"]
+        assert ("fricke" in info) == (doc["rank"] == 2)
+        gens = info["generators"]
+        assert [g["class"] for g in gens] == classes
+        for m, g in zip(ps.representation_from_json(doc).images, gens):
+            got = g["class"], g["translation_length"]
+            assert got == (ps.classify(m).value, ps.translation_length(m))
+            if g["class"] != "LOXODROMIC":
+                assert got[1] == 0.0
+            else:
+                want = decimal_translation_length(complex(*g["trace"]))
+                assert abs(got[1] - want) <= 4 * math.ulp(want)
+    # the scan runs the same classifier: both one-letter classes fail
+    code, out, _ = invoke(capsys, "ps-scan", "--rep", write_rep(tmp_path, EDGE), "--max-len", "1")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["rank"] == 2
-    assert [g["class"] for g in doc["generators"]] == ["LOXODROMIC", "LOXODROMIC"]
-    assert "fricke" in doc
+    scan = json.loads(out)
+    assert (scan["verdict"], scan["failures"]) == ("FAILURE", ["a", "A"])
 
 
 def test_ps_scan_subcommand_round_trips(capsys, tmp_path):
-    path = write_schottky_rep(tmp_path)
-    code, out, _ = invoke(capsys, "ps-scan", "--rep", path, "--max-len", "4")
-    assert code == 0
-    report = ps.ps_report_from_json(json.loads(out))
-    assert report.verdict == ps.NO_OBSTRUCTION
-    assert report.min_ratio > 0
+    for doc, max_len, verdict in ((SCHOTTKY, 4, ps.NO_OBSTRUCTION), (REP, 6, ps.FAILURE),
+                                  (REP3, 5, ps.FAILURE), (REP4, 4, ps.FAILURE),
+                                  (REP_ELLIPTIC, 4, ps.FAILURE)):
+        path = write_rep(tmp_path, doc)
+        code, out, _ = invoke(capsys, "ps-scan", "--rep", path, "--max-len", str(max_len))
+        assert code == 0
+        report = ps.ps_report_from_json(json.loads(out))
+        assert report.verdict == verdict
+        assert (report.min_ratio > 0) == (verdict == ps.NO_OBSTRUCTION)
+        # writing what was read gives the printed line to the byte
+        assert json.dumps(ps.ps_report_to_json(report, doc["rank"]), allow_nan=False) + "\n" == out
 
 
 def test_probe_subcommand(capsys, tmp_path):
-    path = write_schottky_rep(tmp_path)
+    path = write_rep(tmp_path, SCHOTTKY)
     code, out, _ = invoke(capsys, "probe", "--rep", path, "--word", "a",
                           "--periods", "50")
     assert code == 0
@@ -100,14 +141,23 @@ def test_probe_subcommand(capsys, tmp_path):
 
 
 def test_bq_decide_subcommand(capsys):
-    code, out, _ = invoke(capsys, "bq-decide", "--x", "3", "--y", "3", "--z", "3",
-                          "--budget", "100000")
-    assert code == 0
-    doc = json.loads(out)
-    verdict = ps.bq_verdict_from_json(doc)
-    assert verdict.kind == ps.BqKind.BQ_CERTIFIED
-    assert doc["kappa"] == [-2.0, 0.0]
-    assert (doc["pruned_escape"], doc["pruned_fan"]) == (6, 0)
+    # --x -1e5: a negative number as its own argument
+    for x, budget, kind, kappa, pruned in (
+            ("3", "100000", ps.BqKind.BQ_CERTIFIED, [-2.0, 0.0], (6, 0)),
+            ("1", "1000", ps.BqKind.NOT_BQ_WITNESS, [8.0, 0.0], (0, 0)),
+            ("-1e5", "10", ps.BqKind.BQ_CERTIFIED, [10000900016.0, 0.0], (3, 0))):
+        code, out, _ = invoke(capsys, "bq-decide", "--x", x, "--y", "3", "--z", "3",
+                              "--budget", budget)
+        assert code == 0
+        doc = json.loads(out)
+        verdict = ps.bq_verdict_from_json(doc)
+        assert verdict.kind == kind
+        assert doc["kappa"] == kappa
+        assert (doc["pruned_escape"], doc["pruned_fan"]) == pruned
+        # writing what was read, with kappa put back last, gives the printed line
+        rewritten = ps.bq_verdict_to_json(verdict)
+        rewritten["kappa"] = doc["kappa"]
+        assert json.dumps(rewritten, allow_nan=False) + "\n" == out
 
 
 def test_bq_decide_complex_flags(capsys):
@@ -260,6 +310,14 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "DeterminantError"
 
+    # json.loads reads Infinity, and the reader holds every [re, im] pair to
+    # the constructors' number rule
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"rank": 1, "generators": [[[Infinity, 0], [0, 0], [0, 0], [1, 0]]]}')
+    code, out, err = invoke(capsys, "rep-info", "--rep", str(infinite))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
     missing_rank = tmp_path / "no_rank.json"
     missing_rank.write_text(json.dumps({"generators": []}))
     code, _, err = invoke(capsys, "rep-info", "--rep", str(missing_rank))
@@ -343,8 +401,28 @@ def test_missing_file_is_domain_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "OSError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--rank", "3", "--max-len", "6"],
+    ["enumerate", "--rank", "4", "--max-len", "5"],
+    # the rank-3 scan walks the cached plan of those classes
+    ["ps-scan", "--rep", "{rep3}", "--max-len", "5"]],
+    ids=["enumerate-rank3", "enumerate-rank4", "ps-scan-rank3"])
+def test_output_does_not_depend_on_the_hash_seed(monkeypatch, tmp_path, argv):
+    # the enumeration keeps its classes in a dict of byte strings, whose
+    # building order follows the per-process string hash; the printed
+    # classes are sorted, so two hash seeds must print the same bytes
+    argv = [a.format(rep3=write_rep(tmp_path, REP3)) for a in argv]
+    outputs = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = run_python("-m", "primstab", *argv)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_identical_invocations_produce_identical_output(capsys, tmp_path):
-    path = write_schottky_rep(tmp_path)
+    path = write_rep(tmp_path, SCHOTTKY)
     outputs = set()
     for _ in range(2):
         code, out, _ = invoke(capsys, "ps-scan", "--rep", path, "--max-len", "3")

@@ -1,32 +1,34 @@
 """Each CLI subcommand, run in a fresh interpreter, loads only the primstab
 modules it runs; the rest are never imported, so never compiled.  Nor does
 any load ``dataclasses`` or, through it, ``inspect``, and a render on forked
-workers loads no ``multiprocessing``."""
+workers loads no ``multiprocessing``.  The installed ``primstab`` console
+script prints one JSON object for each of the same calls."""
 
 import functools
 import json
+import os
+import shutil
+import sys
 
 import pytest
 
-from helpers import run_python
+from helpers import REP, REP4, REP_ELLIPTIC, run_python
 
-REP = {"rank": 2, "generators": [
-    [[3, 0], [0, 0], [0, 0], [1 / 3, 0]],
-    [[1, 0], [1, 0], [0, 0], [1, 0]],
-]}
 SLICE = {"kappa": [-2, 0], "fixed_x": [3, 0], "window": [[6, -1], [7, 0]],
          "width": 4, "height": 4, "root": "smaller", "budget": 20000,
          "small_trace_bound": 64}
 
 CLI = ["cli", "errors"]
+SCAN = CLI + ["moebius", "stability", "traces", "whitehead", "words"]
 EXPECTED = {
     "word": (["word", "abAB"], CLI + ["words"]),
     "primitive": (["primitive", "abAB"], CLI + ["whitehead", "words"]),
     "blocking": (["blocking", "abABabAB"], CLI + ["whitehead", "words"]),
     "enumerate": (["enumerate", "--rank", "2", "--max-len", "3"], CLI + ["whitehead", "words"]),
     "rep-info": (["rep-info", "--rep", "{rep}"], CLI + ["moebius", "traces", "words"]),
-    "ps-scan": (["ps-scan", "--rep", "{rep}", "--max-len", "4"],
-                CLI + ["moebius", "stability", "traces", "whitehead", "words"]),
+    "ps-scan": (["ps-scan", "--rep", "{rep}", "--max-len", "4"], SCAN),
+    "ps-scan-rank4": (["ps-scan", "--rep", "{rep4}", "--max-len", "4"], SCAN),
+    "ps-scan-elliptic": (["ps-scan", "--rep", "{elliptic}", "--max-len", "4"], SCAN),
     "probe": (["probe", "--rep", "{rep}", "--word", "ab", "--periods", "5",
                "--basepoint", "0,0,1"],
               CLI + ["moebius", "stability", "traces", "words"]),
@@ -53,14 +55,19 @@ def banned():
     return {"dataclasses"} if proc.stdout.strip() == "True" else set(SLOW)
 
 
+def arguments(sub, tmp_path):
+    """The command line of EXPECTED[sub], with its documents written to tmp_path."""
+    files = {"out": tmp_path / "out.ppm"}
+    for name, doc in (("rep", REP), ("rep4", REP4), ("elliptic", REP_ELLIPTIC), ("slice", SLICE)):
+        files[name] = tmp_path / (name + ".json")
+        files[name].write_text(json.dumps(doc))
+    return [a.format(**files) for a in EXPECTED[sub][0]]
+
+
 @pytest.mark.parametrize("sub", EXPECTED)
 def test_subcommand_loads_only_the_modules_it_runs(sub, tmp_path):
-    files = {"rep": tmp_path / "rep.json", "slice": tmp_path / "slice.json",
-             "out": tmp_path / "out.ppm"}
-    files["rep"].write_text(json.dumps(REP))
-    files["slice"].write_text(json.dumps(SLICE))
-    argv, modules = EXPECTED[sub]
-    proc = run_python("-c", SHIM, *(a.format(**files) for a in argv))
+    modules = EXPECTED[sub][1]
+    proc = run_python("-c", SHIM, *arguments(sub, tmp_path))
     assert proc.returncode == 0, proc.stderr
     result, loaded, slow = proc.stdout.splitlines()
     assert isinstance(json.loads(result), dict)
@@ -80,9 +87,26 @@ def test_forked_render_loads_no_multiprocessing(tmp_path):
         proc = run_python("-c", shim, "render", "--config", str(config), "--out", str(out),
                           "--threads", threads)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[1] == "False"
+        result, loaded = proc.stdout.splitlines()
+        assert isinstance(json.loads(result), dict) and loaded == "False"
         images.append(out.read_bytes())
     assert images[0] == images[1]
+
+
+# the script pip writes for the package, looked up next to this interpreter
+# only, so that an older install elsewhere on PATH is never what runs
+SCRIPT = shutil.which("primstab", path=os.path.dirname(sys.executable))
+
+
+@pytest.mark.skipif(SCRIPT is None, reason="no primstab console script is installed next to "
+                    + sys.executable)
+@pytest.mark.parametrize("sub", EXPECTED)
+def test_console_script_prints_one_json_object(sub, tmp_path):
+    # the script is a Python file whose first line names this interpreter
+    proc = run_python(SCRIPT, *arguments(sub, tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    result, = proc.stdout.splitlines()
+    assert isinstance(json.loads(result), dict)
 
 
 def test_bare_import_loads_no_submodule():

@@ -7,6 +7,7 @@ import pytest
 
 import primstab as ps
 from primstab import moebius, stability
+from primstab.cli import run
 from primstab.errors import (
     BadSubset,
     CheckFailed,
@@ -17,6 +18,9 @@ from primstab.errors import (
 )
 
 from helpers import (
+    REP3,
+    REP4,
+    REP_ELLIPTIC,
     random_automorphism,
     random_complex,
     random_near_identity_representation,
@@ -167,6 +171,17 @@ def test_every_class_has_its_inverse_entry(rank, max_len):
             assert_inverse_entries_equal(entries)
             kinds.update(e.kind for e in entries)
     assert {ps.IsometryClass.ELLIPTIC, ps.IsometryClass.PARABOLIC} <= kinds
+
+
+@pytest.mark.parametrize("doc, max_len", [(REP3, 5), (REP4, 4), (REP_ELLIPTIC, 4)],
+                         ids=["rank-3", "rank-4", "elliptic"])
+def test_every_printed_class_has_its_inverse_entry(capsys, tmp_path, doc, max_len):
+    # primstab ps-scan prints a class and its inverse class with equal entries
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert run(["ps-scan", "--rep", str(path), "--max-len", str(max_len)]) == 0
+    report = ps.ps_report_from_json(json.loads(capsys.readouterr().out))
+    assert_inverse_entries_equal(report.entries)
 
 
 def test_inverse_entries_agree_at_the_parabolic_tolerance():

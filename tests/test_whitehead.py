@@ -496,6 +496,17 @@ def test_is_primitive_examples():
     assert ps.exponent_vector(ps.parse_word("aa", 2)) == (2, 0)
     assert not ps.is_primitive(ps.parse_word("aa", 2))
     assert not ps.is_primitive(ps.parse_word("", 2))
+    # the cut-vertex rule at its edges: the rank-1 letter, a blocked rank-3
+    # word, a 30-letter automorphic image of a, and past the move search's
+    # rank cap the rank-5 letter e and the rank-6 aabbccddeeff.  The minimiser
+    # runs the same shortening loop and ends at one letter exactly when the
+    # word is primitive
+    for text, rank, primitive in (("a", 1, True), ("AcabaBBBCB", None, False),
+                                  ("ABCBcbABCbABCBcbABCABCBcbaaBCb", None, True),
+                                  ("e", None, True), ("aabbccddeeff", None, False)):
+        w = ps.parse_word(text, rank)
+        assert ps.is_primitive(w) is primitive, text
+        assert (len(ps.whitehead_minimize(w)[0]) == 1) is primitive, text
 
 
 def test_single_letters_are_primitive_in_every_rank():
