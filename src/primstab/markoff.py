@@ -89,7 +89,8 @@ def slope_trace(t0: MarkoffTriple, p: int, q: int) -> complex:
     """Trace of the primitive class of slope p/q, by mediant recursion.
 
     Matches the matrix trace of the mediant-recursion word of the slope
-    whenever t0 comes from the representation's Fricke traces.
+    whenever t0 comes from the representation's Fricke traces.  A trace past
+    the float range raises NonFiniteValue (``traces._number``).
     """
     _check_count("p", p, None)
     _check_count("q", q, None)
@@ -107,7 +108,7 @@ def slope_trace(t0: MarkoffTriple, p: int, q: int) -> complex:
             tl, tr, tm = tl, tm, tl * tm - tr
         else:
             tl, tr, tm = tm, tr, tm * tr - tl
-    return tm
+    return _number("slope trace", tm)
 
 
 def edge_escapes(t1: complex, t2: complex, t_far: complex) -> bool:

@@ -128,8 +128,7 @@ class MoebiusMap(_Frozen):
         return cls(a * s, b * s, c * s, d * s)
 
     def mul(self, other: "MoebiusMap") -> "MoebiusMap":
-        factors = ((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
-        return MoebiusMap(*next(_walk(factors, ((0, (0, 1)),))))
+        return MoebiusMap(*next(_walk(_letter_table((self, other)), ((0, (1, 2)),))))
 
     def __neg__(self) -> "MoebiusMap":
         return MoebiusMap(-self.a, -self.b, -self.c, -self.d)
@@ -141,11 +140,9 @@ class MoebiusMap(_Frozen):
         return self.a + self.d
 
     def apply(self, z: complex) -> complex:
-        """Action on the complex plane; rejects the pole itself."""
-        denom = self.c * z + self.d
-        if abs(denom) < 1e-300:
-            raise DegenerateAction("point %r is the pole of the map" % (z,))
-        return (self.a * z + self.b) / denom
+        """Action on the complex plane: ``_extend`` at height 0, so the pole and
+        a non-finite image raise DegenerateAction."""
+        return _extend((self.a, self.b, self.c, self.d), z, 0.0)[0]
 
     def entry_distance(self, other: "MoebiusMap") -> float:
         return max(
@@ -177,7 +174,8 @@ class Representation(_Frozen):
 
 def _walk(table, plan: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[complex, ...]]:
     """The entries (a, b, c, d) of each word's matrix: the plain product, left
-    to right, of the entries that ``table[v]`` gives for each letter v.
+    to right, of the entries that ``table[v]`` gives for each letter v, from
+    ``table[0]``, the identity, so ints or an exact ring stay exact.
 
     ``plan`` holds one pair (k, suffix) per word: the word is the first k
     letters of the word before it (k = 0 for the first) followed by
@@ -192,7 +190,7 @@ def _walk(table, plan: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[co
     rescale per product), so the 1e-9 check can first fire after a few
     million letters.
     """
-    stack = [(1.0, 0.0, 0.0, 1.0)]
+    stack = [table[0]]
     push = stack.append
     for k, suffix in plan:
         del stack[k + 1:]
@@ -222,15 +220,16 @@ def evaluate(rep: Representation, w: Word | CyclicWord) -> MoebiusMap:
     """The matrix of a word: the ordered product of generator images."""
     if rep.rank != w.rank:
         raise RankMismatch("representation rank %d vs word rank %d" % (rep.rank, w.rank))
-    return MoebiusMap(*next(_walk(_letter_table(rep), ((0, w.letters),))))
+    return MoebiusMap(*next(_walk(_letter_table(rep.images), ((0, w.letters),))))
 
 
-def _letter_table(rep: Representation) -> list[tuple[complex, ...]]:
-    """The entries (a, b, c, d) of each generator image and of its inverse, by
-    letter: ``table[v]`` for v = +-1, ..., +-n.  A list of 2n + 1 items, the
-    inverses at the negative indices, looks a letter up faster than a dict."""
-    table = [(1.0, 0.0, 0.0, 1.0)] * (2 * rep.rank + 1)
-    for i, m in enumerate(rep.images, 1):
+def _letter_table(maps: Sequence[MoebiusMap]) -> list[tuple[complex, ...]]:
+    """The entries (a, b, c, d) of the identity at 0 and of each map and its
+    inverse, by letter: ``table[v]`` for v = +-1, ..., +-n.  A list of 2n + 1
+    items, the inverses at the negative indices, looks a letter up faster
+    than a dict."""
+    table = [(1.0, 0.0, 0.0, 1.0)] * (2 * len(maps) + 1)
+    for i, m in enumerate(maps, 1):
         table[i] = (m.a, m.b, m.c, m.d)
         table[-i] = (m.d, -m.b, -m.c, m.a)
     return table
@@ -294,7 +293,7 @@ def _classify_walk(
     """The kinds and lengths of the words of ``plan`` under ``rep``: each
     product of ``_walk`` goes through ``_check_entries`` as it is formed, so
     the first that fails raises, and then through ``_kinds_and_lengths``."""
-    return _kinds_and_lengths(map(_check_entries, _walk(_letter_table(rep), plan)))
+    return _kinds_and_lengths(map(_check_entries, _walk(_letter_table(rep.images), plan)))
 
 
 def classify(m: MoebiusMap) -> IsometryClass:
@@ -329,23 +328,23 @@ class UhsPoint(_Frozen):
         object.__setattr__(self, "t", t)
 
 
-def _extend(m: tuple[complex, ...], p: UhsPoint) -> tuple[complex, float]:
-    """(z', n) for the image (z', t / n^2) of p under the map of entries m.
+def _extend(m: tuple[complex, ...], z: complex, t: float) -> tuple[complex, float]:
+    """(z', n) for the image (z', t / n^2) of (z, t) under the map of entries m.
 
     With q = c z + d, w = c t and n = hypot(|q|, |w|):
     z' = ((a z + b) conj(q/n) + a t conj(w/n)) / n.  Raises DegenerateAction
     unless n is positive and finite and z' is finite.
     """
     a, b, c, d = m
-    q = c * p.z + d
-    w = c * p.t
+    q = c * z + d
+    w = c * t
     n = math.hypot(q.real, q.imag, w.real, w.imag)
     if not (n > 0 and math.isfinite(n)):
-        raise DegenerateAction("degenerate denominator %r acting on %r" % (n, p))
-    z = ((a * p.z + b) * (q / n).conjugate() + a * (p.t * (w / n).conjugate())) / n
-    if not cmath.isfinite(z):
-        raise DegenerateAction("image %r of %r is not a finite point" % (z, p))
-    return z, n
+        raise DegenerateAction("degenerate denominator %r acting on %r" % (n, (z, t)))
+    image = ((a * z + b) * (q / n).conjugate() + a * (t * (w / n).conjugate())) / n
+    if not cmath.isfinite(image):
+        raise DegenerateAction("image %r of %r is not a finite point" % (image, (z, t)))
+    return image, n
 
 
 def act_uhs(m: MoebiusMap, p: UhsPoint) -> UhsPoint:
@@ -354,7 +353,7 @@ def act_uhs(m: MoebiusMap, p: UhsPoint) -> UhsPoint:
     The image is (z', t / n / n) with z' and n as in ``_extend``.  Dividing
     by n twice keeps t' a float wherever it is one, although n^2 may overflow.
     """
-    z, n = _extend((m.a, m.b, m.c, m.d), p)
+    z, n = _extend((m.a, m.b, m.c, m.d), p.z, p.t)
     t = p.t / n / n
     if not (math.isfinite(t) and t > 0):
         raise DegenerateAction("image (%r, %r) of %r is not a finite point" % (z, t, p))
@@ -371,7 +370,7 @@ def _orbit_distance(m: tuple[complex, ...], p: UhsPoint) -> float:
     z' - z overflows.  Where r passes the float range, 2 asinh r = 2 ln 2r to
     the bit, with ln 2r = ln hypot(|z' - z|, t - t/n/n) + ln n - ln t.
     """
-    z, n = _extend(m, p)
+    z, n = _extend(m, p.z, p.t)
     if p.t / n / n == math.inf:
         raise DegenerateAction("image height of %r passes the float range" % (p,))
     dz, scale = z - p.z, 1.0
@@ -388,7 +387,7 @@ def _orbit_walk(step: MoebiusMap, periods: int, base: UhsPoint) -> Iterator[floa
     """d(base, step^m base), m = 1..periods: the powers are one ``_walk``, each
     checked and measured before the next is formed.  Its stack keeps all
     periods powers; none is rescaled (the drift limit of ``_walk``)."""
-    powers = _walk((None, (step.a, step.b, step.c, step.d)), zip(range(periods), repeat((1,))))
+    powers = _walk(_letter_table((step,)), zip(range(periods), repeat((1,))))
     return map(_orbit_distance, map(_check_entries, powers), repeat(base))
 
 
@@ -416,12 +415,12 @@ def axis_point(m: MoebiusMap) -> UhsPoint:
 
     On the axis the displacement of every power is exactly the translation
     length, which makes axis points the right basepoints for growth probes.
+    A summit past the float range raises NonFiniteValue.
     """
     if classify(m) != IsometryClass.LOXODROMIC:
         raise ValueError("only loxodromic maps have an axis")
-    if abs(m.c) <= _TOL:
-        fixed = m.b / (m.d - m.a)
-        return UhsPoint(fixed, 1.0)
+    if m.c == 0:
+        return UhsPoint(m.b / (m.d - m.a), 1.0)
     # the axis is the half circle over the fixed points (a - d +- 2k) / 2c
     _, k = _half_trace_split(m.trace())
     return UhsPoint((m.a - m.d) / (2.0 * m.c), abs(k / m.c))
@@ -462,7 +461,8 @@ def image_circle(m: MoebiusMap, disk: SphereDisk) -> SphereDisk:
     """Image of a round disk under a Moebius map, interior side included.
 
     Raises ImageIsLine when the boundary circle passes within 1e-9 of the pole
-    of the map, in which case the image is a line, not a circle.
+    of the map, in which case the image is a line, not a circle.  An image
+    past the float range raises NonFiniteValue (``SphereDisk``).
     """
     if m.c == 0:
         factor = m.a / m.d
@@ -470,16 +470,18 @@ def image_circle(m: MoebiusMap, disk: SphereDisk) -> SphereDisk:
         return SphereDisk(center, abs(factor) * disk.radius, disk.interior)
     pole = -m.d / m.c
     u0 = disk.center - pole
-    if abs(abs(u0) - disk.radius) <= _TOL:
+    r = disk.radius
+    near, far = safe_abs(u0) - r, safe_abs(u0) + r
+    if abs(near) <= _TOL:
         raise ImageIsLine("circle at %r radius %r passes through the pole %r"
-                          % (disk.center, disk.radius, pole))
-    denom = abs(u0) ** 2 - disk.radius ** 2
+                          % (disk.center, r, pole))
     # m(z) = a/c - (1/c^2) / (z - pole); 1/(z - pole) sends the circle to the
-    # circle of center conj(u0)/denom and radius r/|denom|
-    w0 = u0.conjugate() / denom
-    center = m.a / m.c - w0 / (m.c * m.c)
-    radius = (disk.radius / abs(denom)) / abs(m.c) ** 2
-    pole_interior = (abs(u0) < disk.radius) == (disk.interior == DiskSide.INSIDE)
+    # circle of center conj(u0)/e and radius r/|e|, e = |u0|^2 - r^2 = near far;
+    # dividing by one factor at a time keeps a float image finite
+    w0 = u0.conjugate() / near / far
+    center = m.a / m.c - w0 / m.c / m.c
+    radius = r / abs(near) / far / abs(m.c) / abs(m.c)
+    pole_interior = (near < 0) == (disk.interior == DiskSide.INSIDE)
     side = DiskSide.OUTSIDE if pole_interior else DiskSide.INSIDE
     return SphereDisk(center, radius, side)
 

@@ -44,6 +44,7 @@ from .words import (
     _farey_turns,
     _Frozen,
     _normalize_slope,
+    _reduce_list,
     letter_key,
 )
 
@@ -352,22 +353,11 @@ def _image_table(phi: WhiteheadAutomorphism) -> tuple[tuple[int, ...], ...]:
     return ((), *images, *(tuple(-v for v in reversed(w)) for w in reversed(images)))
 
 
-def _apply_raw(table: tuple[tuple[int, ...], ...], letters: Sequence[int]) -> list[int]:
-    """The freely reduced image of a letter sequence under the ``_image_table``."""
-    out: list[int] = []
-    for v in letters:
-        for u in table[v]:
-            if out and out[-1] == -u:
-                out.pop()
-            else:
-                out.append(u)
-    return out
-
-
 def apply_automorphism(phi: WhiteheadAutomorphism, w: Word) -> Word:
     if phi.rank != w.rank:
         raise RankMismatch("automorphism rank %d vs word rank %d" % (phi.rank, w.rank))
-    return Word(w.rank, tuple(_apply_raw(_image_table(phi), w.letters)))
+    table = _image_table(phi)
+    return Word(w.rank, tuple(_reduce_list(u for v in w.letters for u in table[v])))
 
 
 @lru_cache(maxsize=None)

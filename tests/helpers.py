@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import primstab as ps
 from primstab.errors import DeterminantError, NonFiniteValue
-from primstab.whitehead import _apply_raw, _changes, _image_table, _key_moves, all_letters
-from primstab.words import _canonical_cycle, _cyclic_core, letter_key
+from primstab.whitehead import _changes, _image_table, _key_moves, all_letters
+from primstab.words import _canonical_cycle, _cyclic_core, _reduce_list, letter_key
 
 
 # representation documents as ``primstab`` reads them: a loxodromic and a
@@ -163,7 +163,7 @@ def grown_primitive_classes(rank, max_len):
         grown = []
         for core in frontier:
             for table in tables:
-                image, _ = _cyclic_core(_apply_raw(table, core))
+                image, _ = _cyclic_core(_reduce_list(u for v in core for u in table[v]))
                 if len(core) < len(image) <= max_len:
                     canon = _canonical_cycle(image)
                     if canon not in found:
@@ -211,7 +211,7 @@ def pool_minimize(rank, core):
     trace = []
     while core:
         for phi, table, _ in length_changes(rank, core, -math.inf, -1):
-            core, _ = _cyclic_core(_apply_raw(table, core))
+            core, _ = _cyclic_core(_reduce_list(u for v in core for u in table[v]))
             trace.append(phi)
             break
         else:

@@ -71,6 +71,30 @@ MUTANTS = (
         "a loxodromic shortcut at |Im t| > 5e-10 calls the parabolic trace "
         "2 + 7e-10i loxodromic",
     ),
+    Mutant(
+        "primstab/moebius.py",
+        "stack = [table[0]]",
+        "stack = [(1.0, 0.0, 0.0, 1.0)]",
+        ("tests/test_moebius.py::test_walk_multiplies_an_integer_table_exactly",),
+        "a walk that starts from the float identity turns an exact table into "
+        "floats at the first product and rounds entries past 2^53",
+    ),
+    Mutant(
+        "primstab/moebius.py",
+        "if m.c == 0:\n        return UhsPoint(",
+        "if abs(m.c) <= _TOL:\n        return UhsPoint(",
+        ("tests/test_moebius.py::test_axis_point_is_translated_by_exactly_the_length",),
+        "an axis point that takes |c| <= 1e-9 for c = 0 divides by d - a = 0, or "
+        "returns a point off the axis that the map moves by 118.8, not 3.53",
+    ),
+    Mutant(
+        "primstab/markoff.py",
+        'return _number("slope trace", tm)',
+        "return tm",
+        ("tests/test_markoff.py::test_slope_trace_one_mediant_step",),
+        "a slope trace past the float range comes back as (nan+nanj) instead of "
+        "raising NonFiniteValue",
+    ),
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -82,6 +82,11 @@ def test_slope_trace_one_mediant_step():
     t = ps.MarkoffTriple.from_traces(3, 3, 3)
     assert ps.slope_trace(t, 2, 1) == 6
     assert ps.slope_trace(t, 1, 2) == 6
+    # the traces of the slopes 1/q grow like 2.618^q: 1/400 is still a float,
+    # 1/1000 is not
+    assert abs(ps.slope_trace(t, 1, 400)) < math.inf
+    with pytest.raises(NonFiniteValue):
+        ps.slope_trace(t, 1, 1000)
 
 
 def test_slope_trace_inverse_class_has_same_trace():

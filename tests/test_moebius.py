@@ -7,14 +7,16 @@ import pytest
 
 import primstab as ps
 from primstab.errors import (
+    DegenerateAction,
     DegenerateMatrix,
     DeterminantError,
     ImageIsLine,
     NonFiniteValue,
     ParseError,
+    PrimstabError,
     RankMismatch,
 )
-from primstab.moebius import _check_entries, _displacement
+from primstab.moebius import _check_entries, _displacement, _walk
 
 from helpers import (
     decimal_half_trace_k,
@@ -313,6 +315,19 @@ def test_evaluate_equals_the_bare_product_exactly():
         assert mat_of(ps.evaluate(rep, w)) == word_matrix(rep, w.letters)
 
 
+def test_walk_multiplies_an_integer_table_exactly():
+    # the walk starts from table[0], so a table of ints stays in the ints:
+    # (ab)^40 has entries near 4e16, past the 2^53 floats hold exactly
+    a, b = [[1, 1], [0, 1]], [[1, 0], [1, 1]]
+    table = [(1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (1, -1, 0, 1)]
+    got = next(_walk(table, ((0, (1, 2) * 40),)))
+    exact = [[1, 0], [0, 1]]
+    for _ in range(40):
+        exact = mat_mul(mat_mul(exact, a), b)
+    assert all(type(v) is int for v in got)
+    assert got == (exact[0][0], exact[0][1], exact[1][0], exact[1][1]) and got[0] > 2 ** 53
+
+
 def _exact(z):
     return Fraction(z.real), Fraction(z.imag)
 
@@ -511,6 +526,16 @@ def test_trace_identity_against_oracle():
         assert close(prod[0][0] + prod[1][1], m.mul(n).trace(), 1e-9)
 
 
+def test_apply_is_the_action_at_height_zero():
+    m = ps.MoebiusMap(2, 1, 1, 1)
+    assert close(m.apply(1j), (2j + 1) / (1j + 1), 1e-15)
+    with pytest.raises(DegenerateAction):
+        m.apply(-1)  # the pole
+    # a * z = 1e400 leaves the float range
+    with pytest.raises(DegenerateAction):
+        ps.MoebiusMap(1e200, 0, 0, 1e-200).apply(1e200)
+
+
 def test_act_uhs_examples():
     p = ps.UhsPoint(0.25 + 0.5j, 1.5)
     assert ps.act_uhs(ps.MoebiusMap.identity(), p) == p
@@ -580,8 +605,11 @@ def test_displacement_is_the_distance_j_moves():
 
 def test_axis_point_is_translated_by_exactly_the_length():
     rng = random.Random(29)
-    for _ in range(30):
-        m = random_loxodromic(rng)
+    # |c| <= 1e-9 is no affine map: the summit is on the axis, and for
+    # a = d there is no affine fixed point at all
+    near_affine = [ps.MoebiusMap(3, 8e10, 1e-10, 3),
+                   ps.MoebiusMap(3, (3 * 3.0000001 - 1) / 1e-10, 1e-10, 3.0000001)]
+    for m in near_affine + [random_loxodromic(rng) for _ in range(30)]:
         base = ps.axis_point(m)
         length = ps.translation_length(m)
         assert close(ps.uhs_distance(base, ps.act_uhs(m, base)), length, 1e-8)
@@ -594,6 +622,9 @@ def test_axis_point_of_a_huge_trace():
     base = ps.axis_point(m)
     assert close(base.z, 5e199, 1e188) and close(base.t, 5e199, 1e188)
     assert close(ps.translation_length(m), 2 * 200 * math.log(10), 1e-9)
+    # a summit height of 2.8 / 1e-310 passes the float range
+    with pytest.raises(NonFiniteValue):
+        ps.axis_point(ps.MoebiusMap(3, 8e300, 1e-310, 3))
 
 
 def test_image_circle_identity_and_translation():
@@ -619,12 +650,22 @@ def test_image_circle_pole_inside_flips_side():
     img = ps.image_circle(m, ps.SphereDisk(0, 2))
     assert img.interior == ps.DiskSide.OUTSIDE
     assert close(img.center, 0) and close(img.radius, 0.5)
+    # |u0|^2 - r^2 overflows, its factors do not: the image radius is 1e-200
+    img = ps.image_circle(m, ps.SphereDisk(5, 1e200))
+    assert img.interior == ps.DiskSide.OUTSIDE
+    assert img.center == 0 and close(img.radius, 1e-200, 1e-12 * 1e-200)
 
 
 def test_image_circle_line_detection():
     m = ps.MoebiusMap(0, -1, 1, 0)  # pole at 0
     with pytest.raises(ImageIsLine):
         ps.image_circle(m, ps.SphereDisk(1, 1))
+
+
+def test_image_circle_past_the_float_range_is_a_domain_error():
+    # |c|^2 underflows to 0, and the image center a/c = 1e400 is no float
+    with pytest.raises(PrimstabError):
+        ps.image_circle(ps.MoebiusMap(1e200, 0, 1e-200, 1e-200), ps.SphereDisk(5, 1))
 
 
 def test_image_circle_sample_points_land_on_image():

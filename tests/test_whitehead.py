@@ -15,7 +15,6 @@ from primstab.errors import (
     RankTooLarge,
 )
 from primstab.whitehead import (
-    _apply_raw,
     _changes,
     _key_image,
     _key_moves,
@@ -23,7 +22,7 @@ from primstab.whitehead import (
     _neighbours,
     all_letters,
 )
-from primstab.words import _cyclic_core, letter_key
+from primstab.words import _cyclic_core, _reduce_list, letter_key
 
 from helpers import (
     all_cyclic_classes,
@@ -357,7 +356,8 @@ def test_length_changes_match_applied_moves(rank):
     cores = _random_cores(rng, rank, 300, 1, 14) + _random_cores(rng, rank, 12, 65, 80)
     for core in [(v,) for v in all_letters(rank)] + cores:
         keys = bytes(map(letter_key, core))
-        images = [_cyclic_core(_apply_raw(table, core))[0] for _, table, _, _ in moves]
+        images = [_cyclic_core(_reduce_list(u for v in core for u in table[v]))[0]
+                  for _, table, _, _ in moves]
         assert _changes(rank, [k - 1 for k in keys]) == [len(image) - len(core) for image in images]
         for (_, _, pieces, cancel), image in zip(moves, images):
             applied = bytes(map(letter_key, image))
