@@ -26,7 +26,7 @@ _EXPORTS = {
     "moebius": (
         "DiskSide", "MoebiusMap", "Representation", "SchottkyVerdict",
         "SphereDisk", "UhsPoint", "act_uhs", "axis_point", "classify", "evaluate",
-        "fricke_traces", "image_circle", "representation_from_json",
+        "fricke_traces", "image_circle", "orbit_growth_probe", "representation_from_json",
         "representation_to_json", "schottky_check", "translation_length",
         "uhs_distance",
     ),
@@ -35,9 +35,9 @@ _EXPORTS = {
         "render_slice", "slice_config_from_json", "slice_config_to_json",
     ),
     "stability": (
-        "FAILURE", "NO_OBSTRUCTION", "PsReport", "SpectrumEntry", "orbit_growth_probe",
-        "precompose", "primitive_length_spectrum", "ps_report_from_json",
-        "ps_report_to_json", "ps_scan", "restrict",
+        "FAILURE", "NO_OBSTRUCTION", "PsReport", "SpectrumEntry", "precompose",
+        "primitive_length_spectrum", "ps_report_from_json", "ps_report_to_json", "ps_scan",
+        "restrict",
     ),
     "traces": ("IsometryClass", "fricke_kappa"),
     "whitehead": (

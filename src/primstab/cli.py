@@ -168,7 +168,7 @@ def _cmd_ps_scan(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    from .stability import orbit_growth_probe
+    from .moebius import orbit_growth_probe
     from .words import parse_word
 
     rep = load_representation(args.rep)

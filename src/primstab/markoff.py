@@ -317,15 +317,17 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
         nodes += 1
         if depth > depth_max:
             depth_max = depth
+        # in _normalize_slope's form already: past the seeds qn >= 1, and each
+        # edge keeps p1 q2 - p2 q1 = +-1 from the seed edges, so gcd(pn, qn) = 1
         pn = p1 + p2
         qn = q1 + q2
         if (an <= real_bound and abs(tn.imag) <= _TOL
                 and _trace_class(tn) is not IsometryClass.LOXODROMIC):
             kind = BqKind.NOT_BQ_WITNESS
-            witnesses = ((_normalize_slope(pn, qn), tn),)
+            witnesses = (((pn, qn), tn),)
             break
         if an <= 2.0:
-            small.append((_normalize_slope(pn, qn), tn))
+            small.append(((pn, qn), tn))
             if len(small) > small_trace_bound:
                 kind = BqKind.NOT_BQ_WITNESS
                 witnesses = tuple(small)

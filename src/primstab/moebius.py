@@ -104,9 +104,7 @@ class MoebiusMap(_Frozen):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
-        # the entries of a product are complex already, and stay as they are
-        if not (type(a) is type(b) is type(c) is type(d) is complex):
-            a, b, c, d = (_number("entry " + n, v) for n, v in zip("abcd", (a, b, c, d)))
+        a, b, c, d = (_number("entry " + n, v) for n, v in zip("abcd", (a, b, c, d)))
         _check_entries((a, b, c, d))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -391,6 +389,34 @@ def _orbit_walk(step: MoebiusMap, periods: int, base: UhsPoint) -> Iterator[floa
     return map(_orbit_distance, map(_check_entries, powers), repeat(base))
 
 
+def orbit_growth_probe(
+    rep: Representation,
+    w: Word | CyclicWord,
+    periods: int,
+    basepoint: UhsPoint | None = None,
+) -> tuple[float, list[float]]:
+    """Displacement growth of a periodic orbit under powers of a word.
+
+    Computes d(p0, w^m p0) for m = 0..periods and fits distance = slope * m
+    by least squares through the origin.  For loxodromic images the slope
+    approaches the translation length; sublinear growth flags parabolics.
+    The powers are one checked walk (``_orbit_walk``); the first to
+    fail raises: DegenerateAction where the image of p0 leaves the float
+    range, NonFiniteValue where its entries are not finite.  An image height
+    that underflows to 0 is no error: the distance is taken without it
+    (``_orbit_distance``).
+    ``periods`` is a count of at least 2; anything else is a ValueError.
+    """
+    _check_count("periods", periods, 2)
+    base = basepoint if basepoint is not None else UhsPoint(0.0, 1.0)
+    dists = [0.0, *_orbit_walk(evaluate(rep, w), periods, base)]
+    num = sum(m * d for m, d in enumerate(dists))
+    den = sum(m * m for m in range(periods + 1))
+    slope = num / den
+    residuals = [d - slope * m for m, d in enumerate(dists)]
+    return slope, residuals
+
+
 def uhs_distance(p: UhsPoint, q: UhsPoint) -> float:
     """Hyperbolic distance 2 asinh(r), r = hypot(|z1 - z2|, t1 - t2) / (2 sqrt(t1) sqrt(t2)).
 
@@ -449,7 +475,7 @@ class SphereDisk(_Frozen):
         object.__setattr__(self, "interior", DiskSide(interior))
 
     def contains(self, z: complex) -> bool:
-        dist = abs(z - self.center)
+        dist = safe_abs(z - self.center)
         return dist <= self.radius if self.interior == DiskSide.INSIDE else dist >= self.radius
 
     def complement(self) -> "SphereDisk":
@@ -462,27 +488,30 @@ def image_circle(m: MoebiusMap, disk: SphereDisk) -> SphereDisk:
 
     Raises ImageIsLine when the boundary circle passes within 1e-9 of the pole
     of the map, in which case the image is a line, not a circle.  An image
-    past the float range raises NonFiniteValue (``SphereDisk``).
+    past the float range raises NonFiniteValue (``SphereDisk``); a radius
+    that underflows to 0, or a center that ``apply`` refuses (c = 0),
+    DegenerateAction.
     """
+    r, side = disk.radius, disk.interior
     if m.c == 0:
-        factor = m.a / m.d
-        center = (m.a * disk.center + m.b) / m.d
-        return SphereDisk(center, abs(factor) * disk.radius, disk.interior)
-    pole = -m.d / m.c
-    u0 = disk.center - pole
-    r = disk.radius
-    near, far = safe_abs(u0) - r, safe_abs(u0) + r
-    if abs(near) <= _TOL:
-        raise ImageIsLine("circle at %r radius %r passes through the pole %r"
-                          % (disk.center, r, pole))
-    # m(z) = a/c - (1/c^2) / (z - pole); 1/(z - pole) sends the circle to the
-    # circle of center conj(u0)/e and radius r/|e|, e = |u0|^2 - r^2 = near far;
-    # dividing by one factor at a time keeps a float image finite
-    w0 = u0.conjugate() / near / far
-    center = m.a / m.c - w0 / m.c / m.c
-    radius = r / abs(near) / far / abs(m.c) / abs(m.c)
-    pole_interior = (near < 0) == (disk.interior == DiskSide.INSIDE)
-    side = DiskSide.OUTSIDE if pole_interior else DiskSide.INSIDE
+        center = m.apply(disk.center)
+        radius = safe_abs(m.a / m.d) * r
+    else:
+        pole = -m.d / m.c
+        u0 = disk.center - pole
+        near, far = safe_abs(u0) - r, safe_abs(u0) + r
+        if abs(near) <= _TOL:
+            raise ImageIsLine("circle at %r radius %r passes through the pole %r"
+                              % (disk.center, r, pole))
+        # m(z) = a/c - (1/c^2) / (z - pole); 1/(z - pole) sends the circle to the
+        # circle of center conj(u0)/e and radius r/|e|, e = |u0|^2 - r^2 = near far;
+        # dividing by one factor at a time keeps a float image finite
+        center = m.a / m.c - u0.conjugate() / near / far / m.c / m.c
+        radius = r / abs(near) / far / safe_abs(m.c) / safe_abs(m.c)
+        pole_inside = (near < 0) == (side == DiskSide.INSIDE)
+        side = DiskSide.OUTSIDE if pole_inside else DiskSide.INSIDE
+    if not radius > 0:
+        raise DegenerateAction("image of %r has radius 0" % (disk,))
     return SphereDisk(center, radius, side)
 
 
@@ -502,7 +531,7 @@ class SchottkyVerdict(_Frozen):
 def _disks_disjoint(d1: SphereDisk, d2: SphereDisk) -> bool:
     in1 = d1.interior == DiskSide.INSIDE
     in2 = d2.interior == DiskSide.INSIDE
-    gap = abs(d1.center - d2.center)
+    gap = safe_abs(d1.center - d2.center)
     if in1 and in2:
         return gap > d1.radius + d2.radius + _TOL
     if not in1 and not in2:
@@ -541,7 +570,7 @@ def schottky_check(
             return SchottkyVerdict(False, SchottkyVerdict.DEGENERATE, str(exc))
         want = ran.complement()
         if (
-            abs(img.center - want.center) > _TOL
+            safe_abs(img.center - want.center) > _TOL
             or abs(img.radius - want.radius) > _TOL
             or img.interior != want.interior
         ):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from operator import truediv
-from typing import TYPE_CHECKING
 
 from .errors import (
     BadSubset,
@@ -20,19 +19,16 @@ from .errors import (
     RankMismatch,
     WordParseError,
 )
-from .moebius import (
+from .moebius import (  # orbit_growth_probe is re-exported
     IsometryClass,
     Representation,
-    UhsPoint,
     _classify_walk,
     _displacement,
-    _orbit_walk,
     evaluate,
+    orbit_growth_probe,
 )
-from .words import CyclicWord, Word, _check_count, _Frozen, parse_word
-
-if TYPE_CHECKING:
-    from .whitehead import WhiteheadAutomorphism
+from .whitehead import WhiteheadAutomorphism, _walk_plan, enumerate_primitive_classes
+from .words import CyclicWord, _check_count, _Frozen, parse_word
 
 NO_OBSTRUCTION = "NO_OBSTRUCTION"
 FAILURE = "FAILURE"
@@ -99,8 +95,6 @@ def _spectrum(rep: Representation, max_len: int) -> tuple[tuple[SpectrumEntry, .
     by column (``_Frozen._from_columns``), each class's kind and length looked
     up by its walk slot.
     """
-    from .whitehead import _walk_plan, enumerate_primitive_classes
-
     classes = enumerate_primitive_classes(rep.rank, max_len)
     plan, slots, sizes = _walk_plan(rep.rank, max_len)
     kinds, lengths = _classify_walk(rep, plan)
@@ -185,34 +179,6 @@ def precompose(rep: Representation, phi: WhiteheadAutomorphism) -> Representatio
     if rep.rank != phi.rank:
         raise RankMismatch("representation rank %d vs automorphism rank %d" % (rep.rank, phi.rank))
     return Representation(rep.rank, tuple(evaluate(rep, img) for img in phi.images))
-
-
-def orbit_growth_probe(
-    rep: Representation,
-    w: Word | CyclicWord,
-    periods: int,
-    basepoint: UhsPoint | None = None,
-) -> tuple[float, list[float]]:
-    """Displacement growth of a periodic orbit under powers of a word.
-
-    Computes d(p0, w^m p0) for m = 0..periods and fits distance = slope * m
-    by least squares through the origin.  For loxodromic images the slope
-    approaches the translation length; sublinear growth flags parabolics.
-    The powers are one checked walk (``moebius._orbit_walk``); the first to
-    fail raises: DegenerateAction where the image of p0 leaves the float
-    range, NonFiniteValue where its entries are not finite.  An image height
-    that underflows to 0 is no error: the distance is taken without it
-    (``moebius._orbit_distance``).
-    ``periods`` is a count of at least 2; anything else is a ValueError.
-    """
-    _check_count("periods", periods, 2)
-    base = basepoint if basepoint is not None else UhsPoint(0.0, 1.0)
-    dists = [0.0, *_orbit_walk(evaluate(rep, w), periods, base)]
-    num = sum(m * d for m, d in enumerate(dists))
-    den = sum(m * m for m in range(periods + 1))
-    slope = num / den
-    residuals = [d - slope * m for m, d in enumerate(dists)]
-    return slope, residuals
 
 
 def _entry_to_json(e: SpectrumEntry) -> dict:

@@ -75,7 +75,7 @@ def _trace_class(t: complex) -> IsometryClass:
 def _half_trace_split(t: complex) -> tuple[complex, complex]:
     """(h, k) with h = t/2 and k^2 = h^2 - 1: a trace-t map has eigenvalues h +- k.
 
-    Only ``axis_point`` and ``fan_escapes`` use it.  k avoids t^2 (overflows
+    Only ``axis_point`` and ``_fan_root`` use it.  k avoids t^2 (overflows
     past |t| = 1e154) and s = sqrt(t - 2) sqrt(t + 2) (past 1.8e308), yet is
     s/2 to the bit where s is finite, as (t - 2)/4 is exact; t/2 keeps h + k finite.
     """

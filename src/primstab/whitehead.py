@@ -123,8 +123,7 @@ def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGrap
     """Letter graph of w: an edge {x, y^-1} for each adjacent pair xy, and
     with ``closed`` the wrap-around pair too.
 
-    The closed graph is only defined for cyclically reduced words.  The rank
-    and letters of w, checked when w was built, are not checked again.
+    The closed graph is only defined for cyclically reduced words.
     """
     letters = w.letters
     if closed:
@@ -133,13 +132,8 @@ def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGrap
             raise ClosedOnNonCyclicallyReduced(
                 "closed graph requested for non-cyclically-reduced word %r" % (str(w),)
             )
-    edges: dict[tuple[int, int], int] = {}
-    for x, y in zip(letters, letters[1:] + letters[:1] if closed else letters[1:]):
-        key = _edge(x, -y)
-        edges[key] = edges.get(key, 0) + 1
-    graph = object.__new__(WhiteheadGraph)
-    graph.rank, graph.edge_multiplicity = w.rank, edges
-    return graph
+    pairs = zip(letters, letters[1:] + letters[:1] if closed else letters[1:])
+    return WhiteheadGraph(w.rank, ((x, -y) for x, y in pairs))
 
 
 def _neighbours(g: WhiteheadGraph) -> list[int]:

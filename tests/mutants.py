@@ -95,6 +95,22 @@ MUTANTS = (
         "a slope trace past the float range comes back as (nan+nanj) instead of "
         "raising NonFiniteValue",
     ),
+    Mutant(
+        "primstab/markoff.py",
+        "pn = p1 + p2",
+        "pn = -(p1 + p2)",
+        ("tests/test_markoff.py::test_bq_decide_matches_the_reference_search",),
+        "a search that forms its slopes wrong records every witness and small "
+        "trace under another slope; the reference forms and normalises its own",
+    ),
+    Mutant(
+        "primstab/markoff.py",
+        "an = inf",
+        "an = 0.0",
+        ("tests/test_markoff.py::test_saturated_traces_never_certify",),
+        "a modulus past the float range read as 0 counts a saturated trace as "
+        "small",
+    ),
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -31,7 +31,7 @@ EXPECTED = {
     "ps-scan-elliptic": (["ps-scan", "--rep", "{elliptic}", "--max-len", "4"], SCAN),
     "probe": (["probe", "--rep", "{rep}", "--word", "ab", "--periods", "5",
                "--basepoint", "0,0,1"],
-              CLI + ["moebius", "stability", "traces", "words"]),
+              CLI + ["moebius", "traces", "words"]),
     "bq-decide": (["bq-decide", "--x", "3", "--y", "3", "--z", "3", "--budget", "100"],
                   CLI + ["markoff", "traces", "words"]),
     "render": (["render", "--config", "{slice}", "--out", "{out}", "--threads", "1"],

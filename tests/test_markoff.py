@@ -146,6 +146,14 @@ def test_saturated_traces_never_certify():
         assert verdict.pruned_escape == verdict.pruned_fan == 0
     verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(3, 3, 3), 1000)
     assert verdict.kind == ps.BqKind.BQ_CERTIFIED and verdict.nodes_explored == 6
+    # at node 119 |tn| of a finite product passes the float range: a saturated
+    # modulus is never small, so only the seed z is recorded
+    x = 4.4404374685236604e153 + 1.2780807798381574e154j
+    y = -1.248739599107954e154 + 5.208788175095115e153j
+    z = 0.1694801710576046 + 0.035896731090736544j
+    verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(x, y, z), 1000)
+    assert verdict.kind == ps.BqKind.INCONCLUSIVE
+    assert [slope for slope, _ in verdict.small_traces] == [(1, 1)]
 
 
 def test_escape_criterion_forward_invariance():
@@ -181,6 +189,7 @@ def test_fan_escape_examples():
     assert not ps.fan_escapes(-1 + 1j, 3, complex(1.3e308, 1.3e308))
     assert not ps.fan_escapes(-1 + 1j, complex(1.3e308, 1.3e308), 3)
     assert not ps.fan_escapes(2.0001, 1e308, -1e308)
+    assert ps.fan_escapes(complex(1.5e308, 1.5e308), 1, 1) is False  # |r| overflows
 
 
 def test_fan_escape_is_false_on_the_real_segment():

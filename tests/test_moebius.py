@@ -660,12 +660,29 @@ def test_image_circle_line_detection():
     m = ps.MoebiusMap(0, -1, 1, 0)  # pole at 0
     with pytest.raises(ImageIsLine):
         ps.image_circle(m, ps.SphereDisk(1, 1))
+    # schottky_check reports the line as a degenerate pairing
+    verdict = ps.schottky_check(ps.Representation(1, (m,)),
+                                [(ps.SphereDisk(1, 1), ps.SphereDisk(5, 1))])
+    assert not verdict.valid and verdict.reason == "DEGENERATE"
 
 
 def test_image_circle_past_the_float_range_is_a_domain_error():
     # |c|^2 underflows to 0, and the image center a/c = 1e400 is no float
     with pytest.raises(PrimstabError):
         ps.image_circle(ps.MoebiusMap(1e200, 0, 1e-200, 1e-200), ps.SphereDisk(5, 1))
+    # c = d = 0 passes the constructor (S > 1e12), and apply refuses it too
+    with pytest.raises(DegenerateAction):
+        ps.image_circle(ps.MoebiusMap(1e6, 1e6, 0, 0), ps.SphereDisk(5, 1))
+    # an affine scale |a/d| past the float range, with no OverflowError on the way
+    with pytest.raises(NonFiniteValue):
+        ps.image_circle(ps.MoebiusMap(1.5e308 + 1.5e308j, 0, 0, 1), ps.SphereDisk(0, 1))
+    # |u0| passes the float range, so the image radius underflows to 0;
+    # schottky_check finds the disks disjoint, then meets the same image
+    m, far = ps.MoebiusMap(0, -1, 1, 0), ps.SphereDisk(1.5e308 + 1.5e308j, 1)
+    with pytest.raises(PrimstabError):
+        ps.image_circle(m, far)
+    with pytest.raises(PrimstabError):
+        ps.schottky_check(ps.Representation(1, (m,)), [(far, ps.SphereDisk(0, 1))])
 
 
 def test_image_circle_sample_points_land_on_image():
@@ -697,6 +714,11 @@ def test_schottky_overlapping_disks():
     bad = [(ps.SphereDisk(0, 1.0), ps.SphereDisk(1.0, 1.0)), pairs[1]]
     verdict = ps.schottky_check(rep, bad)
     assert not verdict.valid and verdict.reason == "DISJOINTNESS"
+    # a disk past the float range from the hole of an outside disk lies in it
+    m = ps.MoebiusMap(0, -1, 1, 0)
+    bad = [(ps.SphereDisk(1.5e308 + 1.5e308j, 1), ps.SphereDisk(0, 1, ps.DiskSide.OUTSIDE))]
+    verdict = ps.schottky_check(ps.Representation(1, (m,)), bad)
+    assert not verdict.valid and verdict.reason == "DISJOINTNESS"
 
 
 def test_schottky_identity_generator_fails_pairing():
@@ -704,6 +726,17 @@ def test_schottky_identity_generator_fails_pairing():
     rep = ps.Representation(2, (ps.MoebiusMap.identity(), ps.MoebiusMap.identity()))
     verdict = ps.schottky_check(rep, pairs)
     assert not verdict.valid and verdict.reason == "PAIRING"
+
+
+def test_disk_contains():
+    inside, outside = ps.SphereDisk(1j, 2), ps.SphereDisk(1j, 2, ps.DiskSide.OUTSIDE)
+    for z, want in ((1j, True), (2 + 1j, True), (3j, True), (3 + 1j, False), (-2j, False)):
+        assert inside.contains(z) is want, z
+        # the boundary circle belongs to both closed sides
+        assert outside.contains(z) is (not want or abs(z - 1j) == 2), z
+    # |z - center| passes the float range: far outside, and no OverflowError
+    far = ps.SphereDisk(1.5e308 + 1.5e308j, 1)
+    assert not far.contains(0) and far.complement().contains(0)
 
 
 def test_schottky_two_outside_disks_never_disjoint():

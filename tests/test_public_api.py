@@ -31,7 +31,7 @@ EXPORTED = {
     "moebius": [
         "DiskSide", "MoebiusMap", "Representation", "SchottkyVerdict",
         "SphereDisk", "UhsPoint", "act_uhs", "axis_point", "classify", "evaluate",
-        "fricke_traces", "image_circle", "representation_from_json",
+        "fricke_traces", "image_circle", "orbit_growth_probe", "representation_from_json",
         "representation_to_json", "schottky_check", "translation_length", "uhs_distance",
     ],
     "render": [
@@ -39,9 +39,9 @@ EXPORTED = {
         "render_slice", "slice_config_from_json", "slice_config_to_json",
     ],
     "stability": [
-        "FAILURE", "NO_OBSTRUCTION", "PsReport", "SpectrumEntry", "orbit_growth_probe",
-        "precompose", "primitive_length_spectrum", "ps_report_from_json",
-        "ps_report_to_json", "ps_scan", "restrict",
+        "FAILURE", "NO_OBSTRUCTION", "PsReport", "SpectrumEntry", "precompose",
+        "primitive_length_spectrum", "ps_report_from_json", "ps_report_to_json", "ps_scan",
+        "restrict",
     ],
     "traces": ["IsometryClass", "fricke_kappa"],
     "whitehead": [
@@ -136,3 +136,10 @@ def test_trace_rules_still_resolve_through_moebius():
 
     assert moebius.IsometryClass is ps.IsometryClass
     assert moebius.fricke_kappa is ps.fricke_kappa
+
+
+def test_orbit_probe_still_resolves_through_stability():
+    # the probe moved to moebius; stability still re-exports it
+    from primstab import stability
+
+    assert stability.orbit_growth_probe is ps.orbit_growth_probe

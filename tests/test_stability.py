@@ -387,6 +387,10 @@ def test_probe_far_basepoints_keep_finite_distances():
     dists = [0.0] + [2 * (math.log(4 ** m - 1) - m * math.log(2) + 320 * math.log(10)) for m in (1, 2)]
     assert abs(slope - (dists[1] + 2 * dists[2]) / 5) <= 1e-12 * 885.4
     assert all(abs(r + slope * m - d) <= 1e-12 * 1476.3 for m, (r, d) in enumerate(zip(residuals, dists)))
+    # the half-turn z -> -z at (1e308, 1): z' - z overflows, so quarters are subtracted
+    base = ps.UhsPoint(1e308, 1)
+    far = moebius._orbit_distance((1j, 0, 0, -1j), base)
+    assert far == ps.uhs_distance(base, ps.UhsPoint(-1e308, 1)) == 1419.778711645452
 
 
 def test_probe_distances_outlive_an_underflowing_image_height():
