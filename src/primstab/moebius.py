@@ -487,10 +487,10 @@ def image_circle(m: MoebiusMap, disk: SphereDisk) -> SphereDisk:
     """Image of a round disk under a Moebius map, interior side included.
 
     Raises ImageIsLine when the boundary circle passes within 1e-9 of the pole
-    of the map, in which case the image is a line, not a circle.  An image
-    past the float range raises NonFiniteValue (``SphereDisk``); a radius
-    that underflows to 0, or a center that ``apply`` refuses (c = 0),
-    DegenerateAction.
+    of the map, relative to the disk's farthest distance from it, in which
+    case the image is a line, not a circle.  An image past the float range
+    raises NonFiniteValue (``SphereDisk``); a radius that underflows to 0,
+    or a center that ``apply`` refuses (c = 0), DegenerateAction.
     """
     r, side = disk.radius, disk.interior
     if m.c == 0:
@@ -500,7 +500,7 @@ def image_circle(m: MoebiusMap, disk: SphereDisk) -> SphereDisk:
         pole = -m.d / m.c
         u0 = disk.center - pole
         near, far = safe_abs(u0) - r, safe_abs(u0) + r
-        if abs(near) <= _TOL:
+        if abs(near) <= _TOL * far < math.inf:
             raise ImageIsLine("circle at %r radius %r passes through the pole %r"
                               % (disk.center, r, pole))
         # m(z) = a/c - (1/c^2) / (z - pole); 1/(z - pole) sends the circle to the
@@ -532,12 +532,13 @@ def _disks_disjoint(d1: SphereDisk, d2: SphereDisk) -> bool:
     in1 = d1.interior == DiskSide.INSIDE
     in2 = d2.interior == DiskSide.INSIDE
     gap = safe_abs(d1.center - d2.center)
+    slack = _TOL * (d1.radius + d2.radius)
     if in1 and in2:
-        return gap > d1.radius + d2.radius + _TOL
+        return gap > d1.radius + d2.radius + slack
     if not in1 and not in2:
         return False  # both contain infinity
     inner, outer = (d1, d2) if in1 else (d2, d1)
-    return gap + inner.radius < outer.radius - _TOL
+    return gap + inner.radius < outer.radius - slack
 
 
 def schottky_check(
@@ -548,10 +549,10 @@ def schottky_check(
 
     Valid when the 2n closed disks are pairwise disjoint and each generator
     carries its first disk onto the closed complement of its second, each
-    comparison with slack 1e-9.  A valid pairing makes the group free and
-    discrete, hence the representation is primitive-stable, in any rank (in
-    rank 2 ``bq_decide`` certifies primitive stability as well, and beyond
-    the Schottky set).
+    comparison with slack 1e-9 times the sum of the two radii.  A valid
+    pairing makes the group free and discrete, hence the representation is
+    primitive-stable, in any rank (in rank 2 ``bq_decide`` certifies
+    primitive stability as well, and beyond the Schottky set).
     """
     if len(pairs) != rep.rank:
         raise RankMismatch("need %d disk pairs, got %d" % (rep.rank, len(pairs)))
@@ -569,9 +570,10 @@ def schottky_check(
         except ImageIsLine as exc:
             return SchottkyVerdict(False, SchottkyVerdict.DEGENERATE, str(exc))
         want = ran.complement()
+        slack = _TOL * (img.radius + want.radius)
         if (
-            safe_abs(img.center - want.center) > _TOL
-            or abs(img.radius - want.radius) > _TOL
+            safe_abs(img.center - want.center) > slack
+            or abs(img.radius - want.radius) > slack
             or img.interior != want.interior
         ):
             return SchottkyVerdict(

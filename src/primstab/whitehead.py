@@ -16,10 +16,11 @@ a closed graph that is disconnected or has a cut vertex, and the minimiser
 goes on past a graph with neither by the move of least count, found as a
 minimum cut between a and a^-1.  Only the enumeration of primitive classes
 searches the pool of moves, up to ``RANK_CAP``, counting each move's change
-before taking it.  The graph kernels work on int bitmasks, letter v on bit
-``letter_key(v) - 1`` so that the inverse of bit b is bit b ^ 1: the count
-XORs edge-incidence masks and takes a bit count, and the connectivity tests
-flood-fill letter sets.
+before taking it.  Every kernel codes letter v as the bit
+``letter_key(v) - 1``, so that the inverse of bit b is bit b ^ 1: the graph
+kernels work on int bitmasks over these bits, the count XORs edge-incidence
+masks and takes a bit count, the connectivity tests flood-fill letter sets,
+and the enumeration holds a class as the byte string of its letters' bits.
 """
 
 from __future__ import annotations
@@ -63,17 +64,15 @@ def all_letters(rank: int) -> list[int]:
     return [v for i in range(1, rank + 1) for v in (i, -i)]
 
 
-# letter v at its key letter_key(v), and translate tables from the key of v
-# to the key of v^-1 and to v as a signed byte, up to the cap; the enumeration
-# keeps classes as bytes of keys, in the letter order of CyclicWord.sort_key
-_LETTER_OF = (0, *all_letters(RANK_CAP))
-_INVERSE_KEY = bytes((0, *(letter_key(-v) for v in _LETTER_OF[1:]), *range(2 * RANK_CAP + 1, 256)))
-_SIGNED = bytes((*(v % 256 for v in _LETTER_OF), *range(2 * RANK_CAP + 1, 256)))
+# translate tables on bit strings, from the bit of v to the bit of v^-1 and
+# to v as a signed byte; bits sort in the letter order of CyclicWord.sort_key
+_INVERSE = bytes(b ^ 1 for b in range(256))
+_SIGNED = bytes(v % 256 for v in all_letters(128))
 
 
-# letter v -> its bit letter_key(v) - 1 at index v (the inverses at the
-# negative indices), in every rank up to the cap
-_BIT = tuple(letter_key(v) - 1 for v in (*range(RANK_CAP + 1), *range(-RANK_CAP, 0)))
+def _bits(letters: Iterable[int]) -> list[int]:
+    """The bit ``letter_key(v) - 1`` of each letter v."""
+    return [2 * v - 2 if v > 0 else -2 * v - 1 for v in letters]
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -248,9 +247,7 @@ def blocking_certificate(w: Word) -> BlockingCertificate:
     """
     if len(w) == 0:
         return BlockingCertificate(w, False, TOO_SHORT)
-    bits = ([_BIT[v] for v in w.letters] if w.rank <= RANK_CAP
-            else [letter_key(v) - 1 for v in w.letters])
-    adjacent = _letter_graph(2 * w.rank, bits, False)
+    adjacent = _letter_graph(2 * w.rank, _bits(w.letters), False)
     # an isolated letter disconnects before any flood fill, which would
     # otherwise cost a pass over a 2n-bit mask
     reason = (_cut_vertex_verdict(adjacent, (1 << len(adjacent)) - 1)[0] if all(adjacent)
@@ -355,10 +352,10 @@ def apply_automorphism(phi: WhiteheadAutomorphism, w: Word) -> Word:
 
 
 @lru_cache(maxsize=None)
-def _key_moves(rank: int) -> tuple[tuple[tuple[bytes, ...], bytes, int, int], ...]:
-    """(the key strings of the letters' images, at their keys; the key string
-    of a a^-1; bitmask of A; bit of a, letter v on bit ``letter_key(v) - 1``)
-    for every non-identity second-kind move (a, A); RankTooLarge past the cap.
+def _pool_moves(rank: int) -> tuple[tuple[tuple[bytes, ...], bytes, int, int], ...]:
+    """(the bit strings of the letters' images, at their bits; the bit string
+    of a a^-1; bitmask of A; bit of a) for every non-identity second-kind
+    move (a, A); RankTooLarge past the cap.
 
     A letter x other than a^+-1 maps to [a^-1] x [a], with a^-1 when x^-1 is
     in A and a when x is.  In the join of a cyclically reduced word's letter
@@ -371,30 +368,30 @@ def _key_moves(rank: int) -> tuple[tuple[tuple[bytes, ...], bytes, int, int], ..
     """
     if rank > RANK_CAP:
         raise RankTooLarge("rank %d exceeds the move-search cap %d" % (rank, RANK_CAP))
-    keys = [bytes((b + 1,)) for b in range(2 * rank)]
+    letters = [bytes((b,)) for b in range(2 * rank)]
     moves = []
     for a in range(2 * rank):
         others = [b for b in range(2 * rank) if b >> 1 != a >> 1]
-        lead, trail = keys[a ^ 1], keys[a]
+        lead, trail = letters[a ^ 1], letters[a]
         for mask in range(1, 1 << len(others)):
             side = sum(1 << b for k, b in enumerate(others) if mask >> k & 1)
-            pieces = (b"", *(key if b >> 1 == a >> 1 else
-                             lead * (side >> (b ^ 1) & 1) + key + trail * (side >> b & 1)
-                             for b, key in enumerate(keys)))
+            pieces = tuple(x if b >> 1 == a >> 1 else
+                           lead * (side >> (b ^ 1) & 1) + x + trail * (side >> b & 1)
+                           for b, x in enumerate(letters))
             moves.append((pieces, trail + lead, side | 1 << a, a))
     return tuple(moves)
 
 
-def _key_image(pieces: tuple[bytes, ...], cancel: bytes, keys: bytes) -> bytes:
-    """The cyclic image (in some rotation) of a cyclically reduced key string
-    under a ``_key_moves`` move, given as its pieces and its a a^-1."""
-    image = b"".join(map(pieces.__getitem__, keys)).replace(cancel, b"")
+def _move_image(pieces: tuple[bytes, ...], cancel: bytes, bits: bytes) -> bytes:
+    """The cyclic image (in some rotation) of a cyclically reduced bit string
+    under a ``_pool_moves`` move, given as its pieces and its a a^-1."""
+    image = b"".join(map(pieces.__getitem__, bits)).replace(cancel, b"")
     return image[1:-1] if image[-1] == cancel[0] and image[0] == cancel[1] else image
 
 
 def _changes(rank: int, core: Sequence[int]) -> list[int]:
     """|phi(w)| - |w| = cut(A) - deg(a) for every move phi = (a, A) of
-    ``_key_moves``, in its order, on a non-empty cyclically reduced core w of
+    ``_pool_moves``, in its order, on a non-empty cyclically reduced core w of
     letter bits, counted on its closed graph, whose edge i joins ``core[i]``
     and ``core[i + 1] ^ 1``.  Bit i of ``incident[u]`` marks edge i at letter
     u.  An edge crosses A exactly when one of its ends is in A, so the edges
@@ -403,7 +400,7 @@ def _changes(rank: int, core: Sequence[int]) -> list[int]:
     at its own letter), which a cyclically reduced core has: xy with
     x = y^-1 would cancel.  So deg(a) is cut({a}).
     """
-    moves = _key_moves(rank)  # RankTooLarge past the cap, before the 2^(2n) XORs
+    moves = _pool_moves(rank)  # RankTooLarge past the cap, before the 2^(2n) XORs
     incident = [0] * (2 * rank)
     for i, (x, y) in enumerate(zip(core, core[1:] + core[:1])):
         incident[x] |= 1 << i
@@ -421,13 +418,13 @@ def _core_bits(w: Word | CyclicWord) -> tuple[Sequence[int], list[int]]:
     is bit b ^ 1.
 
     Within ``RANK_CAP`` the generators are 1 to n and letter v has bit
-    ``_BIT[v]``.  Past it they are the generators the core uses, in
-    increasing order, so that a round costs time in the core's length and
+    ``letter_key(v) - 1``.  Past it they are the generators the core uses,
+    in increasing order, so that a round costs time in the core's length and
     in their number, not in the rank.
     """
     core, _ = _cyclic_core(w.letters)
     if w.rank <= RANK_CAP:
-        return range(1, w.rank + 1), [_BIT[v] for v in core]
+        return range(1, w.rank + 1), _bits(core)
     generators = sorted({abs(v) for v in core})
     index = {g: 2 * i for i, g in enumerate(generators)}
     return generators, [index[abs(v)] + (v < 0) for v in core]
@@ -643,34 +640,34 @@ def is_primitive(w: Word | CyclicWord) -> bool:
 
 @lru_cache(maxsize=None)
 def _symmetry_tables(rank: int) -> tuple[tuple[int, list[bytes]], ...]:
-    """The ``bytes.translate`` table on letter keys of each of the 2^n n!
-    signed permutations tau of the generators, from the key of v to the key
-    of tau(v), grouped as (k, tables) by the key k of the letter sent to a."""
-    pairs = [(bytes((j - 1, j)), bytes((j, j - 1))) for j in range(2, 2 * rank + 1, 2)]
-    rest = bytes(range(2 * rank + 1, 256))
+    """The ``bytes.translate`` table on letter bits of each of the 2^n n!
+    signed permutations tau of the generators, from the bit of v to the bit
+    of tau(v), grouped as (k, tables) by the bit k of the letter sent to a."""
+    pairs = [(bytes((j, j + 1)), bytes((j + 1, j))) for j in range(0, 2 * rank, 2)]
+    rest = bytes(range(2 * rank, 256))
     groups: dict[int, list[bytes]] = {}
     for perm in itertools.permutations(pairs):  # generator i to the i-th
         for images in itertools.product(*perm):  # of them, or its inverse
-            table = b"".join((b"\0", *images, rest))
-            groups.setdefault(table.index(1), []).append(table)
+            table = b"".join((*images, rest))
+            groups.setdefault(table.index(0), []).append(table)
     return tuple(groups.items())
 
 
-def _images(rank: int, keys: bytes) -> list[bytes]:
+def _images(rank: int, bits: bytes) -> list[bytes]:
     """The least rotation of tau(w), for every signed permutation tau in
-    ``_symmetry_tables`` order, of a cyclically reduced key string w.  Where
-    tau sends the letter of key k to a, the least letter, the least rotation
+    ``_symmetry_tables`` order, of a cyclically reduced bit string w.  Where
+    tau sends the letter of bit k to a, the least letter, the least rotation
     of tau(w) starts with that letter in w, or if w lacks it with its
     inverse: only those rotations of w (all if w lacks both) are translated
     and compared, for all the tables of k at once."""
-    n = len(keys)
-    doubled = keys + keys
-    by_key: dict[int, list[bytes]] = {}  # the rotations by their first key
-    for i, k in enumerate(keys):
-        by_key.setdefault(k, []).append(doubled[i:i + n])
+    n = len(bits)
+    doubled = bits + bits
+    by_bit: dict[int, list[bytes]] = {}  # the rotations by their first bit
+    for i, k in enumerate(bits):
+        by_bit.setdefault(k, []).append(doubled[i:i + n])
     out: list[bytes] = []
     for k, tables in _symmetry_tables(rank):
-        starts = by_key.get(k) or by_key.get(_INVERSE_KEY[k]) or [doubled[i:i + n] for i in range(n)]
+        starts = by_bit.get(k) or by_bit.get(k ^ 1) or [doubled[i:i + n] for i in range(n)]
         images = [map(start.translate, tables) for start in starts]
         out += images[0] if len(images) == 1 else map(min, *images)
     return out
@@ -678,9 +675,9 @@ def _images(rank: int, keys: bytes) -> list[bytes]:
 
 def _orbit(rank: int, canon: bytes) -> Iterator[tuple[bytes, bytes]]:
     """(image, inverse) for each image of a class c under the symmetries, as
-    key strings in least rotation: tau(c) with tau(c^-1) = tau(c)^-1."""
+    bit strings in least rotation: tau(c) with tau(c^-1) = tau(c)^-1."""
     images = _images(rank, canon)
-    inverses = _images(rank, canon[::-1].translate(_INVERSE_KEY))
+    inverses = _images(rank, canon[::-1].translate(_INVERSE))
     return itertools.chain(zip(images, inverses), zip(inverses, images))
 
 
@@ -692,14 +689,14 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[tuple[CyclicWord, ...],
 
     The symmetries are the signed permutations of the generators and
     inversion (2 * 2^n * n! of them).  ``found`` maps every class seen so
-    far to its inverse, both as strings of letter keys in least rotation, and
+    far to its inverse, both as strings of letter bits in least rotation, and
     is a union of whole orbits (``_orbit``).  The frontier holds one class
     per orbit shorter than ``max_len``.  Each frontier class applies the
     pool moves that lengthen it to at most ``max_len`` letters (``_changes``,
-    ``_key_image``); an image not yet found brings in its whole orbit, and
+    ``_move_image``); an image not yet found brings in its whole orbit, and
     only the image itself goes on to the next frontier.  Every class reached
     is an automorphic image of a letter or of its inverse, so it is
-    primitive.  Key strings sort in the order of ``CyclicWord.sort_key``, so
+    primitive.  Bit strings sort in the order of ``CyclicWord.sort_key``, so
     the sorted strings are the scan order.  The move pool is built first, so
     a rank past ``RANK_CAP`` raises RankTooLarge before any symmetry table.
 
@@ -722,17 +719,17 @@ def _primitive_classes(rank: int, max_len: int) -> tuple[tuple[CyclicWord, ...],
     """
     if max_len < 1:
         return (), ()
-    moves = _key_moves(rank)  # RankTooLarge past the cap, before any symmetry table
+    moves = _pool_moves(rank)  # RankTooLarge past the cap, before any symmetry table
     rotations = [[slice(i, i + n) for i in range(n)] for n in range(max_len + 1)]
-    frontier = [b"\1"]
-    found = dict(_orbit(rank, b"\1"))  # the 2n letters
+    frontier = [b"\0"]
+    found = dict(_orbit(rank, b"\0"))  # the 2n letters
     while frontier:
         grown = []
-        for keys in frontier:
-            room = range(1, max_len - len(keys) + 1)
-            lengthening = map(room.__contains__, _changes(rank, [k - 1 for k in keys]))
+        for bits in frontier:
+            room = range(1, max_len - len(bits) + 1)
+            lengthening = map(room.__contains__, _changes(rank, bits))
             for pieces, cancel, _, _ in itertools.compress(moves, lengthening):
-                image = _key_image(pieces, cancel, keys)
+                image = _move_image(pieces, cancel, bits)
                 doubled = image + image
                 image = min(map(doubled.__getitem__, rotations[len(image)]))
                 if image not in found:

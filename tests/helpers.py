@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import primstab as ps
 from primstab.errors import DeterminantError, NonFiniteValue
-from primstab.whitehead import _changes, _image_table, _key_moves, all_letters
+from primstab.whitehead import _changes, _image_table, _pool_moves, all_letters
 from primstab.words import _canonical_cycle, _cyclic_core, _reduce_list, letter_key
 
 
@@ -176,11 +176,11 @@ def grown_primitive_classes(rank, max_len):
 @lru_cache(maxsize=None)
 def move_pool(rank):
     """(phi, its ``_image_table``, bitmask of A, bit of a) for every move
-    phi = (a, A) of ``_key_moves``, in its order, with phi a
+    phi = (a, A) of ``_pool_moves``, in its order, with phi a
     ``WhiteheadAutomorphism.multiplier_move``."""
     moves = []
     letters = all_letters(rank)  # letter b at bit b
-    for _, _, mask, a in _key_moves(rank):
+    for _, _, mask, a in _pool_moves(rank):
         members = [letters[b] for b in range(2 * rank) if mask >> b & 1 and b != a]
         phi = ps.WhiteheadAutomorphism.multiplier_move(rank, letters[a], members)
         moves.append((phi, _image_table(phi), mask, a))

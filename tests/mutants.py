@@ -111,6 +111,90 @@ MUTANTS = (
         "a modulus past the float range read as 0 counts a saturated trace as "
         "small",
     ),
+    Mutant(
+        "primstab/whitehead.py",
+        "        side ^= 1 << a\n",
+        "",
+        ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[2]",),
+        "a disconnected graph's move that keeps a in its own side is the "
+        "identity, so is_primitive takes it again and again",
+    ),
+    Mutant(
+        "primstab/whitehead.py",
+        "image.append(a ^ 1)",
+        "image.append(a)",
+        ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[2]",),
+        "a move image with a where a^-1 belongs is no automorphic image, and "
+        "need not be shorter",
+    ),
+    Mutant(
+        "primstab/whitehead.py",
+        "while j - i > 1 and core[i] == core[j - 1] ^ 1:",
+        "while False:",
+        ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[2]",),
+        "a move image left without its cyclic reduction keeps a cancelling "
+        "pair across its ends, so the core does not shorten",
+    ),
+    Mutant(
+        "primstab/whitehead.py",
+        "lone = side & ~((side & even) << 1 | (side >> 1) & even)",
+        "lone = side",
+        ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[3]",
+         "tests/test_whitehead.py::test_is_primitive_agrees_with_the_pool_in_rank_4"),
+        "a disconnected graph's move on any letter of a side, even one whose "
+        "inverse the side holds, need not shorten, and is_primitive answers "
+        "wrong",
+    ),
+    Mutant(
+        "primstab/whitehead.py",
+        "support = letters if all(adjacent) else sum(",
+        "support = letters if True else sum(",
+        ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[3]",),
+        "a graph taken on all 2n letters, not on the core's support, is "
+        "disconnected by the unused letters, whose moves are the identity",
+    ),
+    Mutant(
+        "primstab/whitehead.py",
+        "side = rest ^ (side if side & inverse else _component(adjacent, inverse, rest))",
+        "side = side if side & inverse else _component(adjacent, inverse, rest)",
+        ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[2]",
+         "tests/test_whitehead.py::test_is_primitive_agrees_with_the_pool_in_rank_4"),
+        "a cut vertex's move on the side that holds a^-1 does not shorten the "
+        "core, and is_primitive answers wrong",
+    ),
+    Mutant(
+        "primstab/whitehead.py",
+        "return len(_shorten(core, 2 * len(sums), False)[0]) == 1",
+        "return len(_shorten(core, 2 * len(sums), False)[0]) >= 1",
+        ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[2]",
+         "tests/test_whitehead.py::test_is_primitive_agrees_with_the_pool_in_rank_4"),
+        "a core whose closed graph is connected with no cut vertex is called "
+        "primitive",
+    ),
+    Mutant(
+        "primstab/traces.py",
+        "return t * 0.5, cmath.sqrt(t * 0.25 - 0.5) * cmath.sqrt(t + 2.0)",
+        "return t * 0.5, cmath.sinh(cmath.acosh(t * 0.5))",
+        ("tests/test_moebius.py::test_half_trace_split_is_within_4_ulps_of_a_decimal_oracle",),
+        "k = sinh(acosh(t/2)) misses the eigenvalue split by up to 1e6 ulps "
+        "near t = +-2",
+    ),
+    Mutant(
+        "primstab/whitehead.py",
+        "_INVERSE = bytes(b ^ 1 for b in range(256))",
+        "_INVERSE = bytes(b for b in range(256))",
+        ("tests/test_whitehead.py::test_orbit_matches_the_symmetries_one_by_one[1-words0]",),
+        "an orbit whose inverse strings keep each letter pairs every class "
+        "with its own reversal, not with its inverse",
+    ),
+    Mutant(
+        "primstab/moebius.py",
+        "slack = _TOL * (img.radius + want.radius)",
+        "slack = _TOL",
+        ("tests/test_moebius.py::test_schottky_check_does_not_depend_on_the_scale",),
+        "a pairing compared with an absolute slack of 1e-9 fails a valid "
+        "ping-pong pairing once its disks are large",
+    ),
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -121,10 +205,14 @@ def environment(src):
 
 
 def outcomes(src, tests):
-    """{test id: 'PASSED' or 'FAILED' ...} for the tests run against ``src``."""
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
-                          *tests], capture_output=True, text=True, env=environment(src),
-                         cwd=ROOT, timeout=600)
+    """{test id: 'PASSED' or 'FAILED' ...} for the tests run against ``src``,
+    every one 'TIMEOUT' when the run passes its time limit."""
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p",
+                              "no:cacheprovider", *tests], capture_output=True, text=True,
+                             env=environment(src), cwd=ROOT, timeout=600)
+    except subprocess.TimeoutExpired:
+        return dict.fromkeys(tests, "TIMEOUT")
     return {test: status for status, test in
             re.findall(r"^(PASSED|FAILED|ERROR) (\S+)", run.stdout, re.M)}
 

@@ -709,6 +709,21 @@ def test_schottky_example_is_valid():
     assert verdict.valid and verdict.reason is None
 
 
+def test_schottky_check_does_not_depend_on_the_scale():
+    # the example conjugated by z -> s z, its disks moved along: valid at
+    # every scale, and with b's disks replaced by a's never disjoint
+    rep, pairs = schottky_example()
+    for e in range(-12, 13):
+        root = math.sqrt(10.0 ** e)
+        s = ps.MoebiusMap(root, 0, 0, 1 / root)
+        scaled = ps.Representation(2, tuple(s.mul(g).mul(s.inverse()) for g in rep.images))
+        moved = [tuple(ps.image_circle(s, d) for d in pair) for pair in pairs]
+        verdict = ps.schottky_check(scaled, moved)
+        assert verdict.valid, (e, verdict.detail)
+        verdict = ps.schottky_check(scaled, [moved[0], moved[0]])
+        assert verdict.reason == "DISJOINTNESS", e
+
+
 def test_schottky_overlapping_disks():
     rep, pairs = schottky_example()
     bad = [(ps.SphereDisk(0, 1.0), ps.SphereDisk(1.0, 1.0)), pairs[1]]

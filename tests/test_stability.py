@@ -6,7 +6,7 @@ import random
 import pytest
 
 import primstab as ps
-from primstab import moebius, stability
+from primstab import moebius, stability, whitehead
 from primstab.cli import run
 from primstab.errors import (
     BadSubset,
@@ -151,6 +151,25 @@ def test_spectrum_along_shared_prefixes_equals_per_class_evaluation(rank, max_le
                 assert entry_value(e) == entry_value(mate)
                 assert math.isclose(e.trans_len, want, rel_tol=1e-9, abs_tol=1e-9)
         assert walked == len(entries) // 2
+
+
+@pytest.mark.parametrize("a, b, walked", [
+    ((1, 1, 0, 1), (1, 0, 1, 1), {"LOXODROMIC": 21, "PARABOLIC": 10, "ELLIPTIC": 5}),
+    ((2, -1, -1, 1), (1, -1, -1, 2), {"LOXODROMIC": 36})])
+def test_scan_kernels_are_exact_on_an_integer_table(a, b, walked):
+    # the SL(2,Z) pair and the modular torus: walked over a table of ints,
+    # every product stays in the ints through the entry check, and the float
+    # classifier gives each class, through its slot, the (kind, length) that
+    # the float scan gives it; on Z the float rule is the exact kind rule
+    plan, slots, _ = whitehead._walk_plan(2, 7)
+    table = [(1, 0, 0, 1), a, b, (b[3], -b[1], -b[2], b[0]), (a[3], -a[1], -a[2], a[0])]
+    products = list(map(moebius._check_entries, moebius._walk(table, plan)))
+    assert all(type(v) is int for m in products for v in m)
+    kinds, lengths = moebius._kinds_and_lengths(products)
+    assert {kind.name: kinds.count(kind) for kind in set(kinds)} == walked
+    rep = ps.Representation(2, (ps.MoebiusMap(*a), ps.MoebiusMap(*b)))
+    assert [(kinds[i], lengths[i]) for i in slots] == [
+        (e.kind, e.trans_len) for e in ps.primitive_length_spectrum(rep, 7)]
 
 
 @pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 10), (3, 5), (4, 4)])

@@ -16,10 +16,10 @@ from primstab.errors import (
 )
 from primstab.whitehead import (
     _changes,
-    _key_image,
-    _key_moves,
     _letter_graph,
+    _move_image,
     _neighbours,
+    _pool_moves,
     all_letters,
 )
 from primstab.words import _cyclic_core, _reduce_list, letter_key
@@ -96,13 +96,6 @@ def test_cutpoint_examples():
     assert not ps.has_cutpoint(single)
 
 
-def _networkx_verdicts(nx, g):
-    support = nx.Graph(list(g.edge_multiplicity))  # the vertices of degree > 0
-    whole = support.copy()
-    whole.add_nodes_from(g.vertices)
-    return nx.is_connected(whole), any(True for _ in nx.articulation_points(support))
-
-
 def _connectivity_cases():
     """The graphs the connectivity references check, one per distinct edge table."""
     graphs = {}
@@ -130,14 +123,7 @@ def _connectivity_cases():
     return graphs.values()
 
 
-def test_connectivity_and_cutpoints_agree_with_networkx():
-    nx = pytest.importorskip("networkx")
-    for g in _connectivity_cases():
-        assert (ps.is_connected(g), ps.has_cutpoint(g)) == _networkx_verdicts(nx, g), g
-
-
 def test_connectivity_and_cutpoints_agree_with_set_flood_fill():
-    # the same cases without networkx, so an install with no extras checks them too
     for g in _connectivity_cases():
         assert (ps.is_connected(g), ps.has_cutpoint(g)) == set_connectivity(g), g
 
@@ -158,8 +144,7 @@ def test_letter_graph_masks_are_those_of_the_edge_table():
         ps.whitehead_graph(w, closed=True))
 
 
-@pytest.mark.parametrize("package, module", [("primstab", "networkx"),
-                                             ("primstab.cli", "multiprocessing")])
+@pytest.mark.parametrize("package, module", [("primstab.cli", "multiprocessing")])
 def test_import_leaves_module_unloaded(package, module):
     proc = run_python("-c", "import sys, %s; print(%r in sys.modules)" % (package, module))
     assert proc.returncode == 0, proc.stderr
@@ -193,14 +178,12 @@ def test_certificate_is_a_string_claim_not_an_element_claim():
     assert len(core) < len(w)
 
 
-def test_blocking_reasons_follow_the_public_graph_tests():
-    # the certificate's reason is the one that whitehead_graph, is_connected
-    # and has_cutpoint give, in that order, on seeded words of ranks 1-3
-    rng = random.Random(17)
+def _graph_reasons(rng, count, ranks, lengths):
+    """The reasons of ``count`` seeded words, each checked to be the one
+    that whitehead_graph, is_connected and has_cutpoint give, in that order."""
     reasons = Counter()
-    for _ in range(3000):
-        rank = rng.randint(1, 3)
-        w = random_word(rng, rank, rng.randint(0, 9))
+    for _ in range(count):
+        w = random_word(rng, rng.randint(*ranks), rng.randint(*lengths))
         g = ps.whitehead_graph(w)
         expected = ("DISCONNECTED" if not ps.is_connected(g) else
                     "HAS_CUTPOINT" if ps.has_cutpoint(g) else "CONNECTED_NO_CUTPOINT")
@@ -209,7 +192,17 @@ def test_blocking_reasons_follow_the_public_graph_tests():
         cert = ps.blocking_certificate(w)
         assert (cert.certified, cert.reason) == (expected == "CONNECTED_NO_CUTPOINT", expected), w
         reasons[expected] += 1
+    return reasons
+
+
+def test_blocking_reasons_follow_the_public_graph_tests():
+    # seeded words of ranks 1-3, then of ranks 5 and 6, past the rank cap,
+    # long enough to use every letter
+    rng = random.Random(17)
+    reasons = _graph_reasons(rng, 3000, (1, 3), (0, 9))
     assert min(reasons.values()) > 10 and len(reasons) == 4
+    reasons = _graph_reasons(rng, 400, (5, 6), (8, 30))
+    assert min(reasons.values()) >= 10 and len(reasons) == 3, reasons
 
 
 def test_certified_cyclically_reduced_words_are_never_primitive():
@@ -347,21 +340,21 @@ def _random_cores(rng, rank, count, min_len, max_len):
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_length_changes_match_applied_moves(rank):
     # cut(A) - deg(a) is the length change of every move, read off the graph,
-    # and the key-string image of every move is the applied image up to
+    # and the bit-string image of every move is the applied image up to
     # rotation, on single letters, on short cores and on cores of 65-80
     # letters, whose edge-incidence masks are wider than one machine word
     rng = random.Random(30 + rank)
     moves = [(phi, table, pieces, cancel) for (phi, table, _, _), (pieces, cancel, _, _)
-             in zip(move_pool(rank), _key_moves(rank))]
+             in zip(move_pool(rank), _pool_moves(rank))]
     cores = _random_cores(rng, rank, 300, 1, 14) + _random_cores(rng, rank, 12, 65, 80)
     for core in [(v,) for v in all_letters(rank)] + cores:
-        keys = bytes(map(letter_key, core))
+        bits = bytes(letter_key(v) - 1 for v in core)
         images = [_cyclic_core(_reduce_list(u for v in core for u in table[v]))[0]
                   for _, table, _, _ in moves]
-        assert _changes(rank, [k - 1 for k in keys]) == [len(image) - len(core) for image in images]
+        assert _changes(rank, bits) == [len(image) - len(core) for image in images]
         for (_, _, pieces, cancel), image in zip(moves, images):
-            applied = bytes(map(letter_key, image))
-            got = _key_image(pieces, cancel, keys)
+            applied = bytes(letter_key(v) - 1 for v in image)
+            got = _move_image(pieces, cancel, bits)
             assert len(got) == len(applied) and got in applied + applied, (core, image)
         applied = [(phi, table, len(image) - len(core)) for (phi, table, _, _), image in zip(moves, images)]
         assert length_changes(rank, core, -2, 1) == [
@@ -467,7 +460,7 @@ def test_minimize_and_is_primitive_use_no_move_pool(monkeypatch):
     def pool(*args):
         raise AssertionError("move pool reached")
 
-    for name in ("_key_moves", "_changes"):
+    for name in ("_pool_moves", "_changes"):
         monkeypatch.setattr(whitehead, name, pool)
     rng = random.Random(130)
     for rank in (1, 2, 3, 4, 5):
@@ -926,14 +919,14 @@ def test_orbit_matches_the_symmetries_one_by_one(rank, words):
     rng = random.Random(150 + rank)
     cores = [ps.parse_word(text, rank).letters for text in words]
     cores += _random_cores(rng, rank, 12, 2, 9)
-    table = all_letters(rank)  # the letter of key k at index k - 1
+    table = all_letters(rank)  # the letter of bit k at index k
     sizes = set()
     for core in cores:
         expected = _orbit_reference(rank, core)
         for rotation in (core, core[1:] + core[:1]):
-            orbit = dict(whitehead._orbit(rank, bytes(map(letter_key, rotation))))
-            got = {ps.CyclicWord(rank, tuple(table[k - 1] for k in image)):
-                   ps.CyclicWord(rank, tuple(table[k - 1] for k in inverse))
+            orbit = dict(whitehead._orbit(rank, bytes(letter_key(v) - 1 for v in rotation)))
+            got = {ps.CyclicWord(rank, tuple(table[k] for k in image)):
+                   ps.CyclicWord(rank, tuple(table[k] for k in inverse))
                    for image, inverse in orbit.items()}
             assert got == expected, core
         sizes.add(len(expected))
