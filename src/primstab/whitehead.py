@@ -10,13 +10,14 @@ reduced primitive word, which is the certificate computed here.
 A move (a, A) changes the length of a cyclically reduced word by
 cut(A) - deg(a), the edges with exactly one end in A minus the edges at a
 (the Higgins-Lyndon count; Lyndon-Schupp, Combinatorial Group Theory, Prop.
-I.4.16).  One shortening loop serves ``is_primitive`` and
-``whitehead_minimize``, in any rank: it reads a shortening move straight off
-a closed graph that is disconnected or has a cut vertex, and the minimiser
-goes on past a graph with neither by the move of least count, found as a
-minimum cut between a and a^-1.  Only the enumeration of primitive classes
-searches the pool of moves, up to ``RANK_CAP``, counting each move's change
-before taking it.  Every kernel codes letter v as the bit
+I.4.16).  ``is_primitive`` and ``whitehead_minimize`` shorten a cyclic core
+in any rank by the move that ``_graph_move`` reads straight off a closed
+graph that is disconnected or has a cut vertex.  ``is_primitive`` stops at
+the first core in which some generator occurs once, or at a graph with
+neither; the minimiser goes on past such a graph by the move of least count,
+found as a minimum cut between a and a^-1.  Only the enumeration of
+primitive classes searches the pool of moves, up to ``RANK_CAP``, counting
+each move's change before taking it.  Every kernel codes letter v as the bit
 ``letter_key(v) - 1``, so that the inverse of bit b is bit b ^ 1: the graph
 kernels work on int bitmasks over these bits, the count XORs edge-incidence
 masks and takes a bit count, the connectivity tests flood-fill letter sets,
@@ -539,21 +540,19 @@ def _apply_move(core: list[int], a: int, side: int) -> list[int]:
     return core[i:j]
 
 
-def _shorten(core: list[int], size: int, min_cut: bool) -> tuple[list[int], list[tuple[int, int]]]:
+def _shorten(core: list[int], size: int) -> tuple[list[int], list[tuple[int, int]]]:
     """Shorten a cyclic core of letter bits by Whitehead moves until it is
-    one letter or no move is found: the terminal core and the moves (a, side)
-    taken, each move (a, {a} + side).
+    one letter or no move shortens it: the terminal core and the moves
+    (a, side) taken, each move (a, {a} + side).
 
     Each round takes the move that ``_graph_move`` reads off the closed
-    letter graph, and, when the graph is connected with no cut vertex and
-    ``min_cut`` is set, the move of ``_min_cut_move``.  Every move taken
-    shortens the core, so there are fewer rounds than letters.
+    letter graph, and, when the graph is connected with no cut vertex, the
+    move of ``_min_cut_move``.  Every move taken shortens the core, so there
+    are fewer rounds than letters.
     """
     moves = []
     while len(core) > 1:
-        move = _graph_move(core, size)
-        if move is None and min_cut:
-            move = _min_cut_move(core, size)
+        move = _graph_move(core, size) or _min_cut_move(core, size)
         if move is None:
             break
         core = _apply_move(core, *move)
@@ -582,7 +581,7 @@ def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[Whitehead
     word and a one-letter word return at once.
     """
     generators, core = _core_bits(w)
-    core, moves = _shorten(core, 2 * len(generators), True)
+    core, moves = _shorten(core, 2 * len(generators))
 
     def letter(b):
         return -generators[b >> 1] if b & 1 else generators[b >> 1]
@@ -603,12 +602,32 @@ def exponent_vector(w: Word | CyclicWord) -> tuple[int, ...]:
 def is_primitive(w: Word | CyclicWord) -> bool:
     """Whether w belongs to some free basis, in any rank.
 
-    Invariant under conjugation, inversion, and automorphisms.  The empty
-    word is not primitive, nor is a word whose exponent vector has gcd other
-    than 1, a condition automorphisms keep.  Any other word has its cyclic
-    core shortened by Whitehead moves read off its closed letter graph, one
-    per round (``_graph_move``), until the core is one letter (primitive)
-    or its graph is connected with no cut vertex (not primitive).
+    Invariant under conjugation, inversion, and automorphisms.  The cyclic
+    core is held as letter bits (``_core_bits``), and one pass counts each
+    generator's occurrences in it and its exponent sum.
+
+    - A core in which some generator x occurs exactly once is primitive
+      (Whitehead, Ann. Math. 1936; Lyndon-Schupp, Ch. I.4).  Rotated, it is
+      x^e u with e = +-1 and u free of x, and x^e u is the image of x^e
+      under the automorphism that fixes every other generator and sends x
+      to x u (e = 1) or to u^-1 x (e = -1); its inverse sends x to x u^-1 or
+      to u x.  A one-letter core is the case u = 1.  The exponent sum of x
+      is then +-1, so this test comes first.
+    - Otherwise the empty word is not primitive, nor is a word whose
+      exponent vector has gcd other than 1, a condition automorphisms keep.
+    - Any other core is shortened by Whitehead moves read off its closed
+      letter graph, one per round (``_graph_move``), until some generator
+      occurs once in it (primitive) or its graph is connected with no cut
+      vertex (not primitive).  Every move shortens the core, so there are
+      fewer rounds than letters.
+
+    A round's move (a, A) fixes a and a^-1 and sends every other letter x
+    to [a^-1] x [a], and in the join of the images of a cyclically reduced
+    core's letters only pairs a a^-1 cancel (``_pool_moves``).  So every
+    generator other than a's occurs in the new core as often as in the old
+    one, and a's occurrences change by the change of length.  A round
+    updates that one count, and only a's generator can newly occur once; a
+    one-letter core is reached only that way.
 
     The graph is taken on the support S of the core, the letters of the
     generators it uses.  When it is connected with no cut vertex, the core
@@ -623,19 +642,32 @@ def is_primitive(w: Word | CyclicWord) -> bool:
     S) is a move of F(S) with the same image.  By induction on the length,
     the word is the image of a letter under an automorphism of F(S).
 
-    The core is held as letter bits (``_core_bits``), and the exponent sums
-    are counted on them, one per generator of those bits, so past
+    The counts are kept per generator of the core's bits, so past
     ``RANK_CAP`` a query costs time and memory in the core's length and in
     the generators it uses, not in the rank.
     """
     generators, core = _core_bits(w)
+    counts = [0] * len(generators)
     sums = [0] * len(generators)
     for b in core:
+        counts[b >> 1] += 1
         sums[b >> 1] += -1 if b & 1 else 1
+    if 1 in counts:
+        return True
     # the empty core has gcd 0
     if math.gcd(*sums) != 1:
         return False
-    return len(_shorten(core, 2 * len(sums), False)[0]) == 1
+    size = 2 * len(sums)
+    while True:
+        move = _graph_move(core, size)
+        if move is None:
+            return False
+        a, side = move
+        image = _apply_move(core, a, side)
+        counts[a >> 1] += len(image) - len(core)
+        if counts[a >> 1] == 1:
+            return True
+        core = image
 
 
 @lru_cache(maxsize=None)

@@ -115,7 +115,7 @@ MUTANTS = (
         "primstab/whitehead.py",
         "        side ^= 1 << a\n",
         "",
-        ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[2]",),
+        ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[3]",),
         "a disconnected graph's move that keeps a in its own side is the "
         "identity, so is_primitive takes it again and again",
     ),
@@ -140,7 +140,7 @@ MUTANTS = (
         "lone = side & ~((side & even) << 1 | (side >> 1) & even)",
         "lone = side",
         ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[3]",
-         "tests/test_whitehead.py::test_is_primitive_agrees_with_the_pool_in_rank_4"),
+         "tests/test_whitehead.py::test_automorphic_images_of_a_letter_are_primitive[3]"),
         "a disconnected graph's move on any letter of a side, even one whose "
         "inverse the side holds, need not shorten, and is_primitive answers "
         "wrong",
@@ -164,12 +164,21 @@ MUTANTS = (
     ),
     Mutant(
         "primstab/whitehead.py",
-        "return len(_shorten(core, 2 * len(sums), False)[0]) == 1",
-        "return len(_shorten(core, 2 * len(sums), False)[0]) >= 1",
+        "if move is None:\n            return False",
+        "if move is None:\n            return True",
         ("tests/test_whitehead.py::test_every_cut_vertex_move_shortens_the_core[2]",
          "tests/test_whitehead.py::test_is_primitive_agrees_with_the_pool_in_rank_4"),
         "a core whose closed graph is connected with no cut vertex is called "
         "primitive",
+    ),
+    Mutant(
+        "primstab/whitehead.py",
+        "if 1 in counts:",
+        "if min(counts) <= 1:",
+        ("tests/test_whitehead.py::test_a_generator_occurring_once_answers_before_any_round",
+         "tests/test_whitehead.py::test_is_primitive_agrees_with_the_pool_on_fewer_generators[3]"),
+        "a generator that occurs at most once, not exactly once, lets a "
+        "generator the core does not use make it primitive: abAB in rank 3",
     ),
     Mutant(
         "primstab/traces.py",
@@ -204,13 +213,18 @@ def environment(src):
     return dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
 
 
+# seconds for one pytest run; the whole table takes about a minute, so a
+# mutant that makes its tests loop reports TIMEOUT well within a 15-minute job
+RUN_LIMIT = 60
+
+
 def outcomes(src, tests):
     """{test id: 'PASSED' or 'FAILED' ...} for the tests run against ``src``,
-    every one 'TIMEOUT' when the run passes its time limit."""
+    every one 'TIMEOUT' when the run passes ``RUN_LIMIT``."""
     try:
         run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p",
                               "no:cacheprovider", *tests], capture_output=True, text=True,
-                             env=environment(src), cwd=ROOT, timeout=600)
+                             env=environment(src), cwd=ROOT, timeout=RUN_LIMIT)
     except subprocess.TimeoutExpired:
         return dict.fromkeys(tests, "TIMEOUT")
     return {test: status for status, test in

@@ -621,20 +621,51 @@ def _bits_of(mask):
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
+def _uses_each_generator_twice(rng, rank, kind):
+    """A word whose cyclic core holds each generator it uses at least twice,
+    so that is_primitive reaches its rounds unless the gcd test refutes it.
+
+    Kind 0 is a random word, kind 1 an automorphic image of a letter, and
+    kind 2, in rank 3 or more, the image of a word with exponent gcd 1 on
+    the first rank - 1 generators under a multiplier move on the last one.
+    Where the last generator c occurs, its closed graph is disconnected:
+    the inverse move (c^-1, A) deletes c, so it changes the length by
+    cut(A) - deg(c) = -deg(c), and A is a union of components.
+    """
+    while True:
+        if kind == 0:
+            w = random_word(rng, rank, rng.randint(1, 14))
+        elif kind == 1:
+            w = ps.Word(rank, (1,))
+            for _ in range(rng.randint(1, 10)):
+                w = ps.apply_automorphism(random_automorphism(rng, rank), w)
+        else:
+            w = random_word(rng, rank - 1, rng.randint(2, 10))
+            if math.gcd(*ps.exponent_vector(w)) != 1:
+                continue
+            w = ps.Word(rank, w.letters)
+            others = [v for v in all_letters(rank - 1) if rng.random() < 0.5]
+            w = ps.apply_automorphism(ps.WhiteheadAutomorphism.multiplier_move(
+                rank, rng.choice((rank, -rank)), others), w)
+        core, _ = _cyclic_core(w.letters)
+        if 1 not in Counter(map(abs, core)).values():
+            return w
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4, 6])
 def test_every_cut_vertex_move_shortens_the_core(monkeypatch, rank):
     # replay each round's move as a WhiteheadAutomorphism on the word: it is
     # a valid move, strictly shortens the core, and leaves the closed graph
-    # that the next round reads
+    # that the next round reads.  A True answer stops at the first core in
+    # which some generator occurs once, from which the pool's move search
+    # reaches one letter.  In rank 2 no round sees a disconnected graph: its
+    # components would be {a, b} and {A, B}, or {a, B} and {A, b}, so the
+    # core would be (aB)^k or (ab)^k with k >= 2, whose exponent gcd is k
     rng = random.Random(80 + rank)
     moves = Counter()
+    pooled = 0
     for trial in range(150):
-        if trial % 2:
-            w = random_word(rng, rank, rng.randint(1, 14))
-        else:
-            w = ps.Word(rank, (1,))
-            for _ in range(rng.randint(1, 10)):
-                w = ps.apply_automorphism(random_automorphism(rng, rank), w)
+        w = _uses_each_generator_twice(rng, rank, trial % 3 if rank > 2 else trial % 2)
         answer, rounds = _rounds(monkeypatch, w)
         core, _ = _cyclic_core(w.letters)
         if not core or math.gcd(*ps.exponent_vector(w)) != 1:
@@ -669,8 +700,67 @@ def test_every_cut_vertex_move_shortens_the_core(monkeypatch, rank):
             word = ps.Word(size, image.letters)
             moves[reason] += 1
         else:
-            assert answer and len(word) == 1, w
-    assert moves["HAS_CUTPOINT"] > 10 and moves["DISCONNECTED"] > 20
+            assert answer and 1 in Counter(map(abs, word.letters)).values(), w
+            if size <= ps.RANK_CAP:
+                assert len(pool_minimize(size, word.letters)[0]) == 1, w
+                pooled += 1
+    assert moves["HAS_CUTPOINT"] > 10
+    assert moves["DISCONNECTED"] > 20 if rank > 2 else not moves["DISCONNECTED"]
+    assert pooled > 10
+
+
+def test_a_generator_occurring_once_answers_before_any_round(monkeypatch):
+    # a core x^e u with u free of x is the image of x^e under a Nielsen
+    # automorphism, so is_primitive reads no graph for it, within the rank
+    # cap and past it; abAB in rank 3, where c does not occur and no other
+    # generator occurs once, is still refuted
+    verdict = whitehead._cut_vertex_verdict
+    rounds = []
+
+    def spy(adjacent, letters):
+        rounds.append(letters)
+        return verdict(adjacent, letters)
+
+    monkeypatch.setattr(whitehead, "_cut_vertex_verdict", spy)
+    rng = random.Random(150)
+    for _ in range(200):
+        x, rest = rng.choice([(1, (2, 3)), (2, (1, 3)), (3, (1, 2))])
+        u = [rest[abs(v) - 1] * (1 if v > 0 else -1)
+             for v in random_word(rng, 2, rng.randint(0, 12)).letters]
+        u.insert(rng.randint(0, len(u)), rng.choice((x, -x)))
+        assert ps.is_primitive(ps.Word(3, tuple(u))), u
+    big = 10 ** 5
+    for letters in ((big,), (7, 7, big, 3, -7, 3, 3), (-big, 9, 9, 8, 9, 8)):
+        assert ps.is_primitive(ps.Word(big, letters)), letters
+    assert rounds == []
+    assert not ps.is_primitive(ps.parse_word("abAB", 3))
+    assert not ps.is_primitive(ps.parse_word("aabAB", 3)) and rounds
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_a_round_changes_only_the_occurrences_of_its_moves_generator(rank):
+    # a move (a, A) sends every letter x other than a^+-1 to [a^-1] x [a],
+    # and only pairs a a^-1 cancel, so is_primitive updates one count a round
+    rng = random.Random(160 + rank)
+    rounds = 0
+    for trial in range(200):
+        w = random_word(rng, rank, rng.randint(2, 16))
+        if trial % 2:
+            for _ in range(rng.randint(1, 8)):
+                w = ps.apply_automorphism(random_automorphism(rng, rank), w)
+        core = [letter_key(v) - 1 for v in _cyclic_core(w.letters)[0]]
+        while len(core) > 1:
+            move = whitehead._graph_move(core, 2 * rank)
+            if move is None:
+                break
+            a, side = move
+            image = whitehead._apply_move(core, a, side)
+            before, after = Counter(b >> 1 for b in core), Counter(b >> 1 for b in image)
+            del before[a >> 1], after[a >> 1]
+            assert before == after, (w, move)
+            core = image
+            rounds += 1
+    assert rounds > 80
 
 
 def _agrees_with_the_pool(rank, letters):
