@@ -148,8 +148,8 @@ def fan_escapes(r: complex, y0: complex, y1: complex) -> bool:
     is not finite, so a branch that saturates the floats stays unpruned.  Like
     ``edge_escapes``, the test is exact only in exact arithmetic: rounding
     in lam, A, B and the fan traces is not controlled.  lam depends on r
-    alone (``_fan_root``): ``bq_decide`` takes it once per small region and
-    runs only ``_fan_bound`` at each edge beside it.
+    alone (``_fan_root``): ``bq_decide`` takes it once per distinct small
+    trace and runs only ``_fan_bound`` at each edge beside it.
     """
     root = _fan_root(r)
     return root is not None and _fan_bound(root, y0, y1)
@@ -235,13 +235,13 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     pruned, at no node, by ``edge_escapes`` when both of its traces are
     large, or by ``fan_escapes`` when exactly one trace r is below 2 + 1e-6
     and the fan around r past the edge escapes.  Each region's modulus is
-    taken once, where it is visited, and each small region's fan root once,
-    at its first fan test; its edges carry both.  BQ_CERTIFIED means the
-    search exhausted with every frontier edge pruned, so (up to floating
-    rounding) no unexplored slope has trace modulus <= 2; in rank 2 that
-    certifies primitive stability.  Budget exhaustion returns INCONCLUSIVE,
-    unavoidable on the boundary where the search does not terminate.
-    ``budget`` and ``small_trace_bound`` are counts (ints, not bools, at
+    taken once, where it is visited, and its edges carry it; each distinct
+    small trace's fan root once per search, at its first fan test.
+    BQ_CERTIFIED means the search exhausted with every frontier edge pruned,
+    so (up to floating rounding) no unexplored slope has trace modulus <= 2;
+    in rank 2 that certifies primitive stability.  Budget exhaustion returns
+    INCONCLUSIVE, unavoidable on the boundary where the search does not
+    terminate.  ``budget`` and ``small_trace_bound`` are counts (ints, not bools, at
     least 0); anything else is a ValueError.
     """
     _check_count("budget", budget, 0)
@@ -256,22 +256,19 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     depth_max = 0
     small: list[tuple[tuple[int, int], complex]] = []
 
-    # directed edges (t1, a1, f1, t2, a2, f2, t_prev, p1, q1, p2, q2, depth), whose new
-    # vertex is the sum of the endpoints; a trace t travels with its modulus a and,
-    # unless a >= 2 + _DELTA, a list f its edges share, holding its _fan_root once
-    # taken.  On top, in visit order, the seed regions (depth 0)
+    # directed edges (t1, a1, t2, a2, t_prev, p1, q1, p2, q2, depth), whose new vertex
+    # is the sum of the endpoints; a trace t travels with its modulus a.  On top, in
+    # visit order, the seed regions (depth 0)
     ax, ay, az = safe_abs(x), safe_abs(y), safe_abs(z)
-    fx = None if ax >= lox_floor else []
-    fy = None if ay >= lox_floor else []
-    fz = None if az >= lox_floor else []
     stack = [
-        (x, ax, fx, y, ay, fy, z, 0, 1, -1, 0, 1),
-        (z, az, fz, y, ay, fy, x, 1, 1, 1, 0, 1),
-        (x, ax, fx, z, az, fz, y, 0, 1, 1, 1, 1),
-        (z, az, None, None, None, None, None, 1, 1, 0, 0, 0),
-        (y, ay, None, None, None, None, None, 1, 0, 0, 0, 0),
-        (x, ax, None, None, None, None, None, 0, 1, 0, 0, 0),
+        (x, ax, y, ay, z, 0, 1, -1, 0, 1),
+        (z, az, y, ay, x, 1, 1, 1, 0, 1),
+        (x, ax, z, az, y, 0, 1, 1, 1, 1),
+        (z, az, None, None, None, 1, 1, 0, 0, 0),
+        (y, ay, None, None, None, 1, 0, 0, 0, 0),
+        (x, ax, None, None, None, 0, 1, 0, 0, 0),
     ]
+    roots = {}  # small trace r -> _fan_root(r), taken at the first fan test beside r
     pop = stack.pop
     push = stack.append
     pruned_escape = 0
@@ -279,7 +276,7 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
     kind = BqKind.BQ_CERTIFIED
     witnesses = ()
     while stack:
-        t1, a1, f1, t2, a2, f2, tp, p1, q1, p2, q2, depth = pop()
+        t1, a1, t2, a2, tp, p1, q1, p2, q2, depth = pop()
         if depth:
             tn = t1 * t2 - tp
             # moduli saturate to inf near the float ceiling; a saturated branch
@@ -298,15 +295,17 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
                         pruned_escape += 1
                         continue
                 else:
-                    if not f2:
-                        f2.append(_fan_root(t2))
-                    if f2[0] is not None and _fan_bound(f2[0], tp, t1):
+                    root = roots.get(t2, False)
+                    if root is False:
+                        root = roots[t2] = _fan_root(t2)
+                    if root is not None and _fan_bound(root, tp, t1):
                         pruned_fan += 1
                         continue
             elif a2 >= lox_floor:
-                if not f1:
-                    f1.append(_fan_root(t1))
-                if f1[0] is not None and _fan_bound(f1[0], tp, t2):
+                root = roots.get(t1, False)
+                if root is False:
+                    root = roots[t1] = _fan_root(t1)
+                if root is not None and _fan_bound(root, tp, t2):
                     pruned_fan += 1
                     continue
         else:  # a seed region
@@ -333,10 +332,9 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
                 witnesses = tuple(small)
                 break
         if depth:
-            fn = None if an >= lox_floor else []
             child_depth = depth + 1
-            push((t1, a1, f1, tn, an, fn, t2, p1, q1, pn, qn, child_depth))
-            push((tn, an, fn, t2, a2, f2, t1, pn, qn, p2, q2, child_depth))
+            push((t1, a1, tn, an, t2, p1, q1, pn, qn, child_depth))
+            push((tn, an, t2, a2, t1, pn, qn, p2, q2, child_depth))
     return BqVerdict(
         kind, nodes, witnesses, depth_max, tuple(small), pruned_escape, pruned_fan
     )

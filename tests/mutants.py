@@ -3,13 +3,14 @@ and the tests that must kill it.
 
     python tests/mutants.py
 
-For every row the runner copies ``src/`` to a temporary directory, checks
-that the old text occurs exactly once in the named file, runs the named tests
-on the unmutated copy (each must pass), applies the mutant and runs them again
-(each must fail).  The tests run from this checkout's ``tests/`` with only the
-copy on the import path.  The exit status is 0 when every row holds.  Each row
-costs two interpreter starts and its tests, so this is not part of the tier-1
-suite.  A file here not named ``test_*.py`` is not collected by pytest.
+The runner copies ``src/`` to a temporary directory and runs the tests of
+every row together on the unmutated copy, once (each must pass).  Then, for
+every row, it checks that the old text occurs exactly once in the named file,
+applies the mutant and runs the row's tests again (each must fail).  The tests
+run from this checkout's ``tests/`` with only the copy on the import path.
+The exit status is 0 when every row holds.  Each row costs an interpreter
+start and its tests, so this is not part of the tier-1 suite.  A file here
+not named ``test_*.py`` is not collected by pytest.
 """
 
 import os
@@ -197,6 +198,15 @@ MUTANTS = (
         "with its own reversal, not with its inverse",
     ),
     Mutant(
+        "primstab/markoff.py",
+        "root = roots[t2] = _fan_root(t2)",
+        "root = roots[t2] = _fan_root(t1)",
+        ("tests/test_markoff.py::test_bq_decide_matches_the_reference_search",
+         "tests/test_markoff.py::test_each_distinct_small_trace_gets_one_fan_root_per_search"),
+        "a fan root taken from the large side of the edge, not the small one, "
+        "prunes by the wrong fan",
+    ),
+    Mutant(
         "primstab/moebius.py",
         "slack = _TOL * (img.radius + want.radius)",
         "slack = _TOL",
@@ -213,8 +223,9 @@ def environment(src):
     return dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
 
 
-# seconds for one pytest run; the whole table takes about a minute, so a
-# mutant that makes its tests loop reports TIMEOUT well within a 15-minute job
+# seconds for one pytest run, the unmutated run of every row's tests included;
+# the whole table takes under a minute, so a mutant that makes its tests loop
+# reports TIMEOUT well within a 15-minute job
 RUN_LIMIT = 60
 
 
@@ -231,17 +242,17 @@ def outcomes(src, tests):
             re.findall(r"^(PASSED|FAILED|ERROR) (\S+)", run.stdout, re.M)}
 
 
-def check(mutant, src):
-    """The reasons the row does not hold; empty when it does."""
+def check(mutant, src, unmutated):
+    """The reasons the row does not hold, given the ``outcomes`` of its tests on
+    the unmutated copy; empty when it does."""
+    problems = ["%s does not pass unmutated (%s)" % (test, unmutated.get(test, "not run"))
+                for test in mutant.tests if unmutated.get(test) != "PASSED"]
     path = os.path.join(src, mutant.file)
     with open(path) as f:
         text = f.read()
     count = text.count(mutant.old)
     if count != 1:
-        return ["the old text occurs %d times in %s" % (count, mutant.file)]
-    got = outcomes(src, mutant.tests)
-    problems = ["%s does not pass unmutated (%s)" % (test, got.get(test, "not run"))
-                for test in mutant.tests if got.get(test) != "PASSED"]
+        return problems + ["the old text occurs %d times in %s" % (count, mutant.file)]
     with open(path, "w") as f:
         f.write(text.replace(mutant.old, mutant.new))
     try:
@@ -265,8 +276,9 @@ def main():
                                capture_output=True, text=True, env=environment(src), check=True)
         if not where.stdout.startswith(src):
             raise SystemExit("primstab imports from %s, not from %s" % (where.stdout.strip(), src))
+        unmutated = outcomes(src, sorted({test for mutant in MUTANTS for test in mutant.tests}))
         for mutant in MUTANTS:
-            problems = check(mutant, src)
+            problems = check(mutant, src, unmutated)
             print("%s %s: %r -> %r" % ("ok  " if not problems else "FAIL", mutant.file,
                                        mutant.old, mutant.new))
             for problem in problems:

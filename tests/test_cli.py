@@ -193,6 +193,8 @@ BQ_FLAGS = ["--x", "3", "--y", "3", "--z", "3", "--budget", "10"]
     ["word", "a", "--rank", "27"],
     ["render", "--config", "c.json", "--out", "o.ppm", "--threads", "0"],
     ["enumerate", "--rank", "2", "--max-len", "2", "--rank-cap", "5"],
+    ["bq-decide", "--x", "1,2,3", "--y", "3", "--z", "3", "--budget", "10"],
+    ["probe", "--rep", "rep.json", "--word", "a", "--periods", "5", "--basepoint", "1,2"],
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     code, out, err = invoke(capsys, *argv)
@@ -318,11 +320,18 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParseError"
 
-    missing_rank = tmp_path / "no_rank.json"
-    missing_rank.write_text(json.dumps({"generators": []}))
-    code, _, err = invoke(capsys, "rep-info", "--rep", str(missing_rank))
-    assert code == 1
-    assert json.loads(err)["error"] == "ParseError"
+    identity = [[1, 0], [0, 0], [0, 0], [1, 0]]
+    malformed = [{"generators": []},  # no rank
+                 {"rank": "2", "generators": [identity, identity]},
+                 {"rank": 2, "generators": [identity]},
+                 {"rank": 1, "generators": identity},
+                 {"rank": 1, "generators": [identity[:3]]}]
+    for k, doc in enumerate(malformed):
+        path = tmp_path / ("malformed_%d.json" % k)
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "rep-info", "--rep", str(path))
+        assert code == 1 and out == "", doc
+        assert json.loads(err)["error"] == "ParseError", doc
 
     code, _, err = invoke(capsys, "primitive", "ab1")
     assert code == 1

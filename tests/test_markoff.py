@@ -380,8 +380,9 @@ def test_moved_elliptic_triples_stay_non_bq():
 
 
 def test_bq_decide_matches_the_reference_search():
-    # the search carries each region's modulus and fan root on its edges; the
-    # reference takes them again at every edge through the public rules, and
+    # the search carries each region's modulus on its edges and keeps each small
+    # trace's fan root in one table; the reference takes them again at every
+    # edge through the public rules, and
     # must give the same verdict in all seven fields
     rng = random.Random(4101)
     cases = []
@@ -406,6 +407,35 @@ def test_bq_decide_matches_the_reference_search():
     for t, budget, bound in cases:
         got, want = ps.bq_decide(t, budget, bound), reference_bq_decide(t, budget, bound)
         assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], t
+
+
+def test_each_distinct_small_trace_gets_one_fan_root_per_search(monkeypatch):
+    # the root depends on the trace alone, so a search takes it once per
+    # distinct small trace: regions that share a trace share it, and so do
+    # traces that differ only in the sign of a zero imaginary part
+    from primstab import markoff
+
+    fan_root, calls = markoff._fan_root, []
+
+    def spy(r):
+        calls.append(r)
+        return fan_root(r)
+
+    monkeypatch.setattr(markoff, "_fan_root", spy)
+    shared = {(1j, 1j, 3): [1j, 2j], (1.5j, 1.5j, 1.5j): [1.5j],
+              (complex(2.0000005, -0.0), complex(2.0000005, 0.0), 40): [2.0000005]}
+    rng = random.Random(4801)
+    cases = list(shared) + [tuple(random_complex(rng, 2.5) for _ in range(3)) for _ in range(200)]
+    for traces in cases:
+        t = ps.MarkoffTriple.from_traces(*traces)
+        calls.clear()
+        got = ps.bq_decide(t, 2000, 16)
+        roots = list(calls)
+        assert len(set(roots)) == len(roots), traces
+        if traces in shared:
+            assert sorted(roots, key=abs) == shared[traces]
+            assert got.pruned_fan > len(roots)
+        assert repr(got) == repr(reference_bq_decide(t, 2000, 16)), traces
 
 
 def test_bq_known_character_classes():

@@ -288,6 +288,11 @@ def test_evaluate_rank_mismatch():
     rep = random_representation(rng, 2)
     with pytest.raises(RankMismatch):
         ps.evaluate(rep, ps.parse_word("c"))
+    # a representation holds exactly one map per generator
+    with pytest.raises(RankMismatch):
+        ps.Representation(2, rep.images[:1])
+    with pytest.raises(TypeError):
+        ps.Representation(2, (rep.images[0], (1, 0, 0, 1)))
 
 
 def test_evaluate_matches_bare_matrix_oracle():
@@ -546,6 +551,9 @@ def test_act_uhs_examples():
     # |c|^2 t^2 = 1e310 overflows, but the image t / 1e310 is a float
     moved = ps.act_uhs(ps.MoebiusMap(0, -1e-145, 1e145, 0), ps.UhsPoint(0, 1e10))
     assert moved.z == 0 and close(moved.t, 1e-300, 1e-12 * 1e-300)
+    # the image height 1 / 1e400 underflows to 0, which is no point of the space
+    with pytest.raises(DegenerateAction):
+        ps.act_uhs(ps.MoebiusMap(1e-200, 0, 0, 1e200), ps.UhsPoint(0, 1))
 
 
 def test_act_uhs_is_isometry():
@@ -625,6 +633,10 @@ def test_axis_point_of_a_huge_trace():
     # a summit height of 2.8 / 1e-310 passes the float range
     with pytest.raises(NonFiniteValue):
         ps.axis_point(ps.MoebiusMap(3, 8e300, 1e-310, 3))
+    # only a loxodromic map has an axis
+    for m in (ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(0, -1, 1, 0)):
+        with pytest.raises(ValueError, match="axis"):
+            ps.axis_point(m)
 
 
 def test_image_circle_identity_and_translation():
@@ -707,6 +719,8 @@ def test_schottky_example_is_valid():
     rep, pairs = schottky_example()
     verdict = ps.schottky_check(rep, pairs)
     assert verdict.valid and verdict.reason is None
+    with pytest.raises(RankMismatch):
+        ps.schottky_check(rep, pairs[:1])
 
 
 def test_schottky_check_does_not_depend_on_the_scale():
@@ -752,6 +766,9 @@ def test_disk_contains():
     # |z - center| passes the float range: far outside, and no OverflowError
     far = ps.SphereDisk(1.5e308 + 1.5e308j, 1)
     assert not far.contains(0) and far.complement().contains(0)
+    for radius in (0.0, -0.0, -1.0):
+        with pytest.raises(ValueError, match="invalid disk"):
+            ps.SphereDisk(0, radius)
 
 
 def test_schottky_two_outside_disks_never_disjoint():

@@ -15,6 +15,7 @@ from primstab.errors import (
     DeterminantError,
     NonFiniteValue,
     ParseError,
+    RankMismatch,
 )
 
 from helpers import (
@@ -299,6 +300,8 @@ def test_precomposition_identity():
     # the entry of rep∘phi at class [w] equals the entry of rep at class [phi(w)]
     rng = random.Random(43)
     rep = random_representation(rng, 2)
+    with pytest.raises(RankMismatch):
+        ps.precompose(rep, ps.WhiteheadAutomorphism.identity(3))
     for _ in range(10):
         phi = random_automorphism(rng, 2)
         pre = ps.precompose(rep, phi)

@@ -12,6 +12,7 @@ from primstab import cli, whitehead
 from primstab.errors import (
     ClosedOnNonCyclicallyReduced,
     NotCoprime,
+    RankMismatch,
     RankTooLarge,
 )
 from primstab.whitehead import (
@@ -54,6 +55,11 @@ def test_open_graph_of_commutator_is_a_path():
 def test_closed_graph_of_commutator_is_a_cycle():
     g = ps.whitehead_graph(ps.CyclicWord(2, (1, 2, -1, -2)), closed=True)
     assert edges_of(g) == {(1, -2): 1, (1, 2): 1, (-1, 2): 1, (-1, -2): 1}
+    assert g.multiplicity(-2, 1) == g.multiplicity(1, -2) == 1 and g.multiplicity(1, -1) == 0
+    assert g == ps.WhiteheadGraph(2, [(2, -1), (-2, -1), (2, 1), (-2, 1)])
+    assert g != ps.WhiteheadGraph(3, [(2, -1), (-2, -1), (2, 1), (-2, 1)])
+    assert g != edges_of(g)
+    assert repr(g) == "WhiteheadGraph(rank=2, edges=%r)" % (edges_of(g),)
     assert ps.is_connected(g)
     assert not ps.has_cutpoint(g)
 
@@ -231,11 +237,17 @@ def test_certified_cyclically_reduced_words_are_never_primitive():
 def test_letter_permutation_swap():
     phi = ps.WhiteheadAutomorphism.letter_permutation(2, {1: 2, 2: 1})
     assert str(ps.apply_automorphism(phi, ps.parse_word("ab"))) == "ba"
+    for mapping in ({1: 2, 2: 2}, {1: -1}, {1: 2, 2: 3}):
+        with pytest.raises(ValueError, match="signed permutation"):
+            ps.WhiteheadAutomorphism.letter_permutation(2, mapping)
 
 
 def test_multiplier_move_is_a_nielsen_move():
     phi = ps.WhiteheadAutomorphism.multiplier_move(2, 1, [2])
     assert str(ps.apply_automorphism(phi, ps.parse_word("b", 2))) == "ba"
+    for members in ([1], [2, -1]):
+        with pytest.raises(ValueError, match="multiplier"):
+            ps.WhiteheadAutomorphism.multiplier_move(2, 1, members)
 
 
 def test_identity_automorphism():
@@ -244,6 +256,13 @@ def test_identity_automorphism():
     for _ in range(20):
         w = random_word(rng, 3, rng.randint(0, 10))
         assert ps.apply_automorphism(phi, w) == w
+    with pytest.raises(RankMismatch):
+        ps.apply_automorphism(phi, ps.parse_word("ab"))
+    # one image per generator, each of the automorphism's rank
+    with pytest.raises(RankMismatch):
+        ps.WhiteheadAutomorphism(3, phi.images[:2])
+    with pytest.raises(RankMismatch):
+        ps.WhiteheadAutomorphism(3, (*phi.images[:2], ps.parse_word("c", 4)))
 
 
 def test_automorphism_is_homomorphism():

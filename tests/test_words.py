@@ -202,6 +202,11 @@ def test_parse_and_format_round_trip():
         letters = random_reduced_letters(rng, 4, rng.randint(0, 10))
         w = ps.Word(4, letters)
         assert ps.parse_word(str(w), 4) == w
+    # only ranks up to 26 have letters a-z
+    assert ps.format_letters((26, -26)) == "zZ"
+    for letters in ((27,), (1, -27), (0,)):
+        with pytest.raises(ValueError, match="no ASCII form"):
+            ps.format_letters(letters)
 
 
 def test_parse_rejects_bad_characters():
