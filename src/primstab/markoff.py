@@ -25,7 +25,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import CheckFailed, NonFiniteValue, NotCoprime, ParseError
+from .errors import CheckFailed, NotCoprime, ParseError
 from .traces import (
     _TOL,
     IsometryClass,
@@ -286,26 +286,19 @@ def bq_decide(t: MarkoffTriple, budget: int, small_trace_bound: int = 64) -> BqV
             except OverflowError:
                 an = inf
             # the fan rule runs only beside exactly one small region r: around r,
-            # tp and the other side are consecutive neighbours and tn the next.
+            # tp and the large side y are consecutive neighbours and tn the next.
             # With both sides small it cannot hold, as m <= |y1| < 2 + _DELTA;
             # with both large, trying it slows the many few-node searches
-            if a1 >= lox_floor:
-                if a2 >= lox_floor:
-                    if inf > an >= a1 + a2 + _DELTA:
-                        pruned_escape += 1
-                        continue
-                else:
-                    root = roots.get(t2, False)
-                    if root is False:
-                        root = roots[t2] = _fan_root(t2)
-                    if root is not None and _fan_bound(root, tp, t1):
-                        pruned_fan += 1
-                        continue
-            elif a2 >= lox_floor:
-                root = roots.get(t1, False)
+            if a1 >= lox_floor and a2 >= lox_floor:
+                if inf > an >= a1 + a2 + _DELTA:
+                    pruned_escape += 1
+                    continue
+            elif a1 >= lox_floor or a2 >= lox_floor:
+                r, y = (t2, t1) if a1 >= lox_floor else (t1, t2)
+                root = roots.get(r, False)
                 if root is False:
-                    root = roots[t1] = _fan_root(t1)
-                if root is not None and _fan_bound(root, tp, t2):
+                    root = roots[r] = _fan_root(r)
+                if root is not None and _fan_bound(root, tp, y):
                     pruned_fan += 1
                     continue
         else:  # a seed region
@@ -346,7 +339,7 @@ def solve_y_from_fricke(x: complex, z: complex, kappa: complex) -> tuple[complex
     Returned as (plus root, minus root) for the principal square root of the
     discriminant; computed the numerically stable way (larger root directly,
     smaller root from the product) and verified against root sum and product.
-    An input or root that is not finite, or a modulus past the float range, raises NonFiniteValue.
+    An input or root that is not finite raises NonFiniteValue.
     """
     x, z, kappa = _number("x", x), _number("z", z), _number("kappa", kappa)
     b = x * z
@@ -354,19 +347,13 @@ def solve_y_from_fricke(x: complex, z: complex, kappa: complex) -> tuple[complex
     s = cmath.sqrt(b * b - 4.0 * c)
     plus = _number("plus root", (b + s) / 2.0)
     minus = _number("minus root", (b - s) / 2.0)
-    try:
-        if abs(plus) >= abs(minus):
-            if abs(plus) > 0:
-                minus = c / plus
-        elif abs(minus) > 0:
-            plus = c / minus
-        scale = max(1.0, abs(b), abs(c))
-        failed = abs(plus + minus - b) > 1e-9 * scale or abs(plus * minus - c) > 1e-9 * scale
-    except OverflowError as exc:
-        raise NonFiniteValue(
-            "the roots for (%r, %r, %r) leave the float range" % (x, z, kappa)
-        ) from exc
-    if failed:
+    if abs(plus) >= abs(minus):
+        if abs(plus) > 0:
+            minus = c / plus
+    elif abs(minus) > 0:
+        plus = c / minus
+    scale = max(1.0, abs(b), abs(c))
+    if abs(plus + minus - b) > 1e-9 * scale or abs(plus * minus - c) > 1e-9 * scale:
         raise CheckFailed("quadratic roots failed the sum/product check")
     return plus, minus
 

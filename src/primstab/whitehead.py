@@ -540,26 +540,6 @@ def _apply_move(core: list[int], a: int, side: int) -> list[int]:
     return core[i:j]
 
 
-def _shorten(core: list[int], size: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Shorten a cyclic core of letter bits by Whitehead moves until it is
-    one letter or no move shortens it: the terminal core and the moves
-    (a, side) taken, each move (a, {a} + side).
-
-    Each round takes the move that ``_graph_move`` reads off the closed
-    letter graph, and, when the graph is connected with no cut vertex, the
-    move of ``_min_cut_move``.  Every move taken shortens the core, so there
-    are fewer rounds than letters.
-    """
-    moves = []
-    while len(core) > 1:
-        move = _graph_move(core, size) or _min_cut_move(core, size)
-        if move is None:
-            break
-        core = _apply_move(core, *move)
-        moves.append(move)
-    return core, moves
-
-
 def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAutomorphism]]:
     """Shorten the conjugacy class of w with second-kind moves, in any rank.
 
@@ -581,7 +561,14 @@ def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[Whitehead
     word and a one-letter word return at once.
     """
     generators, core = _core_bits(w)
-    core, moves = _shorten(core, 2 * len(generators))
+    size = 2 * len(generators)
+    moves = []  # each (a, side): the move (a, {a} + side), which shortens the core
+    while len(core) > 1:
+        move = _graph_move(core, size) or _min_cut_move(core, size)
+        if move is None:
+            break
+        core = _apply_move(core, *move)
+        moves.append(move)
 
     def letter(b):
         return -generators[b >> 1] if b & 1 else generators[b >> 1]

@@ -3,13 +3,17 @@ reference ping-pong representation used across modules."""
 
 import cmath
 import decimal
+import io
+import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 import primstab as ps
+from primstab import cli
 from primstab.errors import DeterminantError, NonFiniteValue
 from primstab.whitehead import _changes, _image_table, _pool_moves, all_letters
 from primstab.words import _canonical_cycle, _cyclic_core, _reduce_list, letter_key
@@ -37,6 +41,37 @@ def run_python(*args):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [home, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=60)
+
+
+def run_cli(argv):
+    """``cli.run(argv)`` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text):
+    """``json.loads`` that rejects NaN and +-Infinity."""
+    def reject(token):
+        raise ValueError("non-strict JSON token %s" % token)
+    return json.loads(text, parse_constant=reject)
+
+
+def assert_cli_contract(code, out, err):
+    """The CLI's output contract: exit 0, 1 or 2 and no traceback; on 0 or 1
+    exactly one strict JSON object on one line, the result on stdout or the
+    error on stderr, and nothing on the other stream; on 2 (a usage error, which
+    argparse reports in text) nothing on stdout."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        return
+    written, silent = (out, err) if code == 0 else (err, out)
+    assert silent == ""
+    assert written.count("\n") == 1 and written.endswith("\n")
+    assert isinstance(strict_json(written), dict)
 
 
 def random_complex(rng, scale=1.0):

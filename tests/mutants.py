@@ -199,8 +199,8 @@ MUTANTS = (
     ),
     Mutant(
         "primstab/markoff.py",
-        "root = roots[t2] = _fan_root(t2)",
-        "root = roots[t2] = _fan_root(t1)",
+        "root = roots[r] = _fan_root(r)",
+        "root = roots[r] = _fan_root(y)",
         ("tests/test_markoff.py::test_bq_decide_matches_the_reference_search",
          "tests/test_markoff.py::test_each_distinct_small_trace_gets_one_fan_root_per_search"),
         "a fan root taken from the large side of the edge, not the small one, "

@@ -5,9 +5,7 @@ on exit 0 or 1 writes exactly one strict JSON object: the result to stdout,
 or the error to stderr.
 """
 
-import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -15,40 +13,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import primstab as ps  # noqa: E402
-from primstab import cli  # noqa: E402
 
-from helpers import schottky_example  # noqa: E402
+from helpers import assert_cli_contract, run_cli, schottky_example  # noqa: E402
 
 # NaN, +-inf, floats at every scale from 1e-320 to 1.7e308, and a little text
 floats = st.floats() | st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.7, 1.7),
                                  st.integers(-320, 308))
 numbers = floats.map(repr) | st.integers(-10, 10).map(str) | st.text("0123456789.,-e", max_size=6)
 complexes = numbers | st.builds("{},{}".format, floats.map(repr), floats.map(repr))
-
-
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.run(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def _strict(text):
-    def reject(token):
-        raise ValueError("non-strict JSON token %s" % token)
-    return json.loads(text, parse_constant=reject)
-
-
-def _assert_contract(code, out, err):
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:  # a usage error: argparse writes its message, not JSON
-        assert out == ""
-        return
-    written, silent = (out, err) if code == 0 else (err, out)
-    assert silent == ""
-    assert written.count("\n") == 1 and written.endswith("\n")
-    assert isinstance(_strict(written), dict)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -60,7 +32,7 @@ def test_bq_decide_argv_keeps_the_contract(x, y, z, budget, bound):
     # a value may be joined to its flag or follow it as its own argument
     argv = ["bq-decide", "--x=" + x, "--y", y, "--z=" + z, "--budget", "%d" % budget,
             "--small-trace-bound=%d" % bound]
-    _assert_contract(*_run(argv))
+    assert_cli_contract(*run_cli(argv))
 
 
 words = st.text("abAB", max_size=8) | st.text("abcAB!", max_size=3)
@@ -78,4 +50,4 @@ def test_probe_argv_keeps_the_contract(tmp_path_factory, word, periods, basepoin
     argv = ["probe", "--rep", str(path), "--word", word, "--periods=%d" % periods]
     if basepoint is not None:
         argv.append("--basepoint=" + basepoint)
-    _assert_contract(*_run(argv))
+    assert_cli_contract(*run_cli(argv))

@@ -1,8 +1,6 @@
 """Fuzz test of the representation reader and of ``rep-info`` and ``ps-scan`` on what it reads."""
 
-import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -10,8 +8,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import primstab as ps  # noqa: E402
-from primstab import cli  # noqa: E402
 from primstab.errors import PrimstabError  # noqa: E402
+
+from helpers import assert_cli_contract, run_cli, strict_json  # noqa: E402
 
 # NaN, +-inf, floats at every scale up to 1.7e308, and integers past the
 # float range
@@ -50,12 +49,6 @@ documents = st.integers(1, 2).flatmap(
          "generators": st.lists(matrices, min_size=rank, max_size=rank)}))
 
 
-def _strict(text):
-    def reject(token):
-        raise ValueError("non-strict JSON token %s" % token)
-    return json.loads(text, parse_constant=reject)
-
-
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(documents, st.integers(0, 6))
 @example({"rank": 1, "generators": [[[-2, 0], [1, 0], [1.7e308, -1e308], [1, 0]]]}, 2)
@@ -72,14 +65,8 @@ def test_reader_and_rep_info_raise_only_domain_errors(tmp_path_factory, doc, max
     path.write_text(json.dumps(doc))
     for argv in (["rep-info", "--rep", str(path)],
                  ["ps-scan", "--rep", str(path), "--max-len", str(max_len)]):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.run(argv)
+        code, out, err = run_cli(argv)
         assert code in (0, 1)
-        written, silent = (out, err) if code == 0 else (err, out)
-        assert silent.getvalue() == ""
-        assert written.getvalue().count("\n") == 1
-        assert isinstance(_strict(written.getvalue()), dict)
-        assert "Traceback" not in err.getvalue()
+        assert_cli_contract(code, out, err)
         # the scan's own ratio bound must hold on every document it reads
-        assert code == 0 or _strict(err.getvalue())["error"] != "CheckFailed"
+        assert code == 0 or strict_json(err)["error"] != "CheckFailed"
