@@ -1,5 +1,7 @@
-"""Shared builders for the test suite: seeded random matrices, words, and the
-reference ping-pong representation used across modules."""
+"""Shared builders and oracles for the test suite: seeded random matrices and
+words, the reference ping-pong representation, the reference oracles that
+restate a library rule plainly, the CLI contract and the brute-force check of
+a BQ verdict.  Each rule has one oracle here, which every test of it calls."""
 
 import cmath
 import decimal
@@ -468,6 +470,38 @@ def reference_bq_decide(t, budget, small_trace_bound=64):
             stack.append((tn, t2, t1, pn, qn, p2, q2, depth + 1))
     return ps.BqVerdict(kind, nodes, witnesses, depth_max, tuple(small),
                         pruned_escape, pruned_fan)
+
+
+def coprime_pairs(n):
+    """Every coprime (p, q) with |p|, |q| <= n, so each slope of the box once
+    with each sign."""
+    return [(p, q) for p in range(-n, n + 1) for q in range(-n, n + 1) if math.gcd(p, q) == 1]
+
+
+def assert_bq_verdict_agrees_with_slopes(t, verdict, n, margin=0.0):
+    """The brute-force check of a ``bq_decide`` verdict on the triple t, which
+    shares no code with the search.  A certified verdict has recorded every
+    slope of the box |p|, |q| <= n whose trace has modulus at most
+    2 - margin; a single witness outside the small traces is a
+    non-loxodromic class, whose trace ``slope_trace`` derives again.
+    ``slope_trace`` normalizes its slope, so each class is traced once, by
+    its normalized pair."""
+    from primstab.traces import safe_abs
+    from primstab.words import _normalize_slope
+
+    if verdict.kind is ps.BqKind.BQ_CERTIFIED:
+        recorded = {slope for slope, _ in verdict.small_traces}
+        for p, q in coprime_pairs(n):
+            if _normalize_slope(p, q) != (p, q):
+                continue  # (-p, -q), the same class
+            if safe_abs(ps.slope_trace(t, p, q)) <= 2.0 - margin:
+                assert (p, q) in recorded, (p, q)
+    elif (verdict.kind is ps.BqKind.NOT_BQ_WITNESS and len(verdict.witnesses) == 1
+          and verdict.witnesses[0] not in verdict.small_traces):
+        (p, q), trace = verdict.witnesses[0]
+        again = ps.slope_trace(t, p, q)
+        assert abs(again - trace) <= 1e-9 * max(1.0, abs(again))
+        assert abs(trace.imag) <= 1e-9 and abs(trace.real) <= 2.0 + 1e-9
 
 
 def reference_orbit_growth_probe(rep, w, periods, basepoint=None):

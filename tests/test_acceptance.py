@@ -13,6 +13,8 @@ import primstab as ps
 from helpers import (
     all_cyclic_classes,
     all_reduced_words,
+    assert_bq_verdict_agrees_with_slopes,
+    coprime_pairs,
     mat_mul,
     mat_of,
     mat_inv,
@@ -182,15 +184,7 @@ def test_criterion_7_bq_suite():
     assert empty.kind == ps.BqKind.INCONCLUSIVE and empty.nodes_explored == 0
 
     # brute-force small-trace cross-check over |p|, |q| <= 30
-    from primstab.markoff import _normalize_slope, safe_abs
-
-    recorded = {slope for slope, _ in verdict.small_traces}
-    for p in range(-30, 31):
-        for q in range(-30, 31):
-            if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-                continue
-            if safe_abs(ps.slope_trace(triple, p, q)) <= 2.0:
-                assert _normalize_slope(p, q) in recorded
+    assert_bq_verdict_agrees_with_slopes(triple, verdict, 30)
     announce(7, "BQ suite, certified in %d nodes" % verdict.nodes_explored)
 
 
@@ -199,13 +193,10 @@ def test_criterion_8_markoff_farey_consistency():
     for _ in range(20):
         rep = random_representation(rng, 2, scale=0.9)
         triple = ps.MarkoffTriple.from_representation(rep)
-        for p in range(-8, 9):
-            for q in range(-8, 9):
-                if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-                    continue
-                by_matrix = ps.evaluate(rep, ps.primitive_of_slope(p, q)).trace()
-                by_recursion = ps.slope_trace(triple, p, q)
-                assert abs(by_matrix - by_recursion) <= 1e-6 * max(1.0, abs(by_matrix))
+        for p, q in coprime_pairs(8):
+            by_matrix = ps.evaluate(rep, ps.primitive_of_slope(p, q)).trace()
+            by_recursion = ps.slope_trace(triple, p, q)
+            assert abs(by_matrix - by_recursion) <= 1e-6 * max(1.0, abs(by_matrix))
         for which in ("X", "Y", "Z"):
             moved = ps.markoff_move(triple, which)
             assert abs(moved.kappa - triple.kappa) <= 1e-8

@@ -5,17 +5,11 @@ import pytest
 
 import primstab as ps
 from primstab import cli
-from primstab.cli import build_parser, run
+from primstab.cli import build_parser
 from primstab.errors import NonFiniteValue
 
-from helpers import (REP, REP3, REP4, REP_ELLIPTIC, decimal_translation_length, run_python,
-                     schottky_example)
-
-
-def invoke(capsys, *argv):
-    code = run(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from helpers import (REP, REP3, REP4, REP_ELLIPTIC, decimal_translation_length, run_cli,
+                     run_python, schottky_example)
 
 
 def write_rep(tmp_path, doc):
@@ -27,35 +21,35 @@ def write_rep(tmp_path, doc):
 SCHOTTKY = ps.representation_to_json(schottky_example()[0])
 
 
-def test_primitive_subcommand(capsys):
-    code, out, err = invoke(capsys, "primitive", "abAB")
+def test_primitive_subcommand():
+    code, out, err = run_cli(["primitive", "abAB"])
     assert code == 0 and err == ""
     assert json.loads(out) == {"word": "abAB", "primitive": False}
-    code, out, _ = invoke(capsys, "primitive", "a")
+    code, out, _ = run_cli(["primitive", "a"])
     assert code == 0
     assert json.loads(out) == {"word": "a", "primitive": True}
     # past the rank cap of the move search, primitivity is still decided
-    code, out, err = invoke(capsys, "primitive", "eeee")
+    code, out, err = run_cli(["primitive", "eeee"])
     assert code == 0 and err == ""
     assert json.loads(out) == {"word": "eeee", "primitive": False}
-    code, out, err = invoke(capsys, "primitive", "e")
+    code, out, err = run_cli(["primitive", "e"])
     assert code == 0 and err == ""
     assert json.loads(out) == {"word": "e", "primitive": True}
 
 
-def test_blocking_subcommand(capsys):
-    code, out, _ = invoke(capsys, "blocking", "abABabAB")
+def test_blocking_subcommand():
+    code, out, _ = run_cli(["blocking", "abABabAB"])
     assert code == 0
     doc = json.loads(out)
     assert doc["certified"] is True
     assert doc["reason"] == "CONNECTED_NO_CUTPOINT"
-    code, out, _ = invoke(capsys, "blocking", "abAB")
+    code, out, _ = run_cli(["blocking", "abAB"])
     doc = json.loads(out)
     assert doc["certified"] is False and doc["reason"] == "HAS_CUTPOINT"
 
 
-def test_word_subcommand(capsys):
-    code, out, _ = invoke(capsys, "word", "aabAA")
+def test_word_subcommand():
+    code, out, _ = run_cli(["word", "aabAA"])
     assert code == 0
     doc = json.loads(out)
     assert doc["reduced"] == "aabAA"
@@ -64,8 +58,8 @@ def test_word_subcommand(capsys):
     assert doc["conjugator"] == "aa"
 
 
-def test_enumerate_subcommand(capsys):
-    code, out, _ = invoke(capsys, "enumerate", "--rank", "2", "--max-len", "2")
+def test_enumerate_subcommand():
+    code, out, _ = run_cli(["enumerate", "--rank", "2", "--max-len", "2"])
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 8
@@ -86,14 +80,14 @@ NEAR_PARABOLIC = {"rank": 2, "generators": [[[2.0000000005, 0], [-1, 0], [1, 0],
 EDGE = {"rank": 1, "generators": [[[2, 7e-10], [-1, 0], [1, 0], [0, 0]]]}
 
 
-def test_rep_info_subcommand(capsys, tmp_path):
+def test_rep_info_subcommand(tmp_path):
     # each printed class and length is the library's, a non-loxodromic
     # length is 0.0, and a loxodromic one is within 4 ulps of the oracle
     lox, par = "LOXODROMIC", "PARABOLIC"
     for doc, classes in ((SCHOTTKY, [lox, lox]), (NEAR_ELLIPTIC, [lox, par]),
                          (NEAR_PARABOLIC, [par, par]), (EDGE, [par])):
         path = write_rep(tmp_path, doc)
-        code, out, _ = invoke(capsys, "rep-info", "--rep", path)
+        code, out, _ = run_cli(["rep-info", "--rep", path])
         assert code == 0
         info = json.loads(out)
         assert info["rank"] == doc["rank"]
@@ -109,18 +103,18 @@ def test_rep_info_subcommand(capsys, tmp_path):
                 want = decimal_translation_length(complex(*g["trace"]))
                 assert abs(got[1] - want) <= 4 * math.ulp(want)
     # the scan runs the same classifier: both one-letter classes fail
-    code, out, _ = invoke(capsys, "ps-scan", "--rep", write_rep(tmp_path, EDGE), "--max-len", "1")
+    code, out, _ = run_cli(["ps-scan", "--rep", write_rep(tmp_path, EDGE), "--max-len", "1"])
     assert code == 0
     scan = json.loads(out)
     assert (scan["verdict"], scan["failures"]) == ("FAILURE", ["a", "A"])
 
 
-def test_ps_scan_subcommand_round_trips(capsys, tmp_path):
+def test_ps_scan_subcommand_round_trips(tmp_path):
     for doc, max_len, verdict in ((SCHOTTKY, 4, ps.NO_OBSTRUCTION), (REP, 6, ps.FAILURE),
                                   (REP3, 5, ps.FAILURE), (REP4, 4, ps.FAILURE),
                                   (REP_ELLIPTIC, 4, ps.FAILURE)):
         path = write_rep(tmp_path, doc)
-        code, out, _ = invoke(capsys, "ps-scan", "--rep", path, "--max-len", str(max_len))
+        code, out, _ = run_cli(["ps-scan", "--rep", path, "--max-len", str(max_len)])
         assert code == 0
         report = ps.ps_report_from_json(json.loads(out))
         assert report.verdict == verdict
@@ -129,10 +123,10 @@ def test_ps_scan_subcommand_round_trips(capsys, tmp_path):
         assert json.dumps(ps.ps_report_to_json(report, doc["rank"]), allow_nan=False) + "\n" == out
 
 
-def test_probe_subcommand(capsys, tmp_path):
+def test_probe_subcommand(tmp_path):
     path = write_rep(tmp_path, SCHOTTKY)
-    code, out, _ = invoke(capsys, "probe", "--rep", path, "--word", "a",
-                          "--periods", "50")
+    code, out, _ = run_cli(["probe", "--rep", path, "--word", "a",
+                            "--periods", "50"])
     assert code == 0
     doc = json.loads(out)
     assert doc["periods"] == 50
@@ -140,14 +134,14 @@ def test_probe_subcommand(capsys, tmp_path):
     assert len(doc["residuals"]) == 51
 
 
-def test_bq_decide_subcommand(capsys):
+def test_bq_decide_subcommand():
     # --x -1e5: a negative number as its own argument
     for x, budget, kind, kappa, pruned in (
             ("3", "100000", ps.BqKind.BQ_CERTIFIED, [-2.0, 0.0], (6, 0)),
             ("1", "1000", ps.BqKind.NOT_BQ_WITNESS, [8.0, 0.0], (0, 0)),
             ("-1e5", "10", ps.BqKind.BQ_CERTIFIED, [10000900016.0, 0.0], (3, 0))):
-        code, out, _ = invoke(capsys, "bq-decide", "--x", x, "--y", "3", "--z", "3",
-                              "--budget", budget)
+        code, out, _ = run_cli(["bq-decide", "--x", x, "--y", "3", "--z", "3",
+                                "--budget", budget])
         assert code == 0
         doc = json.loads(out)
         verdict = ps.bq_verdict_from_json(doc)
@@ -160,16 +154,16 @@ def test_bq_decide_subcommand(capsys):
         assert json.dumps(rewritten, allow_nan=False) + "\n" == out
 
 
-def test_bq_decide_complex_flags(capsys):
-    code, out, _ = invoke(capsys, "bq-decide", "--x", "0.5,1.2", "--y", "5", "--z", "5",
-                          "--budget", "1000", "--small-trace-bound", "0")
+def test_bq_decide_complex_flags():
+    code, out, _ = run_cli(["bq-decide", "--x", "0.5,1.2", "--y", "5", "--z", "5",
+                            "--budget", "1000", "--small-trace-bound", "0"])
     assert code == 0
     assert json.loads(out)["kind"] == "NOT_BQ_WITNESS"
 
 
-def test_bq_decide_overflowing_traces_are_domain_errors(capsys):
-    code, out, err = invoke(capsys, "bq-decide", "--x", "1e200", "--y", "1e200", "--z", "3",
-                            "--budget", "100")
+def test_bq_decide_overflowing_traces_are_domain_errors():
+    code, out, err = run_cli(["bq-decide", "--x", "1e200", "--y", "1e200", "--z", "3",
+                              "--budget", "100"])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "NonFiniteValue"
 
@@ -196,8 +190,8 @@ BQ_FLAGS = ["--x", "3", "--y", "3", "--z", "3", "--budget", "10"]
     ["bq-decide", "--x", "1,2,3", "--y", "3", "--z", "3", "--budget", "10"],
     ["probe", "--rep", "rep.json", "--word", "a", "--periods", "5", "--basepoint", "1,2"],
 ])
-def test_out_of_range_flags_are_usage_errors(capsys, argv):
-    code, out, err = invoke(capsys, *argv)
+def test_out_of_range_flags_are_usage_errors(argv):
+    code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err
 
@@ -227,43 +221,43 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.count("\n") == 1
 
 
-def test_render_subcommand_and_determinism(capsys, tmp_path):
+def test_render_subcommand_and_determinism(tmp_path):
     cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
                          width=6, height=6, budget=2000)
     cfg_path = tmp_path / "slice.json"
     cfg_path.write_text(json.dumps(ps.slice_config_to_json(cfg)))
     out1 = tmp_path / "a.ppm"
     out2 = tmp_path / "b.ppm"
-    code, out, _ = invoke(capsys, "render", "--config", str(cfg_path),
-                          "--out", str(out1), "--threads", "1")
+    code, out, _ = run_cli(["render", "--config", str(cfg_path),
+                            "--out", str(out1), "--threads", "1"])
     assert code == 0
     doc = json.loads(out)
     assert doc["width"] == 6 and doc["height"] == 6
-    code, _, _ = invoke(capsys, "render", "--config", str(cfg_path),
-                        "--out", str(out2), "--threads", "3")
+    code, _, _ = run_cli(["render", "--config", str(cfg_path),
+                          "--out", str(out2), "--threads", "3"])
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes().startswith(b"P6\n6 6\n255\n")
 
 
-def test_render_far_window_passes_the_fricke_check(capsys, tmp_path):
+def test_render_far_window_passes_the_fricke_check(tmp_path):
     # traces near 1e4 round the identity's residual past an absolute 1e-8
     cfg_path = tmp_path / "far.json"
     cfg_path.write_text(json.dumps({
         "kappa": [-2, 0], "fixed_x": [3, 0], "window": [[10000, -1], [10002, 1]],
         "width": 4, "height": 4, "budget": 200,
     }))
-    code, out, err = invoke(capsys, "render", "--config", str(cfg_path),
-                            "--out", str(tmp_path / "far.ppm"), "--threads", "1")
+    code, out, err = run_cli(["render", "--config", str(cfg_path),
+                              "--out", str(tmp_path / "far.ppm"), "--threads", "1"])
     assert code == 0 and err == ""
     assert json.loads(out)["bytes"] == len(b"P6\n4 4\n255\n") + 4 * 4 * 3
 
 
-def test_render_malformed_config_is_usage_error(capsys, tmp_path):
+def test_render_malformed_config_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     out_path = tmp_path / "x.ppm"
-    code, _, err = invoke(capsys, "render", "--config", str(bad), "--out", str(out_path))
+    code, _, err = run_cli(["render", "--config", str(bad), "--out", str(out_path)])
     assert code == 2
     assert json.loads(err)["error"] == "JSONDecodeError"
     # a document that is not UTF-8 (here a UTF-16 byte-order mark) is a
@@ -272,33 +266,33 @@ def test_render_malformed_config_is_usage_error(capsys, tmp_path):
     not_utf8.write_bytes(b"\xff\xfe{}")
     for argv in (("render", "--config", str(not_utf8), "--out", str(out_path)),
                  ("rep-info", "--rep", str(not_utf8))):
-        code, out, err = invoke(capsys, *argv)
+        code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "UnicodeDecodeError"
     assert not out_path.exists()
 
 
-def test_render_config_with_a_retired_key_is_a_parse_error(capsys, tmp_path):
+def test_render_config_with_a_retired_key_is_a_parse_error(tmp_path):
     cfg_path = tmp_path / "old.json"
     cfg_path.write_text(json.dumps({
         "kappa": [-2, 0], "fixed_x": [3, 0], "window": [[0, -3], [6, 3]],
         "width": 2, "height": 2, "delta": "x",
     }))
     out_path = tmp_path / "old.ppm"
-    code, out, err = invoke(capsys, "render", "--config", str(cfg_path), "--out", str(out_path))
+    code, out, err = run_cli(["render", "--config", str(cfg_path), "--out", str(out_path)])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParseError"
     assert not out_path.exists()
 
 
-def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
+def test_domain_errors_exit_one_with_error_json(tmp_path):
     bad_det = tmp_path / "bad_rep.json"
     bad_det.write_text(json.dumps({
         "rank": 1,
         "generators": [[[0.9, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
     }))
-    code, out, err = invoke(capsys, "rep-info", "--rep", str(bad_det))
+    code, out, err = run_cli(["rep-info", "--rep", str(bad_det)])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "DeterminantError"
 
@@ -308,7 +302,7 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
         "rank": 1,
         "generators": [[[-2, 0], [1, 0], [1.7e308, -1e308], [1, 0]]],
     }))
-    code, out, err = invoke(capsys, "rep-info", "--rep", str(huge_det))
+    code, out, err = run_cli(["rep-info", "--rep", str(huge_det)])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "DeterminantError"
 
@@ -316,7 +310,7 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     # the constructors' number rule
     infinite = tmp_path / "infinite.json"
     infinite.write_text('{"rank": 1, "generators": [[[Infinity, 0], [0, 0], [0, 0], [1, 0]]]}')
-    code, out, err = invoke(capsys, "rep-info", "--rep", str(infinite))
+    code, out, err = run_cli(["rep-info", "--rep", str(infinite)])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParseError"
 
@@ -329,11 +323,11 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     for k, doc in enumerate(malformed):
         path = tmp_path / ("malformed_%d.json" % k)
         path.write_text(json.dumps(doc))
-        code, out, err = invoke(capsys, "rep-info", "--rep", str(path))
+        code, out, err = run_cli(["rep-info", "--rep", str(path)])
         assert code == 1 and out == "", doc
         assert json.loads(err)["error"] == "ParseError", doc
 
-    code, _, err = invoke(capsys, "primitive", "ab1")
+    code, _, err = run_cli(["primitive", "ab1"])
     assert code == 1
     assert json.loads(err)["error"] == "WordParseError"
 
@@ -345,7 +339,7 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
         "width": 10000000000, "height": 10000000000,
     }))
     out_path = tmp_path / "huge.ppm"
-    code, out, err = invoke(capsys, "render", "--config", str(huge_raster), "--out", str(out_path))
+    code, out, err = run_cli(["render", "--config", str(huge_raster), "--out", str(out_path)])
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "ParseError"
@@ -361,11 +355,11 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
         path = tmp_path / (name + ".json")
         other = [[2, 0], [1, 0], [1, 0], [1, 0]]
         path.write_text(json.dumps({"rank": 2, "generators": [gen, other]}))
-        code, out, err = invoke(capsys, "probe", "--rep", str(path), "--word", "a",
-                                "--periods", "2")
+        code, out, err = run_cli(["probe", "--rep", str(path), "--word", "a",
+                                  "--periods", "2"])
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == error
-        code, out, err = invoke(capsys, "ps-scan", "--rep", str(path), "--max-len", "2")
+        code, out, err = run_cli(["ps-scan", "--rep", str(path), "--max-len", "2"])
         assert code == 0 and err == ""
         doc = json.loads(out)
         assert doc["verdict"] == "NO_OBSTRUCTION" and doc["entries"]
@@ -375,7 +369,7 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     huge = tmp_path / "huge_trace.json"
     gen = [[1e308, 0], [0, 0], [0, 0], [1e-308, 0]]
     huge.write_text(json.dumps({"rank": 1, "generators": [gen]}))
-    code, out, err = invoke(capsys, "rep-info", "--rep", str(huge))
+    code, out, err = run_cli(["rep-info", "--rep", str(huge)])
     assert code == 0 and err == ""
     length = json.loads(out)["generators"][0]["translation_length"]
     assert abs(length - 2 * math.log(1e308)) <= 1e-12 * 1418.4
@@ -385,7 +379,7 @@ def test_domain_errors_exit_one_with_error_json(capsys, tmp_path):
     past = tmp_path / "past_trace.json"
     gen = [[1.5e308, 1.5e308], [0, 0], [0, 0], [3.333333333333336e-309, -3.333333333333336e-309]]
     past.write_text(json.dumps({"rank": 1, "generators": [gen]}))
-    code, out, err = invoke(capsys, "rep-info", "--rep", str(past))
+    code, out, err = run_cli(["rep-info", "--rep", str(past)])
     assert code == 0 and err == ""
     length = json.loads(out)["generators"][0]["translation_length"]
     want = 2 * (math.log(1.5e308) + 0.5 * math.log(2))
@@ -397,15 +391,15 @@ def test_non_finite_results_are_refused_before_output():
         cli._emit({"x": math.inf})
 
 
-def test_usage_errors_exit_two(capsys):
-    code, _, _ = invoke(capsys, "enumerate", "--rank", "2")  # missing --max-len
+def test_usage_errors_exit_two():
+    code, _, _ = run_cli(["enumerate", "--rank", "2"])  # missing --max-len
     assert code == 2
-    code, _, _ = invoke(capsys, "no-such-command")
+    code, _, _ = run_cli(["no-such-command"])
     assert code == 2
 
 
-def test_missing_file_is_domain_error(capsys, tmp_path):
-    code, _, err = invoke(capsys, "rep-info", "--rep", str(tmp_path / "nope.json"))
+def test_missing_file_is_domain_error(tmp_path):
+    code, _, err = run_cli(["rep-info", "--rep", str(tmp_path / "nope.json")])
     assert code == 1
     assert json.loads(err)["error"] == "OSError"
 
@@ -430,11 +424,11 @@ def test_output_does_not_depend_on_the_hash_seed(monkeypatch, tmp_path, argv):
     assert outputs[0] == outputs[1]
 
 
-def test_identical_invocations_produce_identical_output(capsys, tmp_path):
+def test_identical_invocations_produce_identical_output(tmp_path):
     path = write_rep(tmp_path, SCHOTTKY)
     outputs = set()
     for _ in range(2):
-        code, out, _ = invoke(capsys, "ps-scan", "--rep", path, "--max-len", "3")
+        code, out, _ = run_cli(["ps-scan", "--rep", path, "--max-len", "3"])
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1

@@ -8,7 +8,8 @@ import primstab as ps
 from primstab.errors import FrickeMismatch, NonFiniteValue, NotCoprime, ParseError
 from primstab.moebius import _TOL
 
-from helpers import random_complex, random_representation, reference_bq_decide, schottky_example
+from helpers import (assert_bq_verdict_agrees_with_slopes, random_complex, random_representation,
+                     reference_bq_decide, schottky_example)
 
 
 def test_move_example():
@@ -107,22 +108,6 @@ def test_slope_trace_rejects_non_coprime():
     for bad in ((True, 0), (0, True), (1.0, 2), (1, 2.0), ("1", 2)):
         with pytest.raises(ValueError, match="must be an integer"):
             ps.slope_trace(t, *bad)
-
-
-def test_slope_trace_matches_matrix_oracle():
-    rng = random.Random(52)
-    for _ in range(5):
-        rep = random_representation(rng, 2, scale=0.9)
-        t = ps.MarkoffTriple.from_representation(rep)
-        for p in range(-8, 9):
-            for q in range(-8, 9):
-                if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-                    continue
-                word = ps.primitive_of_slope(p, q)
-                by_matrix = ps.evaluate(rep, word).trace()
-                by_recursion = ps.slope_trace(t, p, q)
-                scale = max(1.0, abs(by_matrix))
-                assert abs(by_matrix - by_recursion) <= 1e-6 * scale
 
 
 def test_escape_criterion_examples():
@@ -325,22 +310,6 @@ def test_bq_verdict_invariant_under_lift_sign_changes():
             assert [w[0] for w in flipped.witnesses] == [w[0] for w in base.witnesses]
 
 
-def test_bq_certified_passes_brute_force_small_trace_check():
-    t = ps.MarkoffTriple.from_traces(3, 3, 3)
-    verdict = ps.bq_decide(t, 10 ** 5)
-    assert verdict.kind == ps.BqKind.BQ_CERTIFIED
-    recorded = {slope for slope, _ in verdict.small_traces}
-    for p in range(-12, 13):
-        for q in range(-12, 13):
-            if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-                continue
-            trace = ps.slope_trace(t, p, q)
-            from primstab.markoff import safe_abs, _normalize_slope
-
-            if safe_abs(trace) <= 2.0:
-                assert _normalize_slope(p, q) in recorded
-
-
 def test_bq_verdict_constant_on_a_move_orbit():
     # the moves re-mark the same character, so the verdict cannot change
     rng = random.Random(56)
@@ -467,29 +436,13 @@ def test_bq_agrees_with_the_matrix_pipeline_on_reference_reps():
 
 def test_bq_real_triples_agree_with_brute_force():
     rng = random.Random(57)
-    from primstab.markoff import _normalize_slope, safe_abs
-
     certified = 0
     for _ in range(60):
         t = ps.MarkoffTriple.from_traces(*(rng.uniform(-6, 6) for _ in range(3)))
         verdict = ps.bq_decide(t, 20000)
         assert verdict.kind != ps.BqKind.INCONCLUSIVE
-        if verdict.kind == ps.BqKind.BQ_CERTIFIED:
-            certified += 1
-            recorded = {slope for slope, _ in verdict.small_traces}
-            for p in range(-15, 16):
-                for q in range(0, 16):
-                    if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-                        continue
-                    if safe_abs(ps.slope_trace(t, p, q)) <= 2.0:
-                        assert _normalize_slope(p, q) in recorded
-        else:
-            (p, q), trace = verdict.witnesses[0]
-            if len(verdict.witnesses) == 1 and verdict.witnesses != verdict.small_traces:
-                # a non-loxodromic witness: re-derive its trace independently
-                again = ps.slope_trace(t, p, q)
-                assert abs(again - trace) <= 1e-9 * max(1.0, abs(again))
-                assert abs(trace.imag) <= 1e-9 and abs(trace.real) <= 2 + 1e-9
+        certified += verdict.kind == ps.BqKind.BQ_CERTIFIED
+        assert_bq_verdict_agrees_with_slopes(t, verdict, 15)
     assert certified >= 5
 
 

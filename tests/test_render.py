@@ -9,7 +9,8 @@ import pytest
 import primstab as ps
 from primstab import render
 from primstab.errors import ParseError
-from primstab.markoff import _normalize_slope
+
+from helpers import assert_bq_verdict_agrees_with_slopes
 
 
 def one_pixel_config(fixed_x, z_center=3.0, **kwargs):
@@ -312,22 +313,15 @@ def test_criterion_9_slice_is_decided_and_agrees_with_brute_force():
     # regions are pruned, so no pixel runs out of budget
     cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
                          width=16, height=16, budget=20000)
-    slopes = [(p, q) for p in range(-25, 26) for q in range(0, 26)
-              if math.gcd(p, q) == 1 and (q > 0 or p == 1)]
     kinds = {kind: 0 for kind in ps.BqKind}
     for j in range(cfg.height):
         for i in range(cfg.width):
             z = ps.pixel_trace(cfg, i, j)
             verdict = ps.pixel_verdict(cfg, z)
             kinds[verdict.kind] += 1
-            if verdict.kind != ps.BqKind.BQ_CERTIFIED:
-                continue
             plus, minus = ps.solve_y_from_fricke(cfg.fixed_x, z, cfg.kappa)
             y = plus if abs(plus) <= abs(minus) else minus
             t = ps.MarkoffTriple(cfg.fixed_x, y, z, cfg.kappa)
-            recorded = {slope for slope, _ in verdict.small_traces}
-            for p, q in slopes:
-                if abs(ps.slope_trace(t, p, q)) <= 2.0:
-                    assert _normalize_slope(p, q) in recorded, (i, j, p, q)
+            assert_bq_verdict_agrees_with_slopes(t, verdict, 25)
     assert kinds[ps.BqKind.INCONCLUSIVE] == 0
     assert kinds[ps.BqKind.BQ_CERTIFIED] > 0

@@ -28,6 +28,7 @@ from primstab.words import _cyclic_core, _reduce_list, letter_key
 from helpers import (
     all_cyclic_classes,
     all_reduced_words,
+    coprime_pairs,
     grown_primitive_classes,
     length_changes,
     move_pool,
@@ -41,15 +42,6 @@ from helpers import (
 
 def edges_of(graph):
     return dict(graph.edge_multiplicity)
-
-
-def test_open_graph_of_commutator_is_a_path():
-    g = ps.whitehead_graph(ps.parse_word("abAB"), closed=False)
-    assert edges_of(g) == {(1, -2): 1, (1, 2): 1, (-1, 2): 1}
-    assert g.edge_count() == 3
-    # path B - a - b - A: connected on all four vertices but with cutpoints
-    assert ps.is_connected(g)
-    assert ps.has_cutpoint(g)
 
 
 def test_closed_graph_of_commutator_is_a_cycle():
@@ -1047,12 +1039,9 @@ def test_enumerate_matches_slope_construction():
     # primitive classes of length <= 6 are exactly the slope words with |p|+|q| <= 6
     classes = set(ps.enumerate_primitive_classes(2, 6))
     from_slopes = set()
-    for p in range(-6, 7):
-        for q in range(-6, 7):
-            if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-                continue
-            if abs(p) + abs(q) <= 6:
-                from_slopes.add(ps.primitive_of_slope(p, q))
+    for p, q in coprime_pairs(6):
+        if abs(p) + abs(q) <= 6:
+            from_slopes.add(ps.primitive_of_slope(p, q))
     assert classes == from_slopes
 
 
@@ -1078,10 +1067,7 @@ def test_primitive_of_slope_errors():
 
 
 def test_primitive_of_slope_abelianization():
-    for p in range(-5, 6):
-        for q in range(-5, 6):
-            if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
-                continue
-            w = ps.primitive_of_slope(p, q)
-            assert ps.exponent_vector(w) == (q, p)
-            assert ps.is_primitive(w)
+    for p, q in coprime_pairs(5):
+        w = ps.primitive_of_slope(p, q)
+        assert ps.exponent_vector(w) == (q, p)
+        assert ps.is_primitive(w)
