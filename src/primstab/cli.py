@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="slice config JSON file")
     p.add_argument("--out", required=True, help="output PPM path")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker count, at most the CPU count (default: the CPU count)")
+                   help="worker count, at most the usable CPUs (default: one per usable CPU)")
     p.set_defaults(func=_cmd_render)
 
     # read -1e5 or -1,2 as a value, not an option: no option here starts with a digit

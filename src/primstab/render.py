@@ -10,7 +10,11 @@ trace of a, runs the BQ search, and colors by verdict:
 
 Output is binary PPM (P6), top row first.  Pixels are independent and each
 row is written at its own offset of one buffer, so the byte stream does not
-depend on how many forked worker processes computed it.
+depend on how many forked worker processes computed it, nor on the CPUs
+they ran on.  Workers are capped by the CPUs this process may use, and each
+child is placed on its own one of them: left to the scheduler, both
+children of a two-worker render could share the caller's CPU and take as
+long as a serial render.
 """
 
 from __future__ import annotations
@@ -105,24 +109,36 @@ def _draw(cfg: SliceConfig, rows: range, buf: mmap.mmap) -> None:
         buf[size * j:size * (j + 1)] = row
 
 
-def _forked_draw(cfg: SliceConfig, workers: int, buf: mmap.mmap) -> None:
-    """Draw the slice into the shared mapping ``buf`` on ``workers`` forked children.
+def _cpus() -> list[int]:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
 
-    Child k draws the rows j with j % workers == k and exits 0 only once
-    all of them are in ``buf``; any exception, an interrupt included, ends
-    it with status 1 and never unwinds into the caller's frames, which
-    belong to the parent.  The parent only reaps each child and draws the
+
+def _forked_draw(cfg: SliceConfig, cpus: list[int], buf: mmap.mmap) -> None:
+    """Draw the slice into the shared mapping ``buf`` on one forked child per CPU.
+
+    Child k of n = len(cpus) asks to run on ``cpus[k]`` alone, draws the
+    rows j with j % n == k and exits 0 only once all of them are in
+    ``buf``; any exception, an interrupt included, ends it with status 1
+    and never unwinds into the caller's frames, which belong to the
+    parent.  The parent only reaps each child and draws the
     rows of a child that did not exit 0 itself, so a pixel that raises
     raises its own exception in the caller.  No child outlives the call.
     """
     children = []  # (pid, its rows), until reaped
     try:
-        for k in range(workers):
-            share = range(k, cfg.height, workers)
+        for k, cpu in enumerate(cpus):
+            share = range(k, cfg.height, len(cpus))
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
+                    try:
+                        os.sched_setaffinity(0, {cpu})
+                    except (AttributeError, OSError):
+                        pass  # placement is best effort: draw wherever it runs
                     _draw(cfg, share, buf)
                     status = 0
                 finally:
@@ -143,22 +159,24 @@ def _forked_draw(cfg: SliceConfig, workers: int, buf: mmap.mmap) -> None:
 def render_slice(cfg: SliceConfig, threads: int | None = 1) -> bytes:
     """Render the slice to PPM bytes; identical output for any thread count.
 
-    ``threads=None`` means one worker per CPU (``os.cpu_count``), which also
-    caps any larger count, and there is at most one worker per row.  A
-    count that is not an integer, or is below 1, is a ValueError.  Every
-    row is drawn into one shared anonymous mapping at its own offset.  Two
-    or more workers are forked children that draw interleaved rows
-    (``_forked_draw``) while this process only waits for them; with one
-    worker, or where there is no ``os.fork``, this process draws every row.
+    ``threads=None`` means one worker per CPU this process may run on (its
+    affinity set, else ``os.cpu_count``), which also caps any larger count,
+    and there is at most one worker per row.  A count that is not an
+    integer, or is below 1, is a ValueError.  Every row is drawn into one
+    shared anonymous mapping at its own offset.  Two or more workers are
+    forked children, child k placed on the k-th of those CPUs, that draw
+    interleaved rows (``_forked_draw``) while this process only waits for
+    them; with one worker, or where there is no ``os.fork``, this process
+    draws every row.
     """
     if threads is not None:
         _check_count("threads", threads, 1)
-    cpus = os.cpu_count() or 1
-    workers = min(cpus if threads is None else threads, cpus, cfg.height)
+    cpus = _cpus()
+    workers = min(len(cpus) if threads is None else threads, len(cpus), cfg.height)
     header = b"P6\n%d %d\n255\n" % (cfg.width, cfg.height)
     with mmap.mmap(-1, 3 * cfg.width * cfg.height) as buf:
         if workers > 1 and hasattr(os, "fork"):
-            _forked_draw(cfg, workers, buf)
+            _forked_draw(cfg, cpus[:workers], buf)
         else:
             _draw(cfg, range(cfg.height), buf)
         return header + buf[:]

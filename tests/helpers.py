@@ -472,6 +472,21 @@ def reference_bq_decide(t, budget, small_trace_bound=64):
                         pruned_escape, pruned_fan)
 
 
+def fan_walk_escapes(r, y0, y1, k):
+    """The fan rule's claim on its first k edges, computed with no lam, A, B or
+    m, so sharing no code with ``markoff._fan_bound``: the neighbours y0, y1 of
+    a region of trace r go on by y_{j+1} = r y_j - y_{j-1}, and each fan edge
+    {y_j, y_{j+1}}, j >= 1, with far trace y_j y_{j+1} - r, must pass
+    ``edge_escapes``.  A necessary condition for a fan prune, never a test
+    to prune by."""
+    prev, cur = y0, y1
+    for _ in range(k):
+        prev, cur = cur, r * cur - prev
+        if not ps.edge_escapes(prev, cur, prev * cur - r):
+            return False
+    return True
+
+
 def coprime_pairs(n):
     """Every coprime (p, q) with |p|, |q| <= n, so each slope of the box once
     with each sign."""

@@ -219,17 +219,19 @@ MUTANTS = (
         "math.isfinite(m) and m >= 2.0 + _DELTA and (m - 1.0) * (m - 1.0) >= floor",
         "math.isfinite(m) and (m - 1.0) * (m - 1.0) >= floor",
         ("tests/test_render.py::test_criterion_9_slice_is_decided_and_agrees_with_brute_force",
-         "tests/test_bq_hypothesis.py::test_bq_verdicts_agree_with_brute_force"),
+         "tests/test_bq_hypothesis.py::test_bq_verdicts_agree_with_brute_force",
+         "tests/test_markoff.py::test_every_fan_prune_passes_the_fan_walk"),
         "a fan bound without m >= 2 + 1e-6 prunes fans that can hold traces "
         "of modulus below 2, so a certificate misses a small slope; the "
         "reference search calls the same bound, so of the verdict tests only "
-        "the brute-force check sees it",
+        "the brute-force check and the fan walk see it",
     ),
     Mutant(
         "primstab/markoff.py",
         "math.isfinite(m) and m >= 2.0 + _DELTA and (m - 1.0) * (m - 1.0) >= floor",
         "math.isfinite(m) and m >= 2.0 + _DELTA",
-        ("tests/test_markoff.py::test_fan_escape_forward_property",),
+        ("tests/test_markoff.py::test_fan_escape_forward_property",
+         "tests/test_markoff.py::test_every_fan_prune_passes_the_fan_walk"),
         "a fan bound without (m - 1)^2 >= 1 + |r| + 1e-6 calls a fan escaping "
         "whose edges need not pass the escape test",
     ),

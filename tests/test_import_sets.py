@@ -79,7 +79,8 @@ def test_forked_render_loads_no_multiprocessing(tmp_path):
     # two CPUs, so --threads 2 forks two workers whatever this host has
     config = tmp_path / "slice.json"
     config.write_text(json.dumps(SLICE))
-    shim = ("import os, sys; os.cpu_count = lambda: 2; from primstab.cli import run; "
+    shim = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from primstab.cli import run; "
             "code = run(sys.argv[1:]); print('multiprocessing' in sys.modules); sys.exit(code)")
     images = []
     for threads in ("1", "2"):

@@ -5,11 +5,12 @@ import random
 import pytest
 
 import primstab as ps
+from primstab import markoff
 from primstab.errors import FrickeMismatch, NonFiniteValue, NotCoprime, ParseError
 from primstab.moebius import _TOL
 
-from helpers import (assert_bq_verdict_agrees_with_slopes, random_complex, random_representation,
-                     reference_bq_decide, schottky_example)
+from helpers import (assert_bq_verdict_agrees_with_slopes, fan_walk_escapes, random_complex,
+                     random_representation, reference_bq_decide, schottky_example)
 
 
 def test_move_example():
@@ -230,12 +231,42 @@ def test_fan_escape_forward_property():
             rejected += 1
             continue
         tested += 1
-        prev, cur = y0, y1
-        for _ in range(60):
-            nxt = r * cur - prev
-            assert ps.edge_escapes(cur, nxt, cur * nxt - r)
-            prev, cur = cur, nxt
+        assert fan_walk_escapes(r, y0, y1, 60)
     assert rejected > 100
+
+
+def test_every_fan_prune_passes_the_fan_walk(monkeypatch):
+    # a spy on _fan_bound keeps each fan the search prunes, with the trace r
+    # whose _fan_root it was given, over seeded criterion-9 pixels and seeded
+    # triples; the walk shares no code with the bound, so it sees a fault in
+    # either of the bound's two conditions (tests/mutants.py)
+    roots = {}  # id(root) -> (root, r); holding each root keeps its id unique
+    pruned = []
+    fan_root, fan_bound = markoff._fan_root, markoff._fan_bound
+
+    def root_spy(r):
+        root = fan_root(r)
+        roots[id(root)] = (root, r)
+        return root
+
+    def bound_spy(root, y0, y1):
+        escapes = fan_bound(root, y0, y1)
+        if escapes:
+            pruned.append((roots[id(root)][1], y0, y1))
+        return escapes
+
+    monkeypatch.setattr(markoff, "_fan_root", root_spy)
+    monkeypatch.setattr(markoff, "_fan_bound", bound_spy)
+    rng = random.Random(35)
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=64, height=64, budget=20000)
+    for _ in range(256):
+        ps.pixel_verdict(cfg, ps.pixel_trace(cfg, rng.randrange(64), rng.randrange(64)))
+    for _ in range(64):
+        t = ps.MarkoffTriple.from_traces(*(random_complex(rng, 3.0) for _ in range(3)))
+        ps.bq_decide(t, 2000)
+    assert len(pruned) > 1000
+    assert [fan for fan in pruned if not fan_walk_escapes(*fan, 16)] == []
 
 
 def test_fan_pruning_certifies_beside_a_small_generator_trace():
@@ -382,8 +413,6 @@ def test_each_distinct_small_trace_gets_one_fan_root_per_search(monkeypatch):
     # the root depends on the trace alone, so a search takes it once per
     # distinct small trace: regions that share a trace share it, and so do
     # traces that differ only in the sign of a zero imaginary part
-    from primstab import markoff
-
     fan_root, calls = markoff._fan_root, []
 
     def spy(r):

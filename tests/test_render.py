@@ -84,14 +84,20 @@ def test_render_is_deterministic_and_thread_independent():
     assert len(first) == len(b"P6\n8 8\n255\n") + 3 * 64
 
 
+def with_cpus(monkeypatch, cpus):
+    """Make ``os.sched_getaffinity`` name the CPU set ``cpus``, here or where
+    the OS has no affinity calls."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
 class InProcessForks:
     """A stand-in for ``render._forked_draw``: records worker counts, draws in process."""
 
     def __init__(self):
         self.pools = []
 
-    def __call__(self, cfg, workers, buf):
-        self.pools.append(workers)
+    def __call__(self, cfg, cpus, buf):
+        self.pools.append(len(cpus))
         render._draw(cfg, range(cfg.height), buf)
 
 
@@ -102,6 +108,7 @@ class InProcessForks:
     (16, 100000, [4]),  # one worker per row
     (1, 100000, []),  # serial
     (3, 1, []),
+    (1, None, []),  # one CPU: no fork at all
 ])
 def test_render_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, threads, pools):
     cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
@@ -109,9 +116,22 @@ def test_render_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, threads, pool
     serial = ps.render_slice(cfg, 1)
     forks = InProcessForks()
     monkeypatch.setattr(render, "_forked_draw", forks)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    with_cpus(monkeypatch, range(cpus))
     assert ps.render_slice(cfg, threads) == serial
     assert forks.pools == pools
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_workers_are_capped_by_the_real_cpu_set(monkeypatch):
+    # on a one-CPU set, as under taskset -c 0, nothing forks
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=3, height=4, budget=300)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus, cfg.height)
+    forks = InProcessForks()
+    monkeypatch.setattr(render, "_forked_draw", forks)
+    ps.render_slice(cfg, None)
+    assert forks.pools == ([workers] if workers > 1 else [])
 
 
 class PixelFailure(Exception):
@@ -132,7 +152,7 @@ def failing_in(monkeypatch, fail):
 
     serial = ps.render_slice(cfg, 1)
     monkeypatch.setattr(render, "pixel_verdict", pixel)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with_cpus(monkeypatch, range(2))
     return cfg, serial
 
 
@@ -190,12 +210,12 @@ def test_unequal_row_shares_give_the_serial_bytes(monkeypatch, cpus, height):
     pools = []
     forked_draw = render._forked_draw
 
-    def spy(cfg, workers, buf):
-        pools.append(workers)
-        forked_draw(cfg, workers, buf)
+    def spy(cfg, cpu_list, buf):
+        pools.append(len(cpu_list))
+        forked_draw(cfg, cpu_list, buf)
 
     monkeypatch.setattr(render, "_forked_draw", spy)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    with_cpus(monkeypatch, range(cpus))
     assert ps.render_slice(cfg, cpus) == serial
     assert pools == [cpus]
     assert_no_child_left()
@@ -214,10 +234,107 @@ def test_a_failing_second_fork_raises_and_leaves_no_child(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with_cpus(monkeypatch, range(2))
     with pytest.raises(OSError, match="^no second child$"):
         ps.render_slice(cfg, 2)
     assert len(forks) == 2
+    assert_no_child_left()
+
+
+def caller_draws(monkeypatch):
+    """Count the rows the calling process draws itself: a spy on ``render._draw``
+    whose list a forked child's calls never reach."""
+    rows = []
+    draw = render._draw
+
+    def spy(cfg, share, buf):
+        rows.extend(share)
+        draw(cfg, share, buf)
+
+    monkeypatch.setattr(render, "_draw", spy)
+    return rows
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_each_child_asks_for_its_own_cpu(monkeypatch, tmp_path):
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=3, height=4, budget=300)
+    serial = ps.render_slice(cfg, 1)
+    log = tmp_path / "calls"
+    draw = render._draw
+
+    def note(line):
+        with open(log, "a") as out:
+            out.write("%d %s\n" % (os.getpid(), line))
+
+    def place(pid, cpus):
+        note("cpu %s" % sorted(cpus))
+
+    def first_row(cfg, share, buf):
+        note("row %d" % share[0])
+        draw(cfg, share, buf)
+
+    with_cpus(monkeypatch, (7, 3, 5))
+    monkeypatch.setattr(os, "sched_setaffinity", place, raising=False)
+    monkeypatch.setattr(render, "_draw", first_row)
+    assert ps.render_slice(cfg, None) == serial
+    assert_no_child_left()
+    calls = {}
+    for line in log.read_text().splitlines():
+        pid, what = line.split(" ", 1)
+        calls.setdefault(pid, []).append(what)
+    # child k draws from row k, and first asks for the k-th CPU of the sorted set
+    assert sorted(calls.values()) == [["cpu [3]", "row 0"], ["cpu [5]", "row 1"],
+                                      ["cpu [7]", "row 2"]]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not hasattr(os, "fork"),
+                    reason="no CPU placement or no os.fork")
+def test_a_child_that_cannot_be_placed_still_draws_its_rows(monkeypatch, tmp_path):
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=3, height=4, budget=300)
+    serial = ps.render_slice(cfg, 1)
+    log = tmp_path / "refused"
+    place = os.sched_setaffinity
+
+    def refused(pid, cpus):
+        try:
+            place(pid, cpus)
+        except OSError:
+            with open(log, "a") as out:
+                out.write("%s\n" % sorted(cpus))
+            raise
+
+    # the second CPU is one no host has, so the real call refuses it
+    with_cpus(monkeypatch, (min(os.sched_getaffinity(0)), 1 << 20))
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    drawn = caller_draws(monkeypatch)
+    assert ps.render_slice(cfg, 2) == serial
+    assert log.read_text() == "[%d]\n" % (1 << 20)
+    assert drawn == []
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_without_affinity_calls_workers_follow_the_cpu_count(monkeypatch):
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=3, height=4, budget=300)
+    serial = ps.render_slice(cfg, 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pools = []
+    forked_draw = render._forked_draw
+
+    def spy(cfg, cpu_list, buf):
+        pools.append(list(cpu_list))
+        forked_draw(cfg, cpu_list, buf)
+
+    monkeypatch.setattr(render, "_forked_draw", spy)
+    drawn = caller_draws(monkeypatch)
+    assert ps.render_slice(cfg, None) == serial
+    assert pools == [[0, 1, 2]]
+    assert drawn == []  # each unplaced child still drew its rows and exited 0
     assert_no_child_left()
 
 
