@@ -101,6 +101,19 @@ class InProcessForks:
         render._draw(cfg, range(cfg.height), buf)
 
 
+def forked_draws(monkeypatch):
+    """Record the CPU list of each call of the real ``render._forked_draw``."""
+    calls = []
+    forked_draw = render._forked_draw
+
+    def spy(cfg, cpus, buf):
+        calls.append(list(cpus))
+        forked_draw(cfg, cpus, buf)
+
+    monkeypatch.setattr(render, "_forked_draw", spy)
+    return calls
+
+
 @pytest.mark.parametrize("cpus, threads, pools", [
     (3, 100000, [3]),
     (3, None, [3]),
@@ -207,17 +220,10 @@ def test_unequal_row_shares_give_the_serial_bytes(monkeypatch, cpus, height):
     cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
                          width=3, height=height, budget=300)
     serial = ps.render_slice(cfg, 1)
-    pools = []
-    forked_draw = render._forked_draw
-
-    def spy(cfg, cpu_list, buf):
-        pools.append(len(cpu_list))
-        forked_draw(cfg, cpu_list, buf)
-
-    monkeypatch.setattr(render, "_forked_draw", spy)
+    forks = forked_draws(monkeypatch)
     with_cpus(monkeypatch, range(cpus))
     assert ps.render_slice(cfg, cpus) == serial
-    assert pools == [cpus]
+    assert forks == [list(range(cpus))]
     assert_no_child_left()
 
 
@@ -323,17 +329,10 @@ def test_without_affinity_calls_workers_follow_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    pools = []
-    forked_draw = render._forked_draw
-
-    def spy(cfg, cpu_list, buf):
-        pools.append(list(cpu_list))
-        forked_draw(cfg, cpu_list, buf)
-
-    monkeypatch.setattr(render, "_forked_draw", spy)
+    forks = forked_draws(monkeypatch)
     drawn = caller_draws(monkeypatch)
     assert ps.render_slice(cfg, None) == serial
-    assert pools == [[0, 1, 2]]
+    assert forks == [[0, 1, 2]]
     assert drawn == []  # each unplaced child still drew its rows and exited 0
     assert_no_child_left()
 
