@@ -31,7 +31,7 @@ _EXPORTS = {
         "uhs_distance",
     ),
     "render": (
-        "RootChoice", "SliceConfig", "palette_color", "pixel_trace", "pixel_verdict",
+        "SliceConfig", "palette_color", "pixel_trace", "pixel_verdict",
         "render_slice", "slice_config_from_json", "slice_config_to_json",
     ),
     "stability": (
@@ -43,11 +43,11 @@ _EXPORTS = {
     "whitehead": (
         "RANK_CAP", "BlockingCertificate", "WhiteheadAutomorphism", "WhiteheadGraph",
         "apply_automorphism", "blocking_certificate", "enumerate_primitive_classes",
-        "exponent_vector", "has_cutpoint", "is_connected", "is_primitive",
+        "has_cutpoint", "is_connected", "is_primitive",
         "primitive_of_slope", "whitehead_graph", "whitehead_minimize",
     ),
     "words": (
-        "CyclicWord", "Word", "concat", "cyclic_length", "cyclic_reduce",
+        "CyclicWord", "Word", "cyclic_length", "cyclic_reduce",
         "format_letters", "invert", "letter_key", "parse_word", "power", "reduce",
     ),
 }

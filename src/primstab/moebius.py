@@ -142,14 +142,6 @@ class MoebiusMap(_Frozen):
         a non-finite image raise DegenerateAction."""
         return _extend((self.a, self.b, self.c, self.d), z, 0.0)[0]
 
-    def entry_distance(self, other: "MoebiusMap") -> float:
-        return max(
-            abs(self.a - other.a),
-            abs(self.b - other.b),
-            abs(self.c - other.c),
-            abs(self.d - other.d),
-        )
-
 
 class Representation(_Frozen):
     """An assignment of one determinant-1 matrix to each free generator."""

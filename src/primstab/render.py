@@ -2,7 +2,8 @@
 
 Each pixel fixes the trace of ab from its position in the window, solves the
 level-set quadratic for the trace of b at the configured kappa and fixed
-trace of a, runs the BQ search, and colors by verdict:
+trace of a, takes the root of smaller modulus (the plus root on a tie), runs
+the BQ search, and colors by verdict:
 
     BQ_CERTIFIED   gray (v, v, v) with v = 255 - min(191, nodes // 32)
     NOT_BQ_WITNESS red (min(255, 64 + 16 * witnesses), 0, 0)
@@ -23,7 +24,6 @@ import mmap
 import os
 import signal
 import sys
-from enum import Enum
 
 from .errors import ParseError
 from .markoff import BqKind, BqVerdict, MarkoffTriple, bq_decide, solve_y_from_fricke
@@ -31,23 +31,17 @@ from .traces import _check_keys, _complex_from_json, _complex_to_json, _number
 from .words import _check_count, _Frozen
 
 
-class RootChoice(str, Enum):
-    SMALLER_ABS = "SMALLER_ABS"
-    LARGER_ABS = "LARGER_ABS"
-
-
 class SliceConfig(_Frozen):
     """Parameters of one rendered slice.
 
     ``window`` is the (lower-left, upper-right) corner pair of the rectangle
-    of ab-traces.  ``root_choice`` picks which root of the level-set
-    quadratic is drawn.  The roots y and xz - y are related by the Markoff
-    move Y, the same character up to Out(F2): the choice changes node counts,
-    not BQ.
+    of ab-traces.  Each pixel draws the root of the level-set quadratic of
+    smaller modulus, the plus root on a tie.  The roots y and xz - y are
+    related by the Markoff move Y, the same character up to Out(F2), so the
+    other root would change node counts, not BQ.
     """
 
-    __slots__ = ("kappa", "fixed_x", "window", "width", "height", "root_choice", "budget",
-                 "small_trace_bound")
+    __slots__ = ("kappa", "fixed_x", "window", "width", "height", "budget", "small_trace_bound")
 
     def __init__(
         self,
@@ -56,19 +50,17 @@ class SliceConfig(_Frozen):
         window: tuple[complex, complex],
         width: int,
         height: int,
-        root_choice: RootChoice = RootChoice.SMALLER_ABS,
         budget: int = 20000,
         small_trace_bound: int = 64,
     ):
         kappa, fixed_x = _number("kappa", kappa), _number("fixed_x", fixed_x)
         lo, hi = (_number("window corner", corner) for corner in window)
         _number("window extent", hi - lo)  # may overflow though both corners are finite
-        root_choice = RootChoice(root_choice)
         for name, value, low in (("width", width, 1), ("height", height, 1), ("budget", budget, 0),
                                  ("small_trace_bound", small_trace_bound, 0)):
             _check_count(name, value, low)
         for name, value in zip(self.__slots__, (kappa, fixed_x, (lo, hi), width, height,
-                                                root_choice, budget, small_trace_bound)):
+                                                budget, small_trace_bound)):
             object.__setattr__(self, name, value)
 
 
@@ -82,10 +74,7 @@ def pixel_trace(cfg: SliceConfig, i: int, j: int) -> complex:
 
 def pixel_verdict(cfg: SliceConfig, z: complex) -> BqVerdict:
     plus, minus = solve_y_from_fricke(cfg.fixed_x, z, cfg.kappa)
-    if cfg.root_choice == RootChoice.SMALLER_ABS:
-        y = plus if abs(plus) <= abs(minus) else minus
-    else:
-        y = plus if abs(plus) >= abs(minus) else minus
+    y = plus if abs(plus) <= abs(minus) else minus
     triple = MarkoffTriple(cfg.fixed_x, y, z, cfg.kappa)
     return bq_decide(triple, cfg.budget, cfg.small_trace_bound)
 
@@ -189,7 +178,6 @@ def slice_config_to_json(cfg: SliceConfig) -> dict:
         "window": [_complex_to_json(cfg.window[0]), _complex_to_json(cfg.window[1])],
         "width": cfg.width,
         "height": cfg.height,
-        "root": "smaller" if cfg.root_choice == RootChoice.SMALLER_ABS else "larger",
         "budget": cfg.budget,
         "small_trace_bound": cfg.small_trace_bound,
     }
@@ -197,7 +185,9 @@ def slice_config_to_json(cfg: SliceConfig) -> dict:
 
 def slice_config_from_json(obj) -> SliceConfig:
     """Read a slice config; a missing required field or an unknown key is a ParseError,
-    and so is a raster of more bytes (3 per pixel) than a buffer can hold."""
+    and so is a raster of more bytes (3 per pixel) than a buffer can hold.  The
+    optional ``root`` key names the one root rule, ``"smaller"``; any other
+    value is a ParseError."""
     _check_keys(obj, "slice config", ("kappa", "fixed_x", "window", "width", "height"),
                 ("root", "budget", "small_trace_bound"))
     window = obj["window"]
@@ -205,11 +195,9 @@ def slice_config_from_json(obj) -> SliceConfig:
         raise ParseError("'window' must be a pair of [re, im] corners")
     fields = {key: obj[key] for key in ("width", "height", "budget", "small_trace_bound")
               if key in obj}
-    if "root" in obj:
-        root = obj["root"]
-        if root not in ("smaller", "larger"):
-            raise ParseError("'root' must be \"smaller\" or \"larger\", got %r" % (root,))
-        fields["root_choice"] = RootChoice.SMALLER_ABS if root == "smaller" else RootChoice.LARGER_ABS
+    if obj.get("root", "smaller") != "smaller":
+        raise ParseError("'root' must be \"smaller\", the root of smaller modulus, got %r"
+                         % (obj["root"],))
     try:
         cfg = SliceConfig(
             kappa=_complex_from_json(obj["kappa"]),

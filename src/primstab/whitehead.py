@@ -579,13 +579,6 @@ def whitehead_minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[Whitehead
     return CyclicWord(w.rank, tuple(map(letter, core))), trace
 
 
-def exponent_vector(w: Word | CyclicWord) -> tuple[int, ...]:
-    counts = [0] * w.rank
-    for v in w.letters:
-        counts[abs(v) - 1] += 1 if v > 0 else -1
-    return tuple(counts)
-
-
 def is_primitive(w: Word | CyclicWord) -> bool:
     """Whether w belongs to some free basis, in any rank.
 

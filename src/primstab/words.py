@@ -19,7 +19,7 @@ from collections import deque
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidLetter, NotCoprime, RankMismatch, WordParseError
+from .errors import InvalidLetter, NotCoprime, WordParseError
 
 
 def letter_key(letter: int) -> int:
@@ -229,12 +229,6 @@ def reduce(letters: Iterable[int], rank: int) -> Word:
 
 def invert(w: Word) -> Word:
     return Word(w.rank, tuple(-v for v in reversed(w.letters)))
-
-
-def concat(u: Word, v: Word) -> Word:
-    if u.rank != v.rank:
-        raise RankMismatch("cannot concatenate rank %d and rank %d words" % (u.rank, v.rank))
-    return Word(u.rank, tuple(_reduce_list(u.letters + v.letters)))
 
 
 def power(w: Word, n: int) -> Word:

@@ -284,6 +284,12 @@ def set_connectivity(g):
     return components(adjacent) == 1, any(components(support - {v}) > base for v in support)
 
 
+def exponent_sums(w):
+    """The image of w in Z^rank: each generator's exponent sum, in order."""
+    return tuple(sum((v > 0) - (v < 0) for v in w.letters if abs(v) == g)
+                 for g in range(1, w.rank + 1))
+
+
 def random_word(rng, rank, length):
     return ps.Word(rank, random_reduced_letters(rng, rank, length))
 
@@ -420,7 +426,10 @@ def reference_bq_decide(t, budget, small_trace_bound=64):
     that ``traces._trace_class`` does not call loxodromic.  It returns a
     ``BqVerdict`` that must equal the search's in all seven fields, so the
     moduli and fan roots that ``bq_decide`` carries on its edges, and its
-    inline escape test, are held to the two public rules."""
+    inline escape test, are held to the two public rules.  Each prune also
+    asserts its walk, ``escape_walk_holds`` or ``fan_walk_escapes`` on four
+    levels or edges: a necessary condition that shares no code with the
+    rule, and never a test to prune by."""
     from primstab.markoff import _DELTA
     from primstab.traces import _trace_class, safe_abs
     from primstab.words import _normalize_slope
@@ -442,11 +451,13 @@ def reference_bq_decide(t, budget, small_trace_bound=64):
             a1, a2 = safe_abs(t1), safe_abs(t2)
             if a1 >= large and a2 >= large:
                 if ps.edge_escapes(t1, t2, tn):
+                    assert escape_walk_holds(t1, t2, tp, 4), (t1, t2, tp)
                     pruned_escape += 1
                     continue
             elif a1 >= large or a2 >= large:
                 r, other = (t2, t1) if a1 >= large else (t1, t2)
                 if ps.fan_escapes(r, tp, other):
+                    assert fan_walk_escapes(r, tp, other, 4), (r, tp, other)
                     pruned_fan += 1
                     continue
         else:
@@ -470,6 +481,28 @@ def reference_bq_decide(t, budget, small_trace_bound=64):
             stack.append((tn, t2, t1, pn, qn, p2, q2, depth + 1))
     return ps.BqVerdict(kind, nodes, witnesses, depth_max, tuple(small),
                         pruned_escape, pruned_fan)
+
+
+def escape_walk_holds(t1, t2, tp, k):
+    """The escape rule's conclusion on the first k levels past a pruned edge,
+    computed with no margin and sharing no code with ``edge_escapes``: the
+    region t1 t2 - tp beyond the edge (t1, t2) and every region below it,
+    reached through the child edges (t1, tn) and (tn, t2) with new traces
+    t1 tn - t2 and tn t2 - t1, has modulus at least 4.  A branch stops at a
+    non-finite modulus, which proves nothing either way.  A necessary
+    condition for an escape prune, never a test to prune by."""
+    stack = [(t1, t2, tp, k)]
+    while stack:
+        t1, t2, tp, k = stack.pop()
+        tn = t1 * t2 - tp
+        modulus = math.hypot(tn.real, tn.imag)
+        if not math.isfinite(modulus):
+            continue
+        if modulus < 4.0:
+            return False
+        if k > 1:
+            stack += [(t1, tn, t2, k - 1), (tn, t2, t1, k - 1)]
+    return True
 
 
 def fan_walk_escapes(r, y0, y1, k):

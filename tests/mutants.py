@@ -60,7 +60,8 @@ MUTANTS = (
          "tests/test_markoff.py::test_bq_decide_matches_the_reference_search"),
         "the public escape rule without its growth test calls an edge escaping "
         "once its far trace passes 2 + 1e-6, so the reference search, which "
-        "calls it, prunes edges that bq_decide visits",
+        "calls it, prunes edges that bq_decide visits, and the escape walk "
+        "finds a region of modulus below 4 past such an edge",
     ),
     Mutant(
         "primstab/moebius.py",
@@ -220,18 +221,21 @@ MUTANTS = (
         "math.isfinite(m) and (m - 1.0) * (m - 1.0) >= floor",
         ("tests/test_render.py::test_criterion_9_slice_is_decided_and_agrees_with_brute_force",
          "tests/test_bq_hypothesis.py::test_bq_verdicts_agree_with_brute_force",
-         "tests/test_markoff.py::test_every_fan_prune_passes_the_fan_walk"),
+         "tests/test_markoff.py::test_every_fan_prune_passes_the_fan_walk",
+         "tests/test_markoff.py::test_bq_decide_matches_the_reference_search"),
         "a fan bound without m >= 2 + 1e-6 prunes fans that can hold traces "
         "of modulus below 2, so a certificate misses a small slope; the "
         "reference search calls the same bound, so of the verdict tests only "
-        "the brute-force check and the fan walk see it",
+        "the brute-force check and the fan walk, alone or asserted at each of "
+        "the reference's fan prunes, see it",
     ),
     Mutant(
         "primstab/markoff.py",
         "math.isfinite(m) and m >= 2.0 + _DELTA and (m - 1.0) * (m - 1.0) >= floor",
         "math.isfinite(m) and m >= 2.0 + _DELTA",
         ("tests/test_markoff.py::test_fan_escape_forward_property",
-         "tests/test_markoff.py::test_every_fan_prune_passes_the_fan_walk"),
+         "tests/test_markoff.py::test_every_fan_prune_passes_the_fan_walk",
+         "tests/test_markoff.py::test_bq_decide_matches_the_reference_search"),
         "a fan bound without (m - 1)^2 >= 1 + |r| + 1e-6 calls a fan escaping "
         "whose edges need not pass the escape test",
     ),

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import re
+import shlex
 
 import pytest
 
@@ -8,8 +11,10 @@ from primstab import cli
 from primstab.cli import build_parser
 from primstab.errors import NonFiniteValue
 
-from helpers import (REP, REP3, REP4, REP_ELLIPTIC, decimal_translation_length, run_cli,
-                     run_python, schottky_example)
+from helpers import (REP, REP3, REP4, REP_ELLIPTIC, assert_cli_contract,
+                     decimal_translation_length, run_cli, run_python, schottky_example)
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def write_rep(tmp_path, doc):
@@ -284,6 +289,29 @@ def test_render_config_with_a_retired_key_is_a_parse_error(tmp_path):
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParseError"
     assert not out_path.exists()
+
+
+def test_readme_examples_run(monkeypatch, tmp_path):
+    # the README's representation and slice config are read by the library's
+    # readers, and each of its command lines but the render, which criterion 9
+    # covers, exits 0 with one JSON object
+    with open(README, encoding="utf-8") as f:
+        text = f.read()
+    rep, config = re.findall(r"^```json\n(.*?)^```", text, re.M | re.S)
+    ps.representation_from_json(json.loads(rep))
+    ps.slice_config_from_json(json.loads(config))
+    (tmp_path / "rep.json").write_text(rep)
+    (tmp_path / "slice.json").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    argvs = [shlex.split(line)[1:]
+             for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+             for line in block.splitlines() if line.startswith("primstab ")]
+    argvs = [argv for argv in argvs if argv[0] != "render"]
+    assert len(argvs) == 9
+    for argv in argvs:
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv, err)
+        assert_cli_contract(code, out, err)
 
 
 def test_domain_errors_exit_one_with_error_json(tmp_path):

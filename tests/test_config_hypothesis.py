@@ -33,6 +33,7 @@ keys = st.sampled_from(sorted(VALID) + ["delta", "tol"]) | st.text(max_size=6)
 @settings(derandomize=True, deadline=None, max_examples=600)
 @given(keys, values)
 @example("delta", "x")
+@example("root", "larger")
 @example("small_trace_bound", -1)
 @example("kappa", [10 ** 400, 0])
 @example("kappa", [1.5e308, 1.5e308])

@@ -60,17 +60,30 @@ def test_pixel_grid_geometry():
     assert ps.pixel_trace(cfg, 3, 3) == complex(5.25, -2.25)
 
 
-def test_root_choice_changes_the_triple():
-    cfg_small = one_pixel_config(3.0, root_choice=ps.RootChoice.SMALLER_ABS)
-    cfg_large = one_pixel_config(3.0, root_choice=ps.RootChoice.LARGER_ABS)
-    z = ps.pixel_trace(cfg_small, 0, 0)
-    v_small = ps.pixel_verdict(cfg_small, z)
-    v_large = ps.pixel_verdict(cfg_large, z)
-    # roots at z=3 are {3, 6}; both certify here but explore different trees
-    assert v_small.kind == ps.BqKind.BQ_CERTIFIED
-    assert v_large.kind == ps.BqKind.BQ_CERTIFIED
-    assert (v_small.nodes_explored, v_small.depth_max) != (
-        v_large.nodes_explored, v_large.depth_max)
+def test_a_gray_pixel_certifies_its_centre_not_its_box():
+    # two certified pixels of the criterion-9 slice whose closed boxes hold a
+    # Gaussian-integer character with a parabolic primitive: a verdict is the
+    # centre's alone
+    cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(complex(0, -3), complex(6, 3)),
+                         width=64, height=64)
+    step = 6 / 64
+    for (i, j), centre, nodes, z, y, witness in (
+            ((21, 32), 2.015625 - 0.046875j, 9, 2, 3 + 2j, ((1, 1), 2)),  # ab parabolic
+            ((32, 53), 3.046875 - 2.015625j, 10, 3 - 2j, 2, ((1, 0), 2))):  # b parabolic
+        assert ps.pixel_trace(cfg, i, j) == centre
+        verdict = ps.pixel_verdict(cfg, centre)
+        assert (verdict.kind, verdict.nodes_explored) == (ps.BqKind.BQ_CERTIFIED, nodes)
+        assert ps.palette_color(verdict) == (255, 255, 255)
+        assert abs(z.real - centre.real) <= step / 2 and abs(z.imag - centre.imag) <= step / 2
+        exact = ps.bq_decide(ps.MarkoffTriple(3, y, z, -2), cfg.budget)
+        assert ps.pixel_verdict(cfg, z) == exact
+        assert exact.kind == ps.BqKind.NOT_BQ_WITNESS and exact.witnesses == (witness,)
+    # the seam of the one root rule: at z = 2 both roots have modulus sqrt(13),
+    # the other one is witnessed too, and the slice takes the plus root
+    plus, minus = ps.solve_y_from_fricke(3, 2, -2)
+    assert (plus, minus) == (3 + 2j, 3 - 2j) and abs(plus) == abs(minus)
+    other = ps.bq_decide(ps.MarkoffTriple(3, minus, 2, -2), 20000)
+    assert other.kind == ps.BqKind.NOT_BQ_WITNESS and other.witnesses == (((1, 1), 2),)
 
 
 def test_render_is_deterministic_and_thread_independent():
@@ -349,8 +362,7 @@ def test_render_has_multiple_colors_on_a_mixed_window():
 def test_config_json_round_trip():
     cfg = ps.SliceConfig(kappa=complex(-2, 0.5), fixed_x=complex(3, -1),
                          window=(complex(0, -3), complex(6, 3)),
-                         width=32, height=16, root_choice=ps.RootChoice.LARGER_ABS,
-                         budget=1234, small_trace_bound=7)
+                         width=32, height=16, budget=1234, small_trace_bound=7)
     back = ps.slice_config_from_json(ps.slice_config_to_json(cfg))
     assert back == cfg
 
@@ -364,10 +376,11 @@ def test_config_json_errors():
         del bad[key]
         with pytest.raises(ParseError):
             ps.slice_config_from_json(bad)
-    bad = dict(good)
-    bad["root"] = "other"
-    with pytest.raises(ParseError):
-        ps.slice_config_from_json(bad)
+    assert "root" not in good
+    assert ps.slice_config_from_json(dict(good, root="smaller")) == ps.slice_config_from_json(good)
+    for root in ("larger", "other", None):
+        with pytest.raises(ParseError, match="smaller"):
+            ps.slice_config_from_json(dict(good, root=root))
     bad = dict(good)
     bad["width"] = 1.5
     with pytest.raises(ParseError):

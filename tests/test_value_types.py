@@ -66,11 +66,11 @@ CASES = [
      (CyclicWord(2, (1,)), 0.0, IsometryClass.PARABOLIC), ENTRY_REPR),
     (PsReport, (1, (ENTRY,)), {"max_len": 1, "entries": (ENTRY,)}, (2, (ENTRY,)),
      "PsReport(max_len=1, entries=(%s,))" % ENTRY_REPR),
-    (SliceConfig, (-2, 3, (6 - 1j, 7), 4, 4, "SMALLER_ABS", 20000, 64),
+    (SliceConfig, (-2, 3, (6 - 1j, 7), 4, 4, 20000, 64),
      {"kappa": -2, "fixed_x": 3, "window": (6 - 1j, 7), "width": 4, "height": 4},
-     (-2, 3, (6 - 1j, 7), 4, 4, "LARGER_ABS", 20000, 64),
+     (-2, 3, (6 - 1j, 7), 4, 4, 10000, 64),
      "SliceConfig(kappa=(-2+0j), fixed_x=(3+0j), window=((6-1j), (7+0j)), width=4, height=4, "
-     "root_choice=<RootChoice.SMALLER_ABS: 'SMALLER_ABS'>, budget=20000, small_trace_bound=64)"),
+     "budget=20000, small_trace_bound=64)"),
 ]
 
 
