@@ -88,7 +88,7 @@ def _emit(obj) -> None:
 
 
 def _cmd_word(args) -> int:
-    from .words import cyclic_length, cyclic_reduce, parse_word
+    from .words import cyclic_reduce, parse_word
 
     w = parse_word(args.word, args.rank)
     cyc, conj = cyclic_reduce(w)
@@ -98,7 +98,7 @@ def _cmd_word(args) -> int:
         "reduced": str(w),
         "length": len(w),
         "cyclic": str(cyc),
-        "cyclic_length": cyclic_length(w),
+        "cyclic_length": len(cyc),
         "conjugator": str(conj),
     })
     return 0
@@ -187,10 +187,10 @@ def _cmd_bq_decide(args) -> int:
     from .markoff import MarkoffTriple, bq_decide, bq_verdict_to_json
     from .traces import _complex_to_json
 
-    triple = MarkoffTriple.from_traces(args.x, args.y, args.z)
-    verdict = bq_decide(triple, args.budget, args.small_trace_bound)
-    out = bq_verdict_to_json(verdict)
-    out["kappa"] = _complex_to_json(triple.kappa)
+    triple = MarkoffTriple(args.x, args.y, args.z)
+    kappa = triple.kappa  # NonFiniteValue past the float range, before any search
+    out = bq_verdict_to_json(bq_decide(triple, args.budget, args.small_trace_bound))
+    out["kappa"] = _complex_to_json(kappa)
     _emit(out)
     return 0
 

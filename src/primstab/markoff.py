@@ -29,7 +29,6 @@ from .errors import CheckFailed, NotCoprime, ParseError
 from .traces import (
     _TOL,
     IsometryClass,
-    _check_fricke,
     _complex_from_json,
     _complex_to_json,
     _half_trace_split,
@@ -48,25 +47,24 @@ _DELTA = 1e-6
 
 
 class MarkoffTriple(_Frozen):
-    """Traces (x, y, z) of (a, b, ab) with their commutator trace kappa."""
+    """Traces (x, y, z) of (a, b, ab)."""
 
-    __slots__ = ("x", "y", "z", "kappa")
+    __slots__ = ("x", "y", "z")
 
-    def __init__(self, x: complex, y: complex, z: complex, kappa: complex):
-        for name, value in zip(self.__slots__, (x, y, z, kappa)):
+    def __init__(self, x: complex, y: complex, z: complex):
+        for name, value in zip(self.__slots__, (x, y, z)):
             object.__setattr__(self, name, _number(name, value))
-        _check_fricke(self.x, self.y, self.z, self.kappa)
 
-    @classmethod
-    def from_traces(cls, x: complex, y: complex, z: complex) -> "MarkoffTriple":
-        return cls(x, y, z, fricke_kappa(x, y, z))
+    @property
+    def kappa(self) -> complex:
+        """fricke_kappa(x, y, z), the commutator trace; NonFiniteValue past the float range."""
+        return _number("kappa", fricke_kappa(self.x, self.y, self.z))
 
     @classmethod
     def from_representation(cls, rep: Representation) -> "MarkoffTriple":
         from .moebius import fricke_traces  # the only use of matrix code here
 
-        x, y, z, kappa = fricke_traces(rep)
-        return cls(x, y, z, kappa)
+        return cls(*fricke_traces(rep)[:3])
 
 
 class MarkoffMove(str, Enum):
@@ -79,10 +77,10 @@ def markoff_move(t: MarkoffTriple, which: MarkoffMove | str) -> MarkoffTriple:
     """Replace one coordinate by product-minus-it; involutive, kappa-preserving."""
     which = MarkoffMove(which)
     if which == MarkoffMove.X:
-        return MarkoffTriple(t.y * t.z - t.x, t.y, t.z, t.kappa)
+        return MarkoffTriple(t.y * t.z - t.x, t.y, t.z)
     if which == MarkoffMove.Y:
-        return MarkoffTriple(t.x, t.x * t.z - t.y, t.z, t.kappa)
-    return MarkoffTriple(t.x, t.y, t.x * t.y - t.z, t.kappa)
+        return MarkoffTriple(t.x, t.x * t.z - t.y, t.z)
+    return MarkoffTriple(t.x, t.y, t.x * t.y - t.z)
 
 
 def slope_trace(t0: MarkoffTriple, p: int, q: int) -> complex:

@@ -146,20 +146,20 @@ class MoebiusMap(_Frozen):
 class Representation(_Frozen):
     """An assignment of one determinant-1 matrix to each free generator."""
 
-    __slots__ = ("rank", "images")
+    __slots__ = ("images",)
 
-    def __init__(self, rank: int, images: tuple[MoebiusMap, ...]):
-        _check_count("rank", rank, 1)
+    def __init__(self, images: Iterable[MoebiusMap]):
         images = tuple(images)
-        if len(images) != rank:
-            raise RankMismatch(
-                "rank %d needs %d generator images, got %d" % (rank, rank, len(images))
-            )
+        _check_count("rank", len(images), 1)
         for m in images:
             if not isinstance(m, MoebiusMap):
                 raise TypeError("generator images must be MoebiusMap, got %r" % (m,))
-        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "images", images)
+
+    @property
+    def rank(self) -> int:
+        """The number of generator images."""
+        return len(self.images)
 
 
 def _walk(table, plan: Iterable[tuple[int, Sequence[int]]]) -> Iterator[tuple[complex, ...]]:
@@ -508,16 +508,21 @@ def image_circle(m: MoebiusMap, disk: SphereDisk) -> SphereDisk:
 
 
 class SchottkyVerdict(_Frozen):
-    __slots__ = ("valid", "reason", "detail")
+    """The outcome of ``schottky_check``: valid, or the reason it is not."""
+
+    __slots__ = ("reason", "detail")
 
     DISJOINTNESS = "DISJOINTNESS"
     PAIRING = "PAIRING"
     DEGENERATE = "DEGENERATE"
 
-    def __init__(self, valid: bool, reason: str | None = None, detail: str = ""):
-        object.__setattr__(self, "valid", valid)
+    def __init__(self, reason: str | None = None, detail: str = ""):
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "detail", detail)
+
+    @property
+    def valid(self) -> bool:
+        return self.reason is None
 
 
 def _disks_disjoint(d1: SphereDisk, d2: SphereDisk) -> bool:
@@ -553,14 +558,13 @@ def schottky_check(
         for j in range(i + 1, len(disks)):
             if not _disks_disjoint(disks[i], disks[j]):
                 return SchottkyVerdict(
-                    False, SchottkyVerdict.DISJOINTNESS,
-                    "disks %d and %d are not disjoint" % (i, j),
+                    SchottkyVerdict.DISJOINTNESS, "disks %d and %d are not disjoint" % (i, j)
                 )
     for i, (dom, ran) in enumerate(pairs):
         try:
             img = image_circle(rep.images[i], dom)
         except ImageIsLine as exc:
-            return SchottkyVerdict(False, SchottkyVerdict.DEGENERATE, str(exc))
+            return SchottkyVerdict(SchottkyVerdict.DEGENERATE, str(exc))
         want = ran.complement()
         slack = _TOL * (img.radius + want.radius)
         if (
@@ -569,10 +573,10 @@ def schottky_check(
             or img.interior != want.interior
         ):
             return SchottkyVerdict(
-                False, SchottkyVerdict.PAIRING,
+                SchottkyVerdict.PAIRING,
                 "generator %d sends its disk to %r, expected %r" % (i + 1, img, want),
             )
-    return SchottkyVerdict(True)
+    return SchottkyVerdict()
 
 
 def fricke_traces(rep: Representation) -> tuple[complex, complex, complex, complex]:
@@ -627,4 +631,4 @@ def representation_from_json(obj) -> Representation:
         if safe_abs(det - 1.0) > 1e-6:
             raise DeterminantError("generator determinant %r is not 1 within 1e-6" % (det,))
         images.append(MoebiusMap.from_matrix(a, b, c, d))
-    return Representation(rank, tuple(images))
+    return Representation(images)

@@ -75,8 +75,7 @@ def pixel_trace(cfg: SliceConfig, i: int, j: int) -> complex:
 def pixel_verdict(cfg: SliceConfig, z: complex) -> BqVerdict:
     plus, minus = solve_y_from_fricke(cfg.fixed_x, z, cfg.kappa)
     y = plus if abs(plus) <= abs(minus) else minus
-    triple = MarkoffTriple(cfg.fixed_x, y, z, cfg.kappa)
-    return bq_decide(triple, cfg.budget, cfg.small_trace_bound)
+    return bq_decide(MarkoffTriple(cfg.fixed_x, y, z), cfg.budget, cfg.small_trace_bound)
 
 
 def palette_color(verdict: BqVerdict) -> tuple[int, int, int]:

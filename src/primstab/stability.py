@@ -171,14 +171,14 @@ def restrict(rep: Representation, subset) -> Representation:
         raise BadSubset("subset %r is out of range for rank %d" % (indices, rep.rank))
     if len(indices) >= rep.rank:
         raise BadSubset("subset must be a proper subset of the generators")
-    return Representation(len(indices), tuple(rep.images[i - 1] for i in indices))
+    return Representation(rep.images[i - 1] for i in indices)
 
 
 def precompose(rep: Representation, phi: WhiteheadAutomorphism) -> Representation:
     """The representation with generator images evaluated on phi's images."""
     if rep.rank != phi.rank:
         raise RankMismatch("representation rank %d vs automorphism rank %d" % (rep.rank, phi.rank))
-    return Representation(rep.rank, tuple(evaluate(rep, img) for img in phi.images))
+    return Representation(evaluate(rep, img) for img in phi.images)
 
 
 def _entry_to_json(e: SpectrumEntry) -> dict:

@@ -231,12 +231,15 @@ def _cut_vertex_verdict(adjacent: list[int], letters: int) -> tuple[str, int, in
 
 
 class BlockingCertificate(_Frozen):
-    __slots__ = ("word", "certified", "reason")
+    __slots__ = ("word", "reason")
 
-    def __init__(self, word: Word, certified: bool, reason: str):
+    def __init__(self, word: Word, reason: str):
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "certified", certified)
         object.__setattr__(self, "reason", reason)
+
+    @property
+    def certified(self) -> bool:
+        return self.reason == CONNECTED_NO_CUTPOINT
 
 
 def blocking_certificate(w: Word) -> BlockingCertificate:
@@ -247,29 +250,33 @@ def blocking_certificate(w: Word) -> BlockingCertificate:
     power of w may still certify.
     """
     if len(w) == 0:
-        return BlockingCertificate(w, False, TOO_SHORT)
+        return BlockingCertificate(w, TOO_SHORT)
     adjacent = _letter_graph(2 * w.rank, _bits(w.letters), False)
     # an isolated letter disconnects before any flood fill, which would
     # otherwise cost a pass over a 2n-bit mask
     reason = (_cut_vertex_verdict(adjacent, (1 << len(adjacent)) - 1)[0] if all(adjacent)
               else DISCONNECTED)
-    return BlockingCertificate(w, reason == CONNECTED_NO_CUTPOINT, reason)
+    return BlockingCertificate(w, reason)
 
 
 class WhiteheadAutomorphism(_Frozen):
     """An automorphism of the free group given by its generator images."""
 
-    __slots__ = ("rank", "images")
+    __slots__ = ("images",)
 
-    def __init__(self, rank: int, images: Sequence[Word]):
+    def __init__(self, images: Iterable[Word]):
+        images = tuple(images)
+        rank = len(images)
         _check_count("rank", rank, 1)
-        if len(images) != rank:
-            raise RankMismatch("need %d generator images, got %d" % (rank, len(images)))
         for img in images:
             if img.rank != rank:
                 raise RankMismatch("image %r has rank %d, expected %d" % (str(img), img.rank, rank))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "images", tuple(images))
+        object.__setattr__(self, "images", images)
+
+    @property
+    def rank(self) -> int:
+        """The number of generator images."""
+        return len(self.images)
 
     def __repr__(self) -> str:
         return "WhiteheadAutomorphism(%s)" % ", ".join(
@@ -279,7 +286,7 @@ class WhiteheadAutomorphism(_Frozen):
     @classmethod
     def identity(cls, rank: int) -> "WhiteheadAutomorphism":
         _check_count("rank", rank, 1)
-        return cls(rank, [Word(rank, (i,)) for i in range(1, rank + 1)])
+        return cls(Word(rank, (i,)) for i in range(1, rank + 1))
 
     @classmethod
     def letter_permutation(cls, rank: int, mapping: dict[int, int]) -> "WhiteheadAutomorphism":
@@ -291,7 +298,7 @@ class WhiteheadAutomorphism(_Frozen):
         _check_count("rank", rank, 1)
         if sorted(abs(mapping.get(i, 0)) for i in range(1, rank + 1)) != list(range(1, rank + 1)):
             raise ValueError("mapping %r is not a signed permutation of 1..%d" % (mapping, rank))
-        return cls(rank, [Word(rank, (mapping[i],)) for i in range(1, rank + 1)])
+        return cls(Word(rank, (mapping[i],)) for i in range(1, rank + 1))
 
     @classmethod
     def multiplier_move(cls, rank: int, multiplier: int, members: Iterable[int]) -> "WhiteheadAutomorphism":
@@ -312,7 +319,7 @@ class WhiteheadAutomorphism(_Frozen):
         letters = list(zip(range(1, rank + 1)))
         for i in {abs(v) for v in members}:
             letters[i - 1] = (-a,) * (-i in members) + (i,) + (a,) * (i in members)
-        return cls(rank, Word._from_columns((rank,) * rank, letters))
+        return cls(Word._from_columns((rank,) * rank, letters))
 
     def inverse_move(self) -> "WhiteheadAutomorphism":
         """Inverse of a second-kind move (a, A): the move whose images are
@@ -333,9 +340,8 @@ class WhiteheadAutomorphism(_Frozen):
 
         if not any(is_multiplier(a) for a in all_letters(self.rank)):
             raise ValueError("inverse_move is only defined for multiplier moves")
-        return WhiteheadAutomorphism(self.rank, [
-            Word(self.rank, tuple(v if v == x else -v for v in w))
-            for x, w in enumerate(images, 1)])
+        return WhiteheadAutomorphism(
+            Word(self.rank, tuple(v if v == x else -v for v in w)) for x, w in enumerate(images, 1))
 
 
 def _image_table(phi: WhiteheadAutomorphism) -> tuple[tuple[int, ...], ...]:

@@ -92,11 +92,10 @@ def _canonical_cycle(letters: Sequence[int]) -> tuple[int, ...]:
 class _Frozen:
     """Base of the package's immutable value types.
 
-    A subclass names its fields, in order, in ``__slots__`` (at least two,
-    so that ``_values`` returns a tuple), and its ``__init__`` sets them
-    through ``object.__setattr__``.  Instances equal only instances of the
-    same class with equal field tuples, hash as that tuple, print as
-    ``Name(field=value, ...)``, refuse assignment and deletion, and pickle
+    A subclass names its fields, in order, in ``__slots__``, and its
+    ``__init__`` sets them through ``object.__setattr__``.  Instances equal
+    only instances of the same class with equal fields, hash as them, print
+    as ``Name(field=value, ...)``, refuse assignment and deletion, and pickle
     and copy through ``__init__``.  This is what a frozen class from the
     standard library's generator would give, without importing that module,
     which loads ``inspect``: 8-12 ms of every command-line call.
@@ -159,7 +158,7 @@ class _Frozen:
         raise AttributeError("cannot delete field %r" % (name,))
 
     def __reduce__(self):
-        return type(self), self._values(self)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Word(_Frozen):

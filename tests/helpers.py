@@ -101,7 +101,7 @@ def random_loxodromic(rng, scale=1.0):
 
 
 def random_representation(rng, rank, scale=1.0):
-    return ps.Representation(rank, tuple(random_sl2(rng, scale) for _ in range(rank)))
+    return ps.Representation(tuple(random_sl2(rng, scale) for _ in range(rank)))
 
 
 def random_near_identity_representation(rng, rank, eps=0.05):
@@ -112,7 +112,7 @@ def random_near_identity_representation(rng, rank, eps=0.05):
         b = random_complex(rng, eps)
         c = random_complex(rng, eps)
         images.append(ps.MoebiusMap(a, b, c, (1.0 + b * c) / a))
-    return ps.Representation(rank, tuple(images))
+    return ps.Representation(tuple(images))
 
 
 def decimal_translation_length(t):
@@ -320,7 +320,7 @@ def schottky_example():
     dpa = ps.SphereDisk(0.0, 3.0, ps.DiskSide.OUTSIDE)
     db = ps.image_circle(s, da)
     dpb = ps.image_circle(s, dpa)
-    rep = ps.Representation(2, (ga, gb))
+    rep = ps.Representation((ga, gb))
     return rep, [(da, dpa), (db, dpb)]
 
 

@@ -239,6 +239,14 @@ MUTANTS = (
         "a fan bound without (m - 1)^2 >= 1 + |r| + 1e-6 calls a fan escaping "
         "whose edges need not pass the escape test",
     ),
+    Mutant(
+        "primstab/whitehead.py",
+        "return self.reason == CONNECTED_NO_CUTPOINT",
+        "return self.reason != DISCONNECTED",
+        ("tests/test_whitehead.py::test_blocking_certificate_examples",),
+        "a certificate that asks only for a connected letter graph calls a word "
+        "with a cutpoint, or the empty word, certified",
+    ),
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

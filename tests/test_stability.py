@@ -36,7 +36,7 @@ from helpers import (
 
 
 def diag_rep():
-    return ps.Representation(2, (ps.MoebiusMap(2, 0, 0, 0.5), ps.MoebiusMap(1, -1, -1, 2)))
+    return ps.Representation((ps.MoebiusMap(2, 0, 0, 0.5), ps.MoebiusMap(1, -1, -1, 2)))
 
 
 def entry_for(entries, text):
@@ -56,7 +56,7 @@ def test_spectrum_entry_for_diagonal_generator():
 
 
 def test_spectrum_entry_for_parabolic_generator():
-    rep = ps.Representation(2, (ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
+    rep = ps.Representation((ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
     entries = ps.primitive_length_spectrum(rep, 1)
     e = entry_for(entries, "a")
     assert e.ratio == 0.0 and e.trans_len == 0.0
@@ -118,7 +118,7 @@ def test_spectrum_along_shared_prefixes_equals_per_class_evaluation(rank, max_le
     theta = rng.uniform(0.3, 2.8)
     for first in (ps.MoebiusMap(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta)),
                   ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, 0, 0, 1)):
-        reps.append(ps.Representation(rank, (first,) + reps[1].images[1:]))
+        reps.append(ps.Representation((first,) + reps[1].images[1:]))
     for rep in reps:
         entries = ps.ps_scan(rep, max_len).entries
         assert [e.cls for e in entries] == list(ps.enumerate_primitive_classes(rank, max_len))
@@ -154,7 +154,7 @@ def test_scan_kernels_are_exact_on_an_integer_table(a, b, walked):
     assert all(type(v) is int for m in products for v in m)
     kinds, lengths = moebius._kinds_and_lengths(products)
     assert {kind.name: kinds.count(kind) for kind in set(kinds)} == walked
-    rep = ps.Representation(2, (ps.MoebiusMap(*a), ps.MoebiusMap(*b)))
+    rep = ps.Representation((ps.MoebiusMap(*a), ps.MoebiusMap(*b)))
     assert [(kinds[i], lengths[i]) for i in slots] == [
         (e.kind, e.trans_len) for e in ps.primitive_length_spectrum(rep, 7)]
 
@@ -172,7 +172,7 @@ def test_every_class_has_its_inverse_entry(rank, max_len):
     for scale in (0.5, 1.0, 3.0):
         for first in firsts:
             images = random_representation(rng, rank, scale=scale).images
-            rep = ps.Representation(rank, (first or images[0],) + images[1:])
+            rep = ps.Representation((first or images[0],) + images[1:])
             entries = ps.ps_scan(rep, max_len).entries
             assert_inverse_entries_equal(entries)
             kinds.update(e.kind for e in entries)
@@ -202,7 +202,7 @@ def test_inverse_entries_agree_at_the_parabolic_tolerance():
         t = 2 + 1e-9 * (1 + (1, -1)[trial % 2] * 1e-6)
         lam = t / 2 + cmath.sqrt(t * t / 4 - 1)
         p = g.mul(ps.MoebiusMap(lam, 0, 0, 1 / lam)).mul(g.inverse())
-        rep = ps.Representation(2, (a, a.inverse().mul(p)))
+        rep = ps.Representation((a, a.inverse().mul(p)))
         entries = ps.ps_scan(rep, 4).entries
         assert_inverse_entries_equal(entries)
         kinds.add(entry_for(entries, "ab").kind)
@@ -216,7 +216,7 @@ def test_ps_scan_rejects_products_that_lose_the_determinant():
     # pair with AAAb) on its own does
     a, b, c = complex(3.37e10, 9.41e9), complex(2.10e6, 9.77e5), complex(9.21, -3.69)
     m = ps.MoebiusMap(a, b, c, (1 + b * c) / a)
-    rep = ps.Representation(2, (m, m))
+    rep = ps.Representation((m, m))
     with pytest.raises(DeterminantError):
         ps.evaluate(rep, ps.parse_word("aB", 2))
     with pytest.raises(DeterminantError) as scanned:
@@ -274,7 +274,7 @@ def test_ps_scan_conjugation_invariance():
     rng = random.Random(42)
     rep = random_representation(rng, 2)
     u = random_sl2(rng)
-    conj = ps.Representation(2, tuple(u.mul(g).mul(u.inverse()) for g in rep.images))
+    conj = ps.Representation(tuple(u.mul(g).mul(u.inverse()) for g in rep.images))
     r1 = ps.ps_scan(rep, 4)
     r2 = ps.ps_scan(conj, 4)
     for e1, e2 in zip(r1.entries, r2.entries):
@@ -317,7 +317,7 @@ def test_scan_is_out_equivariant(rank, max_len, count):
         first = (images[0], ps.MoebiusMap(math.cos(theta), -math.sin(theta),
                                           math.sin(theta), math.cos(theta)),
                  ps.MoebiusMap(1, 1, 0, 1))[i % 3]
-        rep = ps.Representation(rank, (first,) + images[1:])
+        rep = ps.Representation((first,) + images[1:])
         phi = random_automorphism(rng, rank)
         for e in ps.ps_scan(ps.precompose(rep, phi), max_len).entries:
             target, _ = ps.cyclic_reduce(ps.apply_automorphism(phi, e.cls.to_word()))
@@ -359,7 +359,7 @@ def test_restrict_errors():
 
 
 def test_probe_identity_rep():
-    rep = ps.Representation(2, (ps.MoebiusMap.identity(), ps.MoebiusMap.identity()))
+    rep = ps.Representation((ps.MoebiusMap.identity(), ps.MoebiusMap.identity()))
     slope, residuals = ps.orbit_growth_probe(rep, ps.parse_word("ab"), 10)
     assert slope == 0.0
     assert all(r == 0.0 for r in residuals)
@@ -374,7 +374,7 @@ def test_probe_diagonal_exact():
 def test_probe_near_identity_diagonal():
     # lam - 1/lam = 2e-9: the distances must not cancel to a few digits
     lam = 1 + 1e-9
-    rep = ps.Representation(2, (ps.MoebiusMap(lam, 0, 0, 1 / lam), ps.MoebiusMap(1, -1, -1, 2)))
+    rep = ps.Representation((ps.MoebiusMap(lam, 0, 0, 1 / lam), ps.MoebiusMap(1, -1, -1, 2)))
     slope, _ = ps.orbit_growth_probe(rep, ps.parse_word("a", 2), 50)
     assert abs(slope - 2 * math.log(lam)) <= 1e-6 * 2 * math.log(lam)
 
@@ -383,14 +383,14 @@ def test_probe_far_basepoints_keep_finite_distances():
     # the images stay finite points, so distances near 1400 are measured
     word = ps.parse_word("a", 2)
     # a parabolic translation by 1 at height 1e-300: d_m = 2 asinh(m / 2e-300)
-    rep = ps.Representation(2, (ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
+    rep = ps.Representation((ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
     slope, residuals = ps.orbit_growth_probe(rep, word, 50, ps.UhsPoint(1e9, 1e-300))
     dists = [2 * math.asinh(m / 2e-300) for m in range(51)]
     expected = sum(m * d for m, d in enumerate(dists)) / sum(m * m for m in range(51))
     assert abs(slope - expected) <= 1e-12 * expected
     assert all(abs(r + slope * m - d) <= 1e-12 * d for m, (r, d) in enumerate(zip(residuals, dists)))
     # diag(2, 1/2) scales (1e300, 1e-20) by 4^m: d_m = 2 ln((4^m - 1) 1e320 / 2^m)
-    rep = ps.Representation(2, (ps.MoebiusMap(2, 0, 0, 0.5), ps.MoebiusMap(1, -1, -1, 2)))
+    rep = ps.Representation((ps.MoebiusMap(2, 0, 0, 0.5), ps.MoebiusMap(1, -1, -1, 2)))
     slope, residuals = ps.orbit_growth_probe(rep, word, 2, ps.UhsPoint(1e300, 1e-20))
     dists = [0.0] + [2 * (math.log(4 ** m - 1) - m * math.log(2) + 320 * math.log(10)) for m in (1, 2)]
     assert abs(slope - (dists[1] + 2 * dists[2]) / 5) <= 1e-12 * 885.4
@@ -405,14 +405,14 @@ def test_probe_distances_outlive_an_underflowing_image_height():
     # the 50th image of (0, 1) has height e^-873, below the smallest float,
     # while its distance 873 is a float: d_m = 17.46 m
     lam = math.exp(8.73)
-    rep = ps.Representation(2, (ps.MoebiusMap(1 / lam, 0, 0, lam), ps.MoebiusMap(1, -1, -1, 2)))
+    rep = ps.Representation((ps.MoebiusMap(1 / lam, 0, 0, lam), ps.MoebiusMap(1, -1, -1, 2)))
     slope, residuals = ps.orbit_growth_probe(rep, ps.parse_word("a", 2), 50)
     assert abs(slope - 17.46) <= 1e-12 * 17.46
     assert abs(residuals[50] + slope * 50 - 873.0) <= 1e-12 * 873.0
 
 
 def test_probe_parabolic_sublinear():
-    rep = ps.Representation(2, (ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
+    rep = ps.Representation((ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
     word = ps.parse_word("a", 2)
     slope50, _ = ps.orbit_growth_probe(rep, word, 50)
     slope25, _ = ps.orbit_growth_probe(rep, word, 25)
@@ -486,7 +486,7 @@ def test_probe_matches_the_reference_to_the_bit(monkeypatch):
     for gen, base, periods in ((ps.MoebiusMap(1, 1, 0, 1), ps.UhsPoint(1e9, 1e-300), 50),
                                (ps.MoebiusMap(2, 0, 0, 0.5), ps.UhsPoint(1e300, 1e-20), 2),
                                (ps.MoebiusMap(1 / lam, 0, 0, lam), None, 50)):
-        rep = ps.Representation(2, (gen, other))
+        rep = ps.Representation((gen, other))
         for n in (2, periods):
             assert isinstance(_assert_probe_matches_reference(monkeypatch, rep, word, n, base), list)
 
@@ -508,7 +508,7 @@ def test_probe_raises_as_the_reference_at_the_same_power(monkeypatch):
         (ps.MoebiusMap(1, 1e307, 0, 1), None, "NonFiniteValue", 18),
     ]
     for gen, base, error, power in cases:
-        rep = ps.Representation(2, (gen, other))
+        rep = ps.Representation((gen, other))
         for periods in sorted({2, max(2, power - 1), max(2, power), 50}):
             result, powers = _probe_outcome(monkeypatch, ps.orbit_growth_probe,
                                             rep, word, periods, base)
@@ -586,7 +586,7 @@ def broken_schottky():
     theta = 1.0
     rot = ps.MoebiusMap(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
     rep, _ = schottky_example()
-    return ps.Representation(2, (rot, rep.images[1]))
+    return ps.Representation((rot, rep.images[1]))
 
 
 def test_report_json_round_trip_with_failures():
@@ -645,9 +645,9 @@ def test_report_json_round_trips_seeded_scans():
     reps = [random_representation(rng, rank) for rank in (1, 2, 2, 3, 3) for _ in range(4)]
     parabolic = ps.MoebiusMap(1, 1, 0, 1)
     elliptic = ps.MoebiusMap(math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3))
-    reps += [ps.Representation(2, (parabolic, random_sl2(rng))),
-             ps.Representation(3, (random_sl2(rng), elliptic, parabolic)),
-             ps.Representation(1, (ps.MoebiusMap.identity(),))]
+    reps += [ps.Representation((parabolic, random_sl2(rng))),
+             ps.Representation((random_sl2(rng), elliptic, parabolic)),
+             ps.Representation((ps.MoebiusMap.identity(),))]
     verdicts = set()
     for rep in reps:
         for max_len in range(5 if rep.rank < 3 else 4):

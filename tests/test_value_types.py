@@ -21,6 +21,7 @@ from primstab.moebius import (
 )
 from primstab.render import SliceConfig
 from primstab.stability import PsReport, SpectrumEntry, primitive_length_spectrum, ps_scan
+from primstab.traces import fricke_kappa
 from primstab.whitehead import BlockingCertificate, WhiteheadAutomorphism
 from primstab.words import CyclicWord, Word, parse_word
 
@@ -36,26 +37,25 @@ CASES = [
     (Word, (2, (1, 2)), {"rank": 2, "letters": (1, 2)}, (2, (1,)), "Word('ab', rank=2)"),
     (CyclicWord, (2, (2, 1)), {"rank": 2, "letters": (1, 2)}, (3, (1, 2)),
      "CyclicWord('ab', rank=2)"),
-    (BlockingCertificate, (Word(2, (1, 2)), False, "DISCONNECTED"),
-     {"word": Word(2, (1, 2)), "certified": False, "reason": "DISCONNECTED"},
-     (Word(2, (1, 2)), False, "TOO_SHORT"),
-     "BlockingCertificate(word=Word('ab', rank=2), certified=False, reason='DISCONNECTED')"),
+    (BlockingCertificate, (Word(2, (1, 2)), "DISCONNECTED"),
+     {"word": Word(2, (1, 2)), "reason": "DISCONNECTED"}, (Word(2, (1, 2)), "TOO_SHORT"),
+     "BlockingCertificate(word=Word('ab', rank=2), reason='DISCONNECTED')"),
     # images first, so the assignment refused below is the one that once left
     # the move's cached letter images stale
-    (WhiteheadAutomorphism, (2, (A, BA)), {"images": [A, BA], "rank": 2}, (2, (A, B)),
+    (WhiteheadAutomorphism, ((A, BA),), {"images": [A, BA]}, ((A, B),),
      "WhiteheadAutomorphism(a->a, b->ba)"),
     (MoebiusMap, (2, 1, 1, 1), {"a": 2, "b": 1, "c": 1, "d": 1}, (1, 1, 0, 1),
      "MoebiusMap(a=(2+0j), b=(1+0j), c=(1+0j), d=(1+0j))"),
-    (Representation, (1, (M,)), {"rank": 1, "images": [M]}, (1, (M.inverse(),)),
-     "Representation(rank=1, images=(MoebiusMap(a=(2+0j), b=(1+0j), c=(1+0j), d=(1+0j)),))"),
+    (Representation, ((M,),), {"images": [M]}, ((M.inverse(),),),
+     "Representation(images=(MoebiusMap(a=(2+0j), b=(1+0j), c=(1+0j), d=(1+0j)),))"),
     (UhsPoint, (1 + 2j, 0.5), {"z": 1 + 2j, "t": 0.5}, (1 + 2j, 2.0),
      "UhsPoint(z=(1+2j), t=0.5)"),
     (SphereDisk, (0j, 1.0, "INSIDE"), {"center": 0, "radius": 1}, (0j, 1.0, "OUTSIDE"),
      "SphereDisk(center=0j, radius=1.0, interior=<DiskSide.INSIDE: 'INSIDE'>)"),
-    (SchottkyVerdict, (True, None, ""), {"valid": True}, (False, SchottkyVerdict.PAIRING, ""),
-     "SchottkyVerdict(valid=True, reason=None, detail='')"),
-    (MarkoffTriple, (3, 3, 3, -2), {"x": 3, "y": 3, "z": 3, "kappa": -2}, (3, 3, 6, -2),
-     "MarkoffTriple(x=(3+0j), y=(3+0j), z=(3+0j), kappa=(-2+0j))"),
+    (SchottkyVerdict, ("PAIRING", "at 1"), {"reason": "PAIRING", "detail": "at 1"},
+     ("PAIRING", "at 2"), "SchottkyVerdict(reason='PAIRING', detail='at 1')"),
+    (MarkoffTriple, (3, 3, 3), {"x": 3, "y": 3, "z": 3}, (3, 3, 6),
+     "MarkoffTriple(x=(3+0j), y=(3+0j), z=(3+0j))"),
     (BqVerdict, (BqKind.BQ_CERTIFIED, 6, (), 1, (), 0, 0),
      {"kind": BqKind.BQ_CERTIFIED, "nodes_explored": 6, "witnesses": (), "depth_max": 1},
      (BqKind.BQ_CERTIFIED, 6, (), 1, (), 2, 0),
@@ -97,13 +97,46 @@ def test_value_semantics(cls, args, kwargs, other, text):
     assert not hasattr(value, "__dict__")
 
 
+# each value a class works out from its fields: (a value, the name, its rule,
+# what the rule gives for that value)
+DERIVED = [
+    (MarkoffTriple(3, 3, 6), "kappa", lambda t: fricke_kappa(t.x, t.y, t.z), -2),
+    (Representation((M, M.inverse())), "rank", lambda rep: len(rep.images), 2),
+    (WhiteheadAutomorphism((A, BA)), "rank", lambda phi: len(phi.images), 2),
+    (BlockingCertificate(A, "CONNECTED_NO_CUTPOINT"), "certified",
+     lambda cert: cert.reason == "CONNECTED_NO_CUTPOINT", True),
+    (BlockingCertificate(A, "HAS_CUTPOINT"), "certified",
+     lambda cert: cert.reason == "CONNECTED_NO_CUTPOINT", False),
+    (SchottkyVerdict(), "valid", lambda verdict: verdict.reason is None, True),
+    (SchottkyVerdict("DEGENERATE"), "valid", lambda verdict: verdict.reason is None, False),
+]
+
+
+@pytest.mark.parametrize("value, name, rule, want", DERIVED,
+                         ids=["%s.%s=%r" % (type(case[0]).__name__, case[1], case[3])
+                              for case in DERIVED])
+def test_derived_values_are_read_only_properties(value, name, rule, want):
+    # a value the fields decide is no field: not stored, not settable, not
+    # printed, and worked out again in a pickled or copied twin
+    cls = type(value)
+    assert isinstance(vars(cls)[name], property) and name not in cls.__slots__
+    assert getattr(value, name) == rule(value) == want
+    assert "%s=" % name not in repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, name, want)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and getattr(twin, name) == want
+
+
 @pytest.mark.parametrize("max_len", [0, 1, 3])
 def test_scan_built_values_keep_the_value_contract(max_len):
     # the scan builds its entries, and the enumeration its classes, with
     # _Frozen._from_columns, neither through the constructor: each, and the
     # scan's report, is still the value the constructor gives, under every
     # rule of test_value_semantics
-    rep = Representation(2, (MoebiusMap(2, 0, 0, 0.5), MoebiusMap(1, 1, 0, 1)))
+    rep = Representation((MoebiusMap(2, 0, 0, 0.5), MoebiusMap(1, 1, 0, 1)))
     report = ps_scan(rep, max_len)
     entries = report.entries
     assert entries == primitive_length_spectrum(rep, max_len)
@@ -142,7 +175,7 @@ NUMBER_SITES = [
     ("MoebiusMap", MoebiusMap, (2, 1, 1, 1)),
     ("UhsPoint", UhsPoint, (1 + 2j, 0.5)),
     ("SphereDisk", SphereDisk, (0j, 1.0)),
-    ("MarkoffTriple", MarkoffTriple, (3, 3, 3, -2)),
+    ("MarkoffTriple", MarkoffTriple, (3, 3, 3)),
     ("solve_y_from_fricke", solve_y_from_fricke, (3, 3, -2)),
     ("SliceConfig", lambda kappa, x, lo, hi: SliceConfig(kappa, x, (lo, hi), 4, 4),
      (-2, 3, 6 - 1j, 7)),
@@ -183,7 +216,7 @@ def test_number_arguments_reject_non_finite_values(build, args, i, value):
 def test_integers_past_the_float_range_are_not_finite():
     # complex(10**400) overflows; the error names the argument, not its digits
     huge = 10 ** 400
-    for build, args in [(MarkoffTriple, (huge, 3, 3, 0)), (MoebiusMap, (huge, 0, 0, 1)),
+    for build, args in [(MarkoffTriple, (huge, 3, 3)), (MoebiusMap, (huge, 0, 0, 1)),
                         (UhsPoint, (0, huge)), (solve_y_from_fricke, (huge, 3, -2))]:
         with pytest.raises(NonFiniteValue, match="is past the float range") as info:
             build(*args)

@@ -73,11 +73,9 @@ def _takes_rank(rank):
         lambda: ps.reduce([], rank),
         lambda: ps.parse_word("", rank),
         lambda: WhiteheadGraph(rank),
-        lambda: WhiteheadAutomorphism(rank, [ps.Word(1, (1,))]),
         lambda: WhiteheadAutomorphism.multiplier_move(rank, 1, []),
         lambda: WhiteheadAutomorphism.identity(rank),
         lambda: WhiteheadAutomorphism.letter_permutation(rank, {1: 1}),
-        lambda: ps.Representation(rank, (ps.MoebiusMap.identity(),)),
     ]
 
 
