@@ -36,8 +36,7 @@ _EXPORTS = {
     ),
     "stability": (
         "FAILURE", "NO_OBSTRUCTION", "PsReport", "SpectrumEntry", "precompose",
-        "primitive_length_spectrum", "ps_report_from_json", "ps_report_to_json", "ps_scan",
-        "restrict",
+        "ps_report_from_json", "ps_report_to_json", "ps_scan", "restrict",
     ),
     "traces": ("IsometryClass", "fricke_kappa"),
     "whitehead": (
@@ -47,7 +46,7 @@ _EXPORTS = {
         "primitive_of_slope", "whitehead_graph", "whitehead_minimize",
     ),
     "words": (
-        "CyclicWord", "Word", "cyclic_length", "cyclic_reduce",
+        "CyclicWord", "Word", "cyclic_reduce",
         "format_letters", "invert", "letter_key", "parse_word", "power", "reduce",
     ),
 }

@@ -137,7 +137,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_rep_info(args) -> int:
-    from .moebius import _complex_to_json, _kinds_and_lengths, fricke_traces
+    from .moebius import _kinds_and_lengths, fricke_traces
+    from .traces import _complex_to_json
 
     rep = load_representation(args.rep)
     kinds, lengths = _kinds_and_lengths([(m.a, m.b, m.c, m.d) for m in rep.images])

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     RankMismatch,
 )
-from .traces import (  # IsometryClass and fricke_kappa are re-exported
+from .traces import (
     _TOL,
     IsometryClass,
     _check_fricke,
@@ -37,7 +37,6 @@ from .traces import (  # IsometryClass and fricke_kappa are re-exported
     _half_trace_split,
     _number,
     _trace_class,
-    fricke_kappa,
     safe_abs,
 )
 from .words import CyclicWord, Word, _check_count, _Frozen

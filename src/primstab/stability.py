@@ -20,13 +20,13 @@ from .errors import (
     WordParseError,
 )
 from .moebius import (  # orbit_growth_probe is re-exported
-    IsometryClass,
     Representation,
     _classify_walk,
     _displacement,
     evaluate,
     orbit_growth_probe,
 )
+from .traces import IsometryClass
 from .whitehead import WhiteheadAutomorphism, _walk_plan, enumerate_primitive_classes
 from .words import CyclicWord, _check_count, _Frozen, parse_word
 
@@ -82,29 +82,13 @@ class PsReport(_Frozen):
         return max((e.ratio for e in self.entries), default=0.0)
 
 
-def _spectrum(rep: Representation, max_len: int) -> tuple[tuple[SpectrumEntry, ...], float]:
-    """The entries of ``primitive_length_spectrum`` and their largest ratio,
-    ``PsReport.max_ratio`` of them to the bit (0.0 with none).
+def ps_scan(rep: Representation, max_len: int) -> PsReport:
+    """Scan the primitive spectrum for obstructions to primitive stability.
 
-    Each walked class is checked and classified by ``moebius._classify_walk``
-    on the cached plan, and its ratio is its length over its letters, whose
-    count the plan also holds.  A partner has its mate's kind and translation
-    length and as many letters, so its mate's ratio, and the mate comes first
-    in scan order: the largest walked ratio, taken in walk order, is the
-    largest entry ratio, first maximum and all.  The entries are built column
-    by column (``_Frozen._from_columns``), each class's kind and length looked
-    up by its walk slot.
-    """
-    classes = enumerate_primitive_classes(rep.rank, max_len)
-    plan, slots, sizes = _walk_plan(rep.rank, max_len)
-    kinds, lengths = _classify_walk(rep, plan)
-    entries = SpectrumEntry._from_columns(
-        classes, map(lengths.__getitem__, slots), map(kinds.__getitem__, slots))
-    return entries, max(map(truediv, lengths, sizes), default=0.0)
-
-
-def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[SpectrumEntry, ...]:
-    """One entry per primitive class with cyclic length at most max_len.
+    The report has one entry per primitive class of cyclic length at most
+    max_len.  FAILURE lists every class whose image is not loxodromic; such a
+    class rules the representation out.  NO_OBSTRUCTION reports the observed
+    ratio range and is evidence at this max_len, not a certificate.
 
     A class and its inverse have the same kind and translation length, so
     the scan walks one class of each inverse pair, the one first in scan
@@ -119,34 +103,28 @@ def primitive_length_spectrum(rep: Representation, max_len: int) -> tuple[Spectr
     (``moebius._classify_walk`` on the cached plan ``whitehead._walk_plan``),
     which gives the matrices of ``evaluate`` to the bit.  Each is checked and
     classified on its raw entries, by the rule of ``classify`` and
-    ``translation_length``, with no ``MoebiusMap`` built for it, and
-    the scan raises at the first walked class whose product fails the
+    ``translation_length``, with no ``MoebiusMap`` built for it, and the scan
+    raises at the first walked class whose product fails the determinant
     check, with that class's message; a partner's own product is never
-    formed.  The per-class work, and the ratio bound ``ps_scan`` checks,
-    happen once per walked class (``_spectrum``); each class then costs two
-    lookups of its pair's measurement and one entry.
-    """
-    return _spectrum(rep, max_len)[0]
-
-
-def ps_scan(rep: Representation, max_len: int) -> PsReport:
-    """Scan the primitive spectrum for obstructions to primitive stability.
-
-    FAILURE lists every primitive class whose image is not loxodromic; such a
-    class rules the representation out.  NO_OBSTRUCTION reports the observed
-    ratio range and is evidence at this max_len, not a certificate.  One
-    class of each inverse pair is walked (``primitive_length_spectrum``),
-    and the scan raises at the first walked class whose product fails the
-    determinant check, with that class's message.
+    formed.  The entries are built column by column
+    (``_Frozen._from_columns``), each class's kind and length looked up by
+    its walk slot.
 
     Every ratio is at most the largest basepoint displacement of a
     generator, and CheckFailed is raised where it is not (by more than
-    1e-6).  The largest ratio is taken during the walk, once per walked
-    class, and equals the report's ``max_ratio`` to the bit, which is not
-    read back from the entries; each class costs two lookups and one entry.
+    1e-6).  The largest ratio is taken over the walked classes, each
+    class's length over its letter count, which the plan also holds.  A
+    partner has its mate's kind, length and letter count, so its mate's
+    ratio, and the mate comes first in scan order: the largest walked
+    ratio, taken in walk order, is the report's ``max_ratio`` to the bit,
+    first maximum and all, with no second read of the entries.
     """
-    entries, max_ratio = _spectrum(rep, max_len)
-    report = PsReport(max_len, entries)
+    classes = enumerate_primitive_classes(rep.rank, max_len)
+    plan, slots, sizes = _walk_plan(rep.rank, max_len)
+    kinds, lengths = _classify_walk(rep, plan)
+    report = PsReport(max_len, SpectrumEntry._from_columns(
+        classes, map(lengths.__getitem__, slots), map(kinds.__getitem__, slots)))
+    max_ratio = max(map(truediv, lengths, sizes), default=0.0)
     displacement = max(_displacement(g) for g in rep.images)
     if max_ratio > displacement + 1e-6:
         raise CheckFailed(

@@ -292,13 +292,15 @@ class WhiteheadAutomorphism(_Frozen):
     def letter_permutation(cls, rank: int, mapping: dict[int, int]) -> "WhiteheadAutomorphism":
         """First-kind move: a signed permutation of the letters.
 
-        ``mapping`` sends each generator index to a letter; the absolute
-        values must form a permutation of 1..rank.
+        ``mapping`` sends each generator index 1..rank, and no other key, to
+        a letter; the absolute values must form a permutation of 1..rank.
+        Any other mapping raises ValueError.
         """
         _check_count("rank", rank, 1)
-        if sorted(abs(mapping.get(i, 0)) for i in range(1, rank + 1)) != list(range(1, rank + 1)):
+        indices = list(range(1, rank + 1))
+        if set(mapping) != set(indices) or sorted(abs(mapping[i]) for i in indices) != indices:
             raise ValueError("mapping %r is not a signed permutation of 1..%d" % (mapping, rank))
-        return cls(Word(rank, (mapping[i],)) for i in range(1, rank + 1))
+        return cls(Word(rank, (mapping[i],)) for i in indices)
 
     @classmethod
     def multiplier_move(cls, rank: int, multiplier: int, members: Iterable[int]) -> "WhiteheadAutomorphism":

@@ -246,12 +246,6 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     return cyc, conj
 
 
-def cyclic_length(w: Word) -> int:
-    """Minimal combinatorial length in the conjugacy class of w."""
-    core, _ = _cyclic_core(w.letters)
-    return len(core)
-
-
 def format_letters(letters: Iterable[int]) -> str:
     out = []
     for v in letters:

@@ -40,8 +40,7 @@ EXPORTED = {
     ],
     "stability": [
         "FAILURE", "NO_OBSTRUCTION", "PsReport", "SpectrumEntry", "precompose",
-        "primitive_length_spectrum", "ps_report_from_json", "ps_report_to_json", "ps_scan",
-        "restrict",
+        "ps_report_from_json", "ps_report_to_json", "ps_scan", "restrict",
     ],
     "traces": ["IsometryClass", "fricke_kappa"],
     "whitehead": [
@@ -51,7 +50,7 @@ EXPORTED = {
         "primitive_of_slope", "whitehead_graph", "whitehead_minimize",
     ],
     "words": [
-        "CyclicWord", "Word", "cyclic_length", "cyclic_reduce",
+        "CyclicWord", "Word", "cyclic_reduce",
         "format_letters", "invert", "letter_key", "parse_word", "power", "reduce",
     ],
 }
@@ -87,7 +86,7 @@ def test_no_public_callable_takes_a_retired_knob():
 
 def test_all_is_the_pinned_name_list():
     assert ps.__all__ == list(HOME)
-    assert len(ps.__all__) == 88
+    assert len(ps.__all__) == 86
 
 
 def test_each_name_is_the_object_of_its_home_module():
@@ -131,11 +130,11 @@ def test_a_name_rebound_in_its_home_module_is_seen_through_the_package(monkeypat
 
 
 def test_trace_rules_still_resolve_through_moebius():
-    # the trace rules moved to a leaf module; moebius still re-exports them
+    # the trace rules moved to a leaf module; IsometryClass, which moebius
+    # uses, still resolves through it
     from primstab import moebius
 
     assert moebius.IsometryClass is ps.IsometryClass
-    assert moebius.fricke_kappa is ps.fricke_kappa
 
 
 def test_orbit_probe_still_resolves_through_stability():

@@ -47,7 +47,7 @@ def entry_for(entries, text):
 
 
 def test_spectrum_entry_for_diagonal_generator():
-    entries = ps.primitive_length_spectrum(diag_rep(), 1)
+    entries = ps.ps_scan(diag_rep(), 1).entries
     e = entry_for(entries, "a")
     assert e.length == 1
     assert abs(e.trans_len - 2 * math.log(2)) <= 1e-12
@@ -57,7 +57,7 @@ def test_spectrum_entry_for_diagonal_generator():
 
 def test_spectrum_entry_for_parabolic_generator():
     rep = ps.Representation((ps.MoebiusMap(1, 1, 0, 1), ps.MoebiusMap(1, -1, -1, 2)))
-    entries = ps.primitive_length_spectrum(rep, 1)
+    entries = ps.ps_scan(rep, 1).entries
     e = entry_for(entries, "a")
     assert e.ratio == 0.0 and e.trans_len == 0.0
     assert e.kind == ps.IsometryClass.PARABOLIC
@@ -66,7 +66,7 @@ def test_spectrum_entry_for_parabolic_generator():
 def test_spectrum_matches_bare_matrix_recomputation():
     rng = random.Random(40)
     rep = random_representation(rng, 2, scale=0.8)
-    entries = ps.primitive_length_spectrum(rep, 3)
+    entries = ps.ps_scan(rep, 3).entries
     assert len(entries) == len(ps.enumerate_primitive_classes(2, 3))
     for e in entries:
         oracle = word_matrix(rep, e.cls.letters)
@@ -156,7 +156,7 @@ def test_scan_kernels_are_exact_on_an_integer_table(a, b, walked):
     assert {kind.name: kinds.count(kind) for kind in set(kinds)} == walked
     rep = ps.Representation((ps.MoebiusMap(*a), ps.MoebiusMap(*b)))
     assert [(kinds[i], lengths[i]) for i in slots] == [
-        (e.kind, e.trans_len) for e in ps.primitive_length_spectrum(rep, 7)]
+        (e.kind, e.trans_len) for e in ps.ps_scan(rep, 7).entries]
 
 
 @pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 10), (3, 5), (4, 4)])
@@ -291,8 +291,8 @@ def test_precomposition_identity():
     for _ in range(10):
         phi = random_automorphism(rng, 2)
         pre = ps.precompose(rep, phi)
-        spectrum = {e.cls: e for e in ps.primitive_length_spectrum(rep, 8)}
-        for e in ps.primitive_length_spectrum(pre, 2):
+        spectrum = {e.cls: e for e in ps.ps_scan(rep, 8).entries}
+        for e in ps.ps_scan(pre, 2).entries:
             image_class, _ = ps.cyclic_reduce(
                 ps.apply_automorphism(phi, e.cls.to_word())
             )

@@ -222,7 +222,8 @@ def test_certified_cyclically_reduced_words_are_never_primitive():
 def test_letter_permutation_swap():
     phi = ps.WhiteheadAutomorphism.letter_permutation(2, {1: 2, 2: 1})
     assert str(ps.apply_automorphism(phi, ps.parse_word("ab"))) == "ba"
-    for mapping in ({1: 2, 2: 2}, {1: -1}, {1: 2, 2: 3}):
+    # a key outside 1..rank is no generator index: it is refused, not ignored
+    for mapping in ({1: 2, 2: 2}, {1: -1}, {1: 2, 2: 3}, {1: 2, 2: 1, 7: 3}, {0: 1, 1: 2, 2: 1}):
         with pytest.raises(ValueError, match="signed permutation"):
             ps.WhiteheadAutomorphism.letter_permutation(2, mapping)
 
@@ -304,10 +305,10 @@ def test_minimize_nielsen_example():
     assert len(trace) >= 1
     # replay the trace: each recorded move strictly reduced the cyclic length
     current = ps.parse_word("ba")
-    lengths = [ps.cyclic_length(current)]
+    lengths = [len(ps.cyclic_reduce(current)[0])]
     for phi in trace:
         current = ps.apply_automorphism(phi, current)
-        lengths.append(ps.cyclic_length(current))
+        lengths.append(len(ps.cyclic_reduce(current)[0]))
     assert lengths == sorted(lengths, reverse=True)
     assert lengths[-1] == 1
 
@@ -316,7 +317,7 @@ def test_minimize_commutator_is_stuck():
     # oracle: no rank-2 multiplier move shortens the commutator
     w = ps.parse_word("abAB")
     for phi, *_ in move_pool(2):
-        assert ps.cyclic_length(ps.apply_automorphism(phi, w)) >= 4
+        assert len(ps.cyclic_reduce(ps.apply_automorphism(phi, w))[0]) >= 4
     terminal, trace = ps.whitehead_minimize(w)
     assert len(terminal) == 4 and trace == []
 
