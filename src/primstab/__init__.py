@@ -19,7 +19,7 @@ _EXPORTS = {
         "RankMismatch", "RankTooLarge", "WordParseError",
     ),
     "markoff": (
-        "BqKind", "BqVerdict", "MarkoffMove", "MarkoffTriple", "bq_decide",
+        "BqKind", "BqVerdict", "MarkoffTriple", "bq_decide",
         "bq_verdict_from_json", "bq_verdict_to_json", "edge_escapes", "fan_escapes",
         "markoff_move", "slope_trace", "solve_y_from_fricke",
     ),

@@ -67,20 +67,16 @@ class MarkoffTriple(_Frozen):
         return cls(*fricke_traces(rep)[:3])
 
 
-class MarkoffMove(str, Enum):
-    X = "X"
-    Y = "Y"
-    Z = "Z"
-
-
-def markoff_move(t: MarkoffTriple, which: MarkoffMove | str) -> MarkoffTriple:
-    """Replace one coordinate by product-minus-it; involutive, kappa-preserving."""
-    which = MarkoffMove(which)
-    if which == MarkoffMove.X:
+def markoff_move(t: MarkoffTriple, which: str) -> MarkoffTriple:
+    """Replace the coordinate ``which``, "X", "Y" or "Z", by product-minus-it;
+    involutive, kappa-preserving.  Any other ``which`` is a ValueError."""
+    if which == "X":
         return MarkoffTriple(t.y * t.z - t.x, t.y, t.z)
-    if which == MarkoffMove.Y:
+    if which == "Y":
         return MarkoffTriple(t.x, t.x * t.z - t.y, t.z)
-    return MarkoffTriple(t.x, t.y, t.x * t.y - t.z)
+    if which == "Z":
+        return MarkoffTriple(t.x, t.y, t.x * t.y - t.z)
+    raise ValueError("which must be 'X', 'Y' or 'Z', got %r" % (which,))
 
 
 def slope_trace(t0: MarkoffTriple, p: int, q: int) -> complex:
@@ -210,9 +206,9 @@ class BqVerdict(_Frozen):
         nodes_explored: int,
         witnesses: tuple[tuple[tuple[int, int], complex], ...],
         depth_max: int,
-        small_traces: tuple[tuple[tuple[int, int], complex], ...] = (),
-        pruned_escape: int = 0,
-        pruned_fan: int = 0,
+        small_traces: tuple[tuple[tuple[int, int], complex], ...],
+        pruned_escape: int,
+        pruned_fan: int,
     ):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "nodes_explored", nodes_explored)

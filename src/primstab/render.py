@@ -38,7 +38,8 @@ class SliceConfig(_Frozen):
     of ab-traces.  Each pixel draws the root of the level-set quadratic of
     smaller modulus, the plus root on a tie.  The roots y and xz - y are
     related by the Markoff move Y, the same character up to Out(F2), so the
-    other root would change node counts, not BQ.
+    other root would change node counts, not BQ.  A raster of more bytes (3
+    per pixel) than a buffer can hold is a ValueError.
     """
 
     __slots__ = ("kappa", "fixed_x", "window", "width", "height", "budget", "small_trace_bound")
@@ -59,6 +60,9 @@ class SliceConfig(_Frozen):
         for name, value, low in (("width", width, 1), ("height", height, 1), ("budget", budget, 0),
                                  ("small_trace_bound", small_trace_bound, 0)):
             _check_count(name, value, low)
+        if 3 * width * height > sys.maxsize:
+            raise ValueError("a %d x %d raster passes the largest buffer, %d bytes"
+                             % (width, height, sys.maxsize))
         for name, value in zip(self.__slots__, (kappa, fixed_x, (lo, hi), width, height,
                                                 budget, small_trace_bound)):
             object.__setattr__(self, name, value)
@@ -198,7 +202,7 @@ def slice_config_from_json(obj) -> SliceConfig:
         raise ParseError("'root' must be \"smaller\", the root of smaller modulus, got %r"
                          % (obj["root"],))
     try:
-        cfg = SliceConfig(
+        return SliceConfig(
             kappa=_complex_from_json(obj["kappa"]),
             fixed_x=_complex_from_json(obj["fixed_x"]),
             window=(_complex_from_json(window[0]), _complex_from_json(window[1])),
@@ -206,7 +210,3 @@ def slice_config_from_json(obj) -> SliceConfig:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if 3 * cfg.width * cfg.height > sys.maxsize:
-        raise ParseError("a %d x %d raster passes the largest buffer, %d bytes"
-                         % (cfg.width, cfg.height, sys.maxsize))
-    return cfg

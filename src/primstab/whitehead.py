@@ -40,6 +40,7 @@ from .errors import (
 from .words import (
     CyclicWord,
     Word,
+    _ascii_form,
     _check_count,
     _check_letters,
     _cyclic_core,
@@ -80,43 +81,36 @@ def _edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if letter_key(u) <= letter_key(v) else (v, u)
 
 
-class WhiteheadGraph:
-    """Multigraph on the 2n letters with multiplicity-counted unordered edges."""
+class WhiteheadGraph(_Frozen):
+    """Multigraph on the 2n letters: ``edges`` holds each unordered edge once
+    per occurrence, as ``_edge(u, v)``, in the letter order of its ends."""
+
+    __slots__ = ("rank", "edges")
 
     def __init__(self, rank: int, edges: Iterable[tuple[int, int]] = ()):
         edges = tuple(edges)
         _check_letters(rank, itertools.chain.from_iterable(edges))
-        self.rank = rank
-        self.edge_multiplicity = dict(Counter(_edge(u, v) for u, v in edges))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "edges", tuple(sorted(
+            (_edge(u, v) for u, v in edges), key=lambda e: (letter_key(e[0]), letter_key(e[1])))))
 
     @property
     def vertices(self) -> list[int]:
         return all_letters(self.rank)
 
+    @property
+    def edge_multiplicity(self) -> dict[tuple[int, int], int]:
+        """The number of occurrences of each edge, in a new dict."""
+        return dict(Counter(self.edges))
+
     def edge_count(self) -> int:
-        return sum(self.edge_multiplicity.values())
+        return len(self.edges)
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self.edge_multiplicity.get(_edge(u, v), 0)
+        return self.edges.count(_edge(u, v))
 
     def degree(self, v: int) -> int:
-        total = 0
-        for (a, b), m in self.edge_multiplicity.items():
-            if a == v:
-                total += m
-            if b == v:
-                total += m
-        return total
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WhiteheadGraph)
-            and self.rank == other.rank
-            and self.edge_multiplicity == other.edge_multiplicity
-        )
-
-    def __repr__(self) -> str:
-        return "WhiteheadGraph(rank=%d, edges=%r)" % (self.rank, self.edge_multiplicity)
+        return sum((a == v) + (b == v) for a, b in self.edges)
 
 
 def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGraph:
@@ -140,7 +134,7 @@ def _neighbours(g: WhiteheadGraph) -> list[int]:
     """The adjacency mask of each of the 2n letters, indexed by its bit
     ``letter_key(v) - 1``; a self-loop makes a vertex its own neighbour."""
     adjacent = [0] * (2 * g.rank)
-    for x, y in g.edge_multiplicity:
+    for x, y in g.edges:
         u, v = letter_key(x) - 1, letter_key(y) - 1
         adjacent[u] |= 1 << v
         adjacent[v] |= 1 << u
@@ -278,6 +272,7 @@ class WhiteheadAutomorphism(_Frozen):
         """The number of generator images."""
         return len(self.images)
 
+    @_ascii_form
     def __repr__(self) -> str:
         return "WhiteheadAutomorphism(%s)" % ", ".join(
             "%s->%s" % (Word(self.rank, (i + 1,)), img) for i, img in enumerate(self.images)
@@ -292,13 +287,14 @@ class WhiteheadAutomorphism(_Frozen):
     def letter_permutation(cls, rank: int, mapping: dict[int, int]) -> "WhiteheadAutomorphism":
         """First-kind move: a signed permutation of the letters.
 
-        ``mapping`` sends each generator index 1..rank, and no other key, to
-        a letter; the absolute values must form a permutation of 1..rank.
-        Any other mapping raises ValueError.
+        ``mapping`` sends each generator index 1..rank, an int and not a
+        bool, and no other key, to a letter; the absolute values must form a
+        permutation of 1..rank.  Any other mapping raises ValueError.
         """
         _check_count("rank", rank, 1)
         indices = list(range(1, rank + 1))
-        if set(mapping) != set(indices) or sorted(abs(mapping[i]) for i in indices) != indices:
+        if (set(mapping) != set(indices) or any(type(i) is not int for i in mapping)
+                or sorted(abs(mapping[i]) for i in indices) != indices):
             raise ValueError("mapping %r is not a signed permutation of 1..%d" % (mapping, rank))
         return cls(Word(rank, (mapping[i],)) for i in indices)
 
@@ -322,28 +318,6 @@ class WhiteheadAutomorphism(_Frozen):
         for i in {abs(v) for v in members}:
             letters[i - 1] = (-a,) * (-i in members) + (i,) + (a,) * (i in members)
         return cls(Word._from_columns((rank,) * rank, letters))
-
-    def inverse_move(self) -> "WhiteheadAutomorphism":
-        """Inverse of a second-kind move (a, A): the move whose images are
-        these with every letter of a's generator inverted, except in a's own.
-
-        Read off the images alone, so equal automorphisms have equal
-        inverses.  The identity is the move (a, {a}) and its own inverse.
-        ValueError unless some letter a makes this a multiplier move: a's
-        generator fixed and every other generator x sent to x, x a, a^-1 x
-        or a^-1 x a.
-        """
-        images = [img.letters for img in self.images]
-
-        def is_multiplier(a):
-            return images[abs(a) - 1] == (abs(a),) and all(
-                w in ((x,), (x, a), (-a, x), (-a, x, a)) for x, w in enumerate(images, 1)
-                if x != abs(a))
-
-        if not any(is_multiplier(a) for a in all_letters(self.rank)):
-            raise ValueError("inverse_move is only defined for multiplier moves")
-        return WhiteheadAutomorphism(
-            Word(self.rank, tuple(v if v == x else -v for v in w)) for x, w in enumerate(images, 1))
 
 
 def _image_table(phi: WhiteheadAutomorphism) -> tuple[tuple[int, ...], ...]:

@@ -161,6 +161,19 @@ class _Frozen:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+def _ascii_form(text):
+    """A ``__repr__`` from ``text``, which spells letters in ASCII, or the
+    field form of ``_Frozen`` where some letter has no ASCII form."""
+
+    def __repr__(self):
+        try:
+            return text(self)
+        except ValueError:  # format_letters: a letter past 26
+            return _Frozen.__repr__(self)
+
+    return __repr__
+
+
 class Word(_Frozen):
     """A freely reduced word; the identity is the empty word."""
 
@@ -181,6 +194,7 @@ class Word(_Frozen):
     def __str__(self) -> str:
         return format_letters(self.letters)
 
+    @_ascii_form
     def __repr__(self) -> str:
         return "Word(%r, rank=%d)" % (str(self), self.rank)
 
@@ -209,6 +223,7 @@ class CyclicWord(_Frozen):
     def __str__(self) -> str:
         return format_letters(self.letters)
 
+    @_ascii_form
     def __repr__(self) -> str:
         return "CyclicWord(%r, rank=%d)" % (str(self), self.rank)
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import lru_cache
 
 import primstab as ps
@@ -263,7 +264,7 @@ def set_connectivity(g):
     connectivity kernels of ``whitehead``.
     """
     adjacent = {v: set() for v in g.vertices}
-    for u, v in g.edge_multiplicity:  # a self-loop makes v its own neighbour
+    for u, v in g.edges:  # a self-loop makes v its own neighbour
         adjacent[u].add(v)
         adjacent[v].add(u)
 
@@ -330,6 +331,26 @@ def mat_mul(m1, m2):
     (a2, b2), (c2, d2) = m2
     return [[a1 * a2 + b1 * c2, a1 * b2 + b1 * d2],
             [c1 * a2 + d1 * c2, c1 * b2 + d1 * d2]]
+
+
+def exact_of(z):
+    """A float complex as the exact Gaussian rational it holds, a pair of
+    Fractions (real, imaginary)."""
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def exact_mul(m1, m2):
+    """``mat_mul`` on nested lists of ``exact_of`` pairs, with no rounding."""
+    def cmul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    def cadd(u, v):
+        return u[0] + v[0], u[1] + v[1]
+
+    (a1, b1), (c1, d1) = m1
+    (a2, b2), (c2, d2) = m2
+    return [[cadd(cmul(a1, a2), cmul(b1, c2)), cadd(cmul(a1, b2), cmul(b1, d2))],
+            [cadd(cmul(c1, a2), cmul(d1, c2)), cadd(cmul(c1, b2), cmul(d1, d2))]]
 
 
 def mat_of(m):

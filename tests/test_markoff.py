@@ -22,6 +22,13 @@ def test_move_example():
     assert moved.kappa == -2
 
 
+def test_move_takes_one_of_three_coordinate_names():
+    t = ps.MarkoffTriple(3, 3, 3)
+    for which in ("W", "x", "", None, 1):
+        with pytest.raises(ValueError, match="'X', 'Y' or 'Z'"):
+            ps.markoff_move(t, which)
+
+
 def test_move_fixed_point():
     t = ps.MarkoffTriple(2, 2, 2)
     moved = ps.markoff_move(t, "Z")

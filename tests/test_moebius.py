@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -21,6 +20,8 @@ from primstab.moebius import _check_entries, _displacement, _walk
 from helpers import (
     decimal_half_trace_k,
     decimal_translation_length,
+    exact_mul,
+    exact_of,
     mat_mul,
     mat_of,
     random_loxodromic,
@@ -321,23 +322,6 @@ def test_walk_multiplies_an_integer_table_exactly():
     assert got == (exact[0][0], exact[0][1], exact[1][0], exact[1][1]) and got[0] > 2 ** 53
 
 
-def _exact(z):
-    return Fraction(z.real), Fraction(z.imag)
-
-
-def _exact_mul(m1, m2):
-    def cmul(u, v):
-        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
-
-    def cadd(u, v):
-        return u[0] + v[0], u[1] + v[1]
-
-    (a1, b1), (c1, d1) = m1
-    (a2, b2), (c2, d2) = m2
-    return [[cadd(cmul(a1, a2), cmul(b1, c2)), cadd(cmul(a1, b2), cmul(b1, d2))],
-            [cadd(cmul(c1, a2), cmul(d1, c2)), cadd(cmul(c1, b2), cmul(d1, d2))]]
-
-
 def test_class_traces_match_exact_rational_arithmetic():
     # the float entries are exact rationals; their exact product is the
     # reference the float product should reach to a few ulps
@@ -347,14 +331,13 @@ def test_class_traces_match_exact_rational_arithmetic():
         rep = random_representation(rng, 2)
         letters = {}
         for i, m in enumerate(rep.images, 1):
-            a, b, c, d = (_exact(v) for v in (m.a, m.b, m.c, m.d))
+            a, b, c, d = (exact_of(v) for v in (m.a, m.b, m.c, m.d))
             letters[i] = [[a, b], [c, d]]
             letters[-i] = [[d, (-b[0], -b[1])], [(-c[0], -c[1]), a]]
         for cls in classes:
-            exact = [[(Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))],
-                     [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]]
+            exact = [[exact_of(1), exact_of(0)], [exact_of(0), exact_of(1)]]
             for v in cls.letters:
-                exact = _exact_mul(exact, letters[v])
+                exact = exact_mul(exact, letters[v])
             want = complex(exact[0][0][0] + exact[1][1][0], exact[0][0][1] + exact[1][1][1])
             got = ps.evaluate(rep, cls).trace()
             assert abs(got - want) <= 1e-12 * abs(want), (cls, got, want)

@@ -24,7 +24,7 @@ EXPORTED = {
         "RankMismatch", "RankTooLarge", "WordParseError",
     ],
     "markoff": [
-        "BqKind", "BqVerdict", "MarkoffMove", "MarkoffTriple", "bq_decide",
+        "BqKind", "BqVerdict", "MarkoffTriple", "bq_decide",
         "bq_verdict_from_json", "bq_verdict_to_json", "edge_escapes", "fan_escapes",
         "markoff_move", "slope_trace", "solve_y_from_fricke",
     ],
@@ -86,7 +86,7 @@ def test_no_public_callable_takes_a_retired_knob():
 
 def test_all_is_the_pinned_name_list():
     assert ps.__all__ == list(HOME)
-    assert len(ps.__all__) == 86
+    assert len(ps.__all__) == 85
 
 
 def test_each_name_is_the_object_of_its_home_module():

@@ -41,14 +41,15 @@ def test_inconclusive_pixel_color():
 
 
 def test_palette_shading_follows_node_count():
-    assert ps.palette_color(ps.BqVerdict(ps.BqKind.BQ_CERTIFIED, 6, (), 1)) == (255, 255, 255)
-    assert ps.palette_color(ps.BqVerdict(ps.BqKind.BQ_CERTIFIED, 64, (), 3)) == (253, 253, 253)
-    assert ps.palette_color(ps.BqVerdict(ps.BqKind.BQ_CERTIFIED, 10 ** 6, (), 3)) == (64, 64, 64)
+    def verdict(kind, nodes, witnesses, depth):
+        return ps.BqVerdict(kind, nodes, witnesses, depth, witnesses, 0, 0)
+
+    assert ps.palette_color(verdict(ps.BqKind.BQ_CERTIFIED, 6, (), 1)) == (255, 255, 255)
+    assert ps.palette_color(verdict(ps.BqKind.BQ_CERTIFIED, 64, (), 3)) == (253, 253, 253)
+    assert ps.palette_color(verdict(ps.BqKind.BQ_CERTIFIED, 10 ** 6, (), 3)) == (64, 64, 64)
     witness = (((0, 1), 1 + 0j),)
-    assert ps.palette_color(
-        ps.BqVerdict(ps.BqKind.NOT_BQ_WITNESS, 1, witness, 0, witness)
-    ) == (80, 0, 0)
-    assert ps.palette_color(ps.BqVerdict(ps.BqKind.INCONCLUSIVE, 5, (), 2)) == (0, 0, 96)
+    assert ps.palette_color(verdict(ps.BqKind.NOT_BQ_WITNESS, 1, witness, 0)) == (80, 0, 0)
+    assert ps.palette_color(verdict(ps.BqKind.INCONCLUSIVE, 5, (), 2)) == (0, 0, 96)
 
 
 def test_pixel_grid_geometry():
@@ -386,15 +387,25 @@ def test_config_json_errors():
     with pytest.raises(ParseError):
         ps.slice_config_from_json(bad)
     # the reader turns away a raster of more than sys.maxsize bytes, 3 per
-    # pixel, and reads one at that edge; the value type takes any grid, and
-    # its pixel traces stay finite (nothing here is rendered)
+    # pixel, and reads one at that edge (nothing here is rendered)
     edge = dict(good, width=sys.maxsize // 3, height=1)
     assert ps.slice_config_from_json(edge).width == sys.maxsize // 3
     for width, height in ((sys.maxsize // 3 + 1, 1), (10 ** 10, 10 ** 10)):
         with pytest.raises(ParseError, match="raster"):
             ps.slice_config_from_json(dict(good, width=width, height=height))
-        cfg = ps.SliceConfig(kappa=-2, fixed_x=3, window=(0j, complex(6, 3)),
-                             width=width, height=height)
+
+
+def test_the_constructor_refuses_a_raster_past_the_largest_buffer():
+    # a config built directly keeps the reader's bound: past it a ValueError,
+    # not an OverflowError from render_slice; at it the pixel traces stay
+    # finite (nothing here is rendered)
+    for width, height in ((sys.maxsize // 3 + 1, 1), (1, sys.maxsize // 3 + 1),
+                          (2 ** 40, 2 ** 40)):
+        with pytest.raises(ValueError, match="raster passes the largest buffer"):
+            ps.SliceConfig(-2, 3, (0j, 6 + 6j), width, height)
+    for width, height in ((sys.maxsize // 3, 1), (1, sys.maxsize // 3)):
+        cfg = ps.SliceConfig(-2, 3, (0j, 6 + 6j), width, height)
+        assert (cfg.width, cfg.height) == (width, height)
         assert cmath.isfinite(ps.pixel_trace(cfg, width - 1, height - 1))
 
 

@@ -4,11 +4,15 @@ pickling and copying through the constructor.  Their constructors take
 numbers, never text."""
 
 import copy
+import inspect
 import math
 import pickle
+from collections import Counter
+from enum import Enum
 
 import pytest
 
+import primstab as ps
 from primstab.errors import NonFiniteValue
 from primstab.markoff import BqKind, BqVerdict, MarkoffTriple, solve_y_from_fricke
 from primstab.moebius import (
@@ -22,8 +26,13 @@ from primstab.moebius import (
 from primstab.render import SliceConfig
 from primstab.stability import PsReport, SpectrumEntry, ps_scan
 from primstab.traces import fricke_kappa
-from primstab.whitehead import BlockingCertificate, WhiteheadAutomorphism
-from primstab.words import CyclicWord, Word, parse_word
+from primstab.whitehead import (
+    BlockingCertificate,
+    WhiteheadAutomorphism,
+    WhiteheadGraph,
+    whitehead_minimize,
+)
+from primstab.words import CyclicWord, Word, _Frozen, parse_word
 
 M = MoebiusMap(2, 1, 1, 1)
 A, B, BA = Word(2, (1,)), Word(2, (2,)), Word(2, (2, 1))
@@ -44,6 +53,11 @@ CASES = [
     # the move's cached letter images stale
     (WhiteheadAutomorphism, ((A, BA),), {"images": [A, BA]}, ((A, B),),
      "WhiteheadAutomorphism(a->a, b->ba)"),
+    # edges in any order and orientation, stored one per occurrence in the
+    # letter order of their ends
+    (WhiteheadGraph, (2, [(-2, 1), (2, 1), (-2, 1)]),
+     {"rank": 2, "edges": [(1, 2), (1, -2), (1, -2)]}, (2, [(1, 2), (1, -2)]),
+     "WhiteheadGraph(rank=2, edges=((1, 2), (1, -2), (1, -2)))"),
     (MoebiusMap, (2, 1, 1, 1), {"a": 2, "b": 1, "c": 1, "d": 1}, (1, 1, 0, 1),
      "MoebiusMap(a=(2+0j), b=(1+0j), c=(1+0j), d=(1+0j))"),
     (Representation, ((M,),), {"images": [M]}, ((M.inverse(),),),
@@ -57,7 +71,8 @@ CASES = [
     (MarkoffTriple, (3, 3, 3), {"x": 3, "y": 3, "z": 3}, (3, 3, 6),
      "MarkoffTriple(x=(3+0j), y=(3+0j), z=(3+0j))"),
     (BqVerdict, (BqKind.BQ_CERTIFIED, 6, (), 1, (), 0, 0),
-     {"kind": BqKind.BQ_CERTIFIED, "nodes_explored": 6, "witnesses": (), "depth_max": 1},
+     {"kind": BqKind.BQ_CERTIFIED, "nodes_explored": 6, "witnesses": (), "depth_max": 1,
+      "small_traces": (), "pruned_escape": 0, "pruned_fan": 0},
      (BqKind.BQ_CERTIFIED, 6, (), 1, (), 2, 0),
      "BqVerdict(kind=<BqKind.BQ_CERTIFIED: 'BQ_CERTIFIED'>, nodes_explored=6, witnesses=(), "
      "depth_max=1, small_traces=(), pruned_escape=0, pruned_fan=0)"),
@@ -72,6 +87,16 @@ CASES = [
      "SliceConfig(kappa=(-2+0j), fixed_x=(3+0j), window=((6-1j), (7+0j)), width=4, height=4, "
      "budget=20000, small_trace_bound=64)"),
 ]
+
+
+def test_every_public_class_is_a_frozen_value_with_a_case():
+    # enums and errors aside, each class the package exports is a value type
+    # under the one contract of _Frozen, and test_value_semantics checks it
+    exported = (getattr(ps, name) for name in ps.__all__)
+    classes = {obj for obj in exported
+               if inspect.isclass(obj) and not issubclass(obj, (Enum, BaseException))}
+    assert not {cls.__name__ for cls in classes if not issubclass(cls, _Frozen)}
+    assert sorted(cls.__name__ for cls in classes) == sorted(case[0].__name__ for case in CASES)
 
 
 @pytest.mark.parametrize("cls, args, kwargs, other, text", CASES,
@@ -103,6 +128,8 @@ DERIVED = [
     (MarkoffTriple(3, 3, 6), "kappa", lambda t: fricke_kappa(t.x, t.y, t.z), -2),
     (Representation((M, M.inverse())), "rank", lambda rep: len(rep.images), 2),
     (WhiteheadAutomorphism((A, BA)), "rank", lambda phi: len(phi.images), 2),
+    (WhiteheadGraph(2, [(2, 1), (-2, 1), (1, 2)]), "edge_multiplicity",
+     lambda g: dict(Counter(g.edges)), {(1, 2): 2, (1, -2): 1}),
     (BlockingCertificate(A, "CONNECTED_NO_CUTPOINT"), "certified",
      lambda cert: cert.reason == "CONNECTED_NO_CUTPOINT", True),
     (BlockingCertificate(A, "HAS_CUTPOINT"), "certified",
@@ -160,6 +187,25 @@ def test_scan_built_values_keep_the_value_contract(max_len):
         with pytest.raises(AttributeError):
             value.extra = 1
         assert not hasattr(value, "__dict__")
+
+
+def test_reprs_past_rank_26_fall_back_to_the_field_form():
+    # a letter past 26 has no ASCII form, so a repr that spells letters
+    # prints its fields instead of raising; rank 26 keeps the letter form
+    _, trace = whitehead_minimize(Word(30, (30, 1, 30)))
+    values = [Word(27, (27, 1)), CyclicWord(27, (1, 27)), WhiteheadAutomorphism.identity(27),
+              *trace]
+    assert len(values) > 3
+    for value in values:
+        assert repr(value) == _Frozen.__repr__(value)
+    assert repr(values[0]) == "Word(rank=27, letters=(27, 1))"
+    assert repr(values[1]) == "CyclicWord(rank=27, letters=(1, 27))"
+    # each image decides by its own letters
+    assert repr(values[2]).startswith("WhiteheadAutomorphism(images=(Word('a', rank=27), ")
+    assert repr(values[2]).endswith(", Word(rank=27, letters=(27,))))")
+    assert repr(Word(27, (26, 1))) == "Word('za', rank=27)"
+    assert repr(CyclicWord(26, (26, 1))) == "CyclicWord('az', rank=26)"
+    assert repr(WhiteheadAutomorphism.identity(26)).startswith("WhiteheadAutomorphism(a->a, ")
 
 
 def test_equal_fields_of_different_classes_are_not_equal():
