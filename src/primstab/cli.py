@@ -4,32 +4,40 @@ Exit codes: 0 on success, 1 on a domain error (a machine-readable error
 object goes to stderr), 2 on a usage error (bad flags, or a document that is
 not UTF-8 or not JSON).
 
+The command line is read from one table, ``COMMANDS``, by ``parse_args``:
+a subcommand, at most one positional WORD, and flags whose value is the next
+argument or follows ``=``; ``-h``/``--help`` prints help generated from the
+table.  No argparse: a one-shot call would spend more time importing it and
+building its parsers than the smaller subcommands take.
+
 Each handler imports what it calls, so a subcommand loads only the modules
 it runs: ``word`` loads ``words`` alone, not the matrix or BQ layers.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import re
 import sys
+from types import SimpleNamespace
 
 from .errors import NonFiniteValue, PrimstabError
+
+# The converters of the flag values.  A TypeError or ValueError from one
+# (NonFiniteValue included) is a usage error.
 
 
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("expected a finite number, got %r" % (text,))
+        raise ValueError("expected a finite number, got %r" % (text,))
     return value
 
 
 def _int_at_least(text: str, low: int) -> int:
     value = int(text)
     if value < low:
-        raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (low, text))
+        raise ValueError("expected an integer >= %d, got %r" % (low, text))
     return value
 
 
@@ -49,7 +57,7 @@ def _rank(text: str) -> int:
     """A rank the ASCII word format can spell: generators a..z, so 1..26."""
     value = _int_at_least(text, 1)
     if value > 26:
-        raise argparse.ArgumentTypeError("expected a rank of at most 26, got %r" % (text,))
+        raise ValueError("expected a rank of at most 26, got %r" % (text,))
     return value
 
 
@@ -208,71 +216,141 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="primstab",
-        description="Free-group words, trace spectra, and BQ slice pictures.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+REQUIRED = object()  # the default of a flag that must be given
+_WORD = "ASCII word, a..z generators and A..Z inverses"
+_RANK = ("--rank", _rank, None, "rank of the free group (default: largest letter used)")
+_REP = ("--rep", str, REQUIRED, "representation JSON file")
+_MAX_LEN = ("--max-len", _nonnegative_int, REQUIRED, "largest cyclic length of a class")
 
-    def add_word_flags(p):
-        p.add_argument("word", help="ASCII word, a..z generators and A..Z inverses")
-        p.add_argument("--rank", type=_rank, default=None,
-                       help="rank of the free group (default: largest letter used)")
+# subcommand -> (handler, help line, help of the positional WORD or None,
+# flags); a flag is (name, converter, default or REQUIRED, help)
+COMMANDS = {
+    "word": (_cmd_word, "reduced and cyclically reduced forms of a word", _WORD, (_RANK,)),
+    "primitive": (_cmd_primitive, "decide whether a word is primitive", _WORD, (_RANK,)),
+    "blocking": (_cmd_blocking, "certificate that a word blocks primitive words", _WORD,
+                 (_RANK,)),
+    "enumerate": (_cmd_enumerate, "list primitive conjugacy classes up to a length", None, (
+        ("--rank", _rank, REQUIRED, "rank of the free group, 1 to 26"),
+        _MAX_LEN)),
+    "rep-info": (_cmd_rep_info, "classify the generator images of a representation", None,
+                 (_REP,)),
+    "ps-scan": (_cmd_ps_scan, "primitive spectrum scan of a representation", None,
+                (_REP, _MAX_LEN)),
+    "probe": (_cmd_probe, "orbit displacement growth of one word", None, (
+        _REP,
+        ("--word", str, REQUIRED, _WORD),
+        ("--periods", _at_least_two, REQUIRED, "largest power of the word, at least 2"),
+        ("--basepoint", _parse_basepoint, None,
+         "re,im,t upper-half-space basepoint (default 0,0,1)"))),
+    "bq-decide": (_cmd_bq_decide, "run the BQ search on a trace triple", None, (
+        ("--x", _parse_complex, REQUIRED, "trace of a (re or re,im)"),
+        ("--y", _parse_complex, REQUIRED, "trace of b"),
+        ("--z", _parse_complex, REQUIRED, "trace of ab"),
+        ("--budget", _nonnegative_int, REQUIRED, "most nodes the search visits"),
+        ("--small-trace-bound", _nonnegative_int, 64,
+         "most slopes of trace modulus at most 2 before NOT_BQ_WITNESS (default 64)"))),
+    "render": (_cmd_render, "render a slice to a PPM image", None, (
+        ("--config", str, REQUIRED, "slice config JSON file"),
+        ("--out", str, REQUIRED, "output PPM path"),
+        ("--threads", _positive_int, None,
+         "worker count, at most the usable CPUs (default: one per usable CPU)"))),
+}
 
-    p = sub.add_parser("word", help="reduced and cyclically reduced forms of a word")
-    add_word_flags(p)
-    p.set_defaults(func=_cmd_word)
+HELP = ("-h", "--help")
 
-    p = sub.add_parser("primitive", help="decide whether a word is primitive")
-    add_word_flags(p)
-    p.set_defaults(func=_cmd_primitive)
 
-    p = sub.add_parser("blocking", help="certificate that a word blocks primitive words")
-    add_word_flags(p)
-    p.set_defaults(func=_cmd_blocking)
+class _Exit(Exception):
+    """``_Exit(code, text)`` stops parsing: code 0 with help text for stdout,
+    or code 2 with usage text for stderr."""
 
-    p = sub.add_parser("enumerate", help="list primitive conjugacy classes up to a length")
-    p.add_argument("--rank", type=_rank, required=True)
-    p.add_argument("--max-len", type=_nonnegative_int, required=True)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("rep-info", help="classify the generator images of a representation")
-    p.add_argument("--rep", required=True, help="representation JSON file")
-    p.set_defaults(func=_cmd_rep_info)
+def _dest(flag: str) -> str:
+    """The attribute that holds a flag's value: ``--max-len`` -> ``max_len``."""
+    return flag[2:].replace("-", "_")
 
-    p = sub.add_parser("ps-scan", help="primitive spectrum scan of a representation")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--max-len", type=_nonnegative_int, required=True)
-    p.set_defaults(func=_cmd_ps_scan)
 
-    p = sub.add_parser("probe", help="orbit displacement growth of one word")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--periods", type=_at_least_two, required=True)
-    p.add_argument("--basepoint", type=_parse_basepoint, default=None,
-                   help="re,im,t upper-half-space basepoint (default 0,0,1)")
-    p.set_defaults(func=_cmd_probe)
+def _usage(name=None) -> str:
+    if name is None:
+        return "primstab {%s} ..." % ",".join(COMMANDS)
+    _, _, word, flags = COMMANDS[name]
+    parts = ["primstab", name] + (["WORD"] if word else [])
+    for flag, _, default, _ in flags:
+        part = "%s %s" % (flag, _dest(flag).upper())
+        parts.append(part if default is REQUIRED else "[%s]" % part)
+    return " ".join(parts)
 
-    p = sub.add_parser("bq-decide", help="run the BQ search on a trace triple")
-    p.add_argument("--x", type=_parse_complex, required=True, help="trace of a (re or re,im)")
-    p.add_argument("--y", type=_parse_complex, required=True, help="trace of b")
-    p.add_argument("--z", type=_parse_complex, required=True, help="trace of ab")
-    p.add_argument("--budget", type=_nonnegative_int, required=True)
-    p.add_argument("--small-trace-bound", type=_nonnegative_int, default=64)
-    p.set_defaults(func=_cmd_bq_decide)
 
-    p = sub.add_parser("render", help="render a slice to a PPM image")
-    p.add_argument("--config", required=True, help="slice config JSON file")
-    p.add_argument("--out", required=True, help="output PPM path")
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker count, at most the usable CPUs (default: one per usable CPU)")
-    p.set_defaults(func=_cmd_render)
+def _help(name=None) -> str:
+    if name is None:
+        lines = ["usage: " + _usage(), "",
+                 "Free-group words, trace spectra, and BQ slice pictures.", "", "subcommands:"]
+        for sub, (_, text, _, _) in COMMANDS.items():
+            lines += ["  " + _usage(sub), "      " + text]
+        lines += ["",
+                  "A flag's value is the next argument (--rank 2) or follows '=' (--rank=2),",
+                  "even where it begins with '-'; of a repeated flag the last value counts.",
+                  "Flags are spelt out in full.  primstab SUBCOMMAND --help describes them."]
+    else:
+        _, text, word, flags = COMMANDS[name]
+        rows = ([("WORD", word)] if word else []) + [
+            ("%s %s" % (flag, _dest(flag).upper()), flag_help) for flag, _, _, flag_help in flags]
+        rows.append(("-h, --help", "show this help and exit"))
+        width = max(len(left) for left, _ in rows)
+        lines = ["usage: " + _usage(name), "", text, ""]
+        lines += ["  %s  %s" % (left.ljust(width), right) for left, right in rows]
+    return "\n".join(lines) + "\n"
 
-    # read -1e5 or -1,2 as a value, not an option: no option here starts with a digit
-    for p in sub.choices.values():
-        p._negative_number_matcher = re.compile(r"-\.?\d")
-    return parser
+
+def _usage_error(name, message: str) -> _Exit:
+    prog = "primstab" if name is None else "primstab " + name
+    return _Exit(2, "usage: %s\n%s: error: %s\n" % (_usage(name), prog, message))
+
+
+def parse_args(argv):
+    """The namespace of one command line: ``func`` is the subcommand's
+    handler, and each flag of it (a default where not given) and the
+    positional WORD are attributes.  Raises ``_Exit`` for ``-h``/``--help``
+    and at the first usage error."""
+    argv = list(argv)
+    if not argv:
+        raise _usage_error(None, "a subcommand is required")
+    name = argv[0]
+    if name in HELP:
+        raise _Exit(0, _help())
+    if name not in COMMANDS:
+        raise _usage_error(None, "unknown subcommand %r" % (name,))
+    func, _, word, flags = COMMANDS[name]
+    spec = {flag[0]: flag for flag in flags}
+    values, words = {}, []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in HELP:
+            raise _Exit(0, _help(name))
+        if not arg.startswith("-"):
+            words.append(arg)
+            continue
+        flag, equals, text = arg.partition("=")
+        if flag not in spec:
+            raise _usage_error(name, "unknown flag %s" % (flag,))
+        if not equals:
+            text = next(rest, None)
+            if text is None:
+                raise _usage_error(name, "flag %s needs a value" % (flag,))
+        try:
+            values[flag] = spec[flag][1](text)
+        except (TypeError, ValueError) as exc:
+            raise _usage_error(name, "argument %s: %s" % (flag, exc)) from None
+    if len(words) > (word is not None):
+        raise _usage_error(name, "unexpected argument %r" % (words[-1],))
+    missing = (["WORD"] if word is not None and not words else []) + [
+        flag for flag, _, default, _ in flags if default is REQUIRED and flag not in values]
+    if missing:
+        raise _usage_error(name, "missing %s" % (", ".join(missing),))
+    args = SimpleNamespace(func=func, **{
+        _dest(flag): values.get(flag, default) for flag, _, default, _ in flags})
+    if word is not None:
+        args.word = words[0]
+    return args
 
 
 def _fail(error: str, exc: Exception, code: int) -> int:
@@ -282,11 +360,12 @@ def _fail(error: str, exc: Exception, code: int) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except _Exit as stop:
+        code, text = stop.args
+        (sys.stdout if code == 0 else sys.stderr).write(text)
+        return code
     try:
         return args.func(args)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -124,7 +124,7 @@ def whitehead_graph(w: Word | CyclicWord, closed: bool = False) -> WhiteheadGrap
         core, _ = _cyclic_core(letters)
         if len(core) != len(letters):
             raise ClosedOnNonCyclicallyReduced(
-                "closed graph requested for non-cyclically-reduced word %r" % (str(w),)
+                "closed graph requested for non-cyclically-reduced word %r" % (w,)
             )
     pairs = zip(letters, letters[1:] + letters[:1] if closed else letters[1:])
     return WhiteheadGraph(w.rank, ((x, -y) for x, y in pairs))
@@ -264,7 +264,7 @@ class WhiteheadAutomorphism(_Frozen):
         _check_count("rank", rank, 1)
         for img in images:
             if img.rank != rank:
-                raise RankMismatch("image %r has rank %d, expected %d" % (str(img), img.rank, rank))
+                raise RankMismatch("image %r has rank %d, expected %d" % (img, img.rank, rank))
         object.__setattr__(self, "images", images)
 
     @property

@@ -64,8 +64,8 @@ def strict_json(text):
 def assert_cli_contract(code, out, err):
     """The CLI's output contract: exit 0, 1 or 2 and no traceback; on 0 or 1
     exactly one strict JSON object on one line, the result on stdout or the
-    error on stderr, and nothing on the other stream; on 2 (a usage error, which
-    argparse reports in text) nothing on stdout."""
+    error on stderr, and nothing on the other stream; on 2 (a usage error,
+    reported as usage text on stderr) nothing on stdout."""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:

@@ -8,7 +8,6 @@ import pytest
 
 import primstab as ps
 from primstab import cli
-from primstab.cli import build_parser
 from primstab.errors import NonFiniteValue
 
 from helpers import (REP, REP3, REP4, REP_ELLIPTIC, assert_cli_contract,
@@ -203,19 +202,19 @@ def test_out_of_range_flags_are_usage_errors(argv):
 
 def test_every_finite_float_flag_parses():
     for value in (0.1, -0.0, 5e-324, 1.7976931348623157e308, 3.0000000000000004):
-        args = build_parser().parse_args(["bq-decide", "--x", repr(value), "--y", "3",
-                                          "--z", repr(value), "--budget", "0"])
+        args = cli.parse_args(["bq-decide", "--x", repr(value), "--y", "3",
+                               "--z", repr(value), "--budget", "0"])
         assert args.x == complex(value, 0.0) and args.z == complex(value, 0.0)
     # a negative number in exponent form, given as its own argument, is a value
     for text in ("-1e5", "-5e-324", "-1.7976931348623157e308"):
-        args = build_parser().parse_args(["bq-decide", "--x", text, "--y", "3",
-                                          "--z", "3", "--budget", "0"])
+        args = cli.parse_args(["bq-decide", "--x", text, "--y", "3",
+                               "--z", "3", "--budget", "0"])
         assert args.x == complex(float(text), 0.0)
-    args = build_parser().parse_args(["bq-decide", "--x", "-1,2", "--y", "3",
-                                      "--z", "3", "--budget", "0"])
+    args = cli.parse_args(["bq-decide", "--x", "-1,2", "--y", "3",
+                           "--z", "3", "--budget", "0"])
     assert args.x == complex(-1.0, 2.0)
-    args = build_parser().parse_args(["probe", "--rep", "rep.json", "--word", "a",
-                                      "--periods", "2", "--basepoint", "-1,0,1"])
+    args = cli.parse_args(["probe", "--rep", "rep.json", "--word", "a",
+                           "--periods", "2", "--basepoint", "-1,0,1"])
     assert args.basepoint == ps.UhsPoint(-1, 1)
 
 
@@ -420,10 +419,82 @@ def test_non_finite_results_are_refused_before_output():
 
 
 def test_usage_errors_exit_two():
-    code, _, _ = run_cli(["enumerate", "--rank", "2"])  # missing --max-len
-    assert code == 2
-    code, _, _ = run_cli(["no-such-command"])
-    assert code == 2
+    for argv in (["enumerate", "--rank", "2"], [], ["no-such-command"], ["--rank", "2"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage: primstab ")
+
+
+# two values of each flag of the command table
+VALUES = {"--rank": ("3", "2"), "--max-len": ("0", "2"), "--rep": ("a.json", "rep.json"),
+          "--word": ("a", "ab"), "--periods": ("5", "2"), "--basepoint": ("-1,2,3", "0,0,1"),
+          "--x": ("-1e5", "3"), "--y": ("0.5,1.2", "3"), "--z": ("-1,2", "3"),
+          "--budget": ("0", "10"), "--small-trace-bound": ("1", "64"),
+          "--config": ("c.json", "d.json"), "--out": ("o.ppm", "p.ppm"), "--threads": ("2", "1")}
+
+
+def command_line(name, skip=None):
+    """A command line of subcommand ``name``: the word ``ab`` if it takes one,
+    and each flag but ``skip`` with its last value in VALUES."""
+    _, _, word, flags = cli.COMMANDS[name]
+    argv = [name] + (["ab"] if word else [])
+    for flag, *_ in flags:
+        if flag != skip:
+            argv += [flag, VALUES[flag][1]]
+    return argv
+
+
+def test_help_names_every_subcommand_and_flag():
+    argvs = [[h] for h in cli.HELP] + [
+        argv + [h] for name in cli.COMMANDS for argv in ([name], command_line(name))
+        for h in cli.HELP]
+    for argv in argvs:
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == "", argv
+        names = cli.COMMANDS if len(argv) == 1 else [argv[0]]
+        assert out.startswith("usage: primstab ")
+        for name in names:
+            assert "primstab " + name in out
+            for flag, *_ in cli.COMMANDS[name][3]:
+                assert flag in out
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_malformed_command_lines_are_usage_errors(name):
+    _, _, word, flags = cli.COMMANDS[name]
+    argvs = [command_line(name) + ["--no-such-flag", "1"], command_line(name) + ["-1"]]
+    if word:
+        argvs += [command_line(name)[:1] + command_line(name)[2:],  # no word
+                  command_line(name) + ["ba"]]  # two words
+    for flag, _, default, _ in flags:
+        others = command_line(name, skip=flag)
+        argvs.append(others + [flag])  # no value
+        if default is cli.REQUIRED:
+            argvs.append(others)
+        if len(flag) > len("--x"):
+            argvs.append(others + [flag[:-1], VALUES[flag][1]])  # abbreviated
+    for argv in argvs:
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage: primstab %s" % (name,)), argv
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_flag_forms_and_the_last_value(name):
+    # --flag value and --flag=value read the same; of a repeated flag the
+    # last value counts, even one that begins with '-'
+    func, _, _, flags = cli.COMMANDS[name]
+    assert cli.parse_args(command_line(name)).func is func
+    for flag, convert, _, _ in flags:
+        first, last = VALUES[flag]
+        others = command_line(name, skip=flag)
+        want = convert(last)
+        assert convert(first) != want
+        for argv in (others + [flag, last], others + [flag + "=" + last],
+                     [name, flag, first] + others[1:] + [flag, last],
+                     [name, flag + "=" + first] + others[1:] + [flag + "=" + last]):
+            assert getattr(cli.parse_args(argv), cli._dest(flag)) == want, argv
 
 
 def test_missing_file_is_domain_error(tmp_path):

@@ -1,8 +1,10 @@
 """Each CLI subcommand, run in a fresh interpreter, loads only the primstab
 modules it runs; the rest are never imported, so never compiled.  Nor does
-any load ``dataclasses`` or, through it, ``inspect``, and a render on forked
-workers loads no ``multiprocessing``.  The installed ``primstab`` console
-script prints one JSON object for each of the same calls."""
+any load ``dataclasses`` or, through it, ``inspect``, nor ``argparse``,
+``gettext`` or ``locale``, and a render on forked workers loads no
+``multiprocessing``.  Help loads ``cli`` and ``errors`` alone.  The installed
+``primstab`` console script prints one JSON object for each of the same
+calls, and the same help."""
 
 import functools
 import json
@@ -12,7 +14,7 @@ import sys
 
 import pytest
 
-from helpers import REP, REP4, REP_ELLIPTIC, run_python
+from helpers import REP, REP4, REP_ELLIPTIC, run_cli, run_python
 
 SLICE = {"kappa": [-2, 0], "fixed_x": [3, 0], "window": [[6, -1], [7, 0]],
          "width": 4, "height": 4, "root": "smaller", "budget": 20000,
@@ -36,11 +38,13 @@ EXPECTED = {
                   CLI + ["markoff", "traces", "words"]),
     "render": (["render", "--config", "{slice}", "--out", "{out}", "--threads", "1"],
                CLI + ["markoff", "render", "traces", "words"]),
+    "help": (["--help"], CLI),
+    "word-help": (["word", "--help"], CLI),
 }
 
 # run the CLI, then print the loaded primstab modules and the loaded modules
 # of SLOW, each on a line of its own
-SLOW = ("dataclasses", "inspect")
+SLOW = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 SHIM = ("import json, sys; from primstab.cli import run; code = run(sys.argv[1:]); "
         "print(sorted(m for m in sys.modules if m.startswith('primstab.'))); "
         "print(json.dumps([m for m in %r if m in sys.modules])); sys.exit(code)" % (SLOW,))
@@ -48,11 +52,12 @@ SHIM = ("import json, sys; from primstab.cli import run; code = run(sys.argv[1:]
 
 @functools.lru_cache(maxsize=None)
 def banned():
-    """``dataclasses``, and ``inspect`` too unless this interpreter loads it
-    for ``import argparse, json`` alone, before any package code runs."""
-    proc = run_python("-c", "import argparse, json, sys; print('inspect' in sys.modules)")
+    """Every module of SLOW but those this interpreter loads for ``import
+    json`` alone, before any package code runs."""
+    proc = run_python("-c", "import json, sys; print(json.dumps([m for m in %r "
+                      "if m not in sys.modules]))" % (SLOW,))
     assert proc.returncode == 0, proc.stderr
-    return {"dataclasses"} if proc.stdout.strip() == "True" else set(SLOW)
+    return set(json.loads(proc.stdout))
 
 
 def arguments(sub, tmp_path):
@@ -64,13 +69,23 @@ def arguments(sub, tmp_path):
     return [a.format(**files) for a in EXPECTED[sub][0]]
 
 
+def assert_printed(argv, out):
+    """One JSON object on one line; for ``--help``, the help ``cli.run`` prints."""
+    if "--help" in argv:
+        assert out == run_cli(argv)[1]
+    else:
+        result, = out.splitlines()
+        assert isinstance(json.loads(result), dict)
+
+
 @pytest.mark.parametrize("sub", EXPECTED)
 def test_subcommand_loads_only_the_modules_it_runs(sub, tmp_path):
     modules = EXPECTED[sub][1]
-    proc = run_python("-c", SHIM, *arguments(sub, tmp_path))
+    argv = arguments(sub, tmp_path)
+    proc = run_python("-c", SHIM, *argv)
     assert proc.returncode == 0, proc.stderr
-    result, loaded, slow = proc.stdout.splitlines()
-    assert isinstance(json.loads(result), dict)
+    out, loaded, slow = proc.stdout.rsplit("\n", 3)[:3]
+    assert_printed(argv, out + "\n")
     assert loaded == str(["primstab." + m for m in sorted(modules)])
     assert not set(json.loads(slow)) & banned()
 
@@ -102,12 +117,13 @@ SCRIPT = shutil.which("primstab", path=os.path.dirname(sys.executable))
 @pytest.mark.skipif(SCRIPT is None, reason="no primstab console script is installed next to "
                     + sys.executable)
 @pytest.mark.parametrize("sub", EXPECTED)
-def test_console_script_prints_one_json_object(sub, tmp_path):
-    # the script is a Python file whose first line names this interpreter
-    proc = run_python(SCRIPT, *arguments(sub, tmp_path))
+def test_console_script_prints_what_run_prints(sub, tmp_path):
+    # the script is a Python file whose first line names this interpreter;
+    # it reads the command line from sys.argv, through cli.main
+    argv = arguments(sub, tmp_path)
+    proc = run_python(SCRIPT, *argv)
     assert proc.returncode == 0, proc.stderr
-    result, = proc.stdout.splitlines()
-    assert isinstance(json.loads(result), dict)
+    assert_printed(argv, proc.stdout)
 
 
 def test_bare_import_loads_no_submodule():

@@ -70,6 +70,9 @@ def test_open_graph_of_single_letter_has_no_edges():
 def test_closed_graph_requires_cyclically_reduced():
     with pytest.raises(ClosedOnNonCyclicallyReduced):
         ps.whitehead_graph(ps.parse_word("abA"), closed=True)
+    # the message prints the word past rank 26 too, where it has no ASCII form
+    with pytest.raises(ClosedOnNonCyclicallyReduced, match="letters=\\(27, 1, -27\\)"):
+        ps.whitehead_graph(ps.Word(27, (27, 1, -27)), closed=True)
 
 
 def test_edge_count_invariants():
@@ -256,6 +259,8 @@ def test_identity_automorphism():
         ps.WhiteheadAutomorphism(phi.images[:2])
     with pytest.raises(RankMismatch):
         ps.WhiteheadAutomorphism((*phi.images[:2], ps.parse_word("c", 4)))
+    with pytest.raises(RankMismatch, match="letters=\\(27,\\)"):
+        ps.WhiteheadAutomorphism((ps.Word(27, (27,)),))
     with pytest.raises(ValueError, match="'rank' must be at least 1"):
         ps.WhiteheadAutomorphism(())
 
